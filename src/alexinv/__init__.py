@@ -26,7 +26,6 @@ from .corpus import bundled_scenario_names, load_bundled_scenario
 from .exact_kernel import (
     CyclotomicNumber,
     ExactMatrix,
-    Rational,
     cyclotomic_poly,
     det,
     kernel_basis,

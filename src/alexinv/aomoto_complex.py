@@ -7,13 +7,17 @@ is scalar multiplication and is built in; omitted products are zero.
 
 The differential of the complex attached to a one-form ``w`` in degree one is
 ``v -> w ^ v``; its cohomology dimensions are computed by exact rank
-computations over the rationals.
+computations over the rationals, done on integer matrices after clearing
+denominators (``IntegerDifferential``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
+from math import lcm
+from operator import mul
 
 from .errors import (
     AlgebraInvalidError,
@@ -24,10 +28,9 @@ from .errors import (
 from .exact_kernel import (
     ExactMatrix,
     format_rational,
-    is_zero_matrix,
-    mat_mul,
+    integer_rank,
+    integer_vector,
     parse_rational,
-    rank,
 )
 
 ProductTable = dict  # (left label, right label) -> {target label: Fraction}
@@ -192,26 +195,107 @@ def differential_matrix(algebra: GradedAlgebra, omega: OneForm, p: int) -> Exact
     return ExactMatrix(nrows, ncols, entries)
 
 
+class IntegerDifferential:
+    """The differentials of ``(A, w ^ .)`` for the one-forms
+    ``w = sum_i a_i * omega_map[i]``, as integer-linear functions of ``a``.
+
+    ``D_p(a) = sum_i a_i N_{p,i}``, where ``N_{p,i}`` is wedging with the
+    one-form ``omega_map[i]`` from degree p to p+1, cleared of denominators by
+    one positive factor per degree; a positive rescaling of a matrix changes
+    neither its rank nor whether it is zero.  ``D_{p+1}(a) D_p(a)`` is the
+    quadratic form ``sum_{i<=j} a_i a_j Q_{p,ij}`` with
+    ``Q_{p,ii} = N_{p+1,i} N_{p,i}`` and
+    ``Q_{p,ij} = N_{p+1,i} N_{p,j} + N_{p+1,j} N_{p,i}``; only its nonzero
+    entries are kept, so the d*d check is free on a graded-commutative
+    algebra.
+    """
+
+    def __init__(self, algebra: GradedAlgebra, omega_map):
+        self.betti = betti_vector(algebra)
+        nparams = len(omega_map)
+        ones = algebra.basis[1] if algebra.top_degree >= 1 else ()
+        # tensors[p][t][j]: entry (t, j) of every N_{p,i}, as a tuple over i.
+        self.tensors = []
+        for p in range(algebra.top_degree):
+            index = {label: t for t, label in enumerate(algebra.basis[p + 1])}
+            acc = [
+                [[Fraction(0)] * nparams for _ in algebra.basis[p]]
+                for _ in algebra.basis[p + 1]
+            ]
+            for u_index, u in enumerate(ones):
+                weights = [
+                    (i, row[u_index]) for i, row in enumerate(omega_map) if row[u_index]
+                ]
+                for j, v in enumerate(algebra.basis[p]):
+                    for label, s in algebra.wedge_pair(u, v).items():
+                        cell = acc[index[label]][j]
+                        for i, w in weights:
+                            cell[i] += w * s
+            scale = lcm(*(c.denominator for row in acc for cell in row for c in cell))
+            self.tensors.append([
+                [tuple(c.numerator * scale // c.denominator for c in cell) for cell in row]
+                for row in acc
+            ])
+        # squares[p]: per nonzero entry of D_{p+1} D_p, its (i, j, Q_{p,ij}) terms.
+        self.squares = []
+        for p in range(algebra.top_degree - 1):
+            outer, inner = self.tensors[p + 1], self.tensors[p]
+            entries = []
+            for out_row, col in product(outer, range(algebra.dim(p))):
+                # pair[i][j]: this entry of N_{p+1,i} N_{p,j}.
+                pair = [
+                    [sum(x[i] * inner[m][col][j] for m, x in enumerate(out_row))
+                     for j in range(nparams)]
+                    for i in range(nparams)
+                ]
+                terms = [
+                    (i, j, pair[i][j] + pair[j][i] if i < j else pair[i][i])
+                    for i in range(nparams)
+                    for j in range(i, nparams)
+                ]
+                terms = [term for term in terms if term[2]]
+                if terms:
+                    entries.append(terms)
+            self.squares.append(entries)
+
+    def dims(self, a, degrees=None) -> tuple[int, ...]:
+        """Cohomology dimensions at the integer parameters ``a``, for
+        ``degrees`` (default: all, ``0 .. top``).
+
+        Verifies that consecutive differentials compose to zero, in every
+        degree, before trusting any rank computation.
+        """
+        for p, entries in enumerate(self.squares):
+            for terms in entries:
+                if sum(a[i] * a[j] * q for i, j, q in terms):
+                    raise InconsistentDifferentialError(
+                        f"wedging twice with the one-form is nonzero from degree {p}"
+                    )
+        if degrees is None:
+            degrees = range(len(self.betti))
+        needed = {q for p in degrees for q in (p - 1, p) if 0 <= q < len(self.tensors)}
+        ranks = {
+            q: integer_rank(
+                [[sum(map(mul, cell, a)) for cell in row] for row in self.tensors[q]]
+            )
+            for q in needed
+        }
+        return tuple(
+            self.betti[p] - ranks.get(p, 0) - ranks.get(p - 1, 0) for p in degrees
+        )
+
+
 def cohomology_dims(algebra: GradedAlgebra, omega: OneForm) -> tuple[int, ...]:
     """Dimensions ``b_0 .. b_top`` of the complex ``(A, omega ^ .)``.
 
     Verifies that consecutive differentials compose to zero before trusting
     any rank computation.
     """
-    mats = [
-        differential_matrix(algebra, omega, p) for p in range(algebra.top_degree)
-    ]
-    for p in range(algebra.top_degree - 1):
-        if not is_zero_matrix(mat_mul(mats[p + 1], mats[p])):
-            raise InconsistentDifferentialError(
-                f"wedging twice with the one-form is nonzero from degree {p}"
-            )
-    ranks = [rank(m) for m in mats] + [0]
-    dims = []
-    for p in range(algebra.top_degree + 1):
-        below = ranks[p - 1] if p > 0 else 0
-        dims.append(algebra.dim(p) - ranks[p] - below)
-    return tuple(dims)
+    if algebra.top_degree >= 1 and len(omega.coeffs) != algebra.dim(1):
+        raise DimensionError("one-form length does not match the degree-1 basis")
+    coeffs, _ = integer_vector(omega.coeffs)
+    identity = [[int(i == j) for j in range(len(coeffs))] for i in range(len(coeffs))]
+    return IntegerDifferential(algebra, identity).dims(coeffs)
 
 
 def betti_vector(algebra: GradedAlgebra) -> tuple[int, ...]:

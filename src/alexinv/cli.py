@@ -20,7 +20,7 @@ from . import corpus
 from . import invariant_pipeline as pipeline
 from . import laurent_ring as lr
 from . import residue_systems as rs
-from .aomoto_complex import cohomology_dims, validate_algebra
+from .aomoto_complex import validate_algebra
 from .errors import (
     AlgebraInvalidError,
     DimensionError,
@@ -31,7 +31,6 @@ from .errors import (
 )
 from .exact_kernel import (
     cyclotomic_poly,
-    divisors,
     euler_phi,
     format_rational,
     parse_rational,
@@ -116,10 +115,6 @@ def _parse_fraction_list(text: str, expect: int, what: str) -> tuple[Fraction, .
     return values
 
 
-def _point_str(point: lr.TorsionPoint) -> str:
-    return str(point)
-
-
 # ---------------------------------------------------------------------------
 # Factored display of univariate characteristic polynomials.
 
@@ -152,24 +147,7 @@ def format_charpoly(poly: lr.LaurentPoly) -> str:
                 break
             work = lr.normalize_unit(quotient)
             mults[k] = mults.get(k, 0) + 1
-    factors = []
-    for e in range(original_degree, 0, -1):
-        ds = divisors(e)
-        if not all(mults.get(d, 0) > 0 for d in ds):
-            continue
-        count = min(mults[d] for d in ds)
-        factors.append((e, count))
-        for d in ds:
-            mults[d] -= count
-    parts = []
-    for e, count in sorted(factors):
-        base = "(t-1)" if e == 1 else f"(t^{e}-1)"
-        parts.append(base + (f"^{count}" if count > 1 else ""))
-    for d in sorted(mults):
-        count = mults[d]
-        if count > 0:
-            base = "(" + compact_univariate(cyclotomic_poly(d)) + ")"
-            parts.append(base + (f"^{count}" if count > 1 else ""))
+    parts = pipeline.cyclotomic_factors(mults, range(1, original_degree + 1))
     if not work.is_one:
         rest = _compact_univariate_poly(work)
         parts.append(f"({rest})" if parts else rest)
@@ -218,7 +196,7 @@ def _cmd_aomoto(args) -> Report:
     scenario, report = _load_for_compute(args)
     alpha = _parse_fraction_list(args.alpha, scenario.nparams, "--alpha")
     rho = rs.residues(scenario.residue_system, alpha)
-    dims = cohomology_dims(scenario.algebra, scenario.one_form(alpha))
+    dims = pipeline.cohomology_at(scenario, alpha)
     admissible = rs.is_admissible(scenario.residue_system, alpha)
     report.results = {
         "alpha": [format_rational(a) for a in alpha],
@@ -238,7 +216,7 @@ def _cmd_twisted(args) -> Report:
             raise InconclusiveSearchError(
                 beta, scenario.effective_bound(args.bound), scenario.name
             )
-        dims = cohomology_dims(scenario.algebra, scenario.one_form(alpha))
+        dims = pipeline.cohomology_at(scenario, alpha)
         report.results = {
             "beta": [format_rational(b) for b in beta],
             "alpha": [format_rational(a) for a in alpha],
@@ -283,7 +261,7 @@ def _cmd_charvar(args) -> Report:
     scenario, report = _load_for_compute(args)
     scan = pipeline.charvar_scan(scenario, args.level, args.degree, args.bound)
     buckets = {
-        str(dim): [_point_str(p) for p in points]
+        str(dim): [str(p) for p in points]
         for dim, points in scan.by_dimension.items()
     }
     report.results = {
@@ -293,7 +271,7 @@ def _cmd_charvar(args) -> Report:
         "buckets": buckets,
     }
     for point in scan.inconclusive:
-        report.warnings.append(f"inconclusive at beta={_point_str(point)}")
+        report.warnings.append(f"inconclusive at beta={point}")
     return report
 
 
@@ -336,7 +314,7 @@ def _cmd_module(args) -> Report:
             "op": "support",
             "level": args.level,
             "count": len(points),
-            "points": [_point_str(p) for p in points],
+            "points": [str(p) for p in points],
         }
     elif args.op == "fitting":
         if args.level is None:
@@ -349,7 +327,7 @@ def _cmd_module(args) -> Report:
             "i": args.i,
             "level": args.level,
             "count": len(points),
-            "points": [_point_str(p) for p in points],
+            "points": [str(p) for p in points],
         }
     return report
 

@@ -20,8 +20,6 @@ from math import lcm
 
 from .errors import DimensionError
 
-Rational = Fraction
-
 
 def parse_rational(text: str | int) -> Fraction:
     """Parse ``"p/q"`` or ``"p"`` (also accepts plain ints)."""
@@ -127,7 +125,10 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     result = poly
     for d in divisors(n)[:-1]:
         quot, rem = _poly_divmod(result, list(cyclotomic_poly(d)))
-        assert not rem
+        if rem:
+            raise ArithmeticError(
+                f"cyclotomic polynomial {d} does not divide x^{n} - 1 exactly"
+            )
         result = quot
     return tuple(int(c) for c in result)
 
@@ -271,7 +272,10 @@ class CyclotomicNumber:
         g, u, _ = _ext_gcd_poly(list(self.coeffs), modulus)
         # The cyclotomic polynomial is irreducible over Q, so g is a nonzero
         # constant.
-        assert len(g) == 1
+        if len(g) != 1:
+            raise ArithmeticError(
+                f"value shares a factor with cyclotomic polynomial {self.conductor}"
+            )
         return CyclotomicNumber._make(self.conductor, [c / g[0] for c in u])
 
     def __truediv__(self, other):
@@ -426,6 +430,42 @@ def det(matrix: ExactMatrix):
                 f = rows[i][c] / pivot
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
     return result if sign > 0 else -result
+
+
+def integer_vector(values) -> tuple[tuple[int, ...], int]:
+    """``(n, L)`` with ``L`` the least common denominator of ``values`` and
+    ``n = L * values``, so that ``values == n / L`` entrywise."""
+    values = [Fraction(v) for v in values]
+    common = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (common // v.denominator) for v in values), common
+
+
+def integer_rank(rows) -> int:
+    """Rank of an integer matrix, given as equal-length rows, over Q.
+
+    Fraction-free Bareiss elimination (E. H. Bareiss, Math. Comp. 22, 1968):
+    after each pivot, every remaining entry is a minor of the input, so the
+    division by the previous pivot is exact and entries stay integers.
+    """
+    rows = [list(row) for row in rows if any(row)]
+    if not rows:
+        return 0
+    found, previous = 0, 1
+    for c in range(len(rows[0])):
+        pivot = next((i for i in range(found, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[found], rows[pivot] = rows[pivot], rows[found]
+        top = rows[found]
+        p = top[c]
+        for i in range(found + 1, len(rows)):
+            f = rows[i][c]
+            rows[i] = [(p * x - f * y) // previous for x, y in zip(rows[i], top)]
+        previous = p
+        found += 1
+        if found == len(rows):
+            break
+    return found
 
 
 def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:

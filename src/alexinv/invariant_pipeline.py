@@ -14,31 +14,40 @@ of the associated Milnor fiber via equimonodromic local systems.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd as int_gcd
 
 from .aomoto_complex import (
     GradedAlgebra,
+    IntegerDifferential,
     OneForm,
     algebra_from_dict,
     algebra_to_dict,
     betti_vector,
-    cohomology_dims,
     ensure_valid,
 )
 from .errors import DimensionError, InconclusiveSearchError, SchemaError
-from .exact_kernel import cyclotomic_poly, divisors, format_rational, parse_rational
+from .exact_kernel import (
+    cyclotomic_poly,
+    divisors,
+    format_rational,
+    integer_vector,
+    parse_rational,
+)
 from .laurent_ring import TorsionPoint, torsion_grid
 from .residue_systems import (
     ResidueSystem,
     admissible_search,
+    admissible_shift,
     equimonodromic_beta,
     residue_system_from_dict,
     residue_system_to_dict,
 )
+
+MAX_SCAN_POINTS = 100_000
+"""Largest torsion grid, ``level ** nparams`` points, that a scan accepts."""
 
 
 @dataclass(frozen=True)
@@ -86,12 +95,51 @@ class Scenario:
             return bound
         return min(bound, self.max_shift)
 
+    @cached_property
+    def compiled(self) -> CompiledScenario:
+        """The integer form of this scenario, built on first use."""
+        return CompiledScenario(self)
+
+
+class CompiledScenario:
+    """A scenario in integer form, built once and reused for every residue
+    class that the pipeline asks about.
+
+    Residue classes arrive over a common denominator, ``beta = n / L``.  The
+    residue rows are kept as an integer matrix for the admissibility search,
+    and the differentials as integer tensors evaluated at ``L * alpha``:
+    scaling the one-form by ``L`` changes no cohomology dimension.
+    """
+
+    def __init__(self, scenario: Scenario):
+        self.rows = tuple(row.coeffs for row in scenario.residue_system.rows)
+        self.differential = IntegerDifferential(scenario.algebra, scenario.omega_map)
+
+    def representative(self, numerators, denominator: int, bound: int):
+        """``L * alpha`` for the first admissible ``alpha`` congruent to
+        ``numerators / denominator`` inside the search box, or None."""
+        shift = admissible_shift(self.rows, numerators, denominator, bound)
+        if shift is None:
+            return None
+        return tuple(n + denominator * k for n, k in zip(numerators, shift))
+
 
 def admissible_representative(scenario: Scenario, beta, bound: int = 3):
     """Deterministic admissible residue choice for ``beta``, or None."""
     return admissible_search(
         scenario.residue_system, beta, scenario.effective_bound(bound)
     )
+
+
+def cohomology_at(scenario: Scenario, alpha) -> tuple[int, ...]:
+    """Cohomology dimensions of ``(A, w ^ .)`` at explicit residues
+    ``alpha``, for the one-form ``w = scenario.one_form(alpha)``."""
+    if len(alpha) != scenario.nparams:
+        raise DimensionError(
+            f"alpha has length {len(alpha)}, expected {scenario.nparams}"
+        )
+    scaled, _ = integer_vector(alpha)
+    return scenario.compiled.differential.dims(scaled)
 
 
 def twisted_cohomology(scenario: Scenario, beta, bound: int = 3) -> tuple[int, ...]:
@@ -108,7 +156,7 @@ def twisted_cohomology(scenario: Scenario, beta, bound: int = 3) -> tuple[int, .
             scenario.effective_bound(bound),
             scenario.name,
         )
-    return cohomology_dims(scenario.algebra, scenario.one_form(alpha))
+    return cohomology_at(scenario, alpha)
 
 
 @dataclass(frozen=True)
@@ -128,49 +176,37 @@ class CharvarScan:
         return tuple(sorted(out, key=lambda p: p.numerators()))
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("ALEXINV_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def charvar_scan(
     scenario: Scenario, level: int, degree: int, bound: int = 3
 ) -> CharvarScan:
     """Bucket every level-N torsion point by ``dim H^degree``.
 
     The scan enumerates all ``level ** nparams`` residue-class vectors in
-    lexicographic order; aggregation is deterministic regardless of the
-    worker count.
+    lexicographic order.
     """
     if not 1 <= degree <= scenario.algebra.top_degree:
         raise DimensionError(
             f"degree {degree} out of range [1, {scenario.algebra.top_degree}]"
         )
-    points = list(torsion_grid(level, scenario.nparams))
-
-    def compute(point):
-        try:
-            return twisted_cohomology(scenario, point.beta, bound)[degree]
-        except InconclusiveSearchError:
-            return None
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(compute, points))
-    else:
-        outcomes = [compute(point) for point in points]
-
+    # Checked before any point exists: the grid has level ** nparams points.
+    if level < 1:
+        raise ValueError(f"level must be >= 1, got {level}")
+    if level > MAX_SCAN_POINTS or level ** scenario.nparams > MAX_SCAN_POINTS:
+        raise ValueError(
+            f"level {level} gives {level}^{scenario.nparams} torsion points, "
+            f"more than the limit of {MAX_SCAN_POINTS}"
+        )
+    bound = scenario.effective_bound(bound)
+    compiled = scenario.compiled
     by_dimension: dict = {}
     inconclusive = []
-    for point, outcome in zip(points, outcomes):
-        if outcome is None:
+    for point in torsion_grid(level, scenario.nparams):
+        scaled = compiled.representative(point.numerators(), level, bound)
+        if scaled is None:
             inconclusive.append(point)
         else:
-            by_dimension.setdefault(outcome, []).append(point)
+            (dim,) = compiled.differential.dims(scaled, (degree,))
+            by_dimension.setdefault(dim, []).append(point)
     by_dimension = {
         dim: tuple(pts) for dim, pts in sorted(by_dimension.items())
     }
@@ -232,25 +268,29 @@ class MonodromyPolynomial:
                 if m
             )
             return f"roots[{roots}]"
-        remaining = dict(by_order)
-        factors = []
-        for e in sorted(divisors(self.order), reverse=True):
-            count = min(remaining[d] for d in divisors(e))
-            if count > 0:
-                factors.append((e, count))
-                for d in divisors(e):
-                    remaining[d] -= count
-        leftovers = [
-            (d, m) for d, m in sorted(remaining.items()) if m > 0
-        ]
-        parts = []
-        for e, count in sorted(factors):
-            base = "(t-1)" if e == 1 else f"(t^{e}-1)"
-            parts.append(base + (f"^{count}" if count > 1 else ""))
-        for d, count in leftovers:
-            base = "(" + compact_univariate(cyclotomic_poly(d)) + ")"
-            parts.append(base + (f"^{count}" if count > 1 else ""))
+        parts = cyclotomic_factors(by_order, divisors(self.order))
         return "*".join(parts) if parts else "1"
+
+
+def cyclotomic_factors(mults: dict, exponents) -> list[str]:
+    """Factors of ``prod_d Phi_d ** mults[d]`` as text: complete ``t^e - 1``
+    groups for ``e`` in ``exponents``, taken greedily from the largest, then
+    the cyclotomic polynomials left over, each with its multiplicity."""
+    mults = dict(mults)
+    groups = []
+    for e in sorted(exponents, reverse=True):
+        count = min(mults.get(d, 0) for d in divisors(e))
+        if count > 0:
+            groups.append((e, count))
+            for d in divisors(e):
+                mults[d] -= count
+    bases = [("(t-1)" if e == 1 else f"(t^{e}-1)", c) for e, c in sorted(groups)]
+    bases += [
+        ("(" + compact_univariate(cyclotomic_poly(d)) + ")", c)
+        for d, c in sorted(mults.items())
+        if c > 0
+    ]
+    return [base + (f"^{c}" if c > 1 else "") for base, c in bases]
 
 
 def compact_univariate(coeffs) -> str:
@@ -284,10 +324,16 @@ def milnor_charpoly(scenario: Scenario, m: int, bound: int = 3) -> MonodromyPoly
             f"degree {m} out of range [0, {scenario.algebra.top_degree}]"
         )
     order = milnor_order(scenario)
+    bound = scenario.effective_bound(bound)
+    compiled = scenario.compiled
     mults = []
     for k in range(order):
-        beta = equimonodromic_beta(order, k, scenario.nparams)
-        mults.append(twisted_cohomology(scenario, beta, bound)[m])
+        scaled = compiled.representative((k,) * scenario.nparams, order, bound)
+        if scaled is None:
+            raise InconclusiveSearchError(
+                equimonodromic_beta(order, k, scenario.nparams), bound, scenario.name
+            )
+        mults.extend(compiled.differential.dims(scaled, (m,)))
     return MonodromyPolynomial(order, tuple(mults))
 
 

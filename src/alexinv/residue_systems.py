@@ -9,20 +9,20 @@ when no residue is a strictly positive integer.
 class vector ``beta`` by trying integer shifts inside a box, in a fixed
 deterministic order (total absolute shift first, then lexicographic), so that
 searches are reproducible.  Failure inside the box is reported as absence,
-never as a certificate of non-admissibility.
+never as a certificate of non-admissibility.  The search itself
+(``admissible_shift``) runs on integers: ``beta`` over a common denominator.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
+from operator import mul
 
 from .errors import DimensionError, SchemaError
-
-ResidueChoice = tuple  # tuple[Fraction, ...] of length nparams
-
+from .exact_kernel import integer_vector
 
 @dataclass(frozen=True)
 class ResidueRow:
@@ -75,13 +75,56 @@ def is_admissible(system: ResidueSystem, alpha) -> bool:
     return True
 
 
+MAX_SHIFT_BOX = 100_000
+"""Largest search box, ``(2 * bound + 1) ** nparams`` shifts, that a search
+may use.  Each box's shift order is kept for reuse, so it must stay small."""
+
+
 def shift_vectors(nparams: int, bound: int) -> list[tuple[int, ...]]:
     """Integer shift vectors with entries in [-bound, bound], ordered by total
     absolute shift and then lexicographically."""
+    return list(_shift_order(nparams, bound))
+
+
+def _shift_order(nparams: int, bound: int) -> tuple[tuple[int, ...], ...]:
     if bound < 0:
         raise ValueError("search bound must be >= 0")
+    if (2 * bound + 1) ** nparams > MAX_SHIFT_BOX:
+        raise ValueError(
+            f"search box (2*{bound}+1)^{nparams} exceeds {MAX_SHIFT_BOX} shifts"
+        )
+    return _sorted_box(nparams, bound)
+
+
+@lru_cache(maxsize=8)
+def _sorted_box(nparams: int, bound: int) -> tuple[tuple[int, ...], ...]:
     grid = product(range(-bound, bound + 1), repeat=nparams)
-    return sorted(grid, key=lambda k: (sum(abs(x) for x in k), k))
+    return tuple(sorted(grid, key=lambda k: (sum(map(abs, k)), k)))
+
+
+def admissible_shift(rows, numerators, denominator: int, bound: int):
+    """First shift ``k`` in :func:`shift_vectors` order that makes
+    ``alpha = numerators / denominator + k`` admissible for the integer
+    ``rows``, or None.
+
+    With ``n = numerators`` and ``L = denominator``, a row's residue at alpha
+    is ``v / L`` with ``v = row.n + L * (row.k)``: a positive integer exactly
+    when ``v > 0`` and ``v % L == 0``.  As ``v % L`` does not depend on k,
+    only rows with ``row.n % L == 0`` can ever block, and such a row blocks k
+    exactly when ``row.k + row.n // L > 0``.
+    """
+    blocking = []
+    for row in rows:
+        v = sum(map(mul, row, numerators))
+        if v % denominator == 0:
+            blocking.append((row, v // denominator))
+    for shift in _shift_order(len(numerators), bound):
+        for row, offset in blocking:
+            if sum(map(mul, row, shift)) + offset > 0:
+                break
+        else:
+            return shift
+    return None
 
 
 def admissible_search(system: ResidueSystem, beta, bound: int = 3):
@@ -92,11 +135,12 @@ def admissible_search(system: ResidueSystem, beta, bound: int = 3):
         raise DimensionError(
             f"beta has length {len(beta)}, expected {system.nparams}"
         )
-    for shift in shift_vectors(system.nparams, bound):
-        alpha = tuple(b + k for b, k in zip(beta, shift))
-        if is_admissible(system, alpha):
-            return alpha
-    return None
+    numerators, denominator = integer_vector(beta)
+    rows = [row.coeffs for row in system.rows]
+    shift = admissible_shift(rows, numerators, denominator, bound)
+    if shift is None:
+        return None
+    return tuple(b + k for b, k in zip(beta, shift))
 
 
 def equimonodromic_beta(order: int, k: int, nparams: int) -> tuple[Fraction, ...]:
@@ -154,12 +198,3 @@ def residue_system_to_dict(system: ResidueSystem) -> dict:
             for row in system.rows
         ],
     }
-
-
-def load_residue_system(path: str) -> ResidueSystem:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("", f"invalid JSON: {exc}") from exc
-    return residue_system_from_dict(data, "")

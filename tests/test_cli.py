@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from alexinv import invariant_pipeline as pipeline
+from alexinv import residue_systems as rs
 from alexinv.cli import format_charpoly, main
 from alexinv.laurent_ring import parse_poly
 
@@ -158,6 +160,59 @@ def test_charvar_inconclusive_exit_code(capsys):
     )
     assert code == 2
     assert out.count("warning: inconclusive") == 2
+
+
+@pytest.mark.parametrize("level", ["0", "-3"])
+def test_charvar_rejects_level_below_one(capsys, level):
+    code, out, err = run_cli(
+        capsys, "charvar", "torus", "--level", level, "--degree", "1"
+    )
+    assert code == 1
+    assert out == ""
+    assert "level must be >= 1" in err
+
+
+def test_charvar_rejects_grid_over_the_point_cap(capsys, monkeypatch):
+    # 47^3 > 100000 and 100001 > 100000 are refused before any point is made.
+    for name, level in (("example_4_1", "47"), ("example_5_3", "100001")):
+        code, out, err = run_cli(
+            capsys, "charvar", name, "--level", level, "--degree", "1"
+        )
+        assert code == 1
+        assert out == ""
+        assert "more than the limit" in err
+    # The cap is inclusive: with a cap of 27, level 3 of a 3-parameter
+    # scenario is scanned and level 4 is refused.
+    monkeypatch.setattr(pipeline, "MAX_SCAN_POINTS", 27)
+    code, _, _ = run_cli(capsys, "charvar", "example_4_1", "--level", "3", "--degree", "1")
+    assert code == 0
+    code, _, err = run_cli(capsys, "charvar", "example_4_1", "--level", "4", "--degree", "1")
+    assert code == 1
+    assert "4^3 torsion points" in err
+
+
+def test_search_box_over_the_shift_cap(capsys, monkeypatch):
+    # (2*23+1)^3 > 100000 shifts: refused by every command that searches.
+    for argv in (
+        ("charvar", "example_4_1", "--level", "2", "--degree", "1", "--bound", "23"),
+        ("twisted", "example_4_1", "--beta", "1/2,1/2,1/2", "--bound", "23"),
+        ("admissible", "torus", "--beta", "1/2,1/3", "--bound", "1000000"),
+        ("milnor", "torus", "--m", "1", "--bound", "1000000"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "exceeds 100000 shifts" in err
+    # The cap applies to the box searched, after a scenario's max_shift.
+    code, _, _ = run_cli(capsys, "twisted", "example_5_3", "--beta", "1/5", "--bound", "1000000")
+    assert code == 0
+    # Inclusive: with a cap of 125 shifts, bound 2 (5^3) runs and 3 (7^3) is refused.
+    monkeypatch.setattr(rs, "MAX_SHIFT_BOX", 125)
+    code, _, _ = run_cli(capsys, "twisted", "example_4_1", "--beta", "1/5,1/5,1/5", "--bound", "2")
+    assert code == 0
+    code, _, err = run_cli(capsys, "twisted", "example_4_1", "--beta", "1/5,1/5,1/5", "--bound", "3")
+    assert code == 1
+    assert "exceeds 125 shifts" in err
 
 
 def test_milnor_command(capsys):
