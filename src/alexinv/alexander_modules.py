@@ -169,9 +169,9 @@ def in_support(pres: Presentation, point: TorsionPoint) -> bool:
     return all(evaluate_at_torsion(g, point).is_zero() for g in ideal.gens)
 
 
-def _vanishing_points(gens, nvars: int, level: int):
+def _vanishing_points(gens, grid):
     points = []
-    for point in torsion_grid(level, nvars):
+    for point in grid:
         if all(evaluate_at_torsion(g, point).is_zero() for g in gens):
             points.append(point)
     return tuple(points)
@@ -179,8 +179,8 @@ def _vanishing_points(gens, nvars: int, level: int):
 
 def support_scan(pres: Presentation, level: int) -> tuple[TorsionPoint, ...]:
     """All level-N torsion points in the support, in lexicographic order."""
-    ideal = elementary_ideal(pres, 0)
-    return _vanishing_points(ideal.gens, pres.nvars, level)
+    grid = torsion_grid(level, pres.nvars)
+    return _vanishing_points(elementary_ideal(pres, 0).gens, grid)
 
 
 def fitting_variety_scan(
@@ -190,10 +190,12 @@ def fitting_variety_scan(
     vanishes (the i-th Fitting-stratified characteristic variety)."""
     if i < 1:
         raise ValueError("variety index must be >= 1")
+    # The grid is checked first, also when the ideal needs no scan.
+    grid = torsion_grid(level, pres.nvars)
     ideal = elementary_ideal(pres, i - 1)
     if ideal.is_full_ring:
         return tuple()
-    return _vanishing_points(ideal.gens, pres.nvars, level)
+    return _vanishing_points(ideal.gens, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -92,9 +92,6 @@ class GradedAlgebra:
     def degree_of(self, label: str) -> int:
         return self._where[label][0]
 
-    def index_of(self, label: str) -> int:
-        return self._where[label][1]
-
     def wedge_pair(self, one_label: str, other_label: str) -> dict:
         """Structure vector of (degree-1 element) ^ (any basis element)."""
         if self.degree_of(other_label) == 0:

@@ -20,7 +20,7 @@ from . import corpus
 from . import invariant_pipeline as pipeline
 from . import laurent_ring as lr
 from . import residue_systems as rs
-from .aomoto_complex import validate_algebra
+from .aomoto_complex import betti_vector
 from .errors import (
     AlgebraInvalidError,
     DimensionError,
@@ -172,16 +172,13 @@ def _compact_univariate_poly(poly: lr.LaurentPoly) -> str:
 def _cmd_validate(args) -> Report:
     path = _resolve_scenario_path(args.scenario)
     report = Report(command=_echo(args), digest=_digest_file(path))
-    scenario = pipeline.load_scenario(path, validate=False)
-    violations = validate_algebra(scenario.algebra)
-    if violations:
-        raise AlgebraInvalidError(violations)
+    scenario = pipeline.load_scenario(path)
     report.results = {
         "name": scenario.name,
         "valid": True,
         "components": scenario.components,
         "degrees": list(scenario.degrees),
-        "betti": list(pipeline.untwisted_betti(scenario)),
+        "betti": list(betti_vector(scenario.algebra)),
     }
     return report
 
@@ -210,25 +207,19 @@ def _cmd_aomoto(args) -> Report:
 def _cmd_twisted(args) -> Report:
     scenario, report = _load_for_compute(args)
     beta = _parse_fraction_list(args.beta, scenario.nparams, "--beta")
-    try:
-        alpha = pipeline.admissible_representative(scenario, beta, args.bound)
-        if alpha is None:
-            raise InconclusiveSearchError(
-                beta, scenario.effective_bound(args.bound), scenario.name
-            )
-        dims = pipeline.cohomology_at(scenario, alpha)
-        report.results = {
-            "beta": [format_rational(b) for b in beta],
-            "alpha": [format_rational(a) for a in alpha],
-            "dims": list(dims),
-        }
-    except InconclusiveSearchError as exc:
-        report.results = {
-            "beta": [format_rational(b) for b in beta],
-            "alpha": None,
-            "dims": None,
-        }
-        report.warnings.append(str(exc))
+    alpha = pipeline.admissible_representative(scenario, beta, args.bound)
+    dims = None
+    if alpha is None:
+        bound = scenario.effective_bound(args.bound)
+        report.warnings.append(str(InconclusiveSearchError(beta, bound, scenario.name)))
+    else:
+        dims = list(pipeline.cohomology_at(scenario, alpha))
+        alpha = [format_rational(a) for a in alpha]
+    report.results = {
+        "beta": [format_rational(b) for b in beta],
+        "alpha": alpha,
+        "dims": dims,
+    }
     return report
 
 
@@ -358,12 +349,13 @@ def _build_parser() -> argparse.ArgumentParser:
             help="report format (default: text)",
         )
 
+    scenario_help = (
+        "scenario file path or bundled scenario name "
+        f"({', '.join(corpus.bundled_scenario_names())})"
+    )
+
     def add_scenario(p):
-        p.add_argument(
-            "scenario",
-            help="scenario file path or bundled scenario name "
-            f"({', '.join(corpus.bundled_scenario_names())})",
-        )
+        p.add_argument("scenario", help=scenario_help)
 
     p = sub.add_parser("validate", help="schema and algebra checks of a scenario")
     add_scenario(p)

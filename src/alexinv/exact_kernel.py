@@ -205,14 +205,6 @@ class CyclotomicNumber:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError("not a rational value")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
-
     def lift(self, conductor: int) -> CyclotomicNumber:
         """Re-express in Q(zeta_M) for a multiple M of the conductor."""
         if conductor % self.conductor:

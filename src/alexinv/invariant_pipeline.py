@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd as int_gcd
+from operator import mul
 
 from .aomoto_complex import (
     GradedAlgebra,
@@ -25,7 +26,6 @@ from .aomoto_complex import (
     OneForm,
     algebra_from_dict,
     algebra_to_dict,
-    betti_vector,
     ensure_valid,
 )
 from .errors import DimensionError, InconclusiveSearchError, SchemaError
@@ -45,10 +45,6 @@ from .residue_systems import (
     residue_system_from_dict,
     residue_system_to_dict,
 )
-
-MAX_SCAN_POINTS = 100_000
-"""Largest torsion grid, ``level ** nparams`` points, that a scan accepts."""
-
 
 @dataclass(frozen=True)
 class Scenario:
@@ -173,7 +169,7 @@ class CharvarScan:
         for dim in sorted(self.by_dimension):
             if dim > i:
                 out.extend(self.by_dimension[dim])
-        return tuple(sorted(out, key=lambda p: p.numerators()))
+        return tuple(sorted(out, key=lambda p: p.numerators))
 
 
 def charvar_scan(
@@ -188,20 +184,13 @@ def charvar_scan(
         raise DimensionError(
             f"degree {degree} out of range [1, {scenario.algebra.top_degree}]"
         )
-    # Checked before any point exists: the grid has level ** nparams points.
-    if level < 1:
-        raise ValueError(f"level must be >= 1, got {level}")
-    if level > MAX_SCAN_POINTS or level ** scenario.nparams > MAX_SCAN_POINTS:
-        raise ValueError(
-            f"level {level} gives {level}^{scenario.nparams} torsion points, "
-            f"more than the limit of {MAX_SCAN_POINTS}"
-        )
+    grid = torsion_grid(level, scenario.nparams)
     bound = scenario.effective_bound(bound)
     compiled = scenario.compiled
     by_dimension: dict = {}
     inconclusive = []
-    for point in torsion_grid(level, scenario.nparams):
-        scaled = compiled.representative(point.numerators(), level, bound)
+    for point in grid:
+        scaled = compiled.representative(point.numerators, level, bound)
         if scaled is None:
             inconclusive.append(point)
         else:
@@ -342,15 +331,15 @@ def milnor_charpoly(scenario: Scenario, m: int, bound: int = 3) -> MonodromyPoly
 
 
 def projective_points(degrees, level: int) -> tuple[TorsionPoint, ...]:
-    """Level-N torsion points satisfying ``sum(d_j * beta_j)`` integral; these
-    are the rank-one local systems extending to the projective complement."""
+    """Level-N torsion points satisfying ``sum(d_j * beta_j)`` integral, that is
+    ``sum(d_j * n_j) = 0 (mod level)``; these are the rank-one local systems
+    extending to the projective complement."""
     degrees = tuple(int(d) for d in degrees)
-    out = []
-    for point in torsion_grid(level, len(degrees)):
-        total = sum((d * b for d, b in zip(degrees, point.beta)), start=Fraction(0))
-        if total.denominator == 1:
-            out.append(point)
-    return tuple(out)
+    return tuple(
+        point
+        for point in torsion_grid(level, len(degrees))
+        if sum(map(mul, degrees, point.numerators)) % level == 0
+    )
 
 
 def epsilon_line(points, point: TorsionPoint) -> int:
@@ -365,10 +354,7 @@ def epsilon_line(points, point: TorsionPoint) -> int:
     for mults in points:
         if len(mults) != point.nvars:
             raise DimensionError("multiplicity vector length must match the point")
-        total = sum(
-            (int(k) * b for k, b in zip(mults, point.beta)), start=Fraction(0)
-        )
-        if total.denominator != 1:
+        if sum(int(k) * n for k, n in zip(mults, point.numerators)) % point.level:
             return 0
     return 1
 
@@ -494,18 +480,13 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     return data
 
 
-def load_scenario(path: str, validate: bool = True) -> Scenario:
-    """Load and schema-check a scenario file; optionally validate the algebra."""
+def load_scenario(path: str) -> Scenario:
+    """Load and schema-check a scenario file, and validate its algebra."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             data = json.load(handle)
         except json.JSONDecodeError as exc:
             raise SchemaError("", f"invalid JSON: {exc}") from exc
     scenario = scenario_from_dict(data)
-    if validate:
-        ensure_valid(scenario.algebra)
+    ensure_valid(scenario.algebra)
     return scenario
-
-
-def untwisted_betti(scenario: Scenario) -> tuple[int, ...]:
-    return betti_vector(scenario.algebra)

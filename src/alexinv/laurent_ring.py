@@ -385,57 +385,73 @@ def gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
 class TorsionPoint:
     """A point of the torus with all coordinates N-th roots of unity.
 
-    ``beta`` holds the residue classes: coordinate ``j`` of the point is
-    ``exp(-2*pi*i*beta[j])``, each ``beta[j]`` in ``[0, 1)`` with
-    ``level * beta[j]`` an integer.
+    Coordinate ``j`` of the point is ``exp(-2*pi*i*numerators[j]/level)``,
+    each numerator in ``[0, level)``; ``beta`` holds the residue classes
+    ``numerators[j] / level``.
     """
 
     level: int
-    beta: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
 
     def __post_init__(self):
         if self.level < 1:
             raise ValueError("level must be positive")
-        for b in self.beta:
-            if not (0 <= b < 1):
-                raise ValueError(f"residue class {b} outside [0, 1)")
-            if (b * self.level).denominator != 1:
-                raise ValueError(f"residue class {b} has level not dividing {self.level}")
+        for n in self.numerators:
+            if not 0 <= n < self.level:
+                raise ValueError(f"numerator {n} outside [0, {self.level})")
 
     @classmethod
     def from_numerators(cls, level: int, numerators) -> TorsionPoint:
-        return cls(level, tuple(Fraction(n % level, level) for n in numerators))
+        if level < 1:
+            raise ValueError("level must be positive")
+        return cls(level, tuple(n % level for n in numerators))
 
     @classmethod
     def from_residues(cls, level: int, residues) -> TorsionPoint:
         """Build from arbitrary rationals, reducing each mod 1."""
-        beta = tuple(Fraction(r) - (Fraction(r).numerator // Fraction(r).denominator)
-                     for r in residues)
-        return cls(level, beta)
+        numerators = []
+        for r in residues:
+            scaled = Fraction(r) * level
+            if scaled.denominator != 1:
+                raise ValueError(f"residue class {r} has level not dividing {level}")
+            numerators.append(scaled.numerator)
+        return cls.from_numerators(level, numerators)
+
+    @property
+    def beta(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.level) for n in self.numerators)
 
     @property
     def nvars(self) -> int:
-        return len(self.beta)
-
-    def numerators(self) -> tuple[int, ...]:
-        return tuple(int(b * self.level) for b in self.beta)
+        return len(self.numerators)
 
     def negate(self) -> TorsionPoint:
-        return TorsionPoint.from_numerators(
-            self.level, tuple(-n for n in self.numerators())
-        )
+        return TorsionPoint.from_numerators(self.level, (-n for n in self.numerators))
 
     def is_trivial(self) -> bool:
-        return not any(self.beta)
+        return not any(self.numerators)
 
     def __str__(self):
-        return "(" + ",".join(format_rational(b) for b in self.beta) + ")"
+        return "(" + ",".join(map(format_rational, self.beta)) + ")"
+
+
+MAX_SCAN_POINTS = 100_000
+"""Largest torsion grid, ``level ** nvars`` points, that a scan accepts."""
 
 
 def torsion_grid(level: int, nvars: int):
-    """All level-N torsion points, in lexicographic order of numerators."""
-    for nums in product(range(level), repeat=nvars):
-        yield TorsionPoint.from_numerators(level, nums)
+    """All level-N torsion points, in lexicographic order of numerators.
+
+    The grid size is checked when this is called, before any point exists.
+    """
+    if level < 1:
+        raise ValueError(f"level must be >= 1, got {level}")
+    if level > MAX_SCAN_POINTS or level ** nvars > MAX_SCAN_POINTS:
+        raise ValueError(
+            f"level {level} gives {level}^{nvars} torsion points, "
+            f"more than the limit of {MAX_SCAN_POINTS}"
+        )
+    return (TorsionPoint(level, nums) for nums in product(range(level), repeat=nvars))
 
 
 def evaluate_at_torsion(p: LaurentPoly, point: TorsionPoint) -> CyclotomicNumber:
@@ -445,7 +461,7 @@ def evaluate_at_torsion(p: LaurentPoly, point: TorsionPoint) -> CyclotomicNumber
             f"polynomial in {p.nvars} variables evaluated at a point of length {point.nvars}"
         )
     n = point.level
-    nums = point.numerators()
+    nums = point.numerators
     # Accumulate by power of zeta_N, then reduce once.
     powers = [Fraction(0)] * n
     for exps, coeff in p.terms.items():

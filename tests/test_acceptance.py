@@ -105,7 +105,7 @@ def test_criterion_04_jumping_41():
     subtorus = {
         pt
         for pt in torsion_grid(5, 3)
-        if sum(n * c for n, c in zip(pt.numerators(), (1, 2, 2))) % 5 == 0
+        if sum(n * c for n, c in zip(pt.numerators, (1, 2, 2))) % 5 == 0
     }
     assert len(subtorus) == 25
     for degree in (1, 2):

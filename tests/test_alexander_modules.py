@@ -192,12 +192,12 @@ def test_support_scan_examples():
     assert len(points) == 25
     expected = {
         pt for pt in points
-        if (pt.numerators()[0] + 2 * pt.numerators()[1] + 2 * pt.numerators()[2]) % 5 == 0
+        if (pt.numerators[0] + 2 * pt.numerators[1] + 2 * pt.numerators[2]) % 5 == 0
     }
     assert set(points) == expected
 
     single = support_scan(cyclic_module([P("t - 1", 1)]), 5)
-    assert [p.numerators() for p in single] == [(0,)]
+    assert [p.numerators for p in single] == [(0,)]
 
     assert len(support_scan(free_module(3), 2)) == 8
 
@@ -223,7 +223,7 @@ def test_support_union_and_delta_bound_for_split_sequences():
 def test_fitting_variety_examples():
     d = diag([P("t^2 - 2*t + 1", 1), P("t - 1", 1)])
     v1 = fitting_variety_scan(d, 1, 5)
-    assert [p.numerators() for p in v1] == [(0,)]
+    assert [p.numerators for p in v1] == [(0,)]
     assert fitting_variety_scan(d, 3, 5) == ()
     assert fitting_variety_scan(cyclic_module([P("t - 1", 1)]), 2, 5) == ()
     with pytest.raises(ValueError):

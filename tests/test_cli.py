@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from alexinv import invariant_pipeline as pipeline
+import alexinv
+from alexinv import laurent_ring as lr
 from alexinv import residue_systems as rs
 from alexinv.cli import format_charpoly, main
 from alexinv.laurent_ring import parse_poly
@@ -183,7 +185,7 @@ def test_charvar_rejects_grid_over_the_point_cap(capsys, monkeypatch):
         assert "more than the limit" in err
     # The cap is inclusive: with a cap of 27, level 3 of a 3-parameter
     # scenario is scanned and level 4 is refused.
-    monkeypatch.setattr(pipeline, "MAX_SCAN_POINTS", 27)
+    monkeypatch.setattr(lr, "MAX_SCAN_POINTS", 27)
     code, _, _ = run_cli(capsys, "charvar", "example_4_1", "--level", "3", "--degree", "1")
     assert code == 0
     code, _, err = run_cli(capsys, "charvar", "example_4_1", "--level", "4", "--degree", "1")
@@ -276,6 +278,48 @@ def test_module_support_and_fitting(tmp_path, capsys):
     assert "results.count: 25" in out
 
 
+@pytest.fixture
+def bivariate_presentation(tmp_path):
+    pres = {"nvars": 2, "generators": 1, "relations": 1, "matrix": [["t1*t2-1"]]}
+    path = tmp_path / "bivariate.json"
+    path.write_text(json.dumps(pres))
+    return str(path)
+
+
+MODULE_SCANS = (("support",), ("fitting", "--i", "1"), ("fitting", "--i", "2"))
+
+
+@pytest.mark.parametrize("op", MODULE_SCANS)
+@pytest.mark.parametrize("level", ["0", "-3"])
+def test_module_scans_reject_level_below_one(capsys, bivariate_presentation, op, level):
+    # "--i 2" asks for the full ring's variety, which needs no scan: the
+    # level is refused all the same.
+    code, out, err = run_cli(
+        capsys, "module", "--presentation", bivariate_presentation, "--op", *op,
+        "--level", level,
+    )
+    assert code == 1
+    assert out == ""
+    assert "level must be >= 1" in err
+
+
+@pytest.mark.parametrize("op", MODULE_SCANS)
+def test_module_scans_reject_grid_over_the_point_cap(
+    capsys, monkeypatch, bivariate_presentation, op
+):
+    # Inclusive: with a cap of 25, level 5 of a bivariate module is scanned
+    # and level 6 is refused.
+    monkeypatch.setattr(lr, "MAX_SCAN_POINTS", 25)
+    argv = ("module", "--presentation", bivariate_presentation, "--op", *op)
+    code, out, _ = run_cli(capsys, *argv, "--level", "5")
+    assert code == 0
+    assert "results.level: 5" in out
+    code, out, err = run_cli(capsys, *argv, "--level", "6")
+    assert code == 1
+    assert out == ""
+    assert "6^2 torsion points, more than the limit of 25" in err
+
+
 def test_usage_error_exit_code(capsys):
     assert main([]) == 1
     assert main(["no-such-command"]) == 1
@@ -320,10 +364,13 @@ def test_format_charpoly_edge_cases():
 
 
 def test_module_entry_point_subprocess():
+    # Run from the directory that holds the imported package, so that
+    # "-m alexinv" finds it without an install or PYTHONPATH.
     proc = subprocess.run(
         [sys.executable, "-m", "alexinv", "validate", "example_4_1"],
         capture_output=True,
         text=True,
+        cwd=os.path.dirname(os.path.dirname(alexinv.__file__)),
     )
     assert proc.returncode == 0
     assert "results.valid: true" in proc.stdout

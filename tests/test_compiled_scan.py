@@ -106,7 +106,7 @@ def test_charvar_scan_matches_fraction_reference(name):
 def test_example_53_level12_inconclusive_points_match_reference():
     scenario = load_bundled_scenario("example_5_3")
     reference = assert_scan_matches(scenario, 12, 3, {})
-    assert [p.numerators() for p, dims in reference if dims is None] == [(4,), (8,)]
+    assert [p.numerators for p, dims in reference if dims is None] == [(4,), (8,)]
 
 
 def fractions_with_mixed_denominators(n):

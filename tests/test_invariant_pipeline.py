@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alexinv.alexander_modules import cyclic_module, support_scan
-from alexinv.aomoto_complex import cohomology_dims
+from alexinv.aomoto_complex import betti_vector, cohomology_dims
 from alexinv.corpus import (
     bundled_scenario_names,
     load_bundled_scenario,
@@ -23,7 +25,6 @@ from alexinv.invariant_pipeline import (
     scenario_from_dict,
     scenario_to_dict,
     twisted_cohomology,
-    untwisted_betti,
 )
 from alexinv.laurent_ring import TorsionPoint, parse_poly, torsion_grid
 from alexinv.residue_systems import is_admissible, shift_vectors
@@ -54,13 +55,13 @@ def test_twisted_examples(sc41, sc42, sc53):
     for name in bundled_scenario_names():
         scenario = load_bundled_scenario(name)
         zero = (F(0),) * scenario.nparams
-        assert twisted_cohomology(scenario, zero) == untwisted_betti(scenario)
+        assert twisted_cohomology(scenario, zero) == betti_vector(scenario.algebra)
 
 
 def test_charvar_41_level5(sc41):
     expected = {
         pt for pt in torsion_grid(5, 3)
-        if sum(n * c for n, c in zip(pt.numerators(), (1, 2, 2))) % 5 == 0
+        if sum(n * c for n, c in zip(pt.numerators, (1, 2, 2))) % 5 == 0
     }
     for degree in (1, 2):
         scan = charvar_scan(sc41, 5, degree)
@@ -68,7 +69,7 @@ def test_charvar_41_level5(sc41):
         jumping = set(scan.points_with_dim_above(0))
         assert jumping == expected and len(jumping) == 25
         deeper = scan.points_with_dim_above(1)
-        assert [p.numerators() for p in deeper] == [(0, 0, 0)]
+        assert [p.numerators for p in deeper] == [(0, 0, 0)]
     scan1 = charvar_scan(sc41, 5, 1)
     assert set(scan1.by_dimension) == {0, 1, 3}
     assert len(scan1.by_dimension[1]) == 24
@@ -79,9 +80,9 @@ def test_charvar_42_level5(sc42):
     assert not scan.inconclusive
     assert len(scan.points_with_dim_above(0)) == 125
     assert len(scan.points_with_dim_above(1)) == 125
-    assert [p.numerators() for p in scan.points_with_dim_above(2)] == [(0, 0, 0)]
+    assert [p.numerators for p in scan.points_with_dim_above(2)] == [(0, 0, 0)]
     scan1 = charvar_scan(sc42, 5, 1)
-    assert [p.numerators() for p in scan1.points_with_dim_above(0)] == [(0, 0, 0)]
+    assert [p.numerators for p in scan1.points_with_dim_above(0)] == [(0, 0, 0)]
 
 
 def test_charvar_53_level5(sc53):
@@ -122,7 +123,7 @@ def test_milnor_torus():
 def test_milnor_degree_bookkeeping():
     for name in bundled_scenario_names():
         scenario = load_bundled_scenario(name)
-        betti = untwisted_betti(scenario)
+        betti = betti_vector(scenario.algebra)
         for m in range(scenario.algebra.top_degree + 1):
             delta = milnor_charpoly(scenario, m)
             assert delta.degree == sum(delta.multiplicities)
@@ -141,7 +142,7 @@ def test_monodromy_formatting_fallback_and_leftovers():
 def test_projective_points_examples():
     assert len(projective_points((1, 3), 5)) == 5
     four = projective_points((1,), 4)
-    assert [p.numerators() for p in four] == [(0,)]
+    assert [p.numerators for p in four] == [(0,)]
     assert len(projective_points((1, 1, 2), 5)) == 25
 
 
@@ -154,6 +155,40 @@ def test_epsilon_line_examples(sc41):
     assert epsilon_line(points, TorsionPoint.from_numerators(5, (1, 0, 2))) == 1
 
 
+def fraction_sum_is_integral(coeffs, point):
+    return sum((c * b for c, b in zip(coeffs, point.beta)), F(0)).denominator == 1
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.integers(1, 12), st.lists(st.integers(1, 6), min_size=1, max_size=3))
+def test_projective_points_agree_with_fraction_sums(level, degrees):
+    expected = [
+        p for p in torsion_grid(level, len(degrees))
+        if fraction_sum_is_integral(degrees, p)
+    ]
+    assert list(projective_points(degrees, level)) == expected
+
+
+@st.composite
+def added_line_data(draw):
+    nvars = draw(st.integers(1, 3))
+    level = draw(st.integers(1, 12))
+    numerators = draw(
+        st.lists(st.integers(0, level - 1), min_size=nvars, max_size=nvars)
+    )
+    mults = st.lists(st.integers(0, 6), min_size=nvars, max_size=nvars)
+    points = draw(st.lists(mults.map(tuple), max_size=4))
+    return tuple(points), TorsionPoint(level, tuple(numerators))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(added_line_data())
+def test_epsilon_line_agrees_with_fraction_sums(data):
+    points, point = data
+    expected = 1 if all(fraction_sum_is_integral(m, point) for m in points) else 0
+    assert epsilon_line(points, point) == expected
+
+
 def test_inconclusive_for_53_off_grid(sc53):
     # With exceptional residue data unavailable, the scenario refuses shifted
     # representatives; level-3 classes whose zero-shift residues hit positive
@@ -161,8 +196,8 @@ def test_inconclusive_for_53_off_grid(sc53):
     with pytest.raises(InconclusiveSearchError):
         twisted_cohomology(sc53, (F(1, 3),))
     scan = charvar_scan(sc53, 3, 2)
-    assert [p.numerators() for p in scan.inconclusive] == [(1,), (2,)]
-    assert [p.numerators() for p in scan.points_with_dim_above(1)] == [(0,)]
+    assert [p.numerators for p in scan.inconclusive] == [(1,), (2,)]
+    assert [p.numerators for p in scan.points_with_dim_above(1)] == [(0,)]
 
 
 def test_admissible_choice_independence_level5(sc41, sc42):

@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alexinv.errors import DimensionError, ParseError
+from alexinv.exact_kernel import format_rational
 from alexinv.laurent_ring import (
     LaurentPoly,
     TorsionPoint,
@@ -208,14 +211,50 @@ def test_format_round_trip_random():
 
 def test_torsion_point_validation():
     with pytest.raises(ValueError):
-        TorsionPoint(5, (F(1, 3),))
+        TorsionPoint.from_residues(5, (F(1, 3),))
     with pytest.raises(ValueError):
-        TorsionPoint(5, (F(6, 5),))
+        TorsionPoint(5, (6,))
     pt = TorsionPoint.from_residues(5, (F(-4, 5),))
     assert pt.beta == (F(1, 5),)
     assert pt.negate().beta == (F(4, 5),)
 
 
+@pytest.mark.parametrize("level", [0, -3])
+def test_torsion_point_rejects_level_below_one(level):
+    for build in (TorsionPoint, TorsionPoint.from_numerators, TorsionPoint.from_residues):
+        with pytest.raises(ValueError, match="level must be positive"):
+            build(level, (1,))
+
+
 def test_torsion_grid_order():
     pts = list(torsion_grid(2, 2))
-    assert [p.numerators() for p in pts] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert [p.numerators for p in pts] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+@st.composite
+def torsion_points(draw):
+    level = draw(st.integers(1, 30))
+    numerators = draw(st.lists(st.integers(0, level - 1), min_size=1, max_size=4))
+    return TorsionPoint(level, tuple(numerators))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(torsion_points(), st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+def test_torsion_point_residues_round_trip(point, shifts):
+    assert TorsionPoint.from_residues(point.level, point.beta) == point
+    # Residue classes are taken mod 1.
+    shifted = tuple(b + k for b, k in zip(point.beta, shifts))
+    assert TorsionPoint.from_residues(point.level, shifted) == point
+    rendered = ",".join(format_rational(F(n, point.level)) for n in point.numerators)
+    assert str(point) == "(" + rendered + ")"
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(torsion_points())
+def test_torsion_point_negate_is_an_involution(point):
+    negated = point.negate()
+    assert negated.negate() == point
+    assert all(
+        (n + m) % point.level == 0
+        for n, m in zip(point.numerators, negated.numerators)
+    )
