@@ -51,11 +51,17 @@ def random_product(rng, nvars, max_factors=2):
     return p
 
 
-def random_presentation(rng, nvars=None, max_gens=3, max_rels=3) -> Presentation:
+def random_presentation(rng, nvars=None, max_gens=3, max_rels=3,
+                        shape=None) -> Presentation:
+    """Sparse presentation of products of binomials; ``shape = (n, m)`` fixes
+    its size, else the size is drawn."""
     if nvars is None:
         nvars = rng.randint(1, 2)
-    n = rng.randint(1, max_gens)
-    m = rng.randint(0, max_rels)
+    if shape is None:
+        n = rng.randint(1, max_gens)
+        m = rng.randint(0, max_rels)
+    else:
+        n, m = shape
     rows = []
     for _ in range(n):
         row = []
@@ -96,3 +102,28 @@ def random_oneform(rng, dim, allow_zero=True) -> OneForm:
         )
         if allow_zero or any(coeffs):
             return OneForm(coeffs)
+
+
+def random_chain_presentation(rng, nvars, shape) -> Presentation:
+    """``U*D*V`` of size ``shape = (n, m)``: ``D`` is diagonal with a
+    divisibility chain of binomial products, ``U`` and ``V`` are a few
+    elementary row and column operations with monomial multipliers, so the
+    characteristic polynomials are nontrivial and known up to units."""
+    n, m = shape
+    zero = LaurentPoly.zero(nvars)
+    rows = [[zero] * m for _ in range(n)]
+    d = LaurentPoly.one(nvars)
+    for j in range(min(n, m)):
+        d = d * random_binomial_factor(rng, nvars)
+        rows[j][j] = d
+    for _ in range(2):
+        a, b = rng.sample(range(n), 2)
+        mono = LaurentPoly.term(nvars, rng.choice([1, -1]),
+                                [rng.randint(-1, 1) for _ in range(nvars)])
+        rows[a] = [x + mono * y for x, y in zip(rows[a], rows[b])]
+        a, b = rng.sample(range(m), 2)
+        mono = LaurentPoly.term(nvars, rng.choice([1, -1]),
+                                [rng.randint(-1, 1) for _ in range(nvars)])
+        for row in rows:
+            row[a] = row[a] + mono * row[b]
+    return Presentation(nvars, n, m, tuple(tuple(r) for r in rows))
