@@ -8,6 +8,7 @@ differential).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -140,7 +141,7 @@ def format_charpoly(poly: lr.LaurentPoly) -> str:
             break
         if euler_phi(k) > work.max_exponents()[0]:
             continue
-        phi_k = _cyclotomic_laurent(k)
+        phi_k = lr.LaurentPoly(1, {(e,): c for e, c in enumerate(cyclotomic_poly(k))})
         while True:
             quotient = lr.divide_exact(work, phi_k)
             if quotient is None:
@@ -149,20 +150,12 @@ def format_charpoly(poly: lr.LaurentPoly) -> str:
             mults[k] = mults.get(k, 0) + 1
     parts = pipeline.cyclotomic_factors(mults, range(1, original_degree + 1))
     if not work.is_one:
-        rest = _compact_univariate_poly(work)
+        degree = work.max_exponents()[0]
+        rest = compact_univariate(
+            [work.terms.get((e,), Fraction(0)) for e in range(degree + 1)]
+        )
         parts.append(f"({rest})" if parts else rest)
     return "*".join(parts) if parts else "1"
-
-
-def _cyclotomic_laurent(k: int) -> lr.LaurentPoly:
-    coeffs = cyclotomic_poly(k)
-    return lr.LaurentPoly(1, {(e,): c for e, c in enumerate(coeffs)})
-
-
-def _compact_univariate_poly(poly: lr.LaurentPoly) -> str:
-    degree = poly.max_exponents()[0]
-    coeffs = [poly.terms.get((e,), Fraction(0)) for e in range(degree + 1)]
-    return compact_univariate(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -297,25 +290,19 @@ def _cmd_module(args) -> Report:
             "charpoly": format_charpoly(poly),
             "expanded": lr.format_poly(poly),
         }
-    elif args.op == "support":
+    else:
         if args.level is None:
-            raise SchemaError("", "--level is required for --op support")
-        points = am.support_scan(pres, args.level)
+            raise SchemaError("", f"--level is required for --op {args.op}")
+        if args.op == "support":
+            head = {"op": "support"}
+            points = am.support_scan(pres, args.level)
+        else:
+            if args.i < 1:
+                raise SchemaError("", "--i must be >= 1 for --op fitting")
+            head = {"op": "fitting", "i": args.i}
+            points = am.fitting_variety_scan(pres, args.i, args.level)
         report.results = {
-            "op": "support",
-            "level": args.level,
-            "count": len(points),
-            "points": [str(p) for p in points],
-        }
-    elif args.op == "fitting":
-        if args.level is None:
-            raise SchemaError("", "--level is required for --op fitting")
-        if args.i < 1:
-            raise SchemaError("", "--i must be >= 1 for --op fitting")
-        points = am.fitting_variety_scan(pres, args.i, args.level)
-        report.results = {
-            "op": "fitting",
-            "i": args.i,
+            **head,
             "level": args.level,
             "count": len(points),
             "points": [str(p) for p in points],
@@ -331,7 +318,9 @@ def _echo(args) -> list:
 # Argument parsing.
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built by the first ``main`` call and reused."""
     parser = argparse.ArgumentParser(
         prog="alexinv",
         description=(
@@ -340,73 +329,45 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    scenario = ("scenario", {
+        "help": "scenario file path or bundled scenario name "
+        f"({', '.join(corpus.bundled_scenario_names())})"
+    })
+    beta = ("--beta", {"required": True, "help": "comma-separated rationals"})
+    bound = ("--bound", {"type": int, "default": 3, "help": "search box (default 3)"})
 
-    def add_common(p):
+    def command(name, help, func, *arguments):
+        p = sub.add_parser(name, help=help)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
         p.add_argument(
             "--format",
             choices=("text", "json"),
             default="text",
             help="report format (default: text)",
         )
+        p.set_defaults(func=func)
 
-    scenario_help = (
-        "scenario file path or bundled scenario name "
-        f"({', '.join(corpus.bundled_scenario_names())})"
-    )
-
-    def add_scenario(p):
-        p.add_argument("scenario", help=scenario_help)
-
-    p = sub.add_parser("validate", help="schema and algebra checks of a scenario")
-    add_scenario(p)
-    add_common(p)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("aomoto", help="complex dimensions at explicit residues")
-    add_scenario(p)
-    p.add_argument("--alpha", required=True, help="comma-separated rationals")
-    add_common(p)
-    p.set_defaults(func=_cmd_aomoto)
-
-    p = sub.add_parser("twisted", help="twisted cohomology at residue classes")
-    add_scenario(p)
-    p.add_argument("--beta", required=True, help="comma-separated rationals")
-    p.add_argument("--bound", type=int, default=3, help="search box (default 3)")
-    add_common(p)
-    p.set_defaults(func=_cmd_twisted)
-
-    p = sub.add_parser("admissible", help="search for admissible residues")
-    add_scenario(p)
-    p.add_argument("--beta", required=True, help="comma-separated rationals")
-    p.add_argument("--bound", type=int, default=3, help="search box (default 3)")
-    add_common(p)
-    p.set_defaults(func=_cmd_admissible)
-
-    p = sub.add_parser("charvar", help="jumping-locus scan over torsion points")
-    add_scenario(p)
-    p.add_argument("--level", type=int, required=True, help="torsion level N")
-    p.add_argument("--degree", type=int, required=True, help="cohomology degree k")
-    p.add_argument("--bound", type=int, default=3, help="search box (default 3)")
-    add_common(p)
-    p.set_defaults(func=_cmd_charvar)
-
-    p = sub.add_parser("milnor", help="monodromy characteristic polynomial")
-    add_scenario(p)
-    p.add_argument("--m", type=int, required=True, help="cohomology degree")
-    p.add_argument("--bound", type=int, default=3, help="search box (default 3)")
-    add_common(p)
-    p.set_defaults(func=_cmd_milnor)
-
-    p = sub.add_parser("module", help="invariants of a presented module")
-    p.add_argument("--presentation", required=True, help="presentation JSON file")
-    p.add_argument(
-        "--op", choices=("charpoly", "support", "fitting"), required=True
-    )
-    p.add_argument("--i", type=int, default=0, help="ideal/variety index")
-    p.add_argument("--level", type=int, default=None, help="torsion level N")
-    add_common(p)
-    p.set_defaults(func=_cmd_module)
-
+    command("validate", "schema and algebra checks of a scenario", _cmd_validate,
+            scenario)
+    command("aomoto", "complex dimensions at explicit residues", _cmd_aomoto,
+            scenario, ("--alpha", {"required": True, "help": "comma-separated rationals"}))
+    command("twisted", "twisted cohomology at residue classes", _cmd_twisted,
+            scenario, beta, bound)
+    command("admissible", "search for admissible residues", _cmd_admissible,
+            scenario, beta, bound)
+    level = ("--level", {"type": int, "required": True, "help": "torsion level N"})
+    command("charvar", "jumping-locus scan over torsion points", _cmd_charvar,
+            scenario, level,
+            ("--degree", {"type": int, "required": True, "help": "cohomology degree k"}),
+            bound)
+    command("milnor", "monodromy characteristic polynomial", _cmd_milnor, scenario,
+            ("--m", {"type": int, "required": True, "help": "cohomology degree"}), bound)
+    command("module", "invariants of a presented module", _cmd_module,
+            ("--presentation", {"required": True, "help": "presentation JSON file"}),
+            ("--op", {"choices": ("charpoly", "support", "fitting"), "required": True}),
+            ("--i", {"type": int, "default": 0, "help": "ideal/variety index"}),
+            ("--level", {"type": int, "default": None, "help": "torsion level N"}))
     return parser
 
 

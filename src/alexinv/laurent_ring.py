@@ -12,11 +12,18 @@ Text grammar (whitespace insignificant)::
     factor := VAR ['^' ['-'] INT]
     VAR    := 't' DIGITS        (bare 't' is accepted when s = 1)
 
+Validation happens at the public boundaries only: ``LaurentPoly(...)``
+checks exponent lengths, converts coefficients and drops zeros, and
+``parse_poly`` checks the text.  Ring operations, shifts and the gcd
+machinery build their results with the trusted ``LaurentPoly._make``, which
+takes a term dict that is already clean as it is.
+
 Unit normalization, gcd and divisibility all work up to multiplication by
 units of the Laurent ring (nonzero rationals times monomials); the canonical
 representative of a unit class shifts every variable's minimum exponent to 0,
 clears denominators to integer content 1, and makes the graded-lex leading
-coefficient positive.
+coefficient positive.  ``gcd`` first tries the shorter argument as an exact
+divisor of the other and runs the primitive PRS only when that fails.
 """
 
 from __future__ import annotations
@@ -26,11 +33,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd as int_gcd, lcm as int_lcm
+from operator import add, sub
 
 from .errors import DimensionError, ParseError
 from .exact_kernel import CyclotomicNumber, format_rational
 
-Monomial = tuple  # exponent tuple of length nvars
+_set = object.__setattr__
 
 
 class LaurentPoly:
@@ -41,7 +49,7 @@ class LaurentPoly:
     def __init__(self, nvars: int, terms=None):
         clean = {}
         for exps, coeff in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(int, exps))
             if len(exps) != nvars:
                 raise DimensionError(
                     f"exponent tuple {exps} has length {len(exps)}, expected {nvars}"
@@ -49,10 +57,17 @@ class LaurentPoly:
             coeff = Fraction(coeff)
             if coeff:
                 clean[exps] = clean.get(exps, Fraction(0)) + coeff
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(
-            self, "terms", {e: c for e, c in clean.items() if c}
-        )
+        _set(self, "nvars", nvars)
+        _set(self, "terms", {e: c for e, c in clean.items() if c})
+
+    @classmethod
+    def _make(cls, nvars: int, terms: dict) -> LaurentPoly:
+        """Wrap ``terms`` as it is: exponent tuples of length ``nvars`` and
+        nonzero Fraction coefficients, owned by the new polynomial."""
+        p = object.__new__(cls)
+        _set(p, "nvars", nvars)
+        _set(p, "terms", terms)
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -123,13 +138,15 @@ class LaurentPoly:
             return NotImplemented
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return LaurentPoly(self.nvars, terms)
+            c += terms.pop(e, 0)
+            if c:
+                terms[e] = c
+        return LaurentPoly._make(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return LaurentPoly._make(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -145,11 +162,13 @@ class LaurentPoly:
         if other is None:
             return NotImplemented
         terms = {}
+        get = terms.get
+        right = other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return LaurentPoly(self.nvars, terms)
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                terms[e] = get(e, 0) + c1 * c2
+        return LaurentPoly._make(self.nvars, {e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -187,22 +206,18 @@ class LaurentPoly:
     def min_exponents(self) -> tuple[int, ...]:
         if self.is_zero:
             return (0,) * self.nvars
-        return tuple(
-            min(e[j] for e in self.terms) for j in range(self.nvars)
-        )
+        return tuple(map(min, zip(*self.terms)))
 
     def max_exponents(self) -> tuple[int, ...]:
         if self.is_zero:
             return (0,) * self.nvars
-        return tuple(
-            max(e[j] for e in self.terms) for j in range(self.nvars)
-        )
+        return tuple(map(max, zip(*self.terms)))
 
     def shifted(self, delta) -> LaurentPoly:
         """Multiply by the monomial with exponent vector ``delta``."""
-        return LaurentPoly(
+        return LaurentPoly._make(
             self.nvars,
-            {tuple(a + b for a, b in zip(e, delta)): c for e, c in self.terms.items()},
+            {tuple(map(add, e, delta)): c for e, c in self.terms.items()},
         )
 
 
@@ -238,31 +253,48 @@ def normalize_unit(p: LaurentPoly) -> LaurentPoly:
         den = int_lcm(den, c.denominator)
     num = 0
     for c in q.terms.values():
-        num = int_gcd(num, abs(c.numerator * (den // c.denominator)))
-    q = q * Fraction(den, num)
-    _, lead = _leading(q)
-    if lead < 0:
-        q = -q
-    return q
+        num = int_gcd(num, c.numerator * (den // c.denominator))
+    if _leading(q)[1] < 0:
+        num = -num
+    if den == num == 1:
+        return q
+    return LaurentPoly._make(
+        q.nvars,
+        {e: Fraction(c.numerator * (den // c.denominator) // num)
+         for e, c in q.terms.items()},
+    )
 
 
 def _div_exact_ordinary(dividend: LaurentPoly, divisor: LaurentPoly):
-    """Quotient of ordinary polynomials, or None when not exactly divisible."""
+    """Quotient of polynomials with nonnegative exponents, or None when not
+    exactly divisible.  Works on one remainder dict, in place."""
     if divisor.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
-    n = dividend.nvars
+    if dividend.is_zero:
+        return dividend
+    # Degrees add in a product, so no quotient term exceeds this bound.
+    bound = tuple(map(sub, dividend.max_exponents(), divisor.max_exponents()))
+    if min(bound) < 0:
+        return None
     lead_e, lead_c = _leading(divisor)
-    quot = LaurentPoly.zero(n)
-    rem = dividend
-    while not rem.is_zero:
-        r_e, r_c = _leading(rem)
-        diff = tuple(a - b for a, b in zip(r_e, lead_e))
-        if any(d < 0 for d in diff):
+    others = [(e, c) for e, c in divisor.terms.items() if e != lead_e]
+    rem = dict(dividend.terms)
+    quot = {}
+    while rem:
+        r_e = max(rem, key=_grlex_key)
+        diff = tuple(map(sub, r_e, lead_e))
+        if min(diff) < 0 or any(map(int.__gt__, diff, bound)):
             return None
-        t = LaurentPoly.term(n, r_c / lead_c, diff)
-        quot = quot + t
-        rem = rem - t * divisor
-    return quot
+        q = rem.pop(r_e) / lead_c
+        quot[diff] = q
+        for e, c in others:
+            e = tuple(map(add, e, diff))
+            s = rem.get(e, 0) - q * c
+            if s:
+                rem[e] = s
+            else:
+                del rem[e]
+    return LaurentPoly._make(dividend.nvars, quot)
 
 
 def divides(p: LaurentPoly, q: LaurentPoly) -> bool:
@@ -303,9 +335,8 @@ def _univ_coeffs(p: LaurentPoly, v: int) -> dict[int, LaurentPoly]:
     """Coefficients of powers of variable ``v`` (with that exponent zeroed)."""
     buckets: dict[int, dict] = {}
     for e, c in p.terms.items():
-        stripped = e[:v] + (0,) + e[v + 1 :]
-        buckets.setdefault(e[v], {})[stripped] = c
-    return {d: LaurentPoly(p.nvars, t) for d, t in buckets.items()}
+        buckets.setdefault(e[v], {})[e[:v] + (0,) + e[v + 1 :]] = c
+    return {d: LaurentPoly._make(p.nvars, t) for d, t in buckets.items()}
 
 
 def _content(p: LaurentPoly, v: int) -> LaurentPoly:
@@ -319,8 +350,7 @@ def _content(p: LaurentPoly, v: int) -> LaurentPoly:
 
 def _pseudo_rem(a: LaurentPoly, b: LaurentPoly, v: int) -> LaurentPoly:
     db = _degree_in(b, v)
-    coeffs_b = _univ_coeffs(b, v)
-    lead_b = coeffs_b[db]
+    lead_b = _univ_coeffs(b, v)[db]
     r = a
     while not r.is_zero:
         dr = _degree_in(r, v)
@@ -373,8 +403,13 @@ def gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
         return normalize_unit(q)
     if q.is_zero:
         return normalize_unit(p)
-    g = _gcd_ordinary(_shift_to_ordinary(p), _shift_to_ordinary(q))
-    return normalize_unit(g)
+    a, b = _shift_to_ordinary(p), _shift_to_ordinary(q)
+    if len(a.terms) > len(b.terms):
+        a, b = b, a
+    # An exact divisor is the gcd: no PRS needed.
+    if _div_exact_ordinary(b, a) is not None:
+        return normalize_unit(a)
+    return normalize_unit(_gcd_ordinary(a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -374,3 +374,38 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "results.valid: true" in proc.stdout
+
+
+def test_reused_parser_matches_fresh_parsers(capsys, bivariate_presentation):
+    # The argparse tree is built by the first main call and reused; a run of
+    # calls mixing subcommands, usage errors, --help and defaults must print
+    # what the same calls print each on a parser of its own.
+    import alexinv.cli as cli
+
+    calls = [
+        ["validate", "example_4_1"],
+        ["charvar", "example_4_1", "--level", "3", "--degree", "1"],
+        ["charvar", "example_4_1", "--level", "3", "--degree", "1", "--bound", "1"],
+        ["milnor", "example_4_2", "--m", "1", "--format", "json"],
+        ["milnor"],
+        ["no-such-command"],
+        [],
+        ["--help"],
+        ["module", "--help"],
+        ["twisted", "example_4_1", "--beta", "1/3,1/3,1/3"],
+        ["admissible", "example_4_1", "--beta", "1/2,1/2,0", "--bound", "2"],
+        ["module", "--presentation", bivariate_presentation, "--op", "support",
+         "--level", "4"],
+        ["module", "--presentation", bivariate_presentation, "--op", "fitting"],
+        ["validate", "no-such-scenario"],
+        ["charvar", "example_4_1", "--level", "3", "--degree", "1"],
+    ]
+    cli._build_parser.cache_clear()
+    reused = [run_cli(capsys, *argv) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 1, 1, 0]
