@@ -141,7 +141,8 @@ def format_charpoly(poly: lr.LaurentPoly) -> str:
             break
         if euler_phi(k) > work.max_exponents()[0]:
             continue
-        phi_k = lr.LaurentPoly(1, {(e,): c for e, c in enumerate(cyclotomic_poly(k))})
+        coeffs = cyclotomic_poly(k)
+        phi_k = lr.LaurentPoly(1, {(e,): c for e, c in enumerate(coeffs)})
         while True:
             quotient = lr.divide_exact(work, phi_k)
             if quotient is None:
@@ -329,12 +330,9 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    scenario = ("scenario", {
-        "help": "scenario file path or bundled scenario name "
-        f"({', '.join(corpus.bundled_scenario_names())})"
-    })
-    beta = ("--beta", {"required": True, "help": "comma-separated rationals"})
-    bound = ("--bound", {"type": int, "default": 3, "help": "search box (default 3)"})
+
+    def arg(flag, **options):
+        return flag, options
 
     def command(name, help, func, *arguments):
         p = sub.add_parser(name, help=help)
@@ -348,26 +346,37 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.set_defaults(func=func)
 
+    scenario = arg(
+        "scenario",
+        help="scenario file path or bundled scenario name "
+        f"({', '.join(corpus.bundled_scenario_names())})",
+    )
+    rationals = "comma-separated rationals"
+    beta = arg("--beta", required=True, help=rationals)
+    bound = arg("--bound", type=int, default=3, help="search box (default 3)")
+    level = "torsion level N"
+
     command("validate", "schema and algebra checks of a scenario", _cmd_validate,
             scenario)
     command("aomoto", "complex dimensions at explicit residues", _cmd_aomoto,
-            scenario, ("--alpha", {"required": True, "help": "comma-separated rationals"}))
+            scenario, arg("--alpha", required=True, help=rationals))
     command("twisted", "twisted cohomology at residue classes", _cmd_twisted,
             scenario, beta, bound)
     command("admissible", "search for admissible residues", _cmd_admissible,
             scenario, beta, bound)
-    level = ("--level", {"type": int, "required": True, "help": "torsion level N"})
     command("charvar", "jumping-locus scan over torsion points", _cmd_charvar,
-            scenario, level,
-            ("--degree", {"type": int, "required": True, "help": "cohomology degree k"}),
+            scenario,
+            arg("--level", type=int, required=True, help=level),
+            arg("--degree", type=int, required=True, help="cohomology degree k"),
             bound)
-    command("milnor", "monodromy characteristic polynomial", _cmd_milnor, scenario,
-            ("--m", {"type": int, "required": True, "help": "cohomology degree"}), bound)
+    command("milnor", "monodromy characteristic polynomial", _cmd_milnor,
+            scenario, arg("--m", type=int, required=True, help="cohomology degree"),
+            bound)
     command("module", "invariants of a presented module", _cmd_module,
-            ("--presentation", {"required": True, "help": "presentation JSON file"}),
-            ("--op", {"choices": ("charpoly", "support", "fitting"), "required": True}),
-            ("--i", {"type": int, "default": 0, "help": "ideal/variety index"}),
-            ("--level", {"type": int, "default": None, "help": "torsion level N"}))
+            arg("--presentation", required=True, help="presentation JSON file"),
+            arg("--op", choices=("charpoly", "support", "fitting"), required=True),
+            arg("--i", type=int, default=0, help="ideal/variety index"),
+            arg("--level", type=int, default=None, help=level))
     return parser
 
 

@@ -408,4 +408,5 @@ def test_reused_parser_matches_fresh_parsers(capsys, bivariate_presentation):
         cli._build_parser.cache_clear()
         fresh.append(run_cli(capsys, *argv))
     assert reused == fresh
-    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 1, 1, 0]
+    codes = [code for code, _, _ in reused]
+    assert codes == [0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 1, 1, 0]

@@ -24,7 +24,8 @@ import pytest
 from alexinv.alexander_modules import load_presentation, presentation_to_dict
 from alexinv.cli import main
 
-GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "module")
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN_DIR = os.path.join(HERE, "golden", "module")
 LEVELS = range(2, 13)
 FORMATS = ("text", "json")
 
@@ -100,5 +101,5 @@ def _write() -> None:
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
-    sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+    sys.path.insert(0, HERE)
     _write()
