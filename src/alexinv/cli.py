@@ -27,6 +27,7 @@ from .errors import (
     DimensionError,
     InconclusiveSearchError,
     InconsistentDifferentialError,
+    LimitError,
     ParseError,
     SchemaError,
 )
@@ -153,7 +154,7 @@ def format_charpoly(poly: lr.LaurentPoly) -> str:
     if not work.is_one:
         degree = work.max_exponents()[0]
         rest = compact_univariate(
-            [work.terms.get((e,), Fraction(0)) for e in range(degree + 1)]
+            [work.terms.get((e,), 0) for e in range(degree + 1)]
         )
         parts.append(f"({rest})" if parts else rest)
     return "*".join(parts) if parts else "1"
@@ -390,7 +391,8 @@ def main(argv=None) -> int:
     args._argv = ["alexinv"] + argv
     try:
         report = args.func(args)
-    except (SchemaError, ParseError, DimensionError, FileNotFoundError, ValueError) as exc:
+    except (SchemaError, ParseError, DimensionError, LimitError, FileNotFoundError,
+            UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AlgebraInvalidError as exc:

@@ -18,6 +18,10 @@ class ParseError(ValueError):
         self.position = position
 
 
+class LimitError(ValueError):
+    """A level below 1, or a torsion grid or search box over its size cap."""
+
+
 class SchemaError(ValueError):
     """A JSON document does not match the expected file schema.
 

@@ -1,8 +1,9 @@
 """Sparse multivariate Laurent polynomials with rational coefficients.
 
 A polynomial in ``s`` variables ``t1 .. ts`` is a mapping from exponent
-tuples (length ``s``, negative entries allowed) to nonzero Fractions.  The
-zero polynomial has an empty term mapping.
+tuples (length ``s``, negative entries allowed) to nonzero rationals, ``int``
+when integral and ``Fraction`` otherwise; the zero polynomial has no terms.
+No ``/`` may run between two ``int`` coefficients: it would give a ``float``.
 
 Text grammar (whitespace insignificant)::
 
@@ -35,7 +36,7 @@ from itertools import product
 from math import gcd as int_gcd, lcm as int_lcm
 from operator import add, sub
 
-from .errors import DimensionError, ParseError
+from .errors import DimensionError, LimitError, ParseError
 from .exact_kernel import CyclotomicNumber, format_rational
 
 _set = object.__setattr__
@@ -54,16 +55,18 @@ class LaurentPoly:
                 raise DimensionError(
                     f"exponent tuple {exps} has length {len(exps)}, expected {nvars}"
                 )
-            coeff = Fraction(coeff)
-            if coeff:
-                clean[exps] = clean.get(exps, Fraction(0)) + coeff
+            if type(coeff) is not int:
+                coeff = Fraction(coeff)
+                if coeff.denominator == 1:
+                    coeff = coeff.numerator
+            clean[exps] = clean.get(exps, 0) + coeff
         _set(self, "nvars", nvars)
         _set(self, "terms", {e: c for e, c in clean.items() if c})
 
     @classmethod
     def _make(cls, nvars: int, terms: dict) -> LaurentPoly:
         """Wrap ``terms`` as it is: exponent tuples of length ``nvars`` and
-        nonzero Fraction coefficients, owned by the new polynomial."""
+        nonzero ``int``/``Fraction`` coefficients, owned by the new polynomial."""
         p = object.__new__(cls)
         _set(p, "nvars", nvars)
         _set(p, "terms", terms)
@@ -80,7 +83,7 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, value, nvars: int) -> LaurentPoly:
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def one(cls, nvars: int) -> LaurentPoly:
@@ -91,11 +94,11 @@ class LaurentPoly:
         """The monomial ``t{index+1} ** power``."""
         exps = [0] * nvars
         exps[index] = power
-        return cls(nvars, {tuple(exps): Fraction(1)})
+        return cls(nvars, {tuple(exps): 1})
 
     @classmethod
     def term(cls, nvars: int, coeff, exps) -> LaurentPoly:
-        return cls(nvars, {tuple(exps): Fraction(coeff)})
+        return cls(nvars, {tuple(exps): coeff})
 
     # -- predicates ----------------------------------------------------------
 
@@ -109,7 +112,7 @@ class LaurentPoly:
 
     @property
     def is_one(self) -> bool:
-        return self.terms == {(0,) * self.nvars: Fraction(1)}
+        return self.terms == {(0,) * self.nvars: 1}
 
     @property
     def is_unit(self) -> bool:
@@ -177,7 +180,7 @@ class LaurentPoly:
             if not self.is_unit:
                 raise ValueError("negative power of a non-unit")
             ((e, c),) = self.terms.items()
-            inv = LaurentPoly(self.nvars, {tuple(-x for x in e): 1 / c})
+            inv = LaurentPoly(self.nvars, {tuple(-x for x in e): Fraction(1) / c})
             return inv ** (-n)
         result = LaurentPoly.one(self.nvars)
         base = self
@@ -242,26 +245,23 @@ def normalize_unit(p: LaurentPoly) -> LaurentPoly:
     """Canonical representative of the unit class of ``p``.
 
     Shifts every variable's minimum exponent to 0, scales to primitive
-    integer coefficients, and makes the graded-lex leading coefficient
+    ``int`` coefficients, and makes the graded-lex leading coefficient
     positive.  Idempotent; maps 0 to 0.
     """
     if p.is_zero:
         return p
     q = _shift_to_ordinary(p)
-    den = 1
-    for c in q.terms.values():
-        den = int_lcm(den, c.denominator)
-    num = 0
-    for c in q.terms.values():
-        num = int_gcd(num, c.numerator * (den // c.denominator))
+    coeffs = q.terms.values()
+    integral = all(type(c) is int for c in coeffs)
+    den = 1 if integral else int_lcm(*(c.denominator for c in coeffs))
+    num = int_gcd(*(c.numerator * (den // c.denominator) for c in coeffs))
     if _leading(q)[1] < 0:
         num = -num
-    if den == num == 1:
+    if integral and num == 1:
         return q
     return LaurentPoly._make(
         q.nvars,
-        {e: Fraction(c.numerator * (den // c.denominator) // num)
-         for e, c in q.terms.items()},
+        {e: c.numerator * (den // c.denominator) // num for e, c in q.terms.items()},
     )
 
 
@@ -285,8 +285,8 @@ def _div_exact_ordinary(dividend: LaurentPoly, divisor: LaurentPoly):
         diff = tuple(map(sub, r_e, lead_e))
         if min(diff) < 0 or any(map(int.__gt__, diff, bound)):
             return None
-        q = rem.pop(r_e) / lead_c
-        quot[diff] = q
+        c = rem.pop(r_e)
+        quot[diff] = q = c // lead_c if c % lead_c == 0 else Fraction(c) / lead_c
         for e, c in others:
             e = tuple(map(add, e, diff))
             s = rem.get(e, 0) - q * c
@@ -397,8 +397,6 @@ def gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     """Normalized greatest common divisor in the unit-class sense."""
     if p.nvars != q.nvars:
         raise DimensionError("gcd between different variable counts")
-    if p.is_zero and q.is_zero:
-        return LaurentPoly.zero(p.nvars)
     if p.is_zero:
         return normalize_unit(q)
     if q.is_zero:
@@ -430,15 +428,15 @@ class TorsionPoint:
 
     def __post_init__(self):
         if self.level < 1:
-            raise ValueError("level must be positive")
+            raise LimitError("level must be positive")
         for n in self.numerators:
             if not 0 <= n < self.level:
-                raise ValueError(f"numerator {n} outside [0, {self.level})")
+                raise LimitError(f"numerator {n} outside [0, {self.level})")
 
     @classmethod
     def from_numerators(cls, level: int, numerators) -> TorsionPoint:
         if level < 1:
-            raise ValueError("level must be positive")
+            raise LimitError("level must be positive")
         return cls(level, tuple(n % level for n in numerators))
 
     @classmethod
@@ -448,7 +446,7 @@ class TorsionPoint:
         for r in residues:
             scaled = Fraction(r) * level
             if scaled.denominator != 1:
-                raise ValueError(f"residue class {r} has level not dividing {level}")
+                raise LimitError(f"residue class {r} has level not dividing {level}")
             numerators.append(scaled.numerator)
         return cls.from_numerators(level, numerators)
 
@@ -480,9 +478,9 @@ def torsion_grid(level: int, nvars: int):
     The grid size is checked when this is called, before any point exists.
     """
     if level < 1:
-        raise ValueError(f"level must be >= 1, got {level}")
+        raise LimitError(f"level must be >= 1, got {level}")
     if level > MAX_SCAN_POINTS or level ** nvars > MAX_SCAN_POINTS:
-        raise ValueError(
+        raise LimitError(
             f"level {level} gives {level}^{nvars} torsion points, "
             f"more than the limit of {MAX_SCAN_POINTS}"
         )
@@ -567,11 +565,11 @@ def parse_poly(text: str, nvars: int) -> LaurentPoly:
 
     def parse_term():
         nonlocal pos
-        coeff = Fraction(1)
+        coeff = 1
         exps = [0] * nvars
         kind, value, _ = peek()
         if kind == "int":
-            num = int(value)
+            coeff = int(value)
             pos += 1
             if peek()[1] == "/":
                 pos += 1
@@ -581,10 +579,8 @@ def parse_poly(text: str, nvars: int) -> LaurentPoly:
                 denom = int(value)
                 if denom == 0:
                     fail("zero denominator", pos)
-                coeff = Fraction(num, denom)
+                coeff = Fraction(coeff, denom)
                 pos += 1
-            else:
-                coeff = Fraction(num)
             if peek()[1] != "*":
                 return coeff, tuple(exps)
             pos += 1
@@ -600,20 +596,18 @@ def parse_poly(text: str, nvars: int) -> LaurentPoly:
         raise ParseError("empty polynomial text", 0)
 
     terms: dict = {}
-    sign = Fraction(1)
-    kind, value, _ = peek()
-    if value in ("+", "-"):
-        sign = Fraction(-1) if value == "-" else Fraction(1)
+    sign = -1 if peek()[1] == "-" else 1
+    if peek()[1] in ("+", "-"):
         pos += 1
     while True:
         coeff, exps = parse_term()
-        terms[exps] = terms.get(exps, Fraction(0)) + sign * coeff
+        terms[exps] = terms.get(exps, 0) + sign * coeff
         if pos >= n:
             break
         kind, value, _ = peek()
         if value not in ("+", "-"):
             fail("expected '+' or '-' between terms", pos)
-        sign = Fraction(-1) if value == "-" else Fraction(1)
+        sign = -1 if value == "-" else 1
         pos += 1
         if pos >= n:
             fail("dangling sign", pos - 1)

@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import product
 from operator import mul
 
-from .errors import DimensionError, SchemaError
+from .errors import DimensionError, LimitError, SchemaError
 from .exact_kernel import integer_vector
 
 @dataclass(frozen=True)
@@ -88,9 +88,9 @@ def shift_vectors(nparams: int, bound: int) -> list[tuple[int, ...]]:
 
 def _shift_order(nparams: int, bound: int) -> tuple[tuple[int, ...], ...]:
     if bound < 0:
-        raise ValueError("search bound must be >= 0")
+        raise LimitError("search bound must be >= 0")
     if (2 * bound + 1) ** nparams > MAX_SHIFT_BOX:
-        raise ValueError(
+        raise LimitError(
             f"search box (2*{bound}+1)^{nparams} exceeds {MAX_SHIFT_BOX} shifts"
         )
     return _sorted_box(nparams, bound)

@@ -6,9 +6,11 @@ import sys
 import pytest
 
 import alexinv
+from alexinv import alexander_modules as am
 from alexinv import laurent_ring as lr
 from alexinv import residue_systems as rs
 from alexinv.cli import format_charpoly, main
+from alexinv.errors import LimitError
 from alexinv.laurent_ring import parse_poly
 
 
@@ -318,6 +320,46 @@ def test_module_scans_reject_grid_over_the_point_cap(
     assert code == 1
     assert out == ""
     assert "6^2 torsion points, more than the limit of 25" in err
+
+
+def test_range_checks_raise_limit_error():
+    for check in (
+        lambda: lr.torsion_grid(0, 2),
+        lambda: lr.torsion_grid(400, 2),
+        lambda: lr.TorsionPoint(0, ()),
+        lambda: lr.TorsionPoint(3, (3,)),
+        lambda: lr.TorsionPoint.from_numerators(-1, (0,)),
+        lambda: lr.TorsionPoint.from_residues(4, ("1/3",)),
+        lambda: rs.shift_vectors(2, -1),
+        lambda: rs.shift_vectors(3, 50),
+    ):
+        with pytest.raises(LimitError):
+            check()
+
+
+def test_internal_value_error_is_not_a_usage_error(
+    capsys, monkeypatch, bivariate_presentation
+):
+    # A plain ValueError from inside the library is a bug, not bad input: it
+    # propagates instead of being reported as a usage error with exit 1.
+    def broken(pres, i):
+        raise ValueError("kernel slip")
+
+    monkeypatch.setattr(am, "char_poly", broken)
+    with pytest.raises(ValueError, match="kernel slip"):
+        main(["module", "--presentation", bivariate_presentation, "--op", "charpoly"])
+    assert capsys.readouterr().err == ""
+
+
+def test_undecodable_input_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    for argv in (("validate", str(bad)),
+                 ("module", "--presentation", str(bad), "--op", "charpoly")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "codec can't decode" in err
 
 
 def test_usage_error_exit_code(capsys):

@@ -31,6 +31,8 @@ from alexinv.laurent_ring import (
     divides,
     evaluate_at_torsion,
     gcd,
+    normalize_unit,
+    parse_poly,
     torsion_grid,
 )
 from randgen import make_rng, random_chain_presentation, random_presentation
@@ -251,7 +253,7 @@ def assert_clean(p: LaurentPoly):
     for exps, coeff in p.terms.items():
         assert type(exps) is tuple and len(exps) == p.nvars
         assert all(type(e) is int for e in exps)
-        assert type(coeff) is Fraction and coeff != 0
+        assert type(coeff) in (int, Fraction) and coeff != 0
     assert LaurentPoly(p.nvars, p.terms) == p
 
 
@@ -294,3 +296,95 @@ def test_public_constructor_still_validates():
     p = LaurentPoly(1, {(1,): 0, (2,): 3})
     assert p.terms == {(2,): 3}
     assert_clean(p)
+
+
+# ---------------------------------------------------------------------------
+# Coefficients are ints when integral, Fractions otherwise, never floats.
+
+EXACT_OPS = st.sampled_from(
+    ["+", "-", "*", "**", "shift", "divide_exact", "normalize_unit", "gcd"]
+)
+
+
+@st.composite
+def mixed_laurent(draw, nvars, integral):
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        exps = tuple(draw(st.integers(-2, 2)) for _ in range(nvars))
+        num = draw(st.integers(-4, 4).filter(bool))
+        den = 1 if integral else draw(st.sampled_from([1, 2, 3]))
+        # The public constructor stores F(4, 2) as the int 2.
+        terms[exps] = F(num, den) if den > 1 or draw(st.booleans()) else num
+    return LaurentPoly(nvars, terms) or LaurentPoly.one(nvars)
+
+
+def assert_exact(p: LaurentPoly, integral: bool):
+    assert_clean(p)
+    if integral:
+        assert all(type(c) is int for c in p.terms.values()), p.terms
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_coefficients_are_int_or_fraction_never_float(data):
+    nvars = data.draw(PRS_NVARS)
+    integral = data.draw(st.booleans())
+    p = data.draw(mixed_laurent(nvars, integral))
+    for op in data.draw(st.lists(EXACT_OPS, min_size=1, max_size=6)):
+        q = data.draw(mixed_laurent(nvars, integral))
+        if op == "+":
+            p = p + q
+        elif op == "-":
+            p = p - (q if data.draw(st.booleans()) else p)
+        elif op == "*":
+            p = p * q
+        elif op == "**":
+            n = data.draw(st.integers(-2 if p.is_unit else 0, 2 if len(p.terms) <= 4 else 1))
+            if n < 0 and abs(next(iter(p.terms.values()))) != 1:
+                integral = False
+            power = p ** n
+            if n < 0:
+                assert power * p ** -n == 1
+            p = power
+        elif op == "shift":
+            p = p.shifted(data.draw(shifts(nvars)))
+        elif op == "divide_exact":
+            quot = divide_exact(p * q, q)
+            assert quot == p
+            p = quot
+        else:
+            p = normalize_unit(p) if op == "normalize_unit" else gcd(p, q)
+            assert_exact(p, True)
+        assert_exact(p, integral)
+        if len(p.terms) > 16:
+            p = q  # keep the gcds below cheap
+
+
+def test_coefficient_types_on_explicit_cases():
+    t1 = LaurentPoly.var(1, 0)
+    half = divide_exact(t1 + 1, 2 * t1 + 2)
+    assert half.terms == {(0,): F(1, 2)} and type(half.terms[(0,)]) is Fraction
+    inv = (2 * t1) ** -1
+    assert inv.terms == {(-1,): F(1, 2)} and type(inv.terms[(-1,)]) is Fraction
+    assert ((-3 * t1) ** -2).terms == {(-2,): F(1, 9)}
+    two = parse_poly("4/2*t1", 1)
+    assert two.terms == {(1,): 2} and type(two.terms[(1,)]) is int
+    for value in (True, F(6, 3), 2):
+        (c,) = LaurentPoly(1, {(0,): value}).terms.values()
+        assert type(c) is int
+    assert_exact(t1 ** -3, True)
+    assert_exact(divide_exact(t1 ** 2 - 1, t1 + 1), True)
+    assert_exact(normalize_unit(parse_poly("1/2*t - 3/4", 1)), True)
+    assert normalize_unit(parse_poly("1/2*t - 3/4", 1)).terms == {(1,): 2, (0,): -3}
+    # Fraction arithmetic can leave integral values typed Fraction; the
+    # normal form still has ints.
+    doubled = parse_poly("1/2*t + 1/2", 1) * 2
+    assert doubled.terms == {(1,): 1, (0,): 1}
+    assert_exact(normalize_unit(doubled), True)
+    assert_exact(gcd(doubled, t1 ** 2 - 1), True)
+    # Plain Euclid on these divides 1 by 4 at its second step: a float if
+    # that ran between two ints.
+    g = gcd(parse_poly("t - 1", 1) ** 3 * parse_poly("t + 1", 1),
+            parse_poly("t^4 + 2*t^3 - t^2 - 4*t - 2", 1))
+    assert g == parse_poly("t + 1", 1)
+    assert_exact(g, True)

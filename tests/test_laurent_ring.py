@@ -91,7 +91,7 @@ def test_gcd_properties_random():
 def _dense_univariate(poly):
     w = normalize_unit(poly)
     degree = w.max_exponents()[0]
-    return [w.terms.get((e,), F(0)) for e in range(degree + 1)]
+    return [F(w.terms.get((e,), 0)) for e in range(degree + 1)]
 
 
 def _oracle_gcd_univariate(p, q):
