@@ -18,8 +18,12 @@ scaled by the lcm of its denominators (which does not change where it
 vanishes) and compiled once to ``(exponents, coefficient)`` pairs; at a
 level-N point its value is summed by power of ``zeta_N`` and reduced by the
 monic integer cyclotomic polynomial ``Phi_N``, and it vanishes iff the
-remainder is zero.  ``in_support``, ``support_scan`` and
-``fitting_variety_scan`` all use this one test.
+remainder is zero.  ``in_support`` runs this test at its one point.  A scan
+runs it once per orbit of ``(Z/N)^x`` acting on numerators by ``n -> u*n``,
+and the verdict holds on the whole orbit: the coefficients are rational, so
+a generator's value at ``u*n`` is ``sigma_u`` of its value at ``n``, where
+``sigma_u: zeta_N -> zeta_N^u`` is a field automorphism of ``Q(zeta_N)``,
+and an automorphism sends only zero to zero.
 """
 
 from __future__ import annotations
@@ -27,10 +31,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from math import lcm
+from math import gcd as int_gcd, lcm
 from operator import mul
 
-from .errors import DimensionError, SchemaError
+from .errors import DimensionError, ParseError, SchemaError
 from .exact_kernel import cyclotomic_poly
 from .laurent_ring import (
     LaurentPoly,
@@ -222,7 +226,18 @@ def in_support(pres: Presentation, point: TorsionPoint) -> bool:
 
 def _vanishing_points(gens, level, grid):
     vanishes = _vanishing_test(gens, level)
-    return tuple(point for point in grid if vanishes(point.numerators))
+    units = [u for u in range(1, level + 1) if int_gcd(u, level) == 1]
+    verdicts = {}  # filled a whole (Z/N)^x orbit at its first grid point
+    found = []
+    for point in grid:
+        nums = point.numerators
+        if nums not in verdicts:
+            verdict = vanishes(nums)
+            for u in units:
+                verdicts[tuple(u * n % level for n in nums)] = verdict
+        if verdicts[nums]:
+            found.append(point)
+    return tuple(found)
 
 
 def support_scan(pres: Presentation, level: int) -> tuple[TorsionPoint, ...]:
@@ -256,9 +271,9 @@ def presentation_from_dict(data: dict, path: str = "") -> Presentation:
             raise SchemaError(f"{path}/{key}", "missing required field")
     nvars = data["nvars"]
     n, m = data["generators"], data["relations"]
-    if not (isinstance(nvars, int) and nvars >= 1):
+    if not (type(nvars) is int and nvars >= 1):
         raise SchemaError(f"{path}/nvars", "must be a positive integer")
-    if not (isinstance(n, int) and n >= 0 and isinstance(m, int) and m >= 0):
+    if not (type(n) is int and n >= 0 and type(m) is int and m >= 0):
         raise SchemaError(f"{path}/generators", "counts must be non-negative integers")
     raw = data["matrix"]
     if not isinstance(raw, list) or len(raw) != n:
@@ -271,7 +286,7 @@ def presentation_from_dict(data: dict, path: str = "") -> Presentation:
         for j, text in enumerate(raw_row):
             try:
                 row.append(parse_poly(str(text), nvars))
-            except Exception as exc:
+            except (ParseError, DimensionError) as exc:
                 raise SchemaError(f"{path}/matrix/{i}/{j}", str(exc)) from exc
         rows.append(tuple(row))
     return Presentation(nvars, n, m, tuple(rows))

@@ -366,7 +366,7 @@ def algebra_from_dict(data: dict, path: str = "/algebra") -> GradedAlgebra:
         if key not in data:
             raise SchemaError(f"{path}/{key}", "missing required field")
     top = data["top_degree"]
-    if not (isinstance(top, int) and top >= 0):
+    if not (type(top) is int and top >= 0):
         raise SchemaError(f"{path}/top_degree", "must be a non-negative integer")
     raw_basis = data["basis"]
     if not isinstance(raw_basis, dict):

@@ -22,8 +22,8 @@ from .errors import DimensionError
 
 
 def parse_rational(text: str | int) -> Fraction:
-    """Parse ``"p/q"`` or ``"p"`` (also accepts plain ints)."""
-    if isinstance(text, int):
+    """Parse ``"p/q"`` or ``"p"`` (also accepts plain ints, not bools)."""
+    if type(text) is int:
         return Fraction(text)
     return Fraction(str(text).strip())
 

@@ -371,13 +371,13 @@ def scenario_from_dict(data: dict, path: str = "") -> Scenario:
     if not isinstance(name, str) or not name:
         raise SchemaError(f"{path}/name", "must be a non-empty string")
     s = data["components"]
-    if not (isinstance(s, int) and s >= 1):
+    if not (type(s) is int and s >= 1):
         raise SchemaError(f"{path}/components", "must be a positive integer")
     degrees = data["degrees"]
     if (
         not isinstance(degrees, list)
         or len(degrees) != s
-        or not all(isinstance(d, int) and d >= 1 for d in degrees)
+        or not all(type(d) is int and d >= 1 for d in degrees)
     ):
         raise SchemaError(
             f"{path}/degrees", f"must be a list of {s} positive integers"
@@ -418,7 +418,7 @@ def scenario_from_dict(data: dict, path: str = "") -> Scenario:
             if (
                 not isinstance(vec, list)
                 or len(vec) != s
-                or not all(isinstance(x, int) and x >= 0 for x in vec)
+                or not all(type(x) is int and x >= 0 for x in vec)
             ):
                 raise SchemaError(
                     f"{path}/intersection_points/{k}",
@@ -427,7 +427,7 @@ def scenario_from_dict(data: dict, path: str = "") -> Scenario:
             cleaned.append(tuple(vec))
         intersection_points = tuple(cleaned)
     max_shift = data.get("max_shift")
-    if max_shift is not None and not (isinstance(max_shift, int) and max_shift >= 0):
+    if max_shift is not None and not (type(max_shift) is int and max_shift >= 0):
         raise SchemaError(f"{path}/max_shift", "must be a non-negative integer")
 
     # Residue rows of an affine arrangement with one free parameter per

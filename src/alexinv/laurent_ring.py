@@ -37,7 +37,7 @@ from math import gcd as int_gcd, lcm as int_lcm
 from operator import add, sub
 
 from .errors import DimensionError, LimitError, ParseError
-from .exact_kernel import CyclotomicNumber, format_rational
+from .exact_kernel import CyclotomicNumber
 
 _set = object.__setattr__
 
@@ -465,7 +465,11 @@ class TorsionPoint:
         return not any(self.numerators)
 
     def __str__(self):
-        return "(" + ",".join(map(format_rational, self.beta)) + ")"
+        parts = []
+        for n in self.numerators:
+            g = int_gcd(n, self.level)
+            parts.append(f"{n // g}/{self.level // g}" if n else "0")
+        return "(" + ",".join(parts) + ")"
 
 
 MAX_SCAN_POINTS = 100_000
@@ -531,13 +535,19 @@ def parse_poly(text: str, nvars: int) -> LaurentPoly:
     def peek():
         return tokens[pos] if pos < n else (None, None, len(text))
 
+    def number(digits, at):
+        try:
+            return int(digits)
+        except ValueError as exc:  # more digits than int() converts
+            fail(str(exc), at)
+
     def var_index(name, at):
         digits = name[1:]
         if not digits:
             if nvars == 1:
                 return 0
             fail("bare variable 't' is ambiguous; use t1..t%d" % nvars, at)
-        idx = int(digits)
+        idx = number(digits, at)
         if not 1 <= idx <= nvars:
             fail(f"unknown variable {name!r} (nvars = {nvars})", at)
         return idx - 1
@@ -559,7 +569,7 @@ def parse_poly(text: str, nvars: int) -> LaurentPoly:
             kind, value, _ = peek()
             if kind != "int":
                 fail("expected an integer exponent", pos)
-            power = sign * int(value)
+            power = sign * number(value, pos)
             pos += 1
         return idx, power
 
@@ -569,14 +579,14 @@ def parse_poly(text: str, nvars: int) -> LaurentPoly:
         exps = [0] * nvars
         kind, value, _ = peek()
         if kind == "int":
-            coeff = int(value)
+            coeff = number(value, pos)
             pos += 1
             if peek()[1] == "/":
                 pos += 1
                 kind, value, _ = peek()
                 if kind != "int":
                     fail("expected a denominator", pos)
-                denom = int(value)
+                denom = number(value, pos)
                 if denom == 0:
                     fail("zero denominator", pos)
                 coeff = Fraction(coeff, denom)
@@ -628,11 +638,11 @@ def format_poly(p: LaurentPoly) -> str:
         ]
         mag = abs(coeff)
         if not factors:
-            body = format_rational(mag)
+            body = str(mag)
         elif mag == 1:
             body = "*".join(factors)
         else:
-            body = "*".join([format_rational(mag)] + factors)
+            body = "*".join([str(mag)] + factors)
         if not parts:
             parts.append(body if coeff > 0 else "-" + body)
         else:

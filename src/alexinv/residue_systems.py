@@ -160,7 +160,7 @@ def residue_system_from_dict(data: dict, path: str = "/residue_system") -> Resid
         if key not in data:
             raise SchemaError(f"{path}/{key}", "missing required field")
     nparams = data["nparams"]
-    if not (isinstance(nparams, int) and nparams >= 1):
+    if not (type(nparams) is int and nparams >= 1):
         raise SchemaError(f"{path}/nparams", "must be a positive integer")
     rows = []
     for k, raw in enumerate(data["rows"]):
@@ -174,7 +174,7 @@ def residue_system_from_dict(data: dict, path: str = "/residue_system") -> Resid
         if (
             not isinstance(coeffs, list)
             or len(coeffs) != nparams
-            or not all(isinstance(c, int) for c in coeffs)
+            or not all(type(c) is int for c in coeffs)
         ):
             raise SchemaError(
                 f"{here}/coeffs", f"must be a list of {nparams} integers"

@@ -362,6 +362,79 @@ def test_undecodable_input_is_a_usage_error(tmp_path, capsys):
         assert "codec can't decode" in err
 
 
+def test_bool_is_not_an_integer_in_a_presentation(tmp_path, capsys):
+    # JSON true is a Python bool, and bool is a subclass of int.
+    base = {"nvars": 1, "generators": 1, "relations": 1, "matrix": [["t-1"]]}
+    for key, where in (("nvars", "/nvars: must be a positive integer"),
+                       ("generators", "/generators: counts must be"),
+                       ("relations", "/generators: counts must be")):
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(dict(base, **{key: True})))
+        code, out, err = run_cli(
+            capsys, "module", "--presentation", str(path), "--op", "charpoly")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: " + where), err
+
+
+SCENARIO_BOOLS = (
+    (("components",), "/components: must be a positive integer"),
+    (("degrees", 0), "/degrees: must be a list of 3 positive integers"),
+    (("intersection_points", 1, 1), "/intersection_points/1: must be a list"),
+    (("max_shift",), "/max_shift: must be a non-negative integer"),
+    (("algebra", "top_degree"), "/algebra/top_degree: must be a non-negative"),
+    (("residue_system", "nparams"), "/residue_system/nparams: must be a positive"),
+    (("residue_system", "rows", 0, "coeffs", 0), "/residue_system/rows/0/coeffs:"),
+    (("omega_map", 0, 0), "/omega_map/0: "),
+)
+
+
+@pytest.mark.parametrize("keys,where", SCENARIO_BOOLS)
+def test_bool_is_not_an_integer_in_a_scenario(tmp_path, capsys, keys, where):
+    from alexinv.corpus import bundled_scenario_path
+
+    with open(bundled_scenario_path("example_4_1"), encoding="utf-8") as handle:
+        data = json.load(handle)
+    parent = data
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = True
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: " + where), err
+
+
+def test_internal_parser_error_is_not_a_schema_error(
+    capsys, monkeypatch, bivariate_presentation
+):
+    # Only the parser's own ParseError and DimensionError are bad input.
+    def broken(text, nvars):
+        raise RuntimeError("parser slip")
+
+    monkeypatch.setattr(am, "parse_poly", broken)
+    with pytest.raises(RuntimeError, match="parser slip"):
+        main(["module", "--presentation", bivariate_presentation, "--op", "charpoly"])
+    assert capsys.readouterr().err == ""
+
+
+def test_overlong_integer_literal_is_a_schema_error(tmp_path, capsys):
+    # int() refuses digit strings over the interpreter's limit with a plain
+    # ValueError; the parser turns that into a ParseError.
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("integer string conversion is unlimited")
+    digits = "1" * (limit + 1)
+    for text in (digits + "*t-1", "t^" + digits, "1/" + digits, "t" + digits):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(
+            {"nvars": 1, "generators": 1, "relations": 1, "matrix": [[text]]}))
+        code, out, err = run_cli(
+            capsys, "module", "--presentation", str(path), "--op", "charpoly")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: /matrix/0/0: Exceeds the limit"), err
+
+
 def test_usage_error_exit_code(capsys):
     assert main([]) == 1
     assert main(["no-such-command"]) == 1

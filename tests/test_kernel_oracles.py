@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 from alexinv.alexander_modules import (
     _minor_table,
     _vanishing_test,
+    cyclic_module,
+    direct_sum,
     elementary_ideal,
     fitting_variety_scan,
     in_support,
@@ -241,6 +243,46 @@ def test_scans_match_cyclotomic_evaluation():
                 if i == 0:
                     assert [in_support(pres, pt) for pt in grid] == [
                         pt in expected for pt in grid]
+
+
+@st.composite
+def scan_ideal(draw, nvars, level):
+    """Generators with rational coefficients: none (the zero ideal), a unit
+    among them (the full ring), or products with ``vanishing_factor`` at
+    drawn points, so that part of some orbits lies in the variety."""
+    kind = draw(st.sampled_from(["zero", "full", "vanishing", "vanishing"]))
+    if kind == "zero":
+        return []
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        g = draw(laurent(nvars, max_terms=2))
+        for _ in range(draw(st.integers(0 if kind == "full" else 1, 2))):
+            nums = tuple(draw(st.integers(0, level - 1)) for _ in range(nvars))
+            exps = tuple(draw(st.integers(-2, 2)) for _ in range(nvars))
+            g = g * vanishing_factor(TorsionPoint(level, nums), exps)
+        gens.append(g)
+    if kind == "full":
+        exps = tuple(draw(st.integers(-2, 2)) for _ in range(nvars))
+        gens.insert(draw(st.integers(0, len(gens))), LaurentPoly.term(nvars, F(2, 3), exps))
+    return gens
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_orbit_scans_match_the_per_point_test(data):
+    # The scans decide one point per (Z/N)^x orbit; the reference decides
+    # every point of the grid, in the grid's lexicographic order.
+    nvars = data.draw(NVARS)
+    level = data.draw(st.integers(1, 6 if nvars == 3 else 30))
+    first = cyclic_module(data.draw(scan_ideal(nvars, level)), nvars)
+    # Ideal 1 of the direct sum is generated by both ideals' generators.
+    pres = direct_sum(first, cyclic_module(data.draw(scan_ideal(nvars, level)), nvars))
+    grid = list(torsion_grid(level, nvars))
+    for module, k, found in ((first, 0, support_scan(first, level)),
+                             (pres, 1, fitting_variety_scan(pres, 2, level)),
+                             (pres, 2, fitting_variety_scan(pres, 3, level))):
+        vanishes = _vanishing_test(elementary_ideal(module, k).gens, level)
+        assert found == tuple(pt for pt in grid if vanishes(pt.numerators))
 
 
 # ---------------------------------------------------------------------------
