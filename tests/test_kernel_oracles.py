@@ -263,11 +263,12 @@ def scan_ideal(draw, nvars, level):
         gens.append(g)
     if kind == "full":
         exps = tuple(draw(st.integers(-2, 2)) for _ in range(nvars))
-        gens.insert(draw(st.integers(0, len(gens))), LaurentPoly.term(nvars, F(2, 3), exps))
+        unit = LaurentPoly.term(nvars, F(2, 3), exps)
+        gens.insert(draw(st.integers(0, len(gens))), unit)
     return gens
 
 
-@settings(max_examples=150, deadline=None, database=None)
+@HYPOTHESIS
 @given(st.data())
 def test_orbit_scans_match_the_per_point_test(data):
     # The scans decide one point per (Z/N)^x orbit; the reference decides
