@@ -55,11 +55,10 @@ def _calls(name: str, generators: int, fmt: str):
                           "--format", fmt]
 
 
-def _transcript(name: str, fmt: str) -> str:
-    """Every call's argv, exit code, stdout and stderr; run from GOLDEN_DIR."""
-    generators = load_presentation(name + ".json").generators
+def record(calls) -> str:
+    """Every call's argv, exit code, stdout and stderr, as one transcript."""
     parts = []
-    for argv in _calls(name, generators, fmt):
+    for argv in calls:
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
@@ -70,6 +69,32 @@ def _transcript(name: str, fmt: str) -> str:
     return "".join(parts)
 
 
+def compare(path: str, transcript: str) -> None:
+    with open(path, encoding="utf-8") as handle:
+        expected = handle.read()
+    assert transcript == expected
+
+
+def write(path: str, transcript: str) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(transcript)
+
+
+def write_main(doc: str, write_all) -> None:
+    """``python <test file> --write`` runs ``write_all``; anything else
+    prints the file's docstring."""
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(doc)
+    sys.path.insert(0, HERE)
+    write_all()
+
+
+def _transcript(name: str, fmt: str) -> str:
+    """Every call on one presentation; run from GOLDEN_DIR."""
+    generators = load_presentation(name + ".json").generators
+    return record(_calls(name, generators, fmt))
+
+
 def _golden_path(name: str, fmt: str) -> str:
     return os.path.join(GOLDEN_DIR, f"{name}-{fmt}.golden")
 
@@ -78,9 +103,7 @@ def _golden_path(name: str, fmt: str) -> str:
 @pytest.mark.parametrize("name", sorted(PRESENTATIONS))
 def test_module_reports_match_golden(monkeypatch, name, fmt):
     monkeypatch.chdir(GOLDEN_DIR)
-    with open(_golden_path(name, fmt), encoding="utf-8") as handle:
-        expected = handle.read()
-    assert _transcript(name, fmt) == expected
+    compare(_golden_path(name, fmt), _transcript(name, fmt))
 
 
 def _write() -> None:
@@ -94,12 +117,8 @@ def _write() -> None:
             json.dump(presentation_to_dict(pres), handle, indent=1)
             handle.write("\n")
         for fmt in FORMATS:
-            with open(_golden_path(name, fmt), "w", encoding="utf-8") as handle:
-                handle.write(_transcript(name, fmt))
+            write(_golden_path(name, fmt), _transcript(name, fmt))
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit(__doc__)
-    sys.path.insert(0, HERE)
-    _write()
+    write_main(__doc__, _write)
