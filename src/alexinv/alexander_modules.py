@@ -28,13 +28,13 @@ and an automorphism sends only zero to zero.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd as int_gcd, lcm
 from operator import mul
 
-from .errors import DimensionError, ParseError, SchemaError
+from .errors import DimensionError, LimitError, ParseError, SchemaError
+from .errors import fields, integers, load_json
 from .exact_kernel import cyclotomic_poly
 from .laurent_ring import (
     LaurentPoly,
@@ -265,17 +265,17 @@ def fitting_variety_scan(
 # Presentation files.
 
 
+MAX_NVARS = 100
+"""Most variables a presentation may declare; a term stores one exponent each."""
+
+
 def presentation_from_dict(data: dict, path: str = "") -> Presentation:
-    for key in ("nvars", "generators", "relations", "matrix"):
-        if key not in data:
-            raise SchemaError(f"{path}/{key}", "missing required field")
-    nvars = data["nvars"]
-    n, m = data["generators"], data["relations"]
-    if not (type(nvars) is int and nvars >= 1):
-        raise SchemaError(f"{path}/nvars", "must be a positive integer")
+    nvars, n, m, raw = fields(data, path, "nvars", "generators", "relations", "matrix")
+    integers(nvars, f"{path}/nvars", 1)
+    if nvars > MAX_NVARS:
+        raise LimitError(f"{path}/nvars: {nvars} is more than the limit of {MAX_NVARS}")
     if not (type(n) is int and n >= 0 and type(m) is int and m >= 0):
         raise SchemaError(f"{path}/generators", "counts must be non-negative integers")
-    raw = data["matrix"]
     if not isinstance(raw, list) or len(raw) != n:
         raise SchemaError(f"{path}/matrix", f"expected {n} generator rows")
     rows = []
@@ -302,9 +302,4 @@ def presentation_to_dict(pres: Presentation) -> dict:
 
 
 def load_presentation(path: str) -> Presentation:
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("", f"invalid JSON: {exc}") from exc
-    return presentation_from_dict(data)
+    return presentation_from_dict(load_json(path))

@@ -24,6 +24,8 @@ from .errors import (
     DimensionError,
     InconsistentDifferentialError,
     SchemaError,
+    fields,
+    integers,
 )
 from .exact_kernel import (
     ExactMatrix,
@@ -362,13 +364,8 @@ def os_algebra_lines(nlines: int, points) -> GradedAlgebra:
 
 
 def algebra_from_dict(data: dict, path: str = "/algebra") -> GradedAlgebra:
-    for key in ("top_degree", "basis"):
-        if key not in data:
-            raise SchemaError(f"{path}/{key}", "missing required field")
-    top = data["top_degree"]
-    if not (type(top) is int and top >= 0):
-        raise SchemaError(f"{path}/top_degree", "must be a non-negative integer")
-    raw_basis = data["basis"]
+    top, raw_basis = fields(data, path, "top_degree", "basis")
+    integers(top, f"{path}/top_degree", 0)
     if not isinstance(raw_basis, dict):
         raise SchemaError(f"{path}/basis", "must map degree strings to label lists")
     basis = []
@@ -384,29 +381,31 @@ def algebra_from_dict(data: dict, path: str = "/algebra") -> GradedAlgebra:
         basis.append(tuple(labels))
     if len(basis[0]) != 1:
         raise SchemaError(f"{path}/basis/0", "degree 0 must have exactly one element")
-    known = {label for labels in basis for label in labels}
-    if len(known) != sum(len(labels) for labels in basis):
-        raise SchemaError(f"{path}/basis", "duplicate basis label")
-
     degree: dict = {}
     for p, labels in enumerate(basis):
         for label in labels:
             degree[label] = p
+    if len(degree) != sum(len(labels) for labels in basis):
+        raise SchemaError(f"{path}/basis", "duplicate basis label")
 
     products: ProductTable = {}
-    for k, item in enumerate(data.get("products", [])):
+    raw_products = data.get("products", [])
+    if not isinstance(raw_products, list):
+        raise SchemaError(f"{path}/products", "must be a list")
+    for k, item in enumerate(raw_products):
         here = f"{path}/products/{k}"
-        for key in ("left", "right", "value"):
-            if key not in item:
-                raise SchemaError(f"{here}/{key}", "missing required field")
-        left, right = item["left"], item["right"]
+        left, right, value = fields(item, here, "left", "right", "value")
         for side, label in (("left", left), ("right", right)):
-            if label not in degree:
+            if not isinstance(label, str) or label not in degree:
                 raise SchemaError(f"{here}/{side}", f"unknown basis label {label!r}")
+        if not isinstance(value, list):
+            raise SchemaError(f"{here}/value", "must be a list")
         vec = {}
-        for t, entry in enumerate(item["value"]):
+        for t, entry in enumerate(value):
+            if not isinstance(entry, dict):
+                raise SchemaError(f"{here}/value/{t}", "must be an object")
             target = entry.get("basis")
-            if target not in degree:
+            if not isinstance(target, str) or target not in degree:
                 raise SchemaError(
                     f"{here}/value/{t}/basis", f"unknown basis label {target!r}"
                 )
@@ -420,7 +419,7 @@ def algebra_from_dict(data: dict, path: str = "/algebra") -> GradedAlgebra:
                     "target degree must equal the sum of factor degrees",
                 )
             if coeff:
-                vec[target] = vec.get(target, Fraction(0)) + coeff
+                vec[target] = vec[target] + coeff if target in vec else coeff
         if degree[left] == 1:
             key = (left, right)
         elif degree[right] == 1:

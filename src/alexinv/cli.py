@@ -110,7 +110,7 @@ def _parse_fraction_list(text: str, expect: int, what: str) -> tuple[Fraction, .
     parts = [p.strip() for p in text.split(",")] if text else []
     try:
         values = tuple(parse_rational(p) for p in parts)
-    except (ValueError, ZeroDivisionError):
+    except ValueError:
         raise SchemaError("", f"{what} must be a comma-separated list of rationals")
     if len(values) != expect:
         raise SchemaError("", f"{what} must have {expect} entries, got {len(values)}")
@@ -165,9 +165,7 @@ def format_charpoly(poly: lr.LaurentPoly) -> str:
 
 
 def _cmd_validate(args) -> Report:
-    path = _resolve_scenario_path(args.scenario)
-    report = Report(command=_echo(args), digest=_digest_file(path))
-    scenario = pipeline.load_scenario(path)
+    scenario, report = _load_scenario(args)
     report.results = {
         "name": scenario.name,
         "valid": True,
@@ -178,14 +176,14 @@ def _cmd_validate(args) -> Report:
     return report
 
 
-def _load_for_compute(args) -> tuple[pipeline.Scenario, Report]:
+def _load_scenario(args) -> tuple[pipeline.Scenario, Report]:
     path = _resolve_scenario_path(args.scenario)
     scenario = pipeline.load_scenario(path)
     return scenario, Report(command=_echo(args), digest=_digest_file(path))
 
 
 def _cmd_aomoto(args) -> Report:
-    scenario, report = _load_for_compute(args)
+    scenario, report = _load_scenario(args)
     alpha = _parse_fraction_list(args.alpha, scenario.nparams, "--alpha")
     rho = rs.residues(scenario.residue_system, alpha)
     dims = pipeline.cohomology_at(scenario, alpha)
@@ -200,7 +198,7 @@ def _cmd_aomoto(args) -> Report:
 
 
 def _cmd_twisted(args) -> Report:
-    scenario, report = _load_for_compute(args)
+    scenario, report = _load_scenario(args)
     beta = _parse_fraction_list(args.beta, scenario.nparams, "--beta")
     alpha = pipeline.admissible_representative(scenario, beta, args.bound)
     dims = None
@@ -219,7 +217,7 @@ def _cmd_twisted(args) -> Report:
 
 
 def _cmd_admissible(args) -> Report:
-    scenario, report = _load_for_compute(args)
+    scenario, report = _load_scenario(args)
     beta = _parse_fraction_list(args.beta, scenario.nparams, "--beta")
     alpha = pipeline.admissible_representative(scenario, beta, args.bound)
     results = {
@@ -244,7 +242,7 @@ def _cmd_admissible(args) -> Report:
 
 
 def _cmd_charvar(args) -> Report:
-    scenario, report = _load_for_compute(args)
+    scenario, report = _load_scenario(args)
     scan = pipeline.charvar_scan(scenario, args.level, args.degree, args.bound)
     buckets = {
         str(dim): [str(p) for p in points]
@@ -262,7 +260,7 @@ def _cmd_charvar(args) -> Report:
 
 
 def _cmd_milnor(args) -> Report:
-    scenario, report = _load_for_compute(args)
+    scenario, report = _load_scenario(args)
     try:
         delta = pipeline.milnor_charpoly(scenario, args.m, args.bound)
     except InconclusiveSearchError as exc:
@@ -391,8 +389,7 @@ def main(argv=None) -> int:
     args._argv = ["alexinv"] + argv
     try:
         report = args.func(args)
-    except (SchemaError, ParseError, DimensionError, LimitError, FileNotFoundError,
-            UnicodeDecodeError) as exc:
+    except (SchemaError, ParseError, DimensionError, LimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AlgebraInvalidError as exc:

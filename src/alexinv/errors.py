@@ -1,6 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types, and the JSON document checks, shared across the package."""
 
 from __future__ import annotations
+
+import json
 
 
 class DimensionError(ValueError):
@@ -31,6 +33,41 @@ class SchemaError(ValueError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+
+
+def load_json(path: str):
+    """The JSON document in a file; one that does not decode is a root SchemaError."""
+    with open(path, encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except (ValueError, RecursionError) as exc:
+            raise SchemaError("", f"invalid JSON: {exc}") from exc
+
+
+def fields(data, path: str, *keys: str) -> list:
+    """The values of ``keys`` in the JSON object ``data``, all required."""
+    if not isinstance(data, dict):
+        raise SchemaError(path, "must be an object")
+    try:
+        return [data[key] for key in keys]
+    except KeyError as exc:
+        raise SchemaError(f"{path}/{exc.args[0]}", "missing required field") from None
+
+
+def integers(value, path: str, low: int, length: int | None = None):
+    """``value`` if it is an integer ``>= low``, for ``low`` 0 or 1, or, given
+    ``length``, a list of ``length`` such integers.  Bools are not integers."""
+    if length is None:
+        if type(value) is int and value >= low:
+            return value
+    elif isinstance(value, list) and len(value) == length and all(
+        type(x) is int and x >= low for x in value
+    ):
+        return value
+    kind = ("non-negative", "positive")[low]
+    if length is None:
+        raise SchemaError(path, f"must be a {kind} integer")
+    raise SchemaError(path, f"must be a list of {length} {kind} integers")
 
 
 class AlgebraInvalidError(Exception):

@@ -22,10 +22,13 @@ from .errors import DimensionError
 
 
 def parse_rational(text: str | int) -> Fraction:
-    """Parse ``"p/q"`` or ``"p"`` (also accepts plain ints, not bools)."""
+    """Parse ``"p/q"`` or ``"p"`` (or an int, not a bool); else ``ValueError``."""
     if type(text) is int:
         return Fraction(text)
-    return Fraction(str(text).strip())
+    try:
+        return Fraction(str(text).strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(q: Fraction) -> str:

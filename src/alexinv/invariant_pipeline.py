@@ -13,13 +13,13 @@ of the associated Milnor fiber via equimonodromic local systems.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd as int_gcd
 from operator import mul
 
+from . import laurent_ring
 from .aomoto_complex import (
     GradedAlgebra,
     IntegerDifferential,
@@ -28,7 +28,8 @@ from .aomoto_complex import (
     algebra_to_dict,
     ensure_valid,
 )
-from .errors import DimensionError, InconclusiveSearchError, SchemaError
+from .errors import DimensionError, InconclusiveSearchError, LimitError, SchemaError
+from .errors import fields, integers, load_json
 from .exact_kernel import (
     cyclotomic_poly,
     divisors,
@@ -312,7 +313,9 @@ def milnor_charpoly(scenario: Scenario, m: int, bound: int = 3) -> MonodromyPoly
         raise DimensionError(
             f"degree {m} out of range [0, {scenario.algebra.top_degree}]"
         )
-    order = milnor_order(scenario)
+    order, cap = milnor_order(scenario), laurent_ring.MAX_SCAN_POINTS
+    if order > cap:
+        raise LimitError(f"Milnor order {order} is more than the limit of {cap}")
     bound = scenario.effective_bound(bound)
     compiled = scenario.compiled
     mults = []
@@ -364,40 +367,23 @@ def epsilon_line(points, point: TorsionPoint) -> int:
 
 
 def scenario_from_dict(data: dict, path: str = "") -> Scenario:
-    for key in ("name", "components", "degrees", "algebra", "residue_system", "omega_map"):
-        if key not in data:
-            raise SchemaError(f"{path}/{key}", "missing required field")
-    name = data["name"]
+    name, s, degrees, raw_algebra, raw_system, raw_map = fields(
+        data, path, "name", "components", "degrees", "algebra", "residue_system",
+        "omega_map",
+    )
     if not isinstance(name, str) or not name:
         raise SchemaError(f"{path}/name", "must be a non-empty string")
-    s = data["components"]
-    if not (type(s) is int and s >= 1):
-        raise SchemaError(f"{path}/components", "must be a positive integer")
-    degrees = data["degrees"]
-    if (
-        not isinstance(degrees, list)
-        or len(degrees) != s
-        or not all(type(d) is int and d >= 1 for d in degrees)
-    ):
-        raise SchemaError(
-            f"{path}/degrees", f"must be a list of {s} positive integers"
-        )
-    algebra = algebra_from_dict(data["algebra"], f"{path}/algebra")
-    system = residue_system_from_dict(
-        data["residue_system"], f"{path}/residue_system"
-    )
-    raw_map = data["omega_map"]
+    integers(s, f"{path}/components", 1)
+    integers(degrees, f"{path}/degrees", 1, s)
+    algebra = algebra_from_dict(raw_algebra, f"{path}/algebra")
+    system = residue_system_from_dict(raw_system, f"{path}/residue_system")
     dim1 = algebra.dim(1)
     if not isinstance(raw_map, list) or len(raw_map) != system.nparams:
-        raise SchemaError(
-            f"{path}/omega_map", f"must have {system.nparams} rows"
-        )
+        raise SchemaError(f"{path}/omega_map", f"must have {system.nparams} rows")
     omega_map = []
     for i, raw_row in enumerate(raw_map):
         if not isinstance(raw_row, list) or len(raw_row) != dim1:
-            raise SchemaError(
-                f"{path}/omega_map/{i}", f"must have {dim1} entries"
-            )
+            raise SchemaError(f"{path}/omega_map/{i}", f"must have {dim1} entries")
         try:
             omega_map.append(tuple(parse_rational(x) for x in raw_row))
         except ValueError as exc:
@@ -413,22 +399,13 @@ def scenario_from_dict(data: dict, path: str = "") -> Scenario:
     if raw_points is not None:
         if not isinstance(raw_points, list):
             raise SchemaError(f"{path}/intersection_points", "must be a list")
-        cleaned = []
-        for k, vec in enumerate(raw_points):
-            if (
-                not isinstance(vec, list)
-                or len(vec) != s
-                or not all(type(x) is int and x >= 0 for x in vec)
-            ):
-                raise SchemaError(
-                    f"{path}/intersection_points/{k}",
-                    f"must be a list of {s} non-negative integers",
-                )
-            cleaned.append(tuple(vec))
-        intersection_points = tuple(cleaned)
+        intersection_points = tuple(
+            tuple(integers(vec, f"{path}/intersection_points/{k}", 0, s))
+            for k, vec in enumerate(raw_points)
+        )
     max_shift = data.get("max_shift")
-    if max_shift is not None and not (type(max_shift) is int and max_shift >= 0):
-        raise SchemaError(f"{path}/max_shift", "must be a non-negative integer")
+    if max_shift is not None:
+        integers(max_shift, f"{path}/max_shift", 0)
 
     # Residue rows of an affine arrangement with one free parameter per
     # component must contain the unit rows and the infinity row -degrees.
@@ -482,11 +459,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 def load_scenario(path: str) -> Scenario:
     """Load and schema-check a scenario file, and validate its algebra."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("", f"invalid JSON: {exc}") from exc
-    scenario = scenario_from_dict(data)
+    scenario = scenario_from_dict(load_json(path))
     ensure_valid(scenario.algebra)
     return scenario

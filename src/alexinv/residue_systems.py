@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import product
 from operator import mul
 
-from .errors import DimensionError, LimitError, SchemaError
+from .errors import DimensionError, LimitError, SchemaError, fields, integers
 from .exact_kernel import integer_vector
 
 @dataclass(frozen=True)
@@ -156,14 +156,12 @@ def equimonodromic_beta(order: int, k: int, nparams: int) -> tuple[Fraction, ...
 
 
 def residue_system_from_dict(data: dict, path: str = "/residue_system") -> ResidueSystem:
-    for key in ("nparams", "rows"):
-        if key not in data:
-            raise SchemaError(f"{path}/{key}", "missing required field")
-    nparams = data["nparams"]
-    if not (type(nparams) is int and nparams >= 1):
-        raise SchemaError(f"{path}/nparams", "must be a positive integer")
+    nparams, raw_rows = fields(data, path, "nparams", "rows")
+    integers(nparams, f"{path}/nparams", 1)
+    if not isinstance(raw_rows, list):
+        raise SchemaError(f"{path}/rows", "must be a list")
     rows = []
-    for k, raw in enumerate(data["rows"]):
+    for k, raw in enumerate(raw_rows):
         here = f"{path}/rows/{k}"
         if not isinstance(raw, dict):
             raise SchemaError(here, "row must be an object")
@@ -171,18 +169,14 @@ def residue_system_from_dict(data: dict, path: str = "/residue_system") -> Resid
         if not isinstance(label, str) or not label:
             raise SchemaError(f"{here}/label", "must be a non-empty string")
         coeffs = raw.get("coeffs")
-        if (
-            not isinstance(coeffs, list)
-            or len(coeffs) != nparams
-            or not all(type(c) is int for c in coeffs)
+        if not isinstance(coeffs, list) or len(coeffs) != nparams or not all(
+            type(c) is int for c in coeffs
         ):
-            raise SchemaError(
-                f"{here}/coeffs", f"must be a list of {nparams} integers"
-            )
+            raise SchemaError(f"{here}/coeffs", f"must be a list of {nparams} integers")
         component = raw.get("component", False)
         if not isinstance(component, bool):
             raise SchemaError(f"{here}/component", "must be a boolean")
-        rows.append(ResidueRow(label, tuple(coeffs), component))
+        rows.append(ResidueRow(label, coeffs, component))
     return ResidueSystem(nparams, tuple(rows))
 
 

@@ -525,3 +525,116 @@ def test_reused_parser_matches_fresh_parsers(capsys, bivariate_presentation):
     assert reused == fresh
     codes = [code for code, _, _ in reused]
     assert codes == [0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 1, 1, 0]
+
+
+def _bundled_with(name, keys, value):
+    """The bundled scenario ``name`` as JSON text, with the value at ``keys``
+    replaced (the whole document for no keys)."""
+    from alexinv.corpus import bundled_scenario_path
+
+    with open(bundled_scenario_path(name), encoding="utf-8") as handle:
+        data = json.load(handle)
+    if not keys:
+        return json.dumps(value)
+    parent = data
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = value
+    return json.dumps(data)
+
+
+PRODUCT = ("algebra", "products", 0)
+SCENARIO_HOLES = (
+    ((), 5, ": must be an object"),
+    (("algebra",), [], "/algebra: must be an object"),
+    (("residue_system",), "rows", "/residue_system: must be an object"),
+    (PRODUCT, 7, "/algebra/products/0: must be an object"),
+    (PRODUCT + ("value", 0), None, "/algebra/products/0/value/0: must be an object"),
+    (("residue_system", "rows"), {}, "/residue_system/rows: must be a list"),
+    (("algebra", "products"), {}, "/algebra/products: must be a list"),
+    (PRODUCT + ("value",), {}, "/algebra/products/0/value: must be a list"),
+    (PRODUCT + ("left",), ["eta1"], "/algebra/products/0/left: unknown basis label"),
+    (PRODUCT + ("right",), [], "/algebra/products/0/right: unknown basis label"),
+    (("omega_map", 0, 0), "1/0", "/omega_map/0: zero denominator"),
+    (PRODUCT + ("value", 0, "coeff"), "1/0",
+     "/algebra/products/0/value/0/coeff: zero denominator"),
+)
+
+
+@pytest.mark.parametrize("keys,value,where", SCENARIO_HOLES)
+def test_malformed_scenario_is_a_schema_error(tmp_path, capsys, keys, value, where):
+    path = tmp_path / "scenario.json"
+    path.write_text(_bundled_with("example_4_1", keys, value))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: " + where), err
+
+
+PRESENTATION = '{"nvars": %s, "generators": 1, "relations": 1, "matrix": [["t1-1"]]}'
+HUGE = "1" * 5000
+NESTED = "[" * 100_000 + "]" * 100_000
+UNDECODABLE = (
+    ("5", "must be an object"),
+    (json.dumps({"name": "x", "components": HUGE}).replace(f'"{HUGE}"', HUGE),
+     "invalid JSON: Exceeds the limit"),
+    (PRESENTATION % HUGE, "invalid JSON: Exceeds the limit"),
+    (NESTED, "invalid JSON: maximum recursion depth exceeded"),
+    (PRESENTATION % NESTED, "invalid JSON: maximum recursion depth exceeded"),
+)
+
+
+@pytest.mark.parametrize("command", ["validate", "module"])
+@pytest.mark.parametrize("text,reason", UNDECODABLE, ids=range(len(UNDECODABLE)))
+def test_unreadable_document_is_a_schema_error(tmp_path, capsys, command, text, reason):
+    path = tmp_path / "document.json"
+    path.write_text(text)
+    argv = {"validate": ("validate", str(path)),
+            "module": ("module", "--presentation", str(path), "--op", "support",
+                       "--level", "2")}[command]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: : " + reason), err
+
+
+def test_directory_path_is_a_usage_error(tmp_path, capsys):
+    for argv in (("validate", str(tmp_path)),
+                 ("module", "--presentation", str(tmp_path), "--op", "charpoly")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: [Errno 21] Is a directory"), err
+
+
+def test_presentation_nvars_cap(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "wide.json"
+    path.write_text(PRESENTATION % 2_000_000)
+    code, out, err = run_cli(
+        capsys, "module", "--presentation", str(path), "--op", "charpoly")
+    assert (code, out) == (1, "")
+    assert err == "error: /nvars: 2000000 is more than the limit of 100\n"
+    # Inclusive: with a cap of 2, a bivariate presentation is read and a
+    # trivariate one is refused.
+    monkeypatch.setattr(am, "MAX_NVARS", 2)
+    refused = "error: /nvars: 3 is more than the limit of 2\n"
+    for nvars, expect in ((2, ""), (3, refused)):
+        path.write_text(PRESENTATION % nvars)
+        _, _, err = run_cli(
+            capsys, "module", "--presentation", str(path), "--op", "charpoly")
+        assert err == expect
+
+
+def test_milnor_order_cap(tmp_path, capsys, monkeypatch):
+    # example_5_3 has one residue parameter, so its degrees are free; its
+    # order is sum(degrees), checked before any local system is built.
+    path = tmp_path / "steep.json"
+    path.write_text(_bundled_with("example_5_3", ("degrees",), [1, 10**9]))
+    assert run_cli(capsys, "validate", str(path))[0] == 0
+    code, out, err = run_cli(capsys, "milnor", str(path), "--m", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: Milnor order 1000000001 is more than the limit of 100000\n"
+    # Inclusive: example_4_1 has order 1 + 1 + 2 + 1 = 5.
+    monkeypatch.setattr(lr, "MAX_SCAN_POINTS", 5)
+    assert run_cli(capsys, "milnor", "example_4_1", "--m", "1")[0] == 0
+    monkeypatch.setattr(lr, "MAX_SCAN_POINTS", 4)
+    code, _, err = run_cli(capsys, "milnor", "example_4_1", "--m", "1")
+    assert code == 1
+    assert "Milnor order 5 is more than the limit of 4" in err

@@ -146,3 +146,9 @@ def test_cyclotomic_serialization_round_trip():
 def test_cyclotomic_vector_length_enforced():
     with pytest.raises(DimensionError):
         CyclotomicNumber(5, (F(1),))
+
+
+def test_parse_rational_rejects_zero_denominator():
+    for text in ("1/0", " -3/0 ", "0/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_rational(text)
