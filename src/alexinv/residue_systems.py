@@ -168,6 +168,7 @@ def residue_system_from_dict(data: dict, path: str = "/residue_system") -> Resid
         label = raw.get("label")
         if not isinstance(label, str) or not label:
             raise SchemaError(f"{here}/label", "must be a non-empty string")
+        # Inline rather than errors.integers: this runs once per row.
         coeffs = raw.get("coeffs")
         if not isinstance(coeffs, list) or len(coeffs) != nparams or not all(
             type(c) is int for c in coeffs
