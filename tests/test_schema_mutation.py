@@ -79,23 +79,17 @@ def _paths(node, prefix=()):
 
 
 def _mutate(doc, where, kind: str, number, offset: int) -> bytes:
-    data = copy.deepcopy(doc)
-    if not where:
-        if kind == "drop":
-            return b""
-        if kind in VALUES or kind == "number":
-            data = number if kind == "number" else VALUES[kind]
-    else:
-        parent = data
-        for key in where[:-1]:
-            parent = parent[key]
-        if kind == "drop":
-            del parent[where[-1]]
-        elif kind == "number":
-            parent[where[-1]] = number
-        elif kind in VALUES:
-            parent[where[-1]] = VALUES[kind]
-    text = json.dumps(data)
+    # The document sits in a one-item list, so that the root is mutated
+    # (and dropped, leaving an empty file) like any other value.
+    box = [copy.deepcopy(doc)]
+    parent, key = box, 0
+    for step in where:
+        parent, key = parent[key], step
+    if kind == "drop":
+        del parent[key]
+    elif kind != "utf8":
+        parent[key] = number if kind == "number" else VALUES[kind]
+    text = json.dumps(box[0]) if box else ""
     if kind in RAW:
         text = text.replace(json.dumps(PLACEHOLDER), RAW[kind])
     raw = text.encode("utf-8")
