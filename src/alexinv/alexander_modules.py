@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd as int_gcd, lcm
 from operator import mul
+from pathlib import Path
 
 from .errors import DimensionError, LimitError, ParseError, SchemaError
 from .errors import fields, integers, load_json
@@ -301,5 +302,9 @@ def presentation_to_dict(pres: Presentation) -> dict:
     }
 
 
+def presentation_from_json(data: bytes) -> Presentation:
+    return presentation_from_dict(load_json(data))
+
+
 def load_presentation(path: str) -> Presentation:
-    return presentation_from_dict(load_json(path))
+    return presentation_from_json(Path(path).read_bytes())

@@ -54,6 +54,8 @@ class GradedAlgebra:
     basis: tuple
     products: ProductTable
     _where: dict = field(init=False, repr=False, compare=False)
+    _identity: IntegerDifferential | None = field(  # built by cohomology_dims
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.basis = tuple(tuple(labels) for labels in self.basis)
@@ -71,7 +73,7 @@ class GradedAlgebra:
             for label in (left, right):
                 if label not in where:
                     raise ValueError(f"product references unknown label {label!r}")
-            vec = {k: Fraction(v) for k, v in vec.items() if Fraction(v)}
+            vec = {k: c for k, v in vec.items() if (c := Fraction(v))}
             for target in vec:
                 if target not in where:
                     raise ValueError(f"product targets unknown label {target!r}")
@@ -293,8 +295,11 @@ def cohomology_dims(algebra: GradedAlgebra, omega: OneForm) -> tuple[int, ...]:
     if algebra.top_degree >= 1 and len(omega.coeffs) != algebra.dim(1):
         raise DimensionError("one-form length does not match the degree-1 basis")
     coeffs, _ = integer_vector(omega.coeffs)
-    identity = [[int(i == j) for j in range(len(coeffs))] for i in range(len(coeffs))]
-    return IntegerDifferential(algebra, identity).dims(coeffs)
+    if algebra._identity is None:
+        n = algebra.dim(1)
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        algebra._identity = IntegerDifferential(algebra, identity)
+    return algebra._identity.dims(coeffs)
 
 
 def betti_vector(algebra: GradedAlgebra) -> tuple[int, ...]:

@@ -15,6 +15,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 
 from . import alexander_modules as am
 from . import corpus
@@ -92,9 +93,18 @@ def _render_scalar(value) -> str:
     return str(value)
 
 
-def _digest_file(path: str) -> str:
-    with open(path, "rb") as handle:
-        return "sha256:" + hashlib.sha256(handle.read()).hexdigest()
+@functools.lru_cache(maxsize=32)
+def _decode(decoder, data: bytes):
+    """``decoder(data)``, kept for later calls on equal bytes; errors are not kept."""
+    return decoder(data)
+
+
+def _read_input(args, path: str, decoder):
+    """The checked object in the file at ``path``, and a report whose digest
+    is of the same bytes."""
+    data = Path(path).read_bytes()
+    report = Report(_echo(args), "sha256:" + hashlib.sha256(data).hexdigest())
+    return _decode(decoder, data), report
 
 
 def _resolve_scenario_path(token: str) -> str:
@@ -178,8 +188,7 @@ def _cmd_validate(args) -> Report:
 
 def _load_scenario(args) -> tuple[pipeline.Scenario, Report]:
     path = _resolve_scenario_path(args.scenario)
-    scenario = pipeline.load_scenario(path)
-    return scenario, Report(command=_echo(args), digest=_digest_file(path))
+    return _read_input(args, path, pipeline.scenario_from_json)
 
 
 def _cmd_aomoto(args) -> Report:
@@ -187,10 +196,9 @@ def _cmd_aomoto(args) -> Report:
     alpha = _parse_fraction_list(args.alpha, scenario.nparams, "--alpha")
     rho = rs.residues(scenario.residue_system, alpha)
     dims = pipeline.cohomology_at(scenario, alpha)
-    admissible = rs.is_admissible(scenario.residue_system, alpha)
     report.results = {
         "alpha": [format_rational(a) for a in alpha],
-        "admissible": admissible,
+        "admissible": not any(v > 0 and v.denominator == 1 for _, v in rho),
         "residues": {label: format_rational(v) for label, v in rho},
         "dims": list(dims),
     }
@@ -278,8 +286,7 @@ def _cmd_milnor(args) -> Report:
 
 
 def _cmd_module(args) -> Report:
-    pres = am.load_presentation(args.presentation)
-    report = Report(command=_echo(args), digest=_digest_file(args.presentation))
+    pres, report = _read_input(args, args.presentation, am.presentation_from_json)
     if args.op == "charpoly":
         if args.i < 0:
             raise SchemaError("", "--i must be >= 0 for --op charpoly")

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import functools
 from importlib import resources
 
 from .invariant_pipeline import Scenario, load_scenario
 
+@functools.cache
 def _scenario_dir():
     return resources.files("alexinv").joinpath("data", "scenarios")
 

@@ -35,13 +35,14 @@ class SchemaError(ValueError):
         self.path = path
 
 
-def load_json(path: str):
-    """The JSON document in a file; one that does not decode is a root SchemaError."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            return json.load(handle)
-        except (ValueError, RecursionError) as exc:
-            raise SchemaError("", f"invalid JSON: {exc}") from exc
+def load_json(data: bytes):
+    """The JSON document in a file's UTF-8 bytes, newlines read as in text mode
+    (error positions count them); bytes that do not decode are a root SchemaError."""
+    try:
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise SchemaError("", f"invalid JSON: {exc}") from exc
 
 
 def fields(data, path: str, *keys: str) -> list:

@@ -18,6 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd as int_gcd
 from operator import mul
+from pathlib import Path
 
 from . import laurent_ring
 from .aomoto_complex import (
@@ -457,8 +458,13 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     return data
 
 
-def load_scenario(path: str) -> Scenario:
-    """Load and schema-check a scenario file, and validate its algebra."""
-    scenario = scenario_from_dict(load_json(path))
+def scenario_from_json(data: bytes) -> Scenario:
+    """Decode and schema-check a scenario document, and validate its algebra."""
+    scenario = scenario_from_dict(load_json(data))
     ensure_valid(scenario.algebra)
     return scenario
+
+
+def load_scenario(path: str) -> Scenario:
+    """Load and schema-check a scenario file, and validate its algebra."""
+    return scenario_from_json(Path(path).read_bytes())

@@ -53,26 +53,20 @@ class ResidueSystem:
 
 def residues(system: ResidueSystem, alpha) -> list[tuple[str, Fraction]]:
     """All residues, labeled, in row order."""
-    alpha = tuple(Fraction(a) for a in alpha)
-    if len(alpha) != system.nparams:
+    numerators, denominator = integer_vector(alpha)
+    if len(numerators) != system.nparams:
         raise DimensionError(
-            f"alpha has length {len(alpha)}, expected {system.nparams}"
+            f"alpha has length {len(numerators)}, expected {system.nparams}"
         )
-    out = []
-    for row in system.rows:
-        value = sum(
-            (c * a for c, a in zip(row.coeffs, alpha)), start=Fraction(0)
-        )
-        out.append((row.label, value))
-    return out
+    return [
+        (row.label, Fraction(sum(map(mul, row.coeffs, numerators)), denominator))
+        for row in system.rows
+    ]
 
 
 def is_admissible(system: ResidueSystem, alpha) -> bool:
     """True iff no residue is a strictly positive integer."""
-    for _, value in residues(system, alpha):
-        if value.denominator == 1 and value > 0:
-            return False
-    return True
+    return not any(v > 0 and v.denominator == 1 for _, v in residues(system, alpha))
 
 
 MAX_SHIFT_BOX = 100_000

@@ -4,6 +4,7 @@ import pytest
 
 from alexinv.aomoto_complex import (
     GradedAlgebra,
+    IntegerDifferential,
     OneForm,
     algebra_from_dict,
     algebra_to_dict,
@@ -20,6 +21,7 @@ from alexinv.errors import (
     InconsistentDifferentialError,
     SchemaError,
 )
+from alexinv.exact_kernel import integer_vector
 from randgen import make_rng, random_oneform
 
 F = Fraction
@@ -230,3 +232,27 @@ def test_mirror_products_autofilled(algebra_41):
     forward = algebra_41.products[("eta1", "eta3")]
     backward = algebra_41.products[("eta3", "eta1")]
     assert backward == {k: -v for k, v in forward.items()}
+
+
+def test_cohomology_dims_reuses_one_identity_differential(algebra_41):
+    # The identity differential is built by the first call and kept on the
+    # algebra, out of its equality and repr; every later call reads it.
+    algebra = algebra_from_dict(algebra_to_dict(algebra_41))
+    pristine = algebra_from_dict(algebra_to_dict(algebra_41))
+    rng = make_rng(8)
+    forms = [random_oneform(rng, algebra.dim(1)) for _ in range(12)]
+    forms.append(OneForm((F(-4, 5), F(1, 5), F(1, 5))))
+    first = [cohomology_dims(algebra, omega) for omega in forms]
+    built = algebra._identity
+    assert built is not None
+    assert [cohomology_dims(algebra, omega) for omega in forms] == first
+    assert algebra._identity is built
+    n = algebra.dim(1)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    assert first == [
+        IntegerDifferential(pristine, identity).dims(integer_vector(omega.coeffs)[0])
+        for omega in forms
+    ]
+    assert pristine._identity is None
+    assert algebra == pristine and repr(algebra) == repr(pristine)
+    assert algebra_to_dict(algebra) == algebra_to_dict(pristine)

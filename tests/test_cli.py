@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -7,6 +8,8 @@ import pytest
 
 import alexinv
 from alexinv import alexander_modules as am
+from alexinv import cli
+from alexinv import invariant_pipeline as pipeline
 from alexinv import laurent_ring as lr
 from alexinv import residue_systems as rs
 from alexinv.cli import format_charpoly, main
@@ -638,3 +641,173 @@ def test_milnor_order_cap(tmp_path, capsys, monkeypatch):
     code, _, err = run_cli(capsys, "milnor", "example_4_1", "--m", "1")
     assert code == 1
     assert "Milnor order 5 is more than the limit of 4" in err
+
+
+# ---------------------------------------------------------------------------
+# The decoded-input cache: equal bytes are decoded and checked once per
+# process; the conftest clears it before every test.
+
+
+def _copy_bundled(name, path):
+    from alexinv.corpus import bundled_scenario_path
+
+    shutil.copyfile(bundled_scenario_path(name), path)
+    return path
+
+
+def _every_command(scenario, presentation):
+    return [
+        ["validate", scenario],
+        ["aomoto", scenario, "--alpha=-4/5,1/5,1/5"],
+        ["aomoto", scenario, "--alpha=1/2,-1/3,2"],
+        ["twisted", scenario, "--beta", "1/3,1/3,1/3"],
+        ["admissible", scenario, "--beta", "1/2,1/2,0", "--bound", "2"],
+        ["charvar", scenario, "--level", "3", "--degree", "1"],
+        ["milnor", scenario, "--m", "1"],
+        ["module", "--presentation", presentation, "--op", "charpoly"],
+        ["module", "--presentation", presentation, "--op", "support", "--level", "4"],
+        ["module", "--presentation", presentation, "--op", "fitting", "--i", "1",
+         "--level", "3"],
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_equal_bytes_are_decoded_once(tmp_path, capsys, bivariate_presentation, fmt):
+    local = _copy_bundled("example_4_1", tmp_path / "local.json")
+    for scenario in ("example_4_1", str(local)):
+        for argv in _every_command(scenario, bivariate_presentation):
+            argv += ["--format", fmt]
+            cli._decode.cache_clear()
+            cold = run_cli(capsys, *argv)
+            assert cold[0] == 0, cold
+            warm = [run_cli(capsys, *argv) for _ in range(2)]
+            assert warm == [cold, cold]
+            info = cli._decode.cache_info()
+            assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+
+def test_bundled_name_and_local_copy_share_one_entry(tmp_path, capsys):
+    # The key is the content, not the path: the digest says so too.
+    local = _copy_bundled("torus", tmp_path / "copy.json")
+    _, by_name, _ = run_cli(capsys, "validate", "torus")
+    _, by_path, _ = run_cli(capsys, "validate", str(local))
+    assert by_name.splitlines()[1:] == by_path.splitlines()[1:]
+    info = cli._decode.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_commands_leave_the_shared_inputs_unchanged(
+    tmp_path, capsys, bivariate_presentation
+):
+    local = _copy_bundled("example_4_1", tmp_path / "local.json")
+    calls = _every_command(str(local), bivariate_presentation)
+    first = [run_cli(capsys, *argv) for argv in calls]
+    scenario = cli._decode(pipeline.scenario_from_json, local.read_bytes())
+    with open(bivariate_presentation, "rb") as handle:
+        pres = cli._decode(am.presentation_from_json, handle.read())
+    assert cli._decode.cache_info().misses == 2
+    # The compiled form built by the first call that needed it is kept.
+    assert "compiled" in vars(scenario)
+    compiled = scenario.compiled
+    assert [run_cli(capsys, *argv) for argv in calls] == first
+    assert scenario.compiled is compiled
+    fresh = pipeline.load_scenario(str(local))
+    assert scenario == fresh and scenario is not fresh
+    assert pipeline.scenario_to_dict(scenario) == pipeline.scenario_to_dict(fresh)
+    assert repr(scenario.algebra) == repr(fresh.algebra)
+    fresh_pres = am.load_presentation(bivariate_presentation)
+    assert pres == fresh_pres and pres is not fresh_pres
+    assert am.presentation_to_dict(pres) == am.presentation_to_dict(fresh_pres)
+
+
+def test_a_file_rewritten_in_place_is_read_and_checked_again(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text(_bundled_with("example_4_1", ("name",), "first"))
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert code == 0 and "results.name: first" in out
+    path.write_text(_bundled_with("example_4_1", ("name",), "second"))
+    code, out, _ = run_cli(capsys, "validate", str(path))
+    assert code == 0 and "results.name: second" in out
+    path.write_text(_bundled_with("example_4_1", ("degrees",), [1, 1]))
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: /degrees: must be a list of 3"), err
+    pres = tmp_path / "pres.json"
+    for text, charpoly in (("t-1", "(t-1)"), ("t^2-1", "(t^2-1)")):
+        pres.write_text(json.dumps(
+            {"nvars": 1, "generators": 1, "relations": 1, "matrix": [[text]]}))
+        code, out, _ = run_cli(
+            capsys, "module", "--presentation", str(pres), "--op", "charpoly")
+        assert code == 0 and f"results.charpoly: {charpoly}\n" in out
+
+
+def test_errors_are_raised_on_every_call(tmp_path, capsys):
+    # eta2^eta1 = eta1^eta2 breaks antisymmetry: AlgebraInvalidError, exit 3.
+    invalid = json.loads(_bundled_with("example_4_1", ("name",), "invalid"))
+    invalid["algebra"]["products"].append(
+        {"left": "eta2", "right": "eta1", "value": [{"basis": "eta12"}]})
+    cases = [
+        ("malformed.json", "{", ("validate",), 1, "error: : invalid JSON: "),
+        ("hole.json", _bundled_with("example_4_1", ("omega_map", 0, 0), "1/0"),
+         ("validate",), 1, "error: /omega_map/0: zero denominator"),
+        ("invalid.json", json.dumps(invalid), ("validate",), 3,
+         "error: algebra invariants violated: "),
+        ("pres.json", PRESENTATION % '"x"', ("module", "--op", "charpoly",
+                                             "--presentation"), 1,
+         "error: /nvars: must be a positive integer"),
+    ]
+    for name, text, command, code, message in cases:
+        path = tmp_path / name
+        path.write_text(text)
+        runs = [run_cli(capsys, *command, str(path)) for _ in range(3)]
+        assert runs[0][:2] == (code, ""), runs[0]
+        assert runs[0][2].startswith(message), runs[0]
+        assert runs == [runs[0]] * 3
+    assert cli._decode.cache_info().currsize == 0
+
+
+def test_scenario_bytes_are_no_presentation(tmp_path, capsys):
+    # The decoder is part of the key: bytes cached as a scenario are still
+    # decoded, and refused, as a presentation.
+    path = _copy_bundled("example_4_1", tmp_path / "scenario.json")
+    module = ("module", "--presentation", str(path), "--op", "charpoly")
+    cold = run_cli(capsys, *module)
+    assert cold == (1, "", "error: /nvars: missing required field\n")
+    assert run_cli(capsys, "validate", str(path))[0] == 0
+    assert run_cli(capsys, *module) == cold
+    assert cli._decode.cache_info().currsize == 1
+
+
+def test_the_cache_holds_at_most_maxsize_files(tmp_path, capsys):
+    maxsize = cli._decode.cache_info().maxsize
+    assert maxsize == 32
+    paths = []
+    for k in range(maxsize + 3):
+        path = tmp_path / f"p{k}.json"
+        path.write_text(json.dumps(
+            {"nvars": 1, "generators": 1, "relations": 1, "matrix": [[f"t-{k}"]]}))
+        paths.append(str(path))
+    for path in paths:
+        code, _, _ = run_cli(capsys, "module", "--presentation", path, "--op", "charpoly")
+        assert code == 0
+    info = cli._decode.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (maxsize + 3, 0, maxsize)
+    # The least recently used file left the cache and is decoded again.
+    run_cli(capsys, "module", "--presentation", paths[0], "--op", "charpoly")
+    run_cli(capsys, "module", "--presentation", paths[-1], "--op", "charpoly")
+    info = cli._decode.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (maxsize + 4, 1, maxsize)
+
+
+@pytest.mark.parametrize("ending", [b"\r\n", b"\r"])
+def test_error_positions_count_line_ends_as_text_mode_does(tmp_path, capsys, ending):
+    path = tmp_path / "document.json"
+    path.write_bytes(b'{"nvars": 1,' + ending + b' "generators" 1}')
+    with open(path, encoding="utf-8") as handle:
+        with pytest.raises(json.JSONDecodeError) as text_mode:
+            json.load(handle)
+    for argv in (("validate", str(path)),
+                 ("module", "--presentation", str(path), "--op", "charpoly")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: : invalid JSON: {text_mode.value}\n"
