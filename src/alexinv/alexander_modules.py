@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd as int_gcd, lcm
-from operator import mul
+from operator import mul, sub
 from pathlib import Path
 
 from .errors import DimensionError, LimitError, ParseError, SchemaError
@@ -269,6 +269,13 @@ def fitting_variety_scan(
 MAX_NVARS = 100
 """Most variables a presentation may declare; a term stores one exponent each."""
 
+MAX_DEGREE_SPAN = 64
+"""Largest spread ``max - min`` of one variable's exponents in one entry; the
+gcd and the cyclotomic factoring of ``charpoly`` work one degree at a time."""
+
+MAX_TERMS = 64
+"""Most terms one presentation entry may have."""
+
 
 def presentation_from_dict(data: dict, path: str = "") -> Presentation:
     nvars, n, m, raw = fields(data, path, "nvars", "generators", "relations", "matrix")
@@ -285,10 +292,23 @@ def presentation_from_dict(data: dict, path: str = "") -> Presentation:
             raise SchemaError(f"{path}/matrix/{i}", f"expected {m} relation entries")
         row = []
         for j, text in enumerate(raw_row):
+            here = f"{path}/matrix/{i}/{j}"
             try:
-                row.append(parse_poly(str(text), nvars))
+                entry = parse_poly(str(text), nvars)
             except (ParseError, DimensionError) as exc:
-                raise SchemaError(f"{path}/matrix/{i}/{j}", str(exc)) from exc
+                raise SchemaError(here, str(exc)) from exc
+            if len(entry.terms) > MAX_TERMS:
+                raise LimitError(
+                    f"{here}: {len(entry.terms)} terms, more than the limit of "
+                    f"{MAX_TERMS}"
+                )
+            span = max(map(sub, entry.max_exponents(), entry.min_exponents()))
+            if span > MAX_DEGREE_SPAN:
+                raise LimitError(
+                    f"{here}: degree span {span} is more than the limit of "
+                    f"{MAX_DEGREE_SPAN}"
+                )
+            row.append(entry)
         rows.append(tuple(row))
     return Presentation(nvars, n, m, tuple(rows))
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .errors import (
@@ -196,6 +196,10 @@ def differential_matrix(algebra: GradedAlgebra, omega: OneForm, p: int) -> Exact
     return ExactMatrix(nrows, ncols, entries)
 
 
+MAX_RANK_MEMO = 4096
+"""Most ranks one ``IntegerDifferential`` keeps (about 0.75 MB when full)."""
+
+
 class IntegerDifferential:
     """The differentials of ``(A, w ^ .)`` for the one-forms
     ``w = sum_i a_i * omega_map[i]``, as integer-linear functions of ``a``.
@@ -209,10 +213,16 @@ class IntegerDifferential:
     ``Q_{p,ij} = N_{p+1,i} N_{p,j} + N_{p+1,j} N_{p,i}``; only its nonzero
     entries are kept, so the d*d check is free on a graded-commutative
     algebra.
+
+    ``D_p`` is linear in ``a``, so ``rank D_p(c * a) = rank D_p(a)`` for every
+    nonzero ``c``: each rank is kept under its degree and the direction
+    ``a // gcd(a)``, and computed once per direction (up to
+    ``MAX_RANK_MEMO`` entries; the memo is emptied when full).
     """
 
     def __init__(self, algebra: GradedAlgebra, omega_map):
         self.betti = betti_vector(algebra)
+        self.ranks = {}  # (degree, direction) -> rank of D_degree
         nparams = len(omega_map)
         ones = algebra.basis[1] if algebra.top_degree >= 1 else ()
         # tensors[p][t][j]: entry (t, j) of every N_{p,i}, as a tuple over i.
@@ -275,12 +285,20 @@ class IntegerDifferential:
         if degrees is None:
             degrees = range(len(self.betti))
         needed = {q for p in degrees for q in (p - 1, p) if 0 <= q < len(self.tensors)}
-        ranks = {
-            q: integer_rank(
-                [[sum(map(mul, cell, a)) for cell in row] for row in self.tensors[q]]
-            )
-            for q in needed
-        }
+        g = gcd(*a)
+        direction = tuple(x // g for x in a) if g else tuple(a)
+        memo = self.ranks
+        ranks = {}
+        for q in needed:
+            rank = memo.get((q, direction))
+            if rank is None:
+                rank = integer_rank(
+                    [[sum(map(mul, cell, a)) for cell in row] for row in self.tensors[q]]
+                )
+                if len(memo) >= MAX_RANK_MEMO:
+                    memo.clear()
+                memo[q, direction] = rank
+            ranks[q] = rank
         return tuple(
             self.betti[p] - ranks.get(p, 0) - ranks.get(p - 1, 0) for p in degrees
         )

@@ -25,7 +25,7 @@ from . import residue_systems as rs
 from .aomoto_complex import betti_vector
 from .errors import (
     AlgebraInvalidError,
-    DimensionError,
+    DegreeError,
     InconclusiveSearchError,
     InconsistentDifferentialError,
     LimitError,
@@ -396,7 +396,7 @@ def main(argv=None) -> int:
     args._argv = ["alexinv"] + argv
     try:
         report = args.func(args)
-    except (SchemaError, ParseError, DimensionError, LimitError, OSError) as exc:
+    except (SchemaError, ParseError, DegreeError, LimitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AlgebraInvalidError as exc:

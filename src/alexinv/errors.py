@@ -9,6 +9,14 @@ class DimensionError(ValueError):
     """Operands have incompatible shapes or variable counts."""
 
 
+class DegreeError(DimensionError):
+    """A cohomology degree outside the range of the scenario's algebra.
+
+    The one shape error a command-line argument can cause; the CLI reports
+    it as a usage error, while any other ``DimensionError`` is a bug.
+    """
+
+
 class ParseError(ValueError):
     """Text input violates the polynomial grammar.
 
@@ -21,7 +29,8 @@ class ParseError(ValueError):
 
 
 class LimitError(ValueError):
-    """A level below 1, or a torsion grid or search box over its size cap."""
+    """A level below 1, a torsion grid or search box over its size cap, or a
+    presentation entry over its degree-span or term cap."""
 
 
 class SchemaError(ValueError):

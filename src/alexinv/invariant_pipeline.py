@@ -29,7 +29,13 @@ from .aomoto_complex import (
     algebra_to_dict,
     ensure_valid,
 )
-from .errors import DimensionError, InconclusiveSearchError, LimitError, SchemaError
+from .errors import (
+    DegreeError,
+    DimensionError,
+    InconclusiveSearchError,
+    LimitError,
+    SchemaError,
+)
 from .errors import fields, integers, load_json
 from .exact_kernel import (
     cyclotomic_poly,
@@ -183,7 +189,7 @@ def charvar_scan(
     lexicographic order.
     """
     if not 1 <= degree <= scenario.algebra.top_degree:
-        raise DimensionError(
+        raise DegreeError(
             f"degree {degree} out of range [1, {scenario.algebra.top_degree}]"
         )
     grid = torsion_grid(level, scenario.nparams)
@@ -311,7 +317,7 @@ def milnor_charpoly(scenario: Scenario, m: int, bound: int = 3) -> MonodromyPoly
     """Characteristic polynomial of the degree-``m`` monodromy of the
     associated Milnor fiber, assembled from equimonodromic local systems."""
     if not 0 <= m <= scenario.algebra.top_degree:
-        raise DimensionError(
+        raise DegreeError(
             f"degree {m} out of range [0, {scenario.algebra.top_degree}]"
         )
     order, cap = milnor_order(scenario), laurent_ring.MAX_SCAN_POINTS

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -13,7 +14,7 @@ from alexinv import invariant_pipeline as pipeline
 from alexinv import laurent_ring as lr
 from alexinv import residue_systems as rs
 from alexinv.cli import format_charpoly, main
-from alexinv.errors import LimitError
+from alexinv.errors import DimensionError, LimitError
 from alexinv.laurent_ring import parse_poly
 
 
@@ -642,6 +643,77 @@ def test_milnor_order_cap(tmp_path, capsys, monkeypatch):
     assert code == 1
     assert "Milnor order 5 is more than the limit of 4" in err
 
+
+def test_steep_presentation_is_refused_at_once(tmp_path, capsys):
+    # One exponent of 10^8: the gcd and the cyclotomic factoring of charpoly
+    # would work through it one degree at a time.
+    path = tmp_path / "steep.json"
+    path.write_text('{"nvars":1,"generators":1,"relations":2,'
+                    '"matrix":[["t^100000000-1","t-1"]]}')
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "module", "--presentation", str(path), "--op", "charpoly", "--i", "0")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: /matrix/0/0: degree span 100000000 is more than the limit of 64\n")
+
+
+def _module_call(capsys, path, nvars, matrix, *op):
+    path.write_text(json.dumps({
+        "nvars": nvars, "generators": len(matrix), "relations": len(matrix[0]),
+        "matrix": matrix}))
+    return run_cli(capsys, "module", "--presentation", str(path), *op)
+
+
+@pytest.mark.parametrize("nvars, allowed, refused", [
+    (1, "t^-2 + t", "t^-2 + t^2"),
+    # The span is taken per variable: t1^-1*t2^2 spans 3 in t2 and 1 in t1.
+    (2, "t1^-1*t2^2 + t1^2 + t2^-1", "t1^-1*t2^2 + t1^2 + t2^-2"),
+])
+def test_presentation_degree_span_cap(tmp_path, capsys, monkeypatch, nvars,
+                                      allowed, refused):
+    monkeypatch.setattr(am, "MAX_DEGREE_SPAN", 3)
+    path = tmp_path / "span.json"
+    one = "1" if nvars == 1 else "t1-t2"
+    assert _module_call(capsys, path, nvars, [[one, allowed]], "--op", "charpoly")[0] == 0
+    assert _module_call(capsys, path, nvars, [[one, refused]], "--op", "charpoly") == (
+        1, "", "error: /matrix/0/1: degree span 4 is more than the limit of 3\n")
+
+
+def test_presentation_term_cap(tmp_path, capsys, monkeypatch):
+    # Terms are counted after like terms merge.
+    monkeypatch.setattr(am, "MAX_TERMS", 3)
+    path = tmp_path / "terms.json"
+    scan = ("--op", "support", "--level", "2")
+    for entry in ("t^3 + t^2 + t", "t^3 + t^2 + t + 1 - 1"):
+        assert _module_call(capsys, path, 1, [["t-1"], [entry]], *scan)[0] == 0
+    assert _module_call(capsys, path, 1, [["t-1"], ["t^3 + t^2 + t + 1"]], *scan) == (
+        1, "", "error: /matrix/1/0: 4 terms, more than the limit of 3\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["charvar", "example_4_1", "--level", "3", "--degree", "3"],
+     "error: degree 3 out of range [1, 2]\n"),
+    (["charvar", "example_4_1", "--level", "3", "--degree", "0"],
+     "error: degree 0 out of range [1, 2]\n"),
+    (["milnor", "example_4_1", "--m", "3"], "error: degree 3 out of range [0, 2]\n"),
+    (["milnor", "example_5_3", "--m", "-1"], "error: degree -1 out of range [0, 3]\n"),
+])
+def test_degree_out_of_range_is_a_usage_error(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (1, "", message)
+
+
+def test_internal_dimension_error_is_not_a_usage_error(capsys, monkeypatch):
+    # Only a degree the caller asked for is bad input; any other shape
+    # mismatch inside the library is a bug, and it propagates.
+    def broken(scenario, level, degree, bound):
+        raise DimensionError("shape slip")
+
+    monkeypatch.setattr(pipeline, "charvar_scan", broken)
+    with pytest.raises(DimensionError, match="shape slip"):
+        main(["charvar", "example_4_1", "--level", "3", "--degree", "1"])
+    assert capsys.readouterr().err == ""
 
 # ---------------------------------------------------------------------------
 # The decoded-input cache: equal bytes are decoded and checked once per

@@ -7,6 +7,8 @@ do all their arithmetic in ``Fraction``s; sympy checks the integer rank.
 
 import re
 from fractions import Fraction
+from functools import cache
+from itertools import chain, combinations
 from math import lcm
 
 import pytest
@@ -14,6 +16,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alexinv import aomoto_complex
 from alexinv.aomoto_complex import (
     GradedAlgebra,
     IntegerDifferential,
@@ -21,6 +24,8 @@ from alexinv.aomoto_complex import (
     cohomology_dims,
     differential_matrix,
 )
+from alexinv import cli
+from alexinv.cli import main
 from alexinv.corpus import bundled_scenario_names, load_bundled_scenario
 from alexinv.errors import InconsistentDifferentialError
 from alexinv.exact_kernel import integer_rank, is_zero_matrix, mat_mul, rank
@@ -280,3 +285,114 @@ def test_square_check_never_fires_on_bundled_scenarios(name):
         assert cohomology_at(scenario, alpha) == reference_dims(
             scenario.algebra, scenario.one_form(alpha)
         )
+
+
+# ---------------------------------------------------------------------------
+# The rank memo: a rank is kept per degree and direction a // gcd(a).
+
+
+@cache
+def warm_differential(name):
+    """One differential per bundled scenario, shared by every draw, so that
+    later draws hit ranks that earlier ones stored."""
+    return load_bundled_scenario(name).compiled.differential
+
+
+def fresh_ranks(differential, a):
+    return [
+        integer_rank([[sum(x * y for x, y in zip(cell, a)) for cell in row]
+                      for row in tensor])
+        for tensor in differential.tensors
+    ]
+
+
+def dims_from_ranks(betti, ranks, degrees):
+    ranks = ranks + [0]
+    return tuple(betti[p] - ranks[p] - (ranks[p - 1] if p else 0) for p in degrees)
+
+
+@HYPOTHESIS
+@given(st.sampled_from(bundled_scenario_names()), st.data())
+def test_memoised_dims_agree_with_fresh_ranks_on_every_multiple(name, data):
+    differential = warm_differential(name)
+    nparams = len(differential.tensors[0][0][0])
+    a = data.draw(st.lists(st.integers(-4, 4), min_size=nparams, max_size=nparams))
+    top = len(differential.betti)
+    degree_sets = [None] + [
+        subset
+        for subset in chain.from_iterable(
+            combinations(range(top), k) for k in range(1, top + 1))
+    ]
+    sympy_ranks = [
+        sympy.Matrix([[sum(x * y for x, y in zip(cell, a)) for cell in row]
+                      for row in tensor]).rank()
+        for tensor in differential.tensors
+    ]
+    assert fresh_ranks(differential, a) == sympy_ranks
+    for c in (1, -1, 2, -2, 3, -3, 4, -4, 5, -5):
+        scaled = [c * x for x in a]
+        ranks = fresh_ranks(differential, scaled)
+        assert ranks == sympy_ranks
+        for degrees in degree_sets:
+            expected = dims_from_ranks(
+                differential.betti, ranks, range(top) if degrees is None else degrees)
+            assert differential.dims(scaled, degrees) == expected
+            assert differential.dims(tuple(scaled), degrees) == expected
+    assert len(differential.ranks) <= aomoto_complex.MAX_RANK_MEMO
+
+
+def test_invalid_algebra_raises_on_every_repeat_call():
+    differential = IntegerDifferential(
+        nonassociative_algebra(), [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert differential.dims([0, 0, 0]) == differential.betti
+    stored = dict(differential.ranks)
+    for a in ([1, 1, 1], [2, 2, 2], [1, 1, 1], [-3, -3, -3]):
+        for degrees in (None, (0,), (3,)):
+            with pytest.raises(InconsistentDifferentialError, match="from degree 1"):
+                differential.dims(a, degrees)
+    assert differential.ranks == stored
+
+
+def test_rank_memo_stays_within_its_cap(monkeypatch):
+    monkeypatch.setattr(aomoto_complex, "MAX_RANK_MEMO", 5)
+    scenario = load_bundled_scenario("example_4_2")
+    differential = scenario.compiled.differential
+    cold = IntegerDifferential(scenario.algebra, scenario.omega_map)
+    rng = make_rng(5)
+    sizes = set()
+    for _ in range(200):
+        a = [rng.randint(-6, 6) for _ in range(3)]
+        degrees = rng.choice([None, (0,), (1,), (2,), (1, 2)])
+        assert differential.dims(a, degrees) == dims_from_ranks(
+            cold.betti, fresh_ranks(cold, a),
+            range(3) if degrees is None else degrees)
+        sizes.add(len(differential.ranks))
+    assert max(sizes) == 5
+    for degree in (1, 2):
+        assert charvar_scan(scenario, 7, degree) == charvar_scan(
+            load_bundled_scenario("example_4_2"), 7, degree)
+        assert len(differential.ranks) <= 5
+
+
+def run_quiet(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_warm_charvar_reports_equal_cold_ones(capsys, name):
+    # Levels nest (level 12 holds every point of levels 1, 2, 3, 4 and 6)
+    # and both degrees need rank D_1, so the warm calls reuse many ranks.
+    top = load_bundled_scenario(name).algebra.top_degree
+    calls = [
+        ["charvar", name, "--level", str(level), "--degree", str(degree),
+         "--format", fmt]
+        for level in range(1, 13)
+        for degree in range(1, top + 1)
+        for fmt in ("text", "json")
+    ]
+    warm = [run_quiet(capsys, argv) for argv in calls]
+    for argv, report in zip(calls, warm):
+        cli._decode.cache_clear()
+        assert run_quiet(capsys, argv) == report

@@ -5,10 +5,11 @@ Each draw takes one of the six bundled scenarios or one of the golden
 presentations, applies one mutation at one place in it (drop a key, retype a
 value, ``true`` for an integer, a 5000-digit integer, a deeply nested list,
 ``"1/0"`` for a rational, an invalid UTF-8 byte) and runs ``validate`` on a
-scenario or ``module --op support --level 2`` on a presentation, in-process
-under an alarm.  Every run must return an exit code of 0-3; an exception out
-of ``cli.main``, including the alarm's, fails the test.  ``support`` never
-calls the polynomial gcd, so a mutated presentation cannot start a long gcd.
+scenario, or ``module --op support --level 2`` or ``module --op charpoly`` on
+a presentation, in-process under an alarm.  Every run must return an exit
+code of 0-3; an exception out of ``cli.main``, including the alarm's, fails
+the test.  The reader caps each entry's degree span and term count, so a
+mutated presentation cannot start a long gcd in ``charpoly``.
 """
 
 from __future__ import annotations
@@ -41,8 +42,9 @@ DOCUMENTS = [
     (["validate"], _load(bundled_scenario_path(name)))
     for name in bundled_scenario_names()
 ] + [
-    (["module", "--op", "support", "--level", "2", "--presentation"], _load(path))
+    (["module", *op, "--presentation"], _load(path))
     for path in sorted(glob.glob(os.path.join(HERE, "golden", "module", "*.json")))
+    for op in (("--op", "support", "--level", "2"), ("--op", "charpoly"))
 ]
 
 # A string that json.dumps writes as one token, replaced by raw JSON text
