@@ -16,7 +16,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alexinv import aomoto_complex
+from alexinv import aomoto_complex, cli
 from alexinv.aomoto_complex import (
     GradedAlgebra,
     IntegerDifferential,
@@ -24,7 +24,6 @@ from alexinv.aomoto_complex import (
     cohomology_dims,
     differential_matrix,
 )
-from alexinv import cli
 from alexinv.cli import main
 from alexinv.corpus import bundled_scenario_names, load_bundled_scenario
 from alexinv.errors import InconsistentDifferentialError
@@ -318,11 +317,8 @@ def test_memoised_dims_agree_with_fresh_ranks_on_every_multiple(name, data):
     nparams = len(differential.tensors[0][0][0])
     a = data.draw(st.lists(st.integers(-4, 4), min_size=nparams, max_size=nparams))
     top = len(differential.betti)
-    degree_sets = [None] + [
-        subset
-        for subset in chain.from_iterable(
-            combinations(range(top), k) for k in range(1, top + 1))
-    ]
+    degree_sets = [None, *chain.from_iterable(
+        combinations(range(top), k) for k in range(1, top + 1))]
     sympy_ranks = [
         sympy.Matrix([[sum(x * y for x, y in zip(cell, a)) for cell in row]
                       for row in tensor]).rank()

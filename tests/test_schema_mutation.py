@@ -8,8 +8,9 @@ value, ``true`` for an integer, a 5000-digit integer, a deeply nested list,
 scenario, or ``module --op support --level 2`` or ``module --op charpoly`` on
 a presentation, in-process under an alarm.  Every run must return an exit
 code of 0-3; an exception out of ``cli.main``, including the alarm's, fails
-the test.  The reader caps each entry's degree span and term count, so a
-mutated presentation cannot start a long gcd in ``charpoly``.
+the test.  The reader caps each entry's degree span and term count, so no
+mutated presentation hands ``charpoly`` a steep exponent to work through one
+degree at a time.
 """
 
 from __future__ import annotations
