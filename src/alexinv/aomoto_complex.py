@@ -247,11 +247,11 @@ class IntegerDifferential:
                 [tuple(c.numerator * scale // c.denominator for c in cell) for cell in row]
                 for row in acc
             ])
-        # squares[p]: per nonzero entry of D_{p+1} D_p, its (i, j, Q_{p,ij}) terms.
+        # squares: per nonzero entry of any D_{p+1} D_p, in order of p, the
+        # pair (p, its (i, j, Q_{p,ij}) terms).
         self.squares = []
         for p in range(algebra.top_degree - 1):
             outer, inner = self.tensors[p + 1], self.tensors[p]
-            entries = []
             for out_row, col in product(outer, range(algebra.dim(p))):
                 # pair[i][j]: this entry of N_{p+1,i} N_{p,j}.
                 pair = [
@@ -266,42 +266,51 @@ class IntegerDifferential:
                 ]
                 terms = [term for term in terms if term[2]]
                 if terms:
-                    entries.append(terms)
-            self.squares.append(entries)
+                    self.squares.append((p, terms))
 
-    def dims(self, a, degrees=None) -> tuple[int, ...]:
-        """Cohomology dimensions at the integer parameters ``a``, for
-        ``degrees`` (default: all, ``0 .. top``).
+    def dims_many(self, points, degrees=None) -> list[tuple[int, ...]]:
+        """Cohomology dimensions at each integer parameter vector ``a`` in
+        ``points``, for ``degrees`` (default: all, ``0 .. top``).
 
-        Verifies that consecutive differentials compose to zero, in every
-        degree, before trusting any rank computation.
+        Verifies at every point, before trusting any rank computation there,
+        that consecutive differentials compose to zero in every degree; the
+        first point that fails raises, after the points before it are done.
         """
-        for p, entries in enumerate(self.squares):
-            for terms in entries:
+        if degrees is None:
+            degrees = range(len(self.betti))
+        tensors, memo = self.tensors, self.ranks
+        needed = sorted({q for p in degrees for q in (p - 1, p) if 0 <= q < len(tensors)})
+        slot = {q: i for i, q in enumerate(needed)}
+        # Per degree p: b_p and where rank D_p and rank D_{p-1} sit in a
+        # point's ranks, whose last entry is the 0 of a missing differential.
+        plan = [(self.betti[p], slot.get(p, -1), slot.get(p - 1, -1)) for p in degrees]
+        out = []
+        for a in points:
+            for p, terms in self.squares:
                 if sum(a[i] * a[j] * q for i, j, q in terms):
                     raise InconsistentDifferentialError(
                         f"wedging twice with the one-form is nonzero from degree {p}"
                     )
-        if degrees is None:
-            degrees = range(len(self.betti))
-        needed = {q for p in degrees for q in (p - 1, p) if 0 <= q < len(self.tensors)}
-        g = gcd(*a)
-        direction = tuple(x // g for x in a) if g else tuple(a)
-        memo = self.ranks
-        ranks = {}
-        for q in needed:
-            rank = memo.get((q, direction))
-            if rank is None:
-                rank = integer_rank(
-                    [[sum(map(mul, cell, a)) for cell in row] for row in self.tensors[q]]
-                )
-                if len(memo) >= MAX_RANK_MEMO:
-                    memo.clear()
-                memo[q, direction] = rank
-            ranks[q] = rank
-        return tuple(
-            self.betti[p] - ranks.get(p, 0) - ranks.get(p - 1, 0) for p in degrees
-        )
+            g = gcd(*a)
+            direction = tuple(a) if g <= 1 else tuple([x // g for x in a])
+            ranks = []
+            for q in needed:
+                rank = memo.get((q, direction))
+                if rank is None:
+                    rank = integer_rank(
+                        [[sum(map(mul, cell, a)) for cell in row] for row in tensors[q]]
+                    )
+                    if len(memo) >= MAX_RANK_MEMO:
+                        memo.clear()
+                    memo[q, direction] = rank
+                ranks.append(rank)
+            ranks.append(0)
+            out.append(tuple([b - ranks[i] - ranks[j] for b, i, j in plan]))
+        return out
+
+    def dims(self, a, degrees=None) -> tuple[int, ...]:
+        """:meth:`dims_many` at the one parameter vector ``a``."""
+        return self.dims_many((a,), degrees)[0]
 
 
 def cohomology_dims(algebra: GradedAlgebra, omega: OneForm) -> tuple[int, ...]:

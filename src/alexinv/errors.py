@@ -29,8 +29,9 @@ class ParseError(ValueError):
 
 
 class LimitError(ValueError):
-    """A level below 1, a torsion grid or search box over its size cap, or a
-    presentation entry over its degree-span or term cap."""
+    """A level below 1, a torsion grid or search box over its size cap, a
+    presentation entry over its degree-span or term cap, or a rational with
+    more digits than can be written."""
 
 
 class SchemaError(ValueError):

@@ -13,30 +13,50 @@ the constant term first.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .errors import DimensionError
+from .errors import DimensionError, LimitError
+
+MAX_RATIONAL_DIGITS = 4300
+"""Most digits in the numerator or the denominator of a rational read or
+written as text; the same limit as Python's for JSON integers."""
+
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?", re.ASCII)
+_TOO_LONG = 10 ** MAX_RATIONAL_DIGITS  # the least integer with one digit more
 
 
 def parse_rational(text: str | int) -> Fraction:
-    """Parse ``"p/q"`` or ``"p"`` (or an int, not a bool); else ``ValueError``."""
+    """Parse ``"p/q"`` or ``"p"``, digits with an optional sign on ``p``, at
+    most :data:`MAX_RATIONAL_DIGITS` digits each (or an int, not a bool);
+    else ``ValueError``."""
     if type(text) is int:
         return Fraction(text)
-    try:
-        return Fraction(str(text).strip())
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+    match = _RATIONAL.fullmatch(str(text).strip())
+    if match is None:
+        raise ValueError(f"not a rational p or p/q: {text!r}")
+    numerator, denominator = match.groups()
+    if max(len(numerator.lstrip("+-")), len(denominator or "")) > MAX_RATIONAL_DIGITS:
+        raise ValueError(f"a rational has more than {MAX_RATIONAL_DIGITS} digits")
+    if denominator is None:
+        return Fraction(int(numerator))
+    if not int(denominator):
+        raise ValueError(f"zero denominator in {text!r}")
+    return Fraction(int(numerator), int(denominator))
 
 
 def format_rational(q: Fraction) -> str:
-    """Render as ``"p/q"``, or ``"p"`` when the denominator is 1."""
+    """Render as ``"p/q"``, or ``"p"`` when the denominator is 1; a value
+    with more than :data:`MAX_RATIONAL_DIGITS` digits in either part is a
+    ``LimitError``."""
     q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    n, d = q.numerator, q.denominator
+    if not -_TOO_LONG < n < _TOO_LONG or d >= _TOO_LONG:
+        raise LimitError(f"a rational has more than {MAX_RATIONAL_DIGITS} digits")
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def divisors(n: int) -> list[int]:

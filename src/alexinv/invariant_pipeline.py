@@ -48,7 +48,7 @@ from .laurent_ring import TorsionPoint, torsion_grid
 from .residue_systems import (
     ResidueSystem,
     admissible_search,
-    admissible_shift,
+    admissible_shifts,
     equimonodromic_beta,
     residue_system_from_dict,
     residue_system_to_dict,
@@ -119,13 +119,13 @@ class CompiledScenario:
         self.rows = tuple(row.coeffs for row in scenario.residue_system.rows)
         self.differential = IntegerDifferential(scenario.algebra, scenario.omega_map)
 
-    def representative(self, numerators, denominator: int, bound: int):
-        """``L * alpha`` for the first admissible ``alpha`` congruent to
-        ``numerators / denominator`` inside the search box, or None."""
-        shift = admissible_shift(self.rows, numerators, denominator, bound)
-        if shift is None:
-            return None
-        return tuple(n + denominator * k for n, k in zip(numerators, shift))
+
+def _scaled(numerators, shift, denominator: int):
+    """``L * alpha`` for ``alpha = numerators / L + shift``, ``L = denominator``;
+    the numerators themselves, not a copy, when the shift is zero."""
+    if not any(shift):
+        return numerators
+    return tuple(n + denominator * k for n, k in zip(numerators, shift))
 
 
 def admissible_representative(scenario: Scenario, beta, bound: int = 3):
@@ -192,18 +192,24 @@ def charvar_scan(
         raise DegreeError(
             f"degree {degree} out of range [1, {scenario.algebra.top_degree}]"
         )
-    grid = torsion_grid(level, scenario.nparams)
+    grid = tuple(torsion_grid(level, scenario.nparams))
     bound = scenario.effective_bound(bound)
     compiled = scenario.compiled
-    by_dimension: dict = {}
-    inconclusive = []
-    for point in grid:
-        scaled = compiled.representative(point.numerators, level, bound)
-        if scaled is None:
+    shifts = admissible_shifts(
+        compiled.rows, [point.numerators for point in grid], level, bound
+    )
+    admissible, scaled, inconclusive = [], [], []
+    for point, shift in zip(grid, shifts):
+        if shift is None:
             inconclusive.append(point)
         else:
-            (dim,) = compiled.differential.dims(scaled, (degree,))
-            by_dimension.setdefault(dim, []).append(point)
+            admissible.append(point)
+            scaled.append(_scaled(point.numerators, shift, level))
+    by_dimension: dict = {}
+    for point, (dim,) in zip(
+        admissible, compiled.differential.dims_many(scaled, (degree,))
+    ):
+        by_dimension.setdefault(dim, []).append(point)
     by_dimension = {
         dim: tuple(pts) for dim, pts in sorted(by_dimension.items())
     }
@@ -325,14 +331,17 @@ def milnor_charpoly(scenario: Scenario, m: int, bound: int = 3) -> MonodromyPoly
         raise LimitError(f"Milnor order {order} is more than the limit of {cap}")
     bound = scenario.effective_bound(bound)
     compiled = scenario.compiled
-    mults = []
-    for k in range(order):
-        scaled = compiled.representative((k,) * scenario.nparams, order, bound)
-        if scaled is None:
-            raise InconclusiveSearchError(
-                equimonodromic_beta(order, k, scenario.nparams), bound, scenario.name
-            )
-        mults.extend(compiled.differential.dims(scaled, (m,)))
+    points = [(k,) * scenario.nparams for k in range(order)]
+    shifts = admissible_shifts(compiled.rows, points, order, bound)
+    # The first k without a representative stops the polynomial, but only
+    # after every k before it: a nonzero square there is raised first.
+    stop = shifts.index(None) if None in shifts else order
+    scaled = [_scaled(a, shift, order) for a, shift in zip(points[:stop], shifts)]
+    mults = [dim for (dim,) in compiled.differential.dims_many(scaled, (m,))]
+    if stop < order:
+        raise InconclusiveSearchError(
+            equimonodromic_beta(order, stop, scenario.nparams), bound, scenario.name
+        )
     return MonodromyPolynomial(order, tuple(mults))
 
 

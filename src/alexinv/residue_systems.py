@@ -10,7 +10,8 @@ class vector ``beta`` by trying integer shifts inside a box, in a fixed
 deterministic order (total absolute shift first, then lexicographic), so that
 searches are reproducible.  Failure inside the box is reported as absence,
 never as a certificate of non-admissibility.  The search itself
-(``admissible_shift``) runs on integers: ``beta`` over a common denominator.
+(``admissible_shifts``, for many points at once) runs on integers: ``beta``
+over a common denominator.
 """
 
 from __future__ import annotations
@@ -96,29 +97,74 @@ def _sorted_box(nparams: int, bound: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(grid, key=lambda k: (sum(map(abs, k)), k)))
 
 
-def admissible_shift(rows, numerators, denominator: int, bound: int):
-    """First shift ``k`` in :func:`shift_vectors` order that makes
-    ``alpha = numerators / denominator + k`` admissible for the integer
-    ``rows``, or None.
+COLUMNS_FROM = 8
+"""Fewest points that :func:`admissible_shifts` takes a column at a time.
+On the bundled scenarios' rows that is about even with point by point at 8
+points, 1.5 to 2.5 times faster at 32, and 3 to 5 times slower at one."""
 
-    With ``n = numerators`` and ``L = denominator``, a row's residue at alpha
-    is ``v / L`` with ``v = row.n + L * (row.k)``: a positive integer exactly
-    when ``v > 0`` and ``v % L == 0``.  As ``v % L`` does not depend on k,
-    only rows with ``row.n % L == 0`` can ever block, and such a row blocks k
-    exactly when ``row.k + row.n // L > 0``.
+
+def admissible_shifts(rows, points, denominator: int, bound: int) -> list:
+    """For each numerator vector ``n`` in ``points``: the first shift ``k`` in
+    :func:`shift_vectors` order that makes ``alpha = n / denominator + k``
+    admissible for the integer ``rows``, or None.  Every point has the same
+    length.
+
+    With ``L = denominator``, a row's residue at alpha is ``v / L`` with
+    ``v = row.n + L * (row.k)``: a positive integer exactly when ``v > 0``
+    and ``v % L == 0``.  As ``v % L`` does not depend on k, only rows with
+    ``row.n % L == 0`` can ever block, and such a row blocks k exactly when
+    ``row.k + row.n // L > 0``.  So the answer depends only on the blocking
+    pattern, each row's offset ``row.n // L`` or None where it cannot block,
+    and a point with no blocking row takes the zero shift, the first in the
+    order, at once.  From ``COLUMNS_FROM`` points on, the rows are summed a
+    column of points at a time and each pattern is searched once per call.
     """
+    if not points:
+        return []
+    order = _shift_order(len(points[0]), bound)
+    if len(points) < COLUMNS_FROM:
+        return [_first_unblocked(order, _blocking(rows, n, denominator)) for n in points]
+    columns = list(zip(*points))
+    offsets = []  # per row, per point: the row's offset, or None
+    for row in rows:
+        values = [0] * len(points)
+        for c, column in zip(row, columns):
+            if c:
+                values = [v + c * x for v, x in zip(values, column)]
+        offsets.append([None if v % denominator else v // denominator for v in values])
+    patterns = list(zip(*offsets)) if offsets else [()] * len(points)
+    found = {}  # blocking pattern -> its first admissible shift, or None
+    for pattern in set(patterns):
+        found[pattern] = _first_unblocked(order, [
+            (row, offset) for row, offset in zip(rows, pattern) if offset is not None
+        ])
+    return [found[pattern] for pattern in patterns]
+
+
+def _blocking(rows, numerators, denominator: int) -> list:
+    """The ``(row, offset)`` pairs of the rows that can block at one point."""
     blocking = []
     for row in rows:
         v = sum(map(mul, row, numerators))
         if v % denominator == 0:
             blocking.append((row, v // denominator))
-    for shift in _shift_order(len(numerators), bound):
+    return blocking
+
+
+def _first_unblocked(order, blocking):
+    """The first shift in ``order`` that no ``(row, offset)`` pair blocks."""
+    for shift in order:
         for row, offset in blocking:
             if sum(map(mul, row, shift)) + offset > 0:
                 break
         else:
             return shift
     return None
+
+
+def admissible_shift(rows, numerators, denominator: int, bound: int):
+    """:func:`admissible_shifts` for the one point ``numerators``."""
+    return admissible_shifts(rows, (numerators,), denominator, bound)[0]
 
 
 def admissible_search(system: ResidueSystem, beta, bound: int = 3):

@@ -659,6 +659,30 @@ def test_steep_presentation_is_refused_at_once(tmp_path, capsys):
         "error: /matrix/0/0: degree span 100000000 is more than the limit of 64\n")
 
 
+@pytest.mark.parametrize("argv, scenario_value, message", [
+    # Fraction would read exponents, and build 10^3000000 for the last one.
+    (["aomoto", "torus", "--alpha", "1e5000,1"], None,
+     "error: : --alpha must be a comma-separated list of rationals\n"),
+    (["aomoto", "torus", "--alpha", "1.5,1"], None,
+     "error: : --alpha must be a comma-separated list of rationals\n"),
+    # 4300 nines are allowed, but the residue at infinity has 4301 digits.
+    (["aomoto", "torus", "--alpha", "9" * 4300 + ",1"], None,
+     "error: a rational has more than 4300 digits\n"),
+    (["validate"], "1e3000000", "error: /omega_map/0: not a rational p or p/q: '1e3000000'\n"),
+    (["validate"], "1" * 4301, "error: /omega_map/0: a rational has more than 4300 digits\n"),
+], ids=["exponent", "decimal", "residue-digits", "file-exponent", "file-digits"])
+def test_rationals_outside_the_grammar_or_limit_are_refused(
+        tmp_path, capsys, argv, scenario_value, message):
+    if scenario_value is not None:
+        path = tmp_path / "torus.json"
+        path.write_text(_bundled_with("torus", ("omega_map", 0, 0), scenario_value))
+        argv = argv + [str(path)]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (1, "", message)
+
+
 def _module_call(capsys, path, nvars, matrix, *op):
     path.write_text(json.dumps({
         "nvars": nvars, "generators": len(matrix), "relations": len(matrix[0]),

@@ -5,6 +5,7 @@ Every reference here is built from ``shift_vectors``, ``is_admissible``,
 do all their arithmetic in ``Fraction``s; sympy checks the integer rank.
 """
 
+import json
 import re
 from fractions import Fraction
 from functools import cache
@@ -13,10 +14,10 @@ from math import lcm
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from alexinv import aomoto_complex, cli
+from alexinv import aomoto_complex, cli, residue_systems
 from alexinv.aomoto_complex import (
     GradedAlgebra,
     IntegerDifferential,
@@ -26,14 +27,20 @@ from alexinv.aomoto_complex import (
 )
 from alexinv.cli import main
 from alexinv.corpus import bundled_scenario_names, load_bundled_scenario
-from alexinv.errors import InconsistentDifferentialError
+from alexinv.errors import InconclusiveSearchError, InconsistentDifferentialError
 from alexinv.exact_kernel import integer_rank, is_zero_matrix, mat_mul, rank
-from alexinv.invariant_pipeline import charvar_scan, cohomology_at
+from alexinv.invariant_pipeline import (
+    charvar_scan,
+    cohomology_at,
+    milnor_charpoly,
+    scenario_from_json,
+)
 from alexinv.laurent_ring import torsion_grid
 from alexinv.residue_systems import (
     ResidueRow,
     ResidueSystem,
     admissible_shift,
+    admissible_shifts,
     is_admissible,
     shift_vectors,
 )
@@ -162,6 +169,65 @@ def test_integer_admissibility_agrees_with_is_admissible(problem, bound):
 
 
 @st.composite
+def repeating_residue_grids(draw):
+    """Rows, a level and every point of its grid.  Coefficients are often
+    multiples of the level, so that many points block on the same rows
+    with the same offsets."""
+    nparams = draw(st.integers(1, 3))
+    level = draw(st.integers(1, 6))
+    coefficient = st.builds(
+        lambda c, m: c * m, st.integers(-2, 2), st.sampled_from([1, level]))
+    rows = draw(st.lists(
+        st.lists(coefficient, min_size=nparams, max_size=nparams),
+        min_size=0, max_size=5))
+    return rows, level, list(torsion_grid(level, nparams))
+
+
+@HYPOTHESIS
+@given(repeating_residue_grids(), st.integers(0, 2))
+# (2, 1) and (1, 2) are each blocked by one row with offset 1, but by
+# different rows, so they need different shifts.
+@example(([[2, 0], [0, 2]], 4, list(torsion_grid(4, 2))), 1)
+def test_batch_search_agrees_with_the_reference_at_every_point(problem, bound):
+    rows, level, grid = problem
+    system = ResidueSystem(
+        grid[0].nvars,
+        tuple(ResidueRow(f"r{i}", tuple(row), False) for i, row in enumerate(rows)),
+    )
+    # Every point again and again: a batch long enough to go by columns,
+    # and one too short to, must agree with each other and point by point.
+    many = residue_systems.COLUMNS_FROM
+    numerators = [p.numerators for p in grid] * many
+    shifts = admissible_shifts(rows, numerators, level, bound)
+    assert shifts == shifts[:len(grid)] * many
+    assert admissible_shifts(rows, numerators[:many - 1], level, bound) == shifts[:many - 1]
+    for point, shift in zip(grid, shifts):
+        got = None if shift is None else tuple(b + k for b, k in zip(point.beta, shift))
+        assert got == reference_representative(system, point.beta, bound)
+        assert shift == admissible_shift(rows, point.numerators, level, bound)
+
+
+def test_each_blocking_pattern_is_searched_once_per_call(monkeypatch):
+    searched = []
+    first_unblocked = residue_systems._first_unblocked
+
+    def counting(order, blocking):
+        searched.append(tuple(blocking))
+        return first_unblocked(order, blocking)
+
+    monkeypatch.setattr(residue_systems, "_first_unblocked", counting)
+    rows = load_bundled_scenario("example_4_1").compiled.rows
+    points = [p.numerators for p in torsion_grid(12, 3)]
+    shifts = admissible_shifts(rows, points, 12, 3)
+    blocked = [
+        n for n in points
+        if any(sum(r * x for r, x in zip(row, n)) % 12 == 0 for row in rows)
+    ]
+    assert len(set(searched)) == len(searched) < len(blocked) < len(points)
+    assert shifts == [admissible_shift(rows, n, 12, 3) for n in points]
+
+
+@st.composite
 def integer_matrices(draw):
     nrows = draw(st.integers(1, 6))
     ncols = draw(st.integers(1, 6))
@@ -277,7 +343,7 @@ def test_square_check_through_a_rational_omega_map():
 @pytest.mark.parametrize("name", bundled_scenario_names())
 def test_square_check_never_fires_on_bundled_scenarios(name):
     scenario = load_bundled_scenario(name)
-    assert all(not entries for entries in scenario.compiled.differential.squares)
+    assert scenario.compiled.differential.squares == []
     rng = make_rng(11)
     for _ in range(40):
         alpha = tuple(random_fraction(rng) for _ in range(scenario.nparams))
@@ -325,8 +391,8 @@ def test_memoised_dims_agree_with_fresh_ranks_on_every_multiple(name, data):
         for tensor in differential.tensors
     ]
     assert fresh_ranks(differential, a) == sympy_ranks
-    for c in (1, -1, 2, -2, 3, -3, 4, -4, 5, -5):
-        scaled = [c * x for x in a]
+    multiples = [[c * x for x in a] for c in (1, -1, 2, -2, 3, -3, 4, -4, 5, -5)]
+    for scaled in multiples:
         ranks = fresh_ranks(differential, scaled)
         assert ranks == sympy_ranks
         for degrees in degree_sets:
@@ -334,6 +400,12 @@ def test_memoised_dims_agree_with_fresh_ranks_on_every_multiple(name, data):
                 differential.betti, ranks, range(top) if degrees is None else degrees)
             assert differential.dims(scaled, degrees) == expected
             assert differential.dims(tuple(scaled), degrees) == expected
+    for degrees in degree_sets:
+        expected = dims_from_ranks(
+            differential.betti, sympy_ranks, range(top) if degrees is None else degrees)
+        for batch_degrees in (degrees,) if degrees is None else (degrees, list(degrees)):
+            assert differential.dims_many(multiples, batch_degrees) == [expected] * 10
+    assert differential.dims_many([], None) == []
     assert len(differential.ranks) <= aomoto_complex.MAX_RANK_MEMO
 
 
@@ -368,6 +440,22 @@ def test_rank_memo_stays_within_its_cap(monkeypatch):
         assert charvar_scan(scenario, 7, degree) == charvar_scan(
             load_bundled_scenario("example_4_2"), 7, degree)
         assert len(differential.ranks) <= 5
+    # One batch of 300 points: the memo never holds more than the cap.
+    differential.ranks = SizeRecorder()
+    batch = [[rng.randint(-6, 6) for _ in range(3)] for _ in range(300)]
+    assert differential.dims_many(batch) == [
+        dims_from_ranks(cold.betti, fresh_ranks(cold, a), range(3)) for a in batch]
+    assert differential.ranks.largest == 5
+
+
+class SizeRecorder(dict):
+    """A dict that records the most entries it ever held."""
+
+    largest = 0
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.largest = max(self.largest, len(self))
 
 
 def run_quiet(capsys, argv):
@@ -392,3 +480,88 @@ def test_warm_charvar_reports_equal_cold_ones(capsys, name):
     for argv, report in zip(calls, warm):
         cli._decode.cache_clear()
         assert run_quiet(capsys, argv) == report
+
+
+# ---------------------------------------------------------------------------
+# Which error a scan raises when nonzero squares and inconclusive points mix:
+# the first failing point in grid order, or in k order, decides.
+
+
+def square_and_search_scenario(extra_rows):
+    """The nonassociative algebra with ``omega = x*a + y*b``: wedging twice
+    is ``2xy * top``, nonzero exactly where both parameters are.  Degrees
+    (1, 2), so ``milnor`` takes k = 0..3 over 4; ``extra_rows`` add residue
+    rows that leave some classes without a representative."""
+    rows = [([1, 0], True), ([0, 1], True), ([-1, -2], True)] + [
+        (row, False) for row in extra_rows]
+    return json.dumps({
+        "name": "square_and_search",
+        "components": 2,
+        "degrees": [1, 2],
+        "algebra": {
+            "top_degree": 3,
+            "basis": {"0": ["1"], "1": ["a", "b", "c"], "2": ["bc", "ac"],
+                      "3": ["top"]},
+            "products": [
+                {"left": "b", "right": "c", "value": [{"basis": "bc"}]},
+                {"left": "a", "right": "c", "value": [{"basis": "ac"}]},
+                {"left": "a", "right": "bc", "value": [{"basis": "top"}]},
+                {"left": "b", "right": "ac", "value": [{"basis": "top"}]},
+            ],
+        },
+        "residue_system": {"nparams": 2, "rows": [
+            {"label": f"r{i}", "coeffs": coeffs, "component": component}
+            for i, (coeffs, component) in enumerate(rows)]},
+        "omega_map": [["1", "0", "0"], ["0", "1", "0"]],
+    })
+
+
+SQUARE_ERROR = "wedging twice with the one-form is nonzero from degree 1"
+ORDER_CASES = {
+    # +-(2, 0): classes with n0 = 2 (of 4) are inconclusive at every bound.
+    # The grid reaches the bad point (1, 1) first, and milnor's bad k = 1
+    # comes before its inconclusive k = 2.
+    "bad_first": ([[2, 0], [-2, 0]], InconsistentDifferentialError, InconsistentDifferentialError),
+    # +-(2, 2): (0, 2) and (1, 1) are inconclusive, before the bad (1, 2);
+    # milnor's k = 1 and 3 are inconclusive, and its k = 2 is admissible
+    # and bad, but k = 1 decides.
+    "inconclusive_first": ([[2, 2], [-2, -2]], InconsistentDifferentialError, InconclusiveSearchError),
+    # +-(4, 0): only n0 = 0 is admissible, where the square vanishes.
+    "no_bad_point": ([[4, 0], [-4, 0]], None, InconclusiveSearchError),
+}
+EXIT_CODES = {None: 2, InconsistentDifferentialError: 3, InconclusiveSearchError: 2}
+
+
+@pytest.mark.parametrize("case", ORDER_CASES)
+def test_scans_raise_the_first_failing_points_error(case):
+    extra_rows, charvar_error, milnor_error = ORDER_CASES[case]
+    scenario = scenario_from_json(square_and_search_scenario(extra_rows).encode())
+    for degree in (1, 2, 3):
+        if charvar_error is None:
+            scan = charvar_scan(scenario, 4, degree)
+            assert [p.numerators for p in scan.inconclusive] == [
+                (n0, n1) for n0 in (1, 2, 3) for n1 in range(4)]
+        else:
+            with pytest.raises(charvar_error, match=SQUARE_ERROR):
+                charvar_scan(scenario, 4, degree)
+    for m in range(4):
+        if milnor_error is InconsistentDifferentialError:
+            with pytest.raises(milnor_error, match=SQUARE_ERROR):
+                milnor_charpoly(scenario, m)
+        else:
+            with pytest.raises(milnor_error) as caught:
+                milnor_charpoly(scenario, m)
+            assert caught.value.beta == (F(1, 4), F(1, 4))
+
+
+@pytest.mark.parametrize("case", ORDER_CASES)
+def test_cli_exit_codes_follow_the_first_failing_point(tmp_path, capsys, case):
+    extra_rows, charvar_error, milnor_error = ORDER_CASES[case]
+    path = tmp_path / "scenario.json"
+    path.write_text(square_and_search_scenario(extra_rows))
+    assert main(["validate", str(path)]) == 0
+    charvar = main(["charvar", str(path), "--level", "4", "--degree", "2"])
+    milnor = main(["milnor", str(path), "--m", "1"])
+    err = capsys.readouterr().err
+    assert (charvar, milnor) == (EXIT_CODES[charvar_error], EXIT_CODES[milnor_error])
+    assert err.count(SQUARE_ERROR) == [charvar, milnor].count(3)

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from alexinv.errors import DimensionError
+from alexinv.errors import DimensionError, LimitError
 from alexinv.exact_kernel import (
+    MAX_RATIONAL_DIGITS,
     CyclotomicNumber,
     ExactMatrix,
     cyclotomic_poly,
@@ -152,3 +153,40 @@ def test_parse_rational_rejects_zero_denominator():
     for text in ("1/0", " -3/0 ", "0/0"):
         with pytest.raises(ValueError, match="zero denominator"):
             parse_rational(text)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("3", F(3)), ("+3", F(3)), ("-0", F(0)), (" -6/4 ", F(-3, 2)), ("007/014", F(1, 2)),
+    ("9" * MAX_RATIONAL_DIGITS + "/" + "7" * MAX_RATIONAL_DIGITS,
+     F(int("9" * MAX_RATIONAL_DIGITS), int("7" * MAX_RATIONAL_DIGITS))),
+])
+def test_parse_rational_accepts_its_grammar(text, value):
+    assert parse_rational(text) == value
+
+
+@pytest.mark.parametrize("text", [
+    "1.5", ".5", "1e3", "1E-2", "1e3000000", "inf", "nan", "1_000", "3/-4", "+3/+4",
+    "- 3", "3 / 4", "1/2/3", "", "/2", "\u0663", "0x10", 1.5, True, None, [1],
+])
+def test_parse_rational_refuses_anything_else(text):
+    with pytest.raises(ValueError, match="not a rational p or p/q"):
+        parse_rational(text)
+
+
+@pytest.mark.parametrize("text", [
+    "9" * (MAX_RATIONAL_DIGITS + 1),
+    "-" + "0" * (MAX_RATIONAL_DIGITS + 1),
+    "1/" + "3" * (MAX_RATIONAL_DIGITS + 1),
+])
+def test_parse_rational_refuses_too_many_digits(text):
+    with pytest.raises(ValueError, match=f"more than {MAX_RATIONAL_DIGITS} digits"):
+        parse_rational(text)
+
+
+def test_format_rational_refuses_what_it_cannot_write():
+    widest = 10 ** MAX_RATIONAL_DIGITS - 1
+    for value in (F(widest), F(-widest), F(1, widest), F(-widest, widest - 1)):
+        assert parse_rational(format_rational(value)) == value
+    for value in (F(widest + 1), F(-widest - 1), F(1, widest + 1), F(-1, widest + 2)):
+        with pytest.raises(LimitError, match=f"more than {MAX_RATIONAL_DIGITS} digits"):
+            format_rational(value)
