@@ -11,7 +11,13 @@ otherwise the ideal of all ``(n-i) x (n-i)`` minors.
 
 Minors are shared: each is a Laplace expansion along its first row, memoised
 on its (row subset, column subset), so one table of sub-minors serves all
-``C(n,k) * C(m,k)`` minors of an ideal instead of ``k!`` products each.
+``C(n,k) * C(m,k)`` minors of an ideal instead of ``k!`` products each.  The
+table belongs to the presentation (``Presentation.minors``): every index
+``i`` and every op (``elementary_ideal``, ``char_poly``, the scans and
+``in_support``) reads the same one, and it lives as long as the presentation
+does, which for the CLI is as long as its decoded-input cache keeps it.  It
+never holds more than every minor of the matrix, and takes no part in
+``==``, ``hash`` or ``repr``.
 
 Vanishing at torsion points is decided in integers: each ideal generator is
 scaled by the lcm of its denominators (which does not change where it
@@ -29,6 +35,7 @@ and an automorphism sends only zero to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import gcd as int_gcd, lcm
 from operator import mul, sub
@@ -74,6 +81,12 @@ class Presentation:
 
     def entry(self, i: int, j: int) -> LaurentPoly:
         return self.matrix[i][j]
+
+    @cached_property
+    def minors(self):
+        """The shared minor table of this matrix (``_minor_table``), built on
+        first use and kept with the presentation."""
+        return _minor_table(self)
 
 
 @dataclass(frozen=True)
@@ -126,7 +139,7 @@ def elementary_ideal(pres: Presentation, i: int) -> IdealGenerators:
     if n - i > m:
         return IdealGenerators(())
     k = n - i
-    det = _minor_table(pres)
+    det = pres.minors
     gens = []
     for rsel in combinations(range(n), k):
         for csel in combinations(range(m), k):

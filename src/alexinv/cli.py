@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 usage or schema error, 2 inconclusive points
 present, 3 internal inconsistency (invalid algebra, nonzero square of the
-differential).
+differential), 4 internal error (an exception that escapes ``main``, a bug
+in the library; only ``run``, the process entry point, gives this code).
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INCONSISTENT = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass
@@ -409,5 +411,19 @@ def main(argv=None) -> int:
     return EXIT_INCONCLUSIVE if report.warnings else EXIT_OK
 
 
+def run(argv=None) -> int:
+    """``main`` at the process boundary.  In-process callers of ``main`` see
+    its exceptions; here one that escapes it is a bug in the library, not a
+    usage error, so its traceback goes to stderr and the code is
+    ``EXIT_INTERNAL``."""
+    try:
+        return main(argv)
+    except Exception:
+        import traceback  # only on this path: it would add to every start-up
+
+        traceback.print_exc()
+        return EXIT_INTERNAL
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run())

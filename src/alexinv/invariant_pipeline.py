@@ -297,17 +297,18 @@ def cyclotomic_factors(mults: dict, exponents) -> list[str]:
 
 
 def compact_univariate(coeffs) -> str:
-    """Spaceless display of an integer polynomial in ``t`` (constant first)."""
+    """Spaceless display of an integer polynomial in ``t`` (constant first);
+    a coefficient too long to print is a ``LimitError`` (``format_rational``)."""
     parts = []
     for e in range(len(coeffs) - 1, -1, -1):
         c = coeffs[e]
         if c == 0:
             continue
-        mag = abs(c)
+        mag = format_rational(abs(c))
         if e == 0:
-            body = str(mag)
+            body = mag
         else:
-            body = ("" if mag == 1 else f"{mag}*") + ("t" if e == 1 else f"t^{e}")
+            body = ("" if mag == "1" else f"{mag}*") + ("t" if e == 1 else f"t^{e}")
         if not parts:
             parts.append(body if c > 0 else "-" + body)
         else:

@@ -37,7 +37,7 @@ from math import gcd as int_gcd, lcm as int_lcm
 from operator import add, sub
 
 from .errors import DimensionError, LimitError, ParseError
-from .exact_kernel import CyclotomicNumber
+from .exact_kernel import CyclotomicNumber, format_rational
 
 _set = object.__setattr__
 
@@ -625,7 +625,8 @@ def parse_poly(text: str, nvars: int) -> LaurentPoly:
 
 
 def format_poly(p: LaurentPoly) -> str:
-    """Canonical text form; ``parse_poly(format_poly(p), p.nvars) == p``."""
+    """Canonical text form; ``parse_poly(format_poly(p), p.nvars) == p``.  A
+    coefficient too long to print is a ``LimitError`` (``format_rational``)."""
     if p.is_zero:
         return "0"
     parts = []
@@ -638,11 +639,11 @@ def format_poly(p: LaurentPoly) -> str:
         ]
         mag = abs(coeff)
         if not factors:
-            body = str(mag)
+            body = format_rational(mag)
         elif mag == 1:
             body = "*".join(factors)
         else:
-            body = "*".join([str(mag)] + factors)
+            body = "*".join([format_rational(mag)] + factors)
         if not parts:
             parts.append(body if coeff > 0 else "-" + body)
         else:

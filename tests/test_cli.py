@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -420,6 +421,86 @@ def test_internal_parser_error_is_not_a_schema_error(
     with pytest.raises(RuntimeError, match="parser slip"):
         main(["module", "--presentation", bivariate_presentation, "--op", "charpoly"])
     assert capsys.readouterr().err == ""
+
+
+def test_run_gives_an_escaped_exception_its_own_exit_code(
+    capsys, monkeypatch, bivariate_presentation
+):
+    # At the process boundary an exception that escapes main is a bug in the
+    # library: exit 4 with its traceback, never the usage code 1.
+    def broken(pres, i):
+        raise RuntimeError("kernel slip")
+
+    monkeypatch.setattr(am, "char_poly", broken)
+    code = cli.run(["module", "--presentation", bivariate_presentation, "--op", "charpoly"])
+    out, err = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == ""
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.rstrip().endswith("RuntimeError: kernel slip")
+
+
+def test_run_passes_main_exit_codes_through(capsys, bivariate_presentation):
+    assert cli.run(["module", "--presentation", bivariate_presentation,
+                    "--op", "charpoly"]) == 0
+    assert cli.run(["validate", "no-such-scenario"]) == 1
+    assert cli.run(["no-such-command"]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_entry_points_go_through_run():
+    # python -m alexinv exits 4 on an escaped exception, as the script does.
+    code = (
+        "import runpy, sys\n"
+        "import alexinv.alexander_modules as am\n"
+        "def broken(pres, i): raise RuntimeError('kernel slip')\n"
+        "am.char_poly = broken\n"
+        "sys.argv = ['alexinv', 'module', '--presentation', sys.argv[1],"
+        " '--op', 'charpoly']\n"
+        "runpy.run_module('alexinv', run_name='__main__')\n"
+    )
+    src = os.path.dirname(os.path.dirname(alexinv.__file__))
+    path = os.path.join(os.path.dirname(__file__), "golden", "module", "bi_2x3.json")
+    proc = subprocess.run([sys.executable, "-c", code, path],
+                          capture_output=True, text=True, cwd=src)
+    assert proc.returncode == 4
+    assert "RuntimeError: kernel slip" in proc.stderr
+    pyproject = os.path.join(os.path.dirname(os.path.dirname(__file__)), "pyproject.toml")
+    if os.path.exists(pyproject):
+        with open(pyproject, encoding="utf-8") as handle:
+            assert 'alexinv = "alexinv.cli:run"' in handle.read()
+
+
+def test_overlong_printed_coefficient_is_a_limit_error(tmp_path, capsys):
+    # Each entry is inside every cap, but the determinant's coefficients
+    # have about 6000 digits: too long to print, so exit 1 with one error line.
+    entry = "9" * 3000 + "*t1-1"
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"nvars": 1, "generators": 2, "relations": 2,
+                                "matrix": [[entry, "0"], ["0", entry]]}))
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, "module", "--presentation", str(path),
+                                 "--op", "charpoly", "--i", "0", "--format", fmt)
+        assert code == 1
+        assert out == ""
+        assert err == "error: a rational has more than 4300 digits\n"
+    code, out, _ = run_cli(capsys, "module", "--presentation", str(path),
+                           "--op", "charpoly", "--i", "1")
+    assert code == 0
+    assert "9" * 3000 in out
+
+
+def test_printers_refuse_overlong_coefficients():
+    big = 10 ** 4300
+    with pytest.raises(LimitError):
+        pipeline.compact_univariate([1, big])
+    for coeff in (big, -big, Fraction(1, big)):
+        with pytest.raises(LimitError):
+            lr.format_poly(lr.LaurentPoly(1, {(1,): coeff, (0,): 1}))
+        with pytest.raises(LimitError):
+            lr.format_poly(lr.LaurentPoly(1, {(0,): coeff}))
+    assert pipeline.compact_univariate([-1, big - 1]) == "9" * 4300 + "*t-1"
+    assert lr.format_poly(lr.LaurentPoly(1, {(0,): Fraction(-1, 2)})) == "-1/2"
 
 
 def test_overlong_integer_literal_is_a_schema_error(tmp_path, capsys):

@@ -15,14 +15,18 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alexinv import alexander_modules as am
 from alexinv.alexander_modules import (
+    Presentation,
     _minor_table,
     _vanishing_test,
+    char_poly,
     cyclic_module,
     direct_sum,
     elementary_ideal,
     fitting_variety_scan,
     in_support,
+    presentation_to_dict,
     support_scan,
 )
 from alexinv.errors import DimensionError
@@ -197,6 +201,82 @@ def level_points(draw, nvars):
     level = draw(st.integers(1, 30))
     nums = tuple(draw(st.integers(0, level - 1)) for _ in range(nvars))
     return TorsionPoint(level, nums)
+
+
+def fresh(pres: Presentation) -> Presentation:
+    """An equal presentation whose minor table is not built yet."""
+    return Presentation(pres.nvars, pres.generators, pres.relations, pres.matrix)
+
+
+@HYPOTHESIS
+@given(st.data())
+def test_one_minor_table_serves_every_call_on_a_presentation(data):
+    # Whatever ran on the presentation before, a call reads the shared table
+    # and gives what it gives on a fresh equal presentation.
+    rng = make_rng(data.draw(st.integers(0, 10**6)))
+    pres = random_presentation(rng, max_gens=4, max_rels=4)
+    n = pres.generators
+    for _ in range(data.draw(st.integers(1, 8))):
+        op = data.draw(st.sampled_from(
+            ("char_poly", "elementary_ideal", "support_scan",
+             "fitting_variety_scan", "in_support")))
+        level = data.draw(st.integers(1, 6))
+        if op in ("char_poly", "elementary_ideal"):
+            args = (data.draw(st.integers(0, n + 1)),)
+        elif op == "support_scan":
+            args = (level,)
+        elif op == "fitting_variety_scan":
+            args = (data.draw(st.integers(1, n + 2)), level)
+        else:
+            args = (data.draw(level_points(pres.nvars)),)
+        call = getattr(am, op)
+        assert call(pres, *args) == call(fresh(pres), *args), (op, args)
+
+
+def test_minor_table_is_built_once_per_presentation(monkeypatch):
+    # The first round of char_poly over every i multiplies exactly what one
+    # table computing every minor of every size multiplies; a second round
+    # and both scans multiply nothing.
+    pres = random_chain_presentation(make_rng(11), 2, (4, 5))
+    calls = []
+    multiply = LaurentPoly.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return multiply(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+
+    def products(action) -> int:
+        before = len(calls)
+        action()
+        return len(calls) - before
+
+    det = _minor_table(fresh(pres))
+    every_minor = products(lambda: [
+        det(rows, cols)
+        for k in range(1, 5)
+        for rows in combinations(range(4), k)
+        for cols in combinations(range(5), k)
+    ])
+    first = products(lambda: [char_poly(pres, i) for i in range(5)])
+    again = products(lambda: (
+        [char_poly(pres, i) for i in range(5)],
+        support_scan(pres, 6),
+        fitting_variety_scan(pres, 2, 6),
+    ))
+    assert (first, again) == (every_minor, 0)
+    assert every_minor == 80
+
+
+def test_warm_minor_table_is_not_part_of_the_value():
+    pres = random_chain_presentation(make_rng(12), 2, (3, 4))
+    before = (repr(pres), hash(pres), presentation_to_dict(pres))
+    char_poly(pres, 0)
+    assert "minors" in vars(pres)
+    assert (repr(pres), hash(pres), presentation_to_dict(pres)) == before
+    assert pres == fresh(pres) and fresh(pres) == pres
+    assert hash(fresh(pres)) == hash(pres)
 
 
 def vanishing_factor(point: TorsionPoint, exps) -> LaurentPoly:
