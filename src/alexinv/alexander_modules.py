@@ -88,6 +88,12 @@ class Presentation:
         first use and kept with the presentation."""
         return _minor_table(self)
 
+    def __getstate__(self):
+        # The table is a closure, which pickle refuses; a copy builds its own.
+        state = dict(self.__dict__)
+        state.pop("minors", None)
+        return state
+
 
 @dataclass(frozen=True)
 class IdealGenerators:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import (
@@ -34,6 +34,7 @@ from .exact_kernel import (
     integer_vector,
     parse_rational,
 )
+from .laurent_ring import LaurentPoly, divide_exact
 
 ProductTable = dict  # (left label, right label) -> {target label: Fraction}
 
@@ -199,6 +200,80 @@ def differential_matrix(algebra: GradedAlgebra, omega: OneForm, p: int) -> Exact
 MAX_RANK_MEMO = 4096
 """Most ranks one ``IntegerDifferential`` keeps (about 0.75 MB when full)."""
 
+MAX_CERTIFICATE_TERMS = 64
+"""Most terms an entry may have while a rank certificate is built; a degree
+whose elimination meets a larger one gets no certificate."""
+
+
+def rank_certificate(tensor, nparams: int):
+    """The rank ``r`` of ``D(a) = sum_i a_i N_i`` over ``Q(a)``, where entry
+    ``(t, j)`` of ``N_i`` is ``tensor[t][j][i]``, and one of its ``r x r``
+    minors that is not identically zero.
+
+    Returns ``(r, rows, cols, minor)``: the minor is on the rows ``rows`` and
+    columns ``cols`` of ``D``, as integer ``(exponents, coefficient)`` pairs
+    of a polynomial in ``a``.  Every ``(r+1)``-minor is identically zero, so
+    ``rank D(a) = r`` wherever the minor is nonzero.  Fraction-free Bareiss
+    elimination over ``Z[a]`` (each entry it makes is a minor of ``D``, and
+    its last pivot is the one returned); None when an entry has more than
+    ``MAX_CERTIFICATE_TERMS`` terms.  When ``r = 0`` the minor is the empty
+    one, the constant 1.
+    """
+    cap = MAX_CERTIFICATE_TERMS
+    units = [tuple(int(i == k) for i in range(nparams)) for k in range(nparams)]
+    rows = []
+    for t, tensor_row in enumerate(tensor):
+        row = [
+            LaurentPoly._make(nparams, {units[i]: c for i, c in enumerate(cell) if c})
+            for cell in tensor_row
+        ]
+        if any(row):
+            if max(len(x.terms) for x in row) > cap:
+                return None
+            rows.append((t, row))
+    found, previous, cols = 0, None, []
+    for c in range(len(tensor[0]) if tensor else 0):
+        candidates = [i for i in range(found, len(rows)) if rows[i][1][c]]
+        if not candidates:
+            continue
+        # The sparsest pivot keeps the entries, and the minor, small.
+        pivot = min(candidates, key=lambda i: len(rows[i][1][c].terms))
+        rows[found], rows[pivot] = rows[pivot], rows[found]
+        top = rows[found][1]
+        p = top[c]
+        kept = rows[: found + 1]
+        for t, row in rows[found + 1 :]:
+            f = row[c]
+            new = row[: c + 1]
+            for x, y in zip(row[c + 1 :], top[c + 1 :]):
+                if f and y:
+                    x = p * x - f * y
+                elif x:
+                    x = p * x
+                if x and previous is not None:
+                    # A quotient of at most cap terms times the divisor has
+                    # at most cap * len(divisor) terms.
+                    if len(x.terms) > cap * len(previous.terms):
+                        return None
+                    x = divide_exact(x, previous)
+                    if x is None:
+                        raise ArithmeticError("a Bareiss step did not divide exactly")
+                if len(x.terms) > cap:
+                    return None
+                new.append(x)
+            if any(new[c + 1 :]):
+                kept.append((t, new))
+        rows = kept
+        previous = p
+        cols.append(c)
+        found += 1
+        if found == len(rows):
+            break
+    if not found:  # the empty minor is 1
+        return 0, (), (), (((0,) * nparams, 1),)
+    minor = tuple(previous.terms.items())
+    return found, tuple(sorted(t for t, _ in rows[:found])), tuple(cols), minor
+
 
 class IntegerDifferential:
     """The differentials of ``(A, w ^ .)`` for the one-forms
@@ -214,10 +289,15 @@ class IntegerDifferential:
     entries are kept, so the d*d check is free on a graded-commutative
     algebra.
 
-    ``D_p`` is linear in ``a``, so ``rank D_p(c * a) = rank D_p(a)`` for every
-    nonzero ``c``: each rank is kept under its degree and the direction
-    ``a // gcd(a)``, and computed once per direction (up to
-    ``MAX_RANK_MEMO`` entries; the memo is emptied when full).
+    Each degree has a rank certificate (``rank_certificate``), built once:
+    the rank ``r_p`` of ``D_p`` over ``Q(a)`` and a nonzero ``r_p x r_p``
+    minor ``M_p(a)``.  Every larger minor is identically zero, so
+    ``rank D_p(a) = r_p`` at every ``a`` with ``M_p(a) != 0``.  Elsewhere, on the zero set of ``M_p`` or in a
+    degree without a certificate, ``D_p`` is linear in ``a``, so
+    ``rank D_p(c * a) = rank D_p(a)`` for every nonzero ``c``: each such rank
+    is kept under its degree and the direction ``a // gcd(a)``, and computed
+    once per direction (up to ``MAX_RANK_MEMO`` entries; the memo is emptied
+    when full).
     """
 
     def __init__(self, algebra: GradedAlgebra, omega_map):
@@ -267,6 +347,8 @@ class IntegerDifferential:
                 terms = [term for term in terms if term[2]]
                 if terms:
                     self.squares.append((p, terms))
+        # certificates[p]: rank_certificate of D_p, or None.
+        self.certificates = [rank_certificate(t, nparams) for t in self.tensors]
 
     def dims_many(self, points, degrees=None) -> list[tuple[int, ...]]:
         """Cohomology dimensions at each integer parameter vector ``a`` in
@@ -284,6 +366,10 @@ class IntegerDifferential:
         # Per degree p: b_p and where rank D_p and rank D_{p-1} sit in a
         # point's ranks, whose last entry is the 0 of a missing differential.
         plan = [(self.betti[p], slot.get(p, -1), slot.get(p - 1, -1)) for p in degrees]
+        # Per needed degree: (r, terms of M) from its certificate, or None.
+        checks = [
+            (cert := self.certificates[q]) and (cert[0], cert[3]) for q in needed
+        ]
         out = []
         for a in points:
             for p, terms in self.squares:
@@ -291,10 +377,15 @@ class IntegerDifferential:
                     raise InconsistentDifferentialError(
                         f"wedging twice with the one-form is nonzero from degree {p}"
                     )
-            g = gcd(*a)
-            direction = tuple(a) if g <= 1 else tuple([x // g for x in a])
+            direction = None
             ranks = []
-            for q in needed:
+            for q, check in zip(needed, checks):
+                if check and sum([c * prod(map(pow, a, e)) for e, c in check[1]]):
+                    ranks.append(check[0])
+                    continue
+                if direction is None:
+                    g = gcd(*a)
+                    direction = tuple(a) if g <= 1 else tuple([x // g for x in a])
                 rank = memo.get((q, direction))
                 if rank is None:
                     rank = integer_rank(

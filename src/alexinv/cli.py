@@ -254,8 +254,9 @@ def _cmd_admissible(args) -> Report:
 def _cmd_charvar(args) -> Report:
     scenario, report = _load_scenario(args)
     scan = pipeline.charvar_scan(scenario, args.level, args.degree, args.bound)
+    render = lr.point_renderer(args.level)
     buckets = {
-        str(dim): [str(p) for p in points]
+        str(dim): [render(p) for p in points]
         for dim, points in scan.by_dimension.items()
     }
     report.results = {
@@ -265,7 +266,7 @@ def _cmd_charvar(args) -> Report:
         "buckets": buckets,
     }
     for point in scan.inconclusive:
-        report.warnings.append(f"inconclusive at beta={point}")
+        report.warnings.append(f"inconclusive at beta={render(point)}")
     return report
 
 
@@ -310,11 +311,12 @@ def _cmd_module(args) -> Report:
                 raise SchemaError("", "--i must be >= 1 for --op fitting")
             head = {"op": "fitting", "i": args.i}
             points = am.fitting_variety_scan(pres, args.i, args.level)
+        render = lr.point_renderer(args.level)
         report.results = {
             **head,
             "level": args.level,
             "count": len(points),
-            "points": [str(p) for p in points],
+            "points": [render(p) for p in points],
         }
     return report
 

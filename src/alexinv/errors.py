@@ -30,8 +30,9 @@ class ParseError(ValueError):
 
 class LimitError(ValueError):
     """A level below 1, a torsion grid or search box over its size cap, a
-    presentation entry over its degree-span or term cap, or a rational with
-    more digits than can be written."""
+    scenario differential over its cell cap, a presentation entry over its
+    degree-span or term cap, or a rational with more digits than can be
+    written."""
 
 
 class SchemaError(ValueError):

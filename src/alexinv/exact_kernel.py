@@ -134,12 +134,13 @@ def _poly_divmod(num, den):
     return _trim(quot), _trim(num)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """The n-th cyclotomic polynomial as an integer coefficient tuple.
 
     Computed by dividing ``x^n - 1`` by the cyclotomic polynomials of all
-    proper divisors of ``n``; the result is monic of degree ``phi(n)``.
+    proper divisors of ``n``; the result is monic of degree ``phi(n)``.  The
+    last 256 are kept (no level up to 100000 has more than 128 divisors).
     """
     if n < 1:
         raise ValueError("cyclotomic_poly() needs a positive integer")

@@ -383,6 +383,11 @@ def epsilon_line(points, point: TorsionPoint) -> int:
 # Scenario files.
 
 
+MAX_DIFFERENTIAL_CELLS = 2**20
+"""Largest differential a scenario may describe: ``sum_p dim A^{p+1} *
+dim A^p * nparams`` integer cells, built on first use of the scenario."""
+
+
 def scenario_from_dict(data: dict, path: str = "") -> Scenario:
     name, s, degrees, raw_algebra, raw_system, raw_map = fields(
         data, path, "name", "components", "degrees", "algebra", "residue_system",
@@ -394,6 +399,14 @@ def scenario_from_dict(data: dict, path: str = "") -> Scenario:
     integers(degrees, f"{path}/degrees", 1, s)
     algebra = algebra_from_dict(raw_algebra, f"{path}/algebra")
     system = residue_system_from_dict(raw_system, f"{path}/residue_system")
+    cells = system.nparams * sum(
+        algebra.dim(p + 1) * algebra.dim(p) for p in range(algebra.top_degree)
+    )
+    if cells > MAX_DIFFERENTIAL_CELLS:
+        raise LimitError(
+            f"{path}/algebra/basis: the differential has {cells} cells, more "
+            f"than the limit of {MAX_DIFFERENTIAL_CELLS}"
+        )
     dim1 = algebra.dim(1)
     if not isinstance(raw_map, list) or len(raw_map) != system.nparams:
         raise SchemaError(f"{path}/omega_map", f"must have {system.nparams} rows")

@@ -75,6 +75,11 @@ class LaurentPoly:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the validating constructor, not
+        # by setting the slots, which __setattr__ refuses.
+        return LaurentPoly, (self.nvars, self.terms)
+
     # -- constructors --------------------------------------------------------
 
     @classmethod
@@ -465,11 +470,27 @@ class TorsionPoint:
         return not any(self.numerators)
 
     def __str__(self):
+        return point_renderer(self.level)(self)
+
+
+def point_renderer(level: int):
+    """``str`` for torsion points of level ``level``: each coordinate is
+    ``n/level`` reduced, or ``0``.  A renderer keeps the label of each
+    numerator it has met (at most ``level``), so the points of one scan
+    share them; no label outlives the renderer."""
+    labels = {}
+
+    def render(point: TorsionPoint) -> str:
         parts = []
-        for n in self.numerators:
-            g = int_gcd(n, self.level)
-            parts.append(f"{n // g}/{self.level // g}" if n else "0")
+        for n in point.numerators:
+            label = labels.get(n)
+            if label is None:
+                g = int_gcd(n, level)
+                label = labels[n] = f"{n // g}/{level // g}" if n else "0"
+            parts.append(label)
         return "(" + ",".join(parts) + ")"
+
+    return render
 
 
 MAX_SCAN_POINTS = 100_000

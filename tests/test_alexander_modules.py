@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -249,6 +251,34 @@ def test_presentation_json_round_trip(tmp_path):
     path = tmp_path / "pres.json"
     path.write_text(json.dumps(data))
     assert load_presentation(str(path)) == d
+
+
+def round_trips(value):
+    """``value`` through every pickle protocol, ``copy`` and ``deepcopy``."""
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    return [pickle.loads(pickle.dumps(value, k)) for k in protocols] + [
+        copy.copy(value), copy.deepcopy(value)]
+
+
+@pytest.mark.parametrize("entry", ["t1 - 1", "1/2*t1^-1*t2 - 3/7 + t2^2"],
+                         ids=["int", "fraction"])
+def test_values_pickle_and_copy(entry):
+    poly = P(entry, 2)
+    pres = Presentation.from_rows(2, [[poly, P("t1*t2 - 1", 2)], [P("2", 2), poly]])
+    expected = [char_poly(pres, i) for i in range(3)]  # the minor table is warm
+    ideal = elementary_ideal(pres, 1)
+    point = TorsionPoint(6, (1, 4))
+    for value in (poly, ideal, point):
+        for again in round_trips(value):
+            assert again == value and hash(again) == hash(value)
+    for again in round_trips(poly):
+        assert again.terms == poly.terms
+        assert [type(c) for c in again.terms.values()] == [
+            type(c) for c in poly.terms.values()]
+    for again in round_trips(pres):
+        assert again == pres
+        assert [char_poly(again, i) for i in range(3)] == expected
+    assert str(round_trips(point)[0]) == "(1/6,2/3)"
 
 
 def test_presentation_schema_errors():

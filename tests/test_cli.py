@@ -740,6 +740,48 @@ def test_steep_presentation_is_refused_at_once(tmp_path, capsys):
         "error: /matrix/0/0: degree span 100000000 is more than the limit of 64\n")
 
 
+def _wide_scenario(n):
+    """The torus's parameters and residue rows over ``n`` labels in degrees
+    1 and 2 and no products: a differential of ``2 * (n + n * n)`` cells."""
+    data = json.loads(_bundled_with("torus", ("name",), "wide"))
+    data["algebra"] = {"top_degree": 2, "basis": {
+        "0": ["1"], "1": [f"e{i}" for i in range(n)], "2": [f"f{i}" for i in range(n)]}}
+    data["omega_map"] = [["1"] + ["0"] * (n - 1), ["0", "1"] + ["0"] * (n - 2)]
+    return json.dumps(data)
+
+
+def test_scenario_differential_cell_cap(tmp_path, capsys, monkeypatch):
+    # 800 labels: 2 * (800 + 800^2) = 1281600 cells, which took 4.3 s to
+    # build before the cap; a 21 KB file.
+    path = tmp_path / "wide.json"
+    path.write_text(_wide_scenario(800))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "twisted", str(path), "--beta", "1/2,1/3")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (1, "", (
+        "error: /algebra/basis: the differential has 1281600 cells, more than "
+        "the limit of 1048576\n"))
+    # Inclusive: 3 labels make 24 cells.
+    path.write_text(_wide_scenario(3))
+    monkeypatch.setattr(pipeline, "MAX_DIFFERENTIAL_CELLS", 24)
+    assert run_cli(capsys, "twisted", str(path), "--beta", "1/2,1/3")[0] == 0
+    monkeypatch.setattr(pipeline, "MAX_DIFFERENTIAL_CELLS", 23)
+    cli._decode.cache_clear()  # it holds the file, checked under the old cap
+    assert run_cli(capsys, "twisted", str(path), "--beta", "1/2,1/3") == (
+        1, "", "error: /algebra/basis: the differential has 24 cells, more than "
+        "the limit of 23\n")
+
+
+def test_bundled_scenarios_are_far_inside_the_cell_cap():
+    from alexinv.corpus import bundled_scenario_names, load_bundled_scenario
+
+    for name in bundled_scenario_names():
+        scenario = load_bundled_scenario(name)
+        algebra = scenario.algebra
+        for p in range(algebra.top_degree):
+            assert algebra.dim(p + 1) * algebra.dim(p) * scenario.nparams <= 36
+
+
 @pytest.mark.parametrize("argv, scenario_value, message", [
     # Fraction would read exponents, and build 10^3000000 for the last one.
     (["aomoto", "torus", "--alpha", "1e5000,1"], None,

@@ -10,12 +10,13 @@ import re
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations
-from math import lcm
+from math import lcm, prod
 
 import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from alexinv import aomoto_complex, cli, residue_systems
 from alexinv.aomoto_complex import (
@@ -24,6 +25,7 @@ from alexinv.aomoto_complex import (
     OneForm,
     cohomology_dims,
     differential_matrix,
+    os_algebra_lines,
 )
 from alexinv.cli import main
 from alexinv.corpus import bundled_scenario_names, load_bundled_scenario
@@ -412,8 +414,11 @@ def test_memoised_dims_agree_with_fresh_ranks_on_every_multiple(name, data):
 def test_invalid_algebra_raises_on_every_repeat_call():
     differential = IntegerDifferential(
         nonassociative_algebra(), [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    # a = 0 lies on the zero set of every certificate, so its ranks are
+    # computed and kept.
     assert differential.dims([0, 0, 0]) == differential.betti
     stored = dict(differential.ranks)
+    assert len(stored) == 3
     for a in ([1, 1, 1], [2, 2, 2], [1, 1, 1], [-3, -3, -3]):
         for degrees in (None, (0,), (3,)):
             with pytest.raises(InconsistentDifferentialError, match="from degree 1"):
@@ -429,7 +434,7 @@ def test_rank_memo_stays_within_its_cap(monkeypatch):
     rng = make_rng(5)
     sizes = set()
     for _ in range(200):
-        a = [rng.randint(-6, 6) for _ in range(3)]
+        a = on_a_zero_set(differential, [rng.randint(-6, 6) for _ in range(3)], rng)
         degrees = rng.choice([None, (0,), (1,), (2,), (1, 2)])
         assert differential.dims(a, degrees) == dims_from_ranks(
             cold.betti, fresh_ranks(cold, a),
@@ -442,10 +447,29 @@ def test_rank_memo_stays_within_its_cap(monkeypatch):
         assert len(differential.ranks) <= 5
     # One batch of 300 points: the memo never holds more than the cap.
     differential.ranks = SizeRecorder()
-    batch = [[rng.randint(-6, 6) for _ in range(3)] for _ in range(300)]
+    batch = [on_a_zero_set(differential, [rng.randint(-6, 6) for _ in range(3)], rng)
+             for _ in range(300)]
     assert differential.dims_many(batch) == [
         dims_from_ranks(cold.betti, fresh_ranks(cold, a), range(3)) for a in batch]
     assert differential.ranks.largest == 5
+
+
+def on_a_zero_set(differential, a, rng):
+    """``a`` with coordinates set to zero, in a random order, until the minor
+    of some rank certificate vanishes there, so that a rank is computed and
+    kept; at most every coordinate, where every nonconstant minor vanishes
+    (each is homogeneous)."""
+    a = list(a)
+    for i in rng.sample(range(len(a)), len(a)):
+        if any(cert and not minor_value(cert[3], a)
+               for cert in differential.certificates):
+            break
+        a[i] = 0
+    return a
+
+
+def minor_value(minor, a):
+    return sum(c * prod(x ** k for x, k in zip(a, e)) for e, c in minor)
 
 
 class SizeRecorder(dict):
@@ -456,6 +480,139 @@ class SizeRecorder(dict):
     def __setitem__(self, key, value):
         super().__setitem__(key, value)
         self.largest = max(self.largest, len(self))
+
+
+# ---------------------------------------------------------------------------
+# Rank certificates: rank D_p(a) is r_p wherever the minor M_p(a) is nonzero.
+
+
+def line_arrangements():
+    """Generic arrangements and pencils of 2 to 6 lines."""
+    out = {}
+    for n in range(2, 7):
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+        out[f"generic{n}"] = os_algebra_lines(n, pairs)
+        out[f"pencil{n}"] = os_algebra_lines(n, [range(1, n + 1)])
+    return out
+
+
+ARRANGEMENTS = line_arrangements()
+CERTIFIED = bundled_scenario_names() + list(ARRANGEMENTS)
+
+
+def algebra_and_map(name):
+    """A bundled scenario's algebra and map, or an arrangement's algebra and
+    the identity map."""
+    if name in ARRANGEMENTS:
+        n = ARRANGEMENTS[name].dim(1)
+        return ARRANGEMENTS[name], [[int(i == j) for j in range(n)] for i in range(n)]
+    scenario = load_bundled_scenario(name)
+    return scenario.algebra, scenario.omega_map
+
+
+@cache
+def certified_differential(name):
+    if name in ARRANGEMENTS:
+        return IntegerDifferential(*algebra_and_map(name))
+    return warm_differential(name)
+
+
+@st.composite
+def points_on_zero_sets(draw, nparams):
+    """A point, and the point moved onto the sets where the certificates'
+    minors vanish: some coordinates zero, some (often all) coordinates
+    summing to zero, and multiples of both."""
+    base = draw(st.lists(st.integers(-4, 4), min_size=nparams, max_size=nparams))
+    indices = st.integers(0, nparams - 1)
+    zeros = draw(st.sets(indices, max_size=nparams))
+    summed = sorted(draw(st.one_of(
+        st.just(set(range(nparams))), st.sets(indices, min_size=1, max_size=nparams))))
+    on_zeros = [0 if i in zeros else x for i, x in enumerate(base)]
+    on_sum = list(base)
+    on_sum[summed[-1]] = -sum(base[i] for i in summed[:-1])
+    c = draw(st.sampled_from([2, -1, -3]))
+    return [base, on_zeros, on_sum, [c * x for x in on_zeros], [c * x for x in on_sum]]
+
+
+def evaluated(tensor, a):
+    return [[sum(x * y for x, y in zip(cell, a)) for cell in row] for row in tensor]
+
+
+@HYPOTHESIS
+@given(st.sampled_from(CERTIFIED), st.data())
+def test_certified_dims_agree_with_fresh_and_sympy_ranks(name, data):
+    differential = certified_differential(name)
+    nparams = len(differential.tensors[0][0][0])
+    points = data.draw(points_on_zero_sets(nparams))
+    top = len(differential.betti)
+    ranks = [fresh_ranks(differential, a) for a in points]
+    assert ranks == [
+        [sympy.Matrix(evaluated(tensor, a)).rank() for tensor in differential.tensors]
+        for a in points]
+    for degrees in (None, *((p,) for p in range(top))):
+        wanted = range(top) if degrees is None else degrees
+        assert differential.dims_many(points, degrees) == [
+            dims_from_ranks(differential.betti, r, wanted) for r in ranks]
+
+
+@pytest.mark.parametrize("name", CERTIFIED)
+def test_certificates_are_the_generic_rank_and_a_minor(name):
+    differential = certified_differential(name)
+    nparams = len(differential.tensors[0][0][0])
+    symbols = sympy.symbols(f"a0:{nparams}")
+    for tensor, certificate in zip(differential.tensors, differential.certificates):
+        matrix = DomainMatrix.from_Matrix(sympy.Matrix(
+            [[sum(c * s for c, s in zip(cell, symbols)) for cell in row] for row in tensor]))
+        if certificate is None:
+            continue
+        r, rows, cols, minor = certificate
+        assert r == matrix.to_field().rank()
+        if not r:
+            assert rows == cols == () and minor == (((0,) * nparams, 1),)
+            continue
+        det = matrix.extract(list(rows), list(cols)).det()
+        expected = sympy.Poly(matrix.domain.to_sympy(det), *symbols)
+        assert sympy.Poly.from_dict(dict(minor), *symbols) in (expected, -expected)
+    # The pencil of six lines meets an entry of more than 64 terms in degree 1.
+    assert (None in differential.certificates) == (name == "pencil6")
+
+
+def test_without_certificates_the_dims_are_the_same(monkeypatch):
+    monkeypatch.setattr(aomoto_complex, "MAX_CERTIFICATE_TERMS", 1)
+    rng = make_rng(12)
+    dropped = 0
+    for name in CERTIFIED:
+        capped = IntegerDifferential(*algebra_and_map(name))
+        full = certified_differential(name)
+        # Only certificates whose elimination never met two terms are left.
+        for kept, certificate in zip(capped.certificates, full.certificates):
+            assert kept is None or kept == certificate and len(kept[3]) <= 1
+            dropped += kept is None and certificate is not None
+        nparams = len(full.tensors[0][0][0])
+        points = [[rng.randint(-4, 4) for _ in range(nparams)] for _ in range(20)]
+        points += [on_a_zero_set(full, a, rng) for a in points]
+        assert capped.dims_many(points) == full.dims_many(points) == [
+            dims_from_ranks(full.betti, fresh_ranks(full, a), range(len(full.betti)))
+            for a in points]
+    assert dropped == 5
+
+
+def test_integer_rank_count_on_a_fixed_scan_set(monkeypatch):
+    # Most points have the generic rank, which the certificates give without
+    # an integer_rank call: without them this set made 12130 calls.
+    calls = []
+
+    def counting(rows):
+        calls.append(len(rows))
+        return integer_rank(rows)
+
+    monkeypatch.setattr(aomoto_complex, "integer_rank", counting)
+    for name in bundled_scenario_names():
+        scenario = load_bundled_scenario(name)
+        for level in range(5, 13):
+            for degree in range(1, scenario.algebra.top_degree + 1):
+                charvar_scan(scenario, level, degree)
+    assert len(calls) == 1016
 
 
 def run_quiet(capsys, argv):

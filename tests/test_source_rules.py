@@ -7,7 +7,9 @@ catch-all handler (``except:``, ``except Exception``, ``except
 BaseException``): each handler names the errors it turns into a user error,
 so that a bug in the library is never reported as one.  The one catch-all is
 ``cli.run``, the process entry point, which reports any escaped exception as
-an internal error.
+an internal error.  No ``functools.cache`` or ``lru_cache`` without a finite
+``maxsize``: a long-lived library process would keep every value it ever
+cached.  The exceptions are zero-argument functions, which cache one value.
 """
 
 import ast
@@ -48,10 +50,46 @@ def entry_wrapper_handlers(path, tree) -> list:
     return catch_all_handlers(run)
 
 
+def name_of(expr):
+    return expr.attr if isinstance(expr, ast.Attribute) else getattr(expr, "id", None)
+
+
+def is_unbounded_cache(expr) -> bool:
+    """Whether ``expr`` is ``cache`` or ``lru_cache`` with ``maxsize=None``
+    (a bare ``lru_cache`` keeps 128)."""
+    if isinstance(expr, ast.Call) and name_of(expr.func) == "lru_cache":
+        sizes = expr.args[:1] + [k.value for k in expr.keywords if k.arg == "maxsize"]
+        return any(isinstance(s, ast.Constant) and s.value is None for s in sizes)
+    return name_of(expr) == "cache"
+
+
+# The zero-argument functions that may cache their one value without a cap.
+SINGLETONS = {("cli.py", "_build_parser"), ("corpus.py", "_scenario_dir")}
+
+
+def unbounded_caches(path, tree) -> list:
+    """The line of each unbounded cache in ``tree`` that is not on one of
+    the ``SINGLETONS``."""
+    found, decorators = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            decorators.update(map(id, node.decorator_list))
+            args = node.args
+            takes_none = not (args.posonlyargs or args.args or args.vararg
+                              or args.kwonlyargs or args.kwarg)
+            if not ((path.name, node.name) in SINGLETONS and takes_none):
+                found.extend(d.lineno for d in node.decorator_list
+                             if is_unbounded_cache(d))
+    for node in ast.walk(tree):
+        if id(node) not in decorators and is_unbounded_cache(node):
+            found.append(node.lineno)
+    return found
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_module_keeps_the_source_rules(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    found = []
+    found = [f"line {line}: unbounded cache" for line in unbounded_caches(path, tree)]
     allowed = entry_wrapper_handlers(path, tree)
     for node in catch_all_handlers(tree):
         if node not in allowed:
@@ -84,3 +122,21 @@ def test_the_entry_wrapper_is_the_one_catch_all():
 def test_catch_all_handlers_are_seen(handler, count):
     tree = ast.parse(f"try:\n    pass\n{handler}\n    pass\n")
     assert len(catch_all_handlers(tree)) == count
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("@cache\ndef f(x): pass", [1]),
+    ("@functools.cache\ndef f(): pass", [1]),
+    ("@lru_cache(maxsize=None)\ndef f(x): pass", [1]),
+    ("@functools.lru_cache(None)\ndef f(x): pass", [1]),
+    ("g = functools.lru_cache(maxsize=None)(len)", [1]),
+    ("@lru_cache(maxsize=8)\ndef f(x): pass", []),
+    ("@functools.lru_cache\ndef f(x): pass", []),
+    ("@cached_property\ndef f(self): pass", []),
+    # The singletons are exempt only by name and only without arguments.
+    ("@functools.cache\ndef _build_parser(): pass", []),
+    ("@functools.cache\ndef _build_parser(x): pass", [1]),
+    ("@functools.cache\ndef _scenario_dir(): pass", [1]),
+])
+def test_unbounded_caches_are_seen(source, lines):
+    assert unbounded_caches(Path("cli.py"), ast.parse(source)) == lines
