@@ -7,6 +7,7 @@ do all their arithmetic in ``Fraction``s; sympy checks the integer rank.
 
 import json
 import re
+import time
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations
@@ -595,6 +596,22 @@ def test_without_certificates_the_dims_are_the_same(monkeypatch):
             dims_from_ranks(full.betti, fresh_ranks(full, a), range(len(full.betti)))
             for a in points]
     assert dropped == 5
+
+
+@pytest.mark.parametrize("n", range(7, 13))
+def test_certificates_stay_cheap_on_larger_arrangements(n):
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)]
+    for algebra, certified in ((os_algebra_lines(n, pairs), True),
+                               (os_algebra_lines(n, [range(1, n + 1)]), False)):
+        start = time.perf_counter()
+        differential = IntegerDifferential(algebra, identity)
+        assert time.perf_counter() - start < 1.0
+        # A pencil's degree-1 elimination meets an entry of more than 64
+        # terms and stops there.
+        assert (differential.certificates[1] is not None) == certified
+        assert differential.dims([1] * n) == dims_from_ranks(
+            differential.betti, fresh_ranks(differential, [1] * n), range(3))
 
 
 def test_integer_rank_count_on_a_fixed_scan_set(monkeypatch):
