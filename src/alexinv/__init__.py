@@ -27,8 +27,6 @@ from .exact_kernel import (
     CyclotomicNumber,
     ExactMatrix,
     cyclotomic_poly,
-    det,
-    kernel_basis,
     rank,
 )
 from .invariant_pipeline import (

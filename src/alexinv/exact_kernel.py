@@ -1,11 +1,10 @@
 """Exact scalar arithmetic and exact dense linear algebra.
 
 Rationals are ``fractions.Fraction`` values: arbitrary precision, always in
-lowest terms, denominator positive.  Cyclotomic numbers are elements of
-``Q(zeta_N)`` stored as coefficient vectors of length ``phi(N)``, i.e. as the
-unique remainder of a polynomial in ``zeta_N`` modulo the N-th cyclotomic
-polynomial.  Reducing modulo the cyclotomic polynomial (rather than modulo
-``x^N - 1``) makes zero-testing and equality plain coefficient comparisons.
+lowest terms, denominator positive.  A :class:`CyclotomicNumber` is a value
+of ``Q(zeta_N)``, stored without field arithmetic as the ``phi(N)``
+coefficients of its remainder modulo the N-th cyclotomic polynomial, so that
+zero-testing is a plain coefficient comparison.
 
 Univariate polynomials inside this module are dense coefficient tuples with
 the constant term first.
@@ -103,18 +102,6 @@ def _trim(coeffs):
     return coeffs
 
 
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _trim(out)
-
-
 def _poly_divmod(num, den):
     """Exact division with remainder; works over any field scalars."""
     num = list(num)
@@ -138,52 +125,40 @@ def _poly_divmod(num, den):
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """The n-th cyclotomic polynomial as an integer coefficient tuple.
 
-    Computed by dividing ``x^n - 1`` by the cyclotomic polynomials of all
-    proper divisors of ``n``; the result is monic of degree ``phi(n)``.  The
-    last 256 are kept (no level up to 100000 has more than 128 divisors).
+    Built as the product of ``(x^d - 1)^mu(n/d)`` over the divisors ``d`` of
+    ``n`` with ``n/d`` squarefree: the factors with ``mu = 1`` are multiplied
+    in first and the others divided out exactly, each in one pass over the
+    coefficients.  The result is monic of degree ``phi(n)``.  The last 256
+    are kept.
     """
     if n < 1:
         raise ValueError("cyclotomic_poly() needs a positive integer")
-    poly = [0] * (n + 1)
-    poly[0], poly[n] = -1, 1
-    result = poly
-    for d in divisors(n)[:-1]:
-        quot, rem = _poly_divmod(result, list(cyclotomic_poly(d)))
-        if rem:
-            raise ArithmeticError(
-                f"cyclotomic polynomial {d} does not divide x^{n} - 1 exactly"
-            )
-        result = quot
-    return tuple(int(c) for c in result)
+    factors = [(n, 1)]  # (d, mu(n/d))
+    for p in divisors(n)[1:]:
+        if euler_phi(p) == p - 1:
+            factors += [(d // p, -mu) for d, mu in factors]
+    poly = [1]
+    for d, mu in sorted(factors, key=lambda factor: -factor[1]):
+        if mu > 0:
+            out = [-c for c in poly] + [0] * d
+            for i, c in enumerate(poly):
+                out[i + d] += c
+        else:
+            # q * (x^d - 1) = poly gives q[i] = q[i - d] - poly[i].
+            out = [-c for c in poly[: len(poly) - d]]
+            for i in range(d, len(out)):
+                out[i] += out[i - d]
+        poly = out
+    return tuple(poly)
 
 
-def _ext_gcd_poly(a, b):
-    """Extended Euclid over Fraction polynomials: g, u, v with u*a + v*b = g."""
-    r0, r1 = _trim(a), _trim(b)
-    u0, u1 = [Fraction(1)], []
-    v0, v1 = [], [Fraction(1)]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _trim([x - y for x, y in _zip_sub(u0, _poly_mul(q, u1))])
-        v0, v1 = v1, _trim([x - y for x, y in _zip_sub(v0, _poly_mul(q, v1))])
-    return r0, u0, v0
-
-
-def _zip_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return zip(a, b)
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CyclotomicNumber:
     """An element of Q(zeta_N), reduced modulo the N-th cyclotomic polynomial.
 
-    ``coeffs`` always has length ``phi(conductor)``.  Values with different
-    conductors compare (and combine) by lifting both to the lcm conductor via
-    the canonical embedding ``zeta_N = zeta_M ** (M // N)``.
+    ``coeffs`` always has length ``phi(conductor)``.  Equality and hashing
+    compare ``(conductor, coeffs)``, so one value written at two conductors
+    gives two unequal objects; :meth:`is_zero` holds at any conductor.
     """
 
     conductor: int
@@ -196,8 +171,6 @@ class CyclotomicNumber:
                 f"phi({self.conductor}) = {euler_phi(self.conductor)}"
             )
 
-    # -- construction -------------------------------------------------------
-
     @classmethod
     def _make(cls, conductor: int, coeffs) -> CyclotomicNumber:
         phi = euler_phi(conductor)
@@ -206,129 +179,8 @@ class CyclotomicNumber:
         rem = rem + [Fraction(0)] * (phi - len(rem))
         return cls(conductor, tuple(rem))
 
-    @classmethod
-    def zero(cls, conductor: int = 1) -> CyclotomicNumber:
-        return cls._make(conductor, [])
-
-    @classmethod
-    def one(cls, conductor: int = 1) -> CyclotomicNumber:
-        return cls._make(conductor, [Fraction(1)])
-
-    @classmethod
-    def from_rational(cls, value, conductor: int = 1) -> CyclotomicNumber:
-        return cls._make(conductor, [Fraction(value)])
-
-    @classmethod
-    def root_of_unity(cls, conductor: int, power: int = 1) -> CyclotomicNumber:
-        """``zeta_N ** power`` where ``zeta_N = exp(2*pi*i/N)``."""
-        power %= conductor
-        return cls._make(conductor, [Fraction(0)] * power + [Fraction(1)])
-
-    # -- representation helpers --------------------------------------------
-
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    def lift(self, conductor: int) -> CyclotomicNumber:
-        """Re-express in Q(zeta_M) for a multiple M of the conductor."""
-        if conductor % self.conductor:
-            raise ValueError("target conductor must be a multiple")
-        if conductor == self.conductor:
-            return self
-        step = conductor // self.conductor
-        poly = [Fraction(0)] * (len(self.coeffs) * step)
-        for i, c in enumerate(self.coeffs):
-            poly[i * step] = c
-        return CyclotomicNumber._make(conductor, poly)
-
-    def _paired(self, other):
-        if isinstance(other, CyclotomicNumber):
-            n = lcm(self.conductor, other.conductor)
-            return self.lift(n), other.lift(n)
-        if isinstance(other, (int, Fraction)):
-            return self, CyclotomicNumber.from_rational(other).lift(self.conductor)
-        return self, None
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other):
-        a, b = self._paired(other)
-        if b is None:
-            return NotImplemented
-        return CyclotomicNumber._make(
-            a.conductor, [x + y for x, y in zip(a.coeffs, b.coeffs)]
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CyclotomicNumber(self.conductor, tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        a, b = self._paired(other)
-        if b is None:
-            return NotImplemented
-        return a + (-b)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        a, b = self._paired(other)
-        if b is None:
-            return NotImplemented
-        return CyclotomicNumber._make(a.conductor, _poly_mul(a.coeffs, b.coeffs))
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> CyclotomicNumber:
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
-        modulus = [Fraction(c) for c in cyclotomic_poly(self.conductor)]
-        g, u, _ = _ext_gcd_poly(list(self.coeffs), modulus)
-        # The cyclotomic polynomial is irreducible over Q, so g is a nonzero
-        # constant.
-        if len(g) != 1:
-            raise ArithmeticError(
-                f"value shares a factor with cyclotomic polynomial {self.conductor}"
-            )
-        return CyclotomicNumber._make(self.conductor, [c / g[0] for c in u])
-
-    def __truediv__(self, other):
-        a, b = self._paired(other)
-        if b is None:
-            return NotImplemented
-        return a * b.inverse()
-
-    def __rtruediv__(self, other):
-        return self.inverse() * other
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CyclotomicNumber.from_rational(other)
-        if not isinstance(other, CyclotomicNumber):
-            return NotImplemented
-        a, b = self._paired(other)
-        return a.coeffs == b.coeffs
-
-    __hash__ = None  # values of equal magnitude may live at several conductors
-
-    def __repr__(self):
-        return f"CyclotomicNumber({self.conductor}, {self.coeffs})"
-
-    # -- serialization -------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "conductor": self.conductor,
-            "coeffs": [format_rational(c) for c in self.coeffs],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> CyclotomicNumber:
-        return cls._make(
-            int(data["conductor"]), [parse_rational(c) for c in data["coeffs"]]
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +189,9 @@ class CyclotomicNumber:
 
 @dataclass(frozen=True)
 class ExactMatrix:
-    """A dense row-major matrix of exact field elements.
+    """A dense row-major matrix of exact rationals.
 
-    Entries are either all Fractions or all cyclotomic numbers; mixing ints in
-    is fine since they coerce.
+    Entries are Fractions; mixing ints in is fine since they coerce.
     """
 
     rows: int
@@ -398,54 +249,6 @@ def rank(matrix: ExactMatrix) -> int:
     """Exact rank over the matrix's coefficient field."""
     rows = matrix.row_lists()
     return len(_rref(rows, matrix.cols))
-
-
-def kernel_basis(matrix: ExactMatrix) -> list[list]:
-    """A basis of the right null space, one vector per free column."""
-    rows = matrix.row_lists()
-    pivots = _rref(rows, matrix.cols)
-    pivot_set = set(pivots)
-    basis = []
-    for c in range(matrix.cols):
-        if c in pivot_set:
-            continue
-        vec = [Fraction(0)] * matrix.cols
-        vec[c] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            if rows[r][c] != 0:
-                vec[pc] = -rows[r][c]
-        basis.append(vec)
-    return basis
-
-
-def det(matrix: ExactMatrix):
-    """Exact determinant of a square matrix."""
-    if matrix.rows != matrix.cols:
-        raise DimensionError("determinant of a non-square matrix")
-    n = matrix.rows
-    if n == 0:
-        return Fraction(1)
-    rows = matrix.row_lists()
-    sign = 1
-    result = None
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return 0 * rows[0][0]
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            sign = -sign
-        pivot = rows[c][c]
-        result = pivot if result is None else result * pivot
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] / pivot
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return result if sign > 0 else -result
 
 
 def integer_vector(values) -> tuple[tuple[int, ...], int]:

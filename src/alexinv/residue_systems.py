@@ -48,9 +48,6 @@ class ResidueSystem:
                     f"expected {self.nparams}"
                 )
 
-    def labels(self) -> tuple[str, ...]:
-        return tuple(row.label for row in self.rows)
-
 
 def residues(system: ResidueSystem, alpha) -> list[tuple[str, Fraction]]:
     """All residues, labeled, in row order."""

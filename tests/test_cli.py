@@ -16,6 +16,7 @@ from alexinv import laurent_ring as lr
 from alexinv import residue_systems as rs
 from alexinv.cli import format_charpoly, main
 from alexinv.errors import DimensionError, LimitError
+from alexinv.exact_kernel import cyclotomic_poly
 from alexinv.laurent_ring import parse_poly
 
 
@@ -738,6 +739,22 @@ def test_steep_presentation_is_refused_at_once(tmp_path, capsys):
     assert (code, out) == (1, "")
     assert err == (
         "error: /matrix/0/0: degree span 100000000 is more than the limit of 64\n")
+
+
+def test_charpoly_of_a_high_degree_diagonal_is_quick(tmp_path, capsys):
+    # Delta_0 = (t^64 - 2)^4 has degree 256, so the cyclotomic trial
+    # division builds Phi_k for every k with phi(k) <= 256, from a cold cache.
+    path = tmp_path / "diagonal.json"
+    matrix = [["t^64-2" if i == j else "0" for j in range(4)] for i in range(4)]
+    path.write_text(json.dumps(
+        {"nvars": 1, "generators": 4, "relations": 4, "matrix": matrix}))
+    cyclotomic_poly.cache_clear()
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "module", "--presentation", str(path), "--op", "charpoly", "--i", "0")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert "results.charpoly: t^256-8*t^192+24*t^128-32*t^64+16" in out
 
 
 def _wide_scenario(n):

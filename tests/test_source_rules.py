@@ -10,9 +10,12 @@ so that a bug in the library is never reported as one.  The one catch-all is
 an internal error.  No ``functools.cache`` or ``lru_cache`` without a finite
 ``maxsize``: a long-lived library process would keep every value it ever
 cached.  The exceptions are zero-argument functions, which cache one value.
+Every function that ``perfbench/tracing.py`` wraps by name exists, so that
+deleting one cannot break a traced benchmark run.
 """
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -140,3 +143,25 @@ def test_catch_all_handlers_are_seen(handler, count):
 ])
 def test_unbounded_caches_are_seen(source, lines):
     assert unbounded_caches(Path("cli.py"), ast.parse(source)) == lines
+
+
+def traced_names() -> dict:
+    """``SPANS`` and ``COUNTED`` of ``perfbench/tracing.py``, read as literals."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return {target.id: ast.literal_eval(node.value)
+            for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name) and target.id in ("SPANS", "COUNTED")}
+
+
+def test_every_traced_function_resolves():
+    names = traced_names()
+    assert set(names) == {"SPANS", "COUNTED"} and names["SPANS"]
+    spans = {f"{module}.{function}" for module, function in names["SPANS"]}
+    missing = []
+    for module, function, *inside in names["SPANS"] + names["COUNTED"]:
+        if not callable(getattr(importlib.import_module(f"alexinv.{module}"), function, None)):
+            missing.append(f"{module}.{function}")
+        missing.extend(name for name in inside if name not in spans)
+    assert missing == []
