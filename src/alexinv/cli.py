@@ -33,13 +33,7 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .exact_kernel import (
-    cyclotomic_poly,
-    euler_phi,
-    format_rational,
-    parse_rational,
-)
-from .invariant_pipeline import compact_univariate
+from .exact_kernel import format_rational, parse_rational
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -134,42 +128,17 @@ def _parse_fraction_list(text: str, expect: int, what: str) -> tuple[Fraction, .
 
 
 def format_charpoly(poly: lr.LaurentPoly) -> str:
-    """Canonical text for a characteristic polynomial.
-
-    Univariate polynomials are factored over cyclotomic polynomials by trial
-    division, with complete ``t^e - 1`` groups recombined; whatever remains is
-    printed expanded.  Multivariate polynomials are printed expanded.
-    """
+    """Canonical text for a characteristic polynomial: univariate ones
+    factored over cyclotomic polynomials (``factor_cyclotomic``),
+    multivariate ones expanded."""
     if poly.is_zero:
         return "0"
     if poly.nvars != 1:
         return lr.format_poly(poly)
     work = lr.normalize_unit(poly)
-    original_degree = work.max_exponents()[0]
-    mults: dict[int, int] = {}
-    # phi(k) >= sqrt(k) for k > 6, so cyclotomic factors of a degree-d
-    # polynomial have index at most max(6, d^2).
-    for k in range(1, max(6, original_degree * original_degree) + 1):
-        if work.is_one:
-            break
-        if euler_phi(k) > work.max_exponents()[0]:
-            continue
-        coeffs = cyclotomic_poly(k)
-        phi_k = lr.LaurentPoly(1, {(e,): c for e, c in enumerate(coeffs)})
-        while True:
-            quotient = lr.divide_exact(work, phi_k)
-            if quotient is None:
-                break
-            work = lr.normalize_unit(quotient)
-            mults[k] = mults.get(k, 0) + 1
-    parts = pipeline.cyclotomic_factors(mults, range(1, original_degree + 1))
-    if not work.is_one:
-        degree = work.max_exponents()[0]
-        rest = compact_univariate(
-            [work.terms.get((e,), 0) for e in range(degree + 1)]
-        )
-        parts.append(f"({rest})" if parts else rest)
-    return "*".join(parts) if parts else "1"
+    degree = work.max_exponents()[0]
+    return pipeline.factor_cyclotomic(
+        [work.terms.get((e,), 0) for e in range(degree + 1)])
 
 
 # ---------------------------------------------------------------------------

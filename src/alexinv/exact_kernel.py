@@ -103,7 +103,8 @@ def _trim(coeffs):
 
 
 def _poly_divmod(num, den):
-    """Exact division with remainder; works over any field scalars."""
+    """Exact division with remainder over any field scalars, and by a monic
+    integer divisor, where integer quotients stay ``int``."""
     num = list(num)
     den = _trim(den)
     if not den:

@@ -38,6 +38,7 @@ from .errors import (
 )
 from .errors import fields, integers, load_json
 from .exact_kernel import (
+    _poly_divmod,
     cyclotomic_poly,
     divisors,
     format_rational,
@@ -243,15 +244,9 @@ class MonodromyPolynomial:
         """Map d -> multiplicity shared by all roots of primitive order d, or
         None when some primitive class carries unequal multiplicities."""
         out = {}
-        for d in divisors(self.order):
-            values = {
-                self.multiplicities[k]
-                for k in range(self.order)
-                if self.order // int_gcd(k, self.order) == d
-            }
-            if len(values) != 1:
+        for k, m in enumerate(self.multiplicities):
+            if out.setdefault(self.order // int_gcd(k, self.order), m) != m:
                 return None
-            out[d] = values.pop()
         return out
 
     def factored_str(self) -> str:
@@ -294,6 +289,42 @@ def cyclotomic_factors(mults: dict, exponents) -> list[str]:
         if c > 0
     ]
     return [base + (f"^{c}" if c > 1 else "") for base, c in bases]
+
+
+def factor_cyclotomic(coeffs) -> str:
+    """Factored text of a primitive integer polynomial in ``t`` (constant
+    first, positive leading coefficient, nonzero constant term).
+
+    Its cyclotomic factors are found by trial division, with complete
+    ``t^e - 1`` groups recombined; whatever remains is printed expanded.
+    Quotients by the monic ``Phi_k`` stay primitive (Gauss's lemma), so no
+    step renormalizes.
+    """
+    degree = len(coeffs) - 1
+    # phi(k) >= sqrt(k) for k > 6, so cyclotomic factors of a degree-d
+    # polynomial have index at most max(6, d^2).  Totients by sieve.
+    phi = list(range(max(6, degree * degree) + 1))
+    for p in range(2, len(phi)):
+        if phi[p] == p:
+            for m in range(p, len(phi), p):
+                phi[m] -= phi[m] // p
+    mults: dict[int, int] = {}
+    for k in range(1, len(phi)):
+        if len(coeffs) == 1:
+            break
+        if phi[k] >= len(coeffs):
+            continue
+        while True:
+            quot, rem = _poly_divmod(coeffs, cyclotomic_poly(k))
+            if rem:
+                break
+            coeffs = quot
+            mults[k] = mults.get(k, 0) + 1
+    parts = cyclotomic_factors(mults, range(1, degree + 1))
+    if coeffs != [1]:
+        rest = compact_univariate(coeffs)
+        parts.append(f"({rest})" if parts else rest)
+    return "*".join(parts) if parts else "1"
 
 
 def compact_univariate(coeffs) -> str:

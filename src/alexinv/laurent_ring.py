@@ -233,12 +233,6 @@ def _grlex_key(exps):
     return (sum(exps), exps)
 
 
-def _leading(p: LaurentPoly):
-    """Graded-lex leading (exponents, coefficient) of a nonzero polynomial."""
-    exps = max(p.terms, key=_grlex_key)
-    return exps, p.terms[exps]
-
-
 def _shift_to_ordinary(p: LaurentPoly) -> LaurentPoly:
     mins = p.min_exponents()
     if not any(mins):
@@ -260,7 +254,7 @@ def normalize_unit(p: LaurentPoly) -> LaurentPoly:
     integral = all(type(c) is int for c in coeffs)
     den = 1 if integral else int_lcm(*(c.denominator for c in coeffs))
     num = int_gcd(*(c.numerator * (den // c.denominator) for c in coeffs))
-    if _leading(q)[1] < 0:
+    if q.terms[max(q.terms, key=_grlex_key)] < 0:
         num = -num
     if integral and num == 1:
         return q
@@ -281,12 +275,15 @@ def _div_exact_ordinary(dividend: LaurentPoly, divisor: LaurentPoly):
     bound = tuple(map(sub, dividend.max_exponents(), divisor.max_exponents()))
     if min(bound) < 0:
         return None
-    lead_e, lead_c = _leading(divisor)
+    # An exact quotient is unique, so any monomial order finds it: plain
+    # tuple (lex) order needs no key function.
+    lead_e = max(divisor.terms)
+    lead_c = divisor.terms[lead_e]
     others = [(e, c) for e, c in divisor.terms.items() if e != lead_e]
     rem = dict(dividend.terms)
     quot = {}
     while rem:
-        r_e = max(rem, key=_grlex_key)
+        r_e = max(rem)
         diff = tuple(map(sub, r_e, lead_e))
         if min(diff) < 0 or any(map(int.__gt__, diff, bound)):
             return None

@@ -757,6 +757,22 @@ def test_charpoly_of_a_high_degree_diagonal_is_quick(tmp_path, capsys):
     assert "results.charpoly: t^256-8*t^192+24*t^128-32*t^64+16" in out
 
 
+def test_charpoly_of_a_degree_384_diagonal_is_quick(tmp_path, capsys):
+    # (t^64 - 2)^6 has degree 384: 759 indices k have phi(k) <= 384, each
+    # a trial division on the dense coefficients, from a cold cache.
+    path = tmp_path / "diagonal.json"
+    matrix = [["t^64-2" if i == j else "0" for j in range(6)] for i in range(6)]
+    path.write_text(json.dumps(
+        {"nvars": 1, "generators": 6, "relations": 6, "matrix": matrix}))
+    cyclotomic_poly.cache_clear()
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "module", "--presentation", str(path), "--op", "charpoly", "--i", "0")
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert "results.charpoly: t^384-12*t^320+60*t^256-160*t^192" in out
+
+
 def _wide_scenario(n):
     """The torus's parameters and residue rows over ``n`` labels in degrees
     1 and 2 and no products: a differential of ``2 * (n + n * n)`` cells."""

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -134,6 +135,15 @@ def test_monodromy_formatting_fallback_and_leftovers():
     assert primitive_only.factored_str() == "(t^2+1)"
     trivial = MonodromyPolynomial(3, (0, 0, 0))
     assert trivial.factored_str() == "1"
+
+
+def test_monodromy_of_a_large_order_formats_quickly():
+    # 83160 has 128 divisors: its roots are grouped in one pass, not one
+    # pass per divisor.
+    full = MonodromyPolynomial(83160, (1,) * 83160)
+    start = time.perf_counter()
+    assert full.factored_str() == "(t^83160-1)"
+    assert time.perf_counter() - start < 0.5
 
 
 def test_projective_points_examples():

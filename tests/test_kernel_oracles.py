@@ -1,18 +1,20 @@
 """The Laurent-ring and module kernels against independent oracles.
 
-sympy decides divisibility, gcds and determinants; ``evaluate_at_torsion``
-(exact arithmetic in Q(zeta_N)) decides vanishing at torsion points.
+sympy decides divisibility, gcds, determinants and cyclotomic factors;
+``evaluate_at_torsion`` (exact arithmetic in Q(zeta_N)) decides vanishing at
+torsion points.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import combinations
 from math import gcd as int_gcd
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alexinv import alexander_modules as am
@@ -29,7 +31,9 @@ from alexinv.alexander_modules import (
     presentation_to_dict,
     support_scan,
 )
+from alexinv.cli import format_charpoly
 from alexinv.errors import DimensionError
+from alexinv.invariant_pipeline import MonodromyPolynomial
 from alexinv.laurent_ring import (
     LaurentPoly,
     TorsionPoint,
@@ -511,3 +515,103 @@ def test_coefficient_types_on_explicit_cases():
             parse_poly("t^4 + 2*t^3 - t^2 - 4*t - 2", 1))
     assert g == parse_poly("t + 1", 1)
     assert_exact(g, True)
+
+
+# ---------------------------------------------------------------------------
+# Cyclotomic factoring of univariate charpolys and Milnor roots.
+
+FACTOR = re.compile(r"\(([^()]*)\)(?:\^(\d+))?")
+T = sympy.Symbol("t")
+
+
+def integer_poly(p: LaurentPoly) -> sympy.Poly:
+    """A univariate polynomial with ``int`` coefficients as a sympy one."""
+    return sympy.Poly.from_dict({e: int(c) for (e,), c in p.terms.items()}, T)
+
+
+def printed_factors(text: str) -> list:
+    """``(base, power)`` pairs of a parenthesized ``format_charpoly`` text,
+    each base parsed back with ``parse_poly``."""
+    matches = list(FACTOR.finditer(text))
+    assert "*".join(m.group() for m in matches) == text
+    return [(integer_poly(parse_poly(m.group(1), 1)), int(m.group(2) or 1))
+            for m in matches]
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 60), st.integers(1, 2)), max_size=3),
+    st.lists(st.integers(-5, 5), max_size=5),
+    st.sampled_from([1, -1, 2, -3, F(1, 2), F(-2, 3)]),
+    st.integers(-4, 4),
+)
+@example([(1, 1), (2, 1)], [], 1, 0)  # t^2 - 1, one complete group
+@example([(1, 2), (2, 1), (3, 1)], [1, 1], 1, 0)  # Phi_2 again inside g
+@example([(4, 1)], [0, 2, 0, 2], -3, 2)  # Phi_4 again inside g
+@example([], [1, 0, 3], 1, 0)  # no cyclotomic factor
+@example([], [7], -1, 0)  # a unit: prints "1"
+def test_format_charpoly_factors_match_sympy(cyclotomic, g, unit, shift):
+    f = sympy.Poly(g[::-1] if any(g) else [1], T) * sympy.Rational(
+        unit.numerator, unit.denominator)
+    for k, m in cyclotomic:
+        f *= sympy.cyclotomic_poly(k, T, polys=True) ** m
+    poly = LaurentPoly(1, {(e + shift,): F(int(c.p), int(c.q))
+                           for (e,), c in f.terms()})
+    normal = integer_poly(normalize_unit(poly))
+    text = format_charpoly(poly)
+    # sympy's split of the normal form: its cyclotomic irreducible factors,
+    # and the product of the others (1 when there are none).
+    content, irreducibles = sympy.factor_list(normal)
+    cyclotomic_part = sympy.Poly(1, T)
+    rest = sympy.Poly(content, T)
+    for p, m in irreducibles:
+        if p.is_cyclotomic:
+            cyclotomic_part *= p ** m
+        else:
+            rest *= p ** m
+    if "(" not in text:  # the rest alone, printed bare
+        assert cyclotomic_part.is_one
+        assert integer_poly(parse_poly(text, 1)) == rest
+        return
+    factors = printed_factors(text)
+    if not rest.is_one:  # printed last, in parentheses
+        assert factors.pop() == (rest, 1)
+    product = sympy.Poly(1, T)
+    for base, power in factors:
+        assert base.is_cyclotomic or base == sympy.Poly(T ** base.degree() - 1, T)
+        product *= base ** power
+    assert product == cyclotomic_part
+
+
+def primitive_order(k: int, order: int) -> int:
+    """The least ``d`` with ``d * k = 0 mod order``: the order of the root
+    ``exp(2 pi i k / order)``."""
+    return next(d for d in range(1, order + 1) if d * k % order == 0)
+
+
+def brute_multiplicity_by_root_order(order: int, multiplicities) -> dict | None:
+    classes = {}
+    for k, m in enumerate(multiplicities):
+        classes.setdefault(primitive_order(k, order), set()).add(m)
+    if any(len(values) > 1 for values in classes.values()):
+        return None
+    return {d: values.pop() for d, values in classes.items()}
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    st.integers(1, 120),
+    st.lists(st.integers(0, 3), min_size=120, max_size=120),
+    st.none() | st.tuples(st.integers(0, 119), st.integers(1, 2)),
+)
+@example(6, [1] * 120, (4, 1))  # 2/6 and 4/6 both have order 3: unequal
+@example(12, [2, 1, 0, 3, 0, 1] + [0] * 114, None)  # one value per class
+def test_multiplicity_by_root_order_matches_brute_grouping(order, by_class, bump):
+    """Multiplicities constant on each class of roots of one order, and
+    with ``bump`` one root moved off its class's multiplicity."""
+    multiplicities = [by_class[primitive_order(k, order) - 1] for k in range(order)]
+    if bump is not None:
+        multiplicities[bump[0] % order] += bump[1]
+    poly = MonodromyPolynomial(order, tuple(multiplicities))
+    assert poly.multiplicity_by_root_order() == brute_multiplicity_by_root_order(
+        order, multiplicities)
