@@ -292,8 +292,8 @@ def cyclotomic_factors(mults: dict, exponents) -> list[str]:
 
 
 def factor_cyclotomic(coeffs) -> str:
-    """Factored text of a primitive integer polynomial in ``t`` (constant
-    first, positive leading coefficient, nonzero constant term).
+    """Factored text of a primitive integer polynomial in ``t``, constant
+    first, with a positive leading coefficient (``normalize_unit``'s form).
 
     Its cyclotomic factors are found by trial division, with complete
     ``t^e - 1`` groups recombined; whatever remains is printed expanded.
