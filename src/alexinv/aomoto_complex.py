@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import gcd, lcm, prod
 from operator import mul
@@ -55,8 +56,6 @@ class GradedAlgebra:
     basis: tuple
     products: ProductTable
     _where: dict = field(init=False, repr=False, compare=False)
-    _identity: IntegerDifferential | None = field(  # built by cohomology_dims
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.basis = tuple(tuple(labels) for labels in self.basis)
@@ -102,6 +101,15 @@ class GradedAlgebra:
         if self.degree_of(other_label) == 0:
             return {one_label: Fraction(1)}
         return self.products.get((one_label, other_label), {})
+
+    @cached_property
+    def differential(self) -> IntegerDifferential:
+        """The differential for the identity ``omega_map``, whose parameters
+        are the one-form's own coefficients; built on first use by
+        :func:`cohomology_dims`."""
+        n = self.dim(1)
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        return IntegerDifferential(self, identity)
 
 
 @dataclass(frozen=True)
@@ -399,10 +407,6 @@ class IntegerDifferential:
             out.append(tuple([b - ranks[i] - ranks[j] for b, i, j in plan]))
         return out
 
-    def dims(self, a, degrees=None) -> tuple[int, ...]:
-        """:meth:`dims_many` at the one parameter vector ``a``."""
-        return self.dims_many((a,), degrees)[0]
-
 
 def cohomology_dims(algebra: GradedAlgebra, omega: OneForm) -> tuple[int, ...]:
     """Dimensions ``b_0 .. b_top`` of the complex ``(A, omega ^ .)``.
@@ -413,11 +417,7 @@ def cohomology_dims(algebra: GradedAlgebra, omega: OneForm) -> tuple[int, ...]:
     if algebra.top_degree >= 1 and len(omega.coeffs) != algebra.dim(1):
         raise DimensionError("one-form length does not match the degree-1 basis")
     coeffs, _ = integer_vector(omega.coeffs)
-    if algebra._identity is None:
-        n = algebra.dim(1)
-        identity = [[int(i == j) for j in range(n)] for i in range(n)]
-        algebra._identity = IntegerDifferential(algebra, identity)
-    return algebra._identity.dims(coeffs)
+    return algebra.differential.dims_many((coeffs,))[0]
 
 
 def betti_vector(algebra: GradedAlgebra) -> tuple[int, ...]:

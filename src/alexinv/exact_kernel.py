@@ -103,23 +103,33 @@ def _trim(coeffs):
 
 
 def _poly_divmod(num, den):
-    """Exact division with remainder over any field scalars, and by a monic
-    integer divisor, where integer quotients stay ``int``."""
+    """Exact division with remainder by a monic integer divisor, over any
+    scalars of ``num``; integer quotients stay ``int``."""
     num = list(num)
     den = _trim(den)
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
+    if den[-1] != 1:
+        raise ValueError("polynomial division by a divisor that is not monic")
     quot = [0] * max(0, len(num) - len(den) + 1)
-    lead = den[-1]
     for k in range(len(num) - len(den), -1, -1):
         c = num[k + len(den) - 1]
         if c == 0:
             continue
-        q = c / lead if lead != 1 else c
-        quot[k] = q
+        quot[k] = c
         for j, d in enumerate(den):
-            num[k + j] -= q * d
+            num[k + j] -= c * d
     return _trim(quot), _trim(num)
+
+
+def mobius_pairs(n: int) -> list[tuple[int, int]]:
+    """The pairs ``(d, mu(n/d))`` over the divisors ``d`` of ``n`` with
+    ``n/d`` squarefree, so that ``Phi_n = prod (x^d - 1)^mu(n/d)``."""
+    pairs = [(n, 1)]
+    for p in divisors(n)[1:]:
+        if euler_phi(p) == p - 1:
+            pairs += [(d // p, -mu) for d, mu in pairs]
+    return pairs
 
 
 @lru_cache(maxsize=256)
@@ -134,12 +144,8 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """
     if n < 1:
         raise ValueError("cyclotomic_poly() needs a positive integer")
-    factors = [(n, 1)]  # (d, mu(n/d))
-    for p in divisors(n)[1:]:
-        if euler_phi(p) == p - 1:
-            factors += [(d // p, -mu) for d, mu in factors]
     poly = [1]
-    for d, mu in sorted(factors, key=lambda factor: -factor[1]):
+    for d, mu in sorted(mobius_pairs(n), key=lambda factor: -factor[1]):
         if mu > 0:
             out = [-c for c in poly] + [0] * d
             for i, c in enumerate(poly):
@@ -175,8 +181,7 @@ class CyclotomicNumber:
     @classmethod
     def _make(cls, conductor: int, coeffs) -> CyclotomicNumber:
         phi = euler_phi(conductor)
-        modulus = [Fraction(c) for c in cyclotomic_poly(conductor)]
-        _, rem = _poly_divmod([Fraction(c) for c in coeffs], modulus)
+        _, rem = _poly_divmod([Fraction(c) for c in coeffs], cyclotomic_poly(conductor))
         rem = rem + [Fraction(0)] * (phi - len(rem))
         return cls(conductor, tuple(rem))
 

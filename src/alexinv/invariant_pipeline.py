@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd as int_gcd
+from math import gcd as int_gcd, prod
 from operator import mul
 from pathlib import Path
 
@@ -43,6 +43,7 @@ from .exact_kernel import (
     divisors,
     format_rational,
     integer_vector,
+    mobius_pairs,
     parse_rational,
 )
 from .laurent_ring import TorsionPoint, torsion_grid
@@ -101,24 +102,15 @@ class Scenario:
         return min(bound, self.max_shift)
 
     @cached_property
-    def compiled(self) -> CompiledScenario:
-        """The integer form of this scenario, built on first use."""
-        return CompiledScenario(self)
+    def differential(self) -> IntegerDifferential:
+        """The differentials as integer tensors, built on first use and
+        reused for every residue class asked about.
 
-
-class CompiledScenario:
-    """A scenario in integer form, built once and reused for every residue
-    class that the pipeline asks about.
-
-    Residue classes arrive over a common denominator, ``beta = n / L``.  The
-    residue rows are kept as an integer matrix for the admissibility search,
-    and the differentials as integer tensors evaluated at ``L * alpha``:
-    scaling the one-form by ``L`` changes no cohomology dimension.
-    """
-
-    def __init__(self, scenario: Scenario):
-        self.rows = tuple(row.coeffs for row in scenario.residue_system.rows)
-        self.differential = IntegerDifferential(scenario.algebra, scenario.omega_map)
+        Residue classes arrive over a common denominator, ``beta = n / L``,
+        and the tensors are evaluated at ``L * alpha``: scaling the one-form
+        by ``L`` changes no cohomology dimension.
+        """
+        return IntegerDifferential(self.algebra, self.omega_map)
 
 
 def _scaled(numerators, shift, denominator: int):
@@ -144,7 +136,7 @@ def cohomology_at(scenario: Scenario, alpha) -> tuple[int, ...]:
             f"alpha has length {len(alpha)}, expected {scenario.nparams}"
         )
     scaled, _ = integer_vector(alpha)
-    return scenario.compiled.differential.dims(scaled)
+    return scenario.differential.dims_many((scaled,))[0]
 
 
 def twisted_cohomology(scenario: Scenario, beta, bound: int = 3) -> tuple[int, ...]:
@@ -195,10 +187,8 @@ def charvar_scan(
         )
     grid = tuple(torsion_grid(level, scenario.nparams))
     bound = scenario.effective_bound(bound)
-    compiled = scenario.compiled
-    shifts = admissible_shifts(
-        compiled.rows, [point.numerators for point in grid], level, bound
-    )
+    rows = [row.coeffs for row in scenario.residue_system.rows]
+    shifts = admissible_shifts(rows, [point.numerators for point in grid], level, bound)
     admissible, scaled, inconclusive = [], [], []
     for point, shift in zip(grid, shifts):
         if shift is None:
@@ -208,7 +198,7 @@ def charvar_scan(
             scaled.append(_scaled(point.numerators, shift, level))
     by_dimension: dict = {}
     for point, (dim,) in zip(
-        admissible, compiled.differential.dims_many(scaled, (degree,))
+        admissible, scenario.differential.dims_many(scaled, (degree,))
     ):
         by_dimension.setdefault(dim, []).append(point)
     by_dimension = {
@@ -298,7 +288,8 @@ def factor_cyclotomic(coeffs) -> str:
     Its cyclotomic factors are found by trial division, with complete
     ``t^e - 1`` groups recombined; whatever remains is printed expanded.
     Quotients by the monic ``Phi_k`` stay primitive (Gauss's lemma), so no
-    step renormalizes.
+    step renormalizes.  A division is tried only when ``Phi_k(2)`` divides
+    ``f(2)`` for the remaining ``f``, which ``Phi_k | f`` implies.
     """
     degree = len(coeffs) - 1
     # phi(k) >= sqrt(k) for k > 6, so cyclotomic factors of a degree-d
@@ -308,17 +299,24 @@ def factor_cyclotomic(coeffs) -> str:
         if phi[p] == p:
             for m in range(p, len(phi), p):
                 phi[m] -= phi[m] // p
+    at_two = 0
+    for c in reversed(coeffs):
+        at_two = 2 * at_two + c
     mults: dict[int, int] = {}
     for k in range(1, len(phi)):
         if len(coeffs) == 1:
             break
         if phi[k] >= len(coeffs):
             continue
-        while True:
+        pairs = mobius_pairs(k)
+        phi_k_at_two = prod(2**d - 1 for d, mu in pairs if mu > 0) // prod(
+            2**d - 1 for d, mu in pairs if mu < 0)
+        while at_two % phi_k_at_two == 0:
             quot, rem = _poly_divmod(coeffs, cyclotomic_poly(k))
             if rem:
                 break
             coeffs = quot
+            at_two //= phi_k_at_two
             mults[k] = mults.get(k, 0) + 1
     parts = cyclotomic_factors(mults, range(1, degree + 1))
     if coeffs != [1]:
@@ -362,14 +360,14 @@ def milnor_charpoly(scenario: Scenario, m: int, bound: int = 3) -> MonodromyPoly
     if order > cap:
         raise LimitError(f"Milnor order {order} is more than the limit of {cap}")
     bound = scenario.effective_bound(bound)
-    compiled = scenario.compiled
+    rows = [row.coeffs for row in scenario.residue_system.rows]
     points = [(k,) * scenario.nparams for k in range(order)]
-    shifts = admissible_shifts(compiled.rows, points, order, bound)
+    shifts = admissible_shifts(rows, points, order, bound)
     # The first k without a representative stops the polynomial, but only
     # after every k before it: a nonzero square there is raised first.
     stop = shifts.index(None) if None in shifts else order
     scaled = [_scaled(a, shift, order) for a, shift in zip(points[:stop], shifts)]
-    mults = [dim for (dim,) in compiled.differential.dims_many(scaled, (m,))]
+    mults = [dim for (dim,) in scenario.differential.dims_many(scaled, (m,))]
     if stop < order:
         raise InconclusiveSearchError(
             equimonodromic_beta(order, stop, scenario.nparams), bound, scenario.name

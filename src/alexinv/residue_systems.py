@@ -159,11 +159,6 @@ def _first_unblocked(order, blocking):
     return None
 
 
-def admissible_shift(rows, numerators, denominator: int, bound: int):
-    """:func:`admissible_shifts` for the one point ``numerators``."""
-    return admissible_shifts(rows, (numerators,), denominator, bound)[0]
-
-
 def admissible_search(system: ResidueSystem, beta, bound: int = 3):
     """First admissible ``alpha`` congruent to ``beta`` mod 1 inside the shift
     box, or None.  Absence does not certify non-admissibility."""
@@ -174,7 +169,7 @@ def admissible_search(system: ResidueSystem, beta, bound: int = 3):
         )
     numerators, denominator = integer_vector(beta)
     rows = [row.coeffs for row in system.rows]
-    shift = admissible_shift(rows, numerators, denominator, bound)
+    shift = admissible_shifts(rows, (numerators,), denominator, bound)[0]
     if shift is None:
         return None
     return tuple(b + k for b, k in zip(beta, shift))

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -243,16 +244,29 @@ def test_cohomology_dims_reuses_one_identity_differential(algebra_41):
     forms = [random_oneform(rng, algebra.dim(1)) for _ in range(12)]
     forms.append(OneForm((F(-4, 5), F(1, 5), F(1, 5))))
     first = [cohomology_dims(algebra, omega) for omega in forms]
-    built = algebra._identity
+    built = vars(algebra).get("differential")
     assert built is not None
     assert [cohomology_dims(algebra, omega) for omega in forms] == first
-    assert algebra._identity is built
+    assert algebra.differential is built
     n = algebra.dim(1)
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
     assert first == [
-        IntegerDifferential(pristine, identity).dims(integer_vector(omega.coeffs)[0])
+        IntegerDifferential(pristine, identity).dims_many(
+            (integer_vector(omega.coeffs)[0],))[0]
         for omega in forms
     ]
-    assert pristine._identity is None
+    assert "differential" not in vars(pristine)
     assert algebra == pristine and repr(algebra) == repr(pristine)
     assert algebra_to_dict(algebra) == algebra_to_dict(pristine)
+
+
+def test_the_identity_differential_is_no_field_of_the_algebra(algebra_41):
+    names = [f.name for f in dataclasses.fields(GradedAlgebra)]
+    assert names == ["top_degree", "basis", "products", "_where"]
+    algebra = algebra_from_dict(algebra_to_dict(algebra_41))
+    pristine = dataclasses.asdict(algebra)
+    assert "differential" not in vars(algebra)
+    cohomology_dims(algebra, OneForm((F(-4, 5), F(1, 5), F(1, 5))))
+    assert isinstance(vars(algebra)["differential"], IntegerDifferential)
+    assert dataclasses.asdict(algebra) == pristine
+

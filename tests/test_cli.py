@@ -773,6 +773,22 @@ def test_charpoly_of_a_degree_384_diagonal_is_quick(tmp_path, capsys):
     assert "results.charpoly: t^384-12*t^320+60*t^256-160*t^192" in out
 
 
+def test_charpoly_of_a_degree_512_diagonal_is_quick(tmp_path, capsys):
+    # (t^64 - 2)^8 has degree 512: 1005 indices k have phi(k) <= 512.  Only
+    # those with Phi_k(2) dividing f(2) = (2^64 - 2)^8 get a trial division.
+    path = tmp_path / "diagonal.json"
+    matrix = [["t^64-2" if i == j else "0" for j in range(8)] for i in range(8)]
+    path.write_text(json.dumps(
+        {"nvars": 1, "generators": 8, "relations": 8, "matrix": matrix}))
+    cyclotomic_poly.cache_clear()
+    start = time.perf_counter()
+    code, out, _ = run_cli(
+        capsys, "module", "--presentation", str(path), "--op", "charpoly", "--i", "0")
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert "results.charpoly: t^512-16*t^448+112*t^384-448*t^320" in out
+
+
 def _wide_scenario(n):
     """The torus's parameters and residue rows over ``n`` labels in degrees
     1 and 2 and no products: a differential of ``2 * (n + n * n)`` cells."""
@@ -958,11 +974,11 @@ def test_commands_leave_the_shared_inputs_unchanged(
     with open(bivariate_presentation, "rb") as handle:
         pres = cli._decode(am.presentation_from_json, handle.read())
     assert cli._decode.cache_info().misses == 2
-    # The compiled form built by the first call that needed it is kept.
-    assert "compiled" in vars(scenario)
-    compiled = scenario.compiled
+    # The differential built by the first call that needed it is kept.
+    assert "differential" in vars(scenario)
+    differential = scenario.differential
     assert [run_cli(capsys, *argv) for argv in calls] == first
-    assert scenario.compiled is compiled
+    assert scenario.differential is differential
     fresh = pipeline.load_scenario(str(local))
     assert scenario == fresh and scenario is not fresh
     assert pipeline.scenario_to_dict(scenario) == pipeline.scenario_to_dict(fresh)

@@ -42,7 +42,6 @@ from alexinv.laurent_ring import torsion_grid
 from alexinv.residue_systems import (
     ResidueRow,
     ResidueSystem,
-    admissible_shift,
     admissible_shifts,
     is_admissible,
     shift_vectors,
@@ -162,10 +161,10 @@ def test_integer_admissibility_agrees_with_is_admissible(problem, bound):
     common = extra * lcm(*(b.denominator for b in beta))
     numerators = tuple(int(b * common) for b in beta)
 
-    zero_shift = admissible_shift(rows, numerators, common, 0)
+    zero_shift = admissible_shifts(rows, (numerators,), common, 0)[0]
     assert (zero_shift is not None) == is_admissible(system, beta)
 
-    shift = admissible_shift(rows, numerators, common, bound)
+    shift = admissible_shifts(rows, (numerators,), common, bound)[0]
     expected = reference_representative(system, beta, bound)
     got = None if shift is None else tuple(b + k for b, k in zip(beta, shift))
     assert got == expected
@@ -207,7 +206,7 @@ def test_batch_search_agrees_with_the_reference_at_every_point(problem, bound):
     for point, shift in zip(grid, shifts):
         got = None if shift is None else tuple(b + k for b, k in zip(point.beta, shift))
         assert got == reference_representative(system, point.beta, bound)
-        assert shift == admissible_shift(rows, point.numerators, level, bound)
+        assert shift == admissible_shifts(rows, (point.numerators,), level, bound)[0]
 
 
 def test_each_blocking_pattern_is_searched_once_per_call(monkeypatch):
@@ -219,7 +218,8 @@ def test_each_blocking_pattern_is_searched_once_per_call(monkeypatch):
         return first_unblocked(order, blocking)
 
     monkeypatch.setattr(residue_systems, "_first_unblocked", counting)
-    rows = load_bundled_scenario("example_4_1").compiled.rows
+    system = load_bundled_scenario("example_4_1").residue_system
+    rows = [row.coeffs for row in system.rows]
     points = [p.numerators for p in torsion_grid(12, 3)]
     shifts = admissible_shifts(rows, points, 12, 3)
     blocked = [
@@ -227,7 +227,7 @@ def test_each_blocking_pattern_is_searched_once_per_call(monkeypatch):
         if any(sum(r * x for r, x in zip(row, n)) % 12 == 0 for row in rows)
     ]
     assert len(set(searched)) == len(searched) < len(blocked) < len(points)
-    assert shifts == [admissible_shift(rows, n, 12, 3) for n in points]
+    assert shifts == [admissible_shifts(rows, (n,), 12, 3)[0] for n in points]
 
 
 @st.composite
@@ -337,7 +337,8 @@ def test_square_check_through_a_rational_omega_map():
                 tuple(sum(a[i] * omega_map[i][j] for i in range(2)) for j in range(3))
             )
             expected = reference_first_nonzero_square(algebra, omega)
-            dims, degree = compiled_first_nonzero_square(lambda: compiled.dims(a))
+            dims, degree = compiled_first_nonzero_square(
+                lambda: compiled.dims_many((a,))[0])
             assert degree == expected
             if expected is None:
                 assert dims == reference_dims(algebra, omega)
@@ -346,7 +347,7 @@ def test_square_check_through_a_rational_omega_map():
 @pytest.mark.parametrize("name", bundled_scenario_names())
 def test_square_check_never_fires_on_bundled_scenarios(name):
     scenario = load_bundled_scenario(name)
-    assert scenario.compiled.differential.squares == []
+    assert scenario.differential.squares == []
     rng = make_rng(11)
     for _ in range(40):
         alpha = tuple(random_fraction(rng) for _ in range(scenario.nparams))
@@ -363,7 +364,7 @@ def test_square_check_never_fires_on_bundled_scenarios(name):
 def warm_differential(name):
     """One differential per bundled scenario, shared by every draw, so that
     later draws hit ranks that earlier ones stored."""
-    return load_bundled_scenario(name).compiled.differential
+    return load_bundled_scenario(name).differential
 
 
 def fresh_ranks(differential, a):
@@ -401,8 +402,8 @@ def test_memoised_dims_agree_with_fresh_ranks_on_every_multiple(name, data):
         for degrees in degree_sets:
             expected = dims_from_ranks(
                 differential.betti, ranks, range(top) if degrees is None else degrees)
-            assert differential.dims(scaled, degrees) == expected
-            assert differential.dims(tuple(scaled), degrees) == expected
+            assert differential.dims_many((scaled,), degrees)[0] == expected
+            assert differential.dims_many((tuple(scaled),), degrees)[0] == expected
     for degrees in degree_sets:
         expected = dims_from_ranks(
             differential.betti, sympy_ranks, range(top) if degrees is None else degrees)
@@ -417,27 +418,27 @@ def test_invalid_algebra_raises_on_every_repeat_call():
         nonassociative_algebra(), [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     # a = 0 lies on the zero set of every certificate, so its ranks are
     # computed and kept.
-    assert differential.dims([0, 0, 0]) == differential.betti
+    assert differential.dims_many(([0, 0, 0],))[0] == differential.betti
     stored = dict(differential.ranks)
     assert len(stored) == 3
     for a in ([1, 1, 1], [2, 2, 2], [1, 1, 1], [-3, -3, -3]):
         for degrees in (None, (0,), (3,)):
             with pytest.raises(InconsistentDifferentialError, match="from degree 1"):
-                differential.dims(a, degrees)
+                differential.dims_many((a,), degrees)[0]
     assert differential.ranks == stored
 
 
 def test_rank_memo_stays_within_its_cap(monkeypatch):
     monkeypatch.setattr(aomoto_complex, "MAX_RANK_MEMO", 5)
     scenario = load_bundled_scenario("example_4_2")
-    differential = scenario.compiled.differential
+    differential = scenario.differential
     cold = IntegerDifferential(scenario.algebra, scenario.omega_map)
     rng = make_rng(5)
     sizes = set()
     for _ in range(200):
         a = on_a_zero_set(differential, [rng.randint(-6, 6) for _ in range(3)], rng)
         degrees = rng.choice([None, (0,), (1,), (2,), (1, 2)])
-        assert differential.dims(a, degrees) == dims_from_ranks(
+        assert differential.dims_many((a,), degrees)[0] == dims_from_ranks(
             cold.betti, fresh_ranks(cold, a),
             range(3) if degrees is None else degrees)
         sizes.add(len(differential.ranks))
@@ -610,7 +611,7 @@ def test_certificates_stay_cheap_on_larger_arrangements(n):
         # A pencil's degree-1 elimination meets an entry of more than 64
         # terms and stops there.
         assert (differential.certificates[1] is not None) == certified
-        assert differential.dims([1] * n) == dims_from_ranks(
+        assert differential.dims_many(([1] * n,))[0] == dims_from_ranks(
             differential.betti, fresh_ranks(differential, [1] * n), range(3))
 
 

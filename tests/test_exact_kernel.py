@@ -8,6 +8,7 @@ from alexinv.exact_kernel import (
     MAX_RATIONAL_DIGITS,
     CyclotomicNumber,
     ExactMatrix,
+    _poly_divmod,
     cyclotomic_poly,
     divisors,
     euler_phi,
@@ -61,6 +62,16 @@ def test_cyclotomic_poly_matches_sympy_up_to_400():
     for n in range(1, 401):
         expected = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
         assert cyclotomic_poly(n) == tuple(expected)
+
+
+def test_poly_divmod_divides_by_monic_polynomials_only():
+    assert _poly_divmod([-1, 0, 0, 1], cyclotomic_poly(1)) == ([1, 1, 1], [])
+    assert _poly_divmod([F(1, 2), 0, 1], (1, 1)) == ([-1, 1], [F(3, 2)])
+    for den in ((1, 2), (0, -1), (3,)):
+        with pytest.raises(ValueError, match="not monic"):
+            _poly_divmod([1, 2, 3], den)
+    with pytest.raises(ZeroDivisionError):
+        _poly_divmod([1, 2, 3], (0, 0))
 
 
 def test_rank_examples():

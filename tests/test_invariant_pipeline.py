@@ -29,6 +29,7 @@ from alexinv.invariant_pipeline import (
 )
 from alexinv.laurent_ring import TorsionPoint, parse_poly, torsion_grid
 from alexinv.residue_systems import is_admissible, shift_vectors
+from test_alexander_modules import round_trips
 
 F = Fraction
 
@@ -249,6 +250,18 @@ def test_scenario_json_round_trip(sc41, sc53):
     for scenario in (sc41, sc53):
         again = scenario_from_dict(scenario_to_dict(scenario))
         assert again == scenario
+
+
+def test_a_compiled_scenario_pickles_and_copies():
+    scenario = load_bundled_scenario("example_4_1")
+    assert "differential" not in vars(scenario)
+    scans = [charvar_scan(scenario, 4, d) for d in (1, 2)]
+    milnor = [milnor_charpoly(scenario, m) for m in (0, 1, 2)]
+    assert "differential" in vars(scenario)
+    for again in round_trips(scenario):
+        assert again == scenario
+        assert [charvar_scan(again, 4, d) for d in (1, 2)] == scans
+        assert [milnor_charpoly(again, m) for m in (0, 1, 2)] == milnor
 
 
 def test_scenario_schema_errors(sc41):

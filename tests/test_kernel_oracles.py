@@ -33,7 +33,7 @@ from alexinv.alexander_modules import (
 )
 from alexinv.cli import format_charpoly
 from alexinv.errors import DimensionError
-from alexinv.invariant_pipeline import MonodromyPolynomial
+from alexinv.invariant_pipeline import MonodromyPolynomial, factor_cyclotomic
 from alexinv.laurent_ring import (
     LaurentPoly,
     TorsionPoint,
@@ -581,6 +581,40 @@ def test_format_charpoly_factors_match_sympy(cyclotomic, g, unit, shift):
         assert base.is_cyclotomic or base == sympy.Poly(T ** base.degree() - 1, T)
         product *= base ** power
     assert product == cyclotomic_part
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 60), st.integers(1, 2)), max_size=3),
+    st.integers(1, 3),
+    st.lists(st.integers(-5, 5), max_size=4),
+)
+@example([], 1, [])  # t - 2 alone, printed bare
+@example([(1, 1), (2, 1), (6, 2)], 2, [1, 1])  # Phi_2 again inside g
+def test_factor_cyclotomic_with_a_root_at_two(cyclotomic, twos, g):
+    # f(2) = 0, so Phi_k(2) divides f(2) for every k: the pre-test lets
+    # every trial division through, and the divisions alone decide.
+    f = sympy.Poly(T - 2, T) ** twos
+    if any(g):
+        f *= sympy.Poly(g[::-1], T)
+    for k, m in cyclotomic:
+        f *= sympy.cyclotomic_poly(k, T, polys=True) ** m
+    f = f.primitive()[1]
+    if f.LC() < 0:
+        f = -f
+    text = factor_cyclotomic([int(c) for c in reversed(f.all_coeffs())])
+    if "(" in text:
+        factors = printed_factors(text)
+    else:
+        factors = [(integer_poly(parse_poly(text, 1)), 1)]
+    rest, power = factors.pop()  # printed last: it holds every t - 2
+    assert power == 1 and rest.eval(2) == 0
+    assert not any(p.is_cyclotomic for p, _ in sympy.factor_list(rest)[1])
+    product = rest
+    for base, power in factors:
+        assert base.is_cyclotomic or base == sympy.Poly(T ** base.degree() - 1, T)
+        product *= base ** power
+    assert product == f
 
 
 def primitive_order(k: int, order: int) -> int:
