@@ -12,12 +12,15 @@ otherwise the ideal of all ``(n-i) x (n-i)`` minors.
 Minors are shared: each is a Laplace expansion along its first row, memoised
 on its (row subset, column subset), so one table of sub-minors serves all
 ``C(n,k) * C(m,k)`` minors of an ideal instead of ``k!`` products each.  The
-table belongs to the presentation (``Presentation.minors``): every index
-``i`` and every op (``elementary_ideal``, ``char_poly``, the scans and
-``in_support``) reads the same one, and it lives as long as the presentation
-does, which for the CLI is as long as its decoded-input cache keeps it.  It
-never holds more than every minor of the matrix, and takes no part in
-``==``, ``hash`` or ``repr``.
+table (``Presentation.minors``) serves every index and every op, lives as
+long as the presentation (in the CLI, as long as its decoded-input cache
+keeps it), never holds more than every minor of the matrix, and takes no
+part in ``==``, ``hash`` or ``repr``.  An op builds only the minors its
+answer needs: it reads them one at a time, in ``elementary_ideal``'s order,
+and stops once the answer is settled (``char_poly`` at a gcd of 1, a
+vanishing test once no point is left where every minor so far vanishes).
+An answer that never settles early, such as a scan of an ideal whose every
+minor vanishes at the trivial point, still builds every minor.
 
 Vanishing at torsion points is decided in integers: each ideal generator is
 scaled by the lcm of its denominators (which does not change where it
@@ -136,31 +139,29 @@ def _minor_table(pres: Presentation):
     return det
 
 
-def elementary_ideal(pres: Presentation, i: int) -> IdealGenerators:
-    """The i-th elementary ideal: all ``(n-i) x (n-i)`` minors, with the
-    conventions for ``i >= n`` (full ring) and ``n - i > m`` (zero ideal)."""
+def _minors(pres: Presentation, i: int):
+    """The i-th elementary ideal's generators, each built when asked for."""
     n, m = pres.generators, pres.relations
     if i >= n:
-        return IdealGenerators((LaurentPoly.one(pres.nvars),))
-    if n - i > m:
-        return IdealGenerators(())
-    k = n - i
-    det = pres.minors
-    gens = []
-    for rsel in combinations(range(n), k):
-        for csel in combinations(range(m), k):
-            minor = det(rsel, csel)
-            if minor:
-                gens.append(minor)
-    return IdealGenerators(tuple(gens))
+        yield LaurentPoly.one(pres.nvars)
+    elif n - i <= m:
+        for rsel in combinations(range(n), n - i):
+            for csel in combinations(range(m), n - i):
+                minor = pres.minors(rsel, csel)
+                if minor:
+                    yield minor
+
+
+def elementary_ideal(pres: Presentation, i: int) -> IdealGenerators:
+    """The i-th elementary ideal, by the conventions of the module docstring."""
+    return IdealGenerators(tuple(_minors(pres, i)))
 
 
 def char_poly(pres: Presentation, i: int) -> LaurentPoly:
     """Normalized gcd of the i-th elementary ideal (0 for the zero ideal,
-    1 for the full ring)."""
-    ideal = elementary_ideal(pres, i)
+    1 for the full ring); it stops at the first minor that brings it to 1."""
     g = LaurentPoly.zero(pres.nvars)
-    for gen in ideal.gens:
+    for gen in _minors(pres, i):
         g = gcd(g, gen)
         if g.is_one:
             break
@@ -205,20 +206,16 @@ def tensor_cyclic(p1: Presentation, p2: Presentation) -> Presentation:
     return cyclic_module(p1.matrix[0] + p2.matrix[0], p1.nvars)
 
 
-def _vanishing_test(gens, level: int):
-    """Predicate on numerator tuples of level-N points: every generator
-    vanishes there.  Integers only, see the module docstring."""
-    compiled = []
-    for g in gens:
-        den = lcm(*(c.denominator for c in g.terms.values()))
-        compiled.append(
-            [(e, c.numerator * (den // c.denominator)) for e, c in g.terms.items()]
-        )
+def _vanishing(gens, level: int, candidates):
+    """The candidate numerators of level-N points where all ``gens`` vanish;
+    each generator is compiled and tested only where those before it vanish."""
     modulus = cyclotomic_poly(level)[:-1]
     deg = len(modulus)
-
-    def vanishes(nums) -> bool:
-        for terms in compiled:
+    for g in gens:
+        den = lcm(*(c.denominator for c in g.terms.values()))
+        terms = [(e, c.numerator * (den // c.denominator)) for e, c in g.terms.items()]
+        kept = []
+        for nums in candidates:
             powers = [0] * level
             for exps, c in terms:
                 powers[-sum(map(mul, exps, nums)) % level] += c
@@ -228,11 +225,12 @@ def _vanishing_test(gens, level: int):
                 if c:
                     for j, d in enumerate(modulus, k - deg):
                         powers[j] -= c * d
-            if any(powers[:deg]):
-                return False
-        return True
-
-    return vanishes
+            if not any(powers[:deg]):
+                kept.append(nums)
+        candidates = kept
+        if not candidates:
+            break
+    return candidates
 
 
 def in_support(pres: Presentation, point: TorsionPoint) -> bool:
@@ -240,30 +238,31 @@ def in_support(pres: Presentation, point: TorsionPoint) -> bool:
     point (zero ideal: always true; full ring: always false)."""
     if pres.nvars != point.nvars:
         raise DimensionError("point length does not match the module's ring")
-    ideal = elementary_ideal(pres, 0)
-    return _vanishing_test(ideal.gens, point.level)(point.numerators)
+    return bool(_vanishing(_minors(pres, 0), point.level, [point.numerators]))
 
 
-def _vanishing_points(gens, level, grid):
-    vanishes = _vanishing_test(gens, level)
+def _scan(pres: Presentation, i: int, level: int) -> tuple[TorsionPoint, ...]:
+    """Level-N points where every generator of the (i-1)-st elementary ideal
+    vanishes, in lexicographic order; the grid is checked first, also when
+    the ideal needs no scan, and one point per orbit is decided."""
+    grid = torsion_grid(level, pres.nvars)
+    if i > pres.generators:
+        return ()
+    grid = list(grid)
     units = [u for u in range(1, level + 1) if int_gcd(u, level) == 1]
-    verdicts = {}  # filled a whole (Z/N)^x orbit at its first grid point
-    found = []
+    first = {}  # numerators -> those of the first grid point of their orbit
     for point in grid:
         nums = point.numerators
-        if nums not in verdicts:
-            verdict = vanishes(nums)
+        if nums not in first:
             for u in units:
-                verdicts[tuple(u * n % level for n in nums)] = verdict
-        if verdicts[nums]:
-            found.append(point)
-    return tuple(found)
+                first[tuple(u * n % level for n in nums)] = nums
+    zeros = set(_vanishing(_minors(pres, i - 1), level, set(first.values())))
+    return tuple(pt for pt in grid if first[pt.numerators] in zeros)
 
 
 def support_scan(pres: Presentation, level: int) -> tuple[TorsionPoint, ...]:
     """All level-N torsion points in the support, in lexicographic order."""
-    grid = torsion_grid(level, pres.nvars)
-    return _vanishing_points(elementary_ideal(pres, 0).gens, level, grid)
+    return _scan(pres, 1, level)
 
 
 def fitting_variety_scan(
@@ -273,12 +272,7 @@ def fitting_variety_scan(
     vanishes (the i-th Fitting-stratified characteristic variety)."""
     if i < 1:
         raise ValueError("variety index must be >= 1")
-    # The grid is checked first, also when the ideal needs no scan.
-    grid = torsion_grid(level, pres.nvars)
-    ideal = elementary_ideal(pres, i - 1)
-    if ideal.is_full_ring:
-        return tuple()
-    return _vanishing_points(ideal.gens, level, grid)
+    return _scan(pres, i, level)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .exact_kernel import (
     _poly_divmod,
     cyclotomic_poly,
     divisors,
+    euler_phi,
     format_rational,
     integer_vector,
     mobius_pairs,
@@ -292,21 +293,10 @@ def factor_cyclotomic(coeffs) -> str:
     ``f(2)`` for the remaining ``f``, which ``Phi_k | f`` implies.
     """
     degree = len(coeffs) - 1
-    # phi(k) >= sqrt(k) for k > 6, so cyclotomic factors of a degree-d
-    # polynomial have index at most max(6, d^2).  Totients by sieve.
-    phi = list(range(max(6, degree * degree) + 1))
-    for p in range(2, len(phi)):
-        if phi[p] == p:
-            for m in range(p, len(phi), p):
-                phi[m] -= phi[m] // p
-    at_two = 0
-    for c in reversed(coeffs):
-        at_two = 2 * at_two + c
+    at_two = sum(c << e for e, c in enumerate(coeffs))
     mults: dict[int, int] = {}
-    for k in range(1, len(phi)):
-        if len(coeffs) == 1:
-            break
-        if phi[k] >= len(coeffs):
+    for k, phi_k in _cyclotomic_indices(degree):
+        if phi_k >= len(coeffs):
             continue
         pairs = mobius_pairs(k)
         phi_k_at_two = prod(2**d - 1 for d, mu in pairs if mu > 0) // prod(
@@ -323,6 +313,21 @@ def factor_cyclotomic(coeffs) -> str:
         rest = compact_univariate(coeffs)
         parts.append(f"({rest})" if parts else rest)
     return "*".join(parts) if parts else "1"
+
+
+def _cyclotomic_indices(degree: int) -> list:
+    """``(k, phi(k))`` for each ``k`` with ``phi(k) <= max(degree, 1)``, by
+    ``k``.  Each prime ``p <= degree + 1``, largest first so that the many
+    large ones meet a short list, extends each index found so far by ``p^e``."""
+    found = [(1, 1)]
+    for p in range(degree + 1, 1, -1):
+        if euler_phi(p) == p - 1:
+            for k, phi_k in list(found):
+                k, phi_k = k * p, phi_k * (p - 1)
+                while phi_k <= degree:
+                    found.append((k, phi_k))
+                    k, phi_k = k * p, phi_k * p
+    return sorted(found)
 
 
 def compact_univariate(coeffs) -> str:

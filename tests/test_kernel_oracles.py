@@ -8,6 +8,7 @@ torsion points.
 from __future__ import annotations
 
 import re
+import time
 from fractions import Fraction
 from itertools import combinations
 from math import gcd as int_gcd
@@ -21,7 +22,6 @@ from alexinv import alexander_modules as am
 from alexinv.alexander_modules import (
     Presentation,
     _minor_table,
-    _vanishing_test,
     char_poly,
     cyclic_module,
     direct_sum,
@@ -33,7 +33,11 @@ from alexinv.alexander_modules import (
 )
 from alexinv.cli import format_charpoly
 from alexinv.errors import DimensionError
-from alexinv.invariant_pipeline import MonodromyPolynomial, factor_cyclotomic
+from alexinv.invariant_pipeline import (
+    MonodromyPolynomial,
+    _cyclotomic_indices,
+    factor_cyclotomic,
+)
 from alexinv.laurent_ring import (
     LaurentPoly,
     TorsionPoint,
@@ -45,7 +49,12 @@ from alexinv.laurent_ring import (
     parse_poly,
     torsion_grid,
 )
-from randgen import make_rng, random_chain_presentation, random_presentation
+from randgen import (
+    make_rng,
+    random_chain_presentation,
+    random_presentation,
+    random_product,
+)
 
 F = Fraction
 HYPOTHESIS = settings(max_examples=150, deadline=None, database=None)
@@ -273,6 +282,39 @@ def test_minor_table_is_built_once_per_presentation(monkeypatch):
     assert every_minor == 80
 
 
+def binomial_presentation(seed: int, shape) -> Presentation:
+    """A two-variable presentation whose every entry is one binomial
+    ``t_i^a - c``."""
+    rng = make_rng(seed)
+    n, m = shape
+    return Presentation.from_rows(2, [
+        [random_product(rng, 2, max_factors=1) for _ in range(m)] for _ in range(n)])
+
+
+@pytest.mark.parametrize("shape, seed, op, answer, products", [
+    ((10, 10), 11, lambda pres: char_poly(pres, 5), LaurentPoly.one(2), 417),
+    ((6, 20), 0, lambda pres: support_scan(pres, 2), (), 186),
+], ids=["charpoly-10x10", "support-6x20"])
+def test_a_settled_answer_builds_no_more_minors(monkeypatch, shape, seed, op,
+                                                answer, products):
+    # The ideals have C(10,5)^2 = 63504 and C(20,6) = 38760 minors.  The gcd
+    # reaches 1, and no level-2 point is left where every minor so far
+    # vanishes, after a few of them.
+    pres = binomial_presentation(seed, shape)
+    calls = []
+    multiply = LaurentPoly.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return multiply(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    start = time.perf_counter()
+    assert op(pres) == answer
+    assert time.perf_counter() - start < 2.0
+    assert len(calls) == products
+
+
 def test_warm_minor_table_is_not_part_of_the_value():
     pres = random_chain_presentation(make_rng(12), 2, (3, 4))
     before = (repr(pres), hash(pres), presentation_to_dict(pres))
@@ -302,10 +344,10 @@ def test_integer_vanishing_matches_cyclotomic_evaluation(data):
         exps = tuple(data.draw(st.integers(-3, 3)) for _ in range(nvars))
         g = g * vanishing_factor(point, exps)
     expected = evaluate_at_torsion(g, point).is_zero()
-    assert _vanishing_test([g], point.level)(point.numerators) == expected
+    assert in_support(cyclic_module([g]), point) == expected
     h = data.draw(laurent(nvars))
     both = expected and evaluate_at_torsion(h, point).is_zero()
-    assert _vanishing_test([g, h], point.level)(point.numerators) == both
+    assert in_support(cyclic_module([g, h]), point) == both
 
 
 def test_scans_match_cyclotomic_evaluation():
@@ -356,7 +398,8 @@ def scan_ideal(draw, nvars, level):
 @given(st.data())
 def test_orbit_scans_match_the_per_point_test(data):
     # The scans decide one point per (Z/N)^x orbit; the reference decides
-    # every point of the grid, in the grid's lexicographic order.
+    # every point of the grid on its own (``in_support`` of the cyclic module
+    # on the ideal's generators), in the grid's lexicographic order.
     nvars = data.draw(NVARS)
     level = data.draw(st.integers(1, 6 if nvars == 3 else 30))
     first = cyclic_module(data.draw(scan_ideal(nvars, level)), nvars)
@@ -366,8 +409,8 @@ def test_orbit_scans_match_the_per_point_test(data):
     for module, k, found in ((first, 0, support_scan(first, level)),
                              (pres, 1, fitting_variety_scan(pres, 2, level)),
                              (pres, 2, fitting_variety_scan(pres, 3, level))):
-        vanishes = _vanishing_test(elementary_ideal(module, k).gens, level)
-        assert found == tuple(pt for pt in grid if vanishes(pt.numerators))
+        cyc = cyclic_module(elementary_ideal(module, k).gens, nvars)
+        assert found == tuple(pt for pt in grid if in_support(cyc, pt))
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +658,22 @@ def test_factor_cyclotomic_with_a_root_at_two(cyclotomic, twos, g):
         assert base.is_cyclotomic or base == sympy.Poly(T ** base.degree() - 1, T)
         product *= base ** power
     assert product == f
+
+
+def test_cyclotomic_indices_match_a_totient_sieve():
+    # The reference sieves totients up to max(6, d^2), which holds every k
+    # with phi(k) <= d, since phi(k) >= sqrt(k) for k > 6.
+    top = 600
+    phi = list(range(top * top + 1))
+    for p in range(2, len(phi)):
+        if phi[p] == p:
+            for k in range(p, len(phi), p):
+                phi[k] -= phi[k] // p
+    small = [(k, f) for k, f in enumerate(phi) if 1 <= k and f <= top]
+    for degree in range(1, top + 1):
+        expected = [(k, f) for k, f in small
+                    if f <= degree and k <= max(6, degree * degree)]
+        assert _cyclotomic_indices(degree) == expected, degree
 
 
 def primitive_order(k: int, order: int) -> int:
