@@ -12,15 +12,17 @@ otherwise the ideal of all ``(n-i) x (n-i)`` minors.
 Minors are shared: each is a Laplace expansion along its first row, memoised
 on its (row subset, column subset), so one table of sub-minors serves all
 ``C(n,k) * C(m,k)`` minors of an ideal instead of ``k!`` products each.  The
-table (``Presentation.minors``) serves every index and every op, lives as
-long as the presentation (in the CLI, as long as its decoded-input cache
-keeps it), never holds more than every minor of the matrix, and takes no
-part in ``==``, ``hash`` or ``repr``.  An op builds only the minors its
-answer needs: it reads them one at a time, in ``elementary_ideal``'s order,
-and stops once the answer is settled (``char_poly`` at a gcd of 1, a
-vanishing test once no point is left where every minor so far vanishes).
-An answer that never settles early, such as a scan of an ideal whose every
-minor vanishes at the trivial point, still builds every minor.
+table is a dict the presentation keeps (``Presentation.minors`` fills it),
+serves every index and every op, lives as long as the presentation (in the
+CLI, as long as its decoded-input cache keeps it), goes with it into pickles
+and copies, never holds more than every minor of the matrix, and takes no
+part in ``==``, ``hash``, ``repr`` or the dataclass fields.  An op builds
+only the minors its answer needs: it reads them one at a time, in
+``elementary_ideal``'s order, and stops once the answer is settled
+(``char_poly`` at a gcd of 1, a vanishing test once no point is left where
+every minor so far vanishes).  An answer that never settles early, such as
+a scan of an ideal whose every minor vanishes at the trivial point, still
+builds every minor.
 
 Vanishing at torsion points is decided in integers: each ideal generator is
 scaled by the lcm of its denominators (which does not change where it
@@ -86,16 +88,27 @@ class Presentation:
         return self.matrix[i][j]
 
     @cached_property
-    def minors(self):
-        """The shared minor table of this matrix (``_minor_table``), built on
-        first use and kept with the presentation."""
-        return _minor_table(self)
+    def _minor_memo(self) -> dict:
+        """Every minor built so far, by its (rows, cols) index tuples."""
+        return {}
 
-    def __getstate__(self):
-        # The table is a closure, which pickle refuses; a copy builds its own.
-        state = dict(self.__dict__)
-        state.pop("minors", None)
-        return state
+    def minors(self, rows, cols) -> LaurentPoly:
+        """``det(rows, cols)`` of sorted index tuples, by Laplace expansion
+        along the first row; every sub-minor is computed once and kept."""
+        memo = self._minor_memo
+        found = memo.get((rows, cols))
+        if found is None:
+            top = self.matrix[rows[0]]
+            if len(rows) == 1:
+                found = top[cols[0]]
+            else:
+                found = LaurentPoly.zero(self.nvars)
+                for j, c in enumerate(cols):
+                    if top[c]:
+                        term = top[c] * self.minors(rows[1:], cols[:j] + cols[j + 1 :])
+                        found = found - term if j % 2 else found + term
+            memo[rows, cols] = found
+        return found
 
 
 @dataclass(frozen=True)
@@ -112,31 +125,6 @@ class IdealGenerators:
     @property
     def is_full_ring(self) -> bool:
         return any(g.is_unit for g in self.gens)
-
-
-def _minor_table(pres: Presentation):
-    """``det(rows, cols)`` of sorted index tuples, by Laplace expansion along
-    the first row; every sub-minor is computed once and shared."""
-    memo = {}
-    matrix = pres.matrix
-    zero = LaurentPoly.zero(pres.nvars)
-
-    def det(rows, cols):
-        found = memo.get((rows, cols))
-        if found is None:
-            top = matrix[rows[0]]
-            if len(rows) == 1:
-                found = top[cols[0]]
-            else:
-                found = zero
-                for j, c in enumerate(cols):
-                    if top[c]:
-                        term = top[c] * det(rows[1:], cols[:j] + cols[j + 1 :])
-                        found = found - term if j % 2 else found + term
-            memo[rows, cols] = found
-        return found
-
-    return det
 
 
 def _minors(pres: Presentation, i: int):
@@ -244,11 +232,8 @@ def in_support(pres: Presentation, point: TorsionPoint) -> bool:
 def _scan(pres: Presentation, i: int, level: int) -> tuple[TorsionPoint, ...]:
     """Level-N points where every generator of the (i-1)-st elementary ideal
     vanishes, in lexicographic order; the grid is checked first, also when
-    the ideal needs no scan, and one point per orbit is decided."""
-    grid = torsion_grid(level, pres.nvars)
-    if i > pres.generators:
-        return ()
-    grid = list(grid)
+    the ideal is the full ring, and one point per orbit is decided."""
+    grid = list(torsion_grid(level, pres.nvars))
     units = [u for u in range(1, level + 1) if int_gcd(u, level) == 1]
     first = {}  # numerators -> those of the first grid point of their orbit
     for point in grid:

@@ -257,17 +257,18 @@ class MonodromyPolynomial:
                 if m
             )
             return f"roots[{roots}]"
-        parts = cyclotomic_factors(by_order, divisors(self.order))
+        parts = cyclotomic_factors(by_order)
         return "*".join(parts) if parts else "1"
 
 
-def cyclotomic_factors(mults: dict, exponents) -> list[str]:
+def cyclotomic_factors(mults: dict) -> list[str]:
     """Factors of ``prod_d Phi_d ** mults[d]`` as text: complete ``t^e - 1``
-    groups for ``e`` in ``exponents``, taken greedily from the largest, then
-    the cyclotomic polynomials left over, each with its multiplicity."""
+    groups, taken greedily from the largest ``e``, then the cyclotomic
+    polynomials left over, each with its multiplicity.  A group ``t^e - 1``
+    contains ``Phi_e``, so only an order in ``mults`` can head one."""
     mults = dict(mults)
     groups = []
-    for e in sorted(exponents, reverse=True):
+    for e in sorted(mults, reverse=True):
         count = min(mults.get(d, 0) for d in divisors(e))
         if count > 0:
             groups.append((e, count))
@@ -308,7 +309,7 @@ def factor_cyclotomic(coeffs) -> str:
             coeffs = quot
             at_two //= phi_k_at_two
             mults[k] = mults.get(k, 0) + 1
-    parts = cyclotomic_factors(mults, range(1, degree + 1))
+    parts = cyclotomic_factors(mults)
     if coeffs != [1]:
         rest = compact_univariate(coeffs)
         parts.append(f"({rest})" if parts else rest)

@@ -79,6 +79,8 @@ def shift_vectors(nparams: int, bound: int) -> list[tuple[int, ...]]:
 
 
 def _shift_order(nparams: int, bound: int) -> tuple[tuple[int, ...], ...]:
+    # The checks stay outside the cached _sorted_box: the cap is read on
+    # every call, so a box cached earlier still obeys a lowered cap.
     if bound < 0:
         raise LimitError("search bound must be >= 0")
     if (2 * bound + 1) ** nparams > MAX_SHIFT_BOX:

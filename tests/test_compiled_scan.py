@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import pytest
 import sympy
@@ -631,6 +631,33 @@ def test_integer_rank_count_on_a_fixed_scan_set(monkeypatch):
             for degree in range(1, scenario.algebra.top_degree + 1):
                 charvar_scan(scenario, level, degree)
     assert len(calls) == 1016
+
+
+def test_charvar_buckets_are_galois_invariant():
+    # The residues are rational, so sigma_u: zeta_N -> zeta_N^u carries the
+    # twisted complex at n to the one at u*n: both have the same dimensions.
+    # Every conclusive point whose conjugate is conclusive shares its bucket,
+    # and the inconclusive points are closed under conjugation.
+    pairs = 0
+    for name in bundled_scenario_names():
+        scenario = load_bundled_scenario(name)
+        for level in range(2, 11):
+            units = [u for u in range(2, level) if gcd(u, level) == 1]
+            for degree in range(1, scenario.algebra.top_degree + 1):
+                scan = charvar_scan(scenario, level, degree)
+                bucket = {pt.numerators: dim
+                          for dim, pts in scan.by_dimension.items() for pt in pts}
+                inconclusive = {pt.numerators for pt in scan.inconclusive}
+                for nums in bucket.keys() | inconclusive:
+                    for u in units:
+                        image = tuple(u * n % level for n in nums)
+                        if nums in inconclusive or image in inconclusive:
+                            assert nums in inconclusive and image in inconclusive, (
+                                name, level, nums, u)
+                        else:
+                            assert bucket[image] == bucket[nums], (name, level, nums, u)
+                            pairs += 1
+    assert pairs == 87624
 
 
 def run_quiet(capsys, argv):

@@ -7,6 +7,7 @@ torsion points.
 
 from __future__ import annotations
 
+import dataclasses
 import re
 import time
 from fractions import Fraction
@@ -21,7 +22,6 @@ from hypothesis import strategies as st
 from alexinv import alexander_modules as am
 from alexinv.alexander_modules import (
     Presentation,
-    _minor_table,
     char_poly,
     cyclic_module,
     direct_sum,
@@ -55,6 +55,7 @@ from randgen import (
     random_presentation,
     random_product,
 )
+from test_alexander_modules import round_trips
 
 F = Fraction
 HYPOTHESIS = settings(max_examples=150, deadline=None, database=None)
@@ -194,7 +195,7 @@ def test_shared_minors_match_sympy_det(shape, seed):
         random_presentation(rng, 2, shape=shape),
         random_chain_presentation(rng, 1 + seed % 3, shape),
     ):
-        det = _minor_table(pres)
+        det = pres.minors
         matrix = sympy.Matrix([[as_expr(e) for e in row] for row in pres.matrix])
         for k in range(1, shape[0] + 1):
             for rows in combinations(range(shape[0]), k):
@@ -265,7 +266,7 @@ def test_minor_table_is_built_once_per_presentation(monkeypatch):
         action()
         return len(calls) - before
 
-    det = _minor_table(fresh(pres))
+    det = fresh(pres).minors
     every_minor = products(lambda: [
         det(rows, cols)
         for k in range(1, 5)
@@ -280,6 +281,26 @@ def test_minor_table_is_built_once_per_presentation(monkeypatch):
     ))
     assert (first, again) == (every_minor, 0)
     assert every_minor == 80
+
+
+def test_pickles_and_copies_carry_the_warm_minor_table(monkeypatch):
+    pres = random_chain_presentation(make_rng(11), 2, (4, 5))
+    assert [f.name for f in dataclasses.fields(Presentation)] == [
+        "nvars", "generators", "relations", "matrix"]
+    assert "_minor_memo" not in vars(pres)
+    expected = [char_poly(pres, i) for i in range(5)]
+    calls = []
+    multiply = LaurentPoly.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return multiply(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    for again in round_trips(pres):
+        assert again == pres and hash(again) == hash(pres)
+        assert [char_poly(again, i) for i in range(5)] == expected
+    assert calls == []
 
 
 def binomial_presentation(seed: int, shape) -> Presentation:
@@ -319,7 +340,7 @@ def test_warm_minor_table_is_not_part_of_the_value():
     pres = random_chain_presentation(make_rng(12), 2, (3, 4))
     before = (repr(pres), hash(pres), presentation_to_dict(pres))
     char_poly(pres, 0)
-    assert "minors" in vars(pres)
+    assert "_minor_memo" in vars(pres)
     assert (repr(pres), hash(pres), presentation_to_dict(pres)) == before
     assert pres == fresh(pres) and fresh(pres) == pres
     assert hash(fresh(pres)) == hash(pres)
@@ -708,3 +729,21 @@ def test_multiplicity_by_root_order_matches_brute_grouping(order, by_class, bump
     poly = MonodromyPolynomial(order, tuple(multiplicities))
     assert poly.multiplicity_by_root_order() == brute_multiplicity_by_root_order(
         order, multiplicities)
+
+
+def test_monodromy_and_charpoly_printers_agree():
+    # A multiplicity vector constant on primitive classes is the product of
+    # Phi_d^m_d over the divisors d of the order; factored_str prints it from
+    # the multiplicities, factor_cyclotomic from the expanded coefficients.
+    rng = make_rng(17)
+    for _ in range(400):
+        order = rng.randint(1, 60)
+        by_order = {d: rng.choice((0, 0, 1, 1, 2, 3))
+                    for d in sympy.divisors(order)}
+        poly = MonodromyPolynomial(order, tuple(
+            by_order[primitive_order(k, order)] for k in range(order)))
+        product = sympy.Poly(1, T)
+        for d, m in by_order.items():
+            product *= sympy.cyclotomic_poly(d, T, polys=True) ** m
+        coeffs = [int(c) for c in reversed(product.all_coeffs())]
+        assert poly.factored_str() == factor_cyclotomic(coeffs), by_order

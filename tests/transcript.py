@@ -11,6 +11,14 @@ once in-process through ``alexinv.cli.main`` on a fresh import per job
 list, and prints the job count and a sha256 over each job's argv, exit code,
 stdout and stderr.  Two checkouts that print the same line give
 byte-identical reports on those lists.  pytest does not collect this file.
+
+``tests/transcript.sha256`` holds the line, and CI checks it with
+
+    python3 tests/transcript.py | diff tests/transcript.sha256 -
+
+A change that alters a report on purpose, or a benchmark change that alters
+the job lists, updates that file and says why; any other change leaves the
+line as it is.
 """
 
 from __future__ import annotations
