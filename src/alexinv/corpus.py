@@ -7,24 +7,26 @@ from importlib import resources
 
 from .invariant_pipeline import Scenario, load_scenario
 
+
 @functools.cache
-def _scenario_dir():
-    return resources.files("alexinv").joinpath("data", "scenarios")
+def _scenario_paths() -> dict[str, str]:
+    """Each bundled scenario's name and file path, from one listing."""
+    return {
+        entry.name[: -len(".json")]: str(entry)
+        for entry in resources.files("alexinv").joinpath("data", "scenarios").iterdir()
+        if entry.name.endswith(".json")
+    }
 
 
 def bundled_scenario_names() -> list[str]:
-    names = []
-    for entry in _scenario_dir().iterdir():
-        if entry.name.endswith(".json"):
-            names.append(entry.name[: -len(".json")])
-    return sorted(names)
+    return sorted(_scenario_paths())
 
 
 def bundled_scenario_path(name: str) -> str:
-    candidate = _scenario_dir() / f"{name}.json"
-    if not candidate.is_file():
-        raise KeyError(f"no bundled scenario named {name!r}")
-    return str(candidate)
+    try:
+        return _scenario_paths()[name]
+    except KeyError:
+        raise KeyError(f"no bundled scenario named {name!r}") from None
 
 
 def load_bundled_scenario(name: str) -> Scenario:

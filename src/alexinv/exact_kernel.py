@@ -47,11 +47,10 @@ def parse_rational(text: str | int) -> Fraction:
     return Fraction(int(numerator), int(denominator))
 
 
-def format_rational(q: Fraction) -> str:
-    """Render as ``"p/q"``, or ``"p"`` when the denominator is 1; a value
-    with more than :data:`MAX_RATIONAL_DIGITS` digits in either part is a
-    ``LimitError``."""
-    q = Fraction(q)
+def format_rational(q: int | Fraction) -> str:
+    """Render an ``int`` or ``Fraction`` as ``"p/q"``, or ``"p"`` when the
+    denominator is 1; a value with more than :data:`MAX_RATIONAL_DIGITS`
+    digits in either part is a ``LimitError``."""
     n, d = q.numerator, q.denominator
     if not -_TOO_LONG < n < _TOO_LONG or d >= _TOO_LONG:
         raise LimitError(f"a rational has more than {MAX_RATIONAL_DIGITS} digits")

@@ -19,12 +19,15 @@ checks exponent lengths, converts coefficients and drops zeros, and
 machinery build their results with the trusted ``LaurentPoly._make``, which
 takes a term dict that is already clean as it is.
 
-Unit normalization, gcd and divisibility all work up to multiplication by
-units of the Laurent ring (nonzero rationals times monomials); the canonical
+Unit normalization and gcd work up to multiplication by units of the
+Laurent ring (nonzero rationals times monomials); the canonical
 representative of a unit class shifts every variable's minimum exponent to 0,
 clears denominators to integer content 1, and makes the graded-lex leading
-coefficient positive.  ``gcd`` first tries the shorter argument as an exact
-divisor of the other and runs the primitive PRS only when that fails.
+coefficient positive.  Exact division and divisibility work on Laurent
+polynomials as they are, negative exponents included; only the canonical
+form and the primitive PRS shift to ordinary form (every minimum exponent 0).
+``gcd`` first tries the shorter argument as an exact divisor of the other
+and runs the PRS only when that fails.
 """
 
 from __future__ import annotations
@@ -264,65 +267,50 @@ def normalize_unit(p: LaurentPoly) -> LaurentPoly:
     )
 
 
-def _div_exact_ordinary(dividend: LaurentPoly, divisor: LaurentPoly):
-    """Quotient of polynomials with nonnegative exponents, or None when not
-    exactly divisible.  Works on one remainder dict, in place."""
-    if divisor.is_zero:
+def divide_exact(p: LaurentPoly, q: LaurentPoly):
+    """The Laurent polynomial ``r`` with ``q * r == p`` exactly, or None when
+    there is none.  ``divide_exact(0, q)`` is 0 for every ``q``, 0 included;
+    a nonzero ``p`` over 0 raises ``ZeroDivisionError``.  Works on one
+    remainder dict, in place."""
+    if p.is_zero:
+        return p
+    if q.is_zero:
         raise ZeroDivisionError("division by the zero polynomial")
-    if dividend.is_zero:
-        return dividend
-    # Degrees add in a product, so no quotient term exceeds this bound.
-    bound = tuple(map(sub, dividend.max_exponents(), divisor.max_exponents()))
-    if min(bound) < 0:
+    # Each variable's least and greatest exponents add in a product, so
+    # every quotient exponent lies in this box.
+    low = tuple(map(sub, p.min_exponents(), q.min_exponents()))
+    high = tuple(map(sub, p.max_exponents(), q.max_exponents()))
+    if any(map(int.__gt__, low, high)):
         return None
     # An exact quotient is unique, so any monomial order finds it: plain
     # tuple (lex) order needs no key function.
-    lead_e = max(divisor.terms)
-    lead_c = divisor.terms[lead_e]
-    others = [(e, c) for e, c in divisor.terms.items() if e != lead_e]
-    rem = dict(dividend.terms)
+    lead_e = max(q.terms)
+    lead_c = q.terms[lead_e]
+    others = [(e, c) for e, c in q.terms.items() if e != lead_e]
+    rem = dict(p.terms)
     quot = {}
     while rem:
         r_e = max(rem)
         diff = tuple(map(sub, r_e, lead_e))
-        if min(diff) < 0 or any(map(int.__gt__, diff, bound)):
+        if any(map(int.__lt__, diff, low)) or any(map(int.__gt__, diff, high)):
             return None
         c = rem.pop(r_e)
-        quot[diff] = q = c // lead_c if c % lead_c == 0 else Fraction(c) / lead_c
+        quot[diff] = r = c // lead_c if c % lead_c == 0 else Fraction(c) / lead_c
         for e, c in others:
             e = tuple(map(add, e, diff))
-            s = rem.get(e, 0) - q * c
+            s = rem.get(e, 0) - r * c
             if s:
                 rem[e] = s
             else:
                 del rem[e]
-    return LaurentPoly._make(dividend.nvars, quot)
+    return LaurentPoly._make(p.nvars, quot)
 
 
 def divides(p: LaurentPoly, q: LaurentPoly) -> bool:
     """True iff ``q = p * r`` for some Laurent polynomial ``r``."""
     if p.nvars != q.nvars:
         raise DimensionError("divisibility between different variable counts")
-    if q.is_zero:
-        return True
-    if p.is_zero:
-        return False
-    return _div_exact_ordinary(_shift_to_ordinary(q), _shift_to_ordinary(p)) is not None
-
-
-def divide_exact(p: LaurentPoly, q: LaurentPoly):
-    """``p / q`` up to the unit shift applied by normalization, or None.
-
-    The returned quotient satisfies ``q * result = p`` exactly.
-    """
-    if p.is_zero:
-        return LaurentPoly.zero(p.nvars)
-    mins_p = p.min_exponents()
-    mins_q = q.min_exponents()
-    quot = _div_exact_ordinary(_shift_to_ordinary(p), _shift_to_ordinary(q))
-    if quot is None:
-        return None
-    return quot.shifted(tuple(a - b for a, b in zip(mins_p, mins_q)))
+    return q.is_zero or (not p.is_zero and divide_exact(q, p) is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -380,14 +368,14 @@ def _gcd_ordinary(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     ca = _content(a, v)
     cb = _content(b, v)
     c = _gcd_ordinary(ca, cb)
-    pa = _div_exact_ordinary(a, ca)
-    pb = _div_exact_ordinary(b, cb)
+    pa = divide_exact(a, ca)
+    pb = divide_exact(b, cb)
     if _degree_in(pa, v) < _degree_in(pb, v):
         pa, pb = pb, pa
     while not pb.is_zero and _degree_in(pb, v) > 0:
         r = _pseudo_rem(pa, pb, v)
         if not r.is_zero:
-            r = normalize_unit(_div_exact_ordinary(r, _content(r, v)))
+            r = normalize_unit(divide_exact(r, _content(r, v)))
         pa, pb = pb, r
     if not pb.is_zero:
         # A nonzero remainder of degree 0 in v: the primitive parts are coprime.
@@ -403,13 +391,12 @@ def gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
         return normalize_unit(q)
     if q.is_zero:
         return normalize_unit(p)
-    a, b = _shift_to_ordinary(p), _shift_to_ordinary(q)
-    if len(a.terms) > len(b.terms):
-        a, b = b, a
+    if len(p.terms) > len(q.terms):
+        p, q = q, p
     # An exact divisor is the gcd: no PRS needed.
-    if _div_exact_ordinary(b, a) is not None:
-        return normalize_unit(a)
-    return normalize_unit(_gcd_ordinary(a, b))
+    if divide_exact(q, p) is not None:
+        return normalize_unit(p)
+    return normalize_unit(_gcd_ordinary(_shift_to_ordinary(p), _shift_to_ordinary(q)))
 
 
 # ---------------------------------------------------------------------------

@@ -151,3 +151,12 @@ def test_format_rational_refuses_what_it_cannot_write():
     for value in (F(widest + 1), F(-widest - 1), F(1, widest + 1), F(-1, widest + 2)):
         with pytest.raises(LimitError, match=f"more than {MAX_RATIONAL_DIGITS} digits"):
             format_rational(value)
+
+
+def test_format_rational_takes_an_int_as_it_is():
+    widest = 10 ** MAX_RATIONAL_DIGITS - 1
+    for value in (0, 1, -4, widest, -widest):
+        assert format_rational(value) == format_rational(F(value)) == str(value)
+    for value in (widest + 1, -widest - 1):
+        with pytest.raises(LimitError, match=f"more than {MAX_RATIONAL_DIGITS} digits"):
+            format_rational(value)

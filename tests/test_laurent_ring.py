@@ -147,6 +147,25 @@ def test_divide_exact_round_trip():
         assert quotient * q == p * q
 
 
+def test_divide_exact_keeps_its_zero_and_laurent_semantics():
+    zero, t1 = LaurentPoly.zero(1), P("t1", 1)
+    assert divide_exact(zero, zero) == zero
+    assert divide_exact(zero, P("t1^-1 - 3", 1)) == zero
+    with pytest.raises(ZeroDivisionError):
+        divide_exact(t1, zero)
+    assert divides(zero, zero)
+    assert not divides(zero, t1)
+    # The quotient has only negative exponents.
+    assert divide_exact(P("t1^-2 - 1", 1), P("t1 - t1^-1", 1)) == P("-t1^-1", 1)
+    assert divide_exact(P("t1^-3*t2 + t1^-1", 2), P("t1^-2*t2 + 1", 2)) == P("t1^-1", 2)
+    # t1 spans fewer exponents than t1^2 - 1: no quotient's exponents fit.
+    assert divide_exact(t1, P("t1^2 - 1", 1)) is None
+    assert not divides(P("t1^2 - 1", 1), t1)
+    # The remainder's terms fall below the box: with no lower bound the
+    # division would run on, one term further down each step.
+    assert divide_exact(P("t1^-1 + 1", 1), P("t1 - 1", 1)) is None
+
+
 def test_evaluate_examples():
     p = P("t1*t2^2*t3^2 - 1", 3)
     pt = TorsionPoint.from_numerators(5, (1, 1, 1))

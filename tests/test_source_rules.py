@@ -67,7 +67,7 @@ def is_unbounded_cache(expr) -> bool:
 
 
 # The zero-argument functions that may cache their one value without a cap.
-SINGLETONS = {("cli.py", "_build_parser"), ("corpus.py", "_scenario_dir")}
+SINGLETONS = {("cli.py", "_build_parser"), ("corpus.py", "_scenario_paths")}
 
 
 def unbounded_caches(path, tree) -> list:
@@ -140,6 +140,7 @@ def test_catch_all_handlers_are_seen(handler, count):
     ("@functools.cache\ndef _build_parser(): pass", []),
     ("@functools.cache\ndef _build_parser(x): pass", [1]),
     ("@functools.cache\ndef _scenario_dir(): pass", [1]),
+    ("@functools.cache\ndef _scenario_paths(): pass", [1]),
 ])
 def test_unbounded_caches_are_seen(source, lines):
     assert unbounded_caches(Path("cli.py"), ast.parse(source)) == lines
