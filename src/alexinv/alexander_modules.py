@@ -48,6 +48,7 @@ from pathlib import Path
 
 from .errors import DimensionError, LimitError, ParseError, SchemaError
 from .errors import fields, integers, load_json
+from . import laurent_ring
 from .exact_kernel import cyclotomic_poly
 from .laurent_ring import (
     LaurentPoly,
@@ -223,9 +224,12 @@ def _vanishing(gens, level: int, candidates):
 
 def in_support(pres: Presentation, point: TorsionPoint) -> bool:
     """True iff every generator of the 0-th elementary ideal vanishes at the
-    point (zero ideal: always true; full ring: always false)."""
+    point (zero ideal: always true; full ring: always false).  It costs
+    O(level): a level past ``MAX_SCAN_POINTS`` is refused, as in a scan."""
     if pres.nvars != point.nvars:
         raise DimensionError("point length does not match the module's ring")
+    if point.level > (cap := laurent_ring.MAX_SCAN_POINTS):
+        raise LimitError(f"level {point.level} is more than the limit of {cap}")
     return bool(_vanishing(_minors(pres, 0), point.level, [point.numerators]))
 
 

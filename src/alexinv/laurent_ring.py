@@ -27,7 +27,8 @@ coefficient positive.  Exact division and divisibility work on Laurent
 polynomials as they are, negative exponents included; only the canonical
 form and the primitive PRS shift to ordinary form (every minimum exponent 0).
 ``gcd`` first tries the shorter argument as an exact divisor of the other
-and runs the PRS only when that fails.
+and runs the PRS only when that fails; the PRS takes every content through
+``gcd``.
 """
 
 from __future__ import annotations
@@ -113,10 +114,6 @@ class LaurentPoly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    @property
-    def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
 
     @property
     def is_one(self) -> bool:
@@ -272,6 +269,8 @@ def divide_exact(p: LaurentPoly, q: LaurentPoly):
     there is none.  ``divide_exact(0, q)`` is 0 for every ``q``, 0 included;
     a nonzero ``p`` over 0 raises ``ZeroDivisionError``.  Works on one
     remainder dict, in place."""
+    if p.nvars != q.nvars:
+        raise DimensionError("division between different variable counts")
     if p.is_zero:
         return p
     if q.is_zero:
@@ -314,7 +313,7 @@ def divides(p: LaurentPoly, q: LaurentPoly) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Multivariate gcd via content / primitive-part recursion.
+# Multivariate gcd: a primitive PRS that takes every content through ``gcd``.
 
 
 def _degree_in(p: LaurentPoly, v: int) -> int:
@@ -330,12 +329,13 @@ def _univ_coeffs(p: LaurentPoly, v: int) -> dict[int, LaurentPoly]:
 
 
 def _content(p: LaurentPoly, v: int) -> LaurentPoly:
+    """Normalized gcd of the coefficients of ``p`` in variable ``v``."""
     g = LaurentPoly.zero(p.nvars)
     for coeff_poly in _univ_coeffs(p, v).values():
-        g = _gcd_ordinary(g, coeff_poly)
-        if g.is_constant and not g.is_zero:
-            return LaurentPoly.one(p.nvars)
-    return normalize_unit(g)
+        g = gcd(g, coeff_poly)
+        if g.is_one:
+            break
+    return g
 
 
 def _pseudo_rem(a: LaurentPoly, b: LaurentPoly, v: int) -> LaurentPoly:
@@ -354,12 +354,9 @@ def _pseudo_rem(a: LaurentPoly, b: LaurentPoly, v: int) -> LaurentPoly:
 
 
 def _gcd_ordinary(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    if a.is_zero:
-        return b
-    if b.is_zero:
-        return a
-    if a.is_constant or b.is_constant:
-        return LaurentPoly.one(a.nvars)
+    """The PRS step of ``gcd``, its only caller: ``a`` and ``b`` are nonzero,
+    in ordinary form, and the shorter does not divide the longer, so neither
+    is a single term (a unit) and some variable has positive degree."""
     v = max(
         j
         for j in range(a.nvars)
@@ -367,7 +364,6 @@ def _gcd_ordinary(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     )
     ca = _content(a, v)
     cb = _content(b, v)
-    c = _gcd_ordinary(ca, cb)
     pa = divide_exact(a, ca)
     pb = divide_exact(b, cb)
     if _degree_in(pa, v) < _degree_in(pb, v):
@@ -377,10 +373,9 @@ def _gcd_ordinary(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         if not r.is_zero:
             r = normalize_unit(divide_exact(r, _content(r, v)))
         pa, pb = pb, r
-    if not pb.is_zero:
-        # A nonzero remainder of degree 0 in v: the primitive parts are coprime.
-        return c
-    return c * pa
+    # A nonzero remainder of degree 0 in v: the primitive parts are coprime.
+    c = gcd(ca, cb)
+    return c if pb else c * pa
 
 
 def gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:

@@ -19,8 +19,9 @@ from alexinv.alexander_modules import (
     support_scan,
     tensor_cyclic,
 )
-from alexinv.errors import SchemaError
+from alexinv.errors import LimitError, SchemaError
 from alexinv.laurent_ring import (
+    MAX_SCAN_POINTS,
     LaurentPoly,
     TorsionPoint,
     divides,
@@ -186,6 +187,15 @@ def test_in_support_examples():
     assert not in_support(cyclic_module([P("t - 1", 1)]),
                           TorsionPoint.from_numerators(5, (1,)))
     assert in_support(free_module(2), TorsionPoint.from_numerators(3, (1, 2)))
+
+
+def test_in_support_refuses_a_level_past_the_scan_limit():
+    # One point costs O(level) in time and memory, as a scan's grid would.
+    cyc = cyclic_module([P("t - 1", 1)])
+    with pytest.raises(LimitError):
+        in_support(cyc, TorsionPoint.from_numerators(MAX_SCAN_POINTS + 1, (0,)))
+    assert in_support(cyc, TorsionPoint.from_numerators(MAX_SCAN_POINTS, (0,)))
+    assert not in_support(cyc, TorsionPoint.from_numerators(MAX_SCAN_POINTS, (1,)))
 
 
 def test_support_scan_examples():

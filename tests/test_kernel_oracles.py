@@ -187,6 +187,29 @@ def test_gcd_oracle_on_shared_factors():
             )
 
 
+@pytest.mark.parametrize("a, b, c", [
+    ("-t3^2 - t1^2*t3^-1 - 1/3*t3 + 3*t1^-2*t2^2*t3^-2",
+     "3*t2^2*t3^-1 + 3/2*t1^-1*t3^-1 + 2*t1^-2*t2^-2*t3^2",
+     "-2*t1^2*t2 - t1*t2^-1*t3^-2"),
+    ("-t1^2*t2*t3^2 + 3/2*t1^-1*t2^-1 - 2*t1^-2*t2^-2*t3^2",
+     "3*t1*t3^-1 + 2/3*t1^-2*t2^-1*t3^2",
+     "t1^2*t3^-1 - t1*t3^-2 - 3/2*t1*t2^-2*t3^-1"),
+    ("-t1^2*t3^-2 - t1*t3^-2 - t1^-1 + t1^-2",
+     "-2*t1*t2^-2*t3 + 3*t1^-2*t2^2*t3^-2 + t1^-2*t3^-2",
+     "2/3*t1 + t1*t2^-2*t3^-1 + 3/2*t1^-1*t2^-1*t3^-1 + t1^-2*t2^-1*t3^-1"),
+], ids=["case5", "case17", "case37"])
+def test_gcd_of_trivariate_prs_inputs_matches_sympy(a, b, c):
+    # gcd(c*a*a, c*b) for three seeded trivariate draws that reach the PRS.
+    # The PRS took 7.9 s and 1.9 s on the first and last when it took its
+    # contents by calling itself instead of through gcd's division shortcut.
+    a, b, c = (parse_poly(text, 3) for text in (a, b, c))
+    p, q = c * a * a, c * b
+    start = time.perf_counter()
+    g = gcd(p, q)
+    assert time.perf_counter() - start < 1.0
+    assert same_unit_class(g, sympy.gcd(ordinary_poly(p), ordinary_poly(q)))
+
+
 @pytest.mark.parametrize("shape", [(3, 4), (4, 5)])
 @pytest.mark.parametrize("seed", range(3))
 def test_shared_minors_match_sympy_det(shape, seed):
@@ -313,7 +336,7 @@ def binomial_presentation(seed: int, shape) -> Presentation:
 
 
 @pytest.mark.parametrize("shape, seed, op, answer, products", [
-    ((10, 10), 11, lambda pres: char_poly(pres, 5), LaurentPoly.one(2), 417),
+    ((10, 10), 11, lambda pres: char_poly(pres, 5), LaurentPoly.one(2), 384),
     ((6, 20), 0, lambda pres: support_scan(pres, 2), (), 186),
 ], ids=["charpoly-10x10", "support-6x20"])
 def test_a_settled_answer_builds_no_more_minors(monkeypatch, shape, seed, op,

@@ -166,6 +166,15 @@ def test_divide_exact_keeps_its_zero_and_laurent_semantics():
     assert divide_exact(P("t1^-1 + 1", 1), P("t1 - 1", 1)) is None
 
 
+def test_divide_exact_checks_the_variable_count():
+    # Checked before the zero cases, as in divides and gcd.
+    for dividend in (LaurentPoly.zero(1), P("t1^2", 1)):
+        with pytest.raises(DimensionError):
+            divide_exact(dividend, P("t1*t2", 2))
+    with pytest.raises(DimensionError):
+        divide_exact(P("t1*t2", 2), LaurentPoly.zero(1))
+
+
 def test_evaluate_examples():
     p = P("t1*t2^2*t3^2 - 1", 3)
     pt = TorsionPoint.from_numerators(5, (1, 1, 1))
