@@ -46,9 +46,9 @@ from math import gcd as int_gcd, lcm
 from operator import mul, sub
 from pathlib import Path
 
+from . import laurent_ring
 from .errors import DimensionError, LimitError, ParseError, SchemaError
 from .errors import fields, integers, load_json
-from . import laurent_ring
 from .exact_kernel import cyclotomic_poly
 from .laurent_ring import (
     LaurentPoly,

@@ -373,8 +373,8 @@ def _gcd_ordinary(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         if not r.is_zero:
             r = normalize_unit(divide_exact(r, _content(r, v)))
         pa, pb = pb, r
-    # A nonzero remainder of degree 0 in v: the primitive parts are coprime.
     c = gcd(ca, cb)
+    # A nonzero remainder of degree 0 in v: the primitive parts are coprime.
     return c if pb else c * pa
 
 
