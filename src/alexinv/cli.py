@@ -299,8 +299,11 @@ def _echo(args) -> list:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built by the first ``main`` call and reused."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The argument parser, built by the first ``main`` call and reused, and
+    the table that ``_parse_exact`` reads, taken from the same actions: for
+    each subcommand its positionals' dests, its flags' actions by option
+    string, and the namespace's defaults."""
     parser = argparse.ArgumentParser(
         prog="alexinv",
         description=(
@@ -309,21 +312,26 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    table = {}
 
     def arg(flag, **options):
         return flag, options
 
     def command(name, help, func, *arguments):
         p = sub.add_parser(name, help=help)
-        for flag, options in arguments:
-            p.add_argument(flag, **options)
-        p.add_argument(
+        actions = [p.add_argument(flag, **options) for flag, options in arguments]
+        actions.append(p.add_argument(
             "--format",
             choices=("text", "json"),
             default="text",
             help="report format (default: text)",
-        )
+        ))
         p.set_defaults(func=func)
+        table[name] = (
+            [a.dest for a in actions if not a.option_strings],
+            {flag: a for a in actions for flag in a.option_strings},
+            {"subcommand": name, "func": func, **{a.dest: a.default for a in actions}},
+        )
 
     scenario = arg(
         "scenario",
@@ -356,16 +364,58 @@ def _build_parser() -> argparse.ArgumentParser:
             arg("--op", choices=("charpoly", "support", "fitting"), required=True),
             arg("--i", type=int, default=0, help="ideal/variety index"),
             arg("--level", type=int, default=None, help=level))
-    return parser
+    return parser, table
+
+
+def _parse_exact(table: dict, argv: list):
+    """The namespace ``parse_args(argv)`` returns, when ``argv`` is a
+    subcommand followed only by positionals and that subcommand's flags,
+    each flag spelled out in full, given once and as ``--flag value`` (a
+    value not starting with ``-``) or ``--flag=value``.  None for any other
+    argv, which is left to argparse: its help, usage and errors included."""
+    spec = table.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    positionals, flags, defaults = spec
+    values, given, bare = dict(defaults), set(), []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            bare.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        action = flags.get(flag)
+        if action is None or action in given:
+            return None
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+        given.add(action)
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except ValueError:
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    if len(bare) != len(positionals) or any(
+            a.required and a not in given for a in flags.values()):
+        return None
+    values.update(zip(positionals, bare))
+    return argparse.Namespace(**values)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+    parser, table = _build_parser()
+    args = _parse_exact(table, argv)
+    if args is None:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     args._argv = ["alexinv"] + argv
     try:
         report = args.func(args)

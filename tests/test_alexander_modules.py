@@ -20,6 +20,7 @@ from alexinv.alexander_modules import (
     tensor_cyclic,
 )
 from alexinv.errors import LimitError, SchemaError
+from alexinv.exact_kernel import cyclotomic_poly
 from alexinv.laurent_ring import (
     MAX_SCAN_POINTS,
     LaurentPoly,
@@ -190,12 +191,27 @@ def test_in_support_examples():
 
 
 def test_in_support_refuses_a_level_past_the_scan_limit():
-    # One point costs O(level) in time and memory, as a scan's grid would.
+    # One point costs at least O(level) in time and memory, as a scan's grid
+    # would.
     cyc = cyclic_module([P("t - 1", 1)])
     with pytest.raises(LimitError):
         in_support(cyc, TorsionPoint.from_numerators(MAX_SCAN_POINTS + 1, (0,)))
     assert in_support(cyc, TorsionPoint.from_numerators(MAX_SCAN_POINTS, (0,)))
     assert not in_support(cyc, TorsionPoint.from_numerators(MAX_SCAN_POINTS, (1,)))
+
+
+def test_in_support_at_a_modulus_with_zero_coefficients():
+    # Phi_99999 has 8841 nonzero coefficients among its 64801, so the
+    # reduction meets zeros inside the modulus as well as at its ends.
+    point = {n: TorsionPoint.from_numerators(99999, (n,)) for n in (0, 1)}
+    cyc = cyclic_module([P("t - 1", 1)])
+    assert in_support(cyc, point[0])
+    assert not in_support(cyc, point[1])
+    # Phi_99999 itself reduces to zero only at a primitive root.
+    phi = cyclotomic_poly(99999)
+    cyc = cyclic_module([LaurentPoly(1, {(e,): c for e, c in enumerate(phi) if c})])
+    assert in_support(cyc, point[1])
+    assert not in_support(cyc, point[0])
 
 
 def test_support_scan_examples():

@@ -7,6 +7,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import alexinv
 from alexinv import alexander_modules as am
@@ -611,6 +613,86 @@ def test_reused_parser_matches_fresh_parsers(capsys, bivariate_presentation):
     assert reused == fresh
     codes = [code for code, _, _ in reused]
     assert codes == [0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 0, 0, 1, 1, 0]
+
+
+# Tokens for the argv draws: values that argparse reads as options or as
+# negative numbers, that int() takes in forms of its own, or that are empty
+# or hold a space; flags that are help, the end of options, abbreviations,
+# one dash, or an empty "=" value.
+ARGV_VALUES = ("example_4_1", "torus", "0", "1", "3", "-1/2", "-3", "+5", "1_0",
+               "", "x y", "\u0663", "1/3,0,0", "json", "text", "xml", "charpoly",
+               "support", "fitting")
+INT_VALUES = ("0", "1", "3", "+5", "1_0", "\u0663")
+ODD_FLAGS = ("--", "-h", "--help", "--lev", "--form", "--b", "--pres", "--al",
+             "-m", "--level=")
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand, mostly as many positionals as it takes, and most of its
+    flags, each with a value that mostly fits it, as ``--flag value`` or
+    ``--flag=value``; sometimes a few stray tokens (any flag, an odd one, a
+    value); all shuffled."""
+    _, table = cli._build_parser()
+    name = draw(st.sampled_from([*table, "no-such-command"]))
+    positionals, flags, _ = table.get(name, table["milnor"])
+    value = st.sampled_from(ARGV_VALUES)
+    count = draw(st.sampled_from([len(positionals)] * 4 + [0, len(positionals) + 1]))
+    items = [(draw(value),) for _ in range(count)]
+    for flag, action in flags.items():
+        if draw(st.integers(0, 3)):
+            fits = INT_VALUES if action.type is int else action.choices or ARGV_VALUES
+            pair = (flag, draw(st.sampled_from(fits) if draw(st.integers(0, 3)) else value))
+            items.append(draw(st.sampled_from((pair, ("=".join(pair),)))))
+    every = sorted({flag for _, flags, _ in table.values() for flag in flags})
+    flag = st.sampled_from(every + list(ODD_FLAGS))
+    if not draw(st.integers(0, 2)):
+        items += draw(st.lists(st.one_of(
+            st.tuples(flag, value),
+            st.tuples(flag, value).map(lambda pair: ("=".join(pair),)),
+            st.tuples(value),
+            st.tuples(flag),
+        ), max_size=2))
+    return [name, *(token for item in draw(st.permutations(items)) for token in item)]
+
+
+@settings(max_examples=1000, deadline=None, database=None)
+@given(argvs())
+def test_the_exact_parse_gives_argparses_namespace(argv):
+    parser, table = cli._build_parser()
+    exact = cli._parse_exact(table, argv)
+    if exact is not None:
+        try:
+            parsed = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse refuses {argv!r}, which the exact parse took")
+        assert parsed == exact
+
+
+@pytest.mark.parametrize("argv, exact", [
+    (["milnor", "example_4_1", "--m", "1"], True),
+    (["aomoto", "example_4_1", "--alpha=-1/3,0,0", "--format", "json"], True),
+    (["admissible", "--bound", "2", "example_4_1", "--beta=1/2,1/2,0"], True),
+    (["module", "--presentation", "PRES", "--op=support"], True),
+    (["module", "--presentation", "PRES", "--op", "fitting", "--i", "1",
+      "--level", "4", "--format=json"], True),
+    (["twisted", "example_4_1", "--beta", "-1/3,0,0"], False),
+    (["charvar", "example_4_1", "--lev", "3", "--degree", "1"], False),
+    (["charvar", "example_4_1", "--level", "3", "--level", "4", "--degree", "1"], False),
+    (["charvar", "example_4_1", "--level=", "--degree", "1"], False),
+    (["milnor", "example_4_1", "--m", "1", "--format=xml"], False),
+    (["charvar", "torus", "--", "--level", "3"], False),
+    (["milnor", "-h"], False),
+])
+def test_main_prints_what_argparse_alone_prints(
+    capsys, monkeypatch, bivariate_presentation, argv, exact
+):
+    argv = [bivariate_presentation if token == "PRES" else token for token in argv]
+    _, table = cli._build_parser()
+    assert (cli._parse_exact(table, argv) is not None) == exact
+    ours = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "_parse_exact", lambda table, argv: None)
+    assert run_cli(capsys, *argv) == ours
 
 
 def _bundled_with(name, keys, value):
