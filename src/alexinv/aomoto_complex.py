@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
-from math import gcd, lcm, prod
-from operator import mul
+from itertools import product, repeat
+from math import gcd, lcm
+from operator import add, mul
 
 from .errors import (
     AlgebraInvalidError,
@@ -300,12 +300,17 @@ class IntegerDifferential:
     Each degree has a rank certificate (``rank_certificate``), built once:
     the rank ``r_p`` of ``D_p`` over ``Q(a)`` and a nonzero ``r_p x r_p``
     minor ``M_p(a)``.  Every larger minor is identically zero, so
-    ``rank D_p(a) = r_p`` at every ``a`` with ``M_p(a) != 0``.  Elsewhere, on the zero set of ``M_p`` or in a
-    degree without a certificate, ``D_p`` is linear in ``a``, so
-    ``rank D_p(c * a) = rank D_p(a)`` for every nonzero ``c``: each such rank
-    is kept under its degree and the direction ``a // gcd(a)``, and computed
-    once per direction (up to ``MAX_RANK_MEMO`` entries; the memo is emptied
-    when full).
+    ``rank D_p(a) = r_p`` at every ``a`` with ``M_p(a) != 0``.  Elsewhere,
+    on the zero set of ``M_p`` or in a degree without a certificate, ``D_p``
+    is linear in ``a``, so ``rank D_p(c * a) = rank D_p(a)`` for every
+    nonzero ``c``: each such rank is kept under its degree and the direction
+    ``a // gcd(a)``, and computed once per direction (up to
+    ``MAX_RANK_MEMO`` entries; the memo is emptied when full).
+
+    ``dims_many`` works on a batch a column at a time: it checks the squares
+    at every point before it computes any rank, and evaluates each minor
+    ``M_p`` over whole coordinate columns, so only the points on its zero
+    set go one by one through the memo.
     """
 
     def __init__(self, algebra: GradedAlgebra, omega_map):
@@ -355,57 +360,102 @@ class IntegerDifferential:
                 terms = [term for term in terms if term[2]]
                 if terms:
                     self.squares.append((p, terms))
-        # certificates[p]: rank_certificate of D_p, or None.
+        # certificates[p]: rank_certificate of D_p, or None.  minors[p]: its
+        # rank r_p and the terms of M_p as (coefficient, the index of each
+        # variable once per power), which _minor_column reads; or None.
         self.certificates = [rank_certificate(t, nparams) for t in self.tensors]
+        self.minors = [
+            cert and (cert[0], tuple(
+                (c, tuple(i for i, k in enumerate(e) for _ in range(k)))
+                for e, c in cert[3]))
+            for cert in self.certificates
+        ]
 
     def dims_many(self, points, degrees=None) -> list[tuple[int, ...]]:
         """Cohomology dimensions at each integer parameter vector ``a`` in
-        ``points``, for ``degrees`` (default: all, ``0 .. top``).
+        the sequence ``points``, for ``degrees`` (default: all, ``0 .. top``).
 
-        Verifies at every point, before trusting any rank computation there,
-        that consecutive differentials compose to zero in every degree; the
-        first point that fails raises, after the points before it are done.
+        Checks at every point that consecutive differentials compose to zero
+        in every degree before it computes any rank; when a point fails, the
+        error names the lowest degree where the first failing point fails.
+
+        The work goes a column at a time: the batch is transposed once, and
+        the squares and each needed degree's certificate minor are evaluated
+        over whole coordinate columns.  Only the points where a minor
+        vanishes, and every point in a degree without a certificate, then go
+        one at a time through the rank memo and ``integer_rank``.
         """
+        if not points:
+            return []
         if degrees is None:
             degrees = range(len(self.betti))
-        tensors, memo = self.tensors, self.ranks
-        needed = sorted({q for p in degrees for q in (p - 1, p) if 0 <= q < len(tensors)})
-        slot = {q: i for i, q in enumerate(needed)}
-        # Per degree p: b_p and where rank D_p and rank D_{p-1} sit in a
-        # point's ranks, whose last entry is the 0 of a missing differential.
-        plan = [(self.betti[p], slot.get(p, -1), slot.get(p - 1, -1)) for p in degrees]
-        # Per needed degree: (r, terms of M) from its certificate, or None.
-        checks = [
-            (cert := self.certificates[q]) and (cert[0], cert[3]) for q in needed
-        ]
-        out = []
-        for a in points:
-            for p, terms in self.squares:
-                if sum(a[i] * a[j] * q for i, j, q in terms):
-                    raise InconsistentDifferentialError(
-                        f"wedging twice with the one-form is nonzero from degree {p}"
-                    )
-            direction = None
-            ranks = []
-            for q, check in zip(needed, checks):
-                if check and sum([c * prod(map(pow, a, e)) for e, c in check[1]]):
-                    ranks.append(check[0])
+        tensors, memo, size = self.tensors, self.ranks, len(points)
+        columns = list(zip(*points))
+        # (index, degree) of the first point that fails; squares come in
+        # order of degree, so a later entry failing there is no lower.
+        failing = (size, None)
+        for p, terms in self.squares:
+            values = [0] * size
+            for i, j, q in terms:
+                values = [v + q * x * y for v, x, y in zip(values, columns[i], columns[j])]
+            k = next((k for k, v in enumerate(values) if v), size)
+            if k < failing[0]:
+                failing = k, p
+        if failing[1] is not None:
+            raise InconsistentDifferentialError(
+                f"wedging twice with the one-form is nonzero from degree {failing[1]}"
+            )
+        directions = {}  # point index -> a // gcd(a), once per point
+        zeros = [0] * size
+        # Degree q -> rank D_q at every point; the missing D_{-1} and D_top
+        # are zero.
+        rank_columns = {-1: zeros, len(tensors): zeros}
+        dims = []
+        for p in degrees:
+            for q in (p - 1, p):
+                if q in rank_columns:
                     continue
-                if direction is None:
-                    g = gcd(*a)
-                    direction = tuple(a) if g <= 1 else tuple([x // g for x in a])
-                rank = memo.get((q, direction))
-                if rank is None:
-                    rank = integer_rank(
-                        [[sum(map(mul, cell, a)) for cell in row] for row in tensors[q]]
-                    )
-                    if len(memo) >= MAX_RANK_MEMO:
-                        memo.clear()
-                    memo[q, direction] = rank
-                ranks.append(rank)
-            ranks.append(0)
-            out.append(tuple([b - ranks[i] - ranks[j] for b, i, j in plan]))
-        return out
+                minor = self.minors[q]
+                if minor is None:
+                    ranks, todo = [0] * size, range(size)
+                else:
+                    ranks = [minor[0]] * size
+                    values = _minor_column(minor[1], columns, size)
+                    todo = [k for k, v in enumerate(values) if not v] if 0 in values else ()
+                for k in todo:
+                    a = points[k]
+                    direction = directions.get(k)
+                    if direction is None:
+                        g = gcd(*a)
+                        direction = tuple(a) if g <= 1 else tuple([x // g for x in a])
+                        directions[k] = direction
+                    rank = memo.get((q, direction))
+                    if rank is None:
+                        rank = integer_rank(
+                            [[sum(map(mul, cell, a)) for cell in row] for row in tensors[q]]
+                        )
+                        if len(memo) >= MAX_RANK_MEMO:
+                            memo.clear()
+                        memo[q, direction] = rank
+                    ranks[k] = rank
+                rank_columns[q] = ranks
+            b = self.betti[p]
+            dims.append([b - x - y for x, y in zip(rank_columns[p], rank_columns[p - 1])])
+        return list(zip(*dims)) if dims else [()] * size
+
+
+def _minor_column(terms, columns, size) -> list:
+    """The values of a minor, given by ``terms`` as in
+    ``IntegerDifferential.minors``, at each of the ``size`` points whose
+    coordinate columns are ``columns``.  Each term and variable adds one
+    ``map`` over a column; they are chained, so one list is built."""
+    total = repeat(0, size)
+    for c, factors in terms:
+        term = repeat(c, size)
+        for i in factors:
+            term = map(mul, term, columns[i])
+        total = map(add, total, term)
+    return list(total)
 
 
 def cohomology_dims(algebra: GradedAlgebra, omega: OneForm) -> tuple[int, ...]:

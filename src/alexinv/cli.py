@@ -372,7 +372,9 @@ def _parse_exact(table: dict, argv: list):
     subcommand followed only by positionals and that subcommand's flags,
     each flag spelled out in full, given once and as ``--flag value`` (a
     value not starting with ``-``) or ``--flag=value``.  None for any other
-    argv, which is left to argparse: its help, usage and errors included."""
+    argv, which is left to argparse: its help, usage and errors included,
+    and any flag whose action sets ``nargs`` (``store_true`` has 0), as
+    such a flag does not take one value."""
     spec = table.get(argv[0]) if argv else None
     if spec is None:
         return None
@@ -385,7 +387,7 @@ def _parse_exact(table: dict, argv: list):
             continue
         flag, eq, value = token.partition("=")
         action = flags.get(flag)
-        if action is None or action in given:
+        if action is None or action.nargs is not None or action in given:
             return None
         if not eq:
             value = next(tokens, None)

@@ -480,6 +480,8 @@ def torsion_grid(level: int, nvars: int):
     """All level-N torsion points, in lexicographic order of numerators.
 
     The grid size is checked when this is called, before any point exists.
+    Every numerator comes from ``range(level)``, so the points are built
+    without the range check of ``TorsionPoint.__post_init__``.
     """
     if level < 1:
         raise LimitError(f"level must be >= 1, got {level}")
@@ -488,7 +490,16 @@ def torsion_grid(level: int, nvars: int):
             f"level {level} gives {level}^{nvars} torsion points, "
             f"more than the limit of {MAX_SCAN_POINTS}"
         )
-    return (TorsionPoint(level, nums) for nums in product(range(level), repeat=nvars))
+    return _grid_points(level, nvars)
+
+
+def _grid_points(level: int, nvars: int):
+    new = object.__new__
+    for numerators in product(range(level), repeat=nvars):
+        point = new(TorsionPoint)
+        state = vars(point)
+        state["level"], state["numerators"] = level, numerators
+        yield point
 
 
 def evaluate_at_torsion(p: LaurentPoly, point: TorsionPoint) -> CyclotomicNumber:

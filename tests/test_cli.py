@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shutil
@@ -667,6 +668,32 @@ def test_the_exact_parse_gives_argparses_namespace(argv):
         except SystemExit:
             pytest.fail(f"argparse refuses {argv!r}, which the exact parse took")
         assert parsed == exact
+
+
+def test_the_exact_parse_leaves_flags_without_one_value_to_argparse(capsys):
+    # A hand-built table in the layout of _build_parser's, with a store_true
+    # flag, which takes no value (nargs 0); argparse refuses "--stats=1" and
+    # reads "x" after "--stats" as a stray positional.
+    parser = argparse.ArgumentParser(prog="alexinv")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    scan = sub.add_parser("scan")
+    actions = [scan.add_argument("scenario"),
+               scan.add_argument("--level", type=int, default=3),
+               scan.add_argument("--stats", action="store_true")]
+    table = {"scan": (
+        ["scenario"],
+        {flag: a for a in actions for flag in a.option_strings},
+        {"subcommand": "scan", **{a.dest: a.default for a in actions}},
+    )}
+    argv = ["scan", "torus", "--level", "4"]
+    assert cli._parse_exact(table, argv) == parser.parse_args(argv)
+    for argv in (["scan", "torus", "--stats=1"], ["scan", "torus", "--stats", "x"]):
+        assert cli._parse_exact(table, argv) is None
+        with pytest.raises(SystemExit) as caught:
+            parser.parse_args(argv)
+        assert caught.value.code == 2
+    assert cli._parse_exact(table, ["scan", "torus", "--stats"]) is None
+    assert "error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, exact", [

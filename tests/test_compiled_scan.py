@@ -8,10 +8,12 @@ do all their arithmetic in ``Fraction``s; sympy checks the integer rank.
 import json
 import re
 import time
+from contextlib import ExitStack
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations
 from math import gcd, lcm, prod
+from unittest.mock import patch
 
 import pytest
 import sympy
@@ -613,6 +615,137 @@ def test_certificates_stay_cheap_on_larger_arrangements(n):
         assert (differential.certificates[1] is not None) == certified
         assert differential.dims_many(([1] * n,))[0] == dims_from_ranks(
             differential.betti, fresh_ranks(differential, [1] * n), range(3))
+
+
+# ---------------------------------------------------------------------------
+# dims_many works a column at a time: against a Fraction rank at every point.
+
+
+@st.composite
+def batches(draw, nparams):
+    """0, 1 or many points: random ones, a = 0, and points on the zero sets
+    of the certificates' minors, where the ranks drop."""
+    size = draw(st.sampled_from([0, 1, 2, 7, 16]))
+    pool = draw(points_on_zero_sets(nparams)) + [[0] * nparams]
+    point = st.one_of(
+        st.sampled_from(pool),
+        st.lists(st.integers(-4, 4), min_size=nparams, max_size=nparams))
+    return draw(st.lists(point, min_size=size, max_size=size))
+
+
+CAPS = {
+    "certified": {},
+    # Only an identically zero D_p keeps its (constant) certificate.
+    "uncertified": {"MAX_CERTIFICATE_TERMS": 0},
+    # The memo empties itself within a batch.
+    "memo of 2": {"MAX_RANK_MEMO": 2},
+}
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.sampled_from(bundled_scenario_names()), st.sampled_from(list(CAPS)), st.data())
+def test_column_dims_agree_with_fraction_ranks_at_every_point(name, caps, data):
+    scenario = load_bundled_scenario(name)
+    top = scenario.algebra.top_degree
+    with ExitStack() as stack:
+        for constant, value in CAPS[caps].items():
+            stack.enter_context(patch.object(aomoto_complex, constant, value))
+        differential = IntegerDifferential(scenario.algebra, scenario.omega_map)
+        points = data.draw(batches(scenario.nparams))
+        degrees = data.draw(st.sampled_from([None, *((p,) for p in range(top + 1))]))
+        dims = differential.dims_many(points, degrees)
+        assert len(differential.ranks) <= aomoto_complex.MAX_RANK_MEMO
+    if caps == "uncertified":
+        assert all(c is None or c[0] == 0 for c in differential.certificates)
+    wanted = range(top + 1) if degrees is None else degrees
+    assert dims == [
+        tuple(reference[p] for p in wanted)
+        for reference in (
+            reference_dims(scenario.algebra, scenario.one_form(a)) for a in points)
+    ]
+
+
+class ClearCounter(dict):
+    """A dict that counts how often it is emptied."""
+
+    clears = 0
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
+def test_a_memo_emptied_within_a_batch_loses_no_rank(monkeypatch):
+    monkeypatch.setattr(aomoto_complex, "MAX_RANK_MEMO", 2)
+    scenario = load_bundled_scenario("example_4_1")
+    differential = IntegerDifferential(scenario.algebra, scenario.omega_map)
+    differential.ranks = ClearCounter()
+    # M_0 = a_0 vanishes at each point, each in its own direction.
+    batch = [[0, k, 1] for k in range(-4, 5)] + [[0, 0, 0], [0, 3, 2]]
+    assert differential.dims_many(batch) == [
+        reference_dims(scenario.algebra, scenario.one_form(a)) for a in batch]
+    assert differential.ranks.clears >= 2 and len(differential.ranks) <= 2
+
+
+def two_degree_square_algebra():
+    """Unvalidated: ``x ^ y = y ^ x = s``, so wedging twice with ``w`` is
+    nonzero from degree 0 where ``a_x a_y != 0``; ``x ^ z = t`` and
+    ``z ^ t = u`` give ``w ^ (w ^ x) = -a_z^2 u``, nonzero from degree 1
+    where ``a_z != 0``."""
+    return GradedAlgebra(
+        3,
+        (("1",), ("x", "y", "z"), ("s", "t"), ("u",)),
+        {
+            ("x", "y"): {"s": F(1)},
+            ("y", "x"): {"s": F(1)},
+            ("x", "z"): {"t": F(1)},
+            ("z", "t"): {"u": F(1)},
+        },
+    )
+
+
+IDENTITY3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def test_the_square_error_names_the_first_failing_points_degree():
+    algebra = two_degree_square_algebra()
+    differential = IntegerDifferential(algebra, IDENTITY3)
+    late, early, both = [0, 1, 1], [1, 1, 0], [1, 1, 1]
+    assert [reference_first_nonzero_square(algebra, OneForm(a))
+            for a in (late, early, both, [0, 1, 0])] == [1, 0, 0, None]
+    for batch, degree in (
+        ([late, early], 1),  # the first point fails later than the second
+        ([early, late], 0),
+        ([[0, 0, 0], [0, 1, 0], late, early], 1),
+        ([[0, 2, 0], both, late], 0),
+    ):
+        with pytest.raises(InconsistentDifferentialError, match=f"from degree {degree}$"):
+            differential.dims_many(batch)
+    # Every point's squares are checked before any rank is computed, so the
+    # good points before a failing one leave nothing in the memo.
+    assert differential.ranks == {}
+    assert differential.dims_many([[0, 0, 0], [0, 1, 0]]) == [
+        reference_dims(algebra, OneForm(a)) for a in ([0, 0, 0], [0, 1, 0])]
+
+
+def test_batch_square_checks_follow_the_reference_at_the_first_failing_point():
+    rng = make_rng(2121)
+    algebras = [two_degree_square_algebra()] + [random_algebra(rng) for _ in range(20)]
+    fired = set()
+    for algebra in algebras:
+        differential = IntegerDifferential(algebra, IDENTITY3)
+        for _ in range(8):
+            batch = [[rng.randint(-2, 2) for _ in range(3)]
+                     for _ in range(rng.randint(1, 6))]
+            failing = [reference_first_nonzero_square(algebra, OneForm(a)) for a in batch]
+            expected = next((p for p in failing if p is not None), None)
+            dims, degree = compiled_first_nonzero_square(
+                lambda: differential.dims_many(batch))
+            assert degree == expected
+            if expected is None:
+                assert dims == [reference_dims(algebra, OneForm(a)) for a in batch]
+            fired.add(expected)
+    assert fired == {None, 0, 1}
 
 
 def test_integer_rank_count_on_a_fixed_scan_set(monkeypatch):

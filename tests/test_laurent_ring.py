@@ -5,7 +5,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alexinv.errors import DimensionError, ParseError
+from alexinv.errors import DimensionError, LimitError, ParseError
 from alexinv.exact_kernel import format_rational
 from alexinv.laurent_ring import (
     LaurentPoly,
@@ -263,6 +263,23 @@ def test_torsion_point_rejects_level_below_one(level):
 def test_torsion_grid_order():
     pts = list(torsion_grid(2, 2))
     assert [p.numerators for p in pts] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+@pytest.mark.parametrize("level, nvars", [(1, 1), (2, 2), (5, 3), (12, 1)])
+def test_grid_points_equal_checked_points(level, nvars):
+    # The grid skips the range check; its points must still be the ones the
+    # public constructor builds.
+    grid = list(torsion_grid(level, nvars))
+    checked = [TorsionPoint(level, p.numerators) for p in grid]
+    assert grid == checked
+    assert [hash(p) for p in grid] == [hash(p) for p in checked]
+    assert [(type(p), repr(p), str(p)) for p in grid] == [
+        (type(p), repr(p), str(p)) for p in checked]
+    assert len(set(grid) | set(checked)) == level ** nvars
+    with pytest.raises(AttributeError):
+        grid[0].level = level + 1
+    with pytest.raises(LimitError):
+        TorsionPoint(3, (3,))
 
 
 @st.composite
