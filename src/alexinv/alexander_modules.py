@@ -27,14 +27,17 @@ builds every minor.
 Vanishing at torsion points is decided in integers: each ideal generator is
 scaled by the lcm of its denominators (which does not change where it
 vanishes) and compiled once to ``(exponents, coefficient)`` pairs; at a
-level-N point its value is summed by power of ``zeta_N`` and reduced by the
-monic integer cyclotomic polynomial ``Phi_N``, and it vanishes iff the
-remainder is zero.  ``in_support`` runs this test at its one point.  A scan
-runs it once per orbit of ``(Z/N)^x`` acting on numerators by ``n -> u*n``,
-and the verdict holds on the whole orbit: the coefficients are rational, so
-a generator's value at ``u*n`` is ``sigma_u`` of its value at ``n``, where
-``sigma_u: zeta_N -> zeta_N^u`` is a field automorphism of ``Q(zeta_N)``,
-and an automorphism sends only zero to zero.
+level-N point its value is summed by power of ``zeta_N`` into a ``P`` of
+degree below N.  ``P(zeta_N) = 0`` iff ``P * M = 0`` modulo ``x^N - 1`` for
+``M = prod (x^(N/p) - 1)`` over the primes ``p | N``, since ``x^N - 1`` is
+the product of the ``Phi_d``, ``d | N``, and ``M`` is zero at each
+``zeta_d`` with ``d < N`` but not at ``zeta_N``.  ``in_support`` runs this
+test at its one point.  A scan runs it once per orbit of ``(Z/N)^x`` acting
+on numerators by ``n -> u*n``, and the verdict holds on the whole orbit:
+the coefficients are rational, so a generator's value at ``u*n`` is
+``sigma_u`` of its value at ``n``, where ``sigma_u: zeta_N -> zeta_N^u`` is
+a field automorphism of ``Q(zeta_N)``, and an automorphism sends only zero
+to zero.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from pathlib import Path
 from . import laurent_ring
 from .errors import DimensionError, LimitError, ParseError, SchemaError
 from .errors import fields, integers, load_json
-from .exact_kernel import cyclotomic_poly
+from .exact_kernel import prime_divisors
 from .laurent_ring import (
     LaurentPoly,
     TorsionPoint,
@@ -198,9 +201,7 @@ def tensor_cyclic(p1: Presentation, p2: Presentation) -> Presentation:
 def _vanishing(gens, level: int, candidates):
     """The candidate numerators of level-N points where all ``gens`` vanish;
     each generator is compiled and tested only where those before it vanish."""
-    modulus = cyclotomic_poly(level)[:-1]
-    deg = len(modulus)
-    nonzero = [(j - deg, d) for j, d in enumerate(modulus) if d]
+    *steps, last = [level // p for p in prime_divisors(level)] or [0]
     for g in gens:
         den = lcm(*(c.denominator for c in g.terms.values()))
         terms = [(e, c.numerator * (den // c.denominator)) for e, c in g.terms.items()]
@@ -209,15 +210,11 @@ def _vanishing(gens, level: int, candidates):
             powers = [0] * level
             for exps, c in terms:
                 powers[-sum(map(mul, exps, nums)) % level] += c
-            # Subtract multiples of the monic Phi_N from the top down, over
-            # its nonzero coefficients only: Phi_N can be sparse (Phi_99999
-            # has 8841 of 64801).
-            for k in range(level - 1, deg - 1, -1):
-                c = powers[k]
-                if c:
-                    for j, d in nonzero:
-                        powers[k + j] -= c * d
-            if not any(powers[:deg]):
+            # Multiply by x^s - 1 mod x^N - 1 for each s = N/p but the last;
+            # times the last, the product is zero iff the list has period s.
+            for s in steps:
+                powers = list(map(sub, powers[-s:] + powers[:-s], powers))
+            if (powers[last:] == powers[:-last]) if last else not powers[0]:
                 kept.append(nums)
         candidates = kept
         if not candidates:
@@ -228,9 +225,9 @@ def _vanishing(gens, level: int, candidates):
 def in_support(pres: Presentation, point: TorsionPoint) -> bool:
     """True iff every generator of the 0-th elementary ideal vanishes at the
     point (zero ideal: always true; full ring: always false).  It costs
-    about ``(N - phi(N)) * nnz(Phi_N)`` steps per generator at level N (the
-    reduction modulo the N-th cyclotomic polynomial): a level past
-    ``MAX_SCAN_POINTS`` is refused, as in a scan."""
+    about ``omega(N) * N`` steps per generator at level N, where ``omega(N)``
+    is the number of distinct primes of N: a level past ``MAX_SCAN_POINTS``
+    is refused, as in a scan."""
     if pres.nvars != point.nvars:
         raise DimensionError("point length does not match the module's ring")
     if point.level > (cap := laurent_ring.MAX_SCAN_POINTS):

@@ -72,22 +72,25 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def euler_phi(n: int) -> int:
-    """Euler's totient."""
+def prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing ``n``, in increasing order."""
     if n <= 0:
-        raise ValueError("euler_phi() needs a positive integer")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
+        raise ValueError(f"not a positive integer: {n}")
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
         p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    return primes + [n] if n > 1 else primes
+
+
+def euler_phi(n: int) -> int:
+    """Euler's totient, ``n * prod (1 - 1/p)`` over the primes of ``n``."""
+    for p in prime_divisors(n):
+        n -= n // p
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +128,8 @@ def mobius_pairs(n: int) -> list[tuple[int, int]]:
     """The pairs ``(d, mu(n/d))`` over the divisors ``d`` of ``n`` with
     ``n/d`` squarefree, so that ``Phi_n = prod (x^d - 1)^mu(n/d)``."""
     pairs = [(n, 1)]
-    for p in divisors(n)[1:]:
-        if euler_phi(p) == p - 1:
-            pairs += [(d // p, -mu) for d, mu in pairs]
+    for p in prime_divisors(n):
+        pairs += [(d // p, -mu) for d, mu in pairs]
     return pairs
 
 

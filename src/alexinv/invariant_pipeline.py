@@ -41,11 +41,11 @@ from .exact_kernel import (
     _poly_divmod,
     cyclotomic_poly,
     divisors,
-    euler_phi,
     format_rational,
     integer_vector,
     mobius_pairs,
     parse_rational,
+    prime_divisors,
 )
 from .laurent_ring import TorsionPoint, torsion_grid
 from .residue_systems import (
@@ -322,7 +322,7 @@ def _cyclotomic_indices(degree: int) -> list:
     large ones meet a short list, extends each index found so far by ``p^e``."""
     found = [(1, 1)]
     for p in range(degree + 1, 1, -1):
-        if euler_phi(p) == p - 1:
+        if prime_divisors(p) == [p]:
             for k, phi_k in list(found):
                 k, phi_k = k * p, phi_k * (p - 1)
                 while phi_k <= degree:

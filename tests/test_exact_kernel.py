@@ -15,7 +15,9 @@ from alexinv.exact_kernel import (
     format_rational,
     is_zero_matrix,
     mat_mul,
+    mobius_pairs,
     parse_rational,
+    prime_divisors,
     rank,
 )
 from randgen import make_rng
@@ -62,6 +64,18 @@ def test_cyclotomic_poly_matches_sympy_up_to_400():
     for n in range(1, 401):
         expected = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()[::-1]
         assert cyclotomic_poly(n) == tuple(expected)
+
+
+def test_prime_divisors_totient_and_mobius_match_sympy():
+    for n in [*range(1, 5001), 99999, 2310 * 43, 2**16]:
+        assert prime_divisors(n) == sympy.primefactors(n)
+        assert euler_phi(n) == sympy.totient(n)
+        mus = ((d, int(sympy.mobius(n // d))) for d in sympy.divisors(n))
+        assert sorted(mobius_pairs(n)) == [(d, mu) for d, mu in mus if mu]
+    for f in (prime_divisors, euler_phi, mobius_pairs):
+        for n in (0, -1, -12):
+            with pytest.raises(ValueError):
+                f(n)
 
 
 def test_poly_divmod_divides_by_monic_polynomials_only():

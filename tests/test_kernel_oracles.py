@@ -33,6 +33,7 @@ from alexinv.alexander_modules import (
 )
 from alexinv.cli import format_charpoly
 from alexinv.errors import DimensionError
+from alexinv.exact_kernel import cyclotomic_poly, divisors
 from alexinv.invariant_pipeline import (
     MonodromyPolynomial,
     _cyclotomic_indices,
@@ -392,6 +393,47 @@ def test_integer_vanishing_matches_cyclotomic_evaluation(data):
     h = data.draw(laurent(nvars))
     both = expected and evaluate_at_torsion(h, point).is_zero()
     assert in_support(cyclic_module([g, h]), point) == both
+
+
+# Level 1; primes and prime powers; two to four primes.  Level 2310 has its
+# own test: the reference reduces by Phi_2310 in Fractions, about 2 s a point.
+PERIOD_LEVELS = (1, 2, 3, 5, 7, 4, 8, 9, 16, 27, 6, 12, 30, 105, 210)
+
+
+def period_check_agrees(data, level):
+    nvars = data.draw(NVARS)
+    nums = tuple(data.draw(st.integers(0, level - 1)) for _ in range(nvars))
+    point = TorsionPoint(level, nums)
+    g = data.draw(laurent(nvars, lo=-4, hi=4))
+    if data.draw(st.booleans()):
+        exps = tuple(data.draw(st.integers(-3, 3)) for _ in range(nvars))
+        g = g * vanishing_factor(point, exps)
+    expected = evaluate_at_torsion(g, point).is_zero()
+    assert am._vanishing([g], level, [nums]) == ([nums] if expected else [])
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_period_check_matches_reduction_by_phi_n(data):
+    # _vanishing never builds Phi_N; evaluate_at_torsion reduces by it.
+    period_check_agrees(data, data.draw(st.sampled_from(PERIOD_LEVELS)))
+
+
+@settings(max_examples=3, deadline=None, database=None)
+@given(st.data())
+def test_period_check_matches_reduction_by_phi_n_at_four_primes(data):
+    period_check_agrees(data, 2310)
+
+
+@pytest.mark.parametrize("level", [1, 2, 12, 30, 105, 210, 2310, 9999])
+def test_phi_n_vanishes_exactly_at_the_primitive_points(level):
+    phi = cyclotomic_poly(level)
+    cyc = cyclic_module([LaurentPoly(1, {(e,): c for e, c in enumerate(phi) if c})])
+    assert [pt.numerators for pt in support_scan(cyc, level)] == [
+        (n,) for n in range(level) if int_gcd(n, level) == 1]
+    # One numerator per (Z/N)^x orbit, each decided on its own.
+    reps = [(d % level,) for d in divisors(level)]
+    assert am._vanishing(cyc.matrix[0], level, reps) == [(1 % level,)]
 
 
 def test_scans_match_cyclotomic_evaluation():
