@@ -38,6 +38,15 @@ the coefficients are rational, so a generator's value at ``u*n`` is
 ``sigma_u`` of its value at ``n``, where ``sigma_u: zeta_N -> zeta_N^u`` is
 a field automorphism of ``Q(zeta_N)``, and an automorphism sends only zero
 to zero.
+
+Divisibility cuts the tests further (the cover rule).  Every candidate left
+is a zero of every generator tested so far, so an earlier generator ``d``
+vanishes at all of them, and a generator ``g`` with ``divide_exact(g, d)``
+(``g = d * q`` over Q) vanishes there too: it is neither compiled nor
+tested.  A tested generator becomes the new ``d`` when there is none yet or
+it divides the old one.  Both divisions are made only while more than one
+candidate is left: at one point, as in ``in_support``, a division costs
+more than the one test it could save.
 """
 
 from __future__ import annotations
@@ -56,6 +65,7 @@ from .exact_kernel import prime_divisors
 from .laurent_ring import (
     LaurentPoly,
     TorsionPoint,
+    divide_exact,
     format_poly,
     gcd,
     parse_poly,
@@ -106,11 +116,17 @@ class Presentation:
             if len(rows) == 1:
                 found = top[cols[0]]
             else:
-                found = LaurentPoly.zero(self.nvars)
+                # One sum for every term, its keys in the order that adding
+                # the terms one at a time would leave them in.
+                terms = {}
                 for j, c in enumerate(cols):
                     if top[c]:
                         term = top[c] * self.minors(rows[1:], cols[:j] + cols[j + 1 :])
-                        found = found - term if j % 2 else found + term
+                        for e, v in term.terms.items():
+                            v = terms.pop(e, 0) + (-v if j % 2 else v)
+                            if v:
+                                terms[e] = v
+                found = LaurentPoly._make(self.nvars, terms)
             memo[rows, cols] = found
         return found
 
@@ -151,9 +167,13 @@ def elementary_ideal(pres: Presentation, i: int) -> IdealGenerators:
 
 def char_poly(pres: Presentation, i: int) -> LaurentPoly:
     """Normalized gcd of the i-th elementary ideal (0 for the zero ideal,
-    1 for the full ring); it stops at the first minor that brings it to 1."""
+    1 for the full ring); it stops at the first minor that brings it to 1,
+    and a minor that the gcd so far divides leaves it as it is."""
     g = LaurentPoly.zero(pres.nvars)
     for gen in _minors(pres, i):
+        # gcd would give normalize_unit(g), which is g: it is normalized.
+        if g and len(g.terms) <= len(gen.terms) and divide_exact(gen, g) is not None:
+            continue
         g = gcd(g, gen)
         if g.is_one:
             break
@@ -200,9 +220,13 @@ def tensor_cyclic(p1: Presentation, p2: Presentation) -> Presentation:
 
 def _vanishing(gens, level: int, candidates):
     """The candidate numerators of level-N points where all ``gens`` vanish;
-    each generator is compiled and tested only where those before it vanish."""
+    each generator is compiled and tested only where those before it vanish,
+    and not at all when an earlier one divides it (the cover rule)."""
     *steps, last = [level // p for p in prime_divisors(level)] or [0]
+    d = None  # a generator that vanishes at every candidate left
     for g in gens:
+        if d is not None and len(candidates) > 1 and divide_exact(g, d) is not None:
+            continue
         den = lcm(*(c.denominator for c in g.terms.values()))
         terms = [(e, c.numerator * (den // c.denominator)) for e, c in g.terms.items()]
         kept = []
@@ -219,6 +243,8 @@ def _vanishing(gens, level: int, candidates):
         candidates = kept
         if not candidates:
             break
+        if len(candidates) > 1 and (d is None or divide_exact(d, g) is not None):
+            d = g
     return candidates
 
 
@@ -240,12 +266,17 @@ def _scan(pres: Presentation, i: int, level: int) -> tuple[TorsionPoint, ...]:
     vanishes, in lexicographic order; the grid is checked first, also when
     the ideal is the full ring, and one point per orbit is decided."""
     grid = list(torsion_grid(level, pres.nvars))
-    units = [u for u in range(1, level + 1) if int_gcd(u, level) == 1]
+    units = {}  # m -> the units of Z/m
     first = {}  # numerators -> those of the first grid point of their orbit
     for point in grid:
         nums = point.numerators
         if nums not in first:
-            for u in units:
+            # u*nums mod N depends only on u mod m, and every unit mod m
+            # lifts to a unit mod N.
+            m = level // int_gcd(level, *nums)
+            if m not in units:
+                units[m] = [u for u in range(1, m + 1) if int_gcd(u, m) == 1]
+            for u in units[m]:
                 first[tuple(u * n % level for n in nums)] = nums
     zeros = set(_vanishing(_minors(pres, i - 1), level, set(first.values())))
     return tuple(pt for pt in grid if first[pt.numerators] in zeros)

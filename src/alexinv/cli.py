@@ -263,11 +263,12 @@ def _cmd_module(args) -> Report:
         if args.i < 0:
             raise SchemaError("", "--i must be >= 0 for --op charpoly")
         poly = am.char_poly(pres, args.i)
+        expanded = lr.format_poly(poly)
         report.results = {
             "op": "charpoly",
             "i": args.i,
-            "charpoly": format_charpoly(poly),
-            "expanded": lr.format_poly(poly),
+            "charpoly": format_charpoly(poly) if poly.nvars == 1 else expanded,
+            "expanded": expanded,
         }
     else:
         if args.level is None:
@@ -373,8 +374,8 @@ def _parse_exact(table: dict, argv: list):
     each flag spelled out in full, given once and as ``--flag value`` (a
     value not starting with ``-``) or ``--flag=value``.  None for any other
     argv, which is left to argparse: its help, usage and errors included,
-    and any flag whose action sets ``nargs`` (``store_true`` has 0), as
-    such a flag does not take one value."""
+    and any flag whose action is not argparse's plain store of one value
+    (``append``, ``count``, ``store_true``, a store with ``nargs``)."""
     spec = table.get(argv[0]) if argv else None
     if spec is None:
         return None
@@ -387,7 +388,8 @@ def _parse_exact(table: dict, argv: list):
             continue
         flag, eq, value = token.partition("=")
         action = flags.get(flag)
-        if action is None or action.nargs is not None or action in given:
+        if (type(action) is not argparse._StoreAction or action.nargs is not None
+                or action in given):
             return None
         if not eq:
             value = next(tokens, None)

@@ -234,6 +234,16 @@ def test_support_scan_examples():
     assert len(support_scan(free_module(3), 2)) == 8
 
 
+def test_support_scan_at_the_scan_limit():
+    # A point's orbit is walked over the units of Z/m, m = N / gcd(N, nums),
+    # not over every unit of Z/N: at level 100000 = 2^5 * 5^5 the 36 orbits
+    # make one numerator tuple per grid point, not 36 * phi(N) = 1440000.
+    start = time.perf_counter()
+    points = support_scan(cyclic_module([P("t - 1", 1)]), MAX_SCAN_POINTS)
+    assert time.perf_counter() - start < 1.5
+    assert [p.numerators for p in points] == [(0,)]
+
+
 def test_support_union_and_delta_bound_for_split_sequences():
     rng = make_rng(34)
     for _ in range(30):

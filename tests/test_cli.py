@@ -696,6 +696,32 @@ def test_the_exact_parse_leaves_flags_without_one_value_to_argparse(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("options", [
+    {"action": "append"},
+    {"action": "count"},
+    {"action": "store_const", "const": "c"},
+    {"action": "append_const", "const": "c"},
+    {"action": "extend", "nargs": "+"},
+    {"nargs": 1},
+])
+def test_the_exact_parse_leaves_every_other_action_to_argparse(options):
+    # A hand-built table in the layout of _build_parser's, with one "--tag"
+    # flag that is not a plain store: "--tag a" as argparse reads it would
+    # give ["a"] (append), 1 (count) or a stray positional, never "a".
+    parser = argparse.ArgumentParser(prog="alexinv")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    scan = sub.add_parser("scan")
+    actions = [scan.add_argument("scenario"), scan.add_argument("--tag", **options)]
+    table = {"scan": (
+        ["scenario"],
+        {flag: a for a in actions for flag in a.option_strings},
+        {"subcommand": "scan", **{a.dest: a.default for a in actions}},
+    )}
+    assert cli._parse_exact(table, ["scan", "x"]) == parser.parse_args(["scan", "x"])
+    assert cli._parse_exact(table, ["scan", "x", "--tag", "a"]) is None
+    assert cli._parse_exact(table, ["scan", "x", "--tag=a"]) is None
+
+
 @pytest.mark.parametrize("argv, exact", [
     (["milnor", "example_4_1", "--m", "1"], True),
     (["aomoto", "example_4_1", "--alpha=-1/3,0,0", "--format", "json"], True),

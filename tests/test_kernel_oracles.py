@@ -425,6 +425,38 @@ def test_period_check_matches_reduction_by_phi_n_at_four_primes(data):
     period_check_agrees(data, 2310)
 
 
+@st.composite
+def zero_at(draw, nvars, level, candidates):
+    """``c * (m^d - 1)`` for a drawn ``c`` and a monomial ``m`` of order d at
+    a drawn candidate: zero there and wherever ``m`` has an order dividing d."""
+    point = TorsionPoint(level, draw(st.sampled_from(candidates)))
+    exps = draw(st.tuples(*[st.integers(-2, 2)] * nvars).filter(any))
+    k = sum(e * n for e, n in zip(exps, point.numerators)) % level
+    order = level // int_gcd(level, k)
+    m = LaurentPoly.term(nvars, 1, [order * e for e in exps])
+    return draw(laurent(nvars, max_terms=2)) * (m - 1)
+
+
+@HYPOTHESIS
+@given(st.data())
+def test_cover_rule_keeps_exactly_the_common_zeros(data):
+    # _vanishing skips a generator that an earlier one divides.  Here d, its
+    # multiples d*q and d*q2 and an unrelated c come in a drawn order, and
+    # the reference evaluates every generator at every candidate.
+    nvars = data.draw(NVARS)
+    level = data.draw(st.sampled_from(PERIOD_LEVELS))
+    nums = st.tuples(*[st.integers(0, level - 1)] * nvars)
+    candidates = data.draw(st.lists(nums, min_size=1, max_size=24, unique=True))
+    d, q, q2, c = (data.draw(zero_at(nvars, level, candidates)) for _ in range(4))
+    gens = data.draw(st.permutations([d, d * q, c, d * q2]))
+    expected = {
+        point for point in candidates
+        if all(evaluate_at_torsion(g, TorsionPoint(level, point)).is_zero()
+               for g in gens)
+    }
+    assert set(am._vanishing(gens, level, candidates)) == expected
+
+
 @pytest.mark.parametrize("level", [1, 2, 12, 30, 105, 210, 2310, 9999])
 def test_phi_n_vanishes_exactly_at_the_primitive_points(level):
     phi = cyclotomic_poly(level)
