@@ -702,7 +702,6 @@ def test_the_exact_parse_leaves_flags_without_one_value_to_argparse(capsys):
     {"action": "store_const", "const": "c"},
     {"action": "append_const", "const": "c"},
     {"action": "extend", "nargs": "+"},
-    {"nargs": 1},
 ])
 def test_the_exact_parse_leaves_every_other_action_to_argparse(options):
     # A hand-built table in the layout of _build_parser's, with one "--tag"
