@@ -16,6 +16,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 from . import alexander_modules as am
@@ -222,20 +223,21 @@ def _cmd_admissible(args) -> Report:
 
 def _cmd_charvar(args) -> Report:
     scenario, report = _load_scenario(args)
-    scan = pipeline.charvar_scan(scenario, args.level, args.degree, args.bound)
-    render = lr.point_renderer(args.level)
-    buckets = {
-        str(dim): [render(p) for p in points]
-        for dim, points in scan.by_dimension.items()
-    }
+    by_index, inconclusive = pipeline._charvar_indices(
+        scenario, args.level, args.degree, args.bound)
+    labels = [lr.numerator_label(n, args.level) for n in range(args.level)]
+    names = ["(" + ",".join(t) + ")" for t in product(labels, repeat=scenario.nparams)]
     report.results = {
         "level": args.level,
         "degree": args.degree,
-        "total_points": args.level ** scenario.nparams,
-        "buckets": buckets,
+        "total_points": len(names),
+        "buckets": {
+            str(dim): list(map(names.__getitem__, found))
+            for dim, found in by_index.items()
+        },
     }
-    for point in scan.inconclusive:
-        report.warnings.append(f"inconclusive at beta={render(point)}")
+    for index in inconclusive:
+        report.warnings.append(f"inconclusive at beta={names[index]}")
     return report
 
 

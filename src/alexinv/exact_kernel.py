@@ -181,10 +181,11 @@ class CyclotomicNumber:
 
     @classmethod
     def _make(cls, conductor: int, coeffs) -> CyclotomicNumber:
-        phi = euler_phi(conductor)
-        _, rem = _poly_divmod([Fraction(c) for c in coeffs], cyclotomic_poly(conductor))
-        rem = rem + [Fraction(0)] * (phi - len(rem))
-        return cls(conductor, tuple(rem))
+        # Reduce modulo Phi_N in integers, over one common denominator.
+        numerators, common = integer_vector(coeffs)
+        _, rem = _poly_divmod(numerators, cyclotomic_poly(conductor))
+        rem = [Fraction(r, common) for r in rem]
+        return cls(conductor, tuple(rem + [Fraction(0)] * (euler_phi(conductor) - len(rem))))
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from math import gcd as int_gcd, prod
 from operator import mul
 from pathlib import Path
@@ -47,12 +48,13 @@ from .exact_kernel import (
     parse_rational,
     prime_divisors,
 )
-from .laurent_ring import TorsionPoint, torsion_grid
+from .laurent_ring import TorsionPoint, _grid_points, check_grid, torsion_grid
 from .residue_systems import (
     ResidueSystem,
     admissible_search,
     admissible_shifts,
     equimonodromic_beta,
+    grid_shifts,
     residue_system_from_dict,
     residue_system_to_dict,
 )
@@ -182,30 +184,32 @@ def charvar_scan(
     The scan enumerates all ``level ** nparams`` residue-class vectors in
     lexicographic order.
     """
+    by_index, inconclusive = _charvar_indices(scenario, level, degree, bound)
+    points = tuple(_grid_points(level, scenario.nparams)).__getitem__
+    by_dimension = {dim: tuple(map(points, found)) for dim, found in by_index.items()}
+    return CharvarScan(level, degree, by_dimension, tuple(map(points, inconclusive)))
+
+
+def _charvar_indices(scenario: Scenario, level: int, degree: int, bound: int):
+    """:func:`charvar_scan` by lexicographic index into the grid: the
+    indices of each dimension, by dimension, and the inconclusive ones."""
     if not 1 <= degree <= scenario.algebra.top_degree:
         raise DegreeError(
             f"degree {degree} out of range [1, {scenario.algebra.top_degree}]"
         )
-    grid = tuple(torsion_grid(level, scenario.nparams))
-    bound = scenario.effective_bound(bound)
+    check_grid(level, scenario.nparams)
     rows = [row.coeffs for row in scenario.residue_system.rows]
-    shifts = admissible_shifts(rows, [point.numerators for point in grid], level, bound)
-    admissible, scaled, inconclusive = [], [], []
-    for point, shift in zip(grid, shifts):
-        if shift is None:
-            inconclusive.append(point)
-        else:
-            admissible.append(point)
-            scaled.append(_scaled(point.numerators, shift, level))
-    by_dimension: dict = {}
-    for point, (dim,) in zip(
+    shifts = grid_shifts(rows, level, scenario.nparams, scenario.effective_bound(bound))
+    grid = zip(product(range(level), repeat=scenario.nparams), shifts)
+    scaled = [_scaled(n, shift, level) for n, shift in grid if shift is not None]
+    admissible = [index for index, shift in enumerate(shifts) if shift is not None]
+    inconclusive = [index for index, shift in enumerate(shifts) if shift is None]
+    by_index: dict = {}
+    for index, (dim,) in zip(
         admissible, scenario.differential.dims_many(scaled, (degree,))
     ):
-        by_dimension.setdefault(dim, []).append(point)
-    by_dimension = {
-        dim: tuple(pts) for dim, pts in sorted(by_dimension.items())
-    }
-    return CharvarScan(level, degree, by_dimension, tuple(inconclusive))
+        by_index.setdefault(dim, []).append(index)
+    return dict(sorted(by_index.items())), inconclusive
 
 
 # ---------------------------------------------------------------------------

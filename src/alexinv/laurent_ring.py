@@ -464,12 +464,17 @@ def point_renderer(level: int):
         for n in point.numerators:
             label = labels.get(n)
             if label is None:
-                g = int_gcd(n, level)
-                label = labels[n] = f"{n // g}/{level // g}" if n else "0"
+                label = labels[n] = numerator_label(n, level)
             parts.append(label)
         return "(" + ",".join(parts) + ")"
 
     return render
+
+
+def numerator_label(n: int, level: int) -> str:
+    """A coordinate's text in :func:`point_renderer`: ``n/level`` reduced, or ``0``."""
+    g = int_gcd(n, level)
+    return f"{n // g}/{level // g}" if n else "0"
 
 
 MAX_SCAN_POINTS = 100_000
@@ -483,6 +488,12 @@ def torsion_grid(level: int, nvars: int):
     Every numerator comes from ``range(level)``, so the points are built
     without the range check of ``TorsionPoint.__post_init__``.
     """
+    check_grid(level, nvars)
+    return _grid_points(level, nvars)
+
+
+def check_grid(level: int, nvars: int) -> None:
+    """``LimitError`` unless the level-N grid has 1 to ``MAX_SCAN_POINTS`` points."""
     if level < 1:
         raise LimitError(f"level must be >= 1, got {level}")
     if level > MAX_SCAN_POINTS or level ** nvars > MAX_SCAN_POINTS:
@@ -490,7 +501,6 @@ def torsion_grid(level: int, nvars: int):
             f"level {level} gives {level}^{nvars} torsion points, "
             f"more than the limit of {MAX_SCAN_POINTS}"
         )
-    return _grid_points(level, nvars)
 
 
 def _grid_points(level: int, nvars: int):

@@ -9,9 +9,11 @@ when no residue is a strictly positive integer.
 class vector ``beta`` by trying integer shifts inside a box, in a fixed
 deterministic order (total absolute shift first, then lexicographic), so that
 searches are reproducible.  Failure inside the box is reported as absence,
-never as a certificate of non-admissibility.  The search itself
-(``admissible_shifts``, for many points at once) runs on integers: ``beta``
-over a common denominator.
+never as a certificate of non-admissibility.  The search itself runs on
+integers, ``beta`` over a common denominator, and once per blocking
+pattern: ``admissible_shifts`` takes any points one by one, and
+``grid_shifts`` a whole torsion grid, each row's values read off one table
+a block of the grid at a time.
 """
 
 from __future__ import annotations
@@ -19,11 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from operator import mul
 
 from .errors import DimensionError, LimitError, SchemaError, fields, integers
 from .exact_kernel import integer_vector
+from .laurent_ring import MAX_SCAN_POINTS
 
 @dataclass(frozen=True)
 class ResidueRow:
@@ -96,12 +99,6 @@ def _sorted_box(nparams: int, bound: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(grid, key=lambda k: (sum(map(abs, k)), k)))
 
 
-COLUMNS_FROM = 8
-"""Fewest points that :func:`admissible_shifts` takes a column at a time.
-On the bundled scenarios' rows that is about even with point by point at 8
-points, 1.5 to 2.5 times faster at 32, and 3 to 5 times slower at one."""
-
-
 def admissible_shifts(rows, points, denominator: int, bound: int) -> list:
     """For each numerator vector ``n`` in ``points``: the first shift ``k`` in
     :func:`shift_vectors` order that makes ``alpha = n / denominator + k``
@@ -115,39 +112,60 @@ def admissible_shifts(rows, points, denominator: int, bound: int) -> list:
     ``row.k + row.n // L > 0``.  So the answer depends only on the blocking
     pattern, each row's offset ``row.n // L`` or None where it cannot block,
     and a point with no blocking row takes the zero shift, the first in the
-    order, at once.  From ``COLUMNS_FROM`` points on, the rows are summed a
-    column of points at a time and each pattern is searched once per call.
+    order, at once.  Each pattern is searched once per call.
     """
     if not points:
         return []
     order = _shift_order(len(points[0]), bound)
-    if len(points) < COLUMNS_FROM:
-        return [_first_unblocked(order, _blocking(rows, n, denominator)) for n in points]
-    columns = list(zip(*points))
-    offsets = []  # per row, per point: the row's offset, or None
-    for row in rows:
-        values = [0] * len(points)
-        for c, column in zip(row, columns):
-            if c:
-                values = [v + c * x for v, x in zip(values, column)]
-        offsets.append([None if v % denominator else v // denominator for v in values])
-    patterns = list(zip(*offsets)) if offsets else [()] * len(points)
+    return _search(rows, order, [_blocking(rows, n, denominator) for n in points])
+
+
+def grid_shifts(rows, level: int, nparams: int, bound: int) -> list:
+    """:func:`admissible_shifts` with ``denominator = level`` at every point
+    of ``product(range(level), repeat=nparams)``, in that order.
+
+    A row's offsets come from one table over the values ``lo .. hi`` it
+    takes on the grid.  The grid is a run of blocks over the last
+    coordinate, one per value ``h`` of the row's other terms, and a block
+    is the slice of the table from ``h`` in steps of the last coefficient.
+    """
+    order = _shift_order(nparams, bound)
+    offsets = [_grid_offsets(row, level) for row in rows]
+    return _search(rows, order, list(zip(*offsets)) if rows else [()] * level ** nparams)
+
+
+def _grid_offsets(row, level: int):
+    """The row's offset, or None, at each point of the grid, in order."""
+    lo = (level - 1) * sum(c for c in row if c < 0)
+    hi = (level - 1) * sum(c for c in row if c > 0)
+    if hi - lo >= MAX_SCAN_POINTS:  # no table that large: sum point by point
+        values = (sum(map(mul, row, n)) for n in product(range(level), repeat=len(row)))
+        return [None if v % level else v // level for v in values]
+    table = [None if v % level else v // level for v in range(lo, hi + 1)]
+    *head, c = row
+    starts = [sum(map(mul, head, n)) - lo for n in product(range(level), repeat=len(head))]
+    if c == 0:
+        return chain.from_iterable([table[h]] * level for h in starts)
+    # A descending block that ends at the table's first entry stops at None.
+    return chain.from_iterable(
+        table[h:h + c * level if h + c * level >= 0 else None:c] for h in starts)
+
+
+def _search(rows, order, patterns) -> list:
+    """The first shift in ``order`` that no blocking row of the pattern
+    blocks, for each pattern; each distinct pattern is searched once."""
     found = {}  # blocking pattern -> its first admissible shift, or None
     for pattern in set(patterns):
         found[pattern] = _first_unblocked(order, [
             (row, offset) for row, offset in zip(rows, pattern) if offset is not None
         ])
-    return [found[pattern] for pattern in patterns]
+    return list(map(found.__getitem__, patterns))
 
 
-def _blocking(rows, numerators, denominator: int) -> list:
-    """The ``(row, offset)`` pairs of the rows that can block at one point."""
-    blocking = []
-    for row in rows:
-        v = sum(map(mul, row, numerators))
-        if v % denominator == 0:
-            blocking.append((row, v // denominator))
-    return blocking
+def _blocking(rows, numerators, denominator: int) -> tuple:
+    """The blocking pattern at one point: each row's offset, or None."""
+    values = [sum(map(mul, row, numerators)) for row in rows]
+    return tuple(None if v % denominator else v // denominator for v in values)
 
 
 def _first_unblocked(order, blocking):

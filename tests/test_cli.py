@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import shutil
@@ -18,6 +19,11 @@ from alexinv import invariant_pipeline as pipeline
 from alexinv import laurent_ring as lr
 from alexinv import residue_systems as rs
 from alexinv.cli import format_charpoly, main
+from alexinv.corpus import (
+    bundled_scenario_names,
+    bundled_scenario_path,
+    load_bundled_scenario,
+)
 from alexinv.errors import DimensionError, LimitError
 from alexinv.exact_kernel import cyclotomic_poly
 from alexinv.laurent_ring import parse_poly
@@ -202,6 +208,72 @@ def test_charvar_rejects_grid_over_the_point_cap(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "charvar", "example_4_1", "--level", "4", "--degree", "1")
     assert code == 1
     assert "4^3 torsion points" in err
+
+
+def _charvar_report(name, level, degree, fmt):
+    """The ``charvar`` report built from ``charvar_scan``'s torsion points,
+    each rendered by ``point_renderer``, and its exit code."""
+    scenario = load_bundled_scenario(name)
+    scan = pipeline.charvar_scan(scenario, level, degree)
+    render = lr.point_renderer(level)
+    argv = ["charvar", name, "--level", str(level), "--degree", str(degree), "--format", fmt]
+    with open(bundled_scenario_path(name), "rb") as handle:
+        digest = "sha256:" + hashlib.sha256(handle.read()).hexdigest()
+    report = cli.Report(["alexinv"] + argv, digest)
+    report.results = {
+        "level": level,
+        "degree": degree,
+        "total_points": level ** scenario.nparams,
+        "buckets": {
+            str(dim): [render(p) for p in points]
+            for dim, points in scan.by_dimension.items()
+        },
+    }
+    report.warnings = [f"inconclusive at beta={render(p)}" for p in scan.inconclusive]
+    text = report.to_json() if fmt == "json" else report.to_text()
+    return argv, (2 if report.warnings else 0), text + "\n"
+
+
+@pytest.mark.parametrize("name", bundled_scenario_names())
+def test_charvar_reports_match_the_scans_torsion_points(capsys, name):
+    scenario = load_bundled_scenario(name)
+    for level in range(1, 14):
+        if level ** scenario.nparams > lr.MAX_SCAN_POINTS:
+            continue
+        for degree in range(1, scenario.algebra.top_degree + 1):
+            for fmt in ("json", "text"):
+                argv, code, text = _charvar_report(name, level, degree, fmt)
+                assert run_cli(capsys, *argv) == (code, text, "")
+
+
+def test_charvar_over_the_point_cap_is_refused_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "charvar", "example_4_1", "--level", "47", "--degree", "1")
+    assert time.perf_counter() - start < 0.1
+    assert (code, out) == (1, "")
+    assert err == "error: level 47 gives 47^3 torsion points, more than the limit of 100000\n"
+
+
+def test_charvar_with_a_huge_residue_coefficient(tmp_path, capsys):
+    # A non-component row with a 10**15 coefficient: too large for a table
+    # of the row's values, so the scan sums it point by point.
+    with open(bundled_scenario_path("example_4_1"), encoding="utf-8") as handle:
+        data = json.load(handle)
+    data["residue_system"]["rows"].append(
+        {"label": "huge", "coeffs": [10**15, -(10**15) + 1, 12], "component": False})
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    argv = ["charvar", str(path), "--level", "12", "--degree", "1", "--format", "json"]
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    scenario = pipeline.load_scenario(str(path))
+    scan = pipeline.charvar_scan(scenario, 12, 1)
+    render = lr.point_renderer(12)
+    assert code == (2 if scan.inconclusive else 0)
+    assert json.loads(out)["results"]["buckets"] == {
+        str(dim): [render(p) for p in points] for dim, points in scan.by_dimension.items()
+    }
 
 
 def test_search_box_over_the_shift_cap(capsys, monkeypatch):
@@ -1040,7 +1112,7 @@ def test_internal_dimension_error_is_not_a_usage_error(capsys, monkeypatch):
     def broken(scenario, level, degree, bound):
         raise DimensionError("shape slip")
 
-    monkeypatch.setattr(pipeline, "charvar_scan", broken)
+    monkeypatch.setattr(pipeline, "_charvar_indices", broken)
     with pytest.raises(DimensionError, match="shape slip"):
         main(["charvar", "example_4_1", "--level", "3", "--degree", "1"])
     assert capsys.readouterr().err == ""

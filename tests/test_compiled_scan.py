@@ -8,6 +8,7 @@ do all their arithmetic in ``Fraction``s; sympy checks the integer rank.
 import json
 import re
 import time
+import tracemalloc
 from contextlib import ExitStack
 from fractions import Fraction
 from functools import cache
@@ -45,6 +46,7 @@ from alexinv.residue_systems import (
     ResidueRow,
     ResidueSystem,
     admissible_shifts,
+    grid_shifts,
     is_admissible,
     shift_vectors,
 )
@@ -198,13 +200,15 @@ def test_batch_search_agrees_with_the_reference_at_every_point(problem, bound):
         grid[0].nvars,
         tuple(ResidueRow(f"r{i}", tuple(row), False) for i, row in enumerate(rows)),
     )
-    # Every point again and again: a batch long enough to go by columns,
-    # and one too short to, must agree with each other and point by point.
-    many = residue_systems.COLUMNS_FROM
+    # Every point again and again, so that each pattern recurs in one call:
+    # the whole batch, a prefix of it, the grid search and each point alone
+    # must agree.
+    many = 8
     numerators = [p.numerators for p in grid] * many
     shifts = admissible_shifts(rows, numerators, level, bound)
     assert shifts == shifts[:len(grid)] * many
     assert admissible_shifts(rows, numerators[:many - 1], level, bound) == shifts[:many - 1]
+    assert grid_shifts(rows, level, grid[0].nvars, bound) == shifts[:len(grid)]
     for point, shift in zip(grid, shifts):
         got = None if shift is None else tuple(b + k for b, k in zip(point.beta, shift))
         assert got == reference_representative(system, point.beta, bound)
@@ -223,13 +227,109 @@ def test_each_blocking_pattern_is_searched_once_per_call(monkeypatch):
     system = load_bundled_scenario("example_4_1").residue_system
     rows = [row.coeffs for row in system.rows]
     points = [p.numerators for p in torsion_grid(12, 3)]
-    shifts = admissible_shifts(rows, points, 12, 3)
+    shifts = grid_shifts(rows, 12, 3, 3)
     blocked = [
         n for n in points
         if any(sum(r * x for r, x in zip(row, n)) % 12 == 0 for row in rows)
     ]
     assert len(set(searched)) == len(searched) < len(blocked) < len(points)
+    # Point by point, one call searches the same patterns, each once.
+    in_grid = set(searched)
+    searched.clear()
+    assert admissible_shifts(rows, points, 12, 3) == shifts
+    assert len(searched) == len(in_grid) and set(searched) == in_grid
     assert shifts == [admissible_shifts(rows, (n,), 12, 3)[0] for n in points]
+    # A Milnor-style batch, every equimonodromic point of a large order:
+    # each pattern once, however many points share it.
+    searched.clear()
+    order = 5040
+    milnor = admissible_shifts(rows, [(k,) * 3 for k in range(order)], order, 3)
+    assert len(set(searched)) == len(searched) < 20 < order
+    assert milnor[:12] == [
+        admissible_shifts(rows, ((k,) * 3,), order, 3)[0] for k in range(12)]
+
+
+@st.composite
+def grid_problems(draw):
+    """Rows, a level and a parameter count for :func:`grid_shifts`, with
+    the grid times the search box small enough for the reference at every
+    point.  Coefficients are small or multiples of the level; rows may end
+    in zero or a negative coefficient, be all zero, or be missing."""
+    nparams = draw(st.integers(1, 4))
+    bound = draw(st.integers(0, 3))
+    top = max(1, min(13, int((GRID_WORK ** (1 / nparams)) / (2 * bound + 1))))
+    level = draw(st.integers(1, top))
+    coefficient = st.one_of(
+        st.integers(-3, 3), st.builds(lambda c: c * level, st.integers(-2, 2)))
+    row = st.one_of(
+        st.lists(coefficient, min_size=nparams, max_size=nparams),
+        st.builds(lambda head, last: head + [last],
+                  st.lists(coefficient, min_size=nparams - 1, max_size=nparams - 1),
+                  st.integers(-3, 0)),
+        st.just([0] * nparams),
+    )
+    return draw(st.lists(row, max_size=5)), level, nparams, bound
+
+
+GRID_WORK = 60_000  # most grid points times box shifts per drawn problem
+
+
+def assert_grid_matches(rows, level, nparams, bound):
+    system = ResidueSystem(
+        nparams,
+        tuple(ResidueRow(f"r{i}", tuple(row), False) for i, row in enumerate(rows)),
+    )
+    shifts = grid_shifts(rows, level, nparams, bound)
+    grid = list(torsion_grid(level, nparams))
+    assert len(shifts) == len(grid)
+    assert shifts == admissible_shifts(rows, [p.numerators for p in grid], level, bound)
+    # Every row summed point by point, as a row too large for a table is.
+    with patch.object(residue_systems, "MAX_SCAN_POINTS", 0):
+        assert grid_shifts(rows, level, nparams, bound) == shifts
+    for point, shift in zip(grid, shifts):
+        got = None if shift is None else tuple(b + k for b, k in zip(point.beta, shift))
+        assert got == reference_representative(system, point.beta, bound)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(grid_problems())
+# Example 4.1's rows at level 5: a descending block (last coefficient -2)
+# that ends at the table's first entry, where the slice stop is negative.
+@example(([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -2], [1, 1, 1], [0, -1, -1],
+           [1, 2, 2], [-1, -2, -2]], 5, 3, 3))
+# A coefficient far too large for a table goes point by point.
+@example(([[10**15, 1], [1, -1], [-3, 10**15 * 12]], 12, 2, 1))
+@example(([], 3, 2, 1))
+@example(([[0, 0, 0]], 2, 3, 2))
+def test_grid_search_agrees_with_the_point_search_and_the_reference(problem):
+    assert_grid_matches(*problem)
+
+
+def test_a_huge_coefficient_is_searched_without_a_table():
+    # hi - lo for a row is (level - 1) * sum(|c|): past MAX_SCAN_POINTS the
+    # row is summed point by point, so the grid search stays quick.
+    rows = [[10**15, 1, -1], [1, -10**15, 2], [1, 1, 1]]
+    start = time.perf_counter()
+    shifts = grid_shifts(rows, 12, 3, 3)
+    assert time.perf_counter() - start < 1
+    points = [p.numerators for p in torsion_grid(12, 3)]
+    assert shifts == admissible_shifts(rows, points, 12, 3)
+    # At the routing line: a span of MAX_SCAN_POINTS - 1 takes a table (a
+    # list of MAX_SCAN_POINTS entries), one more does not, and both give
+    # the point-by-point answer.
+    cap = residue_systems.MAX_SCAN_POINTS
+    peaks = []
+    for span in (cap - 1, cap):
+        rows = [[span, 0], [-1, 1]]
+        tracemalloc.start()
+        try:
+            shifts = grid_shifts(rows, 2, 2, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert shifts == admissible_shifts(
+            rows, [p.numerators for p in torsion_grid(2, 2)], 2, 1)
+    assert peaks[0] > 8 * cap > 100 * peaks[1]
 
 
 @st.composite

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -122,6 +123,29 @@ def test_rank_nullity_and_annihilation_random():
 def test_cyclotomic_vector_length_enforced():
     with pytest.raises(DimensionError):
         CyclotomicNumber(5, (F(1),))
+
+
+@pytest.mark.parametrize("conductor", [1, 2, 3, 4, 6, 12, 30, 97, 210, 2310])
+def test_cyclotomic_reduction_returns_the_remainder(conductor):
+    # Powers built as q * Phi_N + r, with sympy's Phi_N, an integer q and a
+    # rational r of degree below phi(N): the reduction, which runs over one
+    # common denominator in integers, must give back r.
+    rng = make_rng(conductor)
+    phi = euler_phi(conductor)
+    cyclotomic = sympy.cyclotomic_poly(conductor, sympy.Symbol("x"), polys=True)
+    divisor = [int(c) for c in reversed(cyclotomic.all_coeffs())]
+    quotient = [rng.randint(-9, 9) for _ in range(conductor - phi)]
+    remainder = [F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 12))) for _ in range(phi)]
+    product = [0] * conductor
+    for i, q in enumerate(quotient):
+        for j, d in enumerate(divisor):
+            product[i + j] += q * d
+    powers = [p + r for p, r in zip(product, remainder + [0] * (conductor - phi))]
+    start = time.perf_counter()
+    value = CyclotomicNumber._make(conductor, powers)
+    assert time.perf_counter() - start < 1
+    assert value == CyclotomicNumber(conductor, tuple(remainder))
+    assert all(type(c) is Fraction for c in value.coeffs)
 
 
 def test_parse_rational_rejects_zero_denominator():
