@@ -249,6 +249,9 @@ def test_each_blocking_pattern_is_searched_once_per_call(monkeypatch):
         admissible_shifts(rows, ((k,) * 3,), order, 3)[0] for k in range(12)]
 
 
+GRID_WORK = 60_000  # most grid points times box shifts per drawn problem
+
+
 @st.composite
 def grid_problems(draw):
     """Rows, a level and a parameter count for :func:`grid_shifts`, with
@@ -269,9 +272,6 @@ def grid_problems(draw):
         st.just([0] * nparams),
     )
     return draw(st.lists(row, max_size=5)), level, nparams, bound
-
-
-GRID_WORK = 60_000  # most grid points times box shifts per drawn problem
 
 
 def assert_grid_matches(rows, level, nparams, bound):
