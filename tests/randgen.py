@@ -127,3 +127,20 @@ def random_chain_presentation(rng, nvars, shape) -> Presentation:
         for row in rows:
             row[a] = row[a] + mono * row[b]
     return Presentation(nvars, n, m, tuple(tuple(r) for r in rows))
+
+
+def random_partial_presentation(rng, nvars, shape) -> Presentation:
+    """A ``random_chain_presentation`` block of size ``(n-2, m-2)`` summed
+    with a ``random_presentation`` 2 x 2 block, its rows and its columns then
+    shuffled: the chain block splits off pivot by pivot, the random block
+    mostly does not."""
+    n, m = shape
+    chain = random_chain_presentation(rng, nvars, (n - 2, m - 2))
+    block = random_presentation(rng, nvars, shape=(2, 2))
+    zero = LaurentPoly.zero(nvars)
+    rows = [list(r) + [zero] * 2 for r in chain.matrix]
+    rows += [[zero] * (m - 2) + list(r) for r in block.matrix]
+    rng.shuffle(rows)
+    cols = list(range(m))
+    rng.shuffle(cols)
+    return Presentation.from_rows(nvars, [[r[c] for c in cols] for r in rows])

@@ -39,6 +39,7 @@ PRESENTATIONS = {
     "tri_2x3": ("random_presentation", 5, 3, (2, 3)),
     "tri_3x4": ("random_chain_presentation", 16, 3, (3, 4)),
     "tri_4x5": ("random_chain_presentation", 17, 3, (4, 5)),
+    "bi_5x6": ("random_partial_presentation", 36, 2, (5, 6)),
 }
 
 
