@@ -9,20 +9,42 @@ Conventions for the i-th elementary ideal of an n-generator presentation:
 the full ring when ``i >= n``, the zero ideal when ``n - i > m``, and
 otherwise the ideal of all ``(n-i) x (n-i)`` minors.
 
-Minors are shared: each is a Laplace expansion along its first row, memoised
-on its (row subset, column subset), so one table of sub-minors serves all
-``C(n,k) * C(m,k)`` minors of an ideal instead of ``k!`` products each.  The
-table is a dict the presentation keeps (``Presentation.minors`` fills it),
-serves every index and every op, lives as long as the presentation (in the
-CLI, as long as its decoded-input cache keeps it), goes with it into pickles
-and copies, never holds more than every minor of the matrix, and takes no
-part in ``==``, ``hash``, ``repr`` or the dataclass fields.  An op builds
-only the minors its answer needs: it reads them one at a time, in
-``elementary_ideal``'s order, and stops once the answer is settled
-(``char_poly`` at a gcd of 1, a vanishing test once no point is left where
-every minor so far vanishes).  An answer that never settles early, such as
-a scan of an ideal whose every minor vanishes at the trivial point, still
-builds every minor.
+Before any minor is taken, the presentation is peeled
+(``Presentation._peeled``): an entry ``a`` that divides every other entry of
+its row and of its column splits off as a 1 x 1 block by unimodular row and
+column operations, which leave ``B[r'][c'] = A[r'][c'] - (A[r'][c] / a) *
+A[r][c']``; the entry with the fewest terms goes first, then the lowest
+(row, col).  Fitting ideals do not change under unimodular operations
+(Eisenbud, *Commutative Algebra*, 20.2), and ``I_k(a (+) B) = a * I_{k-1}(B)
++ I_k(B)``, so the pivots ``a_1 .. a_r`` and the residual ``B`` (the
+presentation itself when nothing peels) carry every elementary ideal.
+
+``char_poly`` reads ``Delta_k(A) = gcd_j(Delta_j(diag) * Delta_{k-j}(B))``,
+as ``gcd(I * J) = gcd(I) * gcd(J)`` and ``gcd(I + J) = gcd(gcd I, gcd J)``
+in a UFD; ``Delta_j(diag)`` is the product of the first ``j`` pivots once
+pairwise (gcd, lcm) replacement has made them a divisibility chain.  The
+chain keeps the gcds but not the ideals (``diag(t1 - 1, t2 - 1)`` has
+``Delta_1 = 1``, yet ``I_1`` vanishes at ``(1, 1)``), so only ``char_poly``
+reads it.  The scans and ``in_support`` count ranks instead: unimodular
+operations stay invertible at every torus point, so there
+``rank A = #{j : a_j != 0} + rank B``.  A point lies in ``V(E_{i-1})``, the
+zeros of the ``k``-minors for ``k = n - i + 1``, exactly when ``rank A < k``:
+with ``z`` pivots nonzero there, when every ``(k - z)``-minor of ``B``
+vanishes (always when ``k - z`` exceeds the size of ``B``, never when
+``k - z <= 0``).
+
+Minors of the residual are shared: each is a Laplace expansion along its
+first row, memoised on its (row subset, column subset), so one table of
+sub-minors serves all ``C(n,k) * C(m,k)`` minors of an ideal instead of
+``k!`` products each.  The table (``Presentation.minors`` fills it), the
+peel and the chain live as long as the presentation (in the CLI, as long as
+its decoded-input cache keeps it), serve every index and every op, go with
+it into pickles and copies, and take no part in ``==``, ``hash``, ``repr``
+or the dataclass fields; ``elementary_ideal`` lists the presentation's own
+minors.  An op builds only the minors its answer needs, one at a time in
+``elementary_ideal``'s order, and stops once the answer is settled (a gcd
+of 1, a vanishing test once no point is left where every minor so far
+vanishes).
 
 Vanishing at torsion points is decided in integers: each ideal generator is
 scaled by the lcm of its denominators (which does not change where it
@@ -34,10 +56,10 @@ the product of the ``Phi_d``, ``d | N``, and ``M`` is zero at each
 ``zeta_d`` with ``d < N`` but not at ``zeta_N``.  ``in_support`` runs this
 test at its one point.  A scan runs it once per orbit of ``(Z/N)^x`` acting
 on numerators by ``n -> u*n``, and the verdict holds on the whole orbit:
-the coefficients are rational, so a generator's value at ``u*n`` is
-``sigma_u`` of its value at ``n``, where ``sigma_u: zeta_N -> zeta_N^u`` is
-a field automorphism of ``Q(zeta_N)``, and an automorphism sends only zero
-to zero.
+the coefficients (of the pivots and the residual too) are rational, so a
+generator's value at ``u*n`` is ``sigma_u`` of its value at ``n``, where
+``sigma_u: zeta_N -> zeta_N^u`` is a field automorphism of ``Q(zeta_N)``,
+and an automorphism sends only zero to zero.
 
 Divisibility cuts the tests further (the cover rule).  Every candidate left
 is a zero of every generator tested so far, so an earlier generator ``d``
@@ -68,6 +90,7 @@ from .laurent_ring import (
     divide_exact,
     format_poly,
     gcd,
+    normalize_unit,
     parse_poly,
     torsion_grid,
 )
@@ -105,6 +128,47 @@ class Presentation:
     def _minor_memo(self) -> dict:
         """Every minor built so far, by its (rows, cols) index tuples."""
         return {}
+
+    @cached_property
+    def _peeled(self) -> tuple:
+        """``(pivots, rest)``: the entries split off as 1 x 1 blocks, and the
+        residual presentation (the presentation itself when none splits)."""
+        rows, pivots = self.matrix, []
+        while True:
+            order = sorted((len(a.terms), r, c)
+                           for r, row in enumerate(rows) for c, a in enumerate(row) if a)
+            for _, r, c in order:
+                a = rows[r][c]
+                if all(divide_exact(x, a) is not None for x in rows[r]):
+                    col = [divide_exact(row[c], a) for row in rows]
+                    if None not in col:
+                        break
+            else:
+                break
+            pivots.append(a)
+            top = rows[r]
+            rows = tuple(
+                tuple(x - q * y if q and y else x
+                      for j, (x, y) in enumerate(zip(row, top)) if j != c)
+                for s, (row, q) in enumerate(zip(rows, col)) if s != r)
+        if not pivots:
+            return (), self
+        n = len(pivots)
+        return tuple(pivots), Presentation(
+            self.nvars, self.generators - n, self.relations - n, rows)
+
+    @cached_property
+    def _chain(self) -> tuple:
+        """``(c, prefixes)``: the pivots, normalized and made a divisibility
+        chain ``c_1 | c_2 | ...`` by (gcd, lcm) replacement, and the products
+        ``c_1 ... c_j`` (``prefixes[0] = 1``) as far as ``char_poly`` needed."""
+        chain = [normalize_unit(a) for a in self._peeled[0]]
+        for i, j in combinations(range(len(chain)), 2):
+            a, b = chain[i], chain[j]
+            if divide_exact(b, a) is None:
+                g = gcd(a, b)
+                chain[i], chain[j] = g, normalize_unit(a * divide_exact(b, g))
+        return chain, [LaurentPoly.one(self.nvars)]
 
     def minors(self, rows, cols) -> LaurentPoly:
         """``det(rows, cols)`` of sorted index tuples, by Laplace expansion
@@ -165,19 +229,39 @@ def elementary_ideal(pres: Presentation, i: int) -> IdealGenerators:
     return IdealGenerators(tuple(_minors(pres, i)))
 
 
-def char_poly(pres: Presentation, i: int) -> LaurentPoly:
-    """Normalized gcd of the i-th elementary ideal (0 for the zero ideal,
-    1 for the full ring); it stops at the first minor that brings it to 1,
-    and a minor that the gcd so far divides leaves it as it is."""
-    g = LaurentPoly.zero(pres.nvars)
-    for gen in _minors(pres, i):
+def _gcd_all(polys, nvars: int) -> LaurentPoly:
+    """Normalized gcd of nonzero ``polys`` (0 when there are none); it stops
+    at 1, and a polynomial that the gcd so far divides leaves it as it is."""
+    g = LaurentPoly.zero(nvars)
+    for p in polys:
         # gcd would give normalize_unit(g), which is g: it is normalized.
-        if g and len(g.terms) <= len(gen.terms) and divide_exact(gen, g) is not None:
+        if g and len(g.terms) <= len(p.terms) and divide_exact(p, g) is not None:
             continue
-        g = gcd(g, gen)
+        g = gcd(g, p) if g else normalize_unit(p)
         if g.is_one:
             break
     return g
+
+
+def char_poly(pres: Presentation, i: int) -> LaurentPoly:
+    """Normalized gcd of the i-th elementary ideal (0 for the zero ideal,
+    1 for the full ring): ``Delta_k = gcd_j(c_1...c_j * Delta_{k-j}(rest))``
+    for ``k = n - i``, from the largest ``j`` down."""
+    pivots, rest = pres._peeled
+    chain, prefixes = pres._chain
+    k = pres.generators - i
+
+    def terms():
+        for j in range(max(min(k, len(pivots)), 0), -1, -1):
+            d = _gcd_all(_minors(rest, rest.generators - k + j), pres.nvars)
+            if d:
+                while len(prefixes) <= j:
+                    p, c = prefixes[-1], chain[len(prefixes) - 1]
+                    prefixes.append(c if p.is_one else p if c.is_one else p * c)
+                p = prefixes[j]
+                yield d if p.is_one else p if d.is_one else p * d
+
+    return _gcd_all(terms(), pres.nvars)
 
 
 def direct_sum(p1: Presentation, p2: Presentation) -> Presentation:
@@ -250,15 +334,38 @@ def _vanishing(gens, level: int, candidates):
 
 def in_support(pres: Presentation, point: TorsionPoint) -> bool:
     """True iff every generator of the 0-th elementary ideal vanishes at the
-    point (zero ideal: always true; full ring: always false).  It costs
-    about ``omega(N) * N`` steps per generator at level N, where ``omega(N)``
-    is the number of distinct primes of N: a level past ``MAX_SCAN_POINTS``
-    is refused, as in a scan."""
+    point (zero ideal: always true; full ring: always false), decided as a
+    scan decides it, by the pivots and then the residual's minors.  It costs
+    about ``omega(N) * N`` steps per pivot and per minor tested at level N,
+    where ``omega(N)`` is the number of distinct primes of N: a level past
+    ``MAX_SCAN_POINTS`` is refused, as in a scan."""
     if pres.nvars != point.nvars:
         raise DimensionError("point length does not match the module's ring")
     if point.level > (cap := laurent_ring.MAX_SCAN_POINTS):
         raise LimitError(f"level {point.level} is more than the limit of {cap}")
-    return bool(_vanishing(_minors(pres, 0), point.level, [point.numerators]))
+    return bool(_zeros(pres, 1, point.level, [point.numerators]))
+
+
+def _zeros(pres: Presentation, i: int, level: int, candidates) -> list:
+    """The candidate numerators where every generator of the (i-1)-st
+    elementary ideal vanishes, that is where ``rank < k = n - i + 1``: with
+    ``z`` pivots nonzero at a point, where the ``(k - z)``-minors of the
+    residual all vanish."""
+    pivots, rest = pres._peeled
+    need = dict.fromkeys(candidates, pres.generators - i + 1)  # k - z
+    for a in pivots:
+        live = [nums for nums, k in need.items() if k > 0]
+        if not live:
+            break
+        zeros = set(_vanishing((a,), level, live))
+        for nums in live:
+            if nums not in zeros:
+                need[nums] -= 1
+    groups = {}
+    for nums, k in need.items():
+        groups.setdefault(k, []).append(nums)
+    return [nums for k, group in groups.items() if k > 0
+            for nums in _vanishing(_minors(rest, rest.generators - k), level, group)]
 
 
 def _scan(pres: Presentation, i: int, level: int) -> tuple[TorsionPoint, ...]:
@@ -278,7 +385,7 @@ def _scan(pres: Presentation, i: int, level: int) -> tuple[TorsionPoint, ...]:
                 units[m] = [u for u in range(1, m + 1) if int_gcd(u, m) == 1]
             for u in units[m]:
                 first[tuple(u * n % level for n in nums)] = nums
-    zeros = set(_vanishing(_minors(pres, i - 1), level, set(first.values())))
+    zeros = set(_zeros(pres, i, level, set(first.values())))
     return tuple(pt for pt in grid if first[pt.numerators] in zeros)
 
 

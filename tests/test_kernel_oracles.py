@@ -11,8 +11,10 @@ import dataclasses
 import re
 import time
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import gcd as int_gcd
+from operator import mul
 
 import pytest
 import sympy
@@ -52,7 +54,9 @@ from alexinv.laurent_ring import (
 )
 from randgen import (
     make_rng,
+    random_binomial_factor,
     random_chain_presentation,
+    random_partial_presentation,
     random_presentation,
     random_product,
 )
@@ -272,9 +276,11 @@ def test_one_minor_table_serves_every_call_on_a_presentation(data):
 
 
 def test_minor_table_is_built_once_per_presentation(monkeypatch):
-    # The first round of char_poly over every i multiplies exactly what one
-    # table computing every minor of every size multiplies; a second round
-    # and both scans multiply nothing.
+    # The presentation peels completely, so every Delta_k is a prefix product
+    # c_1...c_k of the pivot chain: the first round of char_poly over every i
+    # multiplies what the peel and its chain multiply, plus one product for
+    # each of c_1*c_2, *c_3 and *c_4; a second round and both scans multiply
+    # nothing.
     pres = random_chain_presentation(make_rng(11), 2, (4, 5))
     calls = []
     multiply = LaurentPoly.__mul__
@@ -290,28 +296,25 @@ def test_minor_table_is_built_once_per_presentation(monkeypatch):
         action()
         return len(calls) - before
 
-    det = fresh(pres).minors
-    every_minor = products(lambda: [
-        det(rows, cols)
-        for k in range(1, 5)
-        for rows in combinations(range(4), k)
-        for cols in combinations(range(5), k)
-    ])
+    cold = fresh(pres)
+    peel = products(lambda: (cold._peeled, cold._chain))
+    assert cold._peeled[1].generators == 0
     first = products(lambda: [char_poly(pres, i) for i in range(5)])
     again = products(lambda: (
         [char_poly(pres, i) for i in range(5)],
         support_scan(pres, 6),
         fitting_variety_scan(pres, 2, 6),
     ))
-    assert (first, again) == (every_minor, 0)
-    assert every_minor == 80
+    assert (first, again) == (peel + 3, 0)
+    assert peel == 0
 
 
 def test_pickles_and_copies_carry_the_warm_minor_table(monkeypatch):
     pres = random_chain_presentation(make_rng(11), 2, (4, 5))
     assert [f.name for f in dataclasses.fields(Presentation)] == [
         "nvars", "generators", "relations", "matrix"]
-    assert "_minor_memo" not in vars(pres)
+    warm = {"_minor_memo", "_peeled", "_chain"}
+    assert not warm & vars(pres).keys()
     expected = [char_poly(pres, i) for i in range(5)]
     calls = []
     multiply = LaurentPoly.__mul__
@@ -323,6 +326,7 @@ def test_pickles_and_copies_carry_the_warm_minor_table(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "__mul__", counted)
     for again in round_trips(pres):
         assert again == pres and hash(again) == hash(pres)
+        assert {"_peeled", "_chain"} <= vars(again).keys()
         assert [char_poly(again, i) for i in range(5)] == expected
     assert calls == []
 
@@ -360,14 +364,149 @@ def test_a_settled_answer_builds_no_more_minors(monkeypatch, shape, seed, op,
     assert len(calls) == products
 
 
+def chain_diagonal(seed: int, nvars: int, shape) -> list:
+    """The diagonal ``d_1 | d_2 | ...`` of ``random_chain_presentation(
+    make_rng(seed), nvars, shape)``, from the same first draws."""
+    rng, d, diagonal = make_rng(seed), LaurentPoly.one(nvars), []
+    for _ in range(min(shape)):
+        d = d * random_binomial_factor(rng, nvars)
+        diagonal.append(d)
+    return diagonal
+
+
+@pytest.mark.parametrize("nvars, shape, op", [
+    (2, (12, 12), "charpoly"), (2, (12, 12), "fitting"), (1, (6, 30), "support")])
+def test_peelable_large_inputs_answer_in_two_seconds(nvars, shape, op):
+    # U*D*V with unimodular U and V: Delta_6 = d_1...d_6, and the rank at a
+    # point is the number of d_j nonzero there, so the Fitting scan for i = 6
+    # (7-minors) and the support (6-minors) are the zeros of d_7 and d_6.
+    # Taken minor by minor, the first two ran past a minute.
+    pres = random_chain_presentation(make_rng(5), nvars, shape)
+    diagonal = chain_diagonal(5, nvars, shape)
+    level, i = (4, 6) if op == "fitting" else (3, 1)
+    start = time.perf_counter()
+    found = (char_poly(pres, 6) if op == "charpoly"
+             else fitting_variety_scan(pres, i, level) if op == "fitting"
+             else support_scan(pres, level))
+    assert time.perf_counter() - start < 2.0
+    if op == "charpoly":
+        assert found == normalize_unit(reduce(mul, diagonal[:6]))
+    else:
+        d = diagonal[pres.generators - i]
+        grid = list(torsion_grid(level, nvars))
+        expected = tuple(pt for pt in grid if evaluate_at_torsion(d, pt).is_zero())
+        assert found == expected and 0 < len(expected) < len(grid)
+
+
 def test_warm_minor_table_is_not_part_of_the_value():
     pres = random_chain_presentation(make_rng(12), 2, (3, 4))
     before = (repr(pres), hash(pres), presentation_to_dict(pres))
     char_poly(pres, 0)
-    assert "_minor_memo" in vars(pres)
+    assert {"_peeled", "_chain"} <= vars(pres).keys()
     assert (repr(pres), hash(pres), presentation_to_dict(pres)) == before
     assert pres == fresh(pres) and fresh(pres) == pres
     assert hash(fresh(pres)) == hash(pres)
+
+
+def peel_kind(pres: Presentation) -> str:
+    pivots, rest = pres._peeled
+    if not pivots:
+        return "none"
+    return "full" if 0 in (rest.generators, rest.relations) else "partial"
+
+
+def with_zero_line(rng, pres: Presentation) -> Presentation:
+    """``pres`` with a zero row or a zero column put in at a drawn place."""
+    rows = [list(row) for row in pres.matrix]
+    zero = LaurentPoly.zero(pres.nvars)
+    if rng.random() < 0.5 or not rows:
+        rows.insert(rng.randint(0, len(rows)), [zero] * pres.relations)
+        return Presentation(pres.nvars, len(rows), pres.relations, tuple(map(tuple, rows)))
+    at = rng.randint(0, pres.relations)
+    return Presentation.from_rows(pres.nvars, [row[:at] + [zero] + row[at:] for row in rows])
+
+
+def peel_cases():
+    """Explicit cases, then seeded draws of 1-3 variables: random, chain and
+    partial presentations, some with a zero line or a row scaled by 2/3."""
+    P = parse_poly
+    cases = [
+        # Delta_1 = 1, yet I_1 vanishes at (1, 1): the gcd chain is no ideal.
+        Presentation.from_rows(2, [[P("t1 - 1", 2), P("0", 2)],
+                                   [P("0", 2), P("t2 - 1", 2)]]),
+        # Unit pivots with rational coefficients, m > n and m < n.
+        Presentation.from_rows(2, [[P("2*t1", 2), P("t1 - 1", 2), P("t2 + 1", 2)],
+                                   [P("t2^2 - 1", 2), P("3", 2), P("1/2*t1", 2)]]),
+        Presentation.from_rows(1, [[P("t1^2 - 1", 1)], [P("1/3*t1 - 1/3", 1)],
+                                   [P("t1 + 1", 1)]]),
+    ]
+    rng = make_rng(25)
+    for seed in range(72):
+        nvars = 1 + seed % 3
+        kind = seed % 4
+        if kind == 0:
+            shape = (rng.randint(1, 4), rng.randint(0, 4))
+            pres = random_presentation(rng, nvars, shape=shape)
+        elif kind == 1:
+            pres = random_chain_presentation(rng, nvars, (rng.randint(2, 4), rng.randint(2, 4)))
+        else:
+            shape = (rng.randint(4, 5), rng.randint(4, 5))
+            pres = random_partial_presentation(rng, nvars, shape)
+        if rng.random() < 0.25:
+            pres = with_zero_line(rng, pres)
+        if rng.random() < 0.25 and pres.generators:
+            rows = [list(row) for row in pres.matrix]
+            rows[0] = [F(2, 3) * x for x in rows[0]]
+            pres = Presentation(nvars, pres.generators, pres.relations, tuple(map(tuple, rows)))
+        cases.append(pres)
+    return cases
+
+
+def test_peel_draws_cover_full_partial_and_no_peel():
+    cases = peel_cases()
+    kinds = [(peel_kind(pres), pres.nvars) for pres in cases]
+    assert {nvars for kind, nvars in kinds if kind == "full"} == {1, 2, 3}
+    assert {nvars for kind, nvars in kinds if kind == "partial"} == {1, 2, 3}
+    assert {nvars for kind, nvars in kinds if kind == "none"} == {1, 2, 3}
+    assert any(pres.generators > pres.relations for pres in cases)
+    assert any(not any(row) for pres in cases for row in pres.matrix)
+    assert any(not any(col) for pres in cases for col in zip(*pres.matrix))
+    assert any(a.is_unit for pres in cases for a in pres._peeled[0])
+    assert any(type(c) is Fraction for pres in cases for row in pres.matrix
+               for x in row for c in x.terms.values())
+
+
+def test_peel_matches_the_minors_of_the_unpeeled_matrix():
+    # char_poly against the gcd of elementary_ideal's minors, and the scans
+    # and in_support against _vanishing of those minors point by point, all
+    # on a fresh copy that has not peeled.
+    for pres in peel_cases():
+        ref = fresh(pres)
+        n = pres.generators
+        for i in range(-1, n + 2):
+            expected = LaurentPoly.zero(pres.nvars)
+            for gen in elementary_ideal(ref, i).gens:
+                expected = gcd(expected, gen)
+            assert char_poly(pres, i) == expected, (pres, i)
+        for level in range(1, 4 if pres.nvars == 3 else 7):
+            grid = list(torsion_grid(level, pres.nvars))
+            for i in range(1, n + 3):
+                gens = elementary_ideal(ref, i - 1).gens
+                expected = tuple(pt for pt in grid
+                                 if am._vanishing(gens, level, [pt.numerators]))
+                assert fitting_variety_scan(pres, i, level) == expected, (pres, i, level)
+                if i == 1:
+                    assert support_scan(pres, level) == expected
+                    assert [in_support(pres, pt) for pt in grid] == [
+                        pt in expected for pt in grid]
+
+
+def test_the_gcd_chain_serves_char_poly_only():
+    diagonal = peel_cases()[0]
+    assert diagonal._chain[0] == [LaurentPoly.one(2), parse_poly("t1*t2 - t1 - t2 + 1", 2)]
+    assert char_poly(diagonal, 1) == LaurentPoly.one(2)
+    assert support_scan(diagonal, 1) == (TorsionPoint(1, (0, 0)),)
+    assert fitting_variety_scan(diagonal, 2, 2) == (TorsionPoint(2, (0, 0)),)
 
 
 def vanishing_factor(point: TorsionPoint, exps) -> LaurentPoly:
