@@ -37,8 +37,9 @@ Minors of the residual are shared: each is a Laplace expansion along its
 first row, memoised on its (row subset, column subset), so one table of
 sub-minors serves all ``C(n,k) * C(m,k)`` minors of an ideal instead of
 ``k!`` products each.  The table (``Presentation.minors`` fills it), the
-peel and the chain live as long as the presentation (in the CLI, as long as
-its decoded-input cache keeps it), serve every index and every op, go with
+peel, the chain and the ``Delta_k`` that ``char_poly`` has found live as
+long as the presentation (in the CLI, as long as its decoded-input cache
+keeps it), serve every index and every op, go with
 it into pickles and copies, and take no part in ``==``, ``hash``, ``repr``
 or the dataclass fields; ``elementary_ideal`` lists the presentation's own
 minors.  An op builds only the minors its answer needs, one at a time in
@@ -59,7 +60,9 @@ on numerators by ``n -> u*n``, and the verdict holds on the whole orbit:
 the coefficients (of the pivots and the residual too) are rational, so a
 generator's value at ``u*n`` is ``sigma_u`` of its value at ``n``, where
 ``sigma_u: zeta_N -> zeta_N^u`` is a field automorphism of ``Q(zeta_N)``,
-and an automorphism sends only zero to zero.
+and an automorphism sends only zero to zero.  ``_scan`` builds no point:
+it answers with lexicographic grid indices, which the CLI renders through
+one label list per level, and the public scans map to checked points.
 
 Divisibility cuts the tests further (the cover rule).  Every candidate left
 is a zero of every generator tested so far, so an earlier generator ``d``
@@ -75,7 +78,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd as int_gcd, lcm
 from operator import mul, sub
 from pathlib import Path
@@ -87,12 +90,13 @@ from .exact_kernel import prime_divisors
 from .laurent_ring import (
     LaurentPoly,
     TorsionPoint,
+    check_grid,
     divide_exact,
     format_poly,
     gcd,
+    grid_points,
     normalize_unit,
     parse_poly,
-    torsion_grid,
 )
 
 
@@ -127,6 +131,11 @@ class Presentation:
     @cached_property
     def _minor_memo(self) -> dict:
         """Every minor built so far, by its (rows, cols) index tuples."""
+        return {}
+
+    @cached_property
+    def _delta_memo(self) -> dict:
+        """``char_poly``'s answers by ``k``; ``k = 0`` stands for all ``k <= 0``."""
         return {}
 
     @cached_property
@@ -246,13 +255,15 @@ def _gcd_all(polys, nvars: int) -> LaurentPoly:
 def char_poly(pres: Presentation, i: int) -> LaurentPoly:
     """Normalized gcd of the i-th elementary ideal (0 for the zero ideal,
     1 for the full ring): ``Delta_k = gcd_j(c_1...c_j * Delta_{k-j}(rest))``
-    for ``k = n - i``, from the largest ``j`` down."""
+    for ``k = n - i``, from the largest ``j`` down, and kept by ``k``."""
+    memo, k = pres._delta_memo, max(pres.generators - i, 0)
+    if k in memo:
+        return memo[k]
     pivots, rest = pres._peeled
     chain, prefixes = pres._chain
-    k = pres.generators - i
 
     def terms():
-        for j in range(max(min(k, len(pivots)), 0), -1, -1):
+        for j in range(min(k, len(pivots)), -1, -1):
             d = _gcd_all(_minors(rest, rest.generators - k + j), pres.nvars)
             if d:
                 while len(prefixes) <= j:
@@ -261,7 +272,8 @@ def char_poly(pres: Presentation, i: int) -> LaurentPoly:
                 p = prefixes[j]
                 yield d if p.is_one else p if d.is_one else p * d
 
-    return _gcd_all(terms(), pres.nvars)
+    memo[k] = _gcd_all(terms(), pres.nvars)
+    return memo[k]
 
 
 def direct_sum(p1: Presentation, p2: Presentation) -> Presentation:
@@ -368,15 +380,15 @@ def _zeros(pres: Presentation, i: int, level: int, candidates) -> list:
             for nums in _vanishing(_minors(rest, rest.generators - k), level, group)]
 
 
-def _scan(pres: Presentation, i: int, level: int) -> tuple[TorsionPoint, ...]:
-    """Level-N points where every generator of the (i-1)-st elementary ideal
-    vanishes, in lexicographic order; the grid is checked first, also when
-    the ideal is the full ring, and one point per orbit is decided."""
-    grid = list(torsion_grid(level, pres.nvars))
+def _scan(pres: Presentation, i: int, level: int) -> list[int]:
+    """Lexicographic indices of the level-N points where every generator of the
+    (i-1)-st elementary ideal vanishes, in increasing order; the grid is
+    checked first, also for the full ring, and one point per orbit is decided."""
+    check_grid(level, pres.nvars)
+    grid = list(product(range(level), repeat=pres.nvars))
     units = {}  # m -> the units of Z/m
     first = {}  # numerators -> those of the first grid point of their orbit
-    for point in grid:
-        nums = point.numerators
+    for nums in grid:
         if nums not in first:
             # u*nums mod N depends only on u mod m, and every unit mod m
             # lifts to a unit mod N.
@@ -386,12 +398,12 @@ def _scan(pres: Presentation, i: int, level: int) -> tuple[TorsionPoint, ...]:
             for u in units[m]:
                 first[tuple(u * n % level for n in nums)] = nums
     zeros = set(_zeros(pres, i, level, set(first.values())))
-    return tuple(pt for pt in grid if first[pt.numerators] in zeros)
+    return [index for index, nums in enumerate(grid) if first[nums] in zeros]
 
 
 def support_scan(pres: Presentation, level: int) -> tuple[TorsionPoint, ...]:
     """All level-N torsion points in the support, in lexicographic order."""
-    return _scan(pres, 1, level)
+    return grid_points(level, pres.nvars, _scan(pres, 1, level))
 
 
 def fitting_variety_scan(
@@ -401,7 +413,7 @@ def fitting_variety_scan(
     vanishes (the i-th Fitting-stratified characteristic variety)."""
     if i < 1:
         raise ValueError("variety index must be >= 1")
-    return _scan(pres, i, level)
+    return grid_points(level, pres.nvars, _scan(pres, i, level))
 
 
 # ---------------------------------------------------------------------------

@@ -221,12 +221,17 @@ def _cmd_admissible(args) -> Report:
     return report
 
 
+def _point_names(level: int, nvars: int) -> list[str]:
+    """``str`` of each level-N torsion point, by lexicographic grid index."""
+    labels = [lr.numerator_label(n, level) for n in range(level)]
+    return ["(" + ",".join(t) + ")" for t in product(labels, repeat=nvars)]
+
+
 def _cmd_charvar(args) -> Report:
     scenario, report = _load_scenario(args)
     by_index, inconclusive = pipeline._charvar_indices(
         scenario, args.level, args.degree, args.bound)
-    labels = [lr.numerator_label(n, args.level) for n in range(args.level)]
-    names = ["(" + ",".join(t) + ")" for t in product(labels, repeat=scenario.nparams)]
+    names = _point_names(args.level, scenario.nparams)
     report.results = {
         "level": args.level,
         "degree": args.degree,
@@ -276,19 +281,18 @@ def _cmd_module(args) -> Report:
         if args.level is None:
             raise SchemaError("", f"--level is required for --op {args.op}")
         if args.op == "support":
-            head = {"op": "support"}
-            points = am.support_scan(pres, args.level)
+            head, i = {"op": "support"}, 1
         else:
             if args.i < 1:
                 raise SchemaError("", "--i must be >= 1 for --op fitting")
-            head = {"op": "fitting", "i": args.i}
-            points = am.fitting_variety_scan(pres, args.i, args.level)
-        render = lr.point_renderer(args.level)
+            head, i = {"op": "fitting", "i": args.i}, args.i
+        found = am._scan(pres, i, args.level)
+        names = _point_names(args.level, pres.nvars)
         report.results = {
             **head,
             "level": args.level,
-            "count": len(points),
-            "points": [render(p) for p in points],
+            "count": len(found),
+            "points": list(map(names.__getitem__, found)),
         }
     return report
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product
 from math import gcd as int_gcd, prod
 from operator import mul
@@ -48,7 +48,7 @@ from .exact_kernel import (
     parse_rational,
     prime_divisors,
 )
-from .laurent_ring import TorsionPoint, _grid_points, check_grid, torsion_grid
+from .laurent_ring import TorsionPoint, check_grid, grid_points, torsion_grid
 from .residue_systems import (
     ResidueSystem,
     admissible_search,
@@ -185,9 +185,9 @@ def charvar_scan(
     lexicographic order.
     """
     by_index, inconclusive = _charvar_indices(scenario, level, degree, bound)
-    points = tuple(_grid_points(level, scenario.nparams)).__getitem__
-    by_dimension = {dim: tuple(map(points, found)) for dim, found in by_index.items()}
-    return CharvarScan(level, degree, by_dimension, tuple(map(points, inconclusive)))
+    points = partial(grid_points, level, scenario.nparams)
+    by_dimension = {dim: points(found) for dim, found in by_index.items()}
+    return CharvarScan(level, degree, by_dimension, points(inconclusive))
 
 
 def _charvar_indices(scenario: Scenario, level: int, degree: int, bound: int):

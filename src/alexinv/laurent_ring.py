@@ -404,7 +404,8 @@ class TorsionPoint:
 
     Coordinate ``j`` of the point is ``exp(-2*pi*i*numerators[j]/level)``,
     each numerator in ``[0, level)``; ``beta`` holds the residue classes
-    ``numerators[j] / level``.
+    ``numerators[j] / level``.  Every point is range-checked, grid points
+    too; ``str`` joins each coordinate's :func:`numerator_label`.
     """
 
     level: int
@@ -449,30 +450,11 @@ class TorsionPoint:
         return not any(self.numerators)
 
     def __str__(self):
-        return point_renderer(self.level)(self)
-
-
-def point_renderer(level: int):
-    """``str`` for torsion points of level ``level``: each coordinate is
-    ``n/level`` reduced, or ``0``.  A renderer keeps the label of each
-    numerator it has met (at most ``level``), so the points of one scan
-    share them; no label outlives the renderer."""
-    labels = {}
-
-    def render(point: TorsionPoint) -> str:
-        parts = []
-        for n in point.numerators:
-            label = labels.get(n)
-            if label is None:
-                label = labels[n] = numerator_label(n, level)
-            parts.append(label)
-        return "(" + ",".join(parts) + ")"
-
-    return render
+        return "(" + ",".join(numerator_label(n, self.level) for n in self.numerators) + ")"
 
 
 def numerator_label(n: int, level: int) -> str:
-    """A coordinate's text in :func:`point_renderer`: ``n/level`` reduced, or ``0``."""
+    """A coordinate's text in ``str(point)``: ``n/level`` reduced, or ``0``."""
     g = int_gcd(n, level)
     return f"{n // g}/{level // g}" if n else "0"
 
@@ -485,11 +467,9 @@ def torsion_grid(level: int, nvars: int):
     """All level-N torsion points, in lexicographic order of numerators.
 
     The grid size is checked when this is called, before any point exists.
-    Every numerator comes from ``range(level)``, so the points are built
-    without the range check of ``TorsionPoint.__post_init__``.
     """
     check_grid(level, nvars)
-    return _grid_points(level, nvars)
+    return (TorsionPoint(level, nums) for nums in product(range(level), repeat=nvars))
 
 
 def check_grid(level: int, nvars: int) -> None:
@@ -503,13 +483,11 @@ def check_grid(level: int, nvars: int) -> None:
         )
 
 
-def _grid_points(level: int, nvars: int):
-    new = object.__new__
-    for numerators in product(range(level), repeat=nvars):
-        point = new(TorsionPoint)
-        state = vars(point)
-        state["level"], state["numerators"] = level, numerators
-        yield point
+def grid_points(level: int, nvars: int, indices) -> tuple[TorsionPoint, ...]:
+    """The points at lexicographic ``indices`` of :func:`torsion_grid`: the
+    numerators of index ``k`` are its base-``level`` digits."""
+    places = [level ** j for j in range(nvars - 1, -1, -1)]
+    return tuple(TorsionPoint(level, tuple(k // p % level for p in places)) for k in indices)
 
 
 def evaluate_at_torsion(p: LaurentPoly, point: TorsionPoint) -> CyclotomicNumber:

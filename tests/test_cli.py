@@ -212,10 +212,9 @@ def test_charvar_rejects_grid_over_the_point_cap(capsys, monkeypatch):
 
 def _charvar_report(name, level, degree, fmt):
     """The ``charvar`` report built from ``charvar_scan``'s torsion points,
-    each rendered by ``point_renderer``, and its exit code."""
+    each rendered by ``str``, and its exit code."""
     scenario = load_bundled_scenario(name)
     scan = pipeline.charvar_scan(scenario, level, degree)
-    render = lr.point_renderer(level)
     argv = ["charvar", name, "--level", str(level), "--degree", str(degree), "--format", fmt]
     with open(bundled_scenario_path(name), "rb") as handle:
         digest = "sha256:" + hashlib.sha256(handle.read()).hexdigest()
@@ -225,11 +224,11 @@ def _charvar_report(name, level, degree, fmt):
         "degree": degree,
         "total_points": level ** scenario.nparams,
         "buckets": {
-            str(dim): [render(p) for p in points]
+            str(dim): [str(p) for p in points]
             for dim, points in scan.by_dimension.items()
         },
     }
-    report.warnings = [f"inconclusive at beta={render(p)}" for p in scan.inconclusive]
+    report.warnings = [f"inconclusive at beta={p}" for p in scan.inconclusive]
     text = report.to_json() if fmt == "json" else report.to_text()
     return argv, (2 if report.warnings else 0), text + "\n"
 
@@ -244,6 +243,55 @@ def test_charvar_reports_match_the_scans_torsion_points(capsys, name):
             for fmt in ("json", "text"):
                 argv, code, text = _charvar_report(name, level, degree, fmt)
                 assert run_cli(capsys, *argv) == (code, text, "")
+
+
+MODULE_GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden", "module")
+MODULE_PRESENTATIONS = sorted(
+    name for name in os.listdir(MODULE_GOLDEN_DIR) if name.endswith(".json"))
+
+
+@pytest.mark.parametrize("name", MODULE_PRESENTATIONS)
+def test_module_reports_match_the_public_scans(capsys, name):
+    # The goldens cover levels 2-12 and --i 1-2; this covers level 1 and
+    # every --i up to generators + 1, the full ring's variety.
+    path = os.path.join(MODULE_GOLDEN_DIR, name)
+    pres = am.load_presentation(path)
+    ops = [(("support",), lambda level: am.support_scan(pres, level))]
+    for i in range(1, pres.generators + 2):
+        ops.append((("fitting", "--i", str(i)),
+                    lambda level, i=i: am.fitting_variety_scan(pres, i, level)))
+    for level in range(1, 13):
+        for op, scan in ops:
+            points = [str(p) for p in scan(level)]
+            argv = ["module", "--presentation", path, "--op", *op, "--level", str(level)]
+            code, out, err = run_cli(capsys, *argv, "--format", "json")
+            assert (code, err) == (0, "")
+            results = json.loads(out)["results"]
+            assert (results["points"], results["count"]) == (points, len(points))
+            code, out, err = run_cli(capsys, *argv, "--format", "text")
+            assert (code, err) == (0, "")
+            assert f"results.count: {len(points)}" in out.splitlines()
+            assert f"results.points: [{', '.join(points)}]" in out.splitlines()
+
+
+def test_no_scan_command_builds_a_torsion_point(capsys, monkeypatch):
+    path = os.path.join(MODULE_GOLDEN_DIR, "bi_5x6.json")
+    commands = [
+        ("charvar", "example_4_1", "--level", "5", "--degree", "1"),
+        ("charvar", "torus", "--level", "12", "--degree", "1"),
+        ("module", "--presentation", path, "--op", "support", "--level", "6"),
+        ("module", "--presentation", path, "--op", "fitting", "--i", "2", "--level", "6"),
+    ]
+    before = [run_cli(capsys, *argv) for argv in commands]
+
+    def refuse(self):
+        raise RuntimeError("a TorsionPoint was built")
+
+    monkeypatch.setattr(lr.TorsionPoint, "__post_init__", refuse)
+    with pytest.raises(RuntimeError, match="was built"):
+        am.support_scan(am.load_presentation(path), 6)
+    assert [run_cli(capsys, *argv) for argv in commands] == before
+    assert all(code in (0, 2) and out for code, out, _ in before)
 
 
 def test_charvar_over_the_point_cap_is_refused_at_once(capsys):
@@ -269,10 +317,9 @@ def test_charvar_with_a_huge_residue_coefficient(tmp_path, capsys):
     assert time.perf_counter() - start < 1
     scenario = pipeline.load_scenario(str(path))
     scan = pipeline.charvar_scan(scenario, 12, 1)
-    render = lr.point_renderer(12)
     assert code == (2 if scan.inconclusive else 0)
     assert json.loads(out)["results"]["buckets"] == {
-        str(dim): [render(p) for p in points] for dim, points in scan.by_dimension.items()
+        str(dim): [str(p) for p in points] for dim, points in scan.by_dimension.items()
     }
 
 

@@ -307,13 +307,27 @@ def test_minor_table_is_built_once_per_presentation(monkeypatch):
     ))
     assert (first, again) == (peel + 3, 0)
     assert peel == 0
+    # A chain block summed with a random block peels partly.  Its residual's
+    # minors are multiplied in the first round; each Delta_k is then kept,
+    # so the same rule holds: a second round and both scans multiply nothing.
+    for seed in (0, 2, 3):
+        pres = direct_sum(random_chain_presentation(make_rng(11), 2, (4, 5)),
+                          random_presentation(make_rng(seed), 2, shape=(2, 3)))
+        assert 0 < pres._peeled[1].generators < pres.generators
+        first = products(lambda: [char_poly(pres, i) for i in range(7)])
+        again = products(lambda: (
+            [char_poly(pres, i) for i in range(7)],
+            support_scan(pres, 6),
+            fitting_variety_scan(pres, 2, 6),
+        ))
+        assert first > 0 and again == 0
 
 
 def test_pickles_and_copies_carry_the_warm_minor_table(monkeypatch):
     pres = random_chain_presentation(make_rng(11), 2, (4, 5))
     assert [f.name for f in dataclasses.fields(Presentation)] == [
         "nvars", "generators", "relations", "matrix"]
-    warm = {"_minor_memo", "_peeled", "_chain"}
+    warm = {"_minor_memo", "_delta_memo", "_peeled", "_chain"}
     assert not warm & vars(pres).keys()
     expected = [char_poly(pres, i) for i in range(5)]
     calls = []
@@ -326,7 +340,8 @@ def test_pickles_and_copies_carry_the_warm_minor_table(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "__mul__", counted)
     for again in round_trips(pres):
         assert again == pres and hash(again) == hash(pres)
-        assert {"_peeled", "_chain"} <= vars(again).keys()
+        assert {"_delta_memo", "_peeled", "_chain"} <= vars(again).keys()
+        assert again._delta_memo == pres._delta_memo and len(pres._delta_memo) == 5
         assert [char_poly(again, i) for i in range(5)] == expected
     assert calls == []
 

@@ -15,6 +15,7 @@ from alexinv.laurent_ring import (
     evaluate_at_torsion,
     format_poly,
     gcd,
+    grid_points,
     normalize_unit,
     parse_poly,
     torsion_grid,
@@ -267,9 +268,9 @@ def test_torsion_grid_order():
 
 @pytest.mark.parametrize("level, nvars", [(1, 1), (2, 2), (5, 3), (12, 1)])
 def test_grid_points_equal_checked_points(level, nvars):
-    # The grid skips the range check; its points must still be the ones the
-    # public constructor builds.
     grid = list(torsion_grid(level, nvars))
+    assert grid_points(level, nvars, range(level ** nvars)) == tuple(grid)
+    assert grid_points(level, nvars, [level ** nvars - 1, 0]) == (grid[-1], grid[0])
     checked = [TorsionPoint(level, p.numerators) for p in grid]
     assert grid == checked
     assert [hash(p) for p in grid] == [hash(p) for p in checked]
