@@ -37,9 +37,8 @@ Minors of the residual are shared: each is a Laplace expansion along its
 first row, memoised on its (row subset, column subset), so one table of
 sub-minors serves all ``C(n,k) * C(m,k)`` minors of an ideal instead of
 ``k!`` products each.  The table (``Presentation.minors`` fills it), the
-peel, the chain and the ``Delta_k`` that ``char_poly`` has found live as
-long as the presentation (in the CLI, as long as its decoded-input cache
-keeps it), serve every index and every op, go with
+peel and the chain live as long as the presentation (in the CLI, as long as
+its decoded-input cache keeps it), serve every index and every op, go with
 it into pickles and copies, and take no part in ``==``, ``hash``, ``repr``
 or the dataclass fields; ``elementary_ideal`` lists the presentation's own
 minors.  An op builds only the minors its answer needs, one at a time in
@@ -78,10 +77,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import gcd as int_gcd, lcm
 from operator import mul, sub
-from pathlib import Path
 
 from . import laurent_ring
 from .errors import DimensionError, LimitError, ParseError, SchemaError
@@ -92,8 +90,8 @@ from .laurent_ring import (
     TorsionPoint,
     check_grid,
     divide_exact,
-    format_poly,
     gcd,
+    gcd_all,
     grid_points,
     normalize_unit,
     parse_poly,
@@ -134,11 +132,6 @@ class Presentation:
         return {}
 
     @cached_property
-    def _delta_memo(self) -> dict:
-        """``char_poly``'s answers by ``k``; ``k = 0`` stands for all ``k <= 0``."""
-        return {}
-
-    @cached_property
     def _peeled(self) -> tuple:
         """``(pivots, rest)``: the entries split off as 1 x 1 blocks, and the
         residual presentation (the presentation itself when none splits)."""
@@ -168,16 +161,18 @@ class Presentation:
 
     @cached_property
     def _chain(self) -> tuple:
-        """``(c, prefixes)``: the pivots, normalized and made a divisibility
-        chain ``c_1 | c_2 | ...`` by (gcd, lcm) replacement, and the products
-        ``c_1 ... c_j`` (``prefixes[0] = 1``) as far as ``char_poly`` needed."""
+        """The products ``c_1 ... c_j`` for ``j = 0 .. r`` (the first is 1) of
+        the pivots, normalized and made a divisibility chain ``c_1 | c_2 |
+        ...`` by (gcd, lcm) replacement; built once, and only read after."""
         chain = [normalize_unit(a) for a in self._peeled[0]]
         for i, j in combinations(range(len(chain)), 2):
             a, b = chain[i], chain[j]
             if divide_exact(b, a) is None:
                 g = gcd(a, b)
                 chain[i], chain[j] = g, normalize_unit(a * divide_exact(b, g))
-        return chain, [LaurentPoly.one(self.nvars)]
+        return tuple(accumulate(
+            chain, lambda p, c: c if p.is_one else p if c.is_one else p * c,
+            initial=LaurentPoly.one(self.nvars)))
 
     def minors(self, rows, cols) -> LaurentPoly:
         """``det(rows, cols)`` of sorted index tuples, by Laplace expansion
@@ -238,42 +233,21 @@ def elementary_ideal(pres: Presentation, i: int) -> IdealGenerators:
     return IdealGenerators(tuple(_minors(pres, i)))
 
 
-def _gcd_all(polys, nvars: int) -> LaurentPoly:
-    """Normalized gcd of nonzero ``polys`` (0 when there are none); it stops
-    at 1, and a polynomial that the gcd so far divides leaves it as it is."""
-    g = LaurentPoly.zero(nvars)
-    for p in polys:
-        # gcd would give normalize_unit(g), which is g: it is normalized.
-        if g and len(g.terms) <= len(p.terms) and divide_exact(p, g) is not None:
-            continue
-        g = gcd(g, p) if g else normalize_unit(p)
-        if g.is_one:
-            break
-    return g
-
-
 def char_poly(pres: Presentation, i: int) -> LaurentPoly:
     """Normalized gcd of the i-th elementary ideal (0 for the zero ideal,
     1 for the full ring): ``Delta_k = gcd_j(c_1...c_j * Delta_{k-j}(rest))``
-    for ``k = n - i``, from the largest ``j`` down, and kept by ``k``."""
-    memo, k = pres._delta_memo, max(pres.generators - i, 0)
-    if k in memo:
-        return memo[k]
+    for ``k = n - i``, from the largest ``j`` down."""
     pivots, rest = pres._peeled
-    chain, prefixes = pres._chain
+    prefixes, k = pres._chain, max(pres.generators - i, 0)
 
     def terms():
         for j in range(min(k, len(pivots)), -1, -1):
-            d = _gcd_all(_minors(rest, rest.generators - k + j), pres.nvars)
+            d = gcd_all(_minors(rest, rest.generators - k + j), pres.nvars)
             if d:
-                while len(prefixes) <= j:
-                    p, c = prefixes[-1], chain[len(prefixes) - 1]
-                    prefixes.append(c if p.is_one else p if c.is_one else p * c)
                 p = prefixes[j]
                 yield d if p.is_one else p if d.is_one else p * d
 
-    memo[k] = _gcd_all(terms(), pres.nvars)
-    return memo[k]
+    return gcd_all(terms(), pres.nvars)
 
 
 def direct_sum(p1: Presentation, p2: Presentation) -> Presentation:
@@ -420,9 +394,6 @@ def fitting_variety_scan(
 # Presentation files.
 
 
-MAX_NVARS = 100
-"""Most variables a presentation may declare; a term stores one exponent each."""
-
 MAX_DEGREE_SPAN = 64
 """Largest spread ``max - min`` of one variable's exponents in one entry; the
 gcd and the cyclotomic factoring of ``charpoly`` work one degree at a time."""
@@ -434,8 +405,8 @@ MAX_TERMS = 64
 def presentation_from_dict(data: dict, path: str = "") -> Presentation:
     nvars, n, m, raw = fields(data, path, "nvars", "generators", "relations", "matrix")
     integers(nvars, f"{path}/nvars", 1)
-    if nvars > MAX_NVARS:
-        raise LimitError(f"{path}/nvars: {nvars} is more than the limit of {MAX_NVARS}")
+    if nvars > (cap := laurent_ring.MAX_NVARS):
+        raise LimitError(f"{path}/nvars: {nvars} is more than the limit of {cap}")
     if not (type(n) is int and n >= 0 and type(m) is int and m >= 0):
         raise SchemaError(f"{path}/generators", "counts must be non-negative integers")
     if not isinstance(raw, list) or len(raw) != n:
@@ -467,18 +438,5 @@ def presentation_from_dict(data: dict, path: str = "") -> Presentation:
     return Presentation(nvars, n, m, tuple(rows))
 
 
-def presentation_to_dict(pres: Presentation) -> dict:
-    return {
-        "nvars": pres.nvars,
-        "generators": pres.generators,
-        "relations": pres.relations,
-        "matrix": [[format_poly(e) for e in row] for row in pres.matrix],
-    }
-
-
 def presentation_from_json(data: bytes) -> Presentation:
     return presentation_from_dict(load_json(data))
-
-
-def load_presentation(path: str) -> Presentation:
-    return presentation_from_json(Path(path).read_bytes())

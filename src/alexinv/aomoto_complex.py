@@ -30,7 +30,6 @@ from .errors import (
 )
 from .exact_kernel import (
     ExactMatrix,
-    format_rational,
     integer_rank,
     integer_vector,
     parse_rational,
@@ -609,30 +608,6 @@ def algebra_from_dict(data: dict, path: str = "/algebra") -> GradedAlgebra:
         return GradedAlgebra(top, tuple(basis), products)
     except ValueError as exc:
         raise SchemaError(path, str(exc)) from exc
-
-
-def algebra_to_dict(algebra: GradedAlgebra) -> dict:
-    products = []
-    for (left, right), vec in sorted(algebra.products.items()):
-        if not vec:
-            continue
-        products.append(
-            {
-                "left": left,
-                "right": right,
-                "value": [
-                    {"basis": t, "coeff": format_rational(c)}
-                    for t, c in sorted(vec.items())
-                ],
-            }
-        )
-    return {
-        "top_degree": algebra.top_degree,
-        "basis": {
-            str(p): list(labels) for p, labels in enumerate(algebra.basis)
-        },
-        "products": products,
-    }
 
 
 def ensure_valid(algebra: GradedAlgebra) -> None:

@@ -27,7 +27,6 @@ from .aomoto_complex import (
     IntegerDifferential,
     OneForm,
     algebra_from_dict,
-    algebra_to_dict,
     ensure_valid,
 )
 from .errors import (
@@ -56,7 +55,6 @@ from .residue_systems import (
     equimonodromic_beta,
     grid_shifts,
     residue_system_from_dict,
-    residue_system_to_dict,
 )
 
 @dataclass(frozen=True)
@@ -505,25 +503,6 @@ def scenario_from_dict(data: dict, path: str = "") -> Scenario:
         intersection_points=intersection_points,
         max_shift=max_shift,
     )
-
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    data = {
-        "name": scenario.name,
-        "components": scenario.components,
-        "degrees": list(scenario.degrees),
-        "algebra": algebra_to_dict(scenario.algebra),
-        "residue_system": residue_system_to_dict(scenario.residue_system),
-        "omega_map": [
-            [format_rational(x) for x in row] for row in scenario.omega_map
-        ],
-        "milnor": {"include_infinity": scenario.include_infinity_in_milnor},
-    }
-    if scenario.intersection_points is not None:
-        data["intersection_points"] = [list(v) for v in scenario.intersection_points]
-    if scenario.max_shift is not None:
-        data["max_shift"] = scenario.max_shift
-    return data
 
 
 def scenario_from_json(data: bytes) -> Scenario:

@@ -330,12 +330,7 @@ def _univ_coeffs(p: LaurentPoly, v: int) -> dict[int, LaurentPoly]:
 
 def _content(p: LaurentPoly, v: int) -> LaurentPoly:
     """Normalized gcd of the coefficients of ``p`` in variable ``v``."""
-    g = LaurentPoly.zero(p.nvars)
-    for coeff_poly in _univ_coeffs(p, v).values():
-        g = gcd(g, coeff_poly)
-        if g.is_one:
-            break
-    return g
+    return gcd_all(_univ_coeffs(p, v).values(), p.nvars)
 
 
 def _pseudo_rem(a: LaurentPoly, b: LaurentPoly, v: int) -> LaurentPoly:
@@ -392,6 +387,20 @@ def gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     if divide_exact(q, p) is not None:
         return normalize_unit(p)
     return normalize_unit(_gcd_ordinary(_shift_to_ordinary(p), _shift_to_ordinary(q)))
+
+
+def gcd_all(polys, nvars: int) -> LaurentPoly:
+    """Normalized gcd of nonzero ``polys`` (0 when there are none); it stops
+    at 1, and a polynomial that the gcd so far divides leaves it as it is."""
+    g = LaurentPoly.zero(nvars)
+    for p in polys:
+        # gcd would give normalize_unit(g), which is g: it is normalized.
+        if g and len(g.terms) <= len(p.terms) and divide_exact(p, g) is not None:
+            continue
+        g = gcd(g, p) if g else normalize_unit(p)
+        if g.is_one:
+            break
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +470,10 @@ def numerator_label(n: int, level: int) -> str:
 
 MAX_SCAN_POINTS = 100_000
 """Largest torsion grid, ``level ** nvars`` points, that a scan accepts."""
+
+MAX_NVARS = 100
+"""Most variables a presentation, or residue parameters a scenario, may
+declare: a term stores one exponent, and a grid point one numerator, each."""
 
 
 def torsion_grid(level: int, nvars: int):

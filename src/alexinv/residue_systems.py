@@ -26,7 +26,7 @@ from operator import mul
 
 from .errors import DimensionError, LimitError, SchemaError, fields, integers
 from .exact_kernel import integer_vector
-from .laurent_ring import MAX_SCAN_POINTS
+from .laurent_ring import MAX_NVARS, MAX_SCAN_POINTS
 
 @dataclass(frozen=True)
 class ResidueRow:
@@ -210,6 +210,8 @@ def equimonodromic_beta(order: int, k: int, nparams: int) -> tuple[Fraction, ...
 def residue_system_from_dict(data: dict, path: str = "/residue_system") -> ResidueSystem:
     nparams, raw_rows = fields(data, path, "nparams", "rows")
     integers(nparams, f"{path}/nparams", 1)
+    if nparams > MAX_NVARS:
+        raise LimitError(f"{path}/nparams: {nparams} is more than the limit of {MAX_NVARS}")
     if not isinstance(raw_rows, list):
         raise SchemaError(f"{path}/rows", "must be a list")
     rows = []
@@ -231,17 +233,3 @@ def residue_system_from_dict(data: dict, path: str = "/residue_system") -> Resid
             raise SchemaError(f"{here}/component", "must be a boolean")
         rows.append(ResidueRow(label, coeffs, component))
     return ResidueSystem(nparams, tuple(rows))
-
-
-def residue_system_to_dict(system: ResidueSystem) -> dict:
-    return {
-        "nparams": system.nparams,
-        "rows": [
-            {
-                "label": row.label,
-                "coeffs": list(row.coeffs),
-                "component": row.is_component,
-            }
-            for row in system.rows
-        ],
-    }

@@ -1,5 +1,4 @@
 import copy
-import json
 import pickle
 import time
 from fractions import Fraction
@@ -14,9 +13,7 @@ from alexinv.alexander_modules import (
     elementary_ideal,
     fitting_variety_scan,
     in_support,
-    load_presentation,
     presentation_from_dict,
-    presentation_to_dict,
     support_scan,
     tensor_cyclic,
 )
@@ -281,16 +278,6 @@ def test_fitting_varieties_nested_random():
             outer = set(fitting_variety_scan(pres, i, level))
             inner = set(fitting_variety_scan(pres, i + 1, level))
             assert inner <= outer
-
-
-def test_presentation_json_round_trip(tmp_path):
-    d = diag([P("t^2 - 2*t + 1", 1), P("t - 1", 1)])
-    data = presentation_to_dict(d)
-    again = presentation_from_dict(data)
-    assert again == d
-    path = tmp_path / "pres.json"
-    path.write_text(json.dumps(data))
-    assert load_presentation(str(path)) == d
 
 
 def round_trips(value):

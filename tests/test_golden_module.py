@@ -21,8 +21,8 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from alexinv.alexander_modules import load_presentation, presentation_to_dict
 from alexinv.cli import main
+from alexinv.laurent_ring import format_poly
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN_DIR = os.path.join(HERE, "golden", "module")
@@ -92,7 +92,7 @@ def write_main(doc: str, write_all) -> None:
 
 def _transcript(name: str, fmt: str) -> str:
     """Every call on one presentation; run from GOLDEN_DIR."""
-    generators = load_presentation(name + ".json").generators
+    generators = PRESENTATIONS[name][3][0]
     return record(_calls(name, generators, fmt))
 
 
@@ -114,8 +114,11 @@ def _write() -> None:
     os.chdir(GOLDEN_DIR)
     for name, (maker, seed, nvars, shape) in PRESENTATIONS.items():
         pres = getattr(randgen, maker)(randgen.make_rng(seed), nvars, shape=shape)
+        doc = {"nvars": pres.nvars, "generators": pres.generators,
+               "relations": pres.relations,
+               "matrix": [[format_poly(e) for e in row] for row in pres.matrix]}
         with open(name + ".json", "w", encoding="utf-8") as handle:
-            json.dump(presentation_to_dict(pres), handle, indent=1)
+            json.dump(doc, handle, indent=1)
             handle.write("\n")
         for fmt in FORMATS:
             write(_golden_path(name, fmt), _transcript(name, fmt))

@@ -7,8 +7,10 @@ torsion points.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import re
+import threading
 import time
 from fractions import Fraction
 from functools import reduce
@@ -30,7 +32,6 @@ from alexinv.alexander_modules import (
     elementary_ideal,
     fitting_variety_scan,
     in_support,
-    presentation_to_dict,
     support_scan,
 )
 from alexinv.cli import format_charpoly
@@ -277,10 +278,10 @@ def test_one_minor_table_serves_every_call_on_a_presentation(data):
 
 def test_minor_table_is_built_once_per_presentation(monkeypatch):
     # The presentation peels completely, so every Delta_k is a prefix product
-    # c_1...c_k of the pivot chain: the first round of char_poly over every i
-    # multiplies what the peel and its chain multiply, plus one product for
-    # each of c_1*c_2, *c_3 and *c_4; a second round and both scans multiply
-    # nothing.
+    # c_1...c_k of the pivot chain, built with the chain: the first round of
+    # char_poly over every i multiplies only what the peel and its chain
+    # multiply (c_1*c_2, *c_3 and *c_4), and a second round and both scans
+    # multiply nothing.
     pres = random_chain_presentation(make_rng(11), 2, (4, 5))
     calls = []
     multiply = LaurentPoly.__mul__
@@ -305,29 +306,67 @@ def test_minor_table_is_built_once_per_presentation(monkeypatch):
         support_scan(pres, 6),
         fitting_variety_scan(pres, 2, 6),
     ))
-    assert (first, again) == (peel + 3, 0)
-    assert peel == 0
+    assert (first, again) == (peel, 0)
+    assert peel == 3
     # A chain block summed with a random block peels partly.  Its residual's
-    # minors are multiplied in the first round; each Delta_k is then kept,
-    # so the same rule holds: a second round and both scans multiply nothing.
+    # minors are built in the first round; a second round (which multiplies
+    # each c_1...c_j by its Delta_{k-j} of the residual again) and both scans
+    # build none.
     for seed in (0, 2, 3):
         pres = direct_sum(random_chain_presentation(make_rng(11), 2, (4, 5)),
                           random_presentation(make_rng(seed), 2, shape=(2, 3)))
-        assert 0 < pres._peeled[1].generators < pres.generators
-        first = products(lambda: [char_poly(pres, i) for i in range(7)])
-        again = products(lambda: (
-            [char_poly(pres, i) for i in range(7)],
-            support_scan(pres, 6),
-            fitting_variety_scan(pres, 2, 6),
-        ))
-        assert first > 0 and again == 0
+        rest = pres._peeled[1]
+        assert 0 < rest.generators < pres.generators
+        assert products(lambda: [char_poly(pres, i) for i in range(7)]) > 0
+        built = dict(rest._minor_memo)
+        for i in range(7):
+            char_poly(pres, i)
+        support_scan(pres, 6)
+        fitting_variety_scan(pres, 2, 6)
+        assert rest._minor_memo == built and built
+        assert "_minor_memo" not in vars(pres)
+
+
+def test_threads_share_a_warm_presentation(monkeypatch):
+    # Thread A pauses in its first product until thread B has returned; a
+    # char_poly that grew shared state while A was paused would leave a
+    # wrong prefix for A and for every later call.  Reading the chain, A
+    # may have no product to pause in, and then runs through.
+    pres = random_chain_presentation(make_rng(11), 2, (4, 5))
+    expected = [char_poly(fresh(pres), i) for i in range(6)]
+    assert pres._peeled and pres._chain  # built before either thread starts
+    multiply = LaurentPoly.__mul__
+    reached, b_done = threading.Event(), threading.Event()
+    answers = {}
+
+    def gated(self, other):
+        if threading.current_thread() is a and not reached.is_set():
+            reached.set()
+            b_done.wait(10)
+        return multiply(self, other)
+
+    def run(name, i, done):
+        answers[name] = char_poly(pres, i)
+        done.set()
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", gated)
+    a = threading.Thread(target=run, args=("A", 0, reached))
+    b = threading.Thread(target=run, args=("B", 2, b_done))
+    a.start()
+    assert reached.wait(10)
+    b.start()
+    b.join(10)
+    a.join(10)
+    assert not (a.is_alive() or b.is_alive())
+    assert answers == {"A": expected[0], "B": expected[2]}
+    assert [char_poly(pres, i) for i in range(6)] == expected
 
 
 def test_pickles_and_copies_carry_the_warm_minor_table(monkeypatch):
     pres = random_chain_presentation(make_rng(11), 2, (4, 5))
     assert [f.name for f in dataclasses.fields(Presentation)] == [
         "nvars", "generators", "relations", "matrix"]
-    warm = {"_minor_memo", "_delta_memo", "_peeled", "_chain"}
+    warm = {"_minor_memo", "_peeled", "_chain"}
     assert not warm & vars(pres).keys()
     expected = [char_poly(pres, i) for i in range(5)]
     calls = []
@@ -340,8 +379,8 @@ def test_pickles_and_copies_carry_the_warm_minor_table(monkeypatch):
     monkeypatch.setattr(LaurentPoly, "__mul__", counted)
     for again in round_trips(pres):
         assert again == pres and hash(again) == hash(pres)
-        assert {"_delta_memo", "_peeled", "_chain"} <= vars(again).keys()
-        assert again._delta_memo == pres._delta_memo and len(pres._delta_memo) == 5
+        assert {"_peeled", "_chain"} <= vars(again).keys()
+        assert again._chain == pres._chain and len(pres._chain) == 5
         assert [char_poly(again, i) for i in range(5)] == expected
     assert calls == []
 
@@ -415,10 +454,10 @@ def test_peelable_large_inputs_answer_in_two_seconds(nvars, shape, op):
 
 def test_warm_minor_table_is_not_part_of_the_value():
     pres = random_chain_presentation(make_rng(12), 2, (3, 4))
-    before = (repr(pres), hash(pres), presentation_to_dict(pres))
+    before = (repr(pres), hash(pres), copy.deepcopy(pres))
     char_poly(pres, 0)
     assert {"_peeled", "_chain"} <= vars(pres).keys()
-    assert (repr(pres), hash(pres), presentation_to_dict(pres)) == before
+    assert (repr(pres), hash(pres), pres) == before
     assert pres == fresh(pres) and fresh(pres) == pres
     assert hash(fresh(pres)) == hash(pres)
 
@@ -518,7 +557,8 @@ def test_peel_matches_the_minors_of_the_unpeeled_matrix():
 
 def test_the_gcd_chain_serves_char_poly_only():
     diagonal = peel_cases()[0]
-    assert diagonal._chain[0] == [LaurentPoly.one(2), parse_poly("t1*t2 - t1 - t2 + 1", 2)]
+    one = LaurentPoly.one(2)
+    assert diagonal._chain == (one, one, parse_poly("t1*t2 - t1 - t2 + 1", 2))
     assert char_poly(diagonal, 1) == LaurentPoly.one(2)
     assert support_scan(diagonal, 1) == (TorsionPoint(1, (0, 0)),)
     assert fitting_variety_scan(diagonal, 2, 2) == (TorsionPoint(2, (0, 0)),)

@@ -12,7 +12,6 @@ from alexinv.residue_systems import (
     equimonodromic_beta,
     is_admissible,
     residue_system_from_dict,
-    residue_system_to_dict,
     residues,
     shift_vectors,
 )
@@ -142,11 +141,6 @@ def test_equimonodromic_beta():
     assert equimonodromic_beta(5, 3, 3) == (F(3, 5),) * 3
     with pytest.raises(ValueError):
         equimonodromic_beta(5, 5, 3)
-
-
-def test_system_json_round_trip(system_41):
-    again = residue_system_from_dict(residue_system_to_dict(system_41))
-    assert again == system_41
 
 
 def test_system_schema_errors():

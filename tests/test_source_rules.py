@@ -11,12 +11,18 @@ an internal error.  No ``functools.cache`` or ``lru_cache`` without a finite
 ``maxsize``: a long-lived library process would keep every value it ever
 cached.  The exceptions are zero-argument functions, which cache one value.
 Every function that ``perfbench/tracing.py`` wraps by name exists, so that
-deleting one cannot break a traced benchmark run.
+deleting one cannot break a traced benchmark run.  No definition that only
+tests reach: every top-level ``def`` and ``class`` is named outside its own
+body, as an ``ast.Name``, an ``ast.Attribute`` or an import alias, somewhere
+in the package or in the ``SPANS`` and ``COUNTED`` of
+``perfbench/tracing.py``; ``TEST_ONLY`` lists the exceptions, each with its
+reason.
 """
 
 import ast
 import importlib
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -166,3 +172,51 @@ def test_every_traced_function_resolves():
             missing.append(f"{module}.{function}")
         missing.extend(name for name in inside if name not in spans)
     assert missing == []
+
+
+# The definitions that only tests may reach, each with its reason.
+TEST_ONLY = {
+    "is_zero_matrix": "a test oracle: tests check d o d = 0 with it",
+}
+
+
+def referred_names(node) -> Counter:
+    """How often ``node`` names each name: as an ``ast.Name``, an
+    ``ast.Attribute`` or an import alias."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute)
+        else n.name
+        for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute, ast.alias)))
+
+
+def unnamed_definitions(trees, exempt) -> list:
+    """The top-level definitions of ``trees`` (by path) that no tree names
+    outside their own body, but for the ``exempt`` names."""
+    everywhere = sum(map(referred_names, trees.values()), Counter())
+    return [f"{path.name}: {node.name}" for path, tree in trees.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name not in exempt
+            and everywhere[node.name] == referred_names(node)[node.name]]
+
+
+def test_every_definition_is_named_outside_its_body():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in SOURCES}
+    names = traced_names()
+    traced = {function for _, function, *_ in names["SPANS"] + names["COUNTED"]}
+    assert unnamed_definitions(trees, traced | TEST_ONLY.keys()) == []
+    defined = {node.name for tree in trees.values() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert TEST_ONLY.keys() <= defined
+
+
+def test_unnamed_definitions_are_seen():
+    trees = {Path("a.py"): ast.parse(
+        "def loop(): loop()\n"
+        "def used(): pass\n"
+        "class Kept: pass\n"
+        "def traced(): pass\n"
+        "x = used() or Kept"),
+        Path("b.py"): ast.parse("from a import Kept\nclass Alone: pass")}
+    assert unnamed_definitions(trees, {"traced"}) == ["a.py: loop", "b.py: Alone"]
