@@ -11,12 +11,12 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
 import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import alexander_modules as am
@@ -51,13 +51,8 @@ class Report:
     warnings: list = field(default_factory=list)
 
     def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "digest": self.digest,
-            "results": self.results,
-            "warnings": self.warnings,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return _render({"command": self.command, "digest": self.digest,
+                        "results": self.results, "warnings": self.warnings}, "\n")
 
     def to_text(self) -> str:
         lines = [
@@ -68,6 +63,32 @@ class Report:
         for w in self.warnings:
             lines.append("warning: " + w)
         return "\n".join(lines)
+
+
+def _render(value, pad: str) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, with ``pad`` the line
+    break and indent of ``value``'s line.  A value that is not a dict with
+    str keys, list, tuple, str, int, bool or None raises ``TypeError``."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        brackets, items = "[]", [_render(v, inner) for v in value]
+    elif isinstance(value, dict):
+        brackets = "{}"  # the encoder refuses a key that is not a str
+        items = [encode_basestring_ascii(k) + ": " + _render(value[k], inner)
+                 for k in sorted(value)]
+    else:
+        raise TypeError(f"{type(value).__name__} is not a report value")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
 
 
 def _flatten(prefix: str, value) -> list[str]:
@@ -98,9 +119,11 @@ def _decode(decoder, data: bytes):
 
 def _read_input(args, path: str, decoder):
     """The checked object in the file at ``path``, and a report whose digest
-    is of the same bytes."""
-    data = Path(path).read_bytes()
-    report = Report(_echo(args), "sha256:" + hashlib.sha256(data).hexdigest())
+    is of the same bytes.  The name opened, and so every OSError's text, is
+    the one pathlib normalises: ``./x`` is ``x``, and ``""`` is ``.``."""
+    with open(str(Path(path)), "rb", buffering=0) as f:
+        data = f.readall()
+    report = Report(list(args._argv), "sha256:" + hashlib.sha256(data).hexdigest())
     return _decode(decoder, data), report
 
 
@@ -295,10 +318,6 @@ def _cmd_module(args) -> Report:
             "points": list(map(names.__getitem__, found)),
         }
     return report
-
-
-def _echo(args) -> list:
-    return list(args._argv)
 
 
 # ---------------------------------------------------------------------------

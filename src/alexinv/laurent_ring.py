@@ -348,10 +348,11 @@ def _pseudo_rem(a: LaurentPoly, b: LaurentPoly, v: int) -> LaurentPoly:
     return r
 
 
-def _gcd_ordinary(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """The PRS step of ``gcd``, its only caller: ``a`` and ``b`` are nonzero,
-    in ordinary form, and the shorter does not divide the longer, so neither
-    is a single term (a unit) and some variable has positive degree."""
+def _gcd_prs(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """The PRS step of ``gcd`` and ``gcd_all``: ``a`` and ``b`` are nonzero and
+    the shorter does not divide the longer, so neither is a single term (a
+    unit) and, in ordinary form, some variable has positive degree."""
+    a, b = _shift_to_ordinary(a), _shift_to_ordinary(b)
     v = max(
         j
         for j in range(a.nvars)
@@ -370,7 +371,7 @@ def _gcd_ordinary(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
         pa, pb = pb, r
     c = gcd(ca, cb)
     # A nonzero remainder of degree 0 in v: the primitive parts are coprime.
-    return c if pb else c * pa
+    return normalize_unit(c if pb else c * pa)
 
 
 def gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
@@ -386,7 +387,7 @@ def gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
     # An exact divisor is the gcd: no PRS needed.
     if divide_exact(q, p) is not None:
         return normalize_unit(p)
-    return normalize_unit(_gcd_ordinary(_shift_to_ordinary(p), _shift_to_ordinary(q)))
+    return _gcd_prs(p, q)
 
 
 def gcd_all(polys, nvars: int) -> LaurentPoly:
@@ -394,10 +395,13 @@ def gcd_all(polys, nvars: int) -> LaurentPoly:
     at 1, and a polynomial that the gcd so far divides leaves it as it is."""
     g = LaurentPoly.zero(nvars)
     for p in polys:
-        # gcd would give normalize_unit(g), which is g: it is normalized.
-        if g and len(g.terms) <= len(p.terms) and divide_exact(p, g) is not None:
-            continue
-        g = gcd(g, p) if g else normalize_unit(p)
+        if g and len(g.terms) <= len(p.terms):
+            # gcd would give normalize_unit(g), which is g: it is normalized.
+            if divide_exact(p, g) is not None:
+                continue
+            g = _gcd_prs(g, p)  # gcd(g, p) would try that division again
+        else:
+            g = gcd(g, p) if g else normalize_unit(p)
         if g.is_one:
             break
     return g
@@ -489,7 +493,9 @@ def check_grid(level: int, nvars: int) -> None:
     """``LimitError`` unless the level-N grid has 1 to ``MAX_SCAN_POINTS`` points."""
     if level < 1:
         raise LimitError(f"level must be >= 1, got {level}")
-    if level > MAX_SCAN_POINTS or level ** nvars > MAX_SCAN_POINTS:
+    # 2 ** bit_length passes the cap, so no larger power needs building.
+    if level > MAX_SCAN_POINTS or (
+            level ** min(nvars, MAX_SCAN_POINTS.bit_length()) > MAX_SCAN_POINTS):
         raise LimitError(
             f"level {level} gives {level}^{nvars} torsion points, "
             f"more than the limit of {MAX_SCAN_POINTS}"

@@ -942,12 +942,67 @@ def test_unreadable_document_is_a_schema_error(tmp_path, capsys, command, text, 
     assert err.startswith("error: : " + reason), err
 
 
+ANY_TEXT = st.text(st.characters(exclude_categories=()))  # lone surrogates too
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | ANY_TEXT,
+    lambda inner: (st.lists(inner) | st.lists(inner).map(tuple)
+                   | st.dictionaries(ANY_TEXT, inner)),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(JSON_VALUES)
+def test_json_reports_render_as_json_dumps(value):
+    assert cli._render(value, "\n") == json.dumps(value, indent=2, sort_keys=True)
+    report = cli.Report(["alexinv"], "sha256:0", {"value": value}, ["w"])
+    assert report.to_json() == json.dumps(
+        {"command": ["alexinv"], "digest": "sha256:0", "results": {"value": value},
+         "warnings": ["w"]}, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [1.5, {1, 2}, {1: "a"}, {"a": [0.0]}, {"a": 1, 2: "b"}])
+def test_json_reports_refuse_values_json_would_change(value):
+    # json.dumps prints floats and turns int keys into strings; a report
+    # holds neither, so one that does is a bug in the command that built it.
+    with pytest.raises(TypeError):
+        cli._render(value, "\n")
+
+
+def test_a_float_in_a_report_is_an_internal_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "betti_vector", lambda algebra: (1.0,))
+    assert cli.run(["validate", "example_4_1"]) == 0
+    assert "results.betti: [1.0]" in capsys.readouterr().out
+    assert cli.run(["validate", "example_4_1", "--format", "json"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.rstrip().endswith("TypeError: float is not a report value")
+
+
 def test_directory_path_is_a_usage_error(tmp_path, capsys):
     for argv in (("validate", str(tmp_path)),
                  ("module", "--presentation", str(tmp_path), "--op", "charpoly")):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
-        assert err.startswith("error: [Errno 21] Is a directory"), err
+        assert err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("validate", "./missing.json"),
+     "error: : scenario file or bundled name not found: './missing.json'\n"),
+    (("module", "--presentation", "./missing.json", "--op", "charpoly"),
+     "error: [Errno 2] No such file or directory: 'missing.json'\n"),
+    (("module", "--presentation", "", "--op", "charpoly"),
+     "error: [Errno 21] Is a directory: '.'\n"),
+    (("validate", "sub/"), "error: [Errno 21] Is a directory: 'sub'\n"),
+    (("module", "--presentation", "./sub/", "--op", "support", "--level", "2"),
+     "error: [Errno 21] Is a directory: 'sub'\n"),
+])
+def test_read_errors_name_the_path_as_pathlib_normalises_it(
+        tmp_path, capsys, monkeypatch, argv, err):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    assert run_cli(capsys, *argv) == (1, "", err)
 
 
 def test_presentation_nvars_cap(tmp_path, capsys, monkeypatch):

@@ -24,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alexinv import alexander_modules as am
+from alexinv import laurent_ring as lr
 from alexinv.alexander_modules import (
     Presentation,
     char_poly,
@@ -214,6 +215,27 @@ def test_gcd_of_trivariate_prs_inputs_matches_sympy(a, b, c):
     g = gcd(p, q)
     assert time.perf_counter() - start < 1.0
     assert same_unit_class(g, sympy.gcd(ordinary_poly(p), ordinary_poly(q)))
+
+
+def test_gcd_all_does_not_repeat_a_failed_division(monkeypatch):
+    # When divide_exact(p, g) fails with g the shorter, gcd_all goes on to
+    # the PRS step; gcd(g, p) would try that same division again first.
+    calls = []
+
+    def spy(p, q):
+        quotient = divide_exact(p, q)
+        calls.append((p, q, quotient is None))
+        return quotient
+
+    monkeypatch.setattr(lr, "divide_exact", spy)
+    for seed in range(20):
+        pres = random_presentation(make_rng(seed), 2, shape=(3, 4))
+        for i in range(4):
+            char_poly(pres, i)
+    assert sum(failed for _, _, failed in calls) > 50
+    repeats = [k for k in range(1, len(calls))
+               if calls[k - 1][2] and calls[k][:2] == calls[k - 1][:2]]
+    assert repeats == []
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (4, 5)])

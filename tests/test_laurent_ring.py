@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -5,11 +6,13 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alexinv import laurent_ring as lr
 from alexinv.errors import DimensionError, LimitError, ParseError
 from alexinv.exact_kernel import format_rational
 from alexinv.laurent_ring import (
     LaurentPoly,
     TorsionPoint,
+    check_grid,
     divide_exact,
     divides,
     evaluate_at_torsion,
@@ -281,6 +284,29 @@ def test_grid_points_equal_checked_points(level, nvars):
         grid[0].level = level + 1
     with pytest.raises(LimitError):
         TorsionPoint(3, (3,))
+
+
+def test_check_grid_refuses_a_huge_grid_at_once():
+    # 99999 ** 2**20 takes seconds to build; the power is taken only as far
+    # as the cap.
+    start = time.perf_counter()
+    with pytest.raises(LimitError) as info:
+        check_grid(99999, 2**20)
+    assert time.perf_counter() - start < 0.1
+    assert str(info.value) == (
+        "level 99999 gives 99999^1048576 torsion points, more than the limit of 100000")
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.integers(1, 400), st.integers(0, 40), st.sampled_from([0, 1, 27, 100_000]))
+def test_check_grid_refuses_exactly_the_grids_past_the_cap(level, nvars, cap):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lr, "MAX_SCAN_POINTS", cap)
+        if level > cap or level ** nvars > cap:
+            with pytest.raises(LimitError):
+                check_grid(level, nvars)
+        else:
+            check_grid(level, nvars)
 
 
 @st.composite
