@@ -306,10 +306,10 @@ class IntegerDifferential:
     ``a // gcd(a)``, and computed once per direction (up to
     ``MAX_RANK_MEMO`` entries; the memo is emptied when full).
 
-    ``dims_many`` works on a batch a column at a time: it checks the squares
-    at every point before it computes any rank, and evaluates each minor
-    ``M_p`` over whole coordinate columns, so only the points on its zero
-    set go one by one through the memo.
+    ``dims_columns`` works on a batch a column at a time: it checks the
+    squares at every point before it computes any rank, and evaluates each
+    minor ``M_p`` over whole coordinate columns, so only the points on its
+    zero set go one by one through the memo.
     """
 
     def __init__(self, algebra: GradedAlgebra, omega_map):
@@ -371,25 +371,28 @@ class IntegerDifferential:
         ]
 
     def dims_many(self, points, degrees=None) -> list[tuple[int, ...]]:
-        """Cohomology dimensions at each integer parameter vector ``a`` in
-        the sequence ``points``, for ``degrees`` (default: all, ``0 .. top``).
+        """A tuple of dimensions for ``degrees`` (default: all, ``0 .. top``) at
+        each integer vector in ``points``: :meth:`dims_columns`, transposed."""
+        if not points:
+            return []
+        if degrees is None:
+            degrees = range(len(self.betti))
+        dims = self.dims_columns(list(zip(*points)), len(points), degrees)
+        return list(zip(*dims)) if dims else [()] * len(points)
+
+    def dims_columns(self, columns, size: int, degrees) -> list[list[int]]:
+        """For each of ``degrees``, the cohomology dimension at each of the
+        ``size`` integer parameter vectors with coordinate columns ``columns``.
 
         Checks at every point that consecutive differentials compose to zero
         in every degree before it computes any rank; when a point fails, the
         error names the lowest degree where the first failing point fails.
 
-        The work goes a column at a time: the batch is transposed once, and
-        the squares and each needed degree's certificate minor are evaluated
-        over whole coordinate columns.  Only the points where a minor
-        vanishes, and every point in a degree without a certificate, then go
-        one at a time through the rank memo and ``integer_rank``.
+        The squares and each needed certificate minor are evaluated over
+        whole columns; only the points where a minor vanishes, and all points
+        of a degree without one, go one by one through the memo and the rank.
         """
-        if not points:
-            return []
-        if degrees is None:
-            degrees = range(len(self.betti))
-        tensors, memo, size = self.tensors, self.ranks, len(points)
-        columns = list(zip(*points))
+        tensors, memo = self.tensors, self.ranks
         # (index, degree) of the first point that fails; squares come in
         # order of degree, so a later entry failing there is no lower.
         failing = (size, None)
@@ -422,7 +425,7 @@ class IntegerDifferential:
                     values = _minor_column(minor[1], columns, size)
                     todo = [k for k, v in enumerate(values) if not v] if 0 in values else ()
                 for k in todo:
-                    a = points[k]
+                    a = [column[k] for column in columns]
                     direction = directions.get(k)
                     if direction is None:
                         g = gcd(*a)
@@ -440,7 +443,7 @@ class IntegerDifferential:
                 rank_columns[q] = ranks
             b = self.betti[p]
             dims.append([b - x - y for x, y in zip(rank_columns[p], rank_columns[p - 1])])
-        return list(zip(*dims)) if dims else [()] * size
+        return dims
 
 
 def _minor_column(terms, columns, size) -> list:

@@ -15,7 +15,6 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -79,7 +78,8 @@ def _render(value, pad: str) -> str:
         return int.__repr__(value)
     inner = pad + "  "
     if isinstance(value, (list, tuple)):
-        brackets, items = "[]", [_render(v, inner) for v in value]
+        brackets, items = "[]", [encode_basestring_ascii(v) if isinstance(v, str)
+                                 else _render(v, inner) for v in value]
     elif isinstance(value, dict):
         brackets = "{}"  # the encoder refuses a key that is not a str
         items = [encode_basestring_ascii(k) + ": " + _render(value[k], inner)
@@ -247,7 +247,18 @@ def _cmd_admissible(args) -> Report:
 def _point_names(level: int, nvars: int) -> list[str]:
     """``str`` of each level-N torsion point, by lexicographic grid index."""
     labels = [lr.numerator_label(n, level) for n in range(level)]
-    return ["(" + ",".join(t) + ")" for t in product(labels, repeat=nvars)]
+    names, tails = labels, ["," + label for label in labels]
+    for _ in range(nvars - 1):
+        names = [name + tail for name in names for tail in tails]
+    return ["(" + name + ")" for name in names]
+
+
+def _names_at(level: int, nvars: int, indices) -> list[str]:
+    """``str`` of the level-N torsion point at each grid index, from its digits."""
+    places = [level ** j for j in range(nvars - 1, -1, -1)]
+    digits = [[k // p % level for k in indices] for p in places]
+    labels = {n: lr.numerator_label(n, level) for n in set().union(*digits)}
+    return ["(" + ",".join(t) + ")" for t in zip(*[map(labels.get, c) for c in digits])]
 
 
 def _cmd_charvar(args) -> Report:
@@ -310,12 +321,11 @@ def _cmd_module(args) -> Report:
                 raise SchemaError("", "--i must be >= 1 for --op fitting")
             head, i = {"op": "fitting", "i": args.i}, args.i
         found = am._scan(pres, i, args.level)
-        names = _point_names(args.level, pres.nvars)
         report.results = {
             **head,
             "level": args.level,
             "count": len(found),
-            "points": list(map(names.__getitem__, found)),
+            "points": _names_at(args.level, pres.nvars, found),
         }
     return report
 

@@ -38,11 +38,11 @@ class LimitError(ValueError):
 class SchemaError(ValueError):
     """A JSON document does not match the expected file schema.
 
-    ``path`` is a JSON-pointer-style location of the offending value.
+    ``path`` is a JSON pointer to the offending value, left out when empty.
     """
 
     def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
+        super().__init__(f"{path}: {message}" if path else message)
         self.path = path
 
 

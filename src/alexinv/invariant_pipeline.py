@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import product
+from itertools import chain, compress, repeat
 from math import gcd as int_gcd, prod
 from operator import mul
 from pathlib import Path
@@ -114,14 +114,6 @@ class Scenario:
         return IntegerDifferential(self.algebra, self.omega_map)
 
 
-def _scaled(numerators, shift, denominator: int):
-    """``L * alpha`` for ``alpha = numerators / L + shift``, ``L = denominator``;
-    the numerators themselves, not a copy, when the shift is zero."""
-    if not any(shift):
-        return numerators
-    return tuple(n + denominator * k for n, k in zip(numerators, shift))
-
-
 def admissible_representative(scenario: Scenario, beta, bound: int = 3):
     """Deterministic admissible residue choice for ``beta``, or None."""
     return admissible_search(
@@ -196,18 +188,27 @@ def _charvar_indices(scenario: Scenario, level: int, degree: int, bound: int):
             f"degree {degree} out of range [1, {scenario.algebra.top_degree}]"
         )
     check_grid(level, scenario.nparams)
+    nparams, size = scenario.nparams, level ** scenario.nparams
     rows = [row.coeffs for row in scenario.residue_system.rows]
-    shifts = grid_shifts(rows, level, scenario.nparams, scenario.effective_bound(bound))
-    grid = zip(product(range(level), repeat=scenario.nparams), shifts)
-    scaled = [_scaled(n, shift, level) for n, shift in grid if shift is not None]
-    admissible = [index for index, shift in enumerate(shifts) if shift is not None]
-    inconclusive = [index for index, shift in enumerate(shifts) if shift is None]
-    by_index: dict = {}
-    for index, (dim,) in zip(
-        admissible, scenario.differential.dims_many(scaled, (degree,))
-    ):
-        by_index.setdefault(dim, []).append(index)
-    return dict(sorted(by_index.items())), inconclusive
+    shifts = grid_shifts(rows, level, nparams, scenario.effective_bound(bound))
+    # L * alpha a coordinate column at a time: column j runs through each
+    # numerator size // level ** (j + 1) times, level ** j times over.
+    columns = [
+        list(chain.from_iterable(repeat(n, size // level ** (j + 1)) for n in range(level)))
+        * level ** j for j in range(nparams)]
+    for index, shift in shifts.items():
+        for column, k in zip(columns, shift or ()):
+            column[index] += level * k
+    inconclusive = sorted(index for index, shift in shifts.items() if shift is None)
+    indices = range(size)
+    if inconclusive:
+        keep = [shifts.get(index, ()) is not None for index in indices]
+        indices = list(compress(indices, keep))
+        columns = [list(compress(column, keep)) for column in columns]
+    (dims,) = scenario.differential.dims_columns(columns, len(indices), (degree,))
+    return {
+        dim: list(compress(indices, map(dim.__eq__, dims))) for dim in sorted(set(dims))
+    }, inconclusive
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +375,7 @@ def milnor_charpoly(scenario: Scenario, m: int, bound: int = 3) -> MonodromyPoly
     # The first k without a representative stops the polynomial, but only
     # after every k before it: a nonzero square there is raised first.
     stop = shifts.index(None) if None in shifts else order
-    scaled = [_scaled(a, shift, order) for a, shift in zip(points[:stop], shifts)]
+    scaled = [[k + order * s for s in shift] for k, shift in zip(range(stop), shifts)]
     mults = [dim for (dim,) in scenario.differential.dims_many(scaled, (m,))]
     if stop < order:
         raise InconclusiveSearchError(

@@ -12,8 +12,8 @@ searches are reproducible.  Failure inside the box is reported as absence,
 never as a certificate of non-admissibility.  The search itself runs on
 integers, ``beta`` over a common denominator, and once per blocking
 pattern: ``admissible_shifts`` takes any points one by one, and
-``grid_shifts`` a whole torsion grid, each row's values read off one table
-a block of the grid at a time.
+``grid_shifts`` a whole torsion grid, visiting for each row only the points
+where it can block and returning only the points that need a nonzero shift.
 """
 
 from __future__ import annotations
@@ -21,12 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, product
+from itertools import product
 from operator import mul
 
 from .errors import DimensionError, LimitError, SchemaError, fields, integers
 from .exact_kernel import integer_vector
-from .laurent_ring import MAX_NVARS, MAX_SCAN_POINTS
+from .laurent_ring import MAX_NVARS
 
 @dataclass(frozen=True)
 class ResidueRow:
@@ -110,62 +110,58 @@ def admissible_shifts(rows, points, denominator: int, bound: int) -> list:
     and ``v % L == 0``.  As ``v % L`` does not depend on k, only rows with
     ``row.n % L == 0`` can ever block, and such a row blocks k exactly when
     ``row.k + row.n // L > 0``.  So the answer depends only on the blocking
-    pattern, each row's offset ``row.n // L`` or None where it cannot block,
+    pattern, the index and offset ``row.n // L`` of each row that can block,
     and a point with no blocking row takes the zero shift, the first in the
     order, at once.  Each pattern is searched once per call.
     """
     if not points:
         return []
     order = _shift_order(len(points[0]), bound)
-    return _search(rows, order, [_blocking(rows, n, denominator) for n in points])
-
-
-def grid_shifts(rows, level: int, nparams: int, bound: int) -> list:
-    """:func:`admissible_shifts` with ``denominator = level`` at every point
-    of ``product(range(level), repeat=nparams)``, in that order.
-
-    A row's offsets come from one table over the values ``lo .. hi`` it
-    takes on the grid.  The grid is a run of blocks over the last
-    coordinate, one per value ``h`` of the row's other terms, and a block
-    is the slice of the table from ``h`` in steps of the last coefficient.
-    """
-    order = _shift_order(nparams, bound)
-    offsets = [_grid_offsets(row, level) for row in rows]
-    return _search(rows, order, list(zip(*offsets)) if rows else [()] * level ** nparams)
-
-
-def _grid_offsets(row, level: int):
-    """The row's offset, or None, at each point of the grid, in order."""
-    lo = (level - 1) * sum(c for c in row if c < 0)
-    hi = (level - 1) * sum(c for c in row if c > 0)
-    if hi - lo >= MAX_SCAN_POINTS:  # no table that large: sum point by point
-        values = (sum(map(mul, row, n)) for n in product(range(level), repeat=len(row)))
-        return [None if v % level else v // level for v in values]
-    table = [None if v % level else v // level for v in range(lo, hi + 1)]
-    *head, c = row
-    starts = [sum(map(mul, head, n)) - lo for n in product(range(level), repeat=len(head))]
-    if c == 0:
-        return chain.from_iterable([table[h]] * level for h in starts)
-    # A descending block that ends at the table's first entry stops at None.
-    return chain.from_iterable(
-        table[h:h + c * level if h + c * level >= 0 else None:c] for h in starts)
-
-
-def _search(rows, order, patterns) -> list:
-    """The first shift in ``order`` that no blocking row of the pattern
-    blocks, for each pattern; each distinct pattern is searched once."""
-    found = {}  # blocking pattern -> its first admissible shift, or None
-    for pattern in set(patterns):
-        found[pattern] = _first_unblocked(order, [
-            (row, offset) for row, offset in zip(rows, pattern) if offset is not None
-        ])
+    patterns = [_blocking(rows, n, denominator) for n in points]
+    found = _search(rows, order, filter(None, patterns))
+    found[()] = order[0]  # no row blocks
     return list(map(found.__getitem__, patterns))
 
 
+def grid_shifts(rows, level: int, nparams: int, bound: int) -> dict:
+    """:func:`admissible_shifts` with ``denominator = level`` over the grid
+    ``product(range(level), repeat=nparams)``, as ``{grid index: shift or
+    None}`` for the points whose shift is not the zero shift.
+
+    A row blocks only where its value ``h + c * x``, for ``h`` the sum of
+    its head terms and ``x`` the last coordinate, is a multiple of
+    ``level``: each ``h`` looks up its ``x`` by ``h % level``.
+    """
+    order = _shift_order(nparams, bound)
+    patterns = {}  # grid index -> its (row index, offset) pairs, in row order
+    for r, (*head, c) in enumerate(rows):
+        sums = [0]
+        for a in head:
+            sums = [h + a * x for h in sums for x in range(level)]
+        solutions = [[] for _ in range(level)]
+        for x in range(level):
+            solutions[-c * x % level].append(x)
+        for j, h in enumerate(sums):
+            for x in solutions[h % level]:
+                index = j * level + x
+                patterns[index] = patterns.get(index, ()) + ((r, (h + c * x) // level),)
+    found = _search(rows, order, patterns.values())
+    return {index: found[key] for index, key in patterns.items() if found[key] != order[0]}
+
+
+def _search(rows, order, patterns) -> dict:
+    """Each distinct ``(row index, offset)`` pattern: its first unblocked shift."""
+    return {
+        pattern: _first_unblocked(order, [(rows[r], offset) for r, offset in pattern])
+        for pattern in set(patterns)
+    }
+
+
 def _blocking(rows, numerators, denominator: int) -> tuple:
-    """The blocking pattern at one point: each row's offset, or None."""
+    """The blocking pattern at one point: ``(row index, offset)`` for each
+    row that can block there."""
     values = [sum(map(mul, row, numerators)) for row in rows]
-    return tuple(None if v % denominator else v // denominator for v in values)
+    return tuple((r, v // denominator) for r, v in enumerate(values) if not v % denominator)
 
 
 def _first_unblocked(order, blocking):

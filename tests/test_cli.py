@@ -298,6 +298,37 @@ def test_no_scan_command_builds_a_torsion_point(capsys, monkeypatch):
     with pytest.raises(RuntimeError, match="was built"):
         am.support_scan(_presentation(path), 6)
     assert [run_cli(capsys, *argv) for argv in commands] == before
+
+
+def test_a_module_scan_labels_only_its_hits(tmp_path, capsys, monkeypatch):
+    # Only charvar, where every point lands in a bucket, labels the whole
+    # grid; a module scan labels the points it found.
+    labelled = []
+    names_at = cli._names_at
+
+    def spy(level, nvars, indices):
+        labelled.append(len(indices))
+        return names_at(level, nvars, indices)
+
+    line = tmp_path / "line.json"
+    line.write_text(json.dumps(
+        {"nvars": 1, "generators": 1, "relations": 1, "matrix": [["t1 - 1"]]}))
+    cases = [
+        (os.path.join(MODULE_GOLDEN_DIR, "bi_5x6.json"), ("support",), 6, 2),
+        (os.path.join(MODULE_GOLDEN_DIR, "bi_5x6.json"), ("fitting", "--i", "2"), 12, 2),
+        (str(line), ("support",), 100000, 1),
+    ]
+    for path, op, level, nvars in cases:
+        argv = ("module", "--presentation", path, "--op", *op, "--level", str(level))
+        before = [run_cli(capsys, *argv, "--format", form) for form in ("json", "text")]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_names_at", spy)
+            patch.setattr(cli, "_point_names", None)
+            labelled.clear()
+            after = [run_cli(capsys, *argv, "--format", form) for form in ("json", "text")]
+        assert after == before
+        count = json.loads(after[0][1])["results"]["count"]
+        assert labelled == [count, count] and count < level ** nvars
     assert all(code in (0, 2) and out for code, out, _ in before)
 
 
@@ -891,7 +922,7 @@ def _bundled_with(name, keys, value):
 
 PRODUCT = ("algebra", "products", 0)
 SCENARIO_HOLES = (
-    ((), 5, ": must be an object"),
+    ((), 5, "must be an object"),
     (("algebra",), [], "/algebra: must be an object"),
     (("residue_system",), "rows", "/residue_system: must be an object"),
     (PRODUCT, 7, "/algebra/products/0: must be an object"),
@@ -939,7 +970,7 @@ def test_unreadable_document_is_a_schema_error(tmp_path, capsys, command, text, 
                        "--level", "2")}[command]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
-    assert err.startswith("error: : " + reason), err
+    assert err.startswith("error: " + reason), err
 
 
 ANY_TEXT = st.text(st.characters(exclude_categories=()))  # lone surrogates too
@@ -989,7 +1020,7 @@ def test_directory_path_is_a_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, err", [
     (("validate", "./missing.json"),
-     "error: : scenario file or bundled name not found: './missing.json'\n"),
+     "error: scenario file or bundled name not found: './missing.json'\n"),
     (("module", "--presentation", "./missing.json", "--op", "charpoly"),
      "error: [Errno 2] No such file or directory: 'missing.json'\n"),
     (("module", "--presentation", "", "--op", "charpoly"),
@@ -1179,9 +1210,9 @@ def test_bundled_scenarios_are_far_inside_the_cell_cap():
 @pytest.mark.parametrize("argv, scenario_value, message", [
     # Fraction would read exponents, and build 10^3000000 for the last one.
     (["aomoto", "torus", "--alpha", "1e5000,1"], None,
-     "error: : --alpha must be a comma-separated list of rationals\n"),
+     "error: --alpha must be a comma-separated list of rationals\n"),
     (["aomoto", "torus", "--alpha", "1.5,1"], None,
-     "error: : --alpha must be a comma-separated list of rationals\n"),
+     "error: --alpha must be a comma-separated list of rationals\n"),
     # 4300 nines are allowed, but the residue at infinity has 4301 digits.
     (["aomoto", "torus", "--alpha", "9" * 4300 + ",1"], None,
      "error: a rational has more than 4300 digits\n"),
@@ -1358,7 +1389,7 @@ def test_errors_are_raised_on_every_call(tmp_path, capsys):
     invalid["algebra"]["products"].append(
         {"left": "eta2", "right": "eta1", "value": [{"basis": "eta12"}]})
     cases = [
-        ("malformed.json", "{", ("validate",), 1, "error: : invalid JSON: "),
+        ("malformed.json", "{", ("validate",), 1, "error: invalid JSON: "),
         ("hole.json", _bundled_with("example_4_1", ("omega_map", 0, 0), "1/0"),
          ("validate",), 1, "error: /omega_map/0: zero denominator"),
         ("invalid.json", json.dumps(invalid), ("validate",), 3,
@@ -1421,4 +1452,4 @@ def test_error_positions_count_line_ends_as_text_mode_does(tmp_path, capsys, end
                  ("module", "--presentation", str(path), "--op", "charpoly")):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (1, "")
-        assert err == f"error: : invalid JSON: {text_mode.value}\n"
+        assert err == f"error: invalid JSON: {text_mode.value}\n"

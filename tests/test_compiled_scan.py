@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from alexinv import aomoto_complex, cli, residue_systems
+from alexinv import aomoto_complex, cli, laurent_ring, residue_systems
 from alexinv.aomoto_complex import (
     GradedAlgebra,
     IntegerDifferential,
@@ -36,6 +36,7 @@ from alexinv.corpus import bundled_scenario_names, load_bundled_scenario
 from alexinv.errors import InconclusiveSearchError, InconsistentDifferentialError
 from alexinv.exact_kernel import integer_rank, is_zero_matrix, mat_mul, rank
 from alexinv.invariant_pipeline import (
+    _charvar_indices,
     charvar_scan,
     cohomology_at,
     milnor_charpoly,
@@ -126,6 +127,38 @@ def test_example_53_level12_inconclusive_points_match_reference():
     assert [p.numerators for p, dims in reference if dims is None] == [(4,), (8,)]
 
 
+@st.composite
+def index_scans(draw):
+    """A bundled scenario, a level 1-12, one of its degrees and a bound 0-4;
+    example_5_3's ``max_shift: 0`` leaves points inconclusive."""
+    scenario = load_bundled_scenario(draw(st.sampled_from(bundled_scenario_names())))
+    degree = draw(st.integers(1, scenario.algebra.top_degree))
+    return scenario, draw(st.integers(1, 12)), degree, draw(st.integers(0, 4))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(index_scans())
+@example((load_bundled_scenario("example_5_3"), 12, 2, 3))
+@example((load_bundled_scenario("lines_generic3"), 12, 1, 4))
+def test_charvar_indices_match_the_point_by_point_route(scan):
+    # The grid search and the coordinate columns against admissible_shifts
+    # one point at a time and dims_many on the shifted points.
+    scenario, level, degree, bound = scan
+    rows = [row.coeffs for row in scenario.residue_system.rows]
+    box = scenario.effective_bound(bound)
+    points = [p.numerators for p in torsion_grid(level, scenario.nparams)]
+    shifts = [admissible_shifts(rows, (n,), level, box)[0] for n in points]
+    moved = [(index, [x + level * k for x, k in zip(n, shift)])
+             for index, (n, shift) in enumerate(zip(points, shifts)) if shift is not None]
+    dims = scenario.differential.dims_many([a for _, a in moved])
+    buckets = {}
+    for (index, _), point_dims in zip(moved, dims):
+        buckets.setdefault(point_dims[degree], []).append(index)
+    by_index, inconclusive = _charvar_indices(scenario, level, degree, bound)
+    assert list(by_index.items()) == sorted(buckets.items())
+    assert inconclusive == [index for index, shift in enumerate(shifts) if shift is None]
+
+
 def fractions_with_mixed_denominators(n):
     return st.lists(
         st.builds(
@@ -208,7 +241,8 @@ def test_batch_search_agrees_with_the_reference_at_every_point(problem, bound):
     shifts = admissible_shifts(rows, numerators, level, bound)
     assert shifts == shifts[:len(grid)] * many
     assert admissible_shifts(rows, numerators[:many - 1], level, bound) == shifts[:many - 1]
-    assert grid_shifts(rows, level, grid[0].nvars, bound) == shifts[:len(grid)]
+    assert expand(grid_shifts(rows, level, grid[0].nvars, bound), level,
+                  grid[0].nvars) == shifts[:len(grid)]
     for point, shift in zip(grid, shifts):
         got = None if shift is None else tuple(b + k for b, k in zip(point.beta, shift))
         assert got == reference_representative(system, point.beta, bound)
@@ -227,7 +261,7 @@ def test_each_blocking_pattern_is_searched_once_per_call(monkeypatch):
     system = load_bundled_scenario("example_4_1").residue_system
     rows = [row.coeffs for row in system.rows]
     points = [p.numerators for p in torsion_grid(12, 3)]
-    shifts = grid_shifts(rows, 12, 3, 3)
+    shifts = expand(grid_shifts(rows, 12, 3, 3), 12, 3)
     blocked = [
         n for n in points
         if any(sum(r * x for r, x in zip(row, n)) % 12 == 0 for row in rows)
@@ -247,6 +281,14 @@ def test_each_blocking_pattern_is_searched_once_per_call(monkeypatch):
     assert len(set(searched)) == len(searched) < 20 < order
     assert milnor[:12] == [
         admissible_shifts(rows, ((k,) * 3,), order, 3)[0] for k in range(12)]
+
+
+def expand(moved, level, nparams):
+    """:func:`grid_shifts`' dict of moved points as a shift for every point
+    of the grid, in order: the zero shift wherever the dict has none."""
+    zero = (0,) * nparams
+    assert zero not in moved.values()
+    return [moved.get(index, zero) for index in range(level ** nparams)]
 
 
 GRID_WORK = 60_000  # most grid points times box shifts per drawn problem
@@ -279,13 +321,12 @@ def assert_grid_matches(rows, level, nparams, bound):
         nparams,
         tuple(ResidueRow(f"r{i}", tuple(row), False) for i, row in enumerate(rows)),
     )
-    shifts = grid_shifts(rows, level, nparams, bound)
+    shifts = expand(grid_shifts(rows, level, nparams, bound), level, nparams)
     grid = list(torsion_grid(level, nparams))
-    assert len(shifts) == len(grid)
     assert shifts == admissible_shifts(rows, [p.numerators for p in grid], level, bound)
-    # Every row summed point by point, as a row too large for a table is.
-    with patch.object(residue_systems, "MAX_SCAN_POINTS", 0):
-        assert grid_shifts(rows, level, nparams, bound) == shifts
+    # Rows given as tuples give the same search.
+    tuples = [tuple(row) for row in rows]
+    assert expand(grid_shifts(tuples, level, nparams, bound), level, nparams) == shifts
     for point, shift in zip(grid, shifts):
         got = None if shift is None else tuple(b + k for b, k in zip(point.beta, shift))
         assert got == reference_representative(system, point.beta, bound)
@@ -297,8 +338,9 @@ def assert_grid_matches(rows, level, nparams, bound):
 # that ends at the table's first entry, where the slice stop is negative.
 @example(([[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -2], [1, 1, 1], [0, -1, -1],
            [1, 2, 2], [-1, -2, -2]], 5, 3, 3))
-# A coefficient far too large for a table goes point by point.
+# A coefficient far past the grid's size, and rows given as lists.
 @example(([[10**15, 1], [1, -1], [-3, 10**15 * 12]], 12, 2, 1))
+@example(([[2, 0], [0, 2], [1, 1], [-1, 3]], 4, 2, 1))
 @example(([], 3, 2, 1))
 @example(([[0, 0, 0]], 2, 3, 2))
 def test_grid_search_agrees_with_the_point_search_and_the_reference(problem):
@@ -306,20 +348,19 @@ def test_grid_search_agrees_with_the_point_search_and_the_reference(problem):
 
 
 def test_a_huge_coefficient_is_searched_without_a_table():
-    # hi - lo for a row is (level - 1) * sum(|c|): past MAX_SCAN_POINTS the
-    # row is summed point by point, so the grid search stays quick.
+    # The search visits only the points where a row's value is a multiple
+    # of the level, however large its coefficients, so it stays quick.
     rows = [[10**15, 1, -1], [1, -10**15, 2], [1, 1, 1]]
     start = time.perf_counter()
-    shifts = grid_shifts(rows, 12, 3, 3)
+    shifts = expand(grid_shifts(rows, 12, 3, 3), 12, 3)
     assert time.perf_counter() - start < 1
     points = [p.numerators for p in torsion_grid(12, 3)]
     assert shifts == admissible_shifts(rows, points, 12, 3)
-    # At the routing line: a span of MAX_SCAN_POINTS - 1 takes a table (a
-    # list of MAX_SCAN_POINTS entries), one more does not, and both give
-    # the point-by-point answer.
-    cap = residue_systems.MAX_SCAN_POINTS
+    # Nor does its memory follow the span of a row's values: (level - 1)
+    # times sum(|c|), here at and around the scan cap and far past it.
+    cap = laurent_ring.MAX_SCAN_POINTS
     peaks = []
-    for span in (cap - 1, cap):
+    for span in (cap - 1, cap, 10**15):
         rows = [[span, 0], [-1, 1]]
         tracemalloc.start()
         try:
@@ -327,9 +368,9 @@ def test_a_huge_coefficient_is_searched_without_a_table():
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert shifts == admissible_shifts(
+        assert expand(shifts, 2, 2) == admissible_shifts(
             rows, [p.numerators for p in torsion_grid(2, 2)], 2, 1)
-    assert peaks[0] > 8 * cap > 100 * peaks[1]
+    assert max(peaks) <= 2 * min(peaks)
 
 
 @st.composite
