@@ -15,6 +15,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -247,10 +248,7 @@ def _cmd_admissible(args) -> Report:
 def _point_names(level: int, nvars: int) -> list[str]:
     """``str`` of each level-N torsion point, by lexicographic grid index."""
     labels = [lr.numerator_label(n, level) for n in range(level)]
-    names, tails = labels, ["," + label for label in labels]
-    for _ in range(nvars - 1):
-        names = [name + tail for name in names for tail in tails]
-    return ["(" + name + ")" for name in names]
+    return ["(" + ",".join(t) + ")" for t in product(labels, repeat=nvars)]
 
 
 def _names_at(level: int, nvars: int, indices) -> list[str]:

@@ -288,6 +288,7 @@ def expand(moved, level, nparams):
     of the grid, in order: the zero shift wherever the dict has none."""
     zero = (0,) * nparams
     assert zero not in moved.values()
+    assert all(0 <= i < level ** nparams for i in moved)
     return [moved.get(index, zero) for index in range(level ** nparams)]
 
 
