@@ -298,18 +298,14 @@ class IntegerDifferential:
 
     Each degree has a rank certificate (``rank_certificate``), built once:
     the rank ``r_p`` of ``D_p`` over ``Q(a)`` and a nonzero ``r_p x r_p``
-    minor ``M_p(a)``.  Every larger minor is identically zero, so
-    ``rank D_p(a) = r_p`` at every ``a`` with ``M_p(a) != 0``.  Elsewhere,
-    on the zero set of ``M_p`` or in a degree without a certificate, ``D_p``
-    is linear in ``a``, so ``rank D_p(c * a) = rank D_p(a)`` for every
-    nonzero ``c``: each such rank is kept under its degree and the direction
-    ``a // gcd(a)``, and computed once per direction (up to
-    ``MAX_RANK_MEMO`` entries; the memo is emptied when full).
-
-    ``dims_columns`` works on a batch a column at a time: it checks the
-    squares at every point before it computes any rank, and evaluates each
-    minor ``M_p`` over whole coordinate columns, so only the points on its
-    zero set go one by one through the memo.
+    minor ``M_p(a)``; the first batch that leaves points on its zero set adds
+    up to two more (``_minor_terms``).  Every larger minor is identically
+    zero, so ``rank D_p(a) = r_p`` wherever any of these minors is nonzero.
+    Elsewhere, on the zero set of all of them or in a degree without a
+    certificate, ``D_p`` is linear in ``a``, so ``rank D_p(c * a) = rank
+    D_p(a)`` for every nonzero ``c``: each such rank is kept under its degree
+    and the direction ``a // gcd(a)``, and computed once per direction (up
+    to ``MAX_RANK_MEMO`` entries; the memo is emptied when full).
     """
 
     def __init__(self, algebra: GradedAlgebra, omega_map):
@@ -360,15 +356,27 @@ class IntegerDifferential:
                 if terms:
                     self.squares.append((p, terms))
         # certificates[p]: rank_certificate of D_p, or None.  minors[p]: its
-        # rank r_p and the terms of M_p as (coefficient, the index of each
-        # variable once per power), which _minor_column reads; or None.
+        # rank r_p and the terms of M_p as _factored gives them; or None.
+        # extra[p]: the later minors' terms, once _minor_terms has built them.
+        self.nparams, self.extra = nparams, {}
         self.certificates = [rank_certificate(t, nparams) for t in self.tensors]
-        self.minors = [
-            cert and (cert[0], tuple(
-                (c, tuple(i for i, k in enumerate(e) for _ in range(k)))
-                for e, c in cert[3]))
-            for cert in self.certificates
-        ]
+        self.minors = [cert and (cert[0], _factored(cert[3])) for cert in self.certificates]
+
+    def _minor_terms(self, q):
+        """The terms of ``M_q``, then, each minor once, of those that
+        ``rank_certificate`` returns for ``D_q`` with its columns reversed and
+        with its rows reversed; these are built on first use and published
+        whole, as one tuple."""
+        first = self.minors[q][1]
+        yield first
+        extra = self.extra.get(q)
+        if extra is None:
+            tensor = self.tensors[q]
+            certs = [rank_certificate(t, self.nparams)
+                     for t in ([row[::-1] for row in tensor], tensor[::-1])]
+            extra = self.extra[q] = tuple(dict.fromkeys(
+                [first] + [_factored(c[3]) for c in certs if c]))[1:]
+        yield from extra
 
     def dims_many(self, points, degrees=None) -> list[tuple[int, ...]]:
         """A tuple of dimensions for ``degrees`` (default: all, ``0 .. top``) at
@@ -388,9 +396,10 @@ class IntegerDifferential:
         in every degree before it computes any rank; when a point fails, the
         error names the lowest degree where the first failing point fails.
 
-        The squares and each needed certificate minor are evaluated over
-        whole columns; only the points where a minor vanishes, and all points
-        of a degree without one, go one by one through the memo and the rank.
+        The squares and each needed degree's first minor are evaluated over
+        whole columns, and each later minor only at the points where those
+        before it vanish; only the points where every minor vanishes, and all
+        points of a degree without one, go one by one through the memo.
         """
         tensors, memo = self.tensors, self.ranks
         # (index, degree) of the first point that fails; squares come in
@@ -421,9 +430,15 @@ class IntegerDifferential:
                 if minor is None:
                     ranks, todo = [0] * size, range(size)
                 else:
-                    ranks = [minor[0]] * size
-                    values = _minor_column(minor[1], columns, size)
-                    todo = [k for k, v in enumerate(values) if not v] if 0 in values else ()
+                    ranks, todo = [minor[0]] * size, range(size)
+                    for terms in self._minor_terms(q):
+                        sub = columns if len(todo) == size else [
+                            [column[k] for k in todo] for column in columns]
+                        values = _minor_column(terms, sub, len(todo))
+                        if 0 not in values:
+                            todo = ()
+                            break
+                        todo = [k for k, v in zip(todo, values) if not v]
                 for k in todo:
                     a = [column[k] for column in columns]
                     direction = directions.get(k)
@@ -446,10 +461,18 @@ class IntegerDifferential:
         return dims
 
 
+def _factored(minor) -> tuple:
+    """A minor's terms, sorted, as ``_minor_column`` reads them; negated when
+    the first coefficient is negative, since only its zero set is read."""
+    minor = sorted(minor)
+    sign = 1 if minor[0][1] > 0 else -1
+    return tuple((sign * c, tuple(i for i, k in enumerate(e) for _ in range(k))) for e, c in minor)
+
+
 def _minor_column(terms, columns, size) -> list:
-    """The values of a minor, given by ``terms`` as in
-    ``IntegerDifferential.minors``, at each of the ``size`` points whose
-    coordinate columns are ``columns``.  Each term and variable adds one
+    """The values of a minor, given by ``terms`` as ``(coefficient, the index
+    of each variable once per power)`` pairs, at each of the ``size`` points
+    whose coordinate columns are ``columns``.  Each term and variable adds one
     ``map`` over a column; they are chained, so one list is built."""
     total = repeat(0, size)
     for c, factors in terms:

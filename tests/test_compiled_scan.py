@@ -7,8 +7,10 @@ do all their arithmetic in ``Fraction``s; sympy checks the integer rank.
 
 import json
 import re
+import threading
 import time
 import tracemalloc
+from collections import Counter
 from contextlib import ExitStack
 from fractions import Fraction
 from functools import cache
@@ -30,6 +32,7 @@ from alexinv.aomoto_complex import (
     cohomology_dims,
     differential_matrix,
     os_algebra_lines,
+    rank_certificate,
 )
 from alexinv.cli import main
 from alexinv.corpus import bundled_scenario_names, load_bundled_scenario
@@ -601,21 +604,29 @@ def test_rank_memo_stays_within_its_cap(monkeypatch):
 
 
 def on_a_zero_set(differential, a, rng):
-    """``a`` with coordinates set to zero, in a random order, until the minor
-    of some rank certificate vanishes there, so that a rank is computed and
-    kept; at most every coordinate, where every nonconstant minor vanishes
-    (each is homogeneous)."""
+    """``a`` with coordinates set to zero, in a random order, until every
+    minor of some degree vanishes there, so that a rank is computed and kept;
+    at most every coordinate, where every nonconstant minor vanishes (each is
+    homogeneous)."""
     a = list(a)
+    lists = minor_lists(differential)
     for i in rng.sample(range(len(a)), len(a)):
-        if any(cert and not minor_value(cert[3], a)
-               for cert in differential.certificates):
+        if any(on_every_zero_set(minors, a) for minors in lists):
             break
         a[i] = 0
     return a
 
 
-def minor_value(minor, a):
-    return sum(c * prod(x ** k for x, k in zip(a, e)) for e, c in minor)
+def minor_lists(differential):
+    """The minors of each degree of rank at least 1, in the order that
+    ``dims_columns`` evaluates them (the later ones are built now)."""
+    return [list(differential._minor_terms(p))
+            for p, minor in enumerate(differential.minors) if minor and minor[0]]
+
+
+def on_every_zero_set(minors, a):
+    return not any(sum(c * prod(a[i] for i in factors) for c, factors in terms)
+                   for terms in minors)
 
 
 class SizeRecorder(dict):
@@ -664,20 +675,28 @@ def certified_differential(name):
 
 
 @st.composite
-def points_on_zero_sets(draw, nparams):
-    """A point, and the point moved onto the sets where the certificates'
-    minors vanish: some coordinates zero, some (often all) coordinates
-    summing to zero, and multiples of both."""
+def points_on_zero_sets(draw, differential):
+    """A point, and for each degree of ``differential`` the point moved onto
+    the common zero set of all its minors, where the rank may drop: by
+    setting coordinates to zero in a drawn order until they all vanish, and
+    by solving for one coordinate (in -20..20, else the first way again);
+    and a multiple of each."""
+    nparams = differential.nparams
     base = draw(st.lists(st.integers(-4, 4), min_size=nparams, max_size=nparams))
-    indices = st.integers(0, nparams - 1)
-    zeros = draw(st.sets(indices, max_size=nparams))
-    summed = sorted(draw(st.one_of(
-        st.just(set(range(nparams))), st.sets(indices, min_size=1, max_size=nparams))))
-    on_zeros = [0 if i in zeros else x for i, x in enumerate(base)]
-    on_sum = list(base)
-    on_sum[summed[-1]] = -sum(base[i] for i in summed[:-1])
-    c = draw(st.sampled_from([2, -1, -3]))
-    return [base, on_zeros, on_sum, [c * x for x in on_zeros], [c * x for x in on_sum]]
+    points = [base]
+    for minors in minor_lists(differential):
+        on_zeros = list(base)
+        for i in draw(st.permutations(range(nparams))):
+            if on_every_zero_set(minors, on_zeros):
+                break
+            on_zeros[i] = 0
+        j = draw(st.integers(0, nparams - 1))
+        roots = [x for x in range(-20, 21)
+                 if on_every_zero_set(minors, base[:j] + [x] + base[j + 1:])]
+        solved = base[:j] + [draw(st.sampled_from(roots))] + base[j + 1:] if roots else on_zeros
+        c = draw(st.sampled_from([2, -1, -3]))
+        points += [on_zeros, solved, [c * x for x in on_zeros], [c * x for x in solved]]
+    return points
 
 
 def evaluated(tensor, a):
@@ -688,8 +707,7 @@ def evaluated(tensor, a):
 @given(st.sampled_from(CERTIFIED), st.data())
 def test_certified_dims_agree_with_fresh_and_sympy_ranks(name, data):
     differential = certified_differential(name)
-    nparams = len(differential.tensors[0][0][0])
-    points = data.draw(points_on_zero_sets(nparams))
+    points = data.draw(points_on_zero_sets(differential))
     top = len(differential.betti)
     ranks = [fresh_ranks(differential, a) for a in points]
     assert ranks == [
@@ -706,7 +724,8 @@ def test_certificates_are_the_generic_rank_and_a_minor(name):
     differential = certified_differential(name)
     nparams = len(differential.tensors[0][0][0])
     symbols = sympy.symbols(f"a0:{nparams}")
-    for tensor, certificate in zip(differential.tensors, differential.certificates):
+    for p, (tensor, certificate) in enumerate(
+            zip(differential.tensors, differential.certificates)):
         matrix = DomainMatrix.from_Matrix(sympy.Matrix(
             [[sum(c * s for c, s in zip(cell, symbols)) for cell in row] for row in tensor]))
         if certificate is None:
@@ -719,17 +738,48 @@ def test_certificates_are_the_generic_rank_and_a_minor(name):
         det = matrix.extract(list(rows), list(cols)).det()
         expected = sympy.Poly(matrix.domain.to_sympy(det), *symbols)
         assert sympy.Poly.from_dict(dict(minor), *symbols) in (expected, -expected)
+        # The later minors: rank_certificate on D_p with its columns reversed
+        # and with its rows reversed, their rows and columns mapped back.
+        nrows, ncols = len(tensor), len(tensor[0])
+        chosen = [(rows, cols)]
+        for flip_rows, flip_cols in ((False, True), (True, False)):
+            flipped = [row[::-1] if flip_cols else row
+                       for row in (tensor[::-1] if flip_rows else tensor)]
+            found = rank_certificate(flipped, nparams)
+            if found is not None:
+                assert found[0] == r
+                chosen.append((
+                    sorted(nrows - 1 - t for t in found[1]) if flip_rows else found[1],
+                    sorted(ncols - 1 - j for j in found[2]) if flip_cols else found[2]))
+        dets = []
+        for rows, cols in chosen:
+            det = sympy.Poly(matrix.domain.to_sympy(
+                matrix.extract(list(rows), list(cols)).det()), *symbols)
+            assert len(rows) == len(cols) == r and not det.is_zero
+            if det not in dets and -det not in dets:
+                dets.append(det)
+        stored = [
+            sympy.Poly.from_dict(
+                {tuple(factors.count(i) for i in range(nparams)): c for c, factors in terms},
+                *symbols)
+            for terms in differential._minor_terms(p)]
+        assert len(stored) == len(dets)
+        assert all(s in (d, -d) for s, d in zip(stored, dets))
     # The pencil of six lines meets an entry of more than 64 terms in degree 1.
     assert (None in differential.certificates) == (name == "pencil6")
 
 
 def test_without_certificates_the_dims_are_the_same(monkeypatch):
+    # The full differentials and their later minors are built before the
+    # cap is lowered, also when no earlier test has built them.
+    fulls = [certified_differential(name) for name in CERTIFIED]
+    for full in fulls:
+        minor_lists(full)
     monkeypatch.setattr(aomoto_complex, "MAX_CERTIFICATE_TERMS", 1)
     rng = make_rng(12)
-    dropped = 0
-    for name in CERTIFIED:
+    dropped = dropped_later = 0
+    for name, full in zip(CERTIFIED, fulls):
         capped = IntegerDifferential(*algebra_and_map(name))
-        full = certified_differential(name)
         # Only certificates whose elimination never met two terms are left.
         for kept, certificate in zip(capped.certificates, full.certificates):
             assert kept is None or kept == certificate and len(kept[3]) <= 1
@@ -740,7 +790,34 @@ def test_without_certificates_the_dims_are_the_same(monkeypatch):
         assert capped.dims_many(points) == full.dims_many(points) == [
             dims_from_ranks(full.betti, fresh_ranks(full, a), range(len(full.betti)))
             for a in points]
-    assert dropped == 5
+        # The later minors obey the cap too: those built are full ones.
+        for p, minor in enumerate(capped.minors):
+            if minor and minor[0]:
+                kept, every = set(capped._minor_terms(p)), set(full._minor_terms(p))
+                assert kept <= every and all(len(terms) <= 1 for terms in kept)
+                dropped_later += len(every - kept)
+    assert (dropped, dropped_later) == (5, 0)
+
+
+def test_a_later_minor_over_the_cap_is_left_out(monkeypatch):
+    # Under a cap of two terms, D_1 of this algebra keeps M_1 = a_0 a_2 and
+    # the column-reversed a_0^2, but the row-reversed elimination meets three
+    # terms and a_2 (a_0 + a_2) is left out: where a_0 = 0 and a_2 != 0 the
+    # rank is then computed, not certified.
+    algebra = GradedAlgebra(2, (("1",), ("x", "y", "z"), ("s", "t", "u")), {
+        ("x", "y"): {"t": F(1), "u": F(-1)},
+        ("x", "z"): {"s": F(-1), "t": F(1)},
+        ("y", "z"): {"u": F(1)},
+    })
+    points = [[0, k, m] for k in range(-2, 3) for m in range(-2, 3)]
+    expected = [reference_dims(algebra, OneForm(a)) for a in points]
+    full = IntegerDifferential(algebra, IDENTITY3)
+    assert full.dims_many(points) == expected  # builds the later minors
+    monkeypatch.setattr(aomoto_complex, "MAX_CERTIFICATE_TERMS", 2)
+    capped = IntegerDifferential(algebra, IDENTITY3)
+    assert capped.dims_many(points) == expected
+    assert [len(list(d._minor_terms(1))) for d in (capped, full)] == [2, 3]
+    assert [sum(degree == 1 for degree, _ in d.ranks) for d in (capped, full)] == [17, 3]
 
 
 @pytest.mark.parametrize("n", range(7, 13))
@@ -764,11 +841,14 @@ def test_certificates_stay_cheap_on_larger_arrangements(n):
 
 
 @st.composite
-def batches(draw, nparams):
-    """0, 1 or many points: random ones, a = 0, and points on the zero sets
-    of the certificates' minors, where the ranks drop."""
+def batches(draw, differential):
+    """0, 1 or many points: random ones, a = 0, and points from two draws of
+    ``points_on_zero_sets(differential)``, where the ranks may drop; two
+    draws give enough directions for a memo of 2 to be emptied."""
+    nparams = differential.nparams
     size = draw(st.sampled_from([0, 1, 2, 7, 16]))
-    pool = draw(points_on_zero_sets(nparams)) + [[0] * nparams]
+    pool = [point for _ in range(2) for point in draw(points_on_zero_sets(differential))]
+    pool.append([0] * nparams)
     point = st.one_of(
         st.sampled_from(pool),
         st.lists(st.integers(-4, 4), min_size=nparams, max_size=nparams))
@@ -793,7 +873,9 @@ def test_column_dims_agree_with_fraction_ranks_at_every_point(name, caps, data):
         for constant, value in CAPS[caps].items():
             stack.enter_context(patch.object(aomoto_complex, constant, value))
         differential = IntegerDifferential(scenario.algebra, scenario.omega_map)
-        points = data.draw(batches(scenario.nparams))
+        # Aimed with the uncapped minors, so that the lazy build of the
+        # later ones under test happens in dims_many.
+        points = data.draw(batches(warm_differential(name)))
         degrees = data.draw(st.sampled_from([None, *((p,) for p in range(top + 1))]))
         dims = differential.dims_many(points, degrees)
         assert len(differential.ranks) <= aomoto_complex.MAX_RANK_MEMO
@@ -822,8 +904,9 @@ def test_a_memo_emptied_within_a_batch_loses_no_rank(monkeypatch):
     scenario = load_bundled_scenario("example_4_1")
     differential = IntegerDifferential(scenario.algebra, scenario.omega_map)
     differential.ranks = ClearCounter()
-    # M_0 = a_0 vanishes at each point, each in its own direction.
-    batch = [[0, k, 1] for k in range(-4, 5)] + [[0, 0, 0], [0, 3, 2]]
+    # Every minor of D_1 has the factor a_0 + 2 a_1 + 2 a_2, which vanishes
+    # at each point, each in its own direction.
+    batch = [[-2 * (k + 1), k, 1] for k in range(-4, 5)] + [[0, 0, 0], [0, 3, 0]]
     assert differential.dims_many(batch) == [
         reference_dims(scenario.algebra, scenario.one_form(a)) for a in batch]
     assert differential.ranks.clears >= 2 and len(differential.ranks) <= 2
@@ -892,7 +975,8 @@ def test_batch_square_checks_follow_the_reference_at_the_first_failing_point():
 
 def test_integer_rank_count_on_a_fixed_scan_set(monkeypatch):
     # Most points have the generic rank, which the certificates give without
-    # an integer_rank call: without them this set made 12130 calls.
+    # an integer_rank call: without them this set made 12130 calls, and with
+    # one minor per degree (M_p alone) 1016.
     calls = []
 
     def counting(rows):
@@ -905,7 +989,76 @@ def test_integer_rank_count_on_a_fixed_scan_set(monkeypatch):
         for level in range(5, 13):
             for degree in range(1, scenario.algebra.top_degree + 1):
                 charvar_scan(scenario, level, degree)
-    assert len(calls) == 1016
+    assert len(calls) == 191
+
+
+class DegreeCounter(dict):
+    """A rank memo that counts its lookups, one per point taken one by one,
+    by degree."""
+
+    def __init__(self):
+        super().__init__()
+        self.lookups = Counter()
+
+    def get(self, key, default=None):
+        self.lookups[key[0]] += 1
+        return super().get(key, default)
+
+
+def test_points_taken_one_by_one_on_example_4_1_at_level_12():
+    # Only the points where every minor of a degree vanishes are ranked one
+    # by one: with M_p alone, 132 of the 1728 for D_0 and 276 for D_1.
+    scenario = load_bundled_scenario("example_4_1")
+    for degree, wanted in ((1, {0: 11, 1: 154}), (2, {1: 154})):
+        scenario.differential.ranks = DegreeCounter()
+        charvar_scan(scenario, 12, degree)
+        assert scenario.differential.ranks.lookups == wanted
+
+
+def test_threads_share_the_first_build_of_the_later_minors(monkeypatch):
+    # Thread A pauses in its first elimination for the later minors of D_0
+    # until thread B, on the same cold differential, has returned: each
+    # must get the right dimensions and evaluate each degree's whole list,
+    # M_p and every later minor, since a = 0 lies on all their zero sets.
+    # No lock is taken (nor would a cached_property take one from Python
+    # 3.12 on), so both threads may build a list; each publishes it whole.
+    scenario = load_bundled_scenario("lines_concurrent3")
+    batch = [[0, 0, 0], [1, 1, -2], [2, -1, 0], [0, 4, 0], [3, 1, 2]]
+    expected = [reference_dims(scenario.algebra, scenario.one_form(a)) for a in batch]
+    warm = IntegerDifferential(scenario.algebra, scenario.omega_map)
+    whole = list(chain.from_iterable(minor_lists(warm)))
+    cold = IntegerDifferential(scenario.algebra, scenario.omega_map)
+    build, evaluate = aomoto_complex.rank_certificate, aomoto_complex._minor_column
+    reached, b_done = threading.Event(), threading.Event()
+    answers, evaluated = {}, {"A": [], "B": []}
+
+    def gated(tensor, nparams):
+        if threading.current_thread() is a and not reached.is_set():
+            reached.set()
+            b_done.wait(10)
+        return build(tensor, nparams)
+
+    def recorded(terms, columns, size):
+        evaluated[threading.current_thread().name].append(terms)
+        return evaluate(terms, columns, size)
+
+    def run(done):
+        answers[threading.current_thread().name] = cold.dims_many(batch)
+        done.set()
+
+    monkeypatch.setattr(aomoto_complex, "rank_certificate", gated)
+    monkeypatch.setattr(aomoto_complex, "_minor_column", recorded)
+    a = threading.Thread(target=run, args=(reached,), name="A")
+    b = threading.Thread(target=run, args=(b_done,), name="B")
+    a.start()
+    assert reached.wait(10)
+    b.start()
+    b.join(10)
+    a.join(10)
+    assert not (a.is_alive() or b.is_alive())
+    assert answers == {"A": expected, "B": expected}
+    assert evaluated == {"A": whole, "B": whole} and len(whole) == 4
+    assert cold.extra == warm.extra
 
 
 def test_charvar_buckets_are_galois_invariant():
