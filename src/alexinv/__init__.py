@@ -33,6 +33,7 @@ from .invariant_pipeline import (
     MonodromyPolynomial,
     Scenario,
     charvar_scan,
+    cohomology_at,
     epsilon_line,
     load_scenario,
     milnor_charpoly,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product, repeat
+from itertools import islice, product, repeat
 from math import gcd, lcm
 from operator import add, mul
 
@@ -431,14 +431,15 @@ class IntegerDifferential:
                     ranks, todo = [0] * size, range(size)
                 else:
                     ranks, todo = [minor[0]] * size, range(size)
-                    for terms in self._minor_terms(q):
-                        sub = columns if len(todo) == size else [
-                            [column[k] for k in todo] for column in columns]
+                    values = _minor_column(minor[1], columns, size)
+                    # The later minors, built on first use, only where M_q vanishes.
+                    for terms in islice(self._minor_terms(q), 1, None) if 0 in values else ():
+                        todo = [k for k, v in zip(todo, values) if not v]
+                        sub = [[column[k] for k in todo] for column in columns]
                         values = _minor_column(terms, sub, len(todo))
                         if 0 not in values:
-                            todo = ()
                             break
-                        todo = [k for k, v in zip(todo, values) if not v]
+                    todo = [k for k, v in zip(todo, values) if not v] if 0 in values else ()
                 for k in todo:
                     a = [column[k] for column in columns]
                     direction = directions.get(k)

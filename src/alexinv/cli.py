@@ -14,16 +14,16 @@ import hashlib
 import os
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 from json.encoder import encode_basestring_ascii
+from math import gcd, lcm
+from operator import mul
 from pathlib import Path
 
 from . import alexander_modules as am
 from . import corpus
 from . import invariant_pipeline as pipeline
 from . import laurent_ring as lr
-from . import residue_systems as rs
 from .aomoto_complex import betti_vector
 from .errors import (
     AlgebraInvalidError,
@@ -34,7 +34,7 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .exact_kernel import format_rational, parse_rational
+from .exact_kernel import format_ratio, rational_terms
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -67,26 +67,26 @@ class Report:
 
 def _render(value, pad: str) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, with ``pad`` the line
-    break and indent of ``value``'s line.  A value that is not a dict with
-    str keys, list, tuple, str, int, bool or None raises ``TypeError``."""
-    if isinstance(value, str):
+    break and indent of ``value``'s line.  A value whose type is not exactly
+    dict with str keys, list, tuple, str, int, bool or None raises
+    ``TypeError``: a subclass, an ``IntEnum`` say, is refused."""
+    kind = type(value)
+    if kind is str:
         return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
+    if kind is int:
         return int.__repr__(value)
+    if kind is bool or value is None:
+        return "null" if value is None else "true" if value else "false"
     inner = pad + "  "
-    if isinstance(value, (list, tuple)):
-        brackets, items = "[]", [encode_basestring_ascii(v) if isinstance(v, str)
+    if kind is list or kind is tuple:
+        brackets, items = "[]", [encode_basestring_ascii(v) if type(v) is str
                                  else _render(v, inner) for v in value]
-    elif isinstance(value, dict):
+    elif kind is dict:
         brackets = "{}"  # the encoder refuses a key that is not a str
         items = [encode_basestring_ascii(k) + ": " + _render(value[k], inner)
                  for k in sorted(value)]
     else:
-        raise TypeError(f"{type(value).__name__} is not a report value")
+        raise TypeError(f"{kind.__name__} is not a report value")
     if not items:
         return brackets
     return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
@@ -118,11 +118,16 @@ def _decode(decoder, data: bytes):
     return decoder(data)
 
 
+@functools.lru_cache(maxsize=64)
+def _path_name(path: str) -> str:
+    return str(Path(path))
+
+
 def _read_input(args, path: str, decoder):
     """The checked object in the file at ``path``, and a report whose digest
     is of the same bytes.  The name opened, and so every OSError's text, is
     the one pathlib normalises: ``./x`` is ``x``, and ``""`` is ``.``."""
-    with open(str(Path(path)), "rb", buffering=0) as f:
+    with open(_path_name(path), "rb", buffering=0) as f:
         data = f.readall()
     report = Report(list(args._argv), "sha256:" + hashlib.sha256(data).hexdigest())
     return _decode(decoder, data), report
@@ -137,15 +142,18 @@ def _resolve_scenario_path(token: str) -> str:
         raise SchemaError("", f"scenario file or bundled name not found: {token!r}")
 
 
-def _parse_fraction_list(text: str, expect: int, what: str) -> tuple[Fraction, ...]:
+def _parse_residues(text: str, expect: int, what: str) -> tuple[list[int], int]:
+    """The ``expect`` comma-separated rationals ``values`` in ``text`` as
+    ``(n, L)``: ``L`` their least common denominator, ``n = L * values``."""
     parts = [p.strip() for p in text.split(",")] if text else []
     try:
-        values = tuple(parse_rational(p) for p in parts)
+        terms = [rational_terms(p) for p in parts]
     except ValueError:
         raise SchemaError("", f"{what} must be a comma-separated list of rationals")
-    if len(values) != expect:
-        raise SchemaError("", f"{what} must have {expect} entries, got {len(values)}")
-    return values
+    if len(terms) != expect:
+        raise SchemaError("", f"{what} must have {expect} entries, got {len(terms)}")
+    common = lcm(*(q // gcd(p, q) for p, q in terms))
+    return [p * common // q for p, q in terms], common
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +197,14 @@ def _load_scenario(args) -> tuple[pipeline.Scenario, Report]:
 
 def _cmd_aomoto(args) -> Report:
     scenario, report = _load_scenario(args)
-    alpha = _parse_fraction_list(args.alpha, scenario.nparams, "--alpha")
-    rho = rs.residues(scenario.residue_system, alpha)
-    dims = pipeline.cohomology_at(scenario, alpha)
+    alpha, common = _parse_residues(args.alpha, scenario.nparams, "--alpha")
+    rows = scenario.residue_system.rows
+    values = [sum(map(mul, row.coeffs, alpha)) for row in rows]
+    dims = scenario.differential.dims_many((alpha,))[0]
     report.results = {
-        "alpha": [format_rational(a) for a in alpha],
-        "admissible": not any(v > 0 and v.denominator == 1 for _, v in rho),
-        "residues": {label: format_rational(v) for label, v in rho},
+        "alpha": [format_ratio(a, common) for a in alpha],
+        "admissible": not any(v > 0 and not v % common for v in values),
+        "residues": {row.label: format_ratio(v, common) for row, v in zip(rows, values)},
         "dims": list(dims),
     }
     return report
@@ -203,29 +212,26 @@ def _cmd_aomoto(args) -> Report:
 
 def _cmd_twisted(args) -> Report:
     scenario, report = _load_scenario(args)
-    beta = _parse_fraction_list(args.beta, scenario.nparams, "--beta")
-    alpha = pipeline.admissible_representative(scenario, beta, args.bound)
+    beta, common = _parse_residues(args.beta, scenario.nparams, "--beta")
+    alpha = pipeline.admissible_numerators(scenario, beta, common, args.bound)
+    beta = [format_ratio(b, common) for b in beta]
     dims = None
     if alpha is None:
         bound = scenario.effective_bound(args.bound)
         report.warnings.append(str(InconclusiveSearchError(beta, bound, scenario.name)))
     else:
-        dims = list(pipeline.cohomology_at(scenario, alpha))
-        alpha = [format_rational(a) for a in alpha]
-    report.results = {
-        "beta": [format_rational(b) for b in beta],
-        "alpha": alpha,
-        "dims": dims,
-    }
+        dims = list(scenario.differential.dims_many((alpha,))[0])
+        alpha = [format_ratio(a, common) for a in alpha]
+    report.results = {"beta": beta, "alpha": alpha, "dims": dims}
     return report
 
 
 def _cmd_admissible(args) -> Report:
     scenario, report = _load_scenario(args)
-    beta = _parse_fraction_list(args.beta, scenario.nparams, "--beta")
-    alpha = pipeline.admissible_representative(scenario, beta, args.bound)
+    beta, common = _parse_residues(args.beta, scenario.nparams, "--beta")
+    alpha = pipeline.admissible_numerators(scenario, beta, common, args.bound)
     results = {
-        "beta": [format_rational(b) for b in beta],
+        "beta": [format_ratio(b, common) for b in beta],
         "bound": scenario.effective_bound(args.bound),
         "found": alpha is not None,
     }
@@ -236,10 +242,10 @@ def _cmd_admissible(args) -> Report:
             "not certify non-admissibility"
         )
     else:
-        results["alpha"] = [format_rational(a) for a in alpha]
+        results["alpha"] = [format_ratio(a, common) for a in alpha]
         results["residues"] = {
-            label: format_rational(v)
-            for label, v in rs.residues(scenario.residue_system, alpha)
+            row.label: format_ratio(sum(map(mul, row.coeffs, alpha)), common)
+            for row in scenario.residue_system.rows
         }
     report.results = results
     return report

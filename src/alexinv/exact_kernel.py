@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from .errors import DimensionError, LimitError
 
@@ -29,29 +29,39 @@ _TOO_LONG = 10 ** MAX_RATIONAL_DIGITS  # the least integer with one digit more
 
 
 def parse_rational(text: str | int) -> Fraction:
-    """Parse ``"p/q"`` or ``"p"``, digits with an optional sign on ``p``, at
-    most :data:`MAX_RATIONAL_DIGITS` digits each (or an int, not a bool);
-    else ``ValueError``."""
+    """:func:`rational_terms` as a ``Fraction``, or an int (not a bool) as one."""
     if type(text) is int:
         return Fraction(text)
+    return Fraction(*rational_terms(text))
+
+
+def rational_terms(text: str) -> tuple[int, int]:
+    """``(p, q)`` as written in ``"p/q"``, or ``(p, 1)`` for ``"p"``: digits
+    with an optional sign on ``p``, at most :data:`MAX_RATIONAL_DIGITS`
+    digits each, and ``q`` not zero; else ``ValueError``."""
     match = _RATIONAL.fullmatch(str(text).strip())
     if match is None:
         raise ValueError(f"not a rational p or p/q: {text!r}")
     numerator, denominator = match.groups()
     if max(len(numerator.lstrip("+-")), len(denominator or "")) > MAX_RATIONAL_DIGITS:
         raise ValueError(f"a rational has more than {MAX_RATIONAL_DIGITS} digits")
-    if denominator is None:
-        return Fraction(int(numerator))
-    if not int(denominator):
+    q = int(denominator or 1)
+    if not q:
         raise ValueError(f"zero denominator in {text!r}")
-    return Fraction(int(numerator), int(denominator))
+    return int(numerator), q
 
 
 def format_rational(q: int | Fraction) -> str:
-    """Render an ``int`` or ``Fraction`` as ``"p/q"``, or ``"p"`` when the
-    denominator is 1; a value with more than :data:`MAX_RATIONAL_DIGITS`
-    digits in either part is a ``LimitError``."""
-    n, d = q.numerator, q.denominator
+    """:func:`format_ratio` of an ``int`` or a ``Fraction``."""
+    return format_ratio(q.numerator, q.denominator)
+
+
+def format_ratio(numerator: int, denominator: int) -> str:
+    """``numerator / denominator``, ``denominator > 0``, in lowest terms as
+    ``"p/q"``, or ``"p"`` when ``q`` is 1; a value with more than
+    :data:`MAX_RATIONAL_DIGITS` digits in either part is a ``LimitError``."""
+    g = gcd(numerator, denominator)
+    n, d = numerator // g, denominator // g
     if not -_TOO_LONG < n < _TOO_LONG or d >= _TOO_LONG:
         raise LimitError(f"a rational has more than {MAX_RATIONAL_DIGITS} digits")
     return str(n) if d == 1 else f"{n}/{d}"

@@ -1,5 +1,9 @@
 import argparse
+import collections
+import contextlib
+import enum
 import hashlib
+import io
 import json
 import os
 import resource
@@ -15,7 +19,7 @@ from hypothesis import strategies as st
 
 import alexinv
 from alexinv import alexander_modules as am
-from alexinv import cli
+from alexinv import aomoto_complex, cli, exact_kernel
 from alexinv import invariant_pipeline as pipeline
 from alexinv import laurent_ring as lr
 from alexinv import residue_systems as rs
@@ -26,7 +30,7 @@ from alexinv.corpus import (
     load_bundled_scenario,
 )
 from alexinv.errors import DimensionError, LimitError
-from alexinv.exact_kernel import cyclotomic_poly
+from alexinv.exact_kernel import cyclotomic_poly, format_rational
 from alexinv.laurent_ring import parse_poly
 
 
@@ -158,6 +162,136 @@ def test_admissible_command(capsys):
     assert code == 0
     assert "results.found: true" in out
     assert "results.alpha: [-4/5, 1/5, 1/5]" in out
+
+
+# ---------------------------------------------------------------------------
+# aomoto, twisted and admissible keep residues as integers over a common
+# denominator: against the Fraction-valued public API at every bundled scenario.
+
+
+@st.composite
+def rational_texts(draw, count):
+    """``count`` rationals, each as its Fraction and as text: numerators with
+    zero and negative ones, denominators 1 to 30, now and then hundreds of
+    digits; written unreduced, signed or as a bare integer."""
+    values, texts = [], []
+    for _ in range(count):
+        if draw(st.integers(0, 4)):
+            p, q = draw(st.integers(-90, 90)), draw(st.integers(1, 30))
+        else:
+            p = draw(st.integers(-(10 ** 400), 10 ** 400))
+            q = draw(st.integers(1, 10 ** draw(st.integers(1, 300))))
+        plus = "+" * (p >= 0)
+        text = draw(st.sampled_from(
+            [f"{p}/{q}", f"{plus}{p}/{q}"] + [f"{p}", f"{plus}{p}"] * (q == 1)))
+        values.append(Fraction(p, q))
+        texts.append(text)
+    return tuple(values), ",".join(texts)
+
+
+def fraction_api_report(command, name, values, bound):
+    """The exit code and JSON report of ``command`` at ``values``, built from
+    ``admissible_search``, ``residues`` and ``cohomology_at``."""
+    scenario = load_bundled_scenario(name)
+    system = scenario.residue_system
+    with open(bundled_scenario_path(name), "rb") as handle:
+        digest = "sha256:" + hashlib.sha256(handle.read()).hexdigest()
+    written = [format_rational(v) for v in values]
+    warnings = []
+    if command == "aomoto":
+        rho = rs.residues(system, values)
+        results = {
+            "alpha": written,
+            "admissible": not any(v > 0 and v.denominator == 1 for _, v in rho),
+            "residues": {label: format_rational(v) for label, v in rho},
+            "dims": list(pipeline.cohomology_at(scenario, values)),
+        }
+    else:
+        box = scenario.effective_bound(3 if bound is None else bound)
+        alpha = rs.admissible_search(system, values, box)
+        results = {"beta": written, "alpha": None}
+        if command == "twisted":
+            results["dims"] = None
+            if alpha is None:
+                warnings.append(
+                    f"no admissible representative for {name} with shifts bounded "
+                    f"by {box} for beta={tuple(str(b) for b in values)}")
+            else:
+                results["dims"] = list(pipeline.cohomology_at(scenario, alpha))
+        else:
+            results.update(bound=box, found=alpha is not None)
+            if alpha is None:
+                warnings.append("no admissible representative inside the search "
+                                "box; this does not certify non-admissibility")
+            else:
+                results["residues"] = {
+                    label: format_rational(v) for label, v in rs.residues(system, alpha)}
+        if alpha is not None:
+            results["alpha"] = [format_rational(a) for a in alpha]
+    return 2 if warnings else 0, {"digest": digest, "results": results, "warnings": warnings}
+
+
+def run_quietly(argv):
+    """``main(argv)`` with its output caught: the exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.sampled_from(bundled_scenario_names()),
+       st.sampled_from(["aomoto", "twisted", "admissible"]),
+       st.sampled_from([None, 0, 1, 2, 3]), st.data())
+def test_residue_reports_match_the_fraction_api(name, command, bound, data):
+    nparams = load_bundled_scenario(name).nparams
+    values, text = data.draw(rational_texts(nparams))
+    flag = "--alpha" if command == "aomoto" else "--beta"
+    argv = [command, name, f"{flag}={text}", "--format", "json"]
+    if bound is not None and command != "aomoto":
+        argv += ["--bound", str(bound)]
+    code, report = fraction_api_report(command, name, values, bound)
+    report["command"] = ["alexinv"] + argv
+    expected = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert run_quietly(argv) == (code, expected, "")
+
+
+NINES = "9" * 4300
+
+
+@pytest.mark.parametrize("argv", [
+    # Each entry fits, but the residue at infinity has a denominator of
+    # 8600 digits.
+    ["aomoto", "torus", f"--alpha=1/{NINES},1/{int(NINES) - 1}"],
+    # The first admissible shift is (0, 0, 1): alpha_3 = (10^4300 + 1) / 2.
+    ["twisted", "lines_generic3", f"--beta=-5{'0' * 4299},-1/2,{NINES}/2"],
+    ["admissible", "lines_generic3", f"--beta=-5{'0' * 4299},-1/2,{NINES}/2"],
+    # alpha is beta, and its residue at infinity has too long a denominator.
+    ["admissible", "torus", f"--beta=1/{NINES},1/{int(NINES) - 1}", "--bound", "0"],
+], ids=["aomoto", "twisted", "admissible", "admissible-residue"])
+def test_a_residue_too_long_to_print_is_a_usage_error(argv):
+    for fmt in ("text", "json"):
+        assert run_quietly(argv + ["--format", fmt]) == (
+            1, "", "error: a rational has more than 4300 digits\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["aomoto", "example_4_1", "--alpha=-4/5,1/5,1/5"],
+    ["twisted", "example_4_1", "--beta=1/5,1/5,1/5"],
+    ["twisted", "example_5_3", "--beta=1/3"],
+    ["admissible", "example_4_1", "--beta=1/5,2/3,0"],
+])
+def test_residue_commands_convert_each_vector_at_most_once(monkeypatch, argv):
+    calls = []
+
+    def counted(values):
+        calls.append(values)
+        return exact_kernel.integer_vector(values)
+
+    for module in (pipeline, rs, aomoto_complex):
+        monkeypatch.setattr(module, "integer_vector", counted)
+    assert run_quietly(argv)[0] in (0, 2)
+    assert len(calls) <= 1
 
 
 def test_charvar_command_json(capsys):
@@ -998,6 +1132,41 @@ def test_json_reports_refuse_values_json_would_change(value):
     # json.dumps prints floats and turns int keys into strings; a report
     # holds neither, so one that does is a bug in the command that built it.
     with pytest.raises(TypeError):
+        cli._render(value, "\n")
+
+
+@pytest.mark.parametrize("value", [
+    [True, False, None],
+    {"yes": True, "no": False, "none": None},
+    [[True], {"a": None}, ([False],)],
+    {"list": [], "tuple": (), "dict": {}, "nested": [[], {}, [[]], [{}], {"a": []}]},
+    [[[[]]], {"a": {"b": {}}}],
+], ids=["list", "dict", "mixed", "empty", "deep"])
+def test_constants_and_empty_containers_render_as_json_dumps(value):
+    assert cli._render(value, "\n") == json.dumps(value, indent=2, sort_keys=True)
+
+
+class Level(enum.IntEnum):
+    ONE = 1
+
+
+class Label(str):
+    pass
+
+
+class Row(list):
+    pass
+
+
+@pytest.mark.parametrize("value", [
+    Level.ONE, [Level.ONE], {"a": Level.ONE}, Label("x"), [Label("x")],
+    {"a": Label("x")}, collections.OrderedDict(a=1), [Row()],
+], ids=["intenum", "intenum-in-list", "intenum-value", "str", "str-in-list",
+        "str-value", "dict", "list"])
+def test_subclasses_of_report_types_are_refused(value):
+    # Reports are built from exact types; a subclass is a value json.dumps
+    # might print its own way (an IntEnum as its int, say), so it is refused.
+    with pytest.raises(TypeError, match="is not a report value"):
         cli._render(value, "\n")
 
 
