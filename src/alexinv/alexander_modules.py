@@ -62,15 +62,6 @@ generator's value at ``u*n`` is ``sigma_u`` of its value at ``n``, where
 and an automorphism sends only zero to zero.  ``_scan`` builds no point:
 it answers with lexicographic grid indices, which the CLI renders through
 one label list per level, and the public scans map to checked points.
-
-Divisibility cuts the tests further (the cover rule).  Every candidate left
-is a zero of every generator tested so far, so an earlier generator ``d``
-vanishes at all of them, and a generator ``g`` with ``divide_exact(g, d)``
-(``g = d * q`` over Q) vanishes there too: it is neither compiled nor
-tested.  A tested generator becomes the new ``d`` when there is none yet or
-it divides the old one.  Both divisions are made only while more than one
-candidate is left: at one point, as in ``in_support``, a division costs
-more than the one test it could save.
 """
 
 from __future__ import annotations
@@ -290,13 +281,9 @@ def tensor_cyclic(p1: Presentation, p2: Presentation) -> Presentation:
 
 def _vanishing(gens, level: int, candidates):
     """The candidate numerators of level-N points where all ``gens`` vanish;
-    each generator is compiled and tested only where those before it vanish,
-    and not at all when an earlier one divides it (the cover rule)."""
+    each generator is compiled and tested only where those before it vanish."""
     *steps, last = [level // p for p in prime_divisors(level)] or [0]
-    d = None  # a generator that vanishes at every candidate left
     for g in gens:
-        if d is not None and len(candidates) > 1 and divide_exact(g, d) is not None:
-            continue
         den = lcm(*(c.denominator for c in g.terms.values()))
         terms = [(e, c.numerator * (den // c.denominator)) for e, c in g.terms.items()]
         kept = []
@@ -313,8 +300,6 @@ def _vanishing(gens, level: int, candidates):
         candidates = kept
         if not candidates:
             break
-        if len(candidates) > 1 and (d is None or divide_exact(d, g) is not None):
-            d = g
     return candidates
 
 

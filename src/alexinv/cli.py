@@ -35,6 +35,7 @@ from .errors import (
     SchemaError,
 )
 from .exact_kernel import format_ratio, rational_terms
+from .residue_systems import admissible_numerators
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -213,11 +214,11 @@ def _cmd_aomoto(args) -> Report:
 def _cmd_twisted(args) -> Report:
     scenario, report = _load_scenario(args)
     beta, common = _parse_residues(args.beta, scenario.nparams, "--beta")
-    alpha = pipeline.admissible_numerators(scenario, beta, common, args.bound)
+    bound = scenario.effective_bound(args.bound)
+    alpha = admissible_numerators(scenario.residue_system, beta, common, bound)
     beta = [format_ratio(b, common) for b in beta]
     dims = None
     if alpha is None:
-        bound = scenario.effective_bound(args.bound)
         report.warnings.append(str(InconclusiveSearchError(beta, bound, scenario.name)))
     else:
         dims = list(scenario.differential.dims_many((alpha,))[0])
@@ -229,10 +230,11 @@ def _cmd_twisted(args) -> Report:
 def _cmd_admissible(args) -> Report:
     scenario, report = _load_scenario(args)
     beta, common = _parse_residues(args.beta, scenario.nparams, "--beta")
-    alpha = pipeline.admissible_numerators(scenario, beta, common, args.bound)
+    bound = scenario.effective_bound(args.bound)
+    alpha = admissible_numerators(scenario.residue_system, beta, common, bound)
     results = {
         "beta": [format_ratio(b, common) for b in beta],
-        "bound": scenario.effective_bound(args.bound),
+        "bound": bound,
         "found": alpha is not None,
     }
     if alpha is None:
@@ -253,7 +255,7 @@ def _cmd_admissible(args) -> Report:
 
 def _point_names(level: int, nvars: int) -> list[str]:
     """``str`` of each level-N torsion point, by lexicographic grid index."""
-    labels = [lr.numerator_label(n, level) for n in range(level)]
+    labels = [format_ratio(n, level) for n in range(level)]
     return ["(" + ",".join(t) + ")" for t in product(labels, repeat=nvars)]
 
 
@@ -261,7 +263,7 @@ def _names_at(level: int, nvars: int, indices) -> list[str]:
     """``str`` of the level-N torsion point at each grid index, from its digits."""
     places = [level ** j for j in range(nvars - 1, -1, -1)]
     digits = [[k // p % level for k in indices] for p in places]
-    labels = {n: lr.numerator_label(n, level) for n in set().union(*digits)}
+    labels = {n: format_ratio(n, level) for n in set().union(*digits)}
     return ["(" + ",".join(t) + ")" for t in zip(*[map(labels.get, c) for c in digits])]
 
 

@@ -50,6 +50,7 @@ from .exact_kernel import (
 from .laurent_ring import TorsionPoint, check_grid, grid_points, torsion_grid
 from .residue_systems import (
     ResidueSystem,
+    admissible_numerators,
     admissible_shifts,
     equimonodromic_beta,
     grid_shifts,
@@ -113,18 +114,6 @@ class Scenario:
         return IntegerDifferential(self.algebra, self.omega_map)
 
 
-def admissible_numerators(scenario: Scenario, numerators, denominator: int, bound: int = 3):
-    """The integer core of the residue commands: for ``beta = n / L``, with
-    ``n = numerators`` and ``L = denominator``, the numerators ``n + L * k`` of
-    the first admissible ``beta + k`` in the search box, or None (not a proof)."""
-    if len(numerators) != scenario.nparams:
-        raise DimensionError(f"beta has length {len(numerators)}, expected {scenario.nparams}")
-    rows = [row.coeffs for row in scenario.residue_system.rows]
-    bound = scenario.effective_bound(bound)
-    shift = admissible_shifts(rows, (numerators,), denominator, bound)[0]
-    return None if shift is None else [n + denominator * k for n, k in zip(numerators, shift)]
-
-
 def cohomology_at(scenario: Scenario, alpha) -> tuple[int, ...]:
     """Cohomology dimensions of ``(A, w ^ .)`` at explicit residues
     ``alpha``, for the one-form ``w = scenario.one_form(alpha)``."""
@@ -143,10 +132,10 @@ def twisted_cohomology(scenario: Scenario, beta, bound: int = 3) -> tuple[int, .
     Raises :class:`InconclusiveSearchError` when no representative exists in
     the search box; that outcome is "unknown", not a vanishing statement.
     """
-    scaled = admissible_numerators(scenario, *integer_vector(beta), bound)
+    bound = scenario.effective_bound(bound)
+    scaled = admissible_numerators(scenario.residue_system, *integer_vector(beta), bound)
     if scaled is None:
-        raise InconclusiveSearchError(
-            tuple(Fraction(b) for b in beta), scenario.effective_bound(bound), scenario.name)
+        raise InconclusiveSearchError(tuple(Fraction(b) for b in beta), bound, scenario.name)
     return scenario.differential.dims_many((scaled,))[0]
 
 

@@ -41,7 +41,7 @@ from math import gcd as int_gcd, lcm as int_lcm
 from operator import add, sub
 
 from .errors import DimensionError, LimitError, ParseError
-from .exact_kernel import CyclotomicNumber, format_rational
+from .exact_kernel import CyclotomicNumber, format_ratio, format_rational
 
 _set = object.__setattr__
 
@@ -418,7 +418,7 @@ class TorsionPoint:
     Coordinate ``j`` of the point is ``exp(-2*pi*i*numerators[j]/level)``,
     each numerator in ``[0, level)``; ``beta`` holds the residue classes
     ``numerators[j] / level``.  Every point is range-checked, grid points
-    too; ``str`` joins each coordinate's :func:`numerator_label`.
+    too; ``str`` joins each coordinate's ``format_ratio(n, level)``.
     """
 
     level: int
@@ -463,13 +463,7 @@ class TorsionPoint:
         return not any(self.numerators)
 
     def __str__(self):
-        return "(" + ",".join(numerator_label(n, self.level) for n in self.numerators) + ")"
-
-
-def numerator_label(n: int, level: int) -> str:
-    """A coordinate's text in ``str(point)``: ``n/level`` reduced, or ``0``."""
-    g = int_gcd(n, level)
-    return f"{n // g}/{level // g}" if n else "0"
+        return "(" + ",".join(format_ratio(n, self.level) for n in self.numerators) + ")"
 
 
 MAX_SCAN_POINTS = 100_000

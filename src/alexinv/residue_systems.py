@@ -14,6 +14,10 @@ integers, ``beta`` over a common denominator, and once per blocking
 pattern: ``admissible_shifts`` takes any points one by one, and
 ``grid_shifts`` a whole torsion grid, visiting for each row only the points
 where it can block and returning only the points that need a nonzero shift.
+One residue vector has one integer entry, ``admissible_numerators``, which
+takes ``beta`` as numerators over a common denominator and answers in
+numerators over the same denominator; ``admissible_search`` is its
+``Fraction`` form.
 """
 
 from __future__ import annotations
@@ -175,20 +179,24 @@ def _first_unblocked(order, blocking):
     return None
 
 
-def admissible_search(system: ResidueSystem, beta, bound: int = 3):
-    """First admissible ``alpha`` congruent to ``beta`` mod 1 inside the shift
-    box, or None.  Absence does not certify non-admissibility."""
-    beta = tuple(Fraction(b) for b in beta)
-    if len(beta) != system.nparams:
-        raise DimensionError(
-            f"beta has length {len(beta)}, expected {system.nparams}"
-        )
-    numerators, denominator = integer_vector(beta)
+def admissible_numerators(system: ResidueSystem, numerators, denominator: int, bound: int):
+    """For ``beta = n / L``, with ``n = numerators`` and ``L = denominator``:
+    the numerators ``n + L * k`` of the first admissible ``beta + k`` inside
+    the shift box, or None.  Absence does not certify non-admissibility."""
+    if len(numerators) != system.nparams:
+        raise DimensionError(f"beta has length {len(numerators)}, expected {system.nparams}")
     rows = [row.coeffs for row in system.rows]
     shift = admissible_shifts(rows, (numerators,), denominator, bound)[0]
-    if shift is None:
-        return None
-    return tuple(b + k for b, k in zip(beta, shift))
+    return None if shift is None else [n + denominator * k for n, k in zip(numerators, shift)]
+
+
+def admissible_search(system: ResidueSystem, beta, bound: int = 3):
+    """:func:`admissible_numerators` in ``Fraction`` values: the first
+    admissible ``alpha`` congruent to ``beta`` mod 1 inside the shift box, or
+    None."""
+    numerators, denominator = integer_vector(beta)
+    alpha = admissible_numerators(system, numerators, denominator, bound)
+    return None if alpha is None else tuple(Fraction(a, denominator) for a in alpha)
 
 
 def equimonodromic_beta(order: int, k: int, nparams: int) -> tuple[Fraction, ...]:

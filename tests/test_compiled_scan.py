@@ -49,6 +49,7 @@ from alexinv.laurent_ring import torsion_grid
 from alexinv.residue_systems import (
     ResidueRow,
     ResidueSystem,
+    admissible_search,
     admissible_shifts,
     grid_shifts,
     is_admissible,
@@ -208,6 +209,11 @@ def test_integer_admissibility_agrees_with_is_admissible(problem, bound):
     expected = reference_representative(system, beta, bound)
     got = None if shift is None else tuple(b + k for b, k in zip(beta, shift))
     assert got == expected
+    # The one integer entry, and admissible_search over it, against the
+    # same walk of shift_vectors with is_admissible.
+    assert admissible_search(system, beta, bound) == expected
+    scaled = residue_systems.admissible_numerators(system, numerators, common, bound)
+    assert scaled == (None if expected is None else [a * common for a in expected])
 
 
 @st.composite

@@ -120,14 +120,23 @@ def test_milnor_torus():
     ]
 
 
+def assert_milnor_bookkeeping(scenario):
+    """Each ``Delta_m`` has ``b_m(U)`` roots at 1, and the Milnor fiber,
+    a ``milnor_order``-fold cover of ``U``, has ``chi(F) = sum_m (-1)^m
+    deg Delta_m = milnor_order * chi(U)``."""
+    betti = betti_vector(scenario.algebra)
+    euler = 0
+    for m in range(scenario.algebra.top_degree + 1):
+        delta = milnor_charpoly(scenario, m)
+        assert delta.degree == sum(delta.multiplicities)
+        assert delta.multiplicities[0] == betti[m]
+        euler += (-1) ** m * delta.degree
+    assert euler == milnor_order(scenario) * sum((-1) ** p * b for p, b in enumerate(betti))
+
+
 def test_milnor_degree_bookkeeping():
     for name in bundled_scenario_names():
-        scenario = load_bundled_scenario(name)
-        betti = betti_vector(scenario.algebra)
-        for m in range(scenario.algebra.top_degree + 1):
-            delta = milnor_charpoly(scenario, m)
-            assert delta.degree == sum(delta.multiplicities)
-            assert delta.multiplicities[0] == betti[m]
+        assert_milnor_bookkeeping(load_bundled_scenario(name))
 
 
 def test_monodromy_formatting_fallback_and_leftovers():

@@ -656,7 +656,8 @@ def zero_at(draw, nvars, level, candidates):
 @HYPOTHESIS
 @given(st.data())
 def test_cover_rule_keeps_exactly_the_common_zeros(data):
-    # _vanishing skips a generator that an earlier one divides.  Here d, its
+    # Generators that divide one another: each one that _vanishing tests
+    # narrows the candidates to its zeros, whatever the order.  Here d, its
     # multiples d*q and d*q2 and an unrelated c come in a drawn order, and
     # the reference evaluates every generator at every candidate.
     nvars = data.draw(NVARS)
