@@ -32,7 +32,7 @@ def v1_components(level: int) -> set:
     """Numerators of the level-N points of the five subtori of ``V_1``,
     written with no ``alexinv`` code."""
     def on(n1, n2, n3, n4, n5):
-        return {
+        return any([
             # The affine triple points {1,3,5} and {2,4,5}.
             n2 == n4 == 0 and (n1 + n3 + n5) % level == 0,
             n1 == n3 == 0 and (n2 + n4 + n5) % level == 0,
@@ -42,7 +42,7 @@ def v1_components(level: int) -> set:
             # The double points {1,4}, {2,3} and {5,inf}: t1 = t4,
             # t2 = t3, t5 = t_inf, and t1 t2 t5 = 1.
             n1 == n4 and n2 == n3 and (n1 + n2 + n5) % level == 0,
-        } != {False}
+        ])
 
     return {nums for nums in product(range(level), repeat=5) if on(*nums)}
 
