@@ -50,6 +50,7 @@ from .exact_kernel import (
 from .laurent_ring import TorsionPoint, check_grid, grid_points, torsion_grid
 from .residue_systems import (
     ResidueSystem,
+    _shift_order,
     admissible_numerators,
     admissible_shifts,
     equimonodromic_beta,
@@ -112,6 +113,20 @@ class Scenario:
         by ``L`` changes no cohomology dimension.
         """
         return IntegerDifferential(self.algebra, self.omega_map)
+
+    @cached_property
+    def milnor_search(self) -> list:
+        """One slot for :func:`milnor_charpoly`: its equimonodromic search at
+        the last effective bound asked, as ``(bound, stop, columns,
+        polynomials)``, replaced whole when another bound is asked.
+
+        ``stop`` is the first ``k`` without an admissible representative
+        (``order`` if none), ``columns`` the coordinate columns of the
+        representatives of the ``k`` before it, over ``order``, and
+        ``polynomials`` maps each degree to its polynomial once built; it
+        stays empty when ``stop < order``.
+        """
+        return [None]
 
 
 def cohomology_at(scenario: Scenario, alpha) -> tuple[int, ...]:
@@ -240,8 +255,12 @@ class MonodromyPolynomial:
         first); primitive classes that cannot be completed to such a factor
         are printed as explicit cyclotomic polynomials.  When multiplicities
         are not constant on a primitive class the root list is printed
-        verbatim.
+        verbatim.  The text is built on the first call and kept.
         """
+        return self._factored
+
+    @cached_property
+    def _factored(self) -> str:
         by_order = self.multiplicity_by_root_order()
         if by_order is None:
             roots = ",".join(
@@ -350,7 +369,12 @@ def milnor_order(scenario: Scenario) -> int:
 
 def milnor_charpoly(scenario: Scenario, m: int, bound: int = 3) -> MonodromyPolynomial:
     """Characteristic polynomial of the degree-``m`` monodromy of the
-    associated Milnor fiber, assembled from equimonodromic local systems."""
+    associated Milnor fiber, assembled from equimonodromic local systems.
+
+    Every degree reads the same ``order`` local systems, so their search is
+    kept in ``scenario.milnor_search`` for the effective bound, and each
+    degree's polynomial there once built.  The checks run on every call;
+    a failure is never kept, so an error comes back on every call."""
     if not 0 <= m <= scenario.algebra.top_degree:
         raise DegreeError(
             f"degree {m} out of range [0, {scenario.algebra.top_degree}]"
@@ -359,19 +383,30 @@ def milnor_charpoly(scenario: Scenario, m: int, bound: int = 3) -> MonodromyPoly
     if order > cap:
         raise LimitError(f"Milnor order {order} is more than the limit of {cap}")
     bound = scenario.effective_bound(bound)
-    rows = [row.coeffs for row in scenario.residue_system.rows]
-    points = [(k,) * scenario.nparams for k in range(order)]
-    shifts = admissible_shifts(rows, points, order, bound)
-    # The first k without a representative stops the polynomial, but only
-    # after every k before it: a nonzero square there is raised first.
-    stop = shifts.index(None) if None in shifts else order
-    scaled = [[k + order * s for s in shift] for k, shift in zip(range(stop), shifts)]
-    mults = [dim for (dim,) in scenario.differential.dims_many(scaled, (m,))]
-    if stop < order:
-        raise InconclusiveSearchError(
-            equimonodromic_beta(order, stop, scenario.nparams), bound, scenario.name
-        )
-    return MonodromyPolynomial(order, tuple(mults))
+    table = scenario.milnor_search
+    search = table[0]
+    if search is None or search[0] != bound:
+        rows = [row.coeffs for row in scenario.residue_system.rows]
+        points = [(k,) * scenario.nparams for k in range(order)]
+        shifts = admissible_shifts(rows, points, order, bound)
+        # The first k without a representative stops the polynomial, but only
+        # after every k before it: a nonzero square there is raised first.
+        stop = shifts.index(None) if None in shifts else order
+        columns = [[k + order * shift[j] for k, shift in zip(range(stop), shifts)]
+                   for j in range(scenario.nparams)]
+        search = table[0] = (bound, stop, columns, {})
+    else:
+        _shift_order(scenario.nparams, bound)  # admissible_shifts' box checks
+    _, stop, columns, polynomials = search
+    polynomial = polynomials.get(m)
+    if polynomial is None:
+        (mults,) = scenario.differential.dims_columns(columns, stop, (m,))
+        if stop < order:
+            raise InconclusiveSearchError(
+                equimonodromic_beta(order, stop, scenario.nparams), bound, scenario.name
+            )
+        polynomial = polynomials[m] = MonodromyPolynomial(order, tuple(mults))
+    return polynomial
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
 import json
+import threading
 import time
 from fractions import Fraction
+from functools import cache, partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alexinv import invariant_pipeline, laurent_ring
+from alexinv import residue_systems as rs
 from alexinv.alexander_modules import cyclic_module, support_scan
 from alexinv.aomoto_complex import betti_vector, cohomology_dims
 from alexinv.corpus import (
@@ -14,8 +18,11 @@ from alexinv.corpus import (
     load_bundled_scenario,
 )
 from alexinv.errors import (
+    DegreeError,
     DimensionError,
     InconclusiveSearchError,
+    InconsistentDifferentialError,
+    LimitError,
     SchemaError,
 )
 from alexinv.invariant_pipeline import (
@@ -26,11 +33,14 @@ from alexinv.invariant_pipeline import (
     milnor_order,
     projective_points,
     scenario_from_dict,
+    scenario_from_json,
     twisted_cohomology,
 )
 from alexinv.laurent_ring import TorsionPoint, parse_poly, torsion_grid
 from alexinv.residue_systems import is_admissible, shift_vectors
+from arrangements import a3_decone
 from test_alexander_modules import round_trips
+from test_compiled_scan import ORDER_CASES, square_and_search_scenario
 
 F = Fraction
 
@@ -258,14 +268,129 @@ def test_cross_module_consistency(sc41):
 
 def test_a_compiled_scenario_pickles_and_copies():
     scenario = load_bundled_scenario("example_4_1")
-    assert "differential" not in vars(scenario)
+    cold_repr = repr(scenario)
+    assert "differential" not in vars(scenario) and "milnor_search" not in vars(scenario)
     scans = [charvar_scan(scenario, 4, d) for d in (1, 2)]
     milnor = [milnor_charpoly(scenario, m) for m in (0, 1, 2)]
     assert "differential" in vars(scenario)
+    table = vars(scenario)["milnor_search"]
+    assert table[0][0] == 3 and table[0][3] == dict(enumerate(milnor))
+    # The table is no field: a cold scenario is equal and prints the same,
+    # and hashing fails on the algebra, warm or cold.
+    assert scenario == load_bundled_scenario("example_4_1") and repr(scenario) == cold_repr
+    for value in (scenario, load_bundled_scenario("example_4_1")):
+        with pytest.raises(TypeError, match="GradedAlgebra"):
+            hash(value)
     for again in round_trips(scenario):
         assert again == scenario
+        assert vars(again)["milnor_search"] == table
         assert [charvar_scan(again, 4, d) for d in (1, 2)] == scans
         assert [milnor_charpoly(again, m) for m in (0, 1, 2)] == milnor
+        assert [delta.factored_str() for delta in milnor] == [
+            "(t-1)", "(t-1)^2*(t^5-1)", "(t-1)*(t^5-1)"]
+
+
+# ---------------------------------------------------------------------------
+# The equimonodromic search that a scenario keeps for milnor_charpoly.
+
+
+MILNOR_SCENARIOS = {
+    **{name: partial(load_bundled_scenario, name) for name in bundled_scenario_names()},
+    "a3_decone": lambda: scenario_from_dict(a3_decone()),
+    **{case: partial(scenario_from_json, square_and_search_scenario(rows).encode())
+       for case, (rows, _, _) in ORDER_CASES.items()},
+}
+MILNOR_ERRORS = (DegreeError, LimitError, InconclusiveSearchError, InconsistentDifferentialError)
+SHARED = {}  # scenario name -> the one scenario that every example calls warm
+
+
+def milnor_outcome(scenario, m, bound):
+    """``milnor_charpoly``'s polynomial and its text, or its error's type,
+    text and ``beta`` (None for an error without one)."""
+    try:
+        delta = milnor_charpoly(scenario, m, bound)
+    except MILNOR_ERRORS as exc:
+        return type(exc), str(exc), getattr(exc, "beta", None)
+    return delta, delta.factored_str()
+
+
+@cache
+def cold_milnor_outcome(name, m, bound):
+    return milnor_outcome(MILNOR_SCENARIOS[name](), m, bound)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.sampled_from(sorted(MILNOR_SCENARIOS)),
+       st.lists(st.tuples(st.integers(-1, 4), st.sampled_from((-1, 0, 1, 2, 3, 23))),
+                min_size=1, max_size=6))
+def test_warm_milnor_answers_equal_cold_ones(name, calls):
+    # Each call, repeated, answers on the shared scenario as on a fresh one;
+    # the table keeps one search, at the bound of the last call that got
+    # past the checks, and keeps no polynomial when the search stopped.
+    scenario = SHARED.setdefault(name, MILNOR_SCENARIOS[name]())
+    order = milnor_order(scenario)
+    searched = None
+    for m, bound in calls + calls:
+        outcome = milnor_outcome(scenario, m, bound)
+        assert outcome == cold_milnor_outcome(name, m, bound), (m, bound)
+        if outcome[0] not in (DegreeError, LimitError):
+            searched = m, scenario.effective_bound(bound)
+        table = vars(scenario).get("milnor_search", [None])
+        assert len(table) == 1
+        if searched is not None:
+            last, stop, _, polynomials = table[0]
+            assert last == searched[1]
+            assert stop == order or not polynomials
+    if searched is None:
+        return
+    # Caps lowered after a warm call still refuse it.
+    m, bound = searched
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(rs, "MAX_SHIFT_BOX", (2 * bound + 1) ** scenario.nparams - 1)
+        with pytest.raises(LimitError, match="shifts$"):
+            milnor_charpoly(scenario, m, bound)
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(laurent_ring, "MAX_SCAN_POINTS", order - 1)
+        with pytest.raises(LimitError, match="^Milnor order"):
+            milnor_charpoly(scenario, m, bound)
+
+
+def test_threads_share_the_first_milnor_search(monkeypatch):
+    # Thread A pauses in its first search until thread B, on the same cold
+    # scenario, has returned: each gets every degree's polynomial, and the
+    # table holds one search, A's, which came last, with all three.
+    expected = [milnor_charpoly(load_bundled_scenario("example_4_1"), m) for m in range(3)]
+    scenario = load_bundled_scenario("example_4_1")
+    search = invariant_pipeline.admissible_shifts
+    reached, b_done = threading.Event(), threading.Event()
+    answers, searched = {}, []
+
+    def gated(*args):
+        searched.append(threading.current_thread().name)
+        if threading.current_thread() is a and not reached.is_set():
+            reached.set()
+            b_done.wait(10)
+        return search(*args)
+
+    def run(done):
+        answers[threading.current_thread().name] = [
+            milnor_charpoly(scenario, m) for m in range(3)]
+        done.set()
+
+    monkeypatch.setattr(invariant_pipeline, "admissible_shifts", gated)
+    a = threading.Thread(target=run, args=(reached,), name="A")
+    b = threading.Thread(target=run, args=(b_done,), name="B")
+    a.start()
+    assert reached.wait(10)
+    b.start()
+    b.join(10)
+    a.join(10)
+    assert not (a.is_alive() or b.is_alive())
+    assert answers == {"A": expected, "B": expected}
+    assert [d.factored_str() for d in expected] == ["(t-1)", "(t-1)^2*(t^5-1)", "(t-1)*(t^5-1)"]
+    assert searched == ["A", "B"]
+    assert scenario.milnor_search[0][3] == dict(enumerate(expected))
+    assert scenario.milnor_search[0][3][0] is answers["A"][0]
 
 
 def _document(name: str) -> dict:
