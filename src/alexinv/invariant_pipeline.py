@@ -116,15 +116,11 @@ class Scenario:
 
     @cached_property
     def milnor_search(self) -> list:
-        """One slot for :func:`milnor_charpoly`: its equimonodromic search at
-        the last effective bound asked, as ``(bound, stop, columns,
-        polynomials)``, replaced whole when another bound is asked.
-
-        ``stop`` is the first ``k`` without an admissible representative
-        (``order`` if none), ``columns`` the coordinate columns of the
-        representatives of the ``k`` before it, over ``order``, and
-        ``polynomials`` maps each degree to its polynomial once built; it
-        stays empty when ``stop < order``.
+        """:func:`milnor_charpoly`'s one slot: ``(bound, stop, columns,
+        polynomials)`` at the last effective bound asked, replaced whole for
+        another.  ``stop`` is the first ``k`` without a representative
+        (``order`` if none), ``columns`` hold those of the ``k`` before it,
+        and ``polynomials`` each degree's once built, none if ``stop < order``.
         """
         return [None]
 
@@ -371,10 +367,9 @@ def milnor_charpoly(scenario: Scenario, m: int, bound: int = 3) -> MonodromyPoly
     """Characteristic polynomial of the degree-``m`` monodromy of the
     associated Milnor fiber, assembled from equimonodromic local systems.
 
-    Every degree reads the same ``order`` local systems, so their search is
-    kept in ``scenario.milnor_search`` for the effective bound, and each
-    degree's polynomial there once built.  The checks run on every call;
-    a failure is never kept, so an error comes back on every call."""
+    Every degree reads the same local systems, whose search
+    ``scenario.milnor_search`` keeps; the checks run on every call, and no
+    failure is kept."""
     if not 0 <= m <= scenario.algebra.top_degree:
         raise DegreeError(
             f"degree {m} out of range [0, {scenario.algebra.top_degree}]"

@@ -272,6 +272,8 @@ def test_a_compiled_scenario_pickles_and_copies():
     assert "differential" not in vars(scenario) and "milnor_search" not in vars(scenario)
     scans = [charvar_scan(scenario, 4, d) for d in (1, 2)]
     milnor = [milnor_charpoly(scenario, m) for m in (0, 1, 2)]
+    texts = [delta.factored_str() for delta in milnor]
+    assert texts == ["(t-1)", "(t-1)^2*(t^5-1)", "(t-1)*(t^5-1)"]
     assert "differential" in vars(scenario)
     table = vars(scenario)["milnor_search"]
     assert table[0][0] == 3 and table[0][3] == dict(enumerate(milnor))
@@ -286,8 +288,8 @@ def test_a_compiled_scenario_pickles_and_copies():
         assert vars(again)["milnor_search"] == table
         assert [charvar_scan(again, 4, d) for d in (1, 2)] == scans
         assert [milnor_charpoly(again, m) for m in (0, 1, 2)] == milnor
-        assert [delta.factored_str() for delta in milnor] == [
-            "(t-1)", "(t-1)^2*(t^5-1)", "(t-1)*(t^5-1)"]
+        kept = vars(again)["milnor_search"][0][3]
+        assert [vars(kept[m])["_factored"] for m in (0, 1, 2)] == texts
 
 
 # ---------------------------------------------------------------------------
