@@ -68,7 +68,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, combinations, compress, product
+from itertools import accumulate, combinations, product
 from math import gcd as int_gcd, lcm
 from operator import mul, sub
 
@@ -353,11 +353,7 @@ def _scan(pres: Presentation, i: int, level: int) -> list[int]:
             # lifts to a unit mod N.
             m = level // int_gcd(level, *nums)
             if m not in units:
-                unit = bytearray(b"\1") * (m + 1)
-                unit[0] = 0
-                for p in prime_divisors(m):
-                    unit[::p] = bytes(m // p + 1)
-                units[m] = list(compress(range(m + 1), unit))
+                units[m] = [u for u in range(1, m + 1) if int_gcd(u, m) == 1]
             for u in units[m]:
                 first[tuple(u * n % level for n in nums)] = nums
     zeros = set(_zeros(pres, i, level, set(first.values())))

@@ -50,12 +50,12 @@ from .exact_kernel import (
 from .laurent_ring import TorsionPoint, check_grid, grid_points, torsion_grid
 from .residue_systems import (
     ResidueSystem,
-    _shift_order,
     admissible_numerators,
     admissible_shifts,
     equimonodromic_beta,
     grid_shifts,
     residue_system_from_dict,
+    shift_order,
 )
 
 @dataclass(frozen=True)
@@ -378,6 +378,7 @@ def milnor_charpoly(scenario: Scenario, m: int, bound: int = 3) -> MonodromyPoly
     if order > cap:
         raise LimitError(f"Milnor order {order} is more than the limit of {cap}")
     bound = scenario.effective_bound(bound)
+    shift_order(scenario.nparams, bound)  # the search box's checks, on every call
     table = scenario.milnor_search
     search = table[0]
     if search is None or search[0] != bound:
@@ -390,8 +391,6 @@ def milnor_charpoly(scenario: Scenario, m: int, bound: int = 3) -> MonodromyPoly
         columns = [[k + order * shift[j] for k, shift in zip(range(stop), shifts)]
                    for j in range(scenario.nparams)]
         search = table[0] = (bound, stop, columns, {})
-    else:
-        _shift_order(scenario.nparams, bound)  # admissible_shifts' box checks
     _, stop, columns, polynomials = search
     polynomial = polynomials.get(m)
     if polynomial is None:

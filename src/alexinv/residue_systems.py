@@ -82,12 +82,15 @@ may use.  Each box's shift order is kept for reuse, so it must stay small."""
 def shift_vectors(nparams: int, bound: int) -> list[tuple[int, ...]]:
     """Integer shift vectors with entries in [-bound, bound], ordered by total
     absolute shift and then lexicographically."""
-    return list(_shift_order(nparams, bound))
+    return list(shift_order(nparams, bound))
 
 
-def _shift_order(nparams: int, bound: int) -> tuple[tuple[int, ...], ...]:
-    # The checks stay outside the cached _sorted_box: the cap is read on
-    # every call, so a box cached earlier still obeys a lowered cap.
+def shift_order(nparams: int, bound: int) -> tuple[tuple[int, ...], ...]:
+    """:func:`shift_vectors` as a kept tuple, after every check a search
+    makes on its box; a caller that reuses an earlier search calls it too.
+
+    The checks stay outside the cached ``_sorted_box``: the cap is read on
+    every call, so a box cached earlier still obeys a lowered cap."""
     if bound < 0:
         raise LimitError("search bound must be >= 0")
     if (2 * bound + 1) ** nparams > MAX_SHIFT_BOX:
@@ -120,7 +123,7 @@ def admissible_shifts(rows, points, denominator: int, bound: int) -> list:
     """
     if not points:
         return []
-    order = _shift_order(len(points[0]), bound)
+    order = shift_order(len(points[0]), bound)
     patterns = [_blocking(rows, n, denominator) for n in points]
     found = _search(rows, order, filter(None, patterns))
     found[()] = order[0]  # no row blocks
@@ -136,7 +139,7 @@ def grid_shifts(rows, level: int, nparams: int, bound: int) -> dict:
     its head terms and ``x`` the last coordinate, is a multiple of
     ``level``: each ``h`` looks up its ``x`` by ``h % level``.
     """
-    order = _shift_order(nparams, bound)
+    order = shift_order(nparams, bound)
     patterns = {}  # grid index -> its (row index, offset) pairs, in row order
     for r, (*head, c) in enumerate(rows):
         sums = [0]
