@@ -29,10 +29,10 @@ class ParseError(ValueError):
 
 
 class LimitError(ValueError):
-    """A level below 1, a torsion grid or search box over its size cap, a
-    scenario differential over its cell cap, a presentation entry over its
-    degree-span or term cap, or a rational with more digits than can be
-    written."""
+    """A level below 1, a torsion grid over its size cap, a negative search
+    bound, a scenario differential over its cell cap, a presentation entry
+    over its degree-span or term cap, or a rational with more digits than can
+    be written."""
 
 
 class SchemaError(ValueError):
@@ -95,11 +95,11 @@ class InconsistentDifferentialError(Exception):
 
 
 class InconclusiveSearchError(Exception):
-    """No admissible residue representative was found inside the search box.
+    """No admissible residue representative was found among the shifts
+    searched, at most ``MAX_SHIFT_BOX`` of the box ``|k_i| <= bound``.
 
-    Absence within the box does not certify that the local system is
-    non-admissible; callers must treat this as "unknown", never as a negative
-    certificate.
+    Absence within that budget certifies nothing about admissibility; callers
+    must treat this as "unknown", never as a negative certificate.
     """
 
     def __init__(self, beta, bound: int, context: str = ""):

@@ -55,7 +55,6 @@ from .residue_systems import (
     equimonodromic_beta,
     grid_shifts,
     residue_system_from_dict,
-    shift_order,
 )
 
 @dataclass(frozen=True)
@@ -140,8 +139,8 @@ def twisted_cohomology(scenario: Scenario, beta, bound: int = 3) -> tuple[int, .
     """Cohomology dimensions of the rank-one local system with residue
     classes ``beta``, computed from an admissible representative.
 
-    Raises :class:`InconclusiveSearchError` when no representative exists in
-    the search box; that outcome is "unknown", not a vanishing statement.
+    Raises :class:`InconclusiveSearchError` when the search finds no
+    representative; that outcome is "unknown", not a vanishing statement.
     """
     bound = scenario.effective_bound(bound)
     scaled = admissible_numerators(scenario.residue_system, *integer_vector(beta), bound)
@@ -378,7 +377,6 @@ def milnor_charpoly(scenario: Scenario, m: int, bound: int = 3) -> MonodromyPoly
     if order > cap:
         raise LimitError(f"Milnor order {order} is more than the limit of {cap}")
     bound = scenario.effective_bound(bound)
-    shift_order(scenario.nparams, bound)  # the search box's checks, on every call
     table = scenario.milnor_search
     search = table[0]
     if search is None or search[0] != bound:

@@ -6,26 +6,23 @@ dot product of the row with ``alpha``.  A choice of residues is admissible
 when no residue is a strictly positive integer.
 
 ``admissible_search`` looks for an admissible representative of a residue
-class vector ``beta`` by trying integer shifts inside a box, in a fixed
-deterministic order (total absolute shift first, then lexicographic), so that
-searches are reproducible.  Failure inside the box is reported as absence,
-never as a certificate of non-admissibility.  The search itself runs on
-integers, ``beta`` over a common denominator, and once per blocking
-pattern: ``admissible_shifts`` takes any points one by one, and
+class vector ``beta`` among its integer shifts in a box, in a fixed order
+(total absolute shift first, then lexicographic) that is built as it is read.
+A search tries at most ``MAX_SHIFT_BOX`` shifts, and failure is absence, never
+a certificate of non-admissibility.  The search runs on integers, ``beta``
+over a common denominator, in one walk of the order for all blocking
+patterns: ``admissible_shifts`` takes any points one by one, and
 ``grid_shifts`` a whole torsion grid, visiting for each row only the points
 where it can block and returning only the points that need a nonzero shift.
-One residue vector has one integer entry, ``admissible_numerators``, which
-takes ``beta`` as numerators over a common denominator and answers in
-numerators over the same denominator; ``admissible_search`` is its
-``Fraction`` form.
+``admissible_numerators`` searches one vector, as numerators over a common
+denominator, and ``admissible_search`` is its ``Fraction`` form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product
+from itertools import chain, islice
 from operator import mul
 
 from .errors import DimensionError, LimitError, SchemaError, fields, integers
@@ -75,8 +72,8 @@ def is_admissible(system: ResidueSystem, alpha) -> bool:
 
 
 MAX_SHIFT_BOX = 100_000
-"""Largest search box, ``(2 * bound + 1) ** nparams`` shifts, that a search
-may use.  Each box's shift order is kept for reuse, so it must stay small."""
+"""Budget of one search: it tries at most this many shifts of
+:func:`shift_order`, and a pattern still blocked then certifies nothing."""
 
 
 def shift_vectors(nparams: int, bound: int) -> list[tuple[int, ...]]:
@@ -85,32 +82,37 @@ def shift_vectors(nparams: int, bound: int) -> list[tuple[int, ...]]:
     return list(shift_order(nparams, bound))
 
 
-def shift_order(nparams: int, bound: int) -> tuple[tuple[int, ...], ...]:
-    """:func:`shift_vectors` as a kept tuple, after every check a search
-    makes on its box; a caller that reuses an earlier search calls it too.
-
-    The checks stay outside the cached ``_sorted_box``: the cap is read on
-    every call, so a box cached earlier still obeys a lowered cap."""
+def shift_order(nparams: int, bound: int):
+    """:func:`shift_vectors` as an iterator that builds each shell
+    ``|k|_1 = s`` when it reaches it; the bound is checked on the call."""
     if bound < 0:
         raise LimitError("search bound must be >= 0")
-    if (2 * bound + 1) ** nparams > MAX_SHIFT_BOX:
-        raise LimitError(
-            f"search box (2*{bound}+1)^{nparams} exceeds {MAX_SHIFT_BOX} shifts"
-        )
-    return _sorted_box(nparams, bound)
+    return _shifts(nparams, bound)
 
 
-@lru_cache(maxsize=8)
-def _sorted_box(nparams: int, bound: int) -> tuple[tuple[int, ...], ...]:
-    grid = product(range(-bound, bound + 1), repeat=nparams)
-    return tuple(sorted(grid, key=lambda k: (sum(map(abs, k)), k)))
+def _shifts(nparams: int, bound: int):
+    yield (0,) * nparams  # before any shell is built
+    for total in range(1, nparams * bound + 1):
+        yield from _shell(nparams, total, bound)
+
+
+def _shell(nparams: int, total: int, bound: int):
+    """The shifts in [-bound, bound] whose absolute values sum to ``total``,
+    ``>= 1``, lexicographically; each head leaves a tail, so no range is empty."""
+    if nparams == 1:
+        yield from ((-total,), (total,))
+        return
+    low, high = max(0, total - (nparams - 1) * bound), min(total, bound)
+    for head in chain(range(-high, 1 - low), range(max(low, 1), high + 1)):
+        rest = total - abs(head)
+        for tail in _shell(nparams - 1, rest, bound) if rest else ((0,) * (nparams - 1),):
+            yield (head,) + tail
 
 
 def admissible_shifts(rows, points, denominator: int, bound: int) -> list:
     """For each numerator vector ``n`` in ``points``: the first shift ``k`` in
-    :func:`shift_vectors` order that makes ``alpha = n / denominator + k``
-    admissible for the integer ``rows``, or None.  Every point has the same
-    length.
+    :func:`shift_order` that makes ``alpha = n / denominator + k`` admissible
+    for the integer ``rows``, or None.  Every point has the same length.
 
     With ``L = denominator``, a row's residue at alpha is ``v / L`` with
     ``v = row.n + L * (row.k)``: a positive integer exactly when ``v > 0``
@@ -119,14 +121,14 @@ def admissible_shifts(rows, points, denominator: int, bound: int) -> list:
     ``row.k + row.n // L > 0``.  So the answer depends only on the blocking
     pattern, the index and offset ``row.n // L`` of each row that can block,
     and a point with no blocking row takes the zero shift, the first in the
-    order, at once.  Each pattern is searched once per call.
+    order, at once.  One walk of the order serves every pattern of a call.
     """
     if not points:
         return []
-    order = shift_order(len(points[0]), bound)
+    nparams = len(points[0])
     patterns = [_blocking(rows, n, denominator) for n in points]
-    found = _search(rows, order, filter(None, patterns))
-    found[()] = order[0]  # no row blocks
+    found = _search(rows, nparams, bound, filter(None, patterns))
+    found[()] = (0,) * nparams  # no row blocks
     return list(map(found.__getitem__, patterns))
 
 
@@ -139,7 +141,6 @@ def grid_shifts(rows, level: int, nparams: int, bound: int) -> dict:
     its head terms and ``x`` the last coordinate, is a multiple of
     ``level``: each ``h`` looks up its ``x`` by ``h % level``.
     """
-    order = shift_order(nparams, bound)
     patterns = {}  # grid index -> its (row index, offset) pairs, in row order
     for r, (*head, c) in enumerate(rows):
         sums = [0]
@@ -152,16 +153,28 @@ def grid_shifts(rows, level: int, nparams: int, bound: int) -> dict:
             for x in solutions[h % level]:
                 index = j * level + x
                 patterns[index] = patterns.get(index, ()) + ((r, (h + c * x) // level),)
-    found = _search(rows, order, patterns.values())
-    return {index: found[key] for index, key in patterns.items() if found[key] != order[0]}
+    found, zero = _search(rows, nparams, bound, patterns.values()), (0,) * nparams
+    return {index: found[key] for index, key in patterns.items() if found[key] != zero}
 
 
-def _search(rows, order, patterns) -> dict:
-    """Each distinct ``(row index, offset)`` pattern: its first unblocked shift."""
-    return {
-        pattern: _first_unblocked(order, [(rows[r], offset) for r, offset in pattern])
-        for pattern in set(patterns)
-    }
+def _search(rows, nparams: int, bound: int, patterns) -> dict:
+    """Each distinct ``(row index, offset)`` pattern: its first unblocked shift
+    in one walk of :func:`shift_order`, or None after ``MAX_SHIFT_BOX``."""
+    found = dict.fromkeys(patterns)
+    pending = [(pattern, [(rows[r], offset) for r, offset in pattern]) for pattern in found]
+    for shift in islice(shift_order(nparams, bound), MAX_SHIFT_BOX):
+        blocked = []
+        for item in pending:
+            for row, offset in item[1]:
+                if sum(map(mul, row, shift)) + offset > 0:
+                    blocked.append(item)
+                    break
+            else:
+                found[item[0]] = shift
+        pending = blocked
+        if not pending:
+            break
+    return found
 
 
 def _blocking(rows, numerators, denominator: int) -> tuple:
@@ -171,21 +184,10 @@ def _blocking(rows, numerators, denominator: int) -> tuple:
     return tuple((r, v // denominator) for r, v in enumerate(values) if not v % denominator)
 
 
-def _first_unblocked(order, blocking):
-    """The first shift in ``order`` that no ``(row, offset)`` pair blocks."""
-    for shift in order:
-        for row, offset in blocking:
-            if sum(map(mul, row, shift)) + offset > 0:
-                break
-        else:
-            return shift
-    return None
-
-
 def admissible_numerators(system: ResidueSystem, numerators, denominator: int, bound: int):
     """For ``beta = n / L``, with ``n = numerators`` and ``L = denominator``:
-    the numerators ``n + L * k`` of the first admissible ``beta + k`` inside
-    the shift box, or None.  Absence does not certify non-admissibility."""
+    the numerators ``n + L * k`` of the first admissible ``beta + k`` in the
+    shift order, or None.  Absence does not certify non-admissibility."""
     if len(numerators) != system.nparams:
         raise DimensionError(f"beta has length {len(numerators)}, expected {system.nparams}")
     rows = [row.coeffs for row in system.rows]
@@ -195,8 +197,7 @@ def admissible_numerators(system: ResidueSystem, numerators, denominator: int, b
 
 def admissible_search(system: ResidueSystem, beta, bound: int = 3):
     """:func:`admissible_numerators` in ``Fraction`` values: the first
-    admissible ``alpha`` congruent to ``beta`` mod 1 inside the shift box, or
-    None."""
+    admissible ``alpha`` congruent to ``beta`` mod 1, or None."""
     numerators, denominator = integer_vector(beta)
     alpha = admissible_numerators(system, numerators, denominator, bound)
     return None if alpha is None else tuple(Fraction(a, denominator) for a in alpha)

@@ -496,28 +496,50 @@ def test_charvar_with_a_huge_residue_coefficient(tmp_path, capsys):
     }
 
 
-def test_search_box_over_the_shift_cap(capsys, monkeypatch):
-    # (2*23+1)^3 > 100000 shifts: refused by every command that searches.
-    for argv in (
+def test_search_past_the_shift_budget_is_inconclusive(capsys, monkeypatch):
+    # No box is refused: a search walks at most MAX_SHIFT_BOX shifts of its
+    # order, at any bound, and a point still blocked after them is
+    # inconclusive, never negative.
+    argv = ("twisted", "example_4_1", "--beta", "1/5,1/5,1/5")
+    for bound in ("3", "1000000"):
+        code, out, _ = run_cli(capsys, *argv, "--bound", bound)
+        assert code == 0
+        assert "results.alpha: [-4/5, 1/5, 1/5]" in out
+    for other in (
         ("charvar", "example_4_1", "--level", "2", "--degree", "1", "--bound", "23"),
-        ("twisted", "example_4_1", "--beta", "1/2,1/2,1/2", "--bound", "23"),
         ("admissible", "torus", "--beta", "1/2,1/3", "--bound", "1000000"),
         ("milnor", "torus", "--m", "1", "--bound", "1000000"),
     ):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 1
-        assert out == ""
-        assert "exceeds 100000 shifts" in err
-    # The cap applies to the box searched, after a scenario's max_shift.
+        assert run_cli(capsys, *other)[0] == 0
+    # The budget applies to the box searched, after a scenario's max_shift.
     code, _, _ = run_cli(capsys, "twisted", "example_5_3", "--beta", "1/5", "--bound", "1000000")
     assert code == 0
-    # Inclusive: with a cap of 125 shifts, bound 2 (5^3) runs and 3 (7^3) is refused.
-    monkeypatch.setattr(rs, "MAX_SHIFT_BOX", 125)
-    code, _, _ = run_cli(capsys, "twisted", "example_4_1", "--beta", "1/5,1/5,1/5", "--bound", "2")
-    assert code == 0
-    code, _, err = run_cli(capsys, "twisted", "example_4_1", "--beta", "1/5,1/5,1/5", "--bound", "3")
+    # A budget of one shift tries only the zero shift, and (-1, 0, 0) is
+    # never reached.
+    monkeypatch.setattr(rs, "MAX_SHIFT_BOX", 1)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err == ""
+    assert "results.alpha: null" in out
+    assert (
+        "warning: no admissible representative for example_4_1 with shifts "
+        "bounded by 3 for beta=('1/5', '1/5', '1/5')"
+    ) in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("charvar", "torus", "--level", "2", "--degree", "1"),
+    ("twisted", "torus", "--beta", "1/2,1/3"),
+    ("admissible", "torus", "--beta", "1/2,1/3"),
+    ("milnor", "torus", "--m", "1"),
+])
+def test_negative_bound_is_refused_where_no_row_blocks(capsys, argv):
+    # At beta = (1/2, 1/3) no residue is an integer, so the search tries no
+    # shift: the bound is checked anyway, before any shift is read.
+    code, out, err = run_cli(capsys, *argv, "--bound=-1")
     assert code == 1
-    assert "exceeds 125 shifts" in err
+    assert out == ""
+    assert "search bound must be >= 0" in err
 
 
 def test_milnor_command(capsys):
@@ -632,7 +654,7 @@ def test_range_checks_raise_limit_error():
         lambda: lr.TorsionPoint.from_numerators(-1, (0,)),
         lambda: lr.TorsionPoint.from_residues(4, ("1/3",)),
         lambda: rs.shift_vectors(2, -1),
-        lambda: rs.shift_vectors(3, 50),
+        lambda: rs.shift_order(2, -1),  # on the call, before any shift is read
     ):
         with pytest.raises(LimitError):
             check()

@@ -258,15 +258,23 @@ def test_batch_search_agrees_with_the_reference_at_every_point(problem, bound):
         assert shift == admissible_shifts(rows, (point.numerators,), level, bound)[0]
 
 
-def test_each_blocking_pattern_is_searched_once_per_call(monkeypatch):
-    searched = []
-    first_unblocked = residue_systems._first_unblocked
+def test_each_blocking_pattern_is_settled_in_one_walk_per_call(monkeypatch):
+    box = shift_vectors(3, 3)
+    walks, settled = [], []
+    shift_order, search = residue_systems.shift_order, residue_systems._search
 
-    def counting(order, blocking):
-        searched.append(tuple(blocking))
-        return first_unblocked(order, blocking)
+    def walked(nparams, bound):
+        walk = []
+        walks.append(walk)
+        return map(lambda shift: walk.append(shift) or shift, shift_order(nparams, bound))
 
-    monkeypatch.setattr(residue_systems, "_first_unblocked", counting)
+    def recording(rows, nparams, bound, patterns):
+        found = search(rows, nparams, bound, patterns)
+        settled.append(dict(found))  # before admissible_shifts adds ()
+        return found
+
+    monkeypatch.setattr(residue_systems, "shift_order", walked)
+    monkeypatch.setattr(residue_systems, "_search", recording)
     system = load_bundled_scenario("example_4_1").residue_system
     rows = [row.coeffs for row in system.rows]
     points = [p.numerators for p in torsion_grid(12, 3)]
@@ -275,19 +283,24 @@ def test_each_blocking_pattern_is_searched_once_per_call(monkeypatch):
         n for n in points
         if any(sum(r * x for r, x in zip(row, n)) % 12 == 0 for row in rows)
     ]
-    assert len(set(searched)) == len(searched) < len(blocked) < len(points)
-    # Point by point, one call searches the same patterns, each once.
-    in_grid = set(searched)
-    searched.clear()
+    # One walk settles every distinct pattern, and stops at the last one.
+    (walk,), (in_grid,) = walks, settled
+    assert len(in_grid) < len(blocked) < len(points)
+    assert walk == box[:len(walk)] and None not in in_grid.values()
+    assert walk[-1] in in_grid.values()
+    # Point by point, one call settles the same patterns in one walk.
+    walks.clear()
+    settled.clear()
     assert admissible_shifts(rows, points, 12, 3) == shifts
-    assert len(searched) == len(in_grid) and set(searched) == in_grid
+    assert len(walks) == 1 and settled == [in_grid]
     assert shifts == [admissible_shifts(rows, (n,), 12, 3)[0] for n in points]
     # A Milnor-style batch, every equimonodromic point of a large order:
-    # each pattern once, however many points share it.
-    searched.clear()
+    # one walk, however many points share a pattern.
+    walks.clear()
+    settled.clear()
     order = 5040
     milnor = admissible_shifts(rows, [(k,) * 3 for k in range(order)], order, 3)
-    assert len(set(searched)) == len(searched) < 20 < order
+    assert len(walks) == len(settled) == 1 and len(settled[0]) < 20 < order
     assert milnor[:12] == [
         admissible_shifts(rows, ((k,) * 3,), order, 3)[0] for k in range(12)]
 

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from itertools import islice, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alexinv.corpus import load_bundled_scenario
 from alexinv.errors import DimensionError, SchemaError
@@ -13,6 +16,7 @@ from alexinv.residue_systems import (
     is_admissible,
     residue_system_from_dict,
     residues,
+    shift_order,
     shift_vectors,
 )
 from randgen import make_rng, random_fraction
@@ -77,6 +81,30 @@ def test_shift_order():
         (-1, 0, 0), (0, -1, 0), (0, 0, -1), (0, 0, 1), (0, 1, 0), (1, 0, 0),
     ]
     assert len(shifts) == 27
+
+
+def largest_bound(nparams: int, shifts: int = 20_000) -> int:
+    bound = 0
+    while (2 * bound + 3) ** nparams <= shifts:
+        bound += 1
+    return bound
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.integers(1, 16).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, largest_bound(n)))))
+def test_lazy_shift_order_is_the_sorted_box(box):
+    # Every box of at most 20000 shifts: the lazy order is the sorted box.
+    nparams, bound = box
+    grid = product(range(-bound, bound + 1), repeat=nparams)
+    assert shift_vectors(nparams, bound) == sorted(grid, key=lambda k: (sum(map(abs, k)), k))
+
+
+def test_shift_order_reads_only_the_shells_it_reaches():
+    # The shells |k|_1 <= 2 do not depend on a bound of 2 or more: 1 + 12 + 72
+    # shifts in 6 parameters, whether the bound is 2 or a million.
+    assert list(islice(shift_order(6, 10**6), 85)) == shift_vectors(6, 2)[:85]
+    assert sum(map(abs, shift_vectors(6, 2)[85])) == 3
 
 
 def test_admissible_search_examples(system_41):
