@@ -97,8 +97,8 @@ def _shifts(nparams: int, bound: int):
 
 
 def _shell(nparams: int, total: int, bound: int):
-    """The shifts in [-bound, bound] whose absolute values sum to ``total``,
-    ``>= 1``, lexicographically; each head leaves a tail, so no range is empty."""
+    """Shifts in [-bound, bound] with absolute values summing to ``total >= 1``,
+    lexicographically; each head leaves a tail, so no range is empty."""
     if nparams == 1:
         yield from ((-total,), (total,))
         return
