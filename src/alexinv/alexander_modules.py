@@ -40,7 +40,7 @@ sub-minors serves all ``C(n,k) * C(m,k)`` minors of an ideal instead of
 peel and the chain live as long as the presentation (in the CLI, as long as
 its decoded-input cache keeps it), serve every index and every op, go with
 it into pickles and copies, and take no part in ``==``, ``hash``, ``repr``
-or the dataclass fields; ``elementary_ideal`` lists the presentation's own
+or the fields; ``elementary_ideal`` lists the presentation's own
 minors.  An op builds only the minors its answer needs, one at a time in
 ``elementary_ideal``'s order, and stops once the answer is settled (a gcd
 of 1, a vanishing test once no point is left where every minor so far
@@ -66,14 +66,13 @@ one label list per level, and the public scans map to checked points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations, product
 from math import gcd as int_gcd, lcm
 from operator import mul, sub
 
 from . import laurent_ring
-from .errors import DimensionError, LimitError, ParseError, SchemaError
+from .errors import DimensionError, LimitError, ParseError, Record, SchemaError, _set
 from .errors import fields, integers, load_json
 from .exact_kernel import prime_divisors
 from .laurent_ring import (
@@ -89,24 +88,27 @@ from .laurent_ring import (
 )
 
 
-@dataclass(frozen=True)
-class Presentation:
-    """Presentation matrix of a module: ``generators`` rows, ``relations`` columns."""
+class Presentation(Record):
+    """Presentation matrix of a module: ``generators`` rows, ``relations`` columns.
 
-    nvars: int
-    generators: int
-    relations: int
-    matrix: tuple  # tuple of generator rows, each a tuple of LaurentPoly
+    ``matrix`` is a tuple of generator rows, each a tuple of LaurentPoly.
+    """
 
-    def __post_init__(self):
-        if len(self.matrix) != self.generators:
+    _fields = ("nvars", "generators", "relations", "matrix")
+
+    def __init__(self, nvars: int, generators: int, relations: int, matrix: tuple):
+        if len(matrix) != generators:
             raise DimensionError("matrix must have one row per generator")
-        for row in self.matrix:
-            if len(row) != self.relations:
+        for row in matrix:
+            if len(row) != relations:
                 raise DimensionError("matrix must have one column per relation")
             for entry in row:
-                if entry.nvars != self.nvars:
+                if entry.nvars != nvars:
                     raise DimensionError("matrix entry has wrong variable count")
+        _set(self, "nvars", nvars)
+        _set(self, "generators", generators)
+        _set(self, "relations", relations)
+        _set(self, "matrix", matrix)
 
     @classmethod
     def from_rows(cls, nvars: int, rows) -> Presentation:
@@ -190,12 +192,14 @@ class Presentation:
         return found
 
 
-@dataclass(frozen=True)
-class IdealGenerators:
+class IdealGenerators(Record):
     """Generators of an ideal; empty means the zero ideal, a unit generator
     means the full ring."""
 
-    gens: tuple
+    _fields = ("gens",)
+
+    def __init__(self, gens: tuple):
+        _set(self, "gens", gens)
 
     @property
     def is_zero_ideal(self) -> bool:

@@ -13,7 +13,6 @@ denominators (``IntegerDifferential``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice, product, repeat
@@ -24,7 +23,9 @@ from .errors import (
     AlgebraInvalidError,
     DimensionError,
     InconsistentDifferentialError,
+    Record,
     SchemaError,
+    _set,
     fields,
     integers,
 )
@@ -39,8 +40,7 @@ from .laurent_ring import LaurentPoly, divide_exact
 ProductTable = dict  # (left label, right label) -> {target label: Fraction}
 
 
-@dataclass
-class GradedAlgebra:
+class GradedAlgebra(Record, frozen=False):
     """Graded algebra with explicit structure constants.
 
     ``basis[p]`` is the ordered label tuple of degree ``p``; ``products``
@@ -48,27 +48,26 @@ class GradedAlgebra:
     stored sparsely by target label.  Missing mirror entries of degree-1 by
     degree-1 products are filled in with the antisymmetric value; explicitly
     supplied entries are kept verbatim so that validation can catch
-    inconsistent input.
+    inconsistent input.  ``_where`` maps each label to its (degree, index)
+    and is no field.
     """
 
-    top_degree: int
-    basis: tuple
-    products: ProductTable
-    _where: dict = field(init=False, repr=False, compare=False)
+    _fields = ("top_degree", "basis", "products")
 
-    def __post_init__(self):
-        self.basis = tuple(tuple(labels) for labels in self.basis)
-        if len(self.basis) != self.top_degree + 1:
+    def __init__(self, top_degree: int, basis: tuple, products: ProductTable):
+        self.top_degree = top_degree
+        self.basis = basis = tuple(tuple(labels) for labels in basis)
+        if len(basis) != top_degree + 1:
             raise DimensionError("need one basis tuple per degree 0..top_degree")
         where = {}
-        for p, labels in enumerate(self.basis):
+        for p, labels in enumerate(basis):
             for i, label in enumerate(labels):
                 if label in where:
                     raise ValueError(f"duplicate basis label {label!r}")
                 where[label] = (p, i)
         self._where = where
         normalized = {}
-        for (left, right), vec in self.products.items():
+        for (left, right), vec in products.items():
             for label in (left, right):
                 if label not in where:
                     raise ValueError(f"product references unknown label {label!r}")
@@ -78,7 +77,7 @@ class GradedAlgebra:
                     raise ValueError(f"product targets unknown label {target!r}")
             normalized[(left, right)] = vec
         # Fill antisymmetric mirrors for degree-1 pairs that were not given.
-        ones = self.basis[1] if self.top_degree >= 1 else ()
+        ones = basis[1] if top_degree >= 1 else ()
         for a in ones:
             for b in ones:
                 if (a, b) in normalized and (b, a) not in normalized:
@@ -111,14 +110,13 @@ class GradedAlgebra:
         return IntegerDifferential(self, identity)
 
 
-@dataclass(frozen=True)
-class OneForm:
+class OneForm(Record):
     """A degree-1 element, as coefficients over the degree-1 basis."""
 
-    coeffs: tuple
+    _fields = ("coeffs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+    def __init__(self, coeffs: tuple):
+        _set(self, "coeffs", tuple(Fraction(c) for c in coeffs))
 
     @property
     def is_zero(self) -> bool:

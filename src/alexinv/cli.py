@@ -13,7 +13,6 @@ import functools
 import hashlib
 import os
 import sys
-from dataclasses import dataclass, field
 from itertools import product
 from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
@@ -32,6 +31,7 @@ from .errors import (
     InconsistentDifferentialError,
     LimitError,
     ParseError,
+    Record,
     SchemaError,
 )
 from .exact_kernel import format_ratio, rational_terms
@@ -44,12 +44,15 @@ EXIT_INCONSISTENT = 3
 EXIT_INTERNAL = 4
 
 
-@dataclass
-class Report:
-    command: list
-    digest: str
-    results: dict = field(default_factory=dict)
-    warnings: list = field(default_factory=list)
+class Report(Record, frozen=False):
+    _fields = ("command", "digest", "results", "warnings")
+
+    def __init__(self, command: list, digest: str, results: dict | None = None,
+                 warnings: list | None = None):
+        self.command = command
+        self.digest = digest
+        self.results = {} if results is None else results
+        self.warnings = [] if warnings is None else warnings
 
     def to_json(self) -> str:
         return _render({"command": self.command, "digest": self.digest,

@@ -3,19 +3,22 @@
 from __future__ import annotations
 
 import functools
-from importlib import resources
+import os
 
 from .invariant_pipeline import Scenario, load_scenario
 
 
 @functools.cache
 def _scenario_paths() -> dict[str, str]:
-    """Each bundled scenario's name and file path, from one listing."""
-    return {
-        entry.name[: -len(".json")]: str(entry)
-        for entry in resources.files("alexinv").joinpath("data", "scenarios").iterdir()
-        if entry.name.endswith(".json")
-    }
+    """Each bundled scenario's name and file path, from one listing of the
+    ``data/scenarios`` folder beside this module."""
+    folder = os.path.join(os.path.dirname(__file__), "data", "scenarios")
+    with os.scandir(folder) as entries:
+        return {
+            entry.name[: -len(".json")]: entry.path
+            for entry in entries
+            if entry.name.endswith(".json")
+        }
 
 
 def bundled_scenario_names() -> list[str]:

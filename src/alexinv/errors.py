@@ -1,8 +1,55 @@
-"""Exception types, and the JSON document checks, shared across the package."""
+"""Exception types, the JSON document checks and the record base class,
+shared across the package."""
 
 from __future__ import annotations
 
 import json
+
+# A frozen record's __init__ writes each field past its own __setattr__.
+_set = object.__setattr__
+
+
+class Record:
+    """A record of named fields: ``==`` holds between records of one class
+    with equal fields, ``hash`` is the hash of the field tuple, and the repr
+    lists each field by name.  A field can be neither set nor deleted after
+    ``__init__``, which writes them with ``_set``.
+
+    Each subclass names its fields, in constructor order, in ``_fields``.
+    Whatever else sits in the instance dict, a cached property say, takes no
+    part in ``==``, ``hash`` or the repr.  ``class C(Record, frozen=False)``
+    makes a mutable record, which has no hash.
+    """
+
+    _fields = ()
+
+    def __init_subclass__(cls, frozen: bool = True, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if not frozen:
+            cls.__hash__ = None
+            cls.__setattr__ = object.__setattr__
+            cls.__delattr__ = object.__delattr__
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class DimensionError(ValueError):

@@ -13,12 +13,11 @@ the constant term first.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import DimensionError, LimitError
+from .errors import DimensionError, LimitError, Record, _set
 
 MAX_RATIONAL_DIGITS = 4300
 """Most digits in the numerator or the denominator of a rational read or
@@ -170,8 +169,7 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-@dataclass(frozen=True)
-class CyclotomicNumber:
+class CyclotomicNumber(Record):
     """An element of Q(zeta_N), reduced modulo the N-th cyclotomic polynomial.
 
     ``coeffs`` always has length ``phi(conductor)``.  Equality and hashing
@@ -179,15 +177,16 @@ class CyclotomicNumber:
     gives two unequal objects; :meth:`is_zero` holds at any conductor.
     """
 
-    conductor: int
-    coeffs: tuple[Fraction, ...]
+    _fields = ("conductor", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != euler_phi(self.conductor):
+    def __init__(self, conductor: int, coeffs: tuple[Fraction, ...]):
+        if len(coeffs) != euler_phi(conductor):
             raise DimensionError(
                 f"cyclotomic coefficient vector must have length "
-                f"phi({self.conductor}) = {euler_phi(self.conductor)}"
+                f"phi({conductor}) = {euler_phi(conductor)}"
             )
+        _set(self, "conductor", conductor)
+        _set(self, "coeffs", coeffs)
 
     @classmethod
     def _make(cls, conductor: int, coeffs) -> CyclotomicNumber:
@@ -205,20 +204,20 @@ class CyclotomicNumber:
 # Exact dense matrices.
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
+class ExactMatrix(Record):
     """A dense row-major matrix of exact rationals.
 
     Entries are Fractions; mixing ints in is fine since they coerce.
     """
 
-    rows: int
-    cols: int
-    entries: tuple
+    _fields = ("rows", "cols", "entries")
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
+    def __init__(self, rows: int, cols: int, entries: tuple):
+        if len(entries) != rows * cols:
             raise DimensionError("entry count must equal rows * cols")
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "entries", entries)
 
     @classmethod
     def from_rows(cls, rows) -> ExactMatrix:

@@ -13,7 +13,6 @@ of the associated Milnor fiber via equimonodromic local systems.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain, compress, repeat
@@ -34,7 +33,9 @@ from .errors import (
     DimensionError,
     InconclusiveSearchError,
     LimitError,
+    Record,
     SchemaError,
+    _set,
 )
 from .errors import fields, integers, load_json
 from .exact_kernel import (
@@ -57,8 +58,7 @@ from .residue_systems import (
     residue_system_from_dict,
 )
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record):
     """A complete arrangement description consumed by the pipeline and CLI.
 
     ``omega_map`` is an ``nparams x dim(A^1)`` rational matrix sending residue
@@ -67,15 +67,31 @@ class Scenario:
     (used when only small residues are known to be admissible).
     """
 
-    name: str
-    components: int
-    degrees: tuple
-    algebra: GradedAlgebra
-    residue_system: ResidueSystem
-    omega_map: tuple
-    include_infinity_in_milnor: bool = True
-    intersection_points: tuple | None = None
-    max_shift: int | None = None
+    _fields = ("name", "components", "degrees", "algebra", "residue_system",
+               "omega_map", "include_infinity_in_milnor", "intersection_points",
+               "max_shift")
+
+    def __init__(
+        self,
+        name: str,
+        components: int,
+        degrees: tuple,
+        algebra: GradedAlgebra,
+        residue_system: ResidueSystem,
+        omega_map: tuple,
+        include_infinity_in_milnor: bool = True,
+        intersection_points: tuple | None = None,
+        max_shift: int | None = None,
+    ):
+        _set(self, "name", name)
+        _set(self, "components", components)
+        _set(self, "degrees", degrees)
+        _set(self, "algebra", algebra)
+        _set(self, "residue_system", residue_system)
+        _set(self, "omega_map", omega_map)
+        _set(self, "include_infinity_in_milnor", include_infinity_in_milnor)
+        _set(self, "intersection_points", intersection_points)
+        _set(self, "max_shift", max_shift)
 
     @property
     def nparams(self) -> int:
@@ -149,14 +165,16 @@ def twisted_cohomology(scenario: Scenario, beta, bound: int = 3) -> tuple[int, .
     return scenario.differential.dims_many((scaled,))[0]
 
 
-@dataclass(frozen=True)
-class CharvarScan:
+class CharvarScan(Record):
     """Result of bucketing torsion points by a twisted cohomology dimension."""
 
-    level: int
-    degree: int
-    by_dimension: dict
-    inconclusive: tuple
+    _fields = ("level", "degree", "by_dimension", "inconclusive")
+
+    def __init__(self, level: int, degree: int, by_dimension: dict, inconclusive: tuple):
+        _set(self, "level", level)
+        _set(self, "degree", degree)
+        _set(self, "by_dimension", by_dimension)
+        _set(self, "inconclusive", inconclusive)
 
     def points_with_dim_above(self, i: int) -> tuple[TorsionPoint, ...]:
         out = []
@@ -215,20 +233,20 @@ def _charvar_indices(scenario: Scenario, level: int, degree: int, bound: int):
 # Monodromy characteristic polynomials.
 
 
-@dataclass(frozen=True)
-class MonodromyPolynomial:
+class MonodromyPolynomial(Record):
     """``det(t - h)`` on a cohomology degree, stored as root multiplicities.
 
     ``multiplicities[k]`` is the multiplicity of the root
     ``exp(-2*pi*i*k/order)``.
     """
 
-    order: int
-    multiplicities: tuple
+    _fields = ("order", "multiplicities")
 
-    def __post_init__(self):
-        if len(self.multiplicities) != self.order:
+    def __init__(self, order: int, multiplicities: tuple):
+        if len(multiplicities) != order:
             raise DimensionError("need one multiplicity per root")
+        _set(self, "order", order)
+        _set(self, "multiplicities", multiplicities)
 
     @property
     def degree(self) -> int:

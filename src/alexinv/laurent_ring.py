@@ -34,16 +34,13 @@ and runs the PRS only when that fails; the PRS takes every content through
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd as int_gcd, lcm as int_lcm
 from operator import add, sub
 
-from .errors import DimensionError, LimitError, ParseError
+from .errors import DimensionError, LimitError, ParseError, Record, _set
 from .exact_kernel import CyclotomicNumber, format_ratio, format_rational
-
-_set = object.__setattr__
 
 
 class LaurentPoly:
@@ -411,8 +408,7 @@ def gcd_all(polys, nvars: int) -> LaurentPoly:
 # Torsion points and evaluation.
 
 
-@dataclass(frozen=True)
-class TorsionPoint:
+class TorsionPoint(Record):
     """A point of the torus with all coordinates N-th roots of unity.
 
     Coordinate ``j`` of the point is ``exp(-2*pi*i*numerators[j]/level)``,
@@ -421,15 +417,16 @@ class TorsionPoint:
     too; ``str`` joins each coordinate's ``format_ratio(n, level)``.
     """
 
-    level: int
-    numerators: tuple[int, ...]
+    _fields = ("level", "numerators")
 
-    def __post_init__(self):
-        if self.level < 1:
+    def __init__(self, level: int, numerators: tuple[int, ...]):
+        if level < 1:
             raise LimitError("level must be positive")
-        for n in self.numerators:
-            if not 0 <= n < self.level:
-                raise LimitError(f"numerator {n} outside [0, {self.level})")
+        for n in numerators:
+            if not 0 <= n < level:
+                raise LimitError(f"numerator {n} outside [0, {level})")
+        _set(self, "level", level)
+        _set(self, "numerators", numerators)
 
     @classmethod
     def from_numerators(cls, level: int, numerators) -> TorsionPoint:

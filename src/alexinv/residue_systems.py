@@ -20,37 +20,35 @@ denominator, and ``admissible_search`` is its ``Fraction`` form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice
 from operator import mul
 
-from .errors import DimensionError, LimitError, SchemaError, fields, integers
+from .errors import DimensionError, LimitError, Record, SchemaError, _set, fields, integers
 from .exact_kernel import integer_vector
 from .laurent_ring import MAX_NVARS
 
-@dataclass(frozen=True)
-class ResidueRow:
-    label: str
-    coeffs: tuple
-    is_component: bool
+class ResidueRow(Record):
+    _fields = ("label", "coeffs", "is_component")
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+    def __init__(self, label: str, coeffs: tuple, is_component: bool):
+        _set(self, "label", label)
+        _set(self, "coeffs", tuple(int(c) for c in coeffs))
+        _set(self, "is_component", is_component)
 
 
-@dataclass(frozen=True)
-class ResidueSystem:
-    nparams: int
-    rows: tuple
+class ResidueSystem(Record):
+    _fields = ("nparams", "rows")
 
-    def __post_init__(self):
-        for row in self.rows:
-            if len(row.coeffs) != self.nparams:
+    def __init__(self, nparams: int, rows: tuple):
+        for row in rows:
+            if len(row.coeffs) != nparams:
                 raise DimensionError(
                     f"row {row.label!r} has {len(row.coeffs)} coefficients, "
-                    f"expected {self.nparams}"
+                    f"expected {nparams}"
                 )
+        _set(self, "nparams", nparams)
+        _set(self, "rows", rows)
 
 
 def residues(system: ResidueSystem, alpha) -> list[tuple[str, Fraction]]:

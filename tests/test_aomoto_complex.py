@@ -1,4 +1,5 @@
-import dataclasses
+import copy
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -254,12 +255,17 @@ def test_cohomology_dims_reuses_one_identity_differential():
 
 
 def test_the_identity_differential_is_no_field_of_the_algebra():
-    names = [f.name for f in dataclasses.fields(GradedAlgebra)]
-    assert names == ["top_degree", "basis", "products", "_where"]
+    names = ["top_degree", "basis", "products"]
+    assert list(inspect.signature(GradedAlgebra).parameters) == names
+    assert GradedAlgebra._fields == tuple(names)
     algebra = load_bundled_scenario("example_4_1").algebra
-    pristine = dataclasses.asdict(algebra)
+    pristine = copy.deepcopy({name: getattr(algebra, name) for name in names})
+    cold = GradedAlgebra(*pristine.values())
     assert "differential" not in vars(algebra)
     cohomology_dims(algebra, OneForm((F(-4, 5), F(1, 5), F(1, 5))))
     assert isinstance(vars(algebra)["differential"], IntegerDifferential)
-    assert dataclasses.asdict(algebra) == pristine
+    assert "differential" not in vars(cold) and "_where" in vars(cold)
+    assert algebra == cold and repr(algebra) == repr(cold)
+    assert "differential" not in repr(algebra) and "_where" not in repr(algebra)
+    assert {name: getattr(algebra, name) for name in names} == pristine
 

@@ -3,6 +3,7 @@ import collections
 import contextlib
 import enum
 import hashlib
+import importlib.resources
 import io
 import json
 import os
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_the_bundled_scenarios_are_the_package_resources():
+    folder = importlib.resources.files("alexinv") / "data" / "scenarios"
+    files = {entry.name[: -len(".json")]: Path(str(entry))
+             for entry in folder.iterdir() if entry.name.endswith(".json")}
+    assert bundled_scenario_names() == sorted(files) and len(files) == 6
+    assert {name: Path(bundled_scenario_path(name)) for name in files} == files
 
 
 def test_validate_bundled(capsys):
@@ -425,10 +435,10 @@ def test_no_scan_command_builds_a_torsion_point(capsys, monkeypatch):
     ]
     before = [run_cli(capsys, *argv) for argv in commands]
 
-    def refuse(self):
+    def refuse(self, *args):
         raise RuntimeError("a TorsionPoint was built")
 
-    monkeypatch.setattr(lr.TorsionPoint, "__post_init__", refuse)
+    monkeypatch.setattr(lr.TorsionPoint, "__init__", refuse)
     with pytest.raises(RuntimeError, match="was built"):
         am.support_scan(_presentation(path), 6)
     assert [run_cli(capsys, *argv) for argv in commands] == before

@@ -8,7 +8,7 @@ torsion points.
 from __future__ import annotations
 
 import copy
-import dataclasses
+import inspect
 import re
 import threading
 import time
@@ -386,11 +386,17 @@ def test_threads_share_a_warm_presentation(monkeypatch):
 
 def test_pickles_and_copies_carry_the_warm_minor_table(monkeypatch):
     pres = random_chain_presentation(make_rng(11), 2, (4, 5))
-    assert [f.name for f in dataclasses.fields(Presentation)] == [
-        "nvars", "generators", "relations", "matrix"]
+    names = ["nvars", "generators", "relations", "matrix"]
+    assert list(inspect.signature(Presentation).parameters) == names
+    assert Presentation._fields == tuple(names)
+    fields = {name: getattr(pres, name) for name in names}
     warm = {"_minor_memo", "_peeled", "_chain"}
     assert not warm & vars(pres).keys()
     expected = [char_poly(pres, i) for i in range(5)]
+    assert {"_peeled", "_chain"} <= vars(pres).keys()
+    cold = Presentation(*fields.values())
+    assert cold == pres and hash(cold) == hash(pres) and repr(cold) == repr(pres)
+    assert {name: getattr(pres, name) for name in names} == fields
     calls = []
     multiply = LaurentPoly.__mul__
 

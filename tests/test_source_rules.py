@@ -10,6 +10,9 @@ so that a bug in the library is never reported as one.  The one catch-all is
 an internal error.  No ``functools.cache`` or ``lru_cache`` without a finite
 ``maxsize``: a long-lived library process would keep every value it ever
 cached.  The exceptions are zero-argument functions, which cache one value.
+No ``dataclasses`` import and no ``exec`` or ``eval`` call: records are plain
+classes, and generating their methods was a large share of every import (a
+subprocess test checks that importing the CLI loads no ``dataclasses``).
 Every function that ``perfbench/tracing.py`` wraps by name exists, so that
 deleting one cannot break a traced benchmark run.  No definition that only
 tests reach: every top-level ``def`` and ``class`` is named outside its own
@@ -21,6 +24,7 @@ reason.
 
 import ast
 import importlib
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -95,10 +99,42 @@ def unbounded_caches(path, tree) -> list:
     return found
 
 
+GENERATED_CODE = {"exec", "eval"}
+
+
+def generated_code(tree) -> list:
+    """The line of each ``dataclasses`` import and ``exec`` or ``eval`` call."""
+    found = []
+    for node in ast.walk(tree):
+        modules = []
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        if any(module.partition(".")[0] == "dataclasses" for module in modules) or (
+                isinstance(node, ast.Call) and name_of(node.func) in GENERATED_CODE):
+            found.append(node.lineno)
+    return found
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("import dataclasses", [1]),
+    ("from dataclasses import dataclass, field", [1]),
+    ("import json, dataclasses as dc", [1]),
+    ("exec('x = 1')", [1]),
+    ("value = eval(text, {})", [1]),
+    ("import builtins\nbuiltins.exec('pass')", [2]),
+    ("from .dataclasses import x\nimport json\nliteral_eval('1')", []),
+])
+def test_generated_code_is_seen(source, lines):
+    assert generated_code(ast.parse(source)) == lines
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_module_keeps_the_source_rules(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     found = [f"line {line}: unbounded cache" for line in unbounded_caches(path, tree)]
+    found += [f"line {line}: dataclasses, exec or eval" for line in generated_code(tree)]
     allowed = entry_wrapper_handlers(path, tree)
     for node in catch_all_handlers(tree):
         if node not in allowed:
@@ -116,6 +152,17 @@ def test_module_keeps_the_source_rules(path):
             if top != "alexinv" and top not in sys.stdlib_module_names:
                 found.append(f"line {node.lineno}: imports {name}")
     assert found == []
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # -S keeps the machine's site-packages and their .pth files out.
+    src = str(Path(alexinv.__file__).resolve().parent.parent)
+    script = (f"import sys; sys.path.insert(0, {src!r}); import alexinv.cli; "
+              "print('dataclasses' in sys.modules, alexinv.cli.__file__)")
+    done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                          text=True, timeout=60, check=True)
+    loaded, where = done.stdout.split()
+    assert loaded == "False" and where.startswith(src)
 
 
 def test_the_entry_wrapper_is_the_one_catch_all():
