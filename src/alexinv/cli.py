@@ -17,7 +17,6 @@ from itertools import product
 from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
 from operator import mul
-from pathlib import Path
 
 from . import alexander_modules as am
 from . import corpus
@@ -122,15 +121,20 @@ def _decode(decoder, data: bytes):
     return decoder(data)
 
 
-@functools.lru_cache(maxsize=64)
 def _path_name(path: str) -> str:
-    return str(Path(path))
+    """``str(pathlib.PurePosixPath(path))``: no empty or ``.`` part, and a
+    root of ``//`` kept as it is, of more slashes made ``/``; ``..`` stays."""
+    rest = path.lstrip("/")
+    slashes = len(path) - len(rest)
+    parts = [part for part in rest.split("/") if part and part != "."]
+    return ("//" if slashes == 2 else "/" if slashes else "") + "/".join(parts) or "."
 
 
 def _read_input(args, path: str, decoder):
     """The checked object in the file at ``path``, and a report whose digest
     is of the same bytes.  The name opened, and so every OSError's text, is
-    the one pathlib normalises: ``./x`` is ``x``, and ``""`` is ``.``."""
+    the one pathlib normalises (``_path_name``): ``./x`` is ``x``, and
+    ``""`` is ``.``."""
     with open(_path_name(path), "rb", buffering=0) as f:
         data = f.readall()
     report = Report(list(args._argv), "sha256:" + hashlib.sha256(data).hexdigest())
@@ -343,12 +347,51 @@ def _cmd_module(args) -> Report:
 # Argument parsing.
 
 
+def _commands(scenario_help: str | None = None) -> list:
+    """Each subcommand's name, help, function and arguments, as ``(flag,
+    options)`` pairs in the order ``add_argument`` takes them."""
+
+    def arg(flag, **options):
+        return flag, options
+
+    scenario = arg("scenario", help=scenario_help)
+    rationals = "comma-separated rationals"
+    beta = arg("--beta", required=True, help=rationals)
+    bound = arg("--bound", type=int, default=3, help="search box (default 3)")
+    level = "torsion level N"
+    commands = [
+        ("validate", "schema and algebra checks of a scenario", _cmd_validate,
+         scenario),
+        ("aomoto", "complex dimensions at explicit residues", _cmd_aomoto,
+         scenario, arg("--alpha", required=True, help=rationals)),
+        ("twisted", "twisted cohomology at residue classes", _cmd_twisted,
+         scenario, beta, bound),
+        ("admissible", "search for admissible residues", _cmd_admissible,
+         scenario, beta, bound),
+        ("charvar", "jumping-locus scan over torsion points", _cmd_charvar,
+         scenario,
+         arg("--level", type=int, required=True, help=level),
+         arg("--degree", type=int, required=True, help="cohomology degree k"),
+         bound),
+        ("milnor", "monodromy characteristic polynomial", _cmd_milnor,
+         scenario, arg("--m", type=int, required=True, help="cohomology degree"),
+         bound),
+        ("module", "invariants of a presented module", _cmd_module,
+         arg("--presentation", required=True, help="presentation JSON file"),
+         arg("--op", choices=("charpoly", "support", "fitting"), required=True),
+         arg("--i", type=int, default=0, help="ideal/variety index"),
+         arg("--level", type=int, default=None, help=level)),
+    ]
+    formats = arg("--format", choices=("text", "json"), default="text",
+                  help="report format (default: text)")
+    return [(name, help, func, (*arguments, formats))
+            for name, help, func, *arguments in commands]
+
+
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The argument parser, built by the first ``main`` call and reused, and
-    the table that ``_parse_exact`` reads, taken from the same actions: for
-    each subcommand its positionals' dests, its flags' actions by option
-    string, and the namespace's defaults."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, for the argvs that ``_parse_exact`` declines,
+    built by the first of them and reused."""
     parser = argparse.ArgumentParser(
         prog="alexinv",
         description=(
@@ -357,59 +400,40 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    table = {}
-
-    def arg(flag, **options):
-        return flag, options
-
-    def command(name, help, func, *arguments):
+    names = ", ".join(corpus.bundled_scenario_names())
+    for name, help, func, arguments in _commands(
+            f"scenario file path or bundled scenario name ({names})"):
         p = sub.add_parser(name, help=help)
-        actions = [p.add_argument(flag, **options) for flag, options in arguments]
-        actions.append(p.add_argument(
-            "--format",
-            choices=("text", "json"),
-            default="text",
-            help="report format (default: text)",
-        ))
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
         p.set_defaults(func=func)
-        table[name] = (
-            [a.dest for a in actions if not a.option_strings],
-            {flag: a for a in actions for flag in a.option_strings},
-            {"subcommand": name, "func": func, **{a.dest: a.default for a in actions}},
-        )
+    return parser
 
-    scenario = arg(
-        "scenario",
-        help="scenario file path or bundled scenario name "
-        f"({', '.join(corpus.bundled_scenario_names())})",
-    )
-    rationals = "comma-separated rationals"
-    beta = arg("--beta", required=True, help=rationals)
-    bound = arg("--bound", type=int, default=3, help="search box (default 3)")
-    level = "torsion level N"
 
-    command("validate", "schema and algebra checks of a scenario", _cmd_validate,
-            scenario)
-    command("aomoto", "complex dimensions at explicit residues", _cmd_aomoto,
-            scenario, arg("--alpha", required=True, help=rationals))
-    command("twisted", "twisted cohomology at residue classes", _cmd_twisted,
-            scenario, beta, bound)
-    command("admissible", "search for admissible residues", _cmd_admissible,
-            scenario, beta, bound)
-    command("charvar", "jumping-locus scan over torsion points", _cmd_charvar,
-            scenario,
-            arg("--level", type=int, required=True, help=level),
-            arg("--degree", type=int, required=True, help="cohomology degree k"),
-            bound)
-    command("milnor", "monodromy characteristic polynomial", _cmd_milnor,
-            scenario, arg("--m", type=int, required=True, help="cohomology degree"),
-            bound)
-    command("module", "invariants of a presented module", _cmd_module,
-            arg("--presentation", required=True, help="presentation JSON file"),
-            arg("--op", choices=("charpoly", "support", "fitting"), required=True),
-            arg("--i", type=int, default=0, help="ideal/variety index"),
-            arg("--level", type=int, default=None, help=level))
-    return parser, table
+def _exact_table(commands) -> dict:
+    """What ``_parse_exact`` reads of ``commands``: for each subcommand its
+    positionals' dests, each flag's ``(dest, type, choices)`` by option
+    string (None for a flag that is not a plain store of one value), the
+    namespace's defaults, and the dests of its required flags."""
+    table = {}
+    for name, _, func, arguments in commands:
+        positionals, flags, required = [], {}, set()
+        defaults = {"subcommand": name, "func": func}
+        for flag, options in arguments:
+            dest = flag.lstrip("-")
+            defaults[dest] = options.get("default")
+            if dest == flag:
+                positionals.append(dest)
+                continue
+            plain = options.keys() <= {"type", "choices", "default", "required", "help"}
+            flags[flag] = (dest, options.get("type"), options.get("choices")) if plain else None
+            if options.get("required"):
+                required.add(dest)
+        table[name] = (positionals, flags, defaults, required)
+    return table
+
+
+_EXACT = _exact_table(_commands())
 
 
 def _parse_exact(table: dict, argv: list):
@@ -418,12 +442,12 @@ def _parse_exact(table: dict, argv: list):
     each flag spelled out in full, given once and as ``--flag value`` (a
     value not starting with ``-``) or ``--flag=value``.  None for any other
     argv, which is left to argparse: its help, usage and errors included,
-    and any flag whose action is not argparse's plain store of one value
+    and any flag that ``table`` marks as not a plain store of one value
     (``append``, ``count``, ``store_true``, a store with ``nargs``)."""
     spec = table.get(argv[0]) if argv else None
     if spec is None:
         return None
-    positionals, flags, defaults = spec
+    positionals, flags, defaults, required = spec
     values, given, bare = dict(defaults), set(), []
     tokens = iter(argv[1:])
     for token in tokens:
@@ -431,25 +455,24 @@ def _parse_exact(table: dict, argv: list):
             bare.append(token)
             continue
         flag, eq, value = token.partition("=")
-        action = flags.get(flag)
-        if (type(action) is not argparse._StoreAction or action.nargs is not None
-                or action in given):
+        spec = flags.get(flag)
+        if spec is None or spec[0] in given:
             return None
+        dest, kind, choices = spec
         if not eq:
             value = next(tokens, None)
             if value is None or value.startswith("-"):
                 return None
-        given.add(action)
-        if action.type is not None:
+        given.add(dest)
+        if kind is not None:
             try:
-                value = action.type(value)
+                value = kind(value)
             except ValueError:
                 return None
-        if action.choices is not None and value not in action.choices:
+        if choices is not None and value not in choices:
             return None
-        values[action.dest] = value
-    if len(bare) != len(positionals) or any(
-            a.required and a not in given for a in flags.values()):
+        values[dest] = value
+    if len(bare) != len(positionals) or not required <= given:
         return None
     values.update(zip(positionals, bare))
     return argparse.Namespace(**values)
@@ -457,11 +480,10 @@ def _parse_exact(table: dict, argv: list):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, table = _build_parser()
-    args = _parse_exact(table, argv)
+    args = _parse_exact(_EXACT, argv)
     if args is None:
         try:
-            args = parser.parse_args(argv)
+            args = _build_parser().parse_args(argv)
         except SystemExit as exc:
             return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     args._argv = ["alexinv"] + argv

@@ -18,7 +18,6 @@ from functools import cached_property, partial
 from itertools import chain, compress, repeat
 from math import gcd as int_gcd, prod
 from operator import mul
-from pathlib import Path
 
 from . import laurent_ring
 from .aomoto_complex import (
@@ -207,8 +206,8 @@ def _charvar_indices(scenario: Scenario, level: int, degree: int, bound: int):
         )
     check_grid(level, scenario.nparams)
     nparams, size = scenario.nparams, level ** scenario.nparams
-    rows = [row.coeffs for row in scenario.residue_system.rows]
-    shifts = grid_shifts(rows, level, nparams, scenario.effective_bound(bound))
+    bound = scenario.effective_bound(bound)
+    shifts = grid_shifts(scenario.residue_system, level, nparams, bound)
     # L * alpha a coordinate column at a time: column j runs through each
     # numerator size // level ** (j + 1) times, level ** j times over.
     columns = [
@@ -398,9 +397,8 @@ def milnor_charpoly(scenario: Scenario, m: int, bound: int = 3) -> MonodromyPoly
     table = scenario.milnor_search
     search = table[0]
     if search is None or search[0] != bound:
-        rows = [row.coeffs for row in scenario.residue_system.rows]
         points = [(k,) * scenario.nparams for k in range(order)]
-        shifts = admissible_shifts(rows, points, order, bound)
+        shifts = admissible_shifts(scenario.residue_system, points, order, bound)
         # The first k without a representative stops the polynomial, but only
         # after every k before it: a nonzero square there is raised first.
         stop = shifts.index(None) if None in shifts else order
@@ -550,4 +548,5 @@ def scenario_from_json(data: bytes) -> Scenario:
 
 def load_scenario(path: str) -> Scenario:
     """Load and schema-check a scenario file, and validate its algebra."""
-    return scenario_from_json(Path(path).read_bytes())
+    with open(path, "rb") as f:
+        return scenario_from_json(f.read())

@@ -11,16 +11,20 @@ class vector ``beta`` among its integer shifts in a box, in a fixed order
 A search tries at most ``MAX_SHIFT_BOX`` shifts, and failure is absence, never
 a certificate of non-admissibility.  The search runs on integers, ``beta``
 over a common denominator, in one walk of the order for all blocking
-patterns: ``admissible_shifts`` takes any points one by one, and
-``grid_shifts`` a whole torsion grid, visiting for each row only the points
-where it can block and returning only the points that need a nonzero shift.
-``admissible_numerators`` searches one vector, as numerators over a common
-denominator, and ``admissible_search`` is its ``Fraction`` form.
+patterns that have a positive offset (every other one takes the zero shift):
+``admissible_shifts`` takes any points one by one, and ``grid_shifts`` a
+whole torsion grid, visiting for each row only the points where it can block
+and returning only the points that need a nonzero shift.  Given a
+``ResidueSystem`` rather than plain rows, both read and fill its memo of
+searched patterns, ``ResidueSystem.searched``.  ``admissible_numerators``
+searches one vector, as numerators over a common denominator, and
+``admissible_search`` is its ``Fraction`` form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, islice
 from operator import mul
 
@@ -50,6 +54,13 @@ class ResidueSystem(Record):
         _set(self, "nparams", nparams)
         _set(self, "rows", rows)
 
+    @cached_property
+    def searched(self) -> dict:
+        """The first shift, or None, of each blocking pattern searched on
+        these rows, by ``(bound, MAX_SHIFT_BOX, pattern)``: at most
+        ``MAX_SEARCH_MEMO`` entries, and emptied when full."""
+        return {}
+
 
 def residues(system: ResidueSystem, alpha) -> list[tuple[str, Fraction]]:
     """All residues, labeled, in row order."""
@@ -72,6 +83,10 @@ def is_admissible(system: ResidueSystem, alpha) -> bool:
 MAX_SHIFT_BOX = 100_000
 """Budget of one search: it tries at most this many shifts of
 :func:`shift_order`, and a pattern still blocked then certifies nothing."""
+
+MAX_SEARCH_MEMO = 4096
+"""Most patterns one ``ResidueSystem`` keeps the search of
+(``ResidueSystem.searched``; about 1.6 MB when full of six-parameter ones)."""
 
 
 def shift_vectors(nparams: int, bound: int) -> list[tuple[int, ...]]:
@@ -111,6 +126,8 @@ def admissible_shifts(rows, points, denominator: int, bound: int) -> list:
     """For each numerator vector ``n`` in ``points``: the first shift ``k`` in
     :func:`shift_order` that makes ``alpha = n / denominator + k`` admissible
     for the integer ``rows``, or None.  Every point has the same length.
+    ``rows`` may be a :class:`ResidueSystem`, whose memo the search then
+    reads and fills; plain rows are searched afresh.
 
     With ``L = denominator``, a row's residue at alpha is ``v / L`` with
     ``v = row.n + L * (row.k)``: a positive integer exactly when ``v > 0``
@@ -118,16 +135,17 @@ def admissible_shifts(rows, points, denominator: int, bound: int) -> list:
     ``row.n % L == 0`` can ever block, and such a row blocks k exactly when
     ``row.k + row.n // L > 0``.  So the answer depends only on the blocking
     pattern, the index and offset ``row.n // L`` of each row that can block,
-    and a point with no blocking row takes the zero shift, the first in the
-    order, at once.  One walk of the order serves every pattern of a call.
+    and a pattern with no positive offset takes the zero shift, the first in
+    the order, at once.  One walk of the order serves every pattern of a call.
     """
     if not points:
         return []
+    rows, memo = _rows(rows)
     nparams = len(points[0])
     patterns = [_blocking(rows, n, denominator) for n in points]
-    found = _search(rows, nparams, bound, filter(None, patterns))
-    found[()] = (0,) * nparams  # no row blocks
-    return list(map(found.__getitem__, patterns))
+    found = _search(rows, nparams, bound, _blocked(patterns), memo)
+    zero = (0,) * nparams
+    return [found.get(pattern, zero) for pattern in patterns]
 
 
 def grid_shifts(rows, level: int, nparams: int, bound: int) -> dict:
@@ -139,6 +157,7 @@ def grid_shifts(rows, level: int, nparams: int, bound: int) -> dict:
     its head terms and ``x`` the last coordinate, is a multiple of
     ``level``: each ``h`` looks up its ``x`` by ``h % level``.
     """
+    rows, memo = _rows(rows)
     patterns = {}  # grid index -> its (row index, offset) pairs, in row order
     for r, (*head, c) in enumerate(rows):
         sums = [0]
@@ -151,16 +170,39 @@ def grid_shifts(rows, level: int, nparams: int, bound: int) -> dict:
             for x in solutions[h % level]:
                 index = j * level + x
                 patterns[index] = patterns.get(index, ()) + ((r, (h + c * x) // level),)
-    found, zero = _search(rows, nparams, bound, patterns.values()), (0,) * nparams
-    return {index: found[key] for index, key in patterns.items() if found[key] != zero}
+    found = _search(rows, nparams, bound, _blocked(patterns.values()), memo)
+    return {index: found[key] for index, key in patterns.items() if key in found}
 
 
-def _search(rows, nparams: int, bound: int, patterns) -> dict:
-    """Each distinct ``(row index, offset)`` pattern: its first unblocked shift
-    in one walk of :func:`shift_order`, or None after ``MAX_SHIFT_BOX``."""
-    found = dict.fromkeys(patterns)
-    pending = [(pattern, [(rows[r], offset) for r, offset in pattern]) for pattern in found]
-    for shift in islice(shift_order(nparams, bound), MAX_SHIFT_BOX):
+def _rows(rows) -> tuple:
+    """Plain rows and a memo of their own, or a system's rows and its memo."""
+    if isinstance(rows, ResidueSystem):
+        return [row.coeffs for row in rows.rows], rows.searched
+    return rows, {}
+
+
+def _blocked(patterns) -> list:
+    """The distinct patterns that block the zero shift: those with a
+    positive offset.  Every other one takes the zero shift."""
+    return [p for p in dict.fromkeys(patterns) if any(offset > 0 for _, offset in p)]
+
+
+def _search(rows, nparams: int, bound: int, patterns, memo: dict) -> dict:
+    """Each of the distinct ``(row index, offset)`` patterns, all blocking the
+    zero shift: its first unblocked shift in one walk of :func:`shift_order`,
+    or None after ``MAX_SHIFT_BOX``.  ``memo`` answers the patterns it holds
+    at this bound and budget, and keeps the others' answers."""
+    order, budget = shift_order(nparams, bound), MAX_SHIFT_BOX
+    found, pending, missing = {}, [], object()
+    for pattern in patterns:
+        # One read, not two: another thread may empty the memo between them.
+        shift = memo.get((bound, budget, pattern), missing)
+        if shift is missing:
+            shift = None
+            pending.append((pattern, [(rows[r], offset) for r, offset in pattern]))
+        found[pattern] = shift
+    new = [item[0] for item in pending]
+    for shift in islice(order, 1, budget) if pending else ():
         blocked = []
         for item in pending:
             for row, offset in item[1]:
@@ -172,6 +214,10 @@ def _search(rows, nparams: int, bound: int, patterns) -> dict:
         pending = blocked
         if not pending:
             break
+    for pattern in new:
+        if len(memo) >= MAX_SEARCH_MEMO:
+            memo.clear()
+        memo[bound, budget, pattern] = found[pattern]
     return found
 
 
@@ -188,8 +234,7 @@ def admissible_numerators(system: ResidueSystem, numerators, denominator: int, b
     shift order, or None.  Absence does not certify non-admissibility."""
     if len(numerators) != system.nparams:
         raise DimensionError(f"beta has length {len(numerators)}, expected {system.nparams}")
-    rows = [row.coeffs for row in system.rows]
-    shift = admissible_shifts(rows, (numerators,), denominator, bound)[0]
+    shift = admissible_shifts(system, (numerators,), denominator, bound)[0]
     return None if shift is None else [n + denominator * k for n, k in zip(numerators, shift)]
 
 

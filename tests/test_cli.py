@@ -13,10 +13,10 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import alexinv
@@ -552,6 +552,30 @@ def test_negative_bound_is_refused_where_no_row_blocks(capsys, argv):
     assert "search bound must be >= 0" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("charvar", "example_4_1", "--level", "12", "--degree", "1"),
+    ("twisted", "example_4_1", "--beta", "1/5,1/5,1/5"),
+    ("admissible", "example_4_2", "--beta", "1/2,1/2,0"),
+    ("milnor", "example_4_1", "--m", "1"),
+])
+def test_negative_bound_is_refused_after_the_memo_holds_every_pattern(
+        capsys, monkeypatch, argv):
+    # Rows block here, so the first call walks the shift order. After it,
+    # the scenario's memo (for milnor, its Milnor table) answers every
+    # pattern of the next call, which walks no shift. The bound is still
+    # checked before the memo is read.
+    walked = []
+    order = rs.shift_order
+    monkeypatch.setattr(rs, "shift_order", lambda *args: map(
+        lambda shift: walked.append(shift) or shift, order(*args)))
+    assert run_cli(capsys, *argv)[0] == 0 and walked
+    walked.clear()
+    assert run_cli(capsys, *argv)[0] == 0 and walked == []
+    code, out, err = run_cli(capsys, *argv, "--bound=-1")
+    assert (code, out) == (1, "")
+    assert "search bound must be >= 0" in err
+
+
 def test_milnor_command(capsys):
     code, out, _ = run_cli(capsys, "milnor", "example_4_1", "--m", "1")
     assert code == 0
@@ -929,7 +953,10 @@ def test_reused_parser_matches_fresh_parsers(capsys, bivariate_presentation):
         ["charvar", "example_4_1", "--level", "3", "--degree", "1"],
     ]
     cli._build_parser.cache_clear()
-    reused = [run_cli(capsys, *argv) for argv in calls]
+    # The exact parse reads the first four, and builds no parser for them.
+    reused = [run_cli(capsys, *argv) for argv in calls[:4]]
+    assert cli._build_parser.cache_info().misses == 0
+    reused += [run_cli(capsys, *argv) for argv in calls[4:]]
     assert cli._build_parser.cache_info().misses == 1
     fresh = []
     for argv in calls:
@@ -958,18 +985,18 @@ def argvs(draw):
     flags, each with a value that mostly fits it, as ``--flag value`` or
     ``--flag=value``; sometimes a few stray tokens (any flag, an odd one, a
     value); all shuffled."""
-    _, table = cli._build_parser()
+    table = cli._EXACT
     name = draw(st.sampled_from([*table, "no-such-command"]))
-    positionals, flags, _ = table.get(name, table["milnor"])
+    positionals, flags, _, _ = table.get(name, table["milnor"])
     value = st.sampled_from(ARGV_VALUES)
     count = draw(st.sampled_from([len(positionals)] * 4 + [0, len(positionals) + 1]))
     items = [(draw(value),) for _ in range(count)]
-    for flag, action in flags.items():
+    for flag, (_, kind, choices) in flags.items():
         if draw(st.integers(0, 3)):
-            fits = INT_VALUES if action.type is int else action.choices or ARGV_VALUES
+            fits = INT_VALUES if kind is int else choices or ARGV_VALUES
             pair = (flag, draw(st.sampled_from(fits) if draw(st.integers(0, 3)) else value))
             items.append(draw(st.sampled_from((pair, ("=".join(pair),)))))
-    every = sorted({flag for _, flags, _ in table.values() for flag in flags})
+    every = sorted({flag for _, flags, _, _ in table.values() for flag in flags})
     flag = st.sampled_from(every + list(ODD_FLAGS))
     if not draw(st.integers(0, 2)):
         items += draw(st.lists(st.one_of(
@@ -984,7 +1011,7 @@ def argvs(draw):
 @settings(max_examples=1000, deadline=None, database=None)
 @given(argvs())
 def test_the_exact_parse_gives_argparses_namespace(argv):
-    parser, table = cli._build_parser()
+    parser, table = cli._build_parser(), cli._EXACT
     exact = cli._parse_exact(table, argv)
     if exact is not None:
         try:
@@ -994,20 +1021,43 @@ def test_the_exact_parse_gives_argparses_namespace(argv):
         assert parsed == exact
 
 
+def test_the_exact_table_agrees_with_the_argparse_tree():
+    # Both are built from _commands: for every subcommand, the positionals in
+    # order, and each flag's dest, type, choices, default and required; every
+    # flag is a plain store of one value, so none is marked None.
+    parser = cli._build_parser()
+    (subcommands,) = [a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+    assert list(cli._EXACT) == list(subcommands.choices)
+    for name, sub in subcommands.choices.items():
+        positionals, flags, defaults, required = cli._EXACT[name]
+        actions = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
+        assert positionals == [a.dest for a in actions if not a.option_strings]
+        assert all(a.required for a in actions if not a.option_strings)
+        assert flags == {flag: (a.dest, a.type, a.choices)
+                         for a in actions for flag in a.option_strings}
+        assert all(type(a) is argparse._StoreAction and a.nargs is None
+                   for a in actions if a.option_strings)
+        assert defaults == {"subcommand": name, "func": sub.get_default("func"),
+                            **{a.dest: a.default for a in actions}}
+        assert required == {a.dest for a in actions if a.option_strings and a.required}
+
+
 def test_the_exact_parse_leaves_flags_without_one_value_to_argparse(capsys):
-    # A hand-built table in the layout of _build_parser's, with a store_true
-    # flag, which takes no value (nargs 0); argparse refuses "--stats=1" and
-    # reads "x" after "--stats" as a stray positional.
+    # A hand-built table in the layout of _exact_table's, with a store_true
+    # flag, which takes no value (nargs 0) and so is marked None; argparse
+    # refuses "--stats=1" and reads "x" after "--stats" as a stray positional.
     parser = argparse.ArgumentParser(prog="alexinv")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     scan = sub.add_parser("scan")
-    actions = [scan.add_argument("scenario"),
-               scan.add_argument("--level", type=int, default=3),
-               scan.add_argument("--stats", action="store_true")]
+    scan.add_argument("scenario")
+    scan.add_argument("--level", type=int, default=3)
+    scan.add_argument("--stats", action="store_true")
     table = {"scan": (
         ["scenario"],
-        {flag: a for a in actions for flag in a.option_strings},
-        {"subcommand": "scan", **{a.dest: a.default for a in actions}},
+        {"--level": ("level", int, None), "--stats": None},
+        {"subcommand": "scan", "scenario": None, "level": 3, "stats": False},
+        set(),
     )}
     argv = ["scan", "torus", "--level", "4"]
     assert cli._parse_exact(table, argv) == parser.parse_args(argv)
@@ -1018,6 +1068,10 @@ def test_the_exact_parse_leaves_flags_without_one_value_to_argparse(capsys):
         assert caught.value.code == 2
     assert cli._parse_exact(table, ["scan", "torus", "--stats"]) is None
     assert "error:" in capsys.readouterr().err
+    declared = cli._exact_table([("scan", "", None, (
+        ("scenario", {}), ("--level", {"type": int, "default": 3}),
+        ("--stats", {"action": "store_true"})))])
+    assert declared["scan"][1] == table["scan"][1]
 
 
 @pytest.mark.parametrize("options", [
@@ -1028,21 +1082,27 @@ def test_the_exact_parse_leaves_flags_without_one_value_to_argparse(capsys):
     {"action": "extend", "nargs": "+"},
 ])
 def test_the_exact_parse_leaves_every_other_action_to_argparse(options):
-    # A hand-built table in the layout of _build_parser's, with one "--tag"
-    # flag that is not a plain store: "--tag a" as argparse reads it would
-    # give ["a"] (append), 1 (count) or a stray positional, never "a".
+    # A hand-built table in the layout of _exact_table's, with one "--tag"
+    # flag that is not a plain store, so marked None: "--tag a" as argparse
+    # reads it would give ["a"] (append), 1 (count) or a stray positional,
+    # never "a".
     parser = argparse.ArgumentParser(prog="alexinv")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     scan = sub.add_parser("scan")
-    actions = [scan.add_argument("scenario"), scan.add_argument("--tag", **options)]
+    scan.add_argument("scenario")
+    scan.add_argument("--tag", **options)
     table = {"scan": (
         ["scenario"],
-        {flag: a for a in actions for flag in a.option_strings},
-        {"subcommand": "scan", **{a.dest: a.default for a in actions}},
+        {"--tag": None},
+        {"subcommand": "scan", "scenario": None, "tag": None},
+        set(),
     )}
     assert cli._parse_exact(table, ["scan", "x"]) == parser.parse_args(["scan", "x"])
     assert cli._parse_exact(table, ["scan", "x", "--tag", "a"]) is None
     assert cli._parse_exact(table, ["scan", "x", "--tag=a"]) is None
+    # _exact_table marks such a flag None from its declaration.
+    declared = cli._exact_table([("scan", "", None, (("scenario", {}), ("--tag", options)))])
+    assert declared["scan"][1] == {"--tag": None}
 
 
 @pytest.mark.parametrize("argv, exact", [
@@ -1064,8 +1124,7 @@ def test_main_prints_what_argparse_alone_prints(
     capsys, monkeypatch, bivariate_presentation, argv, exact
 ):
     argv = [bivariate_presentation if token == "PRES" else token for token in argv]
-    _, table = cli._build_parser()
-    assert (cli._parse_exact(table, argv) is not None) == exact
+    assert (cli._parse_exact(cli._EXACT, argv) is not None) == exact
     ours = run_cli(capsys, *argv)
     monkeypatch.setattr(cli, "_parse_exact", lambda table, argv: None)
     assert run_cli(capsys, *argv) == ours
@@ -1236,6 +1295,15 @@ def test_read_errors_name_the_path_as_pathlib_normalises_it(
     monkeypatch.chdir(tmp_path)
     (tmp_path / "sub").mkdir()
     assert run_cli(capsys, *argv) == (1, "", err)
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(st.text(alphabet="/.a", max_size=12))
+@example("")
+@example("//a/./b//")
+@example("///..")
+def test_path_names_are_what_pathlib_prints(path):
+    assert cli._path_name(path) == str(PurePosixPath(path))
 
 
 def test_presentation_nvars_cap(tmp_path, capsys, monkeypatch):

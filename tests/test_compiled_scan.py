@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations
 from math import gcd, lcm, prod
+from operator import mul
 from unittest.mock import patch
 
 import pytest
@@ -268,9 +269,9 @@ def test_each_blocking_pattern_is_settled_in_one_walk_per_call(monkeypatch):
         walks.append(walk)
         return map(lambda shift: walk.append(shift) or shift, shift_order(nparams, bound))
 
-    def recording(rows, nparams, bound, patterns):
-        found = search(rows, nparams, bound, patterns)
-        settled.append(dict(found))  # before admissible_shifts adds ()
+    def recording(rows, nparams, bound, patterns, memo):
+        found = search(rows, nparams, bound, patterns, memo)
+        settled.append(dict(found))
         return found
 
     monkeypatch.setattr(residue_systems, "shift_order", walked)
@@ -279,16 +280,22 @@ def test_each_blocking_pattern_is_settled_in_one_walk_per_call(monkeypatch):
     rows = [row.coeffs for row in system.rows]
     points = [p.numerators for p in torsion_grid(12, 3)]
     shifts = expand(grid_shifts(rows, 12, 3, 3), 12, 3)
-    blocked = [
-        n for n in points
-        if any(sum(r * x for r, x in zip(row, n)) % 12 == 0 for row in rows)
-    ]
-    # One walk settles every distinct pattern, and stops at the last one.
+    patterns = {
+        tuple((r, v // 12) for r, v in enumerate(sum(map(mul, row, n)) for row in rows)
+              if v % 12 == 0)
+        for n in points}
+    blocked = [n for n in points if any(sum(map(mul, row, n)) % 12 == 0 for row in rows)]
+    # Only the patterns with a positive offset are searched: the zero shift
+    # settles every other one, and some are skipped.
+    positive = {p for p in patterns if any(offset > 0 for _, offset in p)}
+    assert len(positive) < len(patterns - {()}) < len(blocked) < len(points)
+    # One walk settles every searched pattern, and stops at the last one.
     (walk,), (in_grid,) = walks, settled
-    assert len(in_grid) < len(blocked) < len(points)
+    assert set(in_grid) == positive
     assert walk == box[:len(walk)] and None not in in_grid.values()
-    assert walk[-1] in in_grid.values()
-    # Point by point, one call settles the same patterns in one walk.
+    assert walk[-1] in in_grid.values() and box[0] not in in_grid.values()
+    # Point by point, one call settles the same patterns in one walk, and
+    # skips the same ones.
     walks.clear()
     settled.clear()
     assert admissible_shifts(rows, points, 12, 3) == shifts
@@ -370,6 +377,56 @@ def test_grid_search_agrees_with_the_point_search_and_the_reference(problem):
     assert_grid_matches(*problem)
 
 
+@settings(max_examples=100, deadline=None, database=None)
+@given(grid_problems(), st.data())
+def test_one_system_searched_at_two_levels_and_bounds_agrees_with_the_reference(
+        problem, data):
+    # The memo of one ResidueSystem serves every level and keeps each bound
+    # apart: the second search, and the first one again, read what the
+    # earlier ones left, and must still give the reference at every point.
+    rows, level, nparams, bound = problem
+    other_bound = data.draw(st.integers(0, 3))
+    top = max(1, min(13, int((GRID_WORK ** (1 / nparams)) / (2 * other_bound + 1))))
+    other_level = data.draw(st.integers(1, top))
+    system = ResidueSystem(
+        nparams,
+        tuple(ResidueRow(f"r{i}", tuple(row), False) for i, row in enumerate(rows)),
+    )
+    for level, bound in ((level, bound), (other_level, other_bound), (level, bound)):
+        shifts = expand(grid_shifts(system, level, nparams, bound), level, nparams)
+        assert shifts == expand(grid_shifts(rows, level, nparams, bound), level, nparams)
+        for point, shift in zip(torsion_grid(level, nparams), shifts):
+            got = None if shift is None else tuple(b + k for b, k in zip(point.beta, shift))
+            assert got == reference_representative(system, point.beta, bound)
+    budget = residue_systems.MAX_SHIFT_BOX
+    assert {key[:2] for key in system.searched} <= {(bound, budget), (other_bound, budget)}
+
+
+def test_a_full_search_memo_is_emptied_and_changes_no_answer(monkeypatch):
+    # With room for five patterns, scans at several levels and bounds empty
+    # the memo again and again; every answer equals a fresh search's, and
+    # the memo never holds more than five.
+    monkeypatch.setattr(residue_systems, "MAX_SEARCH_MEMO", 5)
+    system = load_bundled_scenario("example_4_1").residue_system
+    rows = [row.coeffs for row in system.rows]
+    sizes = []
+    for level, bound in ((12, 3), (6, 2), (12, 3), (10, 4), (12, 3)):
+        assert grid_shifts(system, level, 3, bound) == grid_shifts(rows, level, 3, bound)
+        points = [(k,) * 3 for k in range(level)]
+        assert (admissible_shifts(system, points, level, bound)
+                == admissible_shifts(rows, points, level, bound))
+        sizes.append(len(system.searched))
+    assert max(sizes) <= 5 and len(set(sizes)) > 1
+    # With room for all, a repeated scan walks no shift at all.
+    monkeypatch.setattr(residue_systems, "MAX_SEARCH_MEMO", 4096)
+    expected = grid_shifts(system, 12, 3, 3)
+    walked = []
+    order = residue_systems.shift_order
+    monkeypatch.setattr(residue_systems, "shift_order", lambda *args: map(
+        lambda shift: walked.append(shift) or shift, order(*args)))
+    assert grid_shifts(system, 12, 3, 3) == expected and walked == []
+
+
 def test_a_huge_coefficient_is_searched_without_a_table():
     # The search visits only the points where a row's value is a multiple
     # of the level, however large its coefficients, so it stays quick.
@@ -380,11 +437,12 @@ def test_a_huge_coefficient_is_searched_without_a_table():
     points = [p.numerators for p in torsion_grid(12, 3)]
     assert shifts == admissible_shifts(rows, points, 12, 3)
     # Nor does its memory follow the span of a row's values: (level - 1)
-    # times sum(|c|), here at and around the scan cap and far past it.
+    # times sum(|c|), here at and around the scan cap and far past it. Each
+    # span leaves a point with a positive offset, so each call searches.
     cap = laurent_ring.MAX_SCAN_POINTS
     peaks = []
     for span in (cap - 1, cap, 10**15):
-        rows = [[span, 0], [-1, 1]]
+        rows = [[span, 1], [-1, 1]]
         tracemalloc.start()
         try:
             shifts = grid_shifts(rows, 2, 2, 1)

@@ -158,11 +158,12 @@ def test_importing_the_cli_loads_no_dataclasses():
     # -S keeps the machine's site-packages and their .pth files out.
     src = str(Path(alexinv.__file__).resolve().parent.parent)
     script = (f"import sys; sys.path.insert(0, {src!r}); import alexinv.cli; "
-              "print('dataclasses' in sys.modules, alexinv.cli.__file__)")
+              "print('dataclasses' in sys.modules, 'pathlib' in sys.modules, "
+              "alexinv.cli.__file__)")
     done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
                           text=True, timeout=60, check=True)
-    loaded, where = done.stdout.split()
-    assert loaded == "False" and where.startswith(src)
+    dataclasses, pathlib, where = done.stdout.split()
+    assert (dataclasses, pathlib) == ("False", "False") and where.startswith(src)
 
 
 def test_the_entry_wrapper_is_the_one_catch_all():
