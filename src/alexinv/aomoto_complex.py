@@ -339,10 +339,14 @@ class IntegerDifferential:
         for p in range(algebra.top_degree - 1):
             outer, inner = self.tensors[p + 1], self.tensors[p]
             for out_row, col in product(outer, range(algebra.dim(p))):
+                # Only an m where both factors are nonzero adds to the entry.
+                factors = [(x, inner[m][col]) for m, x in enumerate(out_row)
+                           if any(x) and any(inner[m][col])]
+                if not factors:
+                    continue
                 # pair[i][j]: this entry of N_{p+1,i} N_{p,j}.
                 pair = [
-                    [sum(x[i] * inner[m][col][j] for m, x in enumerate(out_row))
-                     for j in range(nparams)]
+                    [sum(x[i] * y[j] for x, y in factors) for j in range(nparams)]
                     for i in range(nparams)
                 ]
                 terms = [

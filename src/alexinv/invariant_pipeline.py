@@ -207,7 +207,8 @@ def _charvar_indices(scenario: Scenario, level: int, degree: int, bound: int):
     check_grid(level, scenario.nparams)
     nparams, size = scenario.nparams, level ** scenario.nparams
     bound = scenario.effective_bound(bound)
-    shifts = grid_shifts(scenario.residue_system, level, nparams, bound)
+    rows = [row.coeffs for row in scenario.residue_system.rows]
+    shifts = grid_shifts(rows, level, nparams, bound)
     # L * alpha a coordinate column at a time: column j runs through each
     # numerator size // level ** (j + 1) times, level ** j times over.
     columns = [
@@ -398,7 +399,8 @@ def milnor_charpoly(scenario: Scenario, m: int, bound: int = 3) -> MonodromyPoly
     search = table[0]
     if search is None or search[0] != bound:
         points = [(k,) * scenario.nparams for k in range(order)]
-        shifts = admissible_shifts(scenario.residue_system, points, order, bound)
+        rows = [row.coeffs for row in scenario.residue_system.rows]
+        shifts = admissible_shifts(rows, points, order, bound)
         # The first k without a representative stops the polynomial, but only
         # after every k before it: a nonzero square there is raised first.
         stop = shifts.index(None) if None in shifts else order

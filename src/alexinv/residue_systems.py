@@ -11,20 +11,18 @@ class vector ``beta`` among its integer shifts in a box, in a fixed order
 A search tries at most ``MAX_SHIFT_BOX`` shifts, and failure is absence, never
 a certificate of non-admissibility.  The search runs on integers, ``beta``
 over a common denominator, in one walk of the order for all blocking
-patterns that have a positive offset (every other one takes the zero shift):
-``admissible_shifts`` takes any points one by one, and ``grid_shifts`` a
-whole torsion grid, visiting for each row only the points where it can block
-and returning only the points that need a nonzero shift.  Given a
-``ResidueSystem`` rather than plain rows, both read and fill its memo of
-searched patterns, ``ResidueSystem.searched``.  ``admissible_numerators``
-searches one vector, as numerators over a common denominator, and
-``admissible_search`` is its ``Fraction`` form.
+patterns that have a positive offset (every other one takes the zero shift),
+and keeps nothing between calls: ``admissible_shifts`` takes any points one
+by one, and ``grid_shifts`` a whole torsion grid, visiting for each row only
+the points where it can block and building a pattern only at the points
+that need a nonzero shift.  ``admissible_numerators`` searches one vector,
+as numerators over a common denominator, and ``admissible_search`` is its
+``Fraction`` form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, islice
 from operator import mul
 
@@ -54,13 +52,6 @@ class ResidueSystem(Record):
         _set(self, "nparams", nparams)
         _set(self, "rows", rows)
 
-    @cached_property
-    def searched(self) -> dict:
-        """The first shift, or None, of each blocking pattern searched on
-        these rows, by ``(bound, MAX_SHIFT_BOX, pattern)``: at most
-        ``MAX_SEARCH_MEMO`` entries, and emptied when full."""
-        return {}
-
 
 def residues(system: ResidueSystem, alpha) -> list[tuple[str, Fraction]]:
     """All residues, labeled, in row order."""
@@ -83,10 +74,6 @@ def is_admissible(system: ResidueSystem, alpha) -> bool:
 MAX_SHIFT_BOX = 100_000
 """Budget of one search: it tries at most this many shifts of
 :func:`shift_order`, and a pattern still blocked then certifies nothing."""
-
-MAX_SEARCH_MEMO = 4096
-"""Most patterns one ``ResidueSystem`` keeps the search of
-(``ResidueSystem.searched``; about 1.6 MB when full of six-parameter ones)."""
 
 
 def shift_vectors(nparams: int, bound: int) -> list[tuple[int, ...]]:
@@ -126,8 +113,6 @@ def admissible_shifts(rows, points, denominator: int, bound: int) -> list:
     """For each numerator vector ``n`` in ``points``: the first shift ``k`` in
     :func:`shift_order` that makes ``alpha = n / denominator + k`` admissible
     for the integer ``rows``, or None.  Every point has the same length.
-    ``rows`` may be a :class:`ResidueSystem`, whose memo the search then
-    reads and fills; plain rows are searched afresh.
 
     With ``L = denominator``, a row's residue at alpha is ``v / L`` with
     ``v = row.n + L * (row.k)``: a positive integer exactly when ``v > 0``
@@ -140,10 +125,10 @@ def admissible_shifts(rows, points, denominator: int, bound: int) -> list:
     """
     if not points:
         return []
-    rows, memo = _rows(rows)
     nparams = len(points[0])
     patterns = [_blocking(rows, n, denominator) for n in points]
-    found = _search(rows, nparams, bound, _blocked(patterns), memo)
+    found = _search(rows, nparams, bound, (
+        p for p in patterns if any(offset > 0 for _, offset in p)))
     zero = (0,) * nparams
     return [found.get(pattern, zero) for pattern in patterns]
 
@@ -155,54 +140,39 @@ def grid_shifts(rows, level: int, nparams: int, bound: int) -> dict:
 
     A row blocks only where its value ``h + c * x``, for ``h`` the sum of
     its head terms and ``x`` the last coordinate, is a multiple of
-    ``level``: each ``h`` looks up its ``x`` by ``h % level``.
+    ``level``: each ``h`` looks up its ``x`` by ``h % level``.  A point
+    needs a shift exactly when some row there has a positive offset, and
+    only those points get a pattern.
     """
-    rows, memo = _rows(rows)
-    patterns = {}  # grid index -> its (row index, offset) pairs, in row order
-    for r, (*head, c) in enumerate(rows):
+    blocking = []  # each row's (grid index, offset) pairs where it can block
+    for *head, c in rows:
         sums = [0]
         for a in head:
             sums = [h + a * x for h in sums for x in range(level)]
         solutions = [[] for _ in range(level)]
         for x in range(level):
             solutions[-c * x % level].append(x)
-        for j, h in enumerate(sums):
-            for x in solutions[h % level]:
-                index = j * level + x
-                patterns[index] = patterns.get(index, ()) + ((r, (h + c * x) // level),)
-    found = _search(rows, nparams, bound, _blocked(patterns.values()), memo)
-    return {index: found[key] for index, key in patterns.items() if key in found}
+        blocking.append([(j * level + x, (h + c * x) // level)
+                         for j, h in enumerate(sums) for x in solutions[h % level]])
+    patterns = {  # each moved point's (row index, offset) pairs, in row order
+        index: () for pairs in blocking for index, offset in pairs if offset > 0}
+    for r, pairs in enumerate(blocking):
+        for index, offset in pairs:
+            if index in patterns:
+                patterns[index] += ((r, offset),)
+    found = _search(rows, nparams, bound, patterns.values())
+    return {index: found[key] for index, key in patterns.items()}
 
 
-def _rows(rows) -> tuple:
-    """Plain rows and a memo of their own, or a system's rows and its memo."""
-    if isinstance(rows, ResidueSystem):
-        return [row.coeffs for row in rows.rows], rows.searched
-    return rows, {}
-
-
-def _blocked(patterns) -> list:
-    """The distinct patterns that block the zero shift: those with a
-    positive offset.  Every other one takes the zero shift."""
-    return [p for p in dict.fromkeys(patterns) if any(offset > 0 for _, offset in p)]
-
-
-def _search(rows, nparams: int, bound: int, patterns, memo: dict) -> dict:
-    """Each of the distinct ``(row index, offset)`` patterns, all blocking the
-    zero shift: its first unblocked shift in one walk of :func:`shift_order`,
-    or None after ``MAX_SHIFT_BOX``.  ``memo`` answers the patterns it holds
-    at this bound and budget, and keeps the others' answers."""
-    order, budget = shift_order(nparams, bound), MAX_SHIFT_BOX
-    found, pending, missing = {}, [], object()
-    for pattern in patterns:
-        # One read, not two: another thread may empty the memo between them.
-        shift = memo.get((bound, budget, pattern), missing)
-        if shift is missing:
-            shift = None
-            pending.append((pattern, [(rows[r], offset) for r, offset in pattern]))
-        found[pattern] = shift
-    new = [item[0] for item in pending]
-    for shift in islice(order, 1, budget) if pending else ():
+def _search(rows, nparams: int, bound: int, patterns) -> dict:
+    """Each distinct ``(row index, offset)`` pattern, all blocking the zero
+    shift: its first unblocked shift in one walk of :func:`shift_order`, or
+    None after ``MAX_SHIFT_BOX``.  The bound is checked even when no pattern
+    is given."""
+    order = shift_order(nparams, bound)
+    found = dict.fromkeys(patterns)
+    pending = [(pattern, [(rows[r], offset) for r, offset in pattern]) for pattern in found]
+    for shift in islice(order, 1, MAX_SHIFT_BOX) if pending else ():
         blocked = []
         for item in pending:
             for row, offset in item[1]:
@@ -214,10 +184,6 @@ def _search(rows, nparams: int, bound: int, patterns, memo: dict) -> dict:
         pending = blocked
         if not pending:
             break
-    for pattern in new:
-        if len(memo) >= MAX_SEARCH_MEMO:
-            memo.clear()
-        memo[bound, budget, pattern] = found[pattern]
     return found
 
 
@@ -234,7 +200,8 @@ def admissible_numerators(system: ResidueSystem, numerators, denominator: int, b
     shift order, or None.  Absence does not certify non-admissibility."""
     if len(numerators) != system.nparams:
         raise DimensionError(f"beta has length {len(numerators)}, expected {system.nparams}")
-    shift = admissible_shifts(system, (numerators,), denominator, bound)[0]
+    rows = [row.coeffs for row in system.rows]
+    shift = admissible_shifts(rows, (numerators,), denominator, bound)[0]
     return None if shift is None else [n + denominator * k for n, k in zip(numerators, shift)]
 
 

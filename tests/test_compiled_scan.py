@@ -14,7 +14,7 @@ from collections import Counter
 from contextlib import ExitStack
 from fractions import Fraction
 from functools import cache
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from math import gcd, lcm, prod
 from operator import mul
 from unittest.mock import patch
@@ -269,8 +269,8 @@ def test_each_blocking_pattern_is_settled_in_one_walk_per_call(monkeypatch):
         walks.append(walk)
         return map(lambda shift: walk.append(shift) or shift, shift_order(nparams, bound))
 
-    def recording(rows, nparams, bound, patterns, memo):
-        found = search(rows, nparams, bound, patterns, memo)
+    def recording(rows, nparams, bound, patterns):
+        found = search(rows, nparams, bound, patterns)
         settled.append(dict(found))
         return found
 
@@ -279,7 +279,8 @@ def test_each_blocking_pattern_is_settled_in_one_walk_per_call(monkeypatch):
     system = load_bundled_scenario("example_4_1").residue_system
     rows = [row.coeffs for row in system.rows]
     points = [p.numerators for p in torsion_grid(12, 3)]
-    shifts = expand(grid_shifts(rows, 12, 3, 3), 12, 3)
+    grid = grid_shifts(rows, 12, 3, 3)
+    shifts = expand(grid, 12, 3)
     patterns = {
         tuple((r, v // 12) for r, v in enumerate(sum(map(mul, row, n)) for row in rows)
               if v % 12 == 0)
@@ -289,6 +290,10 @@ def test_each_blocking_pattern_is_settled_in_one_walk_per_call(monkeypatch):
     # settles every other one, and some are skipped.
     positive = {p for p in patterns if any(offset > 0 for _, offset in p)}
     assert len(positive) < len(patterns - {()}) < len(blocked) < len(points)
+    # The grid search returns exactly the points with a positive offset.
+    moved = {index for index, n in enumerate(points)
+             if any(v % 12 == 0 and v > 0 for v in (sum(map(mul, row, n)) for row in rows))}
+    assert set(grid) == moved and len(moved) == 275
     # One walk settles every searched pattern, and stops at the last one.
     (walk,), (in_grid,) = walks, settled
     assert set(in_grid) == positive
@@ -375,56 +380,6 @@ def assert_grid_matches(rows, level, nparams, bound):
 @example(([[0, 0, 0]], 2, 3, 2))
 def test_grid_search_agrees_with_the_point_search_and_the_reference(problem):
     assert_grid_matches(*problem)
-
-
-@settings(max_examples=100, deadline=None, database=None)
-@given(grid_problems(), st.data())
-def test_one_system_searched_at_two_levels_and_bounds_agrees_with_the_reference(
-        problem, data):
-    # The memo of one ResidueSystem serves every level and keeps each bound
-    # apart: the second search, and the first one again, read what the
-    # earlier ones left, and must still give the reference at every point.
-    rows, level, nparams, bound = problem
-    other_bound = data.draw(st.integers(0, 3))
-    top = max(1, min(13, int((GRID_WORK ** (1 / nparams)) / (2 * other_bound + 1))))
-    other_level = data.draw(st.integers(1, top))
-    system = ResidueSystem(
-        nparams,
-        tuple(ResidueRow(f"r{i}", tuple(row), False) for i, row in enumerate(rows)),
-    )
-    for level, bound in ((level, bound), (other_level, other_bound), (level, bound)):
-        shifts = expand(grid_shifts(system, level, nparams, bound), level, nparams)
-        assert shifts == expand(grid_shifts(rows, level, nparams, bound), level, nparams)
-        for point, shift in zip(torsion_grid(level, nparams), shifts):
-            got = None if shift is None else tuple(b + k for b, k in zip(point.beta, shift))
-            assert got == reference_representative(system, point.beta, bound)
-    budget = residue_systems.MAX_SHIFT_BOX
-    assert {key[:2] for key in system.searched} <= {(bound, budget), (other_bound, budget)}
-
-
-def test_a_full_search_memo_is_emptied_and_changes_no_answer(monkeypatch):
-    # With room for five patterns, scans at several levels and bounds empty
-    # the memo again and again; every answer equals a fresh search's, and
-    # the memo never holds more than five.
-    monkeypatch.setattr(residue_systems, "MAX_SEARCH_MEMO", 5)
-    system = load_bundled_scenario("example_4_1").residue_system
-    rows = [row.coeffs for row in system.rows]
-    sizes = []
-    for level, bound in ((12, 3), (6, 2), (12, 3), (10, 4), (12, 3)):
-        assert grid_shifts(system, level, 3, bound) == grid_shifts(rows, level, 3, bound)
-        points = [(k,) * 3 for k in range(level)]
-        assert (admissible_shifts(system, points, level, bound)
-                == admissible_shifts(rows, points, level, bound))
-        sizes.append(len(system.searched))
-    assert max(sizes) <= 5 and len(set(sizes)) > 1
-    # With room for all, a repeated scan walks no shift at all.
-    monkeypatch.setattr(residue_systems, "MAX_SEARCH_MEMO", 4096)
-    expected = grid_shifts(system, 12, 3, 3)
-    walked = []
-    order = residue_systems.shift_order
-    monkeypatch.setattr(residue_systems, "shift_order", lambda *args: map(
-        lambda shift: walked.append(shift) or shift, order(*args)))
-    assert grid_shifts(system, 12, 3, 3) == expected and walked == []
 
 
 def test_a_huge_coefficient_is_searched_without_a_table():
@@ -1061,6 +1016,81 @@ def test_batch_square_checks_follow_the_reference_at_the_first_failing_point():
                 assert dims == [reference_dims(algebra, OneForm(a)) for a in batch]
             fired.add(expected)
     assert fired == {None, 0, 1}
+
+
+def dense_squares(algebra, differential):
+    """The d*d terms by the dense formula: every entry of every
+    ``N_{p+1,i} N_{p,j}`` summed over every middle index, zero or not."""
+    nparams, squares = differential.nparams, []
+    for p in range(algebra.top_degree - 1):
+        outer, inner = differential.tensors[p + 1], differential.tensors[p]
+        for out_row, col in product(outer, range(algebra.dim(p))):
+            pair = [[sum(x[i] * inner[m][col][j] for m, x in enumerate(out_row))
+                     for j in range(nparams)] for i in range(nparams)]
+            terms = [(i, j, pair[i][j] + pair[j][i] if i < j else pair[i][i])
+                     for i in range(nparams) for j in range(i, nparams)]
+            terms = [term for term in terms if term[2]]
+            if terms:
+                squares.append((p, terms))
+    return squares
+
+
+@st.composite
+def sparse_algebras(draw):
+    """Unvalidated structure constants and a one-form map that are mostly
+    zero, so that whole tensor cells are zero; degrees may be empty."""
+    top = draw(st.integers(2, 3))
+    sizes = [1, draw(st.integers(1, 3))] + [draw(st.integers(0, 3)) for _ in range(top - 1)]
+    basis = (("1",),) + tuple(
+        tuple(f"b{p}.{i}" for i in range(n)) for p, n in enumerate(sizes) if p)
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, F(1, 2)])
+    products = {}
+    for p in range(1, top):
+        for u, v in product(basis[1], basis[p]):
+            products[(u, v)] = {t: draw(entry) for t in basis[p + 1]}
+    nparams = draw(st.integers(1, 3))
+    omega_map = draw(st.lists(st.lists(entry, min_size=sizes[1], max_size=sizes[1]),
+                              min_size=nparams, max_size=nparams))
+    return GradedAlgebra(top, basis, products), omega_map
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(sparse_algebras())
+@example((nonassociative_algebra(), IDENTITY3))
+@example((two_degree_square_algebra(), [[1, 0, 0], [0, 0, 1]]))
+def test_sparse_squares_agree_with_the_dense_formula(problem):
+    algebra, omega_map = problem
+    differential = IntegerDifferential(algebra, omega_map)
+    assert differential.squares == dense_squares(algebra, differential)
+
+
+def no_product_scenario(n):
+    """``n`` lines with unit residue rows, the infinity row and an identity
+    one-form map, over ``n`` labels in degrees 1 and 2 and no products:
+    ``n * (n + n * n)`` differential cells, all zero from degree 1."""
+    return json.dumps({
+        "name": "no_products", "components": n, "degrees": [1] * n,
+        "algebra": {"top_degree": 2, "basis": {
+            "0": ["1"], "1": [f"e{i}" for i in range(n)],
+            "2": [f"f{i}" for i in range(n)]}},
+        "residue_system": {"nparams": n, "rows": [
+            {"label": f"L{i}", "coeffs": [int(i == j) for j in range(n)], "component": True}
+            for i in range(n)] + [{"label": "Linf", "coeffs": [-1] * n, "component": True}]},
+        "omega_map": [["1" if i == j else "0" for j in range(n)] for i in range(n)],
+    }, separators=(",", ":"))
+
+
+def test_a_scenario_at_the_cell_cap_builds_its_differential_quickly():
+    # 100 parameters: 1010000 of the 1048576 cells. Every product is zero,
+    # so d*d is free; the dense sum, 10^4 products over 100 middle indices
+    # at each of 100 entries, took seconds.
+    start = time.process_time()
+    scenario = scenario_from_json(no_product_scenario(100).encode())
+    squares = scenario.differential.squares
+    assert time.process_time() - start < 1
+    assert squares == []
+    assert scenario.differential.betti == (1, 100, 100)
+    assert cohomology_at(scenario, (0,) * 99 + (F(1, 2),)) == (0, 99, 100)
 
 
 def test_integer_rank_count_on_a_fixed_scan_set(monkeypatch):
