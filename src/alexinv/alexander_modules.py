@@ -33,6 +33,18 @@ with ``z`` pivots nonzero there, when every ``(k - z)``-minor of ``B``
 vanishes (always when ``k - z`` exceeds the size of ``B``, never when
 ``k - z <= 0``).
 
+The peel sorts its pivots by total degree span, the sum over the variables
+of the greatest minus the least exponent.  Span adds under multiplication,
+so a divisor never comes after its multiple (an associate, of equal span,
+may come either side).  Each pivot is checked once for dividing the next,
+which cuts the pivots into runs ``a_1 | ... | a_m`` (``_runs``).  On the
+torus ``a | b`` puts ``V(a)`` inside ``V(b)``, so at a point where ``a_t`` is
+nonzero so are ``a_1 .. a_t``, and where ``a_t`` vanishes so do ``a_t ..
+a_m``: ``_zeros`` counts a run's nonzero pivots by testing one and
+crediting or dropping the rest, and on a fully peeled chain one test per
+point settles the rank.  ``_chain`` reads the same runs: pivots that form
+one run are a chain already, with no (gcd, lcm) pass.
+
 Minors of the residual are shared: each is a Laplace expansion along its
 first row, memoised on its (row subset, column subset), so one table of
 sub-minors serves all ``C(n,k) * C(m,k)`` minors of an ideal instead of
@@ -126,8 +138,9 @@ class Presentation(Record):
 
     @cached_property
     def _peeled(self) -> tuple:
-        """``(pivots, rest)``: the entries split off as 1 x 1 blocks, and the
-        residual presentation (the presentation itself when none splits)."""
+        """``(pivots, rest)``: the entries split off as 1 x 1 blocks, by
+        increasing total degree span, and the residual presentation (the
+        presentation itself when none splits)."""
         rows, pivots = self.matrix, []
         while True:
             order = sorted((len(a.terms), r, c)
@@ -149,20 +162,35 @@ class Presentation(Record):
         if not pivots:
             return (), self
         n = len(pivots)
+        pivots.sort(key=lambda a: sum(map(sub, a.max_exponents(), a.min_exponents())))
         return tuple(pivots), Presentation(
             self.nvars, self.generators - n, self.relations - n, rows)
+
+    @cached_property
+    def _runs(self) -> tuple:
+        """The pivots cut into runs ``a_1 | a_2 | ... | a_m`` of consecutive
+        divisors, each pivot checked once against the next."""
+        runs = []
+        for a in self._peeled[0]:
+            if runs and divide_exact(a, runs[-1][-1]) is not None:
+                runs[-1].append(a)
+            else:
+                runs.append([a])
+        return tuple(map(tuple, runs))
 
     @cached_property
     def _chain(self) -> tuple:
         """The products ``c_1 ... c_j`` for ``j = 0 .. r`` (the first is 1) of
         the pivots, normalized and made a divisibility chain ``c_1 | c_2 |
-        ...`` by (gcd, lcm) replacement; built once, and only read after."""
+        ...``: they are one already when they form one run, and (gcd, lcm)
+        replacement makes them one otherwise; built once, and only read after."""
         chain = [normalize_unit(a) for a in self._peeled[0]]
-        for i, j in combinations(range(len(chain)), 2):
-            a, b = chain[i], chain[j]
-            if divide_exact(b, a) is None:
-                g = gcd(a, b)
-                chain[i], chain[j] = g, normalize_unit(a * divide_exact(b, g))
+        if len(self._runs) > 1:
+            for i, j in combinations(range(len(chain)), 2):
+                a, b = chain[i], chain[j]
+                if divide_exact(b, a) is None:
+                    g = gcd(a, b)
+                    chain[i], chain[j] = g, normalize_unit(a * divide_exact(b, g))
         return tuple(accumulate(
             chain, lambda p, c: c if p.is_one else p if c.is_one else p * c,
             initial=LaurentPoly.one(self.nvars)))
@@ -325,17 +353,34 @@ def _zeros(pres: Presentation, i: int, level: int, candidates) -> list:
     """The candidate numerators where every generator of the (i-1)-st
     elementary ideal vanishes, that is where ``rank < k = n - i + 1``: with
     ``z`` pivots nonzero at a point, where the ``(k - z)``-minors of the
-    residual all vanish."""
-    pivots, rest = pres._peeled
+    residual all vanish.
+
+    Each run ``a_1 | ... | a_m`` of pivots is walked down from ``a_t``, ``t =
+    min(m, k - z)``: where ``a_t`` is nonzero so are ``a_1 .. a_t``, and where
+    it vanishes so do ``a_t .. a_m``.  A point leaves the walk once ``k - z``
+    is settled: at most 0 (out), or more than the size of the residual plus
+    the pivots left untested (in)."""
+    rest = pres._peeled[1]
+    size = min(rest.generators, rest.relations)
+    left = len(pres._peeled[0])  # pivots in this run and the runs after it
     need = dict.fromkeys(candidates, pres.generators - i + 1)  # k - z
-    for a in pivots:
-        live = [nums for nums, k in need.items() if k > 0]
-        if not live:
-            break
-        zeros = set(_vanishing((a,), level, live))
-        for nums in live:
-            if nums not in zeros:
-                need[nums] -= 1
+    for run in pres._runs:
+        m = len(run)
+        starts = {}  # t -> the candidates that test a_t first
+        for nums, k in need.items():
+            if 0 < k <= size + left:
+                starts.setdefault(min(m, k), []).append(nums)
+        left -= m
+        walk = []
+        for t in range(m, 0, -1):
+            walk += starts.get(t, ())
+            if not walk:
+                continue
+            zeros = set(_vanishing((run[t - 1],), level, walk))
+            for nums in walk:
+                if nums not in zeros:
+                    need[nums] -= t
+            walk = [nums for nums in walk if nums in zeros and need[nums] <= size + left + t - 1]
     groups = {}
     for nums, k in need.items():
         groups.setdefault(k, []).append(nums)

@@ -312,27 +312,27 @@ class IntegerDifferential:
         nparams = len(omega_map)
         ones = algebra.basis[1] if algebra.top_degree >= 1 else ()
         # tensors[p][t][j]: entry (t, j) of every N_{p,i}, as a tuple over i.
+        # Only the cells that a product writes are summed and scaled; every
+        # other cell is one shared zero tuple.
         self.tensors = []
+        zero = (0,) * nparams
         for p in range(algebra.top_degree):
             index = {label: t for t, label in enumerate(algebra.basis[p + 1])}
-            acc = [
-                [[Fraction(0)] * nparams for _ in algebra.basis[p]]
-                for _ in algebra.basis[p + 1]
-            ]
+            acc = {}  # (t, j) -> the cell's sums over i
             for u_index, u in enumerate(ones):
                 weights = [
                     (i, row[u_index]) for i, row in enumerate(omega_map) if row[u_index]
                 ]
                 for j, v in enumerate(algebra.basis[p]):
                     for label, s in algebra.wedge_pair(u, v).items():
-                        cell = acc[index[label]][j]
+                        cell = acc.setdefault((index[label], j), [0] * nparams)
                         for i, w in weights:
                             cell[i] += w * s
-            scale = lcm(*(c.denominator for row in acc for cell in row for c in cell))
-            self.tensors.append([
-                [tuple(c.numerator * scale // c.denominator for c in cell) for cell in row]
-                for row in acc
-            ])
+            scale = lcm(*(c.denominator for cell in acc.values() for c in cell))
+            tensor = [[zero] * algebra.dim(p) for _ in algebra.basis[p + 1]]
+            for (t, j), cell in acc.items():
+                tensor[t][j] = tuple(c.numerator * scale // c.denominator for c in cell)
+            self.tensors.append(tensor)
         # squares: per nonzero entry of any D_{p+1} D_p, in order of p, the
         # pair (p, its (i, j, Q_{p,ij}) terms).
         self.squares = []

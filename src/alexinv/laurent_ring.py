@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 from math import gcd as int_gcd, lcm as int_lcm
 from operator import add, sub
 
@@ -522,115 +522,101 @@ def evaluate_at_torsion(p: LaurentPoly, point: TorsionPoint) -> CyclotomicNumber
 _TOKEN = re.compile(r"(?P<int>\d+)|(?P<var>t\d*)|(?P<op>[*/^+-])|(?P<bad>\S)")
 
 
-def _tokenize(text: str):
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        if m.lastgroup == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", m.start())
-        tokens.append((m.lastgroup, m.group(), m.start()))
-    return tokens
-
-
 def parse_poly(text: str, nvars: int) -> LaurentPoly:
-    """Parse the textual grammar into a polynomial in ``nvars`` variables."""
-    tokens = _tokenize(text)
-    pos = 0
-    n = len(tokens)
+    """Parse the textual grammar into a polynomial in ``nvars`` variables.
 
-    def fail(message, at=None):
-        where = tokens[at][2] if at is not None and at < n else len(text)
-        raise ParseError(message, where)
-
-    def peek():
-        return tokens[pos] if pos < n else (None, None, len(text))
-
-    def number(digits, at):
-        try:
-            return int(digits)
-        except ValueError as exc:  # more digits than int() converts
-            fail(str(exc), at)
-
-    def var_index(name, at):
-        digits = name[1:]
-        if not digits:
-            if nvars == 1:
-                return 0
-            fail("bare variable 't' is ambiguous; use t1..t%d" % nvars, at)
-        idx = number(digits, at)
-        if not 1 <= idx <= nvars:
-            fail(f"unknown variable {name!r} (nvars = {nvars})", at)
-        return idx - 1
-
-    def parse_factor():
-        nonlocal pos
-        kind, value, _ = peek()
-        if kind != "var":
-            fail("expected a variable factor", pos)
-        idx = var_index(value, pos)
-        pos += 1
-        power = 1
-        if peek()[1] == "^":
-            pos += 1
-            sign = 1
-            if peek()[1] == "-":
-                sign = -1
-                pos += 1
-            kind, value, _ = peek()
-            if kind != "int":
-                fail("expected an integer exponent", pos)
-            power = sign * number(value, pos)
-            pos += 1
-        return idx, power
-
-    def parse_term():
-        nonlocal pos
-        coeff = 1
-        exps = [0] * nvars
-        kind, value, _ = peek()
-        if kind == "int":
-            coeff = number(value, pos)
-            pos += 1
-            if peek()[1] == "/":
-                pos += 1
-                kind, value, _ = peek()
-                if kind != "int":
-                    fail("expected a denominator", pos)
-                denom = number(value, pos)
-                if denom == 0:
-                    fail("zero denominator", pos)
-                coeff = Fraction(coeff, denom)
-                pos += 1
-            if peek()[1] != "*":
-                return coeff, tuple(exps)
-            pos += 1
-        while True:
-            idx, power = parse_factor()
-            exps[idx] += power
-            if peek()[1] != "*":
-                break
-            pos += 1
-        return coeff, tuple(exps)
-
+    One pass over the tokens, each a ``(int, var, op, bad)`` tuple with one
+    field set; ``state`` says what the next may be: 0 a sign or a term, 1
+    and 2 a term (after a leading sign, and after a sign between terms), 3
+    a factor (after ``*``), 4-6 the rest of a term (after a coefficient, a
+    variable, and a denominator or an exponent), 7 a denominator, 8 and 9
+    an exponent (after ``^``, and after ``^-``).  Each variable adds 1 to
+    its exponent when read, and its exponent ``e`` adds ``e - 1``."""
+    tokens = _TOKEN.findall(text)
     if not tokens:
         raise ParseError("empty polynomial text", 0)
+    terms = {}
+    sign, coeff, exps, state = 1, 1, [0] * nvars, 0
+    try:
+        for at, (digits, var, op, _) in enumerate(tokens):
+            if var and state < 4:
+                if var == "t":
+                    if nvars != 1:
+                        raise _parse_error(
+                            text, tokens, at,
+                            "bare variable 't' is ambiguous; use t1..t%d" % nvars)
+                    idx = 0
+                else:
+                    idx = int(var[1:]) - 1
+                    if not 0 <= idx < nvars:
+                        raise _parse_error(
+                            text, tokens, at, f"unknown variable {var!r} (nvars = {nvars})")
+                exps[idx] += 1
+                state = 5
+            elif digits and state < 3:
+                coeff, state = int(digits), 4
+            elif digits and state == 7:
+                den = int(digits)
+                if not den:
+                    raise _parse_error(text, tokens, at, "zero denominator")
+                coeff, state = Fraction(coeff, den), 6
+            elif digits and state > 7:
+                power = int(digits)
+                exps[idx] += (power if state == 8 else -power) - 1
+                state = 6
+            elif op == "*" and 3 < state < 7:
+                state = 3
+            elif op == "/" and state == 4:
+                state = 7
+            elif op == "^" and state == 5:
+                state = 8
+            elif op == "-" and state == 8:
+                state = 9
+            elif (op == "+" or op == "-") and (state == 0 or 3 < state < 7):
+                if state:
+                    key = tuple(exps)
+                    terms[key] = terms.get(key, 0) + sign * coeff
+                    coeff, exps = 1, [0] * nvars
+                sign = -1 if op == "-" else 1
+                state = 2 if state else 1
+            else:
+                raise _parse_error(text, tokens, at, _expected(state))
+    except ParseError:
+        raise
+    except ValueError as exc:  # more digits than int() converts
+        raise _parse_error(text, tokens, at, str(exc))
+    if state == 2:
+        raise _parse_error(text, tokens, len(tokens) - 1, "dangling sign")
+    if not 3 < state < 7:
+        raise _parse_error(text, tokens, len(tokens), _expected(state))
+    key = tuple(exps)
+    terms[key] = terms.get(key, 0) + sign * coeff
+    # A Fraction sum of denominator 1 is stored as its int, as the
+    # constructor stores it.
+    return LaurentPoly._make(nvars, {
+        e: c.numerator if c.denominator == 1 else c for e, c in terms.items() if c})
 
-    terms: dict = {}
-    sign = -1 if peek()[1] == "-" else 1
-    if peek()[1] in ("+", "-"):
-        pos += 1
-    while True:
-        coeff, exps = parse_term()
-        terms[exps] = terms.get(exps, 0) + sign * coeff
-        if pos >= n:
-            break
-        kind, value, _ = peek()
-        if value not in ("+", "-"):
-            fail("expected '+' or '-' between terms", pos)
-        sign = -1 if value == "-" else 1
-        pos += 1
-        if pos >= n:
-            fail("dangling sign", pos - 1)
-    return LaurentPoly(nvars, terms)
+
+def _expected(state: int) -> str:
+    """What ``parse_poly`` wanted in ``state`` and did not find."""
+    if state < 4:
+        return "expected a variable factor"
+    if state < 7:
+        return "expected '+' or '-' between terms"
+    return "expected a denominator" if state == 7 else "expected an integer exponent"
+
+
+def _parse_error(text: str, tokens: list, at: int, message: str) -> ParseError:
+    """``message`` at token ``at`` (past the last token: at the end of the
+    text), unless a token is an unexpected character: the first of those
+    is the error, wherever it is, as no grammar holds for such text.  Only
+    this re-scans the text for token positions."""
+    bad = next((j for j, token in enumerate(tokens) if token[3]), None)
+    if bad is not None:
+        at, message = bad, f"unexpected character {tokens[bad][3]!r}"
+    if at == len(tokens):
+        return ParseError(message, len(text))
+    return ParseError(message, next(islice(_TOKEN.finditer(text), at, None)).start())
 
 
 def format_poly(p: LaurentPoly) -> str:

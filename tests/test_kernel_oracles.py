@@ -17,6 +17,7 @@ from functools import reduce
 from itertools import combinations
 from math import gcd as int_gcd
 from operator import mul
+from unittest import mock
 
 import pytest
 import sympy
@@ -62,6 +63,7 @@ from randgen import (
     random_presentation,
     random_product,
 )
+from reference import zeros_per_pivot
 from test_alexander_modules import round_trips
 
 F = Fraction
@@ -590,6 +592,98 @@ def test_the_gcd_chain_serves_char_poly_only():
     assert char_poly(diagonal, 1) == LaurentPoly.one(2)
     assert support_scan(diagonal, 1) == (TorsionPoint(1, (0, 0)),)
     assert fitting_variety_scan(diagonal, 2, 2) == (TorsionPoint(2, (0, 0)),)
+
+
+def diagonal(nvars: int, *texts) -> Presentation:
+    """The square diagonal presentation of the parsed ``texts``."""
+    zero = LaurentPoly.zero(nvars)
+    return Presentation.from_rows(nvars, [
+        [parse_poly(text, nvars) if j == i else zero for j in range(len(texts))]
+        for i, text in enumerate(texts)])
+
+
+def walk_cases() -> dict:
+    """Presentations whose pivots the chain walk must order and cut right."""
+    block = Presentation.from_rows(2, [[parse_poly(x, 2) for x in row] for row in (
+        ("t1 + 1", "t2 + 1"), ("t2 - 1", "t1 - 1"))])
+    return {
+        # Fewest terms peels first: t1^3 - 1 before its divisor.
+        "out of span order": diagonal(1, "t1^2 + t1 + 1", "t1^3 - 1"),
+        "associates": diagonal(2, "2*t1^-1 - 2", "t1 - 1", "t1*t2 + t1 - t2 - 1"),
+        "units": diagonal(2, "3", "1/2*t2", "t1*t2 - 1", "t1^2*t2^2 - 1"),
+        "residual behind a chain": direct_sum(
+            diagonal(2, "t1 - 1", "t1*t2 - t1 - t2 + 1"), block),
+    }
+
+
+def assert_walk_matches_per_pivot(pres: Presentation, levels) -> None:
+    """Every scan of ``pres`` equals the one that tests every pivot."""
+    for level in levels:
+        for i in range(1, pres.generators + 3):
+            with mock.patch.object(am, "_zeros", zeros_per_pivot):
+                expected = fitting_variety_scan(pres, i, level)
+            assert fitting_variety_scan(pres, i, level) == expected, (pres, i, level)
+        with mock.patch.object(am, "_zeros", zeros_per_pivot):
+            expected = support_scan(pres, level)
+        assert support_scan(pres, level) == expected, (pres, level)
+
+
+def walk_levels(nvars: int) -> range:
+    return range(1, 5 if nvars == 3 else 13)
+
+
+def test_walk_cases_peel_as_named():
+    cases = walk_cases()
+    runs = {name: [len(run) for run in pres._runs] for name, pres in cases.items()}
+    assert runs == {"out of span order": [2], "associates": [3], "units": [4],
+                    "residual behind a chain": [2]}
+    assert cases["out of span order"]._peeled[0][0] == parse_poly("t1^2 + t1 + 1", 1)
+    assert cases["residual behind a chain"]._peeled[1].generators == 2
+
+
+@pytest.mark.parametrize("name", list(walk_cases()))
+def test_chain_walk_on_named_cases(name):
+    pres = walk_cases()[name]
+    assert_walk_matches_per_pivot(pres, walk_levels(pres.nvars))
+
+
+def test_chain_walk_on_peel_cases():
+    for pres in peel_cases():
+        assert_walk_matches_per_pivot(pres, walk_levels(pres.nvars))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.data())
+def test_chain_walk_on_drawn_presentations(data):
+    nvars = data.draw(NVARS)
+    rng = make_rng(data.draw(st.integers(0, 10**6)))
+    if data.draw(st.booleans()):
+        pres = random_chain_presentation(rng, nvars, (rng.randint(2, 4), rng.randint(2, 4)))
+    else:
+        pres = random_partial_presentation(rng, nvars, (rng.randint(4, 5), rng.randint(4, 5)))
+    assert_walk_matches_per_pivot(pres, walk_levels(pres.nvars))
+
+
+def test_a_fully_peeled_chain_tests_one_pivot_per_candidate():
+    counted = []
+    vanishing = am._vanishing
+
+    def counting(gens, level, candidates):
+        if type(gens) is tuple:  # a pivot; the residual's minors come as a generator
+            counted.append(len(candidates))
+        return vanishing(gens, level, candidates)
+
+    chains = [pres for pres in peel_cases() + list(walk_cases().values())
+              if peel_kind(pres) == "full" and len(pres._runs) == 1]
+    assert {pres.nvars for pres in chains} == {1, 2, 3}
+    with mock.patch.object(am, "_vanishing", counting):
+        for pres in chains:
+            for level in walk_levels(pres.nvars):
+                grid = [pt.numerators for pt in torsion_grid(level, pres.nvars)]
+                for i in range(1, pres.generators + 3):
+                    counted.clear()
+                    am._zeros(pres, i, level, grid)
+                    assert sum(counted) <= len(grid), (pres, i, level)
 
 
 def vanishing_factor(point: TorsionPoint, exps) -> LaurentPoly:

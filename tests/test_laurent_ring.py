@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alexinv import laurent_ring as lr
@@ -23,6 +23,7 @@ from alexinv.laurent_ring import (
     parse_poly,
     torsion_grid,
 )
+import reference
 from randgen import make_rng, random_laurent, random_nonzero_laurent, random_product
 
 F = Fraction
@@ -230,6 +231,55 @@ def test_parse_error_positions():
         parse_poly("t1 +", 1)
     with pytest.raises(ParseError):
         parse_poly("2 t1", 1)
+
+
+def parsed(parse, text, nvars):
+    """What ``parse`` makes of ``text``: the polynomial's terms in order,
+    with their coefficient types, or the error's text and position."""
+    try:
+        p = parse(text, nvars)
+    except ParseError as exc:
+        return str(exc), exc.position
+    return list(p.terms.items()), [type(c) for c in p.terms.values()]
+
+
+# The grammar's characters, a space and one bad character.
+PARSE_CHARS = "t0123456789^*/+- x"
+
+
+@st.composite
+def parse_text(draw):
+    """A string over ``PARSE_CHARS``: drawn freely, or a grammatical text
+    with up to two characters inserted, deleted or replaced."""
+    if draw(st.booleans()):
+        return "".join(draw(st.lists(st.sampled_from([*PARSE_CHARS, "t1", "t2", "t3"]),
+                                     max_size=16)))
+    number = st.integers(0, 12).map(str)
+    factor = st.tuples(st.sampled_from(["t", "t0", "t1", "t2", "t3", "t4"]),
+                       st.sampled_from(["", "^", "^-"]), number).map(
+        lambda f: f[0] + (f[1] + f[2] if f[1] else ""))
+    coeff = st.tuples(number, st.sampled_from(["", "/"]), number).map(
+        lambda c: c[0] + (c[1] + c[2] if c[1] else ""))
+    term = st.tuples(st.lists(coeff, max_size=1), st.lists(factor, max_size=3)).filter(
+        lambda t: t[0] or t[1]).map(lambda t: "*".join(t[0] + t[1]))
+    text = draw(st.sampled_from(["", "-", "+"])) + draw(term)
+    for _ in range(draw(st.integers(0, 3))):
+        text += draw(st.sampled_from([" + ", " - ", "-", "+"])) + draw(term)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        new = draw(st.sampled_from(["", *PARSE_CHARS]))
+        text = text[:at] + new + text[at + draw(st.integers(0, 1)):]
+    return text
+
+
+@settings(max_examples=1000, deadline=None, database=None)
+@given(parse_text(), st.integers(1, 3))
+@example("1" * 5000, 1)
+@example("t1^" + "9" * 5000 + " x", 1)
+@example("1/" + "0" * 5000, 2)
+@example("t" + "1" * 5000, 2)
+def test_one_pass_parser_matches_the_recursive_descent_parser(text, nvars):
+    assert parsed(parse_poly, text, nvars) == parsed(reference.parse_poly, text, nvars)
 
 
 def test_bare_t_only_for_one_variable():
