@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage or schema error, 2 inconclusive points
-present, 3 internal inconsistency (invalid algebra, nonzero square of the
-differential), 4 internal error (an exception that escapes ``main``, a bug
-in the library; only ``run``, the process entry point, gives this code).
+Exit codes: 0 success, 1 usage or schema error (or, from ``run``, a closed
+stdout), 2 inconclusive points present, 3 internal inconsistency (invalid
+algebra, nonzero square of the differential), 4 internal error (an exception
+that escapes ``main``, a bug in the library; only ``run`` gives this code).
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import functools
 import hashlib
 import os
 import sys
-from itertools import product
 from json.encoder import encode_basestring_ascii
 from math import gcd, lcm
 from operator import mul
@@ -261,9 +260,14 @@ def _cmd_admissible(args) -> Report:
 
 
 def _point_names(level: int, nvars: int) -> list[str]:
-    """``str`` of each level-N torsion point, by lexicographic grid index."""
+    """``str`` of each level-N torsion point (``nvars >= 1``), by lexicographic
+    grid index: every prefix grows by each label, a coordinate at a time."""
     labels = [format_ratio(n, level) for n in range(level)]
-    return ["(" + ",".join(t) + ")" for t in product(labels, repeat=nvars)]
+    names, heads = ["("], [label + "," for label in labels]
+    for _ in range(nvars - 1):
+        names = [name + head for name in names for head in heads]
+    tails = [label + ")" for label in labels]
+    return [name + tail for name in names for tail in tails]
 
 
 def _names_at(level: int, nvars: int, indices) -> list[str]:
@@ -506,9 +510,13 @@ def run(argv=None) -> int:
     """``main`` at the process boundary.  In-process callers of ``main`` see
     its exceptions; here one that escapes it is a bug in the library, not a
     usage error, so its traceback goes to stderr and the code is
-    ``EXIT_INTERNAL``."""
+    ``EXIT_INTERNAL``.  A closed stdout (``| head``) exits ``EXIT_USAGE``, with
+    stdout on the null device so that the final flush stays quiet."""
     try:
         return main(argv)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_USAGE
     except Exception:
         import traceback  # only on this path: it would add to every start-up
 

@@ -224,9 +224,10 @@ def _charvar_indices(scenario: Scenario, level: int, degree: int, bound: int):
         indices = list(compress(indices, keep))
         columns = [list(compress(column, keep)) for column in columns]
     (dims,) = scenario.differential.dims_columns(columns, len(indices), (degree,))
-    return {
-        dim: list(compress(indices, map(dim.__eq__, dims))) for dim in sorted(set(dims))
-    }, inconclusive
+    buckets = {dim: [] for dim in sorted(set(dims))}
+    for index, dim in zip(indices, dims):
+        buckets[dim].append(index)
+    return buckets, inconclusive
 
 
 # ---------------------------------------------------------------------------

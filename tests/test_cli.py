@@ -477,6 +477,49 @@ def test_a_module_scan_labels_only_its_hits(tmp_path, capsys, monkeypatch):
         assert labelled == [count, count] and count < level ** nvars
 
 
+def test_point_names_are_the_torsion_points_strings():
+    cases = [(level, nvars) for level in range(1, 14) for nvars in range(1, 5)
+             if level ** nvars <= lr.MAX_SCAN_POINTS] + [(46, 3)]
+    for level, nvars in cases:
+        assert cli._point_names(level, nvars) == [
+            str(p) for p in lr.torsion_grid(level, nvars)], (level, nvars)
+
+
+@st.composite
+def _grid_indices(draw):
+    level = draw(st.integers(1, 13))
+    nvars = draw(st.integers(1, 4))
+    size = level ** nvars
+    return level, nvars, draw(st.lists(st.integers(0, size - 1), max_size=40))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_grid_indices())
+@example((6, 2, []))
+@example((5, 3, [124, 0, 124, 7, 0]))
+def test_names_at_reads_the_same_names_as_the_whole_grid(case):
+    level, nvars, indices = case
+    names = cli._point_names(level, nvars)
+    assert cli._names_at(level, nvars, indices) == [names[k] for k in indices]
+
+
+def test_a_closed_stdout_exits_1_quietly():
+    # The level-46 report is far larger than a pipe's buffer, so the write
+    # is still blocked when the reader closes its end.
+    for form in ("json", "text"):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "alexinv", "charvar", "lines_concurrent3",
+             "--level", "46", "--degree", "1", "--format", form],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            cwd=os.path.dirname(os.path.dirname(alexinv.__file__)))
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (1, b""), form
+        assert head == (b'{\n  "comma' if form == "json" else b"command: a")
+
+
 def test_charvar_over_the_point_cap_is_refused_at_once(capsys):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "charvar", "example_4_1", "--level", "47", "--degree", "1")
