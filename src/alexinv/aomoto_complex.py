@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice, product, repeat
+from itertools import product, repeat
 from math import gcd, lcm
 from operator import add, mul
 
@@ -294,16 +294,18 @@ class IntegerDifferential:
     entries are kept, so the d*d check is free on a graded-commutative
     algebra.
 
-    Each degree has a rank certificate (``rank_certificate``), built once:
-    the rank ``r_p`` of ``D_p`` over ``Q(a)`` and a nonzero ``r_p x r_p``
-    minor ``M_p(a)``; the first batch that leaves points on its zero set adds
-    up to two more (``_minor_terms``).  Every larger minor is identically
-    zero, so ``rank D_p(a) = r_p`` wherever any of these minors is nonzero.
-    Elsewhere, on the zero set of all of them or in a degree without a
-    certificate, ``D_p`` is linear in ``a``, so ``rank D_p(c * a) = rank
-    D_p(a)`` for every nonzero ``c``: each such rank is kept under its degree
-    and the direction ``a // gcd(a)``, and computed once per direction (up
-    to ``MAX_RANK_MEMO`` entries; the memo is emptied when full).
+    Each degree's rank certificates are built with the differential: the
+    rank ``r_p`` of ``D_p`` over ``Q(a)`` and up to three distinct nonzero
+    ``r_p x r_p`` minors, ``M_p(a)`` from ``rank_certificate`` and those it
+    gives for ``D_p`` with its columns reversed and with its rows reversed.
+    Every larger minor is identically zero, so ``rank D_p(a) = r_p``
+    wherever any of these minors is nonzero.  Elsewhere, on the zero set of
+    all of them or in a degree without a certificate, ``D_p`` is linear in
+    ``a``, so ``rank D_p(c * a) = rank D_p(a)`` for every nonzero ``c``: each
+    such rank is kept under its degree and the direction ``a // gcd(a)``, and
+    computed once per direction (up to ``MAX_RANK_MEMO`` entries; the memo is
+    emptied when full).  The memo ``ranks`` is the only state that a call
+    changes.
     """
 
     def __init__(self, algebra: GradedAlgebra, omega_map):
@@ -358,27 +360,17 @@ class IntegerDifferential:
                 if terms:
                     self.squares.append((p, terms))
         # certificates[p]: rank_certificate of D_p, or None.  minors[p]: its
-        # rank r_p and the terms of M_p as _factored gives them; or None.
-        # extra[p]: the later minors' terms, once _minor_terms has built them.
-        self.nparams, self.extra = nparams, {}
+        # rank r_p and, each once and as _factored gives them, the terms of
+        # M_p and of the minors that rank_certificate gives for D_p with its
+        # columns reversed and with its rows reversed; or None.
         self.certificates = [rank_certificate(t, nparams) for t in self.tensors]
-        self.minors = [cert and (cert[0], _factored(cert[3])) for cert in self.certificates]
-
-    def _minor_terms(self, q):
-        """The terms of ``M_q``, then, each minor once, of those that
-        ``rank_certificate`` returns for ``D_q`` with its columns reversed and
-        with its rows reversed; these are built on first use and published
-        whole, as one tuple."""
-        first = self.minors[q][1]
-        yield first
-        extra = self.extra.get(q)
-        if extra is None:
-            tensor = self.tensors[q]
-            certs = [rank_certificate(t, self.nparams)
-                     for t in ([row[::-1] for row in tensor], tensor[::-1])]
-            extra = self.extra[q] = tuple(dict.fromkeys(
-                [first] + [_factored(c[3]) for c in certs if c]))[1:]
-        yield from extra
+        self.minors = []
+        for tensor, cert in zip(self.tensors, self.certificates):
+            if cert is not None:
+                flipped = ([row[::-1] for row in tensor], tensor[::-1])
+                certs = [cert] + [rank_certificate(t, nparams) for t in flipped]
+                cert = cert[0], tuple(dict.fromkeys(_factored(c[3]) for c in certs if c))
+            self.minors.append(cert)
 
     def dims_many(self, points, degrees=None) -> list[tuple[int, ...]]:
         """A tuple of dimensions for ``degrees`` (default: all, ``0 .. top``) at
@@ -418,7 +410,6 @@ class IntegerDifferential:
             raise InconsistentDifferentialError(
                 f"wedging twice with the one-form is nonzero from degree {failing[1]}"
             )
-        directions = {}  # point index -> a // gcd(a), once per point
         zeros = [0] * size
         # Degree q -> rank D_q at every point; the missing D_{-1} and D_top
         # are zero.
@@ -428,27 +419,21 @@ class IntegerDifferential:
             for q in (p - 1, p):
                 if q in rank_columns:
                     continue
-                minor = self.minors[q]
-                if minor is None:
-                    ranks, todo = [0] * size, range(size)
-                else:
-                    ranks, todo = [minor[0]] * size, range(size)
-                    values = _minor_column(minor[1], columns, size)
-                    # The later minors, built on first use, only where M_q vanishes.
-                    for terms in islice(self._minor_terms(q), 1, None) if 0 in values else ():
-                        todo = [k for k, v in zip(todo, values) if not v]
-                        sub = [[column[k] for k in todo] for column in columns]
-                        values = _minor_column(terms, sub, len(todo))
-                        if 0 not in values:
-                            break
-                    todo = [k for k, v in zip(todo, values) if not v] if 0 in values else ()
+                generic, minors = self.minors[q] or (0, ())
+                ranks, todo = [generic] * size, range(size)
+                for terms in minors:
+                    # Each minor only where every one before it vanishes.
+                    sub = columns if len(todo) == size else [
+                        [column[k] for k in todo] for column in columns]
+                    values = _minor_column(terms, sub, len(todo))
+                    if 0 not in values:
+                        todo = ()
+                        break
+                    todo = [k for k, v in zip(todo, values) if not v]
                 for k in todo:
                     a = [column[k] for column in columns]
-                    direction = directions.get(k)
-                    if direction is None:
-                        g = gcd(*a)
-                        direction = tuple(a) if g <= 1 else tuple([x // g for x in a])
-                        directions[k] = direction
+                    g = gcd(*a)
+                    direction = tuple(a) if g <= 1 else tuple([x // g for x in a])
                     rank = memo.get((q, direction))
                     if rank is None:
                         rank = integer_rank(

@@ -119,8 +119,8 @@ class Scenario(Record):
 
     @cached_property
     def differential(self) -> IntegerDifferential:
-        """The differentials as integer tensors, built on first use and
-        reused for every residue class asked about.
+        """The differentials as integer tensors, with every rank certificate,
+        built on first use and reused for every residue class asked about.
 
         Residue classes arrive over a common denominator, ``beta = n / L``,
         and the tensors are evaluated at ``L * alpha``: scaling the one-form

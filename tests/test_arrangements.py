@@ -15,8 +15,10 @@ Every point ``p`` of ``m >= 3`` lines gives the local subtorus
 ``{t_j = 1 off p, prod_{j in p} t_j = 1}``, on which ``dim H^1 >= m - 2``
 (Cohen-Suciu 1999; A. Libgober and S. Yuzvinsky, "Cohomology of the
 Orlik-Solomon algebras and local systems", Compositio Math. 121, 2000).
-For the non-Fano arrangement only that inclusion is pinned.  Scenarios of
-six or more parameters walk the shift order lazily at the default bound.
+For the non-Fano arrangement that inclusion is pinned, and that its one
+inconclusive point at level 2 lies on all three of its braid subtori (each
+from a copy of A3 among its lines).  Scenarios of six or more parameters
+walk the shift order lazily at the default bound.
 """
 
 from __future__ import annotations
@@ -123,6 +125,29 @@ def local_components(nlines: int, points, level: int) -> set:
     }
 
 
+def braid_components(nlines: int, points, level: int) -> dict:
+    """Numerators of the level-N points of the braid subtori, keyed by the
+    line that each one's subarrangement drops, written with no ``alexinv``
+    code.  A subarrangement of all lines but one is a braid arrangement when
+    its points are four triple points and three double points; on its
+    subtorus ``t_a = t_b`` for each double point ``{a, b}``, the product over
+    one line of each double point is 1, and so are the dropped line and
+    ``t_inf = (t_1 ... t_n)^-1``."""
+    components = {}
+    for dropped in range(1, nlines + 1):
+        kept = [tuple(j for j in point if j != dropped) for point in points]
+        doubles = [point for point in kept if len(point) == 2]
+        if (sum(len(point) == 3 for point in kept), len(doubles)) != (4, 3):
+            continue
+        components[dropped] = {
+            nums for nums in product(range(level), repeat=nlines)
+            if nums[dropped - 1] == 0 and sum(nums) % level == 0
+            and all(nums[a - 1] == nums[b - 1] for a, b in doubles)
+            and sum(nums[a - 1] for a, _ in doubles) % level == 0
+        }
+    return components
+
+
 def test_a3_generic_betti_and_milnor_polynomials(a3_gen):
     assert betti_vector(a3_gen.algebra) == (1, 6, 11)
     assert [milnor_charpoly(a3_gen, m).factored_str() for m in range(3)] == [
@@ -162,6 +187,12 @@ def test_non_fano_local_components_lie_in_v1(level):
         assert [p.numerators for p in scan.inconclusive] == [(0, 1, 0, 1, 1, 1, 0)]
         assert all((0, 1, 0, 1, 1, 1, 0) not in {p.numerators for p in found}
                    for found in scan.by_dimension.values())
+        # The point lies on all three braid subtori, those of the
+        # subarrangements that drop line 1, 3 or 7.
+        braids = braid_components(7, NON_FANO["points"], level)
+        assert sorted(braids) == [1, 3, 7]
+        assert all((0, 1, 0, 1, 1, 1, 0) in found and len(found) == level ** 2
+                   for found in braids.values())
 
 
 def test_eleven_generic_lines():

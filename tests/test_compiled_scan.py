@@ -7,11 +7,11 @@ do all their arithmetic in ``Fraction``s; sympy checks the integer rank.
 
 import json
 import re
-import threading
 import time
 import tracemalloc
 from collections import Counter
 from contextlib import ExitStack
+from copy import deepcopy
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, product
@@ -651,9 +651,8 @@ def on_a_zero_set(differential, a, rng):
 
 def minor_lists(differential):
     """The minors of each degree of rank at least 1, in the order that
-    ``dims_columns`` evaluates them (the later ones are built now)."""
-    return [list(differential._minor_terms(p))
-            for p, minor in enumerate(differential.minors) if minor and minor[0]]
+    ``dims_columns`` evaluates them."""
+    return [list(minor[1]) for minor in differential.minors if minor and minor[0]]
 
 
 def on_every_zero_set(minors, a):
@@ -713,7 +712,7 @@ def points_on_zero_sets(draw, differential):
     setting coordinates to zero in a drawn order until they all vanish, and
     by solving for one coordinate (in -20..20, else the first way again);
     and a multiple of each."""
-    nparams = differential.nparams
+    nparams = len(differential.tensors[0][0][0])
     base = draw(st.lists(st.integers(-4, 4), min_size=nparams, max_size=nparams))
     points = [base]
     for minors in minor_lists(differential):
@@ -794,7 +793,7 @@ def test_certificates_are_the_generic_rank_and_a_minor(name):
             sympy.Poly.from_dict(
                 {tuple(factors.count(i) for i in range(nparams)): c for c, factors in terms},
                 *symbols)
-            for terms in differential._minor_terms(p)]
+            for terms in differential.minors[p][1]]
         assert len(stored) == len(dets)
         assert all(s in (d, -d) for s, d in zip(stored, dets))
     # The pencil of six lines meets an entry of more than 64 terms in degree 1.
@@ -802,11 +801,9 @@ def test_certificates_are_the_generic_rank_and_a_minor(name):
 
 
 def test_without_certificates_the_dims_are_the_same(monkeypatch):
-    # The full differentials and their later minors are built before the
-    # cap is lowered, also when no earlier test has built them.
+    # The full differentials are built before the cap is lowered, also when
+    # no earlier test has built them.
     fulls = [certified_differential(name) for name in CERTIFIED]
-    for full in fulls:
-        minor_lists(full)
     monkeypatch.setattr(aomoto_complex, "MAX_CERTIFICATE_TERMS", 1)
     rng = make_rng(12)
     dropped = dropped_later = 0
@@ -822,10 +819,10 @@ def test_without_certificates_the_dims_are_the_same(monkeypatch):
         assert capped.dims_many(points) == full.dims_many(points) == [
             dims_from_ranks(full.betti, fresh_ranks(full, a), range(len(full.betti)))
             for a in points]
-        # The later minors obey the cap too: those built are full ones.
+        # The later minors obey the cap too: those kept are full ones.
         for p, minor in enumerate(capped.minors):
             if minor and minor[0]:
-                kept, every = set(capped._minor_terms(p)), set(full._minor_terms(p))
+                kept, every = set(minor[1]), set(full.minors[p][1])
                 assert kept <= every and all(len(terms) <= 1 for terms in kept)
                 dropped_later += len(every - kept)
     assert (dropped, dropped_later) == (5, 0)
@@ -844,11 +841,11 @@ def test_a_later_minor_over_the_cap_is_left_out(monkeypatch):
     points = [[0, k, m] for k in range(-2, 3) for m in range(-2, 3)]
     expected = [reference_dims(algebra, OneForm(a)) for a in points]
     full = IntegerDifferential(algebra, IDENTITY3)
-    assert full.dims_many(points) == expected  # builds the later minors
+    assert full.dims_many(points) == expected
     monkeypatch.setattr(aomoto_complex, "MAX_CERTIFICATE_TERMS", 2)
     capped = IntegerDifferential(algebra, IDENTITY3)
     assert capped.dims_many(points) == expected
-    assert [len(list(d._minor_terms(1))) for d in (capped, full)] == [2, 3]
+    assert [len(d.minors[1][1]) for d in (capped, full)] == [2, 3]
     assert [sum(degree == 1 for degree, _ in d.ranks) for d in (capped, full)] == [17, 3]
 
 
@@ -877,7 +874,7 @@ def batches(draw, differential):
     """0, 1 or many points: random ones, a = 0, and points from two draws of
     ``points_on_zero_sets(differential)``, where the ranks may drop; two
     draws give enough directions for a memo of 2 to be emptied."""
-    nparams = differential.nparams
+    nparams = len(differential.tensors[0][0][0])
     size = draw(st.sampled_from([0, 1, 2, 7, 16]))
     pool = [point for _ in range(2) for point in draw(points_on_zero_sets(differential))]
     pool.append([0] * nparams)
@@ -909,8 +906,7 @@ def test_column_dims_agree_with_fraction_ranks_at_every_point(name, caps, data):
         for constant, value in CAPS[caps].items():
             stack.enter_context(patch.object(aomoto_complex, constant, value))
         differential = IntegerDifferential(scenario.algebra, scenario.omega_map)
-        # Aimed with the uncapped minors, so that the lazy build of the
-        # later ones under test happens in dims_many.
+        # Aimed at the zero sets of the uncapped minors.
         points = data.draw(batches(warm_differential(name)))
         choices = [None, *((p,) for p in range(top + 1))]
         if caps == "memo of 2":
@@ -1021,7 +1017,7 @@ def test_batch_square_checks_follow_the_reference_at_the_first_failing_point():
 def dense_squares(algebra, differential):
     """The d*d terms by the dense formula: every entry of every
     ``N_{p+1,i} N_{p,j}`` summed over every middle index, zero or not."""
-    nparams, squares = differential.nparams, []
+    nparams, squares = len(differential.tensors[0][0][0]), []
     for p in range(algebra.top_degree - 1):
         outer, inner = differential.tensors[p + 1], differential.tensors[p]
         for out_row, col in product(outer, range(algebra.dim(p))):
@@ -1135,50 +1131,67 @@ def test_points_taken_one_by_one_on_example_4_1_at_level_12():
         assert scenario.differential.ranks.lookups == wanted
 
 
-def test_threads_share_the_first_build_of_the_later_minors(monkeypatch):
-    # Thread A pauses in its first elimination for the later minors of D_0
-    # until thread B, on the same cold differential, has returned: each
-    # must get the right dimensions and evaluate each degree's whole list,
-    # M_p and every later minor, since a = 0 lies on all their zero sets.
-    # No lock is taken (nor would a cached_property take one from Python
-    # 3.12 on), so both threads may build a list; each publishes it whole.
+def test_construction_builds_every_certificate(monkeypatch):
+    # One elimination per degree, and two more (columns reversed, rows
+    # reversed) per degree that gets a certificate; a later batch makes
+    # none, also one that holds a = 0, where every minor vanishes.
+    build, calls = aomoto_complex.rank_certificate, []
+
+    def counted(tensor, nparams):
+        calls.append(len(tensor))
+        return build(tensor, nparams)
+
+    monkeypatch.setattr(aomoto_complex, "rank_certificate", counted)
+    for name in CERTIFIED:
+        algebra, omega_map = algebra_and_map(name)
+        calls.clear()
+        differential = IntegerDifferential(algebra, omega_map)
+        certified = sum(c is not None for c in differential.certificates)
+        assert len(calls) == len(differential.tensors) + 2 * certified
+        calls.clear()
+        nparams = len(omega_map)
+        differential.dims_many([[0] * nparams, list(range(1, nparams + 1))])
+        assert calls == []
+
+
+def test_a_batch_changes_only_the_rank_memo():
+    scenario = load_bundled_scenario("example_4_1")
+    differential = IntegerDifferential(scenario.algebra, scenario.omega_map)
+    before = deepcopy(vars(differential))
+    batch = [[0, 0, 0], [-4, 1, 1], [-2, 0, 1], [3, 5, 7]]
+    assert differential.dims_many(batch) == [
+        reference_dims(scenario.algebra, scenario.one_form(a)) for a in batch]
+    after = vars(differential)
+    assert after.keys() == before.keys() and after["ranks"]
+    assert {key for key, value in before.items() if after[key] != value} == {"ranks"}
+
+
+def test_a_batch_with_the_trivial_point_evaluates_every_minor_once(monkeypatch):
+    # a = 0 lies on every minor's zero set, so each needed degree evaluates
+    # its whole list, M_p first, each minor once: M_p over the whole batch
+    # and each later one at the points where those before it vanish.
     scenario = load_bundled_scenario("lines_concurrent3")
     batch = [[0, 0, 0], [1, 1, -2], [2, -1, 0], [0, 4, 0], [3, 1, 2]]
     expected = [reference_dims(scenario.algebra, scenario.one_form(a)) for a in batch]
-    warm = IntegerDifferential(scenario.algebra, scenario.omega_map)
-    whole = list(chain.from_iterable(minor_lists(warm)))
-    cold = IntegerDifferential(scenario.algebra, scenario.omega_map)
-    build, evaluate = aomoto_complex.rank_certificate, aomoto_complex._minor_column
-    reached, b_done = threading.Event(), threading.Event()
-    answers, evaluated = {}, {"A": [], "B": []}
-
-    def gated(tensor, nparams):
-        if threading.current_thread() is a and not reached.is_set():
-            reached.set()
-            b_done.wait(10)
-        return build(tensor, nparams)
+    differential = IntegerDifferential(scenario.algebra, scenario.omega_map)
+    assert all(minor[0] >= 1 for minor in differential.minors)
+    evaluate, evaluated = aomoto_complex._minor_column, []
 
     def recorded(terms, columns, size):
-        evaluated[threading.current_thread().name].append(terms)
+        evaluated.append((terms, size))
         return evaluate(terms, columns, size)
 
-    def run(done):
-        answers[threading.current_thread().name] = cold.dims_many(batch)
-        done.set()
-
-    monkeypatch.setattr(aomoto_complex, "rank_certificate", gated)
     monkeypatch.setattr(aomoto_complex, "_minor_column", recorded)
-    a = threading.Thread(target=run, args=(reached,), name="A")
-    b = threading.Thread(target=run, args=(b_done,), name="B")
-    a.start()
-    assert reached.wait(10)
-    b.start()
-    b.join(10)
-    a.join(10)
-    assert not (a.is_alive() or b.is_alive())
-    assert answers == {"A": expected, "B": expected}
-    assert evaluated == {"A": whole, "B": whole} and len(whole) == 4
-    assert cold.extra == warm.extra
+    for degrees, needed in ((None, (0, 1)), ((0,), (0,)), ((1,), (0, 1)), ((2,), (1,))):
+        evaluated.clear()
+        wanted = range(3) if degrees is None else degrees
+        assert differential.dims_many(batch, degrees) == [
+            tuple(dims[p] for p in wanted) for dims in expected]
+        assert [terms for terms, _ in evaluated] == [
+            terms for q in needed for terms in differential.minors[q][1]]
+        # M_p, and no later minor, sees the whole batch.
+        assert [size for _, size in evaluated].count(len(batch)) == len(needed)
+    assert sum(map(len, minor_lists(differential))) == 4
 
 
 def test_charvar_buckets_are_galois_invariant():
