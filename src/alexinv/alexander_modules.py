@@ -25,8 +25,8 @@ in a UFD; ``Delta_j(diag)`` is the product of the first ``j`` pivots once
 pairwise (gcd, lcm) replacement has made them a divisibility chain.  The
 chain keeps the gcds but not the ideals (``diag(t1 - 1, t2 - 1)`` has
 ``Delta_1 = 1``, yet ``I_1`` vanishes at ``(1, 1)``), so only ``char_poly``
-reads it.  The scans and ``in_support`` count ranks instead: unimodular
-operations stay invertible at every torus point, so there
+reads it.  The scans and ``constructions.in_support`` count ranks instead:
+unimodular operations stay invertible at every torus point, so there
 ``rank A = #{j : a_j != 0} + rank B``.  A point lies in ``V(E_{i-1})``, the
 zeros of the ``k``-minors for ``k = n - i + 1``, exactly when ``rank A < k``:
 with ``z`` pivots nonzero there, when every ``(k - z)``-minor of ``B``
@@ -229,14 +229,6 @@ class IdealGenerators(Record):
     def __init__(self, gens: tuple):
         _set(self, "gens", gens)
 
-    @property
-    def is_zero_ideal(self) -> bool:
-        return not self.gens
-
-    @property
-    def is_full_ring(self) -> bool:
-        return any(g.is_unit for g in self.gens)
-
 
 def _minors(pres: Presentation, i: int):
     """The i-th elementary ideal's generators, each built when asked for."""
@@ -273,44 +265,6 @@ def char_poly(pres: Presentation, i: int) -> LaurentPoly:
     return gcd_all(terms(), pres.nvars)
 
 
-def direct_sum(p1: Presentation, p2: Presentation) -> Presentation:
-    """Block-diagonal presentation of the direct sum."""
-    if p1.nvars != p2.nvars:
-        raise DimensionError("direct sum of modules over different rings")
-    zero = LaurentPoly.zero(p1.nvars)
-    rows = []
-    for row in p1.matrix:
-        rows.append(tuple(row) + (zero,) * p2.relations)
-    for row in p2.matrix:
-        rows.append((zero,) * p1.relations + tuple(row))
-    return Presentation(
-        p1.nvars,
-        p1.generators + p2.generators,
-        p1.relations + p2.relations,
-        tuple(rows),
-    )
-
-
-def cyclic_module(gens, nvars: int | None = None) -> Presentation:
-    """Presentation of ``R / (gens)`` on one generator; an empty generator
-    list gives the free rank-one module (``nvars`` is then required)."""
-    gens = tuple(gens)
-    if nvars is None:
-        if not gens:
-            raise ValueError("nvars is required for an empty generator list")
-        nvars = gens[0].nvars
-    return Presentation(nvars, 1, len(gens), (gens,))
-
-
-def tensor_cyclic(p1: Presentation, p2: Presentation) -> Presentation:
-    """Tensor product of cyclic modules: ``R/I (x) R/J = R/(I + J)``."""
-    if p1.generators != 1 or p2.generators != 1:
-        raise ValueError("tensor_cyclic needs cyclic presentations")
-    if p1.nvars != p2.nvars:
-        raise DimensionError("tensor product of modules over different rings")
-    return cyclic_module(p1.matrix[0] + p2.matrix[0], p1.nvars)
-
-
 def _vanishing(gens, level: int, candidates):
     """The candidate numerators of level-N points where all ``gens`` vanish;
     each generator is compiled and tested only where those before it vanish."""
@@ -333,20 +287,6 @@ def _vanishing(gens, level: int, candidates):
         if not candidates:
             break
     return candidates
-
-
-def in_support(pres: Presentation, point: TorsionPoint) -> bool:
-    """True iff every generator of the 0-th elementary ideal vanishes at the
-    point (zero ideal: always true; full ring: always false), decided as a
-    scan decides it, by the pivots and then the residual's minors.  It costs
-    about ``omega(N) * N`` steps per pivot and per minor tested at level N,
-    where ``omega(N)`` is the number of distinct primes of N: a level past
-    ``MAX_SCAN_POINTS`` is refused, as in a scan."""
-    if pres.nvars != point.nvars:
-        raise DimensionError("point length does not match the module's ring")
-    if point.level > (cap := laurent_ring.MAX_SCAN_POINTS):
-        raise LimitError(f"level {point.level} is more than the limit of {cap}")
-    return bool(_zeros(pres, 1, point.level, [point.numerators]))
 
 
 def _zeros(pres: Presentation, i: int, level: int, candidates) -> list:

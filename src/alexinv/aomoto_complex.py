@@ -488,64 +488,6 @@ def betti_vector(algebra: GradedAlgebra) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Orlik-Solomon algebras of affine line arrangements.
-
-
-def os_algebra_lines(nlines: int, points) -> GradedAlgebra:
-    """Cohomology algebra of an affine line arrangement complement.
-
-    ``points`` lists the multiple and double points as subsets of line
-    indices ``1..nlines``; every pair of lines must lie in exactly one point.
-    Degree 2 has one basis element per point ``p`` and pair ``(j1, jb)`` with
-    ``j1`` the smallest line through ``p``; the other wedges of lines through
-    ``p`` rewrite via ``e_a ^ e_b = e_j1 ^ e_b - e_j1 ^ e_a``.
-    """
-    if nlines < 1:
-        raise ValueError("need at least one line")
-    normalized = []
-    for k, raw in enumerate(points):
-        pt = tuple(sorted(set(int(x) for x in raw)))
-        if len(pt) < 2:
-            raise ValueError(f"point {k} has fewer than two lines")
-        if pt[0] < 1 or pt[-1] > nlines:
-            raise ValueError(f"point {k} references a line outside 1..{nlines}")
-        normalized.append(pt)
-    seen: dict = {}
-    for k, pt in enumerate(normalized):
-        for i, a in enumerate(pt):
-            for b in pt[i + 1 :]:
-                if (a, b) in seen:
-                    raise ValueError(f"line pair ({a}, {b}) lies in two points")
-                seen[(a, b)] = k
-    for a in range(1, nlines + 1):
-        for b in range(a + 1, nlines + 1):
-            if (a, b) not in seen:
-                raise ValueError(f"line pair ({a}, {b}) lies in no point")
-
-    def pair_label(a: int, b: int) -> str:
-        return f"e{a}^e{b}"
-
-    deg1 = tuple(f"e{j}" for j in range(1, nlines + 1))
-    deg2 = []
-    products: ProductTable = {}
-    for pt in normalized:
-        j1 = pt[0]
-        for b in pt[1:]:
-            deg2.append(pair_label(j1, b))
-        for i, a in enumerate(pt):
-            for b in pt[i + 1 :]:
-                if a == j1:
-                    vec = {pair_label(j1, b): Fraction(1)}
-                else:
-                    vec = {
-                        pair_label(j1, b): Fraction(1),
-                        pair_label(j1, a): Fraction(-1),
-                    }
-                products[(f"e{a}", f"e{b}")] = vec
-    return GradedAlgebra(2, (("1",), deg1, tuple(deg2)), products)
-
-
-# ---------------------------------------------------------------------------
 # JSON schema.
 
 

@@ -320,6 +320,3 @@ def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
         return ExactMatrix(a.rows, b.cols, tuple())
     return ExactMatrix.from_rows(out)
 
-
-def is_zero_matrix(m: ExactMatrix) -> bool:
-    return all(x == 0 for x in m.entries)

@@ -17,13 +17,11 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain, compress, repeat
 from math import gcd as int_gcd, prod
-from operator import mul
 
 from . import laurent_ring
 from .aomoto_complex import (
     GradedAlgebra,
     IntegerDifferential,
-    OneForm,
     algebra_from_dict,
     ensure_valid,
 )
@@ -47,7 +45,7 @@ from .exact_kernel import (
     parse_rational,
     prime_divisors,
 )
-from .laurent_ring import TorsionPoint, check_grid, grid_points, torsion_grid
+from .laurent_ring import check_grid, grid_points
 from .residue_systems import (
     ResidueSystem,
     admissible_numerators,
@@ -96,22 +94,6 @@ class Scenario(Record):
     def nparams(self) -> int:
         return self.residue_system.nparams
 
-    def one_form(self, alpha) -> OneForm:
-        """Map a residue parameter vector through ``omega_map``."""
-        alpha = tuple(Fraction(a) for a in alpha)
-        if len(alpha) != self.nparams:
-            raise DimensionError(
-                f"alpha has length {len(alpha)}, expected {self.nparams}"
-            )
-        dim1 = self.algebra.dim(1)
-        coeffs = [Fraction(0)] * dim1
-        for i, a in enumerate(alpha):
-            if not a:
-                continue
-            for j in range(dim1):
-                coeffs[j] += a * self.omega_map[i][j]
-        return OneForm(tuple(coeffs))
-
     def effective_bound(self, bound: int) -> int:
         if self.max_shift is None:
             return bound
@@ -139,17 +121,6 @@ class Scenario(Record):
         return [None]
 
 
-def cohomology_at(scenario: Scenario, alpha) -> tuple[int, ...]:
-    """Cohomology dimensions of ``(A, w ^ .)`` at explicit residues
-    ``alpha``, for the one-form ``w = scenario.one_form(alpha)``."""
-    if len(alpha) != scenario.nparams:
-        raise DimensionError(
-            f"alpha has length {len(alpha)}, expected {scenario.nparams}"
-        )
-    scaled, _ = integer_vector(alpha)
-    return scenario.differential.dims_many((scaled,))[0]
-
-
 def twisted_cohomology(scenario: Scenario, beta, bound: int = 3) -> tuple[int, ...]:
     """Cohomology dimensions of the rank-one local system with residue
     classes ``beta``, computed from an admissible representative.
@@ -174,13 +145,6 @@ class CharvarScan(Record):
         _set(self, "degree", degree)
         _set(self, "by_dimension", by_dimension)
         _set(self, "inconclusive", inconclusive)
-
-    def points_with_dim_above(self, i: int) -> tuple[TorsionPoint, ...]:
-        out = []
-        for dim in sorted(self.by_dimension):
-            if dim > i:
-                out.extend(self.by_dimension[dim])
-        return tuple(sorted(out, key=lambda p: p.numerators))
 
 
 def charvar_scan(
@@ -418,39 +382,6 @@ def milnor_charpoly(scenario: Scenario, m: int, bound: int = 3) -> MonodromyPoly
             )
         polynomial = polynomials[m] = MonodromyPolynomial(order, tuple(mults))
     return polynomial
-
-
-# ---------------------------------------------------------------------------
-# Projective local systems and the added-line criterion.
-
-
-def projective_points(degrees, level: int) -> tuple[TorsionPoint, ...]:
-    """Level-N torsion points satisfying ``sum(d_j * beta_j)`` integral, that is
-    ``sum(d_j * n_j) = 0 (mod level)``; these are the rank-one local systems
-    extending to the projective complement."""
-    degrees = tuple(int(d) for d in degrees)
-    return tuple(
-        point
-        for point in torsion_grid(level, len(degrees))
-        if sum(map(mul, degrees, point.numerators)) % level == 0
-    )
-
-
-def epsilon_line(points, point: TorsionPoint) -> int:
-    """The correction term when adding a line to a plane curve arrangement.
-
-    ``points`` lists, for each intersection point of the arrangement with the
-    line, the vector of intersection multiplicities of the components there.
-    Returns 0 iff some intersection point has a nontrivial monodromy product,
-    else 1; the twisted first Betti number of the affine complement equals
-    the projective one plus this value.
-    """
-    for mults in points:
-        if len(mults) != point.nvars:
-            raise DimensionError("multiplicity vector length must match the point")
-        if sum(int(k) * n for k, n in zip(mults, point.numerators)) % point.level:
-            return 0
-    return 1
 
 
 # ---------------------------------------------------------------------------

@@ -434,17 +434,6 @@ class TorsionPoint(Record):
             raise LimitError("level must be positive")
         return cls(level, tuple(n % level for n in numerators))
 
-    @classmethod
-    def from_residues(cls, level: int, residues) -> TorsionPoint:
-        """Build from arbitrary rationals, reducing each mod 1."""
-        numerators = []
-        for r in residues:
-            scaled = Fraction(r) * level
-            if scaled.denominator != 1:
-                raise LimitError(f"residue class {r} has level not dividing {level}")
-            numerators.append(scaled.numerator)
-        return cls.from_numerators(level, numerators)
-
     @property
     def beta(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(n, self.level) for n in self.numerators)
@@ -452,12 +441,6 @@ class TorsionPoint(Record):
     @property
     def nvars(self) -> int:
         return len(self.numerators)
-
-    def negate(self) -> TorsionPoint:
-        return TorsionPoint.from_numerators(self.level, (-n for n in self.numerators))
-
-    def is_trivial(self) -> bool:
-        return not any(self.numerators)
 
     def __str__(self):
         return "(" + ",".join(format_ratio(n, self.level) for n in self.numerators) + ")"

@@ -7,7 +7,7 @@ three or more lines, the sum of its lines.
 
 - The generic chart puts a generic line at infinity: every pair of lines
   meets at an affine point.  The algebra is the Orlik-Solomon algebra that
-  ``aomoto_complex.os_algebra_lines`` builds.
+  ``constructions.os_algebra_lines`` builds.
 - The decone chart puts one line of a projective arrangement at infinity;
   two affine lines meet either at an affine point or, when they are
   parallel, only at infinity.  Parallel lines have the product 0, a case
@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import sys
 
-from alexinv.aomoto_complex import os_algebra_lines
+from alexinv.constructions import os_algebra_lines
 
 # The braid arrangement A3 with one line at infinity: the affine lines
 # x=0, x=1, y=0, y=1 and x=y.  Its affine points are (0,0), (1,1), (0,1) and
@@ -50,6 +50,17 @@ NON_FANO = {
     "nlines": 7,
     "points": [(1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 7), (1, 5, 6), (2, 6, 7),
                (1, 7), (1, 3), (3, 7)],
+}
+
+# Deleted B3 (A. I. Suciu, "Translated tori in the characteristic varieties
+# of complex hyperplane arrangements", Topology Appl. 118, 2002): the lines
+# x, y, z, x-y, x-z, y-z, x-y-z and x-y+z, decone with z at infinity.  The
+# affine lines x, y, x-y, x-z, y-z, x-y-z, x-y+z are 1..7; the quadruple
+# point and the two triple points through z become the parallel classes.
+DELETED_B3_DECONE = {
+    "nlines": 7,
+    "points": [(1, 2, 3), (1, 5, 7), (2, 4, 6), (3, 4, 5), (1, 6), (2, 7), (4, 7), (5, 6)],
+    "parallel": [(3, 6, 7), (1, 4), (2, 5)],
 }
 
 
@@ -147,6 +158,10 @@ def a3_generic() -> dict:
 
 def non_fano() -> dict:
     return generic_scenario("non_fano", **NON_FANO)
+
+
+def deleted_b3_decone() -> dict:
+    return decone_scenario("deleted_b3_decone", **DELETED_B3_DECONE)
 
 
 def generic_lines_11() -> dict:

@@ -4,6 +4,15 @@
 one-pass ``laurent_ring.parse_poly`` replaced; ``zeros_per_pivot`` is the
 scan step that tested every peeled pivot at every candidate before
 ``alexander_modules._zeros`` walked the pivots' divisibility runs.
+
+The helpers after them read records the way tests do and no command does:
+``is_zero_matrix`` was ``exact_kernel.is_zero_matrix``;
+``is_zero_ideal(ideal)`` and ``is_full_ring(ideal)`` were the properties
+``IdealGenerators.is_zero_ideal`` and ``is_full_ring``;
+``from_residues(level, residues)``, ``negate(point)`` and
+``is_trivial(point)`` were ``TorsionPoint.from_residues``, ``negate`` and
+``is_trivial``; ``points_with_dim_above(scan, i)`` was
+``CharvarScan.points_with_dim_above``.
 """
 
 from __future__ import annotations
@@ -11,8 +20,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from alexinv.alexander_modules import _minors, _vanishing
-from alexinv.errors import ParseError
-from alexinv.laurent_ring import _TOKEN, LaurentPoly
+from alexinv.errors import LimitError, ParseError
+from alexinv.laurent_ring import _TOKEN, LaurentPoly, TorsionPoint
 
 
 def _tokenize(text: str):
@@ -145,3 +154,44 @@ def zeros_per_pivot(pres, i: int, level: int, candidates) -> list:
         groups.setdefault(k, []).append(nums)
     return [nums for k, group in groups.items() if k > 0
             for nums in _vanishing(_minors(rest, rest.generators - k), level, group)]
+
+
+def is_zero_matrix(m) -> bool:
+    return all(x == 0 for x in m.entries)
+
+
+def is_zero_ideal(ideal) -> bool:
+    return not ideal.gens
+
+
+def is_full_ring(ideal) -> bool:
+    return any(g.is_unit for g in ideal.gens)
+
+
+def from_residues(level: int, residues) -> TorsionPoint:
+    """The level-N point of arbitrary rationals, each reduced mod 1."""
+    numerators = []
+    for r in residues:
+        scaled = Fraction(r) * level
+        if scaled.denominator != 1:
+            raise LimitError(f"residue class {r} has level not dividing {level}")
+        numerators.append(scaled.numerator)
+    return TorsionPoint.from_numerators(level, numerators)
+
+
+def negate(point: TorsionPoint) -> TorsionPoint:
+    return TorsionPoint.from_numerators(point.level, (-n for n in point.numerators))
+
+
+def is_trivial(point: TorsionPoint) -> bool:
+    return not any(point.numerators)
+
+
+def points_with_dim_above(scan, i: int) -> tuple:
+    """The points of a ``CharvarScan`` with ``dim H^degree > i``, sorted by
+    numerators."""
+    out = []
+    for dim in sorted(scan.by_dimension):
+        if dim > i:
+            out.extend(scan.by_dimension[dim])
+    return tuple(sorted(out, key=lambda p: p.numerators))

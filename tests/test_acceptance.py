@@ -12,10 +12,7 @@ from itertools import product as iproduct
 from alexinv.alexander_modules import (
     Presentation,
     char_poly,
-    cyclic_module,
-    direct_sum,
     support_scan,
-    tensor_cyclic,
 )
 from alexinv.aomoto_complex import (
     OneForm,
@@ -23,12 +20,12 @@ from alexinv.aomoto_complex import (
     cohomology_dims,
     differential_matrix,
 )
+from alexinv.constructions import cyclic_module, direct_sum, one_form, tensor_cyclic
 from alexinv.corpus import bundled_scenario_names, load_bundled_scenario
 from alexinv.exact_kernel import (
     cyclotomic_poly,
     divisors,
     euler_phi,
-    is_zero_matrix,
     mat_mul,
 )
 from alexinv.invariant_pipeline import (
@@ -51,6 +48,7 @@ from randgen import (
     random_presentation,
     random_product,
 )
+from reference import is_trivial, is_zero_matrix, points_with_dim_above
 
 F = Fraction
 
@@ -87,7 +85,7 @@ def test_criterion_02_case2_41():
     sc = scenario("example_4_1")
     good = (F(-4, 5), F(1, 5), F(1, 5))
     assert is_admissible(sc.residue_system, good)
-    assert cohomology_dims(sc.algebra, sc.one_form(good)) == (0, 1, 1)
+    assert cohomology_dims(sc.algebra, one_form(sc, good)) == (0, 1, 1)
     obvious = (F(1, 5), F(1, 5), F(1, 5))
     assert not is_admissible(sc.residue_system, obvious)
 
@@ -111,9 +109,9 @@ def test_criterion_04_jumping_41():
     for degree in (1, 2):
         scan = charvar_scan(sc, 5, degree, bound=3)
         assert not scan.inconclusive
-        assert set(scan.points_with_dim_above(0)) == subtorus
-        deeper = scan.points_with_dim_above(1)
-        assert len(deeper) == 1 and deeper[0].is_trivial()
+        assert set(points_with_dim_above(scan, 0)) == subtorus
+        deeper = points_with_dim_above(scan, 1)
+        assert len(deeper) == 1 and is_trivial(deeper[0])
 
 
 @criterion(5, "example 4.2: case-2 dims, monodromy, level-5 scan fills the torus")
@@ -122,7 +120,7 @@ def test_criterion_05_42():
     nontrivial = 0
     for pt in torsion_grid(5, 3):
         dims = twisted_cohomology(sc, pt.beta, bound=3)
-        if pt.is_trivial():
+        if is_trivial(pt):
             assert dims == (1, 3, 4)
         else:
             assert dims == (0, 0, 2)
@@ -131,8 +129,8 @@ def test_criterion_05_42():
     assert milnor_charpoly(sc, 1, bound=3).factored_str() == "(t-1)^3"
     assert milnor_charpoly(sc, 2, bound=3).factored_str() == "(t-1)^2*(t^5-1)^2"
     scan = charvar_scan(sc, 5, 2, bound=3)
-    assert len(scan.points_with_dim_above(0)) == 125
-    assert len(scan.points_with_dim_above(1)) == 125
+    assert len(points_with_dim_above(scan, 0)) == 125
+    assert len(points_with_dim_above(scan, 1)) == 125
 
 
 @criterion(6, "example 5.3: dims (0, 0, 2, 1) and a full level-5 character torus")
@@ -142,8 +140,8 @@ def test_criterion_06_53():
         assert twisted_cohomology(sc, (F(k, 5),)) == (0, 0, 2, 1)
     scan = charvar_scan(sc, 5, 2)
     assert not scan.inconclusive
-    assert len(scan.points_with_dim_above(0)) == 5
-    assert len(scan.points_with_dim_above(1)) == 5
+    assert len(points_with_dim_above(scan, 0)) == 5
+    assert len(points_with_dim_above(scan, 1)) == 5
 
 
 @criterion(7, "canonical module over R_2: delta chain 0, l1*l2, l2, 1")
@@ -252,7 +250,7 @@ def _properties_admissible_independence():
                 alpha = tuple(b + k for b, k in zip(pt.beta, shift))
                 if is_admissible(sc.residue_system, alpha):
                     dims_seen.add(
-                        cohomology_dims(sc.algebra, sc.one_form(alpha))
+                        cohomology_dims(sc.algebra, one_form(sc, alpha))
                     )
             assert len(dims_seen) == 1
 
@@ -290,7 +288,7 @@ def test_criterion_09_cross_check():
     cyc = cyclic_module([parse_poly("t1*t2^2*t3^2 - 1", 3)])
     from_module = set(support_scan(cyc, 5))
     scan = charvar_scan(scenario("example_4_1"), 5, 1, bound=3)
-    from_pipeline = set(scan.points_with_dim_above(0))
+    from_pipeline = set(points_with_dim_above(scan, 0))
     assert from_module == from_pipeline
     assert len(from_module) == 25
 

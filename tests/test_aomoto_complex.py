@@ -12,10 +12,10 @@ from alexinv.aomoto_complex import (
     betti_vector,
     cohomology_dims,
     differential_matrix,
-    os_algebra_lines,
     validate_algebra,
     wedge,
 )
+from alexinv.constructions import os_algebra_lines
 from alexinv.corpus import load_bundled_scenario
 from alexinv.errors import (
     DimensionError,

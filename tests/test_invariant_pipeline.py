@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alexinv import invariant_pipeline, laurent_ring
-from alexinv.alexander_modules import cyclic_module, support_scan
+from alexinv.alexander_modules import support_scan
 from alexinv.aomoto_complex import betti_vector, cohomology_dims
+from alexinv.constructions import cyclic_module, epsilon_line, one_form, projective_points
 from alexinv.corpus import (
     bundled_scenario_names,
     bundled_scenario_path,
@@ -27,10 +28,8 @@ from alexinv.errors import (
 from alexinv.invariant_pipeline import (
     MonodromyPolynomial,
     charvar_scan,
-    epsilon_line,
     milnor_charpoly,
     milnor_order,
-    projective_points,
     scenario_from_dict,
     scenario_from_json,
     twisted_cohomology,
@@ -38,6 +37,7 @@ from alexinv.invariant_pipeline import (
 from alexinv.laurent_ring import TorsionPoint, parse_poly, torsion_grid
 from alexinv.residue_systems import is_admissible, shift_vectors
 from arrangements import a3_decone
+from reference import negate, points_with_dim_above
 from test_alexander_modules import round_trips
 from test_compiled_scan import ORDER_CASES, square_and_search_scenario
 
@@ -78,9 +78,9 @@ def test_charvar_41_level5(sc41):
     for degree in (1, 2):
         scan = charvar_scan(sc41, 5, degree)
         assert not scan.inconclusive
-        jumping = set(scan.points_with_dim_above(0))
+        jumping = set(points_with_dim_above(scan, 0))
         assert jumping == expected and len(jumping) == 25
-        deeper = scan.points_with_dim_above(1)
+        deeper = points_with_dim_above(scan, 1)
         assert [p.numerators for p in deeper] == [(0, 0, 0)]
     scan1 = charvar_scan(sc41, 5, 1)
     assert set(scan1.by_dimension) == {0, 1, 3}
@@ -90,18 +90,18 @@ def test_charvar_41_level5(sc41):
 def test_charvar_42_level5(sc42):
     scan = charvar_scan(sc42, 5, 2)
     assert not scan.inconclusive
-    assert len(scan.points_with_dim_above(0)) == 125
-    assert len(scan.points_with_dim_above(1)) == 125
-    assert [p.numerators for p in scan.points_with_dim_above(2)] == [(0, 0, 0)]
+    assert len(points_with_dim_above(scan, 0)) == 125
+    assert len(points_with_dim_above(scan, 1)) == 125
+    assert [p.numerators for p in points_with_dim_above(scan, 2)] == [(0, 0, 0)]
     scan1 = charvar_scan(sc42, 5, 1)
-    assert [p.numerators for p in scan1.points_with_dim_above(0)] == [(0, 0, 0)]
+    assert [p.numerators for p in points_with_dim_above(scan1, 0)] == [(0, 0, 0)]
 
 
 def test_charvar_53_level5(sc53):
     scan = charvar_scan(sc53, 5, 2)
     assert not scan.inconclusive
-    assert len(scan.points_with_dim_above(0)) == 5
-    assert len(scan.points_with_dim_above(1)) == 5
+    assert len(points_with_dim_above(scan, 0)) == 5
+    assert len(points_with_dim_above(scan, 1)) == 5
 
 
 def test_charvar_scan_repeats_its_result(sc41):
@@ -224,7 +224,7 @@ def test_inconclusive_for_53_off_grid(sc53):
         twisted_cohomology(sc53, (F(1, 3),))
     scan = charvar_scan(sc53, 3, 2)
     assert [p.numerators for p in scan.inconclusive] == [(1,), (2,)]
-    assert [p.numerators for p in scan.points_with_dim_above(1)] == [(0,)]
+    assert [p.numerators for p in points_with_dim_above(scan, 1)] == [(0,)]
 
 
 def test_admissible_choice_independence_level5(sc41, sc42):
@@ -237,7 +237,7 @@ def test_admissible_choice_independence_level5(sc41, sc42):
                 alpha = tuple(b + k for b, k in zip(point.beta, shift))
                 if is_admissible(scenario.residue_system, alpha):
                     dims_seen.add(
-                        cohomology_dims(scenario.algebra, scenario.one_form(alpha))
+                        cohomology_dims(scenario.algebra, one_form(scenario, alpha))
                     )
             assert len(dims_seen) == 1
 
@@ -245,8 +245,8 @@ def test_admissible_choice_independence_level5(sc41, sc42):
 def test_jumping_sets_stable_under_inversion(sc41, sc42):
     for scenario, degree in ((sc41, 1), (sc41, 2), (sc42, 2)):
         scan = charvar_scan(scenario, 5, degree)
-        jumping = set(scan.points_with_dim_above(0))
-        assert {p.negate() for p in jumping} == jumping
+        jumping = set(points_with_dim_above(scan, 0))
+        assert {negate(p) for p in jumping} == jumping
 
 
 def test_near_trivial_neighborhood_admissible_without_shifts():
@@ -262,7 +262,7 @@ def test_cross_module_consistency(sc41):
     cyc = cyclic_module([parse_poly("t1*t2^2*t3^2 - 1", 3)])
     from_support = set(support_scan(cyc, 5))
     scan = charvar_scan(sc41, 5, 1)
-    assert set(scan.points_with_dim_above(0)) == from_support
+    assert set(points_with_dim_above(scan, 0)) == from_support
 
 
 def test_a_compiled_scenario_pickles_and_copies():

@@ -17,9 +17,11 @@ Every function that ``perfbench/tracing.py`` wraps by name exists, so that
 deleting one cannot break a traced benchmark run.  No definition that only
 tests reach: every top-level ``def`` and ``class`` is named outside its own
 body, as an ``ast.Name``, an ``ast.Attribute`` or an import alias, somewhere
-in the package or in the ``SPANS`` and ``COUNTED`` of
+in the package, in its ``__all__`` or in the ``SPANS`` and ``COUNTED`` of
 ``perfbench/tracing.py``; ``TEST_ONLY`` lists the exceptions, each with its
-reason.
+reason.  Importing the CLI loads the modules a command can reach and no
+others: not ``alexinv.constructions``, which the package loads on first use
+of one of its names.
 """
 
 import ast
@@ -166,6 +168,58 @@ def test_importing_the_cli_loads_no_dataclasses():
     assert (dataclasses, pathlib) == ("False", "False") and where.startswith(src)
 
 
+# What importing the CLI loads of the package: every module a command can
+# reach, and not the functions no command runs.
+CLI_MODULES = {
+    "alexinv", "alexinv.alexander_modules", "alexinv.aomoto_complex", "alexinv.cli",
+    "alexinv.corpus", "alexinv.errors", "alexinv.exact_kernel",
+    "alexinv.invariant_pipeline", "alexinv.laurent_ring", "alexinv.residue_systems",
+}
+
+
+def test_importing_the_cli_loads_only_what_a_command_reaches():
+    src = str(Path(alexinv.__file__).resolve().parent.parent)
+    script = (f"import sys; sys.path.insert(0, {src!r}); import alexinv.cli; "
+              "print(*sorted(n for n in sys.modules if n.startswith(('alexinv', 'reference'))))")
+    done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert set(done.stdout.split()) == CLI_MODULES
+
+
+# Every name the package exported before the functions no command runs moved
+# to ``constructions``, by the module that defines it now.
+EXPORTS = {
+    "alexander_modules": "IdealGenerators Presentation char_poly elementary_ideal "
+                         "fitting_variety_scan support_scan",
+    "aomoto_complex": "GradedAlgebra OneForm cohomology_dims differential_matrix "
+                      "validate_algebra wedge",
+    "constructions": "cohomology_at cyclic_module direct_sum epsilon_line in_support "
+                     "os_algebra_lines projective_points tensor_cyclic one_form",
+    "corpus": "bundled_scenario_names load_bundled_scenario",
+    "exact_kernel": "CyclotomicNumber ExactMatrix cyclotomic_poly rank",
+    "invariant_pipeline": "MonodromyPolynomial Scenario charvar_scan load_scenario "
+                          "milnor_charpoly twisted_cohomology",
+    "laurent_ring": "LaurentPoly TorsionPoint divides evaluate_at_torsion format_poly gcd "
+                    "normalize_unit parse_poly",
+    "residue_systems": "ResidueSystem admissible_search equimonodromic_beta is_admissible "
+                       "residues",
+}
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_every_export_resolves_to_its_home(module):
+    home = importlib.import_module(f"alexinv.{module}")
+    for name in EXPORTS[module].split():
+        value = getattr(alexinv, name)
+        assert value is getattr(home, name) and value.__module__ == home.__name__, name
+        assert name in dir(alexinv) and name in alexinv.__all__, name
+
+
+def test_an_unknown_package_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        alexinv.nope
+
+
 def test_the_entry_wrapper_is_the_one_catch_all():
     path = Path(alexinv.__file__).parent / "cli.py"
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -223,9 +277,10 @@ def test_every_traced_function_resolves():
 
 
 # The definitions that only tests may reach, each with its reason.
-TEST_ONLY = {
-    "is_zero_matrix": "a test oracle: tests check d o d = 0 with it",
-}
+TEST_ONLY: dict = {}
+
+# The package's PEP 562 hooks, which the interpreter calls by name.
+MODULE_HOOKS = {"__getattr__", "__dir__"}
 
 
 def referred_names(node) -> Counter:
@@ -237,10 +292,11 @@ def referred_names(node) -> Counter:
         for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute, ast.alias)))
 
 
-def unnamed_definitions(trees, exempt) -> list:
+def unnamed_definitions(trees, exempt, exported=()) -> list:
     """The top-level definitions of ``trees`` (by path) that no tree names
-    outside their own body, but for the ``exempt`` names."""
-    everywhere = sum(map(referred_names, trees.values()), Counter())
+    outside their own body and the package does not list in ``exported``
+    (its ``__all__``), but for the ``exempt`` names."""
+    everywhere = sum(map(referred_names, trees.values()), Counter(exported))
     return [f"{path.name}: {node.name}" for path, tree in trees.items()
             for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
@@ -253,7 +309,8 @@ def test_every_definition_is_named_outside_its_body():
              for path in SOURCES}
     names = traced_names()
     traced = {function for _, function, *_ in names["SPANS"] + names["COUNTED"]}
-    assert unnamed_definitions(trees, traced | TEST_ONLY.keys()) == []
+    assert unnamed_definitions(
+        trees, traced | TEST_ONLY.keys() | MODULE_HOOKS, alexinv.__all__) == []
     defined = {node.name for tree in trees.values() for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert TEST_ONLY.keys() <= defined
@@ -268,3 +325,7 @@ def test_unnamed_definitions_are_seen():
         "x = used() or Kept"),
         Path("b.py"): ast.parse("from a import Kept\nclass Alone: pass")}
     assert unnamed_definitions(trees, {"traced"}) == ["a.py: loop", "b.py: Alone"]
+    # A lazily exported module is named only by the package's __all__: what
+    # that leaves out is still unnamed.
+    trees = {Path("constructions.py"): ast.parse("def one_form(): pass\ndef orphan(): pass")}
+    assert unnamed_definitions(trees, set(), ["one_form"]) == ["constructions.py: orphan"]
