@@ -40,7 +40,7 @@ from .laurent_ring import LaurentPoly, divide_exact
 ProductTable = dict  # (left label, right label) -> {target label: Fraction}
 
 
-class GradedAlgebra(Record, frozen=False):
+class GradedAlgebra(Record):
     """Graded algebra with explicit structure constants.
 
     ``basis[p]`` is the ordered label tuple of degree ``p``; ``products``
@@ -49,14 +49,14 @@ class GradedAlgebra(Record, frozen=False):
     degree-1 products are filled in with the antisymmetric value; explicitly
     supplied entries are kept verbatim so that validation can catch
     inconsistent input.  ``_where`` maps each label to its (degree, index)
-    and is no field.
+    and is no field.  ``products`` is a dict, so the algebra has no hash.
     """
 
     _fields = ("top_degree", "basis", "products")
+    __hash__ = None
 
     def __init__(self, top_degree: int, basis: tuple, products: ProductTable):
-        self.top_degree = top_degree
-        self.basis = basis = tuple(tuple(labels) for labels in basis)
+        basis = tuple(tuple(labels) for labels in basis)
         if len(basis) != top_degree + 1:
             raise DimensionError("need one basis tuple per degree 0..top_degree")
         where = {}
@@ -65,7 +65,6 @@ class GradedAlgebra(Record, frozen=False):
                 if label in where:
                     raise ValueError(f"duplicate basis label {label!r}")
                 where[label] = (p, i)
-        self._where = where
         normalized = {}
         for (left, right), vec in products.items():
             for label in (left, right):
@@ -84,7 +83,10 @@ class GradedAlgebra(Record, frozen=False):
                     normalized[(b, a)] = {
                         k: -v for k, v in normalized[(a, b)].items()
                     }
-        self.products = normalized
+        _set(self, "top_degree", top_degree)
+        _set(self, "basis", basis)
+        _set(self, "_where", where)
+        _set(self, "products", normalized)
 
     def dim(self, p: int) -> int:
         if 0 <= p <= self.top_degree:

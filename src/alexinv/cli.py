@@ -31,6 +31,7 @@ from .errors import (
     ParseError,
     Record,
     SchemaError,
+    _set,
 )
 from .exact_kernel import format_ratio, rational_terms
 from .residue_systems import admissible_numerators
@@ -42,15 +43,15 @@ EXIT_INCONSISTENT = 3
 EXIT_INTERNAL = 4
 
 
-class Report(Record, frozen=False):
+class Report(Record):
     _fields = ("command", "digest", "results", "warnings")
 
     def __init__(self, command: list, digest: str, results: dict | None = None,
                  warnings: list | None = None):
-        self.command = command
-        self.digest = digest
-        self.results = {} if results is None else results
-        self.warnings = [] if warnings is None else warnings
+        _set(self, "command", command)
+        _set(self, "digest", digest)
+        _set(self, "results", {} if results is None else results)
+        _set(self, "warnings", [] if warnings is None else warnings)
 
     def to_json(self) -> str:
         return _render({"command": self.command, "digest": self.digest,
@@ -129,15 +130,13 @@ def _path_name(path: str) -> str:
     return ("//" if slashes == 2 else "/" if slashes else "") + "/".join(parts) or "."
 
 
-def _read_input(args, path: str, decoder):
-    """The checked object in the file at ``path``, and a report whose digest
-    is of the same bytes.  The name opened, and so every OSError's text, is
-    the one pathlib normalises (``_path_name``): ``./x`` is ``x``, and
-    ``""`` is ``.``."""
+def _read_input(path: str, decoder):
+    """The checked object in the file at ``path``, and the digest of the same
+    bytes.  The name opened, and so every OSError's text, is the one pathlib
+    normalises (``_path_name``): ``./x`` is ``x``, and ``""`` is ``.``."""
     with open(_path_name(path), "rb", buffering=0) as f:
         data = f.readall()
-    report = Report(list(args._argv), "sha256:" + hashlib.sha256(data).hexdigest())
-    return _decode(decoder, data), report
+    return _decode(decoder, data), "sha256:" + hashlib.sha256(data).hexdigest()
 
 
 def _resolve_scenario_path(token: str) -> str:
@@ -186,55 +185,52 @@ def format_charpoly(poly: lr.LaurentPoly) -> str:
 
 
 def _cmd_validate(args) -> Report:
-    scenario, report = _load_scenario(args)
-    report.results = {
+    scenario, digest = _load_scenario(args)
+    return Report(args._argv, digest, {
         "name": scenario.name,
         "valid": True,
         "components": scenario.components,
         "degrees": list(scenario.degrees),
         "betti": list(betti_vector(scenario.algebra)),
-    }
-    return report
+    })
 
 
-def _load_scenario(args) -> tuple[pipeline.Scenario, Report]:
+def _load_scenario(args) -> tuple[pipeline.Scenario, str]:
     path = _resolve_scenario_path(args.scenario)
-    return _read_input(args, path, pipeline.scenario_from_json)
+    return _read_input(path, pipeline.scenario_from_json)
 
 
 def _cmd_aomoto(args) -> Report:
-    scenario, report = _load_scenario(args)
+    scenario, digest = _load_scenario(args)
     alpha, common = _parse_residues(args.alpha, scenario.nparams, "--alpha")
     rows = scenario.residue_system.rows
     values = [sum(map(mul, row.coeffs, alpha)) for row in rows]
     dims = scenario.differential.dims_many((alpha,))[0]
-    report.results = {
+    return Report(args._argv, digest, {
         "alpha": [format_ratio(a, common) for a in alpha],
         "admissible": not any(v > 0 and not v % common for v in values),
         "residues": {row.label: format_ratio(v, common) for row, v in zip(rows, values)},
         "dims": list(dims),
-    }
-    return report
+    })
 
 
 def _cmd_twisted(args) -> Report:
-    scenario, report = _load_scenario(args)
+    scenario, digest = _load_scenario(args)
     beta, common = _parse_residues(args.beta, scenario.nparams, "--beta")
     bound = scenario.effective_bound(args.bound)
     alpha = admissible_numerators(scenario.residue_system, beta, common, bound)
     beta = [format_ratio(b, common) for b in beta]
-    dims = None
+    dims, warnings = None, []
     if alpha is None:
-        report.warnings.append(str(InconclusiveSearchError(beta, bound, scenario.name)))
+        warnings.append(str(InconclusiveSearchError(beta, bound, scenario.name)))
     else:
         dims = list(scenario.differential.dims_many((alpha,))[0])
         alpha = [format_ratio(a, common) for a in alpha]
-    report.results = {"beta": beta, "alpha": alpha, "dims": dims}
-    return report
+    return Report(args._argv, digest, {"beta": beta, "alpha": alpha, "dims": dims}, warnings)
 
 
 def _cmd_admissible(args) -> Report:
-    scenario, report = _load_scenario(args)
+    scenario, digest = _load_scenario(args)
     beta, common = _parse_residues(args.beta, scenario.nparams, "--beta")
     bound = scenario.effective_bound(args.bound)
     alpha = admissible_numerators(scenario.residue_system, beta, common, bound)
@@ -245,18 +241,15 @@ def _cmd_admissible(args) -> Report:
     }
     if alpha is None:
         results["alpha"] = None
-        report.warnings.append(
+        return Report(args._argv, digest, results, [
             "no admissible representative inside the search box; this does "
-            "not certify non-admissibility"
-        )
-    else:
-        results["alpha"] = [format_ratio(a, common) for a in alpha]
-        results["residues"] = {
-            row.label: format_ratio(sum(map(mul, row.coeffs, alpha)), common)
-            for row in scenario.residue_system.rows
-        }
-    report.results = results
-    return report
+            "not certify non-admissibility"])
+    results["alpha"] = [format_ratio(a, common) for a in alpha]
+    results["residues"] = {
+        row.label: format_ratio(sum(map(mul, row.coeffs, alpha)), common)
+        for row in scenario.residue_system.rows
+    }
+    return Report(args._argv, digest, results)
 
 
 def _point_names(level: int, nvars: int) -> list[str]:
@@ -279,11 +272,11 @@ def _names_at(level: int, nvars: int, indices) -> list[str]:
 
 
 def _cmd_charvar(args) -> Report:
-    scenario, report = _load_scenario(args)
+    scenario, digest = _load_scenario(args)
     by_index, inconclusive = pipeline._charvar_indices(
         scenario, args.level, args.degree, args.bound)
     names = _point_names(args.level, scenario.nparams)
-    report.results = {
+    return Report(args._argv, digest, {
         "level": args.level,
         "degree": args.degree,
         "total_points": len(names),
@@ -291,38 +284,32 @@ def _cmd_charvar(args) -> Report:
             str(dim): list(map(names.__getitem__, found))
             for dim, found in by_index.items()
         },
-    }
-    for index in inconclusive:
-        report.warnings.append(f"inconclusive at beta={names[index]}")
-    return report
+    }, [f"inconclusive at beta={names[index]}" for index in inconclusive])
 
 
 def _cmd_milnor(args) -> Report:
-    scenario, report = _load_scenario(args)
+    scenario, digest = _load_scenario(args)
     try:
         delta = pipeline.milnor_charpoly(scenario, args.m, args.bound)
     except InconclusiveSearchError as exc:
-        report.results = {"m": args.m, "delta": None}
-        report.warnings.append(str(exc))
-        return report
-    report.results = {
+        return Report(args._argv, digest, {"m": args.m, "delta": None}, [str(exc)])
+    return Report(args._argv, digest, {
         "m": args.m,
         "order": delta.order,
         "multiplicities": list(delta.multiplicities),
         "degree": delta.degree,
         "delta": delta.factored_str(),
-    }
-    return report
+    })
 
 
 def _cmd_module(args) -> Report:
-    pres, report = _read_input(args, args.presentation, am.presentation_from_json)
+    pres, digest = _read_input(args.presentation, am.presentation_from_json)
     if args.op == "charpoly":
         if args.i < 0:
             raise SchemaError("", "--i must be >= 0 for --op charpoly")
         poly = am.char_poly(pres, args.i)
         expanded = lr.format_poly(poly)
-        report.results = {
+        results = {
             "op": "charpoly",
             "i": args.i,
             "charpoly": format_charpoly(poly) if poly.nvars == 1 else expanded,
@@ -338,13 +325,13 @@ def _cmd_module(args) -> Report:
                 raise SchemaError("", "--i must be >= 1 for --op fitting")
             head, i = {"op": "fitting", "i": args.i}, args.i
         found = am._scan(pres, i, args.level)
-        report.results = {
+        results = {
             **head,
             "level": args.level,
             "count": len(found),
             "points": _names_at(args.level, pres.nvars, found),
         }
-    return report
+    return Report(args._argv, digest, results)
 
 
 # ---------------------------------------------------------------------------

@@ -17,18 +17,10 @@ class Record:
 
     Each subclass names its fields, in constructor order, in ``_fields``.
     Whatever else sits in the instance dict, a cached property say, takes no
-    part in ``==``, ``hash`` or the repr.  ``class C(Record, frozen=False)``
-    makes a mutable record, which has no hash.
+    part in ``==``, ``hash`` or the repr.
     """
 
     _fields = ()
-
-    def __init_subclass__(cls, frozen: bool = True, **kwargs):
-        super().__init_subclass__(**kwargs)
-        if not frozen:
-            cls.__hash__ = None
-            cls.__setattr__ = object.__setattr__
-            cls.__delattr__ = object.__delattr__
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

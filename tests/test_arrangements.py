@@ -33,13 +33,21 @@ a swap check.  With ``t^2`` and ``t^-2`` swapped, the search finds a
 representative at the level-6 points with ``t``'s numerator 1, 2, 4 or 5,
 and they read ``dim H^1 = 0``.  Dropping the row
 ``Einf367``, ``E157`` or ``E123`` turns the inconclusive points of ``C``
-into answers, and these tests fail.
+into answers, and these tests fail.  Its lattice, computed here from the
+lines' normals, has one quadruple and six triple points and five braid
+subarrangements; at levels 2 and 4 the conclusive points that jump are
+exactly those on these 12 subtori through 1 (Cohen-Suciu 1999), and the
+level-4 points of ``C`` lie on none of them.  Reading a shift that the
+search did not find as the zero shift turns those points into answers.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
-from itertools import product
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -49,6 +57,7 @@ from alexinv.invariant_pipeline import charvar_scan, milnor_charpoly, scenario_f
 from alexinv.residue_systems import grid_shifts
 from arrangements import (
     A3_GENERIC,
+    DELETED_B3_DECONE,
     NON_FANO,
     a3_decone,
     a3_generic,
@@ -241,6 +250,24 @@ def json_report(capsys, *argv):
     return code, json.loads(capsys.readouterr().out)
 
 
+@pytest.fixture(scope="module")
+def deleted_b3_charvar(deleted_b3_file):
+    """The exit code and JSON report of ``charvar --degree 1`` on deleted
+    B3, by level, each level scanned once."""
+    reports = {}
+
+    def at(level: int):
+        if level not in reports:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["charvar", deleted_b3_file, "--level", str(level),
+                             "--degree", "1", "--format", "json"])
+            reports[level] = code, json.loads(out.getvalue())
+        return reports[level]
+
+    return at
+
+
 def family_c(level: int, swapped: bool = False) -> list:
     """The level-N points of ``C = (t, -1/t, -1, -1/t, t, t^2, t^-2)``, for
     ``t`` of numerator ``k = 0 .. N-1``, as ``--beta`` text; ``swapped``
@@ -253,9 +280,8 @@ def family_c(level: int, swapped: bool = False) -> list:
     return points
 
 
-def test_deleted_b3_first_characteristic_variety_at_level_2(capsys, deleted_b3_file):
-    code, report = json_report(capsys, "charvar", deleted_b3_file, "--level", "2",
-                               "--degree", "1")
+def test_deleted_b3_first_characteristic_variety_at_level_2(deleted_b3_charvar):
+    code, report = deleted_b3_charvar(2)
     buckets = report["results"]["buckets"]
     assert code == 2
     assert (len(buckets["1"]), len(buckets["2"]), len(report["warnings"])) == (26, 7, 3)
@@ -274,3 +300,121 @@ def test_deleted_b3_abstains_on_the_translated_component(capsys, deleted_b3_file
         if k % 3:
             code, report = json_report(capsys, "twisted", deleted_b3_file, f"--beta={beta}")
             assert (code, report["results"]["dims"][1]) == (0, 0), beta
+
+
+# Deleted B3 in the projective plane: the normals of x, y, z, x-y, x-z, y-z,
+# x-y-z and x-y+z, lines 1..8.  The decone chart's affine lines 1..7 are the
+# projective lines other than z, in order.
+DELETED_B3_NORMALS = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 0, -1), (0, 1, -1),
+                      (1, -1, -1), (1, -1, 1)]
+DECONE_LINES = (1, 2, 4, 5, 6, 7, 8)
+
+
+def lattice_points(normals) -> list:
+    """The points of the projective line arrangement with these ``normals``,
+    each as the sorted tuple of its line numbers, written with no ``alexinv``
+    code."""
+    points = set()
+    for (a1, a2, a3), (b1, b2, b3) in combinations(normals, 2):
+        meet = (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+        points.add(tuple(j for j, normal in enumerate(normals, 1)
+                         if sum(map(int.__mul__, normal, meet)) == 0))
+    return sorted(points)
+
+
+def subtori_through_1(points, nlines: int, level: int) -> dict:
+    """Numerators of the level-N points of the subtori through 1 of ``V_1``
+    of a projective arrangement with these ``points``, written with no
+    ``alexinv`` code, keyed by the lines on which ``t_j = 1``.  A local one
+    for each point of three or more lines, ``t_j = 1`` off the point; a
+    braid one for each six lines with four triple and three double points,
+    as in :func:`braid_components`: ``t_j = 1`` on the two lines dropped,
+    ``t_a = t_b`` for each double point ``{a, b}``, and the product over one
+    line of each double point is 1."""
+    lines = range(1, nlines + 1)
+    subtori = {}
+    for point in points:
+        if len(point) >= 3:
+            subtori[tuple(j for j in lines if j not in point)] = {
+                tuple(dict(zip(point, values)).get(j, 0) for j in lines)
+                for values in product(range(level), repeat=len(point))
+                if sum(values) % level == 0}
+    for dropped in combinations(lines, 2):
+        kept = [tuple(j for j in point if j not in dropped) for point in points]
+        if sorted(map(len, kept))[-7:] != [2, 2, 2, 3, 3, 3, 3]:
+            continue
+        doubles = [point for point in kept if len(point) == 2]
+        subtori[dropped] = {
+            tuple(next((x for x, double in zip(xs, doubles) if j in double), 0) for j in lines)
+            for xs in product(range(level), repeat=3) if sum(xs) % level == 0}
+    return subtori
+
+
+def projective_numerators(names, level: int) -> list:
+    """The numerators of each decone point, named as a report names it, in
+    the 8 projective coordinates: ``t_z = (t_1 ... t_7)^-1``."""
+    numerator = {str(Fraction(k, level)): k for k in range(level)}
+    found = []
+    for name in names:
+        affine = [numerator[c] for c in name.strip("()").split(",")]
+        n = [0] * 8
+        for j, value in zip(DECONE_LINES, affine):
+            n[j - 1] = value
+        n[2] = -sum(affine) % level
+        found.append(tuple(n))
+    return found
+
+
+def test_deleted_b3_lattice_and_its_decone_chart():
+    points = lattice_points(DELETED_B3_NORMALS)
+    assert [p for p in points if len(p) >= 3] == [
+        (1, 2, 4), (1, 3, 5), (1, 6, 8), (2, 3, 6), (2, 5, 7), (3, 4, 7, 8), (4, 5, 6)]
+    assert [p for p in points if len(p) == 2] == [(1, 7), (2, 8), (5, 8), (6, 7)]
+    # The builder's chart: the affine points, and each parallel class with z.
+    to_projective = dict(enumerate(DECONE_LINES, 1))
+    decone = [tuple(sorted(map(to_projective.get, p))) for p in DELETED_B3_DECONE["points"]]
+    decone += [tuple(sorted([3, *map(to_projective.get, c)]))
+               for c in DELETED_B3_DECONE["parallel"]]
+    assert sorted(decone) == points
+    subtori = subtori_through_1(points, 8, 2)
+    assert len(subtori) == 12
+    assert sorted(key for key in subtori if len(key) == 2) == [
+        (1, 8), (2, 7), (5, 7), (6, 8), (7, 8)]
+
+
+def test_deleted_b3_first_characteristic_variety_at_level_4(deleted_b3_charvar):
+    code, report = deleted_b3_charvar(4)
+    buckets = report["results"]["buckets"]
+    assert code == 2
+    assert {dim: len(found) for dim, found in buckets.items()} == {
+        "0": 16157, "1": 158, "2": 63, "7": 1}
+    assert report["warnings"] == [f"inconclusive at beta={beta}" for beta in [
+        "(0,1/2,1/2,1/2,0,0,0)", "(1/4,1/4,1/2,1/4,1/4,1/2,1/2)", "(1/2,0,1/2,0,1/2,0,0)",
+        "(1/2,1/2,0,1/2,1/2,0,0)", "(3/4,3/4,1/2,3/4,3/4,1/2,1/2)"]]
+
+
+@pytest.mark.parametrize("level", [2, 4])
+def test_deleted_b3_jumps_exactly_on_the_subtori_through_1(deleted_b3_charvar, level):
+    # Every conclusive point off the subtori reads 0, and every one on them,
+    # the trivial point included, reads at least 1.
+    subtori = subtori_through_1(lattice_points(DELETED_B3_NORMALS), 8, level)
+    on = set().union(*subtori.values())
+    _, report = deleted_b3_charvar(level)
+    for dim, found in report["results"]["buckets"].items():
+        wrong = [name for name, n in zip(found, projective_numerators(found, level))
+                 if (n in on) != (dim != "0")]
+        assert wrong == [], dim
+    if level == 4:
+        # The level-4 points of C, both inconclusive, lie on none of them.
+        names = ["(" + ",".join(str(Fraction(c)) for c in beta.split(",")) + ")"
+                 for beta in family_c(4)[1::2]]
+        assert {f"inconclusive at beta={name}" for name in names} < set(report["warnings"])
+        assert not on & set(projective_numerators(names, 4))
+
+
+def test_deleted_b3_milnor_polynomials(capsys, deleted_b3_file):
+    for m, delta in enumerate(["(t-1)", "(t-1)^7", "(t-1)^6*(t^8-1)^6"]):
+        code, report = json_report(capsys, "milnor", deleted_b3_file, "--m", str(m))
+        assert (code, report["results"]["delta"]) == (0, delta)
+    # 1 - 7 + 54 = 8 * (1 - 7 + 12).
+    assert_milnor_bookkeeping(scenario_from_dict(deleted_b3_decone()))

@@ -364,8 +364,7 @@ def _charvar_report(name, level, degree, fmt):
     argv = ["charvar", name, "--level", str(level), "--degree", str(degree), "--format", fmt]
     with open(bundled_scenario_path(name), "rb") as handle:
         digest = "sha256:" + hashlib.sha256(handle.read()).hexdigest()
-    report = cli.Report(["alexinv"] + argv, digest)
-    report.results = {
+    report = cli.Report(["alexinv"] + argv, digest, {
         "level": level,
         "degree": degree,
         "total_points": level ** scenario.nparams,
@@ -373,8 +372,7 @@ def _charvar_report(name, level, degree, fmt):
             str(dim): [str(p) for p in points]
             for dim, points in scan.by_dimension.items()
         },
-    }
-    report.warnings = [f"inconclusive at beta={p}" for p in scan.inconclusive]
+    }, [f"inconclusive at beta={p}" for p in scan.inconclusive])
     text = report.to_json() if fmt == "json" else report.to_text()
     return argv, (2 if report.warnings else 0), text + "\n"
 

@@ -20,8 +20,9 @@ body, as an ``ast.Name``, an ``ast.Attribute`` or an import alias, somewhere
 in the package, in its ``__all__`` or in the ``SPANS`` and ``COUNTED`` of
 ``perfbench/tracing.py``; ``TEST_ONLY`` lists the exceptions, each with its
 reason.  Importing the CLI loads the modules a command can reach and no
-others: not ``alexinv.constructions``, which the package loads on first use
-of one of its names.
+others: not ``alexinv.constructions``.  Importing the package loads none of
+its modules: its ``__init__`` names each export once, in one table by home
+module, and imports that module on first use of one of its names.
 """
 
 import ast
@@ -184,6 +185,38 @@ def test_importing_the_cli_loads_only_what_a_command_reaches():
     done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
                           text=True, timeout=60, check=True)
     assert set(done.stdout.split()) == CLI_MODULES
+
+
+def test_importing_the_package_loads_no_submodule():
+    # The first use of a name loads its home module and what that imports.
+    src = str(Path(alexinv.__file__).resolve().parent.parent)
+    script = (f"import sys; sys.path.insert(0, {src!r}); import alexinv; "
+              "loaded = lambda: sorted(n for n in sys.modules if n.startswith('alexinv')); "
+              "print(*loaded()); alexinv.LaurentPoly; print(*loaded())")
+    done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                          text=True, timeout=60, check=True)
+    bare, used = [set(line.split()) for line in done.stdout.splitlines()]
+    assert bare == {"alexinv"}
+    assert "alexinv.laurent_ring" in used
+    assert not used & {"alexinv.cli", "alexinv.constructions"}
+
+
+def test_the_package_names_each_export_once_and_imports_nothing():
+    path = Path(alexinv.__file__)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    (table,) = [ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [name_of(t) for t in node.targets] == ["_EXPORTS"]]
+    imports = [node.lineno for node in tree.body
+               if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert imports == []
+    names = [name for home in table.values() for name in home]
+    assert len(names) == len(set(names)) == 46
+    assert set(names) == set(alexinv.__all__)
+    assert set(table) <= {path.stem for path in SOURCES}
+    words = Counter(word for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                    and isinstance(node.value, str) for word in node.value.split())
+    assert [name for name in names if words[name] != 1] == []
 
 
 # Every name the package exported before the functions no command runs moved
