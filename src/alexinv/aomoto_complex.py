@@ -562,10 +562,7 @@ def algebra_from_dict(data: dict, path: str = "/algebra") -> GradedAlgebra:
         if key in products:
             raise SchemaError(f"{here}", f"duplicate product for {key}")
         products[key] = vec
-    try:
-        return GradedAlgebra(top, tuple(basis), products)
-    except ValueError as exc:
-        raise SchemaError(path, str(exc)) from exc
+    return GradedAlgebra(top, tuple(basis), products)
 
 
 def ensure_valid(algebra: GradedAlgebra) -> None:

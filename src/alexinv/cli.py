@@ -46,11 +46,10 @@ EXIT_INTERNAL = 4
 class Report(Record):
     _fields = ("command", "digest", "results", "warnings")
 
-    def __init__(self, command: list, digest: str, results: dict | None = None,
-                 warnings: list | None = None):
+    def __init__(self, command: list, digest: str, results: dict, warnings: list | None = None):
         _set(self, "command", command)
         _set(self, "digest", digest)
-        _set(self, "results", {} if results is None else results)
+        _set(self, "results", results)
         _set(self, "warnings", [] if warnings is None else warnings)
 
     def to_json(self) -> str:

@@ -26,9 +26,9 @@ clears denominators to integer content 1, and makes the graded-lex leading
 coefficient positive.  Exact division and divisibility work on Laurent
 polynomials as they are, negative exponents included; only the canonical
 form and the primitive PRS shift to ordinary form (every minimum exponent 0).
-``gcd`` first tries the shorter argument as an exact divisor of the other
-and runs the PRS only when that fails; the PRS takes every content through
-``gcd``.
+``gcd_all`` is the one gcd loop and ``gcd`` its two-argument form: each step
+tries the shorter polynomial as an exact divisor of the other and runs the
+PRS only when that fails; the PRS takes every content through ``gcd_all``.
 """
 
 from __future__ import annotations
@@ -310,7 +310,7 @@ def divides(p: LaurentPoly, q: LaurentPoly) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Multivariate gcd: a primitive PRS that takes every content through ``gcd``.
+# Multivariate gcd: a primitive PRS that takes every content through ``gcd_all``.
 
 
 def _degree_in(p: LaurentPoly, v: int) -> int:
@@ -323,11 +323,6 @@ def _univ_coeffs(p: LaurentPoly, v: int) -> dict[int, LaurentPoly]:
     for e, c in p.terms.items():
         buckets.setdefault(e[v], {})[e[:v] + (0,) + e[v + 1 :]] = c
     return {d: LaurentPoly._make(p.nvars, t) for d, t in buckets.items()}
-
-
-def _content(p: LaurentPoly, v: int) -> LaurentPoly:
-    """Normalized gcd of the coefficients of ``p`` in variable ``v``."""
-    return gcd_all(_univ_coeffs(p, v).values(), p.nvars)
 
 
 def _pseudo_rem(a: LaurentPoly, b: LaurentPoly, v: int) -> LaurentPoly:
@@ -346,17 +341,13 @@ def _pseudo_rem(a: LaurentPoly, b: LaurentPoly, v: int) -> LaurentPoly:
 
 
 def _gcd_prs(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """The PRS step of ``gcd`` and ``gcd_all``: ``a`` and ``b`` are nonzero and
-    the shorter does not divide the longer, so neither is a single term (a
-    unit) and, in ordinary form, some variable has positive degree."""
+    """The PRS step of ``gcd_all``: ``a`` and ``b`` are nonzero and the
+    shorter does not divide the longer, so neither is a single term (a unit)
+    and, in ordinary form, some variable has positive degree."""
     a, b = _shift_to_ordinary(a), _shift_to_ordinary(b)
-    v = max(
-        j
-        for j in range(a.nvars)
-        if _degree_in(a, j) > 0 or _degree_in(b, j) > 0
-    )
-    ca = _content(a, v)
-    cb = _content(b, v)
+    v = max(j for j in range(a.nvars) if _degree_in(a, j) > 0 or _degree_in(b, j) > 0)
+    ca = gcd_all(_univ_coeffs(a, v).values(), a.nvars)
+    cb = gcd_all(_univ_coeffs(b, v).values(), a.nvars)
     pa = divide_exact(a, ca)
     pb = divide_exact(b, cb)
     if _degree_in(pa, v) < _degree_in(pb, v):
@@ -364,41 +355,39 @@ def _gcd_prs(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     while not pb.is_zero and _degree_in(pb, v) > 0:
         r = _pseudo_rem(pa, pb, v)
         if not r.is_zero:
-            r = normalize_unit(divide_exact(r, _content(r, v)))
+            r = normalize_unit(divide_exact(r, gcd_all(_univ_coeffs(r, v).values(), a.nvars)))
         pa, pb = pb, r
-    c = gcd(ca, cb)
+    c = gcd_all((ca, cb), a.nvars)
     # A nonzero remainder of degree 0 in v: the primitive parts are coprime.
     return normalize_unit(c if pb else c * pa)
 
 
 def gcd(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    """Normalized greatest common divisor in the unit-class sense."""
+    """Normalized greatest common divisor in the unit-class sense: the
+    two-argument form of ``gcd_all``."""
     if p.nvars != q.nvars:
         raise DimensionError("gcd between different variable counts")
-    if p.is_zero:
-        return normalize_unit(q)
-    if q.is_zero:
-        return normalize_unit(p)
-    if len(p.terms) > len(q.terms):
-        p, q = q, p
-    # An exact divisor is the gcd: no PRS needed.
-    if divide_exact(q, p) is not None:
-        return normalize_unit(p)
-    return _gcd_prs(p, q)
+    return gcd_all((p, q), p.nvars)
 
 
 def gcd_all(polys, nvars: int) -> LaurentPoly:
-    """Normalized gcd of nonzero ``polys`` (0 when there are none); it stops
-    at 1, and a polynomial that the gcd so far divides leaves it as it is."""
+    """Normalized gcd of ``polys``, zeros skipped (0 when none is nonzero); it
+    stops at 1.  Each step tries the shorter of the gcd so far and the next
+    polynomial (the gcd so far on a tie) as an exact divisor of the other,
+    and runs the PRS only when that division fails."""
     g = LaurentPoly.zero(nvars)
     for p in polys:
-        if g and len(g.terms) <= len(p.terms):
-            # gcd would give normalize_unit(g), which is g: it is normalized.
-            if divide_exact(p, g) is not None:
-                continue
-            g = _gcd_prs(g, p)  # gcd(g, p) would try that division again
+        if p.is_zero:
+            continue
+        if g.is_zero:
+            g = normalize_unit(p)
+        elif len(g.terms) <= len(p.terms):
+            if divide_exact(p, g) is None:
+                g = _gcd_prs(g, p)
+        elif divide_exact(g, p) is not None:
+            g = normalize_unit(p)
         else:
-            g = gcd(g, p) if g else normalize_unit(p)
+            g = _gcd_prs(p, g)
         if g.is_one:
             break
     return g

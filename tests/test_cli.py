@@ -5,7 +5,9 @@ import enum
 import hashlib
 import importlib.resources
 import io
+import itertools
 import json
+import math
 import os
 import resource
 import shutil
@@ -1173,7 +1175,8 @@ def test_main_prints_what_argparse_alone_prints(
 
 def _bundled_with(name, keys, value):
     """The bundled scenario ``name`` as JSON text, with the value at ``keys``
-    replaced (the whole document for no keys)."""
+    replaced (the whole document for no keys); a list index one past the
+    end appends."""
     from alexinv.corpus import bundled_scenario_path
 
     with open(bundled_scenario_path(name), encoding="utf-8") as handle:
@@ -1183,7 +1186,10 @@ def _bundled_with(name, keys, value):
     parent = data
     for key in keys[:-1]:
         parent = parent[key]
-    parent[keys[-1]] = value
+    if isinstance(parent, list) and keys[-1] == len(parent):
+        parent.append(value)
+    else:
+        parent[keys[-1]] = value
     return json.dumps(data)
 
 
@@ -1202,6 +1208,24 @@ SCENARIO_HOLES = (
     (("omega_map", 0, 0), "1/0", "/omega_map/0: zero denominator"),
     (PRODUCT + ("value", 0, "coeff"), "1/0",
      "/algebra/products/0/value/0/coeff: zero denominator"),
+    (PRODUCT + ("value", 0, "basis"), "eta3",
+     "/algebra/products/0/value/0/basis: target degree must equal the sum of factor degrees"),
+    (("algebra", "products", 3), {"left": "eta12", "right": "eta23", "value": []},
+     "/algebra/products/3: one factor must have degree 1"),
+    (("algebra", "products", 3), {"left": "eta1", "right": "eta2", "value": []},
+     "/algebra/products/3: duplicate product for ('eta1', 'eta2')"),
+    (("algebra", "basis"), [], "/algebra/basis: must map degree strings to label lists"),
+    (("algebra", "basis"), {"0": ["1"], "1": ["eta1", "eta2", "eta3"]},
+     "/algebra/basis/2: missing degree"),
+    (("algebra", "basis", "2"), ["eta12", "eta1"], "/algebra/basis: duplicate basis label"),
+    (("name",), "", "/name: must be a non-empty string"),
+    (("milnor",), [], "/milnor: must be an object"),
+    (("milnor", "include_infinity"), 1, "/milnor/include_infinity: must be a boolean"),
+    (("intersection_points",), {}, "/intersection_points: must be a list"),
+    (("residue_system", "rows", 0, "component"), False,
+     "/residue_system/rows: missing component unit row for parameter 1"),
+    (("residue_system", "nparams"), 101,
+     "/residue_system/nparams: 101 is more than the limit of 100"),
 )
 
 
@@ -1212,6 +1236,68 @@ def test_malformed_scenario_is_a_schema_error(tmp_path, capsys, keys, value, whe
     code, out, err = run_cli(capsys, "validate", str(path))
     assert (code, out) == (1, "")
     assert err.startswith("error: " + where), err
+
+
+def exterior_scenario(n, swapped):
+    """The exterior algebra on ``n`` generators over ``n`` lines, with unit
+    residue rows, the infinity row and an identity one-form map.  Each
+    product ``e_i * e_S`` is written degree-1 first, or, when ``swapped``
+    and ``|S| > 1``, as ``e_S * e_i``, which is ``(-1)^|S|`` times it."""
+    gens = range(1, n + 1)
+
+    def label(s):
+        return "e" + "".join(map(str, s)) if s else "1"
+
+    products = []
+    for p in range(1, n):
+        for s in itertools.combinations(gens, p):
+            for i in gens:
+                if i in s:
+                    continue
+                sign = (-1) ** sum(j < i for j in s)
+                target = label(sorted(s + (i,)))
+                if swapped and p > 1:
+                    left, right, sign = label(s), label((i,)), sign * (-1) ** p
+                else:
+                    left, right = label((i,)), label(s)
+                products.append({"left": left, "right": right,
+                                 "value": [{"basis": target, "coeff": str(sign)}]})
+    return json.dumps({
+        "name": f"exterior_{n}", "components": n, "degrees": [1] * n,
+        "algebra": {"top_degree": n, "products": products, "basis": {
+            str(p): [label(s) for s in itertools.combinations(gens, p)]
+            for p in range(n + 1)}},
+        "residue_system": {"nparams": n, "rows": [
+            {"label": f"L{i}", "coeffs": [int(i == j) for j in gens], "component": True}
+            for i in gens] + [{"label": "Linf", "coeffs": [-1] * n, "component": True}]},
+        "omega_map": [["1" if i == j else "0" for j in gens] for i in gens],
+    })
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_product_written_degree_one_last_takes_the_graded_sign(tmp_path, capsys, n):
+    # A product with its degree-1 factor on the right is stored degree-1
+    # first, times (-1)^(degree of the left factor): +1 for the degree-2
+    # factors of n = 3, and -1 for the degree-3 factors of n = 4.
+    first, swapped = (pipeline.scenario_from_json(exterior_scenario(n, s).encode())
+                      for s in (False, True))
+    assert swapped.algebra.products == first.algebra.products
+    reports = []
+    for spelling in (False, True):
+        path = tmp_path / f"{spelling}.json"
+        path.write_text(exterior_scenario(n, spelling))
+        lines = []
+        for argv in (("validate",), ("aomoto", "--alpha=" + ",".join("0" * n)),
+                     ("aomoto", "--alpha=1/2" + ",0" * (n - 1))):
+            code, out, _ = run_cli(capsys, argv[0], str(path), *argv[1:])
+            assert code == 0
+            lines.append(out.splitlines()[2:])  # below the argv and digest
+        reports.append(lines)
+    assert reports[0] == reports[1]
+    betti = [math.comb(n, p) for p in range(n + 1)]
+    assert f"results.betti: {betti}" in reports[0][0]
+    assert f"results.dims: {betti}" in reports[0][1]
+    assert f"results.dims: {[0] * (n + 1)}" in reports[0][2]
 
 
 PRESENTATION = '{"nvars": %s, "generators": 1, "relations": 1, "matrix": [["t1-1"]]}'

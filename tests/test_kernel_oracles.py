@@ -49,6 +49,7 @@ from alexinv.laurent_ring import (
     divides,
     evaluate_at_torsion,
     gcd,
+    gcd_all,
     normalize_unit,
     parse_poly,
     torsion_grid,
@@ -57,6 +58,7 @@ from randgen import (
     make_rng,
     random_binomial_factor,
     random_chain_presentation,
+    random_laurent,
     random_partial_presentation,
     random_presentation,
     random_product,
@@ -181,6 +183,31 @@ def test_gcd_trial_division_both_directions(data):
     assert gcd(p, q).is_one
 
 
+@HYPOTHESIS
+@given(st.integers(0, 2**32 - 1), PRS_NVARS)
+def test_gcd_is_gcd_all_in_either_order_and_among_zeros(seed, nvars):
+    # gcd is gcd_all of its two arguments, which skips zeros: the normalized
+    # gcd is unique, so no order of the arguments, zeros among them, moves it.
+    # The PRS runs only where the shorter (the gcd so far on a tie) does not
+    # divide the other.
+    rng = make_rng(seed)
+    common = random_product(rng, nvars)
+    p = common * random_laurent(rng, nvars)
+    q = common * random_laurent(rng, nvars)
+    zero = LaurentPoly.zero(nvars)
+    prs = lr._gcd_prs
+
+    def checked_prs(a, b):
+        assert len(a.terms) <= len(b.terms) and divide_exact(b, a) is None
+        return prs(a, b)
+
+    with mock.patch.object(lr, "_gcd_prs", checked_prs):
+        assert gcd(p, q) == gcd(q, p) == gcd_all((p, zero, q), nvars) == gcd_all(
+            (zero, q, p, zero), nvars)
+        assert gcd(p, zero) == normalize_unit(p)
+        assert gcd(zero, zero).is_zero and gcd_all((), nvars).is_zero
+
+
 def test_gcd_oracle_on_shared_factors():
     rng = make_rng(11)
     for nvars in (1, 2, 3):
@@ -208,7 +235,7 @@ def test_gcd_oracle_on_shared_factors():
 def test_gcd_of_trivariate_prs_inputs_matches_sympy(a, b, c):
     # gcd(c*a*a, c*b) for three seeded trivariate draws that reach the PRS.
     # The first and last take seconds unless the PRS's content gcds go
-    # through gcd's division shortcut; the 1 s bound catches that.
+    # through gcd_all's division shortcut; the 1 s bound catches that.
     a, b, c = (parse_poly(text, 3) for text in (a, b, c))
     p, q = c * a * a, c * b
     start = time.perf_counter()

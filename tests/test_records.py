@@ -127,6 +127,6 @@ def test_constructor_defaults():
     scenario = Scenario(*torus_fields(Scenario)[:6])
     assert (scenario.include_infinity_in_milnor, scenario.intersection_points,
             scenario.max_shift) == (True, None, None)
-    first, second = Report(["alexinv"], "sha256:0"), Report(["alexinv"], "sha256:0")
+    first, second = Report(["alexinv"], "sha256:0", {}), Report(["alexinv"], "sha256:0", {})
     assert first.results == {} and first.warnings == []
-    assert first.results is not second.results and first.warnings is not second.warnings
+    assert first.warnings is not second.warnings

@@ -23,6 +23,8 @@ reason.  Importing the CLI loads the modules a command can reach and no
 others: not ``alexinv.constructions``.  Importing the package loads none of
 its modules: its ``__init__`` names each export once, in one table by home
 module, and imports that module on first use of one of its names.
+``laurent_ring`` has one gcd loop: ``gcd_all`` alone calls ``_gcd_prs``, and
+``gcd`` calls neither it nor ``divide_exact``.
 """
 
 import ast
@@ -362,3 +364,34 @@ def test_unnamed_definitions_are_seen():
     # that leaves out is still unnamed.
     trees = {Path("constructions.py"): ast.parse("def one_form(): pass\ndef orphan(): pass")}
     assert unnamed_definitions(trees, set(), ["one_form"]) == ["constructions.py: orphan"]
+
+
+def called_names(node) -> set:
+    """The names that ``node`` calls, as plain names or attributes."""
+    return {name_of(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)}
+
+
+def callers(tree, name) -> list:
+    """The top-level definitions of ``tree`` that call ``name``, in order;
+    ``None`` stands for a call outside every definition."""
+    return [getattr(node, "name", None) for node in tree.body if name in called_names(node)]
+
+
+def test_laurent_ring_has_one_gcd_loop():
+    path = Path(alexinv.__file__).parent / "laurent_ring.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert callers(tree, "_gcd_prs") == ["gcd_all"]
+    (gcd,) = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "gcd"]
+    assert called_names(gcd).isdisjoint({"divide_exact", "_gcd_prs"})
+
+
+def test_gcd_callers_are_seen():
+    tree = ast.parse(
+        "def a(): return _gcd_prs(1, 2)\n"
+        "def b(): return lr.divide_exact(1, 2)\n"
+        "class C:\n    def m(self): _gcd_prs()\n"
+        "_gcd_prs()")
+    assert callers(tree, "_gcd_prs") == ["a", "C", None]
+    assert callers(tree, "divide_exact") == ["b"]
+    assert called_names(tree.body[1]) == {"divide_exact"}
