@@ -10,21 +10,21 @@ what a command can reach.
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "alexander_modules": ("IdealGenerators", "Presentation", "char_poly",
-                          "elementary_ideal", "fitting_variety_scan", "support_scan"),
-    "aomoto_complex": ("GradedAlgebra", "OneForm", "cohomology_dims",
-                       "differential_matrix", "validate_algebra", "wedge"),
-    "constructions": ("cohomology_at", "cyclic_module", "direct_sum", "epsilon_line",
-                      "in_support", "one_form", "os_algebra_lines", "projective_points",
-                      "tensor_cyclic"),
+    "alexander_modules": ("Presentation", "char_poly"),
+    "aomoto_complex": ("GradedAlgebra", "validate_algebra"),
+    "constructions": ("CyclotomicNumber", "ExactMatrix", "IdealGenerators", "OneForm",
+                      "TorsionPoint", "admissible_search", "charvar_scan", "cohomology_at",
+                      "cohomology_dims", "cyclic_module", "differential_matrix", "direct_sum",
+                      "divides", "elementary_ideal", "epsilon_line", "evaluate_at_torsion",
+                      "fitting_variety_scan", "in_support", "is_admissible", "one_form",
+                      "os_algebra_lines", "projective_points", "rank", "residues",
+                      "support_scan", "tensor_cyclic", "twisted_cohomology", "wedge"),
     "corpus": ("bundled_scenario_names", "load_bundled_scenario"),
-    "exact_kernel": ("CyclotomicNumber", "ExactMatrix", "cyclotomic_poly", "rank"),
-    "invariant_pipeline": ("MonodromyPolynomial", "Scenario", "charvar_scan",
-                           "load_scenario", "milnor_charpoly", "twisted_cohomology"),
-    "laurent_ring": ("LaurentPoly", "TorsionPoint", "divides", "evaluate_at_torsion",
-                     "format_poly", "gcd", "normalize_unit", "parse_poly"),
-    "residue_systems": ("ResidueSystem", "admissible_search", "equimonodromic_beta",
-                        "is_admissible", "residues"),
+    "exact_kernel": ("cyclotomic_poly",),
+    "invariant_pipeline": ("MonodromyPolynomial", "Scenario", "load_scenario",
+                           "milnor_charpoly"),
+    "laurent_ring": ("LaurentPoly", "format_poly", "gcd", "normalize_unit", "parse_poly"),
+    "residue_systems": ("ResidueSystem", "equimonodromic_beta"),
 }
 _HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -1,9 +1,9 @@
 """Finitely presented modules over the Laurent polynomial ring.
 
 A module is given by an n x m presentation matrix (rows = generators,
-columns = relations).  From it we compute elementary ideals, characteristic
-polynomials (gcds of minors), supports and Fitting-stratified variety scans
-over torsion points of a chosen level.
+columns = relations).  From it we compute characteristic polynomials (gcds
+of the minors that generate the elementary ideals), and supports and
+Fitting-stratified variety scans over the torsion points of a chosen level.
 
 Conventions for the i-th elementary ideal of an n-generator presentation:
 the full ring when ``i >= n``, the zero ideal when ``n - i > m``, and
@@ -52,9 +52,8 @@ sub-minors serves all ``C(n,k) * C(m,k)`` minors of an ideal instead of
 peel and the chain live as long as the presentation (in the CLI, as long as
 its decoded-input cache keeps it), serve every index and every op, go with
 it into pickles and copies, and take no part in ``==``, ``hash``, ``repr``
-or the fields; ``elementary_ideal`` lists the presentation's own
-minors.  An op builds only the minors its answer needs, one at a time in
-``elementary_ideal``'s order, and stops once the answer is settled (a gcd
+or the fields.  An op builds only the minors its answer needs, one at a
+time in ``_minors``' order, and stops once the answer is settled (a gcd
 of 1, a vanishing test once no point is left where every minor so far
 vanishes).
 
@@ -73,7 +72,7 @@ generator's value at ``u*n`` is ``sigma_u`` of its value at ``n``, where
 ``sigma_u: zeta_N -> zeta_N^u`` is a field automorphism of ``Q(zeta_N)``,
 and an automorphism sends only zero to zero.  ``_scan`` builds no point:
 it answers with lexicographic grid indices, which the CLI renders through
-one label list per level, and the public scans map to checked points.
+one label list per level.
 """
 
 from __future__ import annotations
@@ -85,19 +84,20 @@ from operator import mul, sub
 
 from . import laurent_ring
 from .errors import DimensionError, LimitError, ParseError, Record, SchemaError, _set
-from .errors import fields, integers, load_json
+from .errors import fields, integers, load_json, moved
 from .exact_kernel import prime_divisors
 from .laurent_ring import (
     LaurentPoly,
-    TorsionPoint,
     check_grid,
     divide_exact,
     gcd,
     gcd_all,
-    grid_points,
     normalize_unit,
     parse_poly,
 )
+
+__getattr__ = moved(
+    __name__, "IdealGenerators elementary_ideal fitting_variety_scan support_scan")
 
 
 class Presentation(Record):
@@ -220,16 +220,6 @@ class Presentation(Record):
         return found
 
 
-class IdealGenerators(Record):
-    """Generators of an ideal; empty means the zero ideal, a unit generator
-    means the full ring."""
-
-    _fields = ("gens",)
-
-    def __init__(self, gens: tuple):
-        _set(self, "gens", gens)
-
-
 def _minors(pres: Presentation, i: int):
     """The i-th elementary ideal's generators, each built when asked for."""
     n, m = pres.generators, pres.relations
@@ -241,11 +231,6 @@ def _minors(pres: Presentation, i: int):
                 minor = pres.minors(rsel, csel)
                 if minor:
                     yield minor
-
-
-def elementary_ideal(pres: Presentation, i: int) -> IdealGenerators:
-    """The i-th elementary ideal, by the conventions of the module docstring."""
-    return IdealGenerators(tuple(_minors(pres, i)))
 
 
 def char_poly(pres: Presentation, i: int) -> LaurentPoly:
@@ -347,21 +332,6 @@ def _scan(pres: Presentation, i: int, level: int) -> list[int]:
                 first[tuple(u * n % level for n in nums)] = nums
     zeros = set(_zeros(pres, i, level, set(first.values())))
     return [index for index, nums in enumerate(grid) if first[nums] in zeros]
-
-
-def support_scan(pres: Presentation, level: int) -> tuple[TorsionPoint, ...]:
-    """All level-N torsion points in the support, in lexicographic order."""
-    return grid_points(level, pres.nvars, _scan(pres, 1, level))
-
-
-def fitting_variety_scan(
-    pres: Presentation, i: int, level: int
-) -> tuple[TorsionPoint, ...]:
-    """Torsion points where every generator of the (i-1)-st elementary ideal
-    vanishes (the i-th Fitting-stratified characteristic variety)."""
-    if i < 1:
-        raise ValueError("variety index must be >= 1")
-    return grid_points(level, pres.nvars, _scan(pres, i, level))
 
 
 # ---------------------------------------------------------------------------

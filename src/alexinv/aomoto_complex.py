@@ -6,9 +6,9 @@ degree-1 basis element with any other basis element.  Wedging with the unit
 is scalar multiplication and is built in; omitted products are zero.
 
 The differential of the complex attached to a one-form ``w`` in degree one is
-``v -> w ^ v``; its cohomology dimensions are computed by exact rank
-computations over the rationals, done on integer matrices after clearing
-denominators (``IntegerDifferential``).
+``v -> w ^ v``.  ``IntegerDifferential`` holds it for every one-form of a
+linear family at once, as integer matrices after clearing denominators, and
+computes its cohomology dimensions by exact integer rank.
 """
 
 from __future__ import annotations
@@ -28,16 +28,14 @@ from .errors import (
     _set,
     fields,
     integers,
+    moved,
 )
-from .exact_kernel import (
-    ExactMatrix,
-    integer_rank,
-    integer_vector,
-    parse_rational,
-)
+from .exact_kernel import integer_rank, parse_rational
 from .laurent_ring import LaurentPoly, divide_exact
 
 ProductTable = dict  # (left label, right label) -> {target label: Fraction}
+
+__getattr__ = moved(__name__, "OneForm cohomology_dims differential_matrix wedge")
 
 
 class GradedAlgebra(Record):
@@ -106,26 +104,10 @@ class GradedAlgebra(Record):
     def differential(self) -> IntegerDifferential:
         """The differential for the identity ``omega_map``, whose parameters
         are the one-form's own coefficients; built on first use by
-        :func:`cohomology_dims`."""
+        ``constructions.cohomology_dims``."""
         n = self.dim(1)
         identity = [[int(i == j) for j in range(n)] for i in range(n)]
         return IntegerDifferential(self, identity)
-
-
-class OneForm(Record):
-    """A degree-1 element, as coefficients over the degree-1 basis."""
-
-    _fields = ("coeffs",)
-
-    def __init__(self, coeffs: tuple):
-        _set(self, "coeffs", tuple(Fraction(c) for c in coeffs))
-
-    @property
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def scaled(self, c) -> OneForm:
-        return OneForm(tuple(Fraction(c) * x for x in self.coeffs))
 
 
 def validate_algebra(algebra: GradedAlgebra) -> list[str]:
@@ -163,45 +145,6 @@ def validate_algebra(algebra: GradedAlgebra) -> list[str]:
                         f"u^(u^v) is nonzero: ({u}, {v}, degree {p})"
                     )
     return violations
-
-
-def wedge(algebra: GradedAlgebra, omega: OneForm, p: int, vector) -> list:
-    """Image of a degree-``p`` coefficient vector under wedging with omega."""
-    if not 0 <= p < algebra.top_degree:
-        raise DimensionError(f"degree {p} out of range [0, {algebra.top_degree})")
-    if len(omega.coeffs) != algebra.dim(1):
-        raise DimensionError("one-form length does not match the degree-1 basis")
-    vector = list(vector)
-    if len(vector) != algebra.dim(p):
-        raise DimensionError(f"vector length does not match the degree-{p} basis")
-    target = algebra.basis[p + 1]
-    index = {label: i for i, label in enumerate(target)}
-    acc = [Fraction(0)] * len(target)
-    for i, u in enumerate(algebra.basis[1]):
-        a = omega.coeffs[i]
-        if not a:
-            continue
-        for j, v in enumerate(algebra.basis[p]):
-            c = Fraction(vector[j])
-            if not c:
-                continue
-            for label, s in algebra.wedge_pair(u, v).items():
-                acc[index[label]] += a * c * s
-    return acc
-
-
-def differential_matrix(algebra: GradedAlgebra, omega: OneForm, p: int) -> ExactMatrix:
-    """Matrix of wedging with omega from degree p to degree p+1; columns are
-    the images of the degree-p basis elements."""
-    cols = []
-    for j in range(algebra.dim(p)):
-        e = [Fraction(0)] * algebra.dim(p)
-        e[j] = Fraction(1)
-        cols.append(wedge(algebra, omega, p, e))
-    nrows = algebra.dim(p + 1)
-    ncols = algebra.dim(p)
-    entries = tuple(cols[j][i] for i in range(nrows) for j in range(ncols))
-    return ExactMatrix(nrows, ncols, entries)
 
 
 MAX_RANK_MEMO = 4096
@@ -471,18 +414,6 @@ def _minor_column(terms, columns, size) -> list:
             term = map(mul, term, columns[i])
         total = map(add, total, term)
     return list(total)
-
-
-def cohomology_dims(algebra: GradedAlgebra, omega: OneForm) -> tuple[int, ...]:
-    """Dimensions ``b_0 .. b_top`` of the complex ``(A, omega ^ .)``.
-
-    Verifies that consecutive differentials compose to zero before trusting
-    any rank computation.
-    """
-    if algebra.top_degree >= 1 and len(omega.coeffs) != algebra.dim(1):
-        raise DimensionError("one-form length does not match the degree-1 basis")
-    coeffs, _ = integer_vector(omega.coeffs)
-    return algebra.differential.dims_many((coeffs,))[0]
 
 
 def betti_vector(algebra: GradedAlgebra) -> tuple[int, ...]:

@@ -1,29 +1,295 @@
 """Library functions that no command runs.
 
-Building modules (direct sums, cyclic modules and their tensor products)
-and testing one point of a support; the Orlik-Solomon algebra of an affine
-line arrangement; the one-form of a scenario and its cohomology at explicit
-residues; the projective torsion points and the added-line correction.  The
-modules that ``alexinv.cli`` imports hold only what a command can reach, so
-that importing the CLI does not compile these; ``from alexinv import ...``
-loads this module on first use of one of its names.
+Exact dense rational matrices and their rank; values of ``Q(zeta_N)`` and
+Laurent polynomials evaluated at torsion points; divisibility, elementary
+ideals as generator lists, and scans and tests that answer with torsion
+points; building modules (direct sums, cyclic modules and their tensor
+products); one-forms, the wedge and its matrix, and cohomology at explicit
+residues; the Orlik-Solomon algebra of an affine line arrangement; labeled
+residues, the admissibility test and the admissible search in ``Fraction``
+values; twisted cohomology and jumping-locus scans in ``Fraction`` values;
+the projective torsion points and the added-line correction.
+
+A :class:`CyclotomicNumber` is a value of ``Q(zeta_N)``, stored without field
+arithmetic as the ``phi(N)`` coefficients of its remainder modulo the N-th
+cyclotomic polynomial, so that zero-testing is a plain coefficient
+comparison.
+
+The modules that ``alexinv.cli`` imports hold only what a command can reach,
+so that importing the CLI does not compile these; ``from alexinv import ...``
+loads this module on first use of one of its names.  Each module these
+definitions left resolves their old names here on first use (``moved`` in
+``errors``), so that old imports and pickles still find them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
+from itertools import product
+from math import lcm
 from operator import mul
 
 from . import laurent_ring
-from .alexander_modules import Presentation, _zeros
-from .aomoto_complex import GradedAlgebra, OneForm, ProductTable
-from .errors import DimensionError, LimitError
-from .exact_kernel import integer_vector
-from .invariant_pipeline import Scenario
-from .laurent_ring import LaurentPoly, TorsionPoint, torsion_grid
+from .alexander_modules import Presentation, _minors, _scan, _zeros
+from .aomoto_complex import GradedAlgebra, ProductTable
+from .errors import DimensionError, InconclusiveSearchError, LimitError, Record, _set
+from .exact_kernel import _poly_divmod, cyclotomic_poly, format_ratio, prime_divisors
+from .invariant_pipeline import Scenario, _charvar_indices
+from .laurent_ring import LaurentPoly, check_grid, divide_exact
+from .residue_systems import ResidueSystem, admissible_numerators, shift_order
+
+# ---------------------------------------------------------------------------
+# Exact dense matrices.
+
+
+class ExactMatrix(Record):
+    """A dense row-major matrix of exact rationals.
+
+    Entries are Fractions; mixing ints in is fine since they coerce.
+    """
+
+    _fields = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries: tuple):
+        if len(entries) != rows * cols:
+            raise DimensionError("entry count must equal rows * cols")
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "entries", entries)
+
+    @classmethod
+    def from_rows(cls, rows) -> ExactMatrix:
+        rows = [list(r) for r in rows]
+        nrows = len(rows)
+        ncols = len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
+            raise DimensionError("ragged rows")
+        return cls(nrows, ncols, tuple(x for r in rows for x in r))
+
+    def at(self, i: int, j: int):
+        return self.entries[i * self.cols + j]
+
+    def row_lists(self) -> list[list]:
+        return [
+            list(self.entries[i * self.cols : (i + 1) * self.cols])
+            for i in range(self.rows)
+        ]
+
+
+def _rref(rows, ncols):
+    """In-place reduced row echelon form; returns the pivot column list."""
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(rows)):
+            if rows[i][c] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def rank(matrix: ExactMatrix) -> int:
+    """Exact rank over the matrix's coefficient field."""
+    rows = matrix.row_lists()
+    return len(_rref(rows, matrix.cols))
+
+
+def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    if a.cols != b.rows:
+        raise DimensionError("inner dimensions do not match")
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = 0
+            for k in range(a.cols):
+                acc = acc + a.at(i, k) * b.at(k, j)
+            row.append(acc)
+        out.append(row)
+    if not out or not out[0]:
+        return ExactMatrix(a.rows, b.cols, tuple())
+    return ExactMatrix.from_rows(out)
+
+
+# ---------------------------------------------------------------------------
+# Cyclotomic numbers.
+
+
+def euler_phi(n: int) -> int:
+    """Euler's totient, ``n * prod (1 - 1/p)`` over the primes of ``n``."""
+    for p in prime_divisors(n):
+        n -= n // p
+    return n
+
+
+def integer_vector(values) -> tuple[tuple[int, ...], int]:
+    """``(n, L)`` with ``L`` the least common denominator of ``values`` and
+    ``n = L * values``, so that ``values == n / L`` entrywise."""
+    values = [Fraction(v) for v in values]
+    common = lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (common // v.denominator) for v in values), common
+
+
+class CyclotomicNumber(Record):
+    """An element of Q(zeta_N), reduced modulo the N-th cyclotomic polynomial.
+
+    ``coeffs`` always has length ``phi(conductor)``.  Equality and hashing
+    compare ``(conductor, coeffs)``, so one value written at two conductors
+    gives two unequal objects; :meth:`is_zero` holds at any conductor.
+    """
+
+    _fields = ("conductor", "coeffs")
+
+    def __init__(self, conductor: int, coeffs: tuple[Fraction, ...]):
+        if len(coeffs) != euler_phi(conductor):
+            raise DimensionError(
+                f"cyclotomic coefficient vector must have length "
+                f"phi({conductor}) = {euler_phi(conductor)}"
+            )
+        _set(self, "conductor", conductor)
+        _set(self, "coeffs", coeffs)
+
+    @classmethod
+    def _make(cls, conductor: int, coeffs) -> CyclotomicNumber:
+        # Reduce modulo Phi_N in integers, over one common denominator.
+        numerators, common = integer_vector(coeffs)
+        _, rem = _poly_divmod(numerators, cyclotomic_poly(conductor))
+        rem = [Fraction(r, common) for r in rem]
+        return cls(conductor, tuple(rem + [Fraction(0)] * (euler_phi(conductor) - len(rem))))
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+
+# ---------------------------------------------------------------------------
+# Torsion points and evaluation.
+
+
+class TorsionPoint(Record):
+    """A point of the torus with all coordinates N-th roots of unity.
+
+    Coordinate ``j`` of the point is ``exp(-2*pi*i*numerators[j]/level)``,
+    each numerator in ``[0, level)``; ``beta`` holds the residue classes
+    ``numerators[j] / level``.  Every point is range-checked, grid points
+    too; ``str`` joins each coordinate's ``format_ratio(n, level)``.
+    """
+
+    _fields = ("level", "numerators")
+
+    def __init__(self, level: int, numerators: tuple[int, ...]):
+        if level < 1:
+            raise LimitError("level must be positive")
+        for n in numerators:
+            if not 0 <= n < level:
+                raise LimitError(f"numerator {n} outside [0, {level})")
+        _set(self, "level", level)
+        _set(self, "numerators", numerators)
+
+    @classmethod
+    def from_numerators(cls, level: int, numerators) -> TorsionPoint:
+        if level < 1:
+            raise LimitError("level must be positive")
+        return cls(level, tuple(n % level for n in numerators))
+
+    @property
+    def beta(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.level) for n in self.numerators)
+
+    @property
+    def nvars(self) -> int:
+        return len(self.numerators)
+
+    def __str__(self):
+        return "(" + ",".join(format_ratio(n, self.level) for n in self.numerators) + ")"
+
+
+def torsion_grid(level: int, nvars: int):
+    """All level-N torsion points, in lexicographic order of numerators.
+
+    The grid size is checked when this is called, before any point exists.
+    """
+    check_grid(level, nvars)
+    return (TorsionPoint(level, nums) for nums in product(range(level), repeat=nvars))
+
+
+def grid_points(level: int, nvars: int, indices) -> tuple[TorsionPoint, ...]:
+    """The points at lexicographic ``indices`` of :func:`torsion_grid`: the
+    numerators of index ``k`` are its base-``level`` digits."""
+    places = [level ** j for j in range(nvars - 1, -1, -1)]
+    return tuple(TorsionPoint(level, tuple(k // p % level for p in places)) for k in indices)
+
+
+def evaluate_at_torsion(p: LaurentPoly, point: TorsionPoint) -> CyclotomicNumber:
+    """Substitute ``tj -> exp(-2*pi*i*beta[j])``, exactly, in Q(zeta_N)."""
+    if p.nvars != point.nvars:
+        raise DimensionError(
+            f"polynomial in {p.nvars} variables evaluated at a point of length {point.nvars}"
+        )
+    n = point.level
+    nums = point.numerators
+    # Accumulate by power of zeta_N, then reduce once.
+    powers = [Fraction(0)] * n
+    for exps, coeff in p.terms.items():
+        k = -sum(e * b for e, b in zip(exps, nums)) % n
+        powers[k] += coeff
+    return CyclotomicNumber._make(n, powers)
+
+
+def divides(p: LaurentPoly, q: LaurentPoly) -> bool:
+    """True iff ``q = p * r`` for some Laurent polynomial ``r``."""
+    if p.nvars != q.nvars:
+        raise DimensionError("divisibility between different variable counts")
+    return q.is_zero or (not p.is_zero and divide_exact(q, p) is not None)
+
 
 # ---------------------------------------------------------------------------
 # Modules.
+
+
+class IdealGenerators(Record):
+    """Generators of an ideal; empty means the zero ideal, a unit generator
+    means the full ring."""
+
+    _fields = ("gens",)
+
+    def __init__(self, gens: tuple):
+        _set(self, "gens", gens)
+
+
+def elementary_ideal(pres: Presentation, i: int) -> IdealGenerators:
+    """The i-th elementary ideal, by the conventions of ``alexander_modules``:
+    the full ring when ``i >= n``, the zero ideal when ``n - i > m``, and
+    otherwise the ideal of all ``(n-i) x (n-i)`` minors.  The generators
+    are the presentation's own nonzero minors, not its peel's."""
+    return IdealGenerators(tuple(_minors(pres, i)))
+
+
+def support_scan(pres: Presentation, level: int) -> tuple[TorsionPoint, ...]:
+    """All level-N torsion points in the support, in lexicographic order."""
+    return grid_points(level, pres.nvars, _scan(pres, 1, level))
+
+
+def fitting_variety_scan(
+    pres: Presentation, i: int, level: int
+) -> tuple[TorsionPoint, ...]:
+    """Torsion points where every generator of the (i-1)-st elementary ideal
+    vanishes (the i-th Fitting-stratified characteristic variety)."""
+    if i < 1:
+        raise ValueError("variety index must be >= 1")
+    return grid_points(level, pres.nvars, _scan(pres, i, level))
 
 
 def direct_sum(p1: Presentation, p2: Presentation) -> Presentation:
@@ -76,6 +342,77 @@ def in_support(pres: Presentation, point: TorsionPoint) -> bool:
     if point.level > (cap := laurent_ring.MAX_SCAN_POINTS):
         raise LimitError(f"level {point.level} is more than the limit of {cap}")
     return bool(_zeros(pres, 1, point.level, [point.numerators]))
+
+
+# ---------------------------------------------------------------------------
+# One-forms and the wedge differential.
+
+
+class OneForm(Record):
+    """A degree-1 element, as coefficients over the degree-1 basis."""
+
+    _fields = ("coeffs",)
+
+    def __init__(self, coeffs: tuple):
+        _set(self, "coeffs", tuple(Fraction(c) for c in coeffs))
+
+    @property
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def scaled(self, c) -> OneForm:
+        return OneForm(tuple(Fraction(c) * x for x in self.coeffs))
+
+
+def wedge(algebra: GradedAlgebra, omega: OneForm, p: int, vector) -> list:
+    """Image of a degree-``p`` coefficient vector under wedging with omega."""
+    if not 0 <= p < algebra.top_degree:
+        raise DimensionError(f"degree {p} out of range [0, {algebra.top_degree})")
+    if len(omega.coeffs) != algebra.dim(1):
+        raise DimensionError("one-form length does not match the degree-1 basis")
+    vector = list(vector)
+    if len(vector) != algebra.dim(p):
+        raise DimensionError(f"vector length does not match the degree-{p} basis")
+    target = algebra.basis[p + 1]
+    index = {label: i for i, label in enumerate(target)}
+    acc = [Fraction(0)] * len(target)
+    for i, u in enumerate(algebra.basis[1]):
+        a = omega.coeffs[i]
+        if not a:
+            continue
+        for j, v in enumerate(algebra.basis[p]):
+            c = Fraction(vector[j])
+            if not c:
+                continue
+            for label, s in algebra.wedge_pair(u, v).items():
+                acc[index[label]] += a * c * s
+    return acc
+
+
+def differential_matrix(algebra: GradedAlgebra, omega: OneForm, p: int) -> ExactMatrix:
+    """Matrix of wedging with omega from degree p to degree p+1; columns are
+    the images of the degree-p basis elements."""
+    cols = []
+    for j in range(algebra.dim(p)):
+        e = [Fraction(0)] * algebra.dim(p)
+        e[j] = Fraction(1)
+        cols.append(wedge(algebra, omega, p, e))
+    nrows = algebra.dim(p + 1)
+    ncols = algebra.dim(p)
+    entries = tuple(cols[j][i] for i in range(nrows) for j in range(ncols))
+    return ExactMatrix(nrows, ncols, entries)
+
+
+def cohomology_dims(algebra: GradedAlgebra, omega: OneForm) -> tuple[int, ...]:
+    """Dimensions ``b_0 .. b_top`` of the complex ``(A, omega ^ .)``.
+
+    Verifies that consecutive differentials compose to zero before trusting
+    any rank computation.
+    """
+    if algebra.top_degree >= 1 and len(omega.coeffs) != algebra.dim(1):
+        raise DimensionError("one-form length does not match the degree-1 basis")
+    coeffs, _ = integer_vector(omega.coeffs)
+    return algebra.differential.dims_many((coeffs,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +474,83 @@ def os_algebra_lines(nlines: int, points) -> GradedAlgebra:
 
 
 # ---------------------------------------------------------------------------
-# Scenarios at explicit residues.
+# Residues.
+
+
+def residues(system: ResidueSystem, alpha) -> list[tuple[str, Fraction]]:
+    """All residues, labeled, in row order."""
+    numerators, denominator = integer_vector(alpha)
+    if len(numerators) != system.nparams:
+        raise DimensionError(
+            f"alpha has length {len(numerators)}, expected {system.nparams}"
+        )
+    return [
+        (row.label, Fraction(sum(map(mul, row.coeffs, numerators)), denominator))
+        for row in system.rows
+    ]
+
+
+def is_admissible(system: ResidueSystem, alpha) -> bool:
+    """True iff no residue is a strictly positive integer."""
+    return not any(v > 0 and v.denominator == 1 for _, v in residues(system, alpha))
+
+
+def shift_vectors(nparams: int, bound: int) -> list[tuple[int, ...]]:
+    """Integer shift vectors with entries in [-bound, bound], ordered by total
+    absolute shift and then lexicographically."""
+    return list(shift_order(nparams, bound))
+
+
+def admissible_search(system: ResidueSystem, beta, bound: int = 3):
+    """``admissible_numerators`` in ``Fraction`` values: the first
+    admissible ``alpha`` congruent to ``beta`` mod 1, or None."""
+    numerators, denominator = integer_vector(beta)
+    alpha = admissible_numerators(system, numerators, denominator, bound)
+    return None if alpha is None else tuple(Fraction(a, denominator) for a in alpha)
+
+
+# ---------------------------------------------------------------------------
+# Scenarios at residue classes and at explicit residues.
+
+
+def twisted_cohomology(scenario: Scenario, beta, bound: int = 3) -> tuple[int, ...]:
+    """Cohomology dimensions of the rank-one local system with residue
+    classes ``beta``, computed from an admissible representative.
+
+    Raises :class:`InconclusiveSearchError` when the search finds no
+    representative; that outcome is "unknown", not a vanishing statement.
+    """
+    bound = scenario.effective_bound(bound)
+    scaled = admissible_numerators(scenario.residue_system, *integer_vector(beta), bound)
+    if scaled is None:
+        raise InconclusiveSearchError(tuple(Fraction(b) for b in beta), bound, scenario.name)
+    return scenario.differential.dims_many((scaled,))[0]
+
+
+class CharvarScan(Record):
+    """Result of bucketing torsion points by a twisted cohomology dimension."""
+
+    _fields = ("level", "degree", "by_dimension", "inconclusive")
+
+    def __init__(self, level: int, degree: int, by_dimension: dict, inconclusive: tuple):
+        _set(self, "level", level)
+        _set(self, "degree", degree)
+        _set(self, "by_dimension", by_dimension)
+        _set(self, "inconclusive", inconclusive)
+
+
+def charvar_scan(
+    scenario: Scenario, level: int, degree: int, bound: int = 3
+) -> CharvarScan:
+    """Bucket every level-N torsion point by ``dim H^degree``.
+
+    The scan enumerates all ``level ** nparams`` residue-class vectors in
+    lexicographic order.
+    """
+    by_index, inconclusive = _charvar_indices(scenario, level, degree, bound)
+    points = partial(grid_points, level, scenario.nparams)
+    by_dimension = {dim: points(found) for dim, found in by_index.items()}
+    return CharvarScan(level, degree, by_dimension, points(inconclusive))
 
 
 def one_form(scenario: Scenario, alpha) -> OneForm:

@@ -1,5 +1,5 @@
-"""Exception types, the JSON document checks and the record base class,
-shared across the package."""
+"""Exception types, the JSON document checks, the record base class and the
+hook that resolves moved names, shared across the package."""
 
 from __future__ import annotations
 
@@ -42,6 +42,24 @@ class Record:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def moved(module: str, names: str):
+    """The PEP 562 ``__getattr__`` of a module whose definitions ``names``
+    (space-separated) moved to ``alexinv.constructions``: each resolves
+    there, importing it on first use, so that old imports, old pickles and
+    spans by old name still find it.  Any other name is an
+    ``AttributeError``, raised without importing anything."""
+    names = frozenset(names.split())
+
+    def __getattr__(name):
+        if name not in names:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        from . import constructions
+
+        return getattr(constructions, name)
+
+    return __getattr__
 
 
 class DimensionError(ValueError):

@@ -1,10 +1,8 @@
-"""Exact scalar arithmetic and exact dense linear algebra.
+"""Exact scalar arithmetic, cyclotomic polynomials and exact integer rank.
 
 Rationals are ``fractions.Fraction`` values: arbitrary precision, always in
-lowest terms, denominator positive.  A :class:`CyclotomicNumber` is a value
-of ``Q(zeta_N)``, stored without field arithmetic as the ``phi(N)``
-coefficients of its remainder modulo the N-th cyclotomic polynomial, so that
-zero-testing is a plain coefficient comparison.
+lowest terms, denominator positive.  Integer matrices are lists of rows, and
+their rank over Q is found without leaving the integers.
 
 Univariate polynomials inside this module are dense coefficient tuples with
 the constant term first.
@@ -15,9 +13,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
-from .errors import DimensionError, LimitError, Record, _set
+from .errors import LimitError, moved
 
 MAX_RATIONAL_DIGITS = 4300
 """Most digits in the numerator or the denominator of a rational read or
@@ -25,6 +23,9 @@ written as text; the same limit as Python's for JSON integers."""
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?", re.ASCII)
 _TOO_LONG = 10 ** MAX_RATIONAL_DIGITS  # the least integer with one digit more
+
+__getattr__ = moved(__name__, "CyclotomicNumber ExactMatrix _rref euler_phi integer_vector "
+                              "mat_mul rank")
 
 
 def parse_rational(text: str | int) -> Fraction:
@@ -95,13 +96,6 @@ def prime_divisors(n: int) -> list[int]:
     return primes + [n] if n > 1 else primes
 
 
-def euler_phi(n: int) -> int:
-    """Euler's totient, ``n * prod (1 - 1/p)`` over the primes of ``n``."""
-    for p in prime_divisors(n):
-        n -= n // p
-    return n
-
-
 # ---------------------------------------------------------------------------
 # Dense univariate polynomial helpers (constant term first).
 
@@ -169,111 +163,8 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-class CyclotomicNumber(Record):
-    """An element of Q(zeta_N), reduced modulo the N-th cyclotomic polynomial.
-
-    ``coeffs`` always has length ``phi(conductor)``.  Equality and hashing
-    compare ``(conductor, coeffs)``, so one value written at two conductors
-    gives two unequal objects; :meth:`is_zero` holds at any conductor.
-    """
-
-    _fields = ("conductor", "coeffs")
-
-    def __init__(self, conductor: int, coeffs: tuple[Fraction, ...]):
-        if len(coeffs) != euler_phi(conductor):
-            raise DimensionError(
-                f"cyclotomic coefficient vector must have length "
-                f"phi({conductor}) = {euler_phi(conductor)}"
-            )
-        _set(self, "conductor", conductor)
-        _set(self, "coeffs", coeffs)
-
-    @classmethod
-    def _make(cls, conductor: int, coeffs) -> CyclotomicNumber:
-        # Reduce modulo Phi_N in integers, over one common denominator.
-        numerators, common = integer_vector(coeffs)
-        _, rem = _poly_divmod(numerators, cyclotomic_poly(conductor))
-        rem = [Fraction(r, common) for r in rem]
-        return cls(conductor, tuple(rem + [Fraction(0)] * (euler_phi(conductor) - len(rem))))
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-
 # ---------------------------------------------------------------------------
-# Exact dense matrices.
-
-
-class ExactMatrix(Record):
-    """A dense row-major matrix of exact rationals.
-
-    Entries are Fractions; mixing ints in is fine since they coerce.
-    """
-
-    _fields = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: tuple):
-        if len(entries) != rows * cols:
-            raise DimensionError("entry count must equal rows * cols")
-        _set(self, "rows", rows)
-        _set(self, "cols", cols)
-        _set(self, "entries", entries)
-
-    @classmethod
-    def from_rows(cls, rows) -> ExactMatrix:
-        rows = [list(r) for r in rows]
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        if any(len(r) != ncols for r in rows):
-            raise DimensionError("ragged rows")
-        return cls(nrows, ncols, tuple(x for r in rows for x in r))
-
-    def at(self, i: int, j: int):
-        return self.entries[i * self.cols + j]
-
-    def row_lists(self) -> list[list]:
-        return [
-            list(self.entries[i * self.cols : (i + 1) * self.cols])
-            for i in range(self.rows)
-        ]
-
-
-def _rref(rows, ncols):
-    """In-place reduced row echelon form; returns the pivot column list."""
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return pivots
-
-
-def rank(matrix: ExactMatrix) -> int:
-    """Exact rank over the matrix's coefficient field."""
-    rows = matrix.row_lists()
-    return len(_rref(rows, matrix.cols))
-
-
-def integer_vector(values) -> tuple[tuple[int, ...], int]:
-    """``(n, L)`` with ``L`` the least common denominator of ``values`` and
-    ``n = L * values``, so that ``values == n / L`` entrywise."""
-    values = [Fraction(v) for v in values]
-    common = lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (common // v.denominator) for v in values), common
+# Exact rank of integer matrices.
 
 
 def integer_rank(rows) -> int:
@@ -302,21 +193,3 @@ def integer_rank(rows) -> int:
         if found == len(rows):
             break
     return found
-
-
-def mat_mul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    if a.cols != b.rows:
-        raise DimensionError("inner dimensions do not match")
-    out = []
-    for i in range(a.rows):
-        row = []
-        for j in range(b.cols):
-            acc = 0
-            for k in range(a.cols):
-                acc = acc + a.at(i, k) * b.at(k, j)
-            row.append(acc)
-        out.append(row)
-    if not out or not out[0]:
-        return ExactMatrix(a.rows, b.cols, tuple())
-    return ExactMatrix.from_rows(out)
-

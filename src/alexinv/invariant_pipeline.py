@@ -5,16 +5,16 @@ arrangement complement: the component degrees, the cohomology algebra with
 its structure constants, the residue rows of an embedded resolution, and the
 linear map sending residue parameters to one-form coefficients.
 
-On top of a scenario, this module computes cohomology dimensions of a given
-rank-one local system (via an admissible residue search), jumping-locus scans
-over all torsion points of a level, and monodromy characteristic polynomials
-of the associated Milnor fiber via equimonodromic local systems.
+On top of a scenario, this module scans the jumping loci over all torsion
+points of a level, each point by its index into the grid and its cohomology
+read at an admissible residue representative, and computes monodromy
+characteristic polynomials of the associated Milnor fiber via equimonodromic
+local systems.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain, compress, repeat
 from math import gcd as int_gcd, prod
 
@@ -33,6 +33,7 @@ from .errors import (
     Record,
     SchemaError,
     _set,
+    moved,
 )
 from .errors import fields, integers, load_json
 from .exact_kernel import (
@@ -40,20 +41,21 @@ from .exact_kernel import (
     cyclotomic_poly,
     divisors,
     format_rational,
-    integer_vector,
     mobius_pairs,
     parse_rational,
     prime_divisors,
 )
-from .laurent_ring import check_grid, grid_points
+from .laurent_ring import check_grid
 from .residue_systems import (
     ResidueSystem,
-    admissible_numerators,
     admissible_shifts,
     equimonodromic_beta,
     grid_shifts,
     residue_system_from_dict,
 )
+
+__getattr__ = moved(__name__, "CharvarScan charvar_scan twisted_cohomology")
+
 
 class Scenario(Record):
     """A complete arrangement description consumed by the pipeline and CLI.
@@ -121,49 +123,10 @@ class Scenario(Record):
         return [None]
 
 
-def twisted_cohomology(scenario: Scenario, beta, bound: int = 3) -> tuple[int, ...]:
-    """Cohomology dimensions of the rank-one local system with residue
-    classes ``beta``, computed from an admissible representative.
-
-    Raises :class:`InconclusiveSearchError` when the search finds no
-    representative; that outcome is "unknown", not a vanishing statement.
-    """
-    bound = scenario.effective_bound(bound)
-    scaled = admissible_numerators(scenario.residue_system, *integer_vector(beta), bound)
-    if scaled is None:
-        raise InconclusiveSearchError(tuple(Fraction(b) for b in beta), bound, scenario.name)
-    return scenario.differential.dims_many((scaled,))[0]
-
-
-class CharvarScan(Record):
-    """Result of bucketing torsion points by a twisted cohomology dimension."""
-
-    _fields = ("level", "degree", "by_dimension", "inconclusive")
-
-    def __init__(self, level: int, degree: int, by_dimension: dict, inconclusive: tuple):
-        _set(self, "level", level)
-        _set(self, "degree", degree)
-        _set(self, "by_dimension", by_dimension)
-        _set(self, "inconclusive", inconclusive)
-
-
-def charvar_scan(
-    scenario: Scenario, level: int, degree: int, bound: int = 3
-) -> CharvarScan:
-    """Bucket every level-N torsion point by ``dim H^degree``.
-
-    The scan enumerates all ``level ** nparams`` residue-class vectors in
-    lexicographic order.
-    """
-    by_index, inconclusive = _charvar_indices(scenario, level, degree, bound)
-    points = partial(grid_points, level, scenario.nparams)
-    by_dimension = {dim: points(found) for dim, found in by_index.items()}
-    return CharvarScan(level, degree, by_dimension, points(inconclusive))
-
-
 def _charvar_indices(scenario: Scenario, level: int, degree: int, bound: int):
-    """:func:`charvar_scan` by lexicographic index into the grid: the
-    indices of each dimension, by dimension, and the inconclusive ones."""
+    """Bucket every level-N torsion point by ``dim H^degree``, each by its
+    lexicographic index into the grid: the indices of each dimension, by
+    dimension, and the inconclusive ones."""
     if not 1 <= degree <= scenario.algebra.top_degree:
         raise DegreeError(
             f"degree {degree} out of range [1, {scenario.algebra.top_degree}]"

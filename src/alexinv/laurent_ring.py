@@ -23,9 +23,9 @@ Unit normalization and gcd work up to multiplication by units of the
 Laurent ring (nonzero rationals times monomials); the canonical
 representative of a unit class shifts every variable's minimum exponent to 0,
 clears denominators to integer content 1, and makes the graded-lex leading
-coefficient positive.  Exact division and divisibility work on Laurent
-polynomials as they are, negative exponents included; only the canonical
-form and the primitive PRS shift to ordinary form (every minimum exponent 0).
+coefficient positive.  Exact division works on Laurent polynomials as they
+are, negative exponents included; only the canonical form and the primitive
+PRS shift to ordinary form (every minimum exponent 0).
 ``gcd_all`` is the one gcd loop and ``gcd`` its two-argument form: each step
 tries the shorter polynomial as an exact divisor of the other and runs the
 PRS only when that fails; the PRS takes every content through ``gcd_all``.
@@ -35,12 +35,14 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import islice, product
+from itertools import islice
 from math import gcd as int_gcd, lcm as int_lcm
 from operator import add, sub
 
-from .errors import DimensionError, LimitError, ParseError, Record, _set
-from .exact_kernel import CyclotomicNumber, format_ratio, format_rational
+from .errors import DimensionError, LimitError, ParseError, _set, moved
+from .exact_kernel import format_rational
+
+__getattr__ = moved(__name__, "TorsionPoint divides evaluate_at_torsion grid_points torsion_grid")
 
 
 class LaurentPoly:
@@ -302,13 +304,6 @@ def divide_exact(p: LaurentPoly, q: LaurentPoly):
     return LaurentPoly._make(p.nvars, quot)
 
 
-def divides(p: LaurentPoly, q: LaurentPoly) -> bool:
-    """True iff ``q = p * r`` for some Laurent polynomial ``r``."""
-    if p.nvars != q.nvars:
-        raise DimensionError("divisibility between different variable counts")
-    return q.is_zero or (not p.is_zero and divide_exact(q, p) is not None)
-
-
 # ---------------------------------------------------------------------------
 # Multivariate gcd: a primitive PRS that takes every content through ``gcd_all``.
 
@@ -394,45 +389,7 @@ def gcd_all(polys, nvars: int) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# Torsion points and evaluation.
-
-
-class TorsionPoint(Record):
-    """A point of the torus with all coordinates N-th roots of unity.
-
-    Coordinate ``j`` of the point is ``exp(-2*pi*i*numerators[j]/level)``,
-    each numerator in ``[0, level)``; ``beta`` holds the residue classes
-    ``numerators[j] / level``.  Every point is range-checked, grid points
-    too; ``str`` joins each coordinate's ``format_ratio(n, level)``.
-    """
-
-    _fields = ("level", "numerators")
-
-    def __init__(self, level: int, numerators: tuple[int, ...]):
-        if level < 1:
-            raise LimitError("level must be positive")
-        for n in numerators:
-            if not 0 <= n < level:
-                raise LimitError(f"numerator {n} outside [0, {level})")
-        _set(self, "level", level)
-        _set(self, "numerators", numerators)
-
-    @classmethod
-    def from_numerators(cls, level: int, numerators) -> TorsionPoint:
-        if level < 1:
-            raise LimitError("level must be positive")
-        return cls(level, tuple(n % level for n in numerators))
-
-    @property
-    def beta(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(n, self.level) for n in self.numerators)
-
-    @property
-    def nvars(self) -> int:
-        return len(self.numerators)
-
-    def __str__(self):
-        return "(" + ",".join(format_ratio(n, self.level) for n in self.numerators) + ")"
+# Torsion grids.
 
 
 MAX_SCAN_POINTS = 100_000
@@ -441,15 +398,6 @@ MAX_SCAN_POINTS = 100_000
 MAX_NVARS = 100
 """Most variables a presentation, or residue parameters a scenario, may
 declare: a term stores one exponent, and a grid point one numerator, each."""
-
-
-def torsion_grid(level: int, nvars: int):
-    """All level-N torsion points, in lexicographic order of numerators.
-
-    The grid size is checked when this is called, before any point exists.
-    """
-    check_grid(level, nvars)
-    return (TorsionPoint(level, nums) for nums in product(range(level), repeat=nvars))
 
 
 def check_grid(level: int, nvars: int) -> None:
@@ -463,29 +411,6 @@ def check_grid(level: int, nvars: int) -> None:
             f"level {level} gives {level}^{nvars} torsion points, "
             f"more than the limit of {MAX_SCAN_POINTS}"
         )
-
-
-def grid_points(level: int, nvars: int, indices) -> tuple[TorsionPoint, ...]:
-    """The points at lexicographic ``indices`` of :func:`torsion_grid`: the
-    numerators of index ``k`` are its base-``level`` digits."""
-    places = [level ** j for j in range(nvars - 1, -1, -1)]
-    return tuple(TorsionPoint(level, tuple(k // p % level for p in places)) for k in indices)
-
-
-def evaluate_at_torsion(p: LaurentPoly, point: TorsionPoint) -> CyclotomicNumber:
-    """Substitute ``tj -> exp(-2*pi*i*beta[j])``, exactly, in Q(zeta_N)."""
-    if p.nvars != point.nvars:
-        raise DimensionError(
-            f"polynomial in {p.nvars} variables evaluated at a point of length {point.nvars}"
-        )
-    n = point.level
-    nums = point.numerators
-    # Accumulate by power of zeta_N, then reduce once.
-    powers = [Fraction(0)] * n
-    for exps, coeff in p.terms.items():
-        k = -sum(e * b for e, b in zip(exps, nums)) % n
-        powers[k] += coeff
-    return CyclotomicNumber._make(n, powers)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,8 @@ coefficients; its logarithmic residue at a parameter vector ``alpha`` is the
 dot product of the row with ``alpha``.  A choice of residues is admissible
 when no residue is a strictly positive integer.
 
-``admissible_search`` looks for an admissible representative of a residue
-class vector ``beta`` among its integer shifts in a box, in a fixed order
+The search looks for an admissible representative of a residue class
+vector ``beta`` among its integer shifts in a box, in a fixed order
 (total absolute shift first, then lexicographic) that is built as it is read.
 A search tries at most ``MAX_SHIFT_BOX`` shifts, and failure is absence, never
 a certificate of non-admissibility.  The search runs on integers, ``beta``
@@ -16,8 +16,7 @@ and keeps nothing between calls: ``admissible_shifts`` takes any points one
 by one, and ``grid_shifts`` a whole torsion grid, visiting for each row only
 the points where it can block and building a pattern only at the points
 that need a nonzero shift.  ``admissible_numerators`` searches one vector,
-as numerators over a common denominator, and ``admissible_search`` is its
-``Fraction`` form.
+as numerators over a common denominator.
 """
 
 from __future__ import annotations
@@ -26,9 +25,11 @@ from fractions import Fraction
 from itertools import chain, islice
 from operator import mul
 
-from .errors import DimensionError, LimitError, Record, SchemaError, _set, fields, integers
-from .exact_kernel import integer_vector
+from .errors import DimensionError, LimitError, Record, SchemaError, _set, fields, integers, moved
 from .laurent_ring import MAX_NVARS
+
+__getattr__ = moved(__name__, "admissible_search is_admissible residues shift_vectors")
+
 
 class ResidueRow(Record):
     _fields = ("label", "coeffs", "is_component")
@@ -53,38 +54,16 @@ class ResidueSystem(Record):
         _set(self, "rows", rows)
 
 
-def residues(system: ResidueSystem, alpha) -> list[tuple[str, Fraction]]:
-    """All residues, labeled, in row order."""
-    numerators, denominator = integer_vector(alpha)
-    if len(numerators) != system.nparams:
-        raise DimensionError(
-            f"alpha has length {len(numerators)}, expected {system.nparams}"
-        )
-    return [
-        (row.label, Fraction(sum(map(mul, row.coeffs, numerators)), denominator))
-        for row in system.rows
-    ]
-
-
-def is_admissible(system: ResidueSystem, alpha) -> bool:
-    """True iff no residue is a strictly positive integer."""
-    return not any(v > 0 and v.denominator == 1 for _, v in residues(system, alpha))
-
-
 MAX_SHIFT_BOX = 100_000
 """Budget of one search: it tries at most this many shifts of
 :func:`shift_order`, and a pattern still blocked then certifies nothing."""
 
 
-def shift_vectors(nparams: int, bound: int) -> list[tuple[int, ...]]:
-    """Integer shift vectors with entries in [-bound, bound], ordered by total
-    absolute shift and then lexicographically."""
-    return list(shift_order(nparams, bound))
-
-
 def shift_order(nparams: int, bound: int):
-    """:func:`shift_vectors` as an iterator that builds each shell
-    ``|k|_1 = s`` when it reaches it; the bound is checked on the call."""
+    """Integer shift vectors with entries in [-bound, bound], ordered by total
+    absolute shift and then lexicographically, as an iterator that builds
+    each shell ``|k|_1 = s`` when it reaches it; the bound is checked on the
+    call."""
     if bound < 0:
         raise LimitError("search bound must be >= 0")
     return _shifts(nparams, bound)
@@ -203,14 +182,6 @@ def admissible_numerators(system: ResidueSystem, numerators, denominator: int, b
     rows = [row.coeffs for row in system.rows]
     shift = admissible_shifts(rows, (numerators,), denominator, bound)[0]
     return None if shift is None else [n + denominator * k for n, k in zip(numerators, shift)]
-
-
-def admissible_search(system: ResidueSystem, beta, bound: int = 3):
-    """:func:`admissible_numerators` in ``Fraction`` values: the first
-    admissible ``alpha`` congruent to ``beta`` mod 1, or None."""
-    numerators, denominator = integer_vector(beta)
-    alpha = admissible_numerators(system, numerators, denominator, bound)
-    return None if alpha is None else tuple(Fraction(a, denominator) for a in alpha)
 
 
 def equimonodromic_beta(order: int, k: int, nparams: int) -> tuple[Fraction, ...]:

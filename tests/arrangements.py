@@ -63,6 +63,14 @@ DELETED_B3_DECONE = {
     "parallel": [(3, 6, 7), (1, 4), (2, 5)],
 }
 
+# Deleted B3 in the generic chart, lines numbered as in the projective
+# arrangement: x, y, z, x-y, x-z, y-z, x-y-z, x-y+z are 1..8.
+DELETED_B3_GENERIC = {
+    "nlines": 8,
+    "points": [(3, 4, 7, 8), (1, 2, 4), (1, 3, 5), (1, 6, 8), (2, 3, 6), (2, 5, 7), (4, 5, 6),
+               (1, 7), (2, 8), (5, 8), (6, 7)],
+}
+
 
 def _row(label, coeffs, component=False):
     return {"label": label, "coeffs": coeffs, "component": component}
@@ -162,6 +170,10 @@ def non_fano() -> dict:
 
 def deleted_b3_decone() -> dict:
     return decone_scenario("deleted_b3_decone", **DELETED_B3_DECONE)
+
+
+def deleted_b3_generic() -> dict:
+    return generic_scenario("deleted_b3_generic", **DELETED_B3_GENERIC)
 
 
 def generic_lines_11() -> dict:

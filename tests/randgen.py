@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 from alexinv.alexander_modules import Presentation
-from alexinv.aomoto_complex import OneForm
+from alexinv.constructions import OneForm
 from alexinv.laurent_ring import LaurentPoly
 
 

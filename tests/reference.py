@@ -20,8 +20,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from alexinv.alexander_modules import _minors, _vanishing
+from alexinv.constructions import TorsionPoint
 from alexinv.errors import LimitError, ParseError
-from alexinv.laurent_ring import _TOKEN, LaurentPoly, TorsionPoint
+from alexinv.laurent_ring import _TOKEN, LaurentPoly
 
 
 def _tokenize(text: str):

@@ -9,38 +9,30 @@ import functools
 from fractions import Fraction
 from itertools import product as iproduct
 
-from alexinv.alexander_modules import (
-    Presentation,
-    char_poly,
-    support_scan,
-)
-from alexinv.aomoto_complex import (
+from alexinv.alexander_modules import Presentation, char_poly
+from alexinv.aomoto_complex import betti_vector
+from alexinv.constructions import (
     OneForm,
-    betti_vector,
-    cohomology_dims,
-    differential_matrix,
-)
-from alexinv.constructions import cyclic_module, direct_sum, one_form, tensor_cyclic
-from alexinv.corpus import bundled_scenario_names, load_bundled_scenario
-from alexinv.exact_kernel import (
-    cyclotomic_poly,
-    divisors,
-    euler_phi,
-    mat_mul,
-)
-from alexinv.invariant_pipeline import (
     charvar_scan,
-    milnor_charpoly,
+    cohomology_dims,
+    cyclic_module,
+    differential_matrix,
+    direct_sum,
+    divides,
+    euler_phi,
+    is_admissible,
+    mat_mul,
+    one_form,
+    shift_vectors,
+    support_scan,
+    tensor_cyclic,
+    torsion_grid,
     twisted_cohomology,
 )
-from alexinv.laurent_ring import (
-    divides,
-    gcd,
-    normalize_unit,
-    parse_poly,
-    torsion_grid,
-)
-from alexinv.residue_systems import is_admissible, residues, shift_vectors
+from alexinv.corpus import bundled_scenario_names, load_bundled_scenario
+from alexinv.exact_kernel import cyclotomic_poly, divisors
+from alexinv.invariant_pipeline import milnor_charpoly
+from alexinv.laurent_ring import gcd, normalize_unit, parse_poly
 from randgen import (
     make_rng,
     random_cyclic_gens,

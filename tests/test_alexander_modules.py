@@ -5,25 +5,21 @@ from fractions import Fraction
 
 import pytest
 
-from alexinv.alexander_modules import (
-    Presentation,
-    char_poly,
+from alexinv.alexander_modules import Presentation, char_poly, presentation_from_dict
+from alexinv.constructions import (
+    TorsionPoint,
+    cyclic_module,
+    direct_sum,
+    divides,
     elementary_ideal,
     fitting_variety_scan,
-    presentation_from_dict,
+    in_support,
     support_scan,
+    tensor_cyclic,
 )
-from alexinv.constructions import cyclic_module, direct_sum, in_support, tensor_cyclic
 from alexinv.errors import LimitError, SchemaError
 from alexinv.exact_kernel import cyclotomic_poly
-from alexinv.laurent_ring import (
-    MAX_SCAN_POINTS,
-    LaurentPoly,
-    TorsionPoint,
-    divides,
-    normalize_unit,
-    parse_poly,
-)
+from alexinv.laurent_ring import MAX_SCAN_POINTS, LaurentPoly, normalize_unit, parse_poly
 from randgen import make_rng, random_cyclic_gens, random_presentation
 from reference import is_full_ring, is_zero_ideal
 

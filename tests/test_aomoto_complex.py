@@ -7,22 +7,24 @@ import pytest
 from alexinv.aomoto_complex import (
     GradedAlgebra,
     IntegerDifferential,
-    OneForm,
     algebra_from_dict,
     betti_vector,
+    validate_algebra,
+)
+from alexinv.constructions import (
+    OneForm,
     cohomology_dims,
     differential_matrix,
-    validate_algebra,
+    integer_vector,
+    os_algebra_lines,
     wedge,
 )
-from alexinv.constructions import os_algebra_lines
 from alexinv.corpus import load_bundled_scenario
 from alexinv.errors import (
     DimensionError,
     InconsistentDifferentialError,
     SchemaError,
 )
-from alexinv.exact_kernel import integer_vector
 from randgen import make_rng, random_oneform
 
 F = Fraction

@@ -53,7 +53,8 @@ import pytest
 
 from alexinv.aomoto_complex import betti_vector
 from alexinv.cli import main
-from alexinv.invariant_pipeline import charvar_scan, milnor_charpoly, scenario_from_dict
+from alexinv.constructions import charvar_scan
+from alexinv.invariant_pipeline import milnor_charpoly, scenario_from_dict
 from alexinv.residue_systems import grid_shifts
 from arrangements import (
     A3_GENERIC,
@@ -62,6 +63,7 @@ from arrangements import (
     a3_decone,
     a3_generic,
     deleted_b3_decone,
+    deleted_b3_generic,
     generic_lines_11,
     non_fano,
 )
@@ -391,6 +393,41 @@ def test_deleted_b3_first_characteristic_variety_at_level_4(deleted_b3_charvar):
     assert report["warnings"] == [f"inconclusive at beta={beta}" for beta in [
         "(0,1/2,1/2,1/2,0,0,0)", "(1/4,1/4,1/2,1/4,1/4,1/2,1/2)", "(1/2,0,1/2,0,1/2,0,0)",
         "(1/2,1/2,0,1/2,1/2,0,0)", "(3/4,3/4,1/2,3/4,3/4,1/2,1/2)"]]
+
+
+def test_deleted_b3_generic_chart_reads_as_the_decone_chart(tmp_path, deleted_b3_charvar):
+    # In the generic chart every line is affine.  A point that does not read
+    # 0 extends to the projective complement, so its coordinates sum to 0
+    # mod 1, and without z's coordinate (line 3) it is the decone chart's
+    # point with the same reading; the trivial point reads 8 against 7.
+    path = tmp_path / "deleted_b3_generic.json"
+    path.write_text(json.dumps(deleted_b3_generic()), encoding="utf-8")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["charvar", str(path), "--level", "2", "--degree", "1", "--format", "json"])
+    report = json.loads(out.getvalue())
+    buckets = report["results"]["buckets"]
+    assert code == 2
+    assert ({dim: len(found) for dim, found in buckets.items() if dim != "0"},
+            len(report["warnings"])) == ({"1": 26, "2": 7, "8": 1}, 3)
+    assert buckets["8"] == ["(0,0,0,0,0,0,0,0)"]
+
+    def readings(report, top):
+        found = {name: "inconclusive" for name in (
+            warning.removeprefix("inconclusive at beta=") for warning in report["warnings"])}
+        for dim, names in report["results"]["buckets"].items():
+            if dim != "0":
+                found.update(dict.fromkeys(names, "top" if dim == top else dim))
+        return found
+
+    decone = readings(deleted_b3_charvar(2)[1], "7")
+    generic = readings(report, "8")
+    for name, reading in generic.items():
+        coordinates = [Fraction(c) for c in name.strip("()").split(",")]
+        assert sum(coordinates) % 1 == 0, name
+        dropped = "(" + ",".join(map(str, coordinates[:2] + coordinates[3:])) + ")"
+        assert decone.get(dropped) == reading, name
+    assert len(generic) == len(decone) == 37
 
 
 @pytest.mark.parametrize("level", [2, 4])

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 import alexinv
 from alexinv import alexander_modules as am
-from alexinv import aomoto_complex, cli, constructions, exact_kernel
+from alexinv import cli, constructions
 from alexinv import invariant_pipeline as pipeline
 from alexinv import laurent_ring as lr
 from alexinv import residue_systems as rs
@@ -212,7 +212,7 @@ def fraction_api_report(command, name, values, bound):
     written = [format_rational(v) for v in values]
     warnings = []
     if command == "aomoto":
-        rho = rs.residues(system, values)
+        rho = constructions.residues(system, values)
         results = {
             "alpha": written,
             "admissible": not any(v > 0 and v.denominator == 1 for _, v in rho),
@@ -221,7 +221,7 @@ def fraction_api_report(command, name, values, bound):
         }
     else:
         box = scenario.effective_bound(3 if bound is None else bound)
-        alpha = rs.admissible_search(system, values, box)
+        alpha = constructions.admissible_search(system, values, box)
         results = {"beta": written, "alpha": None}
         if command == "twisted":
             results["dims"] = None
@@ -237,8 +237,8 @@ def fraction_api_report(command, name, values, bound):
                 warnings.append("no admissible representative inside the search "
                                 "box; this does not certify non-admissibility")
             else:
-                results["residues"] = {
-                    label: format_rational(v) for label, v in rs.residues(system, alpha)}
+                results["residues"] = {label: format_rational(v)
+                                       for label, v in constructions.residues(system, alpha)}
         if alpha is not None:
             results["alpha"] = [format_rational(a) for a in alpha]
     return 2 if warnings else 0, {"digest": digest, "results": results, "warnings": warnings}
@@ -296,13 +296,13 @@ def test_a_residue_too_long_to_print_is_a_usage_error(argv):
 ])
 def test_residue_commands_convert_each_vector_at_most_once(monkeypatch, argv):
     calls = []
+    integer_vector = constructions.integer_vector
 
     def counted(values):
         calls.append(values)
-        return exact_kernel.integer_vector(values)
+        return integer_vector(values)
 
-    for module in (pipeline, rs, aomoto_complex):
-        monkeypatch.setattr(module, "integer_vector", counted)
+    monkeypatch.setattr(constructions, "integer_vector", counted)
     assert run_quietly(argv)[0] in (0, 2)
     assert len(calls) <= 1
 
@@ -362,7 +362,7 @@ def _charvar_report(name, level, degree, fmt):
     """The ``charvar`` report built from ``charvar_scan``'s torsion points,
     each rendered by ``str``, and its exit code."""
     scenario = load_bundled_scenario(name)
-    scan = pipeline.charvar_scan(scenario, level, degree)
+    scan = constructions.charvar_scan(scenario, level, degree)
     argv = ["charvar", name, "--level", str(level), "--degree", str(degree), "--format", fmt]
     with open(bundled_scenario_path(name), "rb") as handle:
         digest = "sha256:" + hashlib.sha256(handle.read()).hexdigest()
@@ -408,10 +408,10 @@ def test_module_reports_match_the_public_scans(capsys, name):
     # every --i up to generators + 1, the full ring's variety.
     path = os.path.join(MODULE_GOLDEN_DIR, name)
     pres = _presentation(path)
-    ops = [(("support",), lambda level: am.support_scan(pres, level))]
+    ops = [(("support",), lambda level: constructions.support_scan(pres, level))]
     for i in range(1, pres.generators + 2):
         ops.append((("fitting", "--i", str(i)),
-                    lambda level, i=i: am.fitting_variety_scan(pres, i, level)))
+                    lambda level, i=i: constructions.fitting_variety_scan(pres, i, level)))
     for level in range(1, 13):
         for op, scan in ops:
             points = [str(p) for p in scan(level)]
@@ -424,6 +424,77 @@ def test_module_reports_match_the_public_scans(capsys, name):
             assert (code, err) == (0, "")
             assert f"results.count: {len(points)}" in out.splitlines()
             assert f"results.points: [{', '.join(points)}]" in out.splitlines()
+
+
+# Runs each argv, read as JSON lines from stdin, through ``cli.main`` in one
+# fresh process, counting the calls of ``Presentation.minors`` and
+# ``_gcd_prs``, and prints the exit codes, the counts and the loaded modules.
+EVERY_COMMAND = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from alexinv import alexander_modules, cli, laurent_ring
+calls = {"minors": 0, "_gcd_prs": 0}
+
+def counted(name, function):
+    def wrapper(*args):
+        calls[name] += 1
+        return function(*args)
+    return wrapper
+
+alexander_modules.Presentation.minors = counted("minors", alexander_modules.Presentation.minors)
+laurent_ring._gcd_prs = counted("_gcd_prs", laurent_ring._gcd_prs)
+codes = []
+for line in sys.stdin:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        codes.append(cli.main(json.loads(line)))
+print(json.dumps([codes, calls, sorted(n for n in sys.modules if n.startswith("alexinv"))]))
+"""
+
+
+def test_no_command_loads_the_constructions(tmp_path):
+    # Every subcommand in both formats on each bundled scenario and golden
+    # presentation, a presentation that does not peel, example_5_3 and a
+    # Milnor search at their inconclusive points, help and usage errors.
+    from test_compiled_scan import square_and_search_scenario
+
+    argvs = []
+    for name in bundled_scenario_names():
+        values = ",".join(["1/3"] * load_bundled_scenario(name).nparams)
+        for argv in (["validate", name], ["aomoto", name, f"--alpha={values}"],
+                     ["twisted", name, f"--beta={values}"],
+                     ["admissible", name, f"--beta={values}", "--bound", "2"],
+                     ["charvar", name, "--level", "3", "--degree", "1"],
+                     ["milnor", name, "--m", "1"]):
+            argvs += [argv + ["--format", form] for form in ("text", "json")]
+    unpeeled = tmp_path / "unpeeled.json"
+    unpeeled.write_text(json.dumps({"nvars": 2, "generators": 2, "relations": 2, "matrix": [
+        ["t1 - 1", "t2 - 1"], ["t2 - 1", "t1 + 1"]]}))
+    presentations = sorted(Path(MODULE_GOLDEN_DIR).glob("*.json")) + [unpeeled]
+    for path in presentations:
+        for op in (["charpoly", "--i", "1"], ["support", "--level", "4"],
+                   ["fitting", "--i", "2", "--level", "4"]):
+            for form in ("text", "json"):
+                argvs.append(["module", "--presentation", str(path), "--op", *op,
+                              "--format", form])
+    inconclusive = tmp_path / "inconclusive.json"
+    inconclusive.write_text(square_and_search_scenario([[4, 0], [-4, 0]]))
+    argvs += [["twisted", "example_5_3", "--beta=1/3"],
+              ["admissible", "example_5_3", "--beta=1/3", "--format", "json"],
+              ["charvar", "example_5_3", "--level", "3", "--degree", "2"],
+              ["charvar", "example_5_3", "--level", "12", "--degree", "2", "--format", "json"],
+              ["milnor", str(inconclusive), "--m", "1"],
+              ["--help"], ["module", "--help"], ["charvar", "torus", "--bogus"],
+              ["validate", str(tmp_path / "missing.json")]]
+    src = str(Path(alexinv.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-S", "-c", EVERY_COMMAND, src], text=True,
+                          input="".join(json.dumps(argv) + "\n" for argv in argvs),
+                          capture_output=True, timeout=300, check=True)
+    codes, calls, loaded = json.loads(done.stdout)
+    assert len(codes) == len(argvs)
+    assert codes[-9:] == [2, 2, 2, 2, 2, 0, 0, 1, 1]
+    assert set(codes[:-9]) == {0, 2}
+    assert calls["minors"] > 0 and calls["_gcd_prs"] > 0
+    assert "alexinv.constructions" not in loaded and "alexinv.cli" in loaded
 
 
 def test_no_scan_command_builds_a_torsion_point(capsys, monkeypatch):
@@ -439,9 +510,9 @@ def test_no_scan_command_builds_a_torsion_point(capsys, monkeypatch):
     def refuse(self, *args):
         raise RuntimeError("a TorsionPoint was built")
 
-    monkeypatch.setattr(lr.TorsionPoint, "__init__", refuse)
+    monkeypatch.setattr(constructions.TorsionPoint, "__init__", refuse)
     with pytest.raises(RuntimeError, match="was built"):
-        am.support_scan(_presentation(path), 6)
+        constructions.support_scan(_presentation(path), 6)
     assert [run_cli(capsys, *argv) for argv in commands] == before
     assert all(code in (0, 2) and out for code, out, _ in before)
 
@@ -483,7 +554,7 @@ def test_point_names_are_the_torsion_points_strings():
              if level ** nvars <= lr.MAX_SCAN_POINTS] + [(46, 3)]
     for level, nvars in cases:
         assert cli._point_names(level, nvars) == [
-            str(p) for p in lr.torsion_grid(level, nvars)], (level, nvars)
+            str(p) for p in constructions.torsion_grid(level, nvars)], (level, nvars)
 
 
 @st.composite
@@ -543,7 +614,7 @@ def test_charvar_with_a_huge_residue_coefficient(tmp_path, capsys):
     code, out, _ = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 1
     scenario = pipeline.load_scenario(str(path))
-    scan = pipeline.charvar_scan(scenario, 12, 1)
+    scan = constructions.charvar_scan(scenario, 12, 1)
     assert code == (2 if scan.inconclusive else 0)
     assert json.loads(out)["results"]["buckets"] == {
         str(dim): [str(p) for p in points] for dim, points in scan.by_dimension.items()
@@ -724,13 +795,13 @@ def test_module_scans_reject_grid_over_the_point_cap(
 
 def test_range_checks_raise_limit_error():
     for check in (
-        lambda: lr.torsion_grid(0, 2),
-        lambda: lr.torsion_grid(400, 2),
-        lambda: lr.TorsionPoint(0, ()),
-        lambda: lr.TorsionPoint(3, (3,)),
-        lambda: lr.TorsionPoint.from_numerators(-1, (0,)),
+        lambda: constructions.torsion_grid(0, 2),
+        lambda: constructions.torsion_grid(400, 2),
+        lambda: constructions.TorsionPoint(0, ()),
+        lambda: constructions.TorsionPoint(3, (3,)),
+        lambda: constructions.TorsionPoint.from_numerators(-1, (0,)),
         lambda: reference.from_residues(4, ("1/3",)),
-        lambda: rs.shift_vectors(2, -1),
+        lambda: constructions.shift_vectors(2, -1),
         lambda: rs.shift_order(2, -1),  # on the call, before any shift is read
     ):
         with pytest.raises(LimitError):

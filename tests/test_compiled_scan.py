@@ -26,34 +26,32 @@ from hypothesis import strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from alexinv import aomoto_complex, cli, laurent_ring, residue_systems
-from alexinv.aomoto_complex import (
-    GradedAlgebra,
-    IntegerDifferential,
+from alexinv.aomoto_complex import GradedAlgebra, IntegerDifferential, rank_certificate
+from alexinv.cli import main
+from alexinv.constructions import (
     OneForm,
+    admissible_search,
+    charvar_scan,
+    cohomology_at,
     cohomology_dims,
     differential_matrix,
-    rank_certificate,
+    is_admissible,
+    mat_mul,
+    one_form,
+    os_algebra_lines,
+    rank,
+    shift_vectors,
+    torsion_grid,
 )
-from alexinv.cli import main
-from alexinv.constructions import cohomology_at, one_form, os_algebra_lines
 from alexinv.corpus import bundled_scenario_names, load_bundled_scenario
 from alexinv.errors import InconclusiveSearchError, InconsistentDifferentialError
-from alexinv.exact_kernel import integer_rank, mat_mul, rank
-from alexinv.invariant_pipeline import (
-    _charvar_indices,
-    charvar_scan,
-    milnor_charpoly,
-    scenario_from_json,
-)
-from alexinv.laurent_ring import torsion_grid
+from alexinv.exact_kernel import integer_rank
+from alexinv.invariant_pipeline import _charvar_indices, milnor_charpoly, scenario_from_json
 from alexinv.residue_systems import (
     ResidueRow,
     ResidueSystem,
-    admissible_search,
     admissible_shifts,
     grid_shifts,
-    is_admissible,
-    shift_vectors,
 )
 from randgen import make_rng, random_fraction
 from reference import is_zero_matrix

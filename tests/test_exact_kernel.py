@@ -4,21 +4,17 @@ from fractions import Fraction
 import pytest
 import sympy
 
+from alexinv.constructions import CyclotomicNumber, ExactMatrix, euler_phi, mat_mul, rank
 from alexinv.errors import DimensionError, LimitError
 from alexinv.exact_kernel import (
     MAX_RATIONAL_DIGITS,
-    CyclotomicNumber,
-    ExactMatrix,
     _poly_divmod,
     cyclotomic_poly,
     divisors,
-    euler_phi,
     format_rational,
-    mat_mul,
     mobius_pairs,
     parse_rational,
     prime_divisors,
-    rank,
 )
 from randgen import make_rng
 from reference import is_zero_matrix

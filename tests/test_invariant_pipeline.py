@@ -9,9 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alexinv import invariant_pipeline, laurent_ring
-from alexinv.alexander_modules import support_scan
-from alexinv.aomoto_complex import betti_vector, cohomology_dims
-from alexinv.constructions import cyclic_module, epsilon_line, one_form, projective_points
+from alexinv.aomoto_complex import betti_vector
+from alexinv.constructions import (
+    TorsionPoint,
+    charvar_scan,
+    cohomology_dims,
+    cyclic_module,
+    epsilon_line,
+    is_admissible,
+    one_form,
+    projective_points,
+    shift_vectors,
+    support_scan,
+    torsion_grid,
+    twisted_cohomology,
+)
 from alexinv.corpus import (
     bundled_scenario_names,
     bundled_scenario_path,
@@ -27,15 +39,12 @@ from alexinv.errors import (
 )
 from alexinv.invariant_pipeline import (
     MonodromyPolynomial,
-    charvar_scan,
     milnor_charpoly,
     milnor_order,
     scenario_from_dict,
     scenario_from_json,
-    twisted_cohomology,
 )
-from alexinv.laurent_ring import TorsionPoint, parse_poly, torsion_grid
-from alexinv.residue_systems import is_admissible, shift_vectors
+from alexinv.laurent_ring import parse_poly
 from arrangements import a3_decone
 from reference import negate, points_with_dim_above
 from test_alexander_modules import round_trips

@@ -26,15 +26,20 @@ from hypothesis import strategies as st
 
 from alexinv import alexander_modules as am
 from alexinv import laurent_ring as lr
-from alexinv.alexander_modules import (
-    Presentation,
-    char_poly,
-    elementary_ideal,
-    fitting_variety_scan,
-    support_scan,
-)
+from alexinv.alexander_modules import Presentation, char_poly
 from alexinv.cli import format_charpoly
-from alexinv.constructions import cyclic_module, direct_sum, in_support
+from alexinv.constructions import (
+    TorsionPoint,
+    cyclic_module,
+    direct_sum,
+    divides,
+    elementary_ideal,
+    evaluate_at_torsion,
+    fitting_variety_scan,
+    in_support,
+    support_scan,
+    torsion_grid,
+)
 from alexinv.errors import DimensionError
 from alexinv.exact_kernel import cyclotomic_poly, divisors
 from alexinv.invariant_pipeline import (
@@ -44,15 +49,11 @@ from alexinv.invariant_pipeline import (
 )
 from alexinv.laurent_ring import (
     LaurentPoly,
-    TorsionPoint,
     divide_exact,
-    divides,
-    evaluate_at_torsion,
     gcd,
     gcd_all,
     normalize_unit,
     parse_poly,
-    torsion_grid,
 )
 from randgen import (
     make_rng,

@@ -7,21 +7,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from alexinv import laurent_ring as lr
+from alexinv.constructions import (
+    TorsionPoint,
+    divides,
+    evaluate_at_torsion,
+    grid_points,
+    torsion_grid,
+)
 from alexinv.errors import DimensionError, LimitError, ParseError
 from alexinv.exact_kernel import format_rational
 from alexinv.laurent_ring import (
     LaurentPoly,
-    TorsionPoint,
     check_grid,
     divide_exact,
-    divides,
-    evaluate_at_torsion,
     format_poly,
     gcd,
-    grid_points,
     normalize_unit,
     parse_poly,
-    torsion_grid,
 )
 import reference
 from randgen import make_rng, random_laurent, random_nonzero_laurent, random_product

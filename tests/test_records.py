@@ -9,19 +9,22 @@ from fractions import Fraction
 
 import pytest
 
-from alexinv.alexander_modules import IdealGenerators, Presentation
-from alexinv.aomoto_complex import GradedAlgebra, OneForm
+from alexinv.alexander_modules import Presentation
+from alexinv.aomoto_complex import GradedAlgebra
 from alexinv.cli import Report
-from alexinv.corpus import load_bundled_scenario
-from alexinv.errors import Record
-from alexinv.exact_kernel import CyclotomicNumber, ExactMatrix
-from alexinv.invariant_pipeline import (
+from alexinv.constructions import (
     CharvarScan,
-    MonodromyPolynomial,
-    Scenario,
+    CyclotomicNumber,
+    ExactMatrix,
+    IdealGenerators,
+    OneForm,
+    TorsionPoint,
     charvar_scan,
 )
-from alexinv.laurent_ring import TorsionPoint, parse_poly
+from alexinv.corpus import load_bundled_scenario
+from alexinv.errors import Record
+from alexinv.invariant_pipeline import MonodromyPolynomial, Scenario
+from alexinv.laurent_ring import parse_poly
 from alexinv.residue_systems import ResidueRow, ResidueSystem
 
 F = Fraction

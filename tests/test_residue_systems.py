@@ -5,19 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alexinv.constructions import (
+    admissible_search,
+    is_admissible,
+    residues,
+    shift_vectors,
+    torsion_grid,
+)
 from alexinv.corpus import load_bundled_scenario
 from alexinv.errors import DimensionError, SchemaError
-from alexinv.laurent_ring import torsion_grid
 from alexinv.residue_systems import (
     ResidueRow,
     ResidueSystem,
-    admissible_search,
     equimonodromic_beta,
-    is_admissible,
     residue_system_from_dict,
-    residues,
     shift_order,
-    shift_vectors,
 )
 from randgen import make_rng, random_fraction
 

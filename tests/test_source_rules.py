@@ -22,16 +22,22 @@ in the package, in its ``__all__`` or in the ``SPANS`` and ``COUNTED`` of
 reason.  Importing the CLI loads the modules a command can reach and no
 others: not ``alexinv.constructions``.  Importing the package loads none of
 its modules: its ``__init__`` names each export once, in one table by home
-module, and imports that module on first use of one of its names.
+module, and imports that module on first use of one of its names.  Each
+definition lives in one module.  The six modules whose unreached
+definitions moved to ``constructions`` resolve exactly those names there,
+through one ``__getattr__`` each, which loads nothing for any other name;
+a pickle made under an old module path still loads.
 ``laurent_ring`` has one gcd loop: ``gcd_all`` alone calls ``_gcd_prs``, and
 ``gcd`` calls neither it nor ``divide_exact``.
 """
 
 import ast
 import importlib
+import pickle
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -221,23 +227,21 @@ def test_the_package_names_each_export_once_and_imports_nothing():
     assert [name for name in names if words[name] != 1] == []
 
 
-# Every name the package exported before the functions no command runs moved
-# to ``constructions``, by the module that defines it now.
+# Every name the package exports, by the module that defines it.
 EXPORTS = {
-    "alexander_modules": "IdealGenerators Presentation char_poly elementary_ideal "
-                         "fitting_variety_scan support_scan",
-    "aomoto_complex": "GradedAlgebra OneForm cohomology_dims differential_matrix "
-                      "validate_algebra wedge",
-    "constructions": "cohomology_at cyclic_module direct_sum epsilon_line in_support "
-                     "os_algebra_lines projective_points tensor_cyclic one_form",
+    "alexander_modules": "Presentation char_poly",
+    "aomoto_complex": "GradedAlgebra validate_algebra",
+    "constructions": "CyclotomicNumber ExactMatrix IdealGenerators OneForm TorsionPoint "
+                     "admissible_search charvar_scan cohomology_at cohomology_dims "
+                     "cyclic_module differential_matrix direct_sum divides elementary_ideal "
+                     "epsilon_line evaluate_at_torsion fitting_variety_scan in_support "
+                     "is_admissible one_form os_algebra_lines projective_points rank "
+                     "residues support_scan tensor_cyclic twisted_cohomology wedge",
     "corpus": "bundled_scenario_names load_bundled_scenario",
-    "exact_kernel": "CyclotomicNumber ExactMatrix cyclotomic_poly rank",
-    "invariant_pipeline": "MonodromyPolynomial Scenario charvar_scan load_scenario "
-                          "milnor_charpoly twisted_cohomology",
-    "laurent_ring": "LaurentPoly TorsionPoint divides evaluate_at_torsion format_poly gcd "
-                    "normalize_unit parse_poly",
-    "residue_systems": "ResidueSystem admissible_search equimonodromic_beta is_admissible "
-                       "residues",
+    "exact_kernel": "cyclotomic_poly",
+    "invariant_pipeline": "MonodromyPolynomial Scenario load_scenario milnor_charpoly",
+    "laurent_ring": "LaurentPoly format_poly gcd normalize_unit parse_poly",
+    "residue_systems": "ResidueSystem equimonodromic_beta",
 }
 
 
@@ -248,6 +252,97 @@ def test_every_export_resolves_to_its_home(module):
         value = getattr(alexinv, name)
         assert value is getattr(home, name) and value.__module__ == home.__name__, name
         assert name in dir(alexinv) and name in alexinv.__all__, name
+
+
+# The definitions that left each module for ``constructions``, which the
+# module's ``__getattr__`` resolves there: perfbench's spans name some of them
+# by their old module, and old imports and pickles name them all.
+MOVED = {
+    "alexander_modules": "IdealGenerators elementary_ideal fitting_variety_scan support_scan",
+    "aomoto_complex": "OneForm cohomology_dims differential_matrix wedge",
+    "exact_kernel": "CyclotomicNumber ExactMatrix _rref euler_phi integer_vector mat_mul rank",
+    "invariant_pipeline": "CharvarScan charvar_scan twisted_cohomology",
+    "laurent_ring": "TorsionPoint divides evaluate_at_torsion grid_points torsion_grid",
+    "residue_systems": "admissible_search is_admissible residues shift_vectors",
+}
+
+
+def top_level_definitions(path) -> list:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [node.name for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
+def test_each_definition_lives_once():
+    names = Counter(name for path in SOURCES for name in top_level_definitions(path))
+    assert [name for name, count in names.items() if count > 1] == []
+
+
+@pytest.mark.parametrize("module", sorted(MOVED))
+def test_an_old_home_resolves_exactly_the_names_that_left_it(module):
+    from alexinv import constructions
+
+    old = importlib.import_module(f"alexinv.{module}")
+    moved = MOVED[module].split()
+    for name in top_level_definitions(Path(constructions.__file__)):
+        value = getattr(constructions, name)
+        assert name not in vars(old), name
+        if name in moved:
+            assert getattr(old, name) is value and value.__module__ == constructions.__name__
+            assert name not in alexinv.__all__ or getattr(alexinv, name) is value, name
+        else:
+            with pytest.raises(AttributeError) as caught:
+                getattr(old, name)
+            assert str(caught.value) == f"module 'alexinv.{module}' has no attribute {name!r}"
+    assert set(moved) <= set(top_level_definitions(Path(constructions.__file__)))
+
+
+def test_the_constructions_import_nothing_through_a_hook():
+    path = Path(alexinv.__file__).parent / "constructions.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    hooked = [f"{node.module}.{alias.name}" for node in tree.body
+              if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+              for alias in node.names
+              if alias.name not in vars(importlib.import_module(f"alexinv.{node.module}"))]
+    assert hooked == []
+
+
+def test_asking_an_old_home_for_another_name_loads_nothing():
+    src = str(Path(alexinv.__file__).resolve().parent.parent)
+    script = (f"import importlib, sys; sys.path.insert(0, {src!r}); "
+              f"modules = [importlib.import_module('alexinv.' + m) for m in {sorted(MOVED)!r}]; "
+              "print(any(hasattr(m, n) for m in modules for n in ('nope', '_nope', 'moved_to')), "
+              "sorted(n for n in sys.modules if n.startswith('alexinv')))")
+    done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                          text=True, timeout=60, check=True)
+    found, loaded = done.stdout.split(" ", 1)
+    assert found == "False" and "constructions" not in loaded and "alexinv.errors" in loaded
+
+
+# ``pickle.dumps(x, protocol=2)`` of a ``TorsionPoint(4, (1, 3))`` and a
+# ``CyclotomicNumber(3, (Fraction(1, 2), Fraction(-1)))``, made while each
+# class lived in ``laurent_ring`` and ``exact_kernel``.
+OLD_PICKLES = {
+    "torsion point": (
+        b"\x80\x02calexinv.laurent_ring\nTorsionPoint\nq\x00)\x81q\x01}q\x02(X\x05\x00"
+        b"\x00\x00levelq\x03K\x04X\n\x00\x00\x00numeratorsq\x04K\x01K\x03\x86q\x05ub."),
+    "cyclotomic number": (
+        b"\x80\x02calexinv.exact_kernel\nCyclotomicNumber\nq\x00)\x81q\x01}q\x02(X\t\x00"
+        b"\x00\x00conductorq\x03K\x03X\x06\x00\x00\x00coeffsq\x04cfractions\nFraction\n"
+        b"q\x05K\x01K\x02\x86q\x06Rq\x07h\x05J\xff\xff\xff\xffK\x01\x86q\x08Rq\t\x86q\nub."),
+}
+
+
+def test_a_pickle_made_under_an_old_module_path_loads_equal():
+    from alexinv.constructions import CyclotomicNumber, TorsionPoint
+
+    expected = {"torsion point": TorsionPoint(4, (1, 3)), "cyclotomic number":
+                CyclotomicNumber(3, (Fraction(1, 2), Fraction(-1)))}
+    for kind, data in OLD_PICKLES.items():
+        value = pickle.loads(data)
+        assert type(value) is type(expected[kind]) and value == expected[kind], kind
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert b"alexinv.constructions" in pickle.dumps(value, protocol=2)
 
 
 def test_an_unknown_package_name_is_an_attribute_error():
