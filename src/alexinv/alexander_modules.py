@@ -122,15 +122,6 @@ class Presentation(Record):
         _set(self, "relations", relations)
         _set(self, "matrix", matrix)
 
-    @classmethod
-    def from_rows(cls, nvars: int, rows) -> Presentation:
-        rows = tuple(tuple(r) for r in rows)
-        m = len(rows[0]) if rows else 0
-        return cls(nvars, len(rows), m, rows)
-
-    def entry(self, i: int, j: int) -> LaurentPoly:
-        return self.matrix[i][j]
-
     @cached_property
     def _minor_memo(self) -> dict:
         """Every minor built so far, by its (rows, cols) index tuples."""

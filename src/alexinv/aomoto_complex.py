@@ -14,7 +14,6 @@ computes its cohomology dimensions by exact integer rank.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from itertools import product, repeat
 from math import gcd, lcm
 from operator import add, mul
@@ -99,15 +98,6 @@ class GradedAlgebra(Record):
         if self.degree_of(other_label) == 0:
             return {one_label: Fraction(1)}
         return self.products.get((one_label, other_label), {})
-
-    @cached_property
-    def differential(self) -> IntegerDifferential:
-        """The differential for the identity ``omega_map``, whose parameters
-        are the one-form's own coefficients; built on first use by
-        ``constructions.cohomology_dims``."""
-        n = self.dim(1)
-        identity = [[int(i == j) for j in range(n)] for i in range(n)]
-        return IntegerDifferential(self, identity)
 
 
 def validate_algebra(algebra: GradedAlgebra) -> list[str]:
@@ -304,13 +294,13 @@ class IntegerDifferential:
                 terms = [term for term in terms if term[2]]
                 if terms:
                     self.squares.append((p, terms))
-        # certificates[p]: rank_certificate of D_p, or None.  minors[p]: its
-        # rank r_p and, each once and as _factored gives them, the terms of
-        # M_p and of the minors that rank_certificate gives for D_p with its
-        # columns reversed and with its rows reversed; or None.
-        self.certificates = [rank_certificate(t, nparams) for t in self.tensors]
+        # minors[p]: the rank r_p of D_p and, each once and as _factored
+        # gives them, the terms of M_p and of the minors that
+        # rank_certificate gives for D_p with its columns reversed and with
+        # its rows reversed; or None when D_p has no certificate.
         self.minors = []
-        for tensor, cert in zip(self.tensors, self.certificates):
+        for tensor in self.tensors:
+            cert = rank_certificate(tensor, nparams)
             if cert is not None:
                 flipped = ([row[::-1] for row in tensor], tensor[::-1])
                 certs = [cert] + [rank_certificate(t, nparams) for t in flipped]

@@ -32,7 +32,7 @@ from operator import mul
 
 from . import laurent_ring
 from .alexander_modules import Presentation, _minors, _scan, _zeros
-from .aomoto_complex import GradedAlgebra, ProductTable
+from .aomoto_complex import GradedAlgebra, IntegerDifferential, ProductTable
 from .errors import DimensionError, InconclusiveSearchError, LimitError, Record, _set
 from .exact_kernel import _poly_divmod, cyclotomic_poly, format_ratio, prime_divisors
 from .invariant_pipeline import Scenario, _charvar_indices
@@ -406,13 +406,13 @@ def differential_matrix(algebra: GradedAlgebra, omega: OneForm, p: int) -> Exact
 def cohomology_dims(algebra: GradedAlgebra, omega: OneForm) -> tuple[int, ...]:
     """Dimensions ``b_0 .. b_top`` of the complex ``(A, omega ^ .)``.
 
+    The differential is the form's own, with one parameter, evaluated at 1.
     Verifies that consecutive differentials compose to zero before trusting
     any rank computation.
     """
     if algebra.top_degree >= 1 and len(omega.coeffs) != algebra.dim(1):
         raise DimensionError("one-form length does not match the degree-1 basis")
-    coeffs, _ = integer_vector(omega.coeffs)
-    return algebra.differential.dims_many((coeffs,))[0]
+    return IntegerDifferential(algebra, (omega.coeffs,)).dims_many(((1,),))[0]
 
 
 # ---------------------------------------------------------------------------

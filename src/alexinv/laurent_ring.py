@@ -97,17 +97,6 @@ class LaurentPoly:
     def one(cls, nvars: int) -> LaurentPoly:
         return cls.constant(1, nvars)
 
-    @classmethod
-    def var(cls, nvars: int, index: int, power: int = 1) -> LaurentPoly:
-        """The monomial ``t{index+1} ** power``."""
-        exps = [0] * nvars
-        exps[index] = power
-        return cls(nvars, {tuple(exps): 1})
-
-    @classmethod
-    def term(cls, nvars: int, coeff, exps) -> LaurentPoly:
-        return cls(nvars, {tuple(exps): coeff})
-
     # -- predicates ----------------------------------------------------------
 
     @property

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 from alexinv.alexander_modules import Presentation
 from alexinv.constructions import OneForm
-from alexinv.laurent_ring import LaurentPoly
+from alexinv.laurent_ring import LaurentPoly, parse_poly
+from reference import presentation
 
 
 def make_rng(seed: int) -> random.Random:
@@ -41,7 +42,7 @@ def random_binomial_factor(rng, nvars):
     i = rng.randrange(nvars)
     a = rng.choice([1, 1, 2])
     c = rng.choice([1, 1, 1, 2, -1])
-    return LaurentPoly.var(nvars, i, a) - c
+    return parse_poly(f"t{i + 1}^{a}", nvars) - c
 
 
 def random_product(rng, nvars, max_factors=2):
@@ -88,9 +89,9 @@ def random_cyclic_gens(rng, nvars, max_gens=2):
             exps = tuple(rng.randint(-2, 2) for _ in range(nvars))
             if not any(exps):
                 continue
-            gens.append(LaurentPoly.term(nvars, 1, exps) - 1)
+            gens.append(LaurentPoly(nvars, {exps: 1}) - 1)
         else:
-            gens.append(LaurentPoly.var(nvars, rng.randrange(nvars)) - 1)
+            gens.append(parse_poly(f"t{rng.randrange(nvars) + 1}", nvars) - 1)
     return gens
 
 
@@ -118,12 +119,12 @@ def random_chain_presentation(rng, nvars, shape) -> Presentation:
         rows[j][j] = d
     for _ in range(2):
         a, b = rng.sample(range(n), 2)
-        mono = LaurentPoly.term(nvars, rng.choice([1, -1]),
-                                [rng.randint(-1, 1) for _ in range(nvars)])
+        sign = rng.choice([1, -1])
+        mono = LaurentPoly(nvars, {tuple(rng.randint(-1, 1) for _ in range(nvars)): sign})
         rows[a] = [x + mono * y for x, y in zip(rows[a], rows[b])]
         a, b = rng.sample(range(m), 2)
-        mono = LaurentPoly.term(nvars, rng.choice([1, -1]),
-                                [rng.randint(-1, 1) for _ in range(nvars)])
+        sign = rng.choice([1, -1])
+        mono = LaurentPoly(nvars, {tuple(rng.randint(-1, 1) for _ in range(nvars)): sign})
         for row in rows:
             row[a] = row[a] + mono * row[b]
     return Presentation(nvars, n, m, tuple(tuple(r) for r in rows))
@@ -143,4 +144,4 @@ def random_partial_presentation(rng, nvars, shape) -> Presentation:
     rng.shuffle(rows)
     cols = list(range(m))
     rng.shuffle(cols)
-    return Presentation.from_rows(nvars, [[r[c] for c in cols] for r in rows])
+    return presentation(nvars, [[r[c] for c in cols] for r in rows])

@@ -12,14 +12,15 @@ The helpers after them read records the way tests do and no command does:
 ``from_residues(level, residues)``, ``negate(point)`` and
 ``is_trivial(point)`` were ``TorsionPoint.from_residues``, ``negate`` and
 ``is_trivial``; ``points_with_dim_above(scan, i)`` was
-``CharvarScan.points_with_dim_above``.
+``CharvarScan.points_with_dim_above``; ``presentation(nvars, rows)`` was
+``Presentation.from_rows``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from alexinv.alexander_modules import _minors, _vanishing
+from alexinv.alexander_modules import Presentation, _minors, _vanishing
 from alexinv.constructions import TorsionPoint
 from alexinv.errors import LimitError, ParseError
 from alexinv.laurent_ring import _TOKEN, LaurentPoly
@@ -186,6 +187,12 @@ def negate(point: TorsionPoint) -> TorsionPoint:
 
 def is_trivial(point: TorsionPoint) -> bool:
     return not any(point.numerators)
+
+
+def presentation(nvars: int, rows) -> Presentation:
+    """The presentation whose generator rows are ``rows``."""
+    rows = tuple(tuple(r) for r in rows)
+    return Presentation(nvars, len(rows), len(rows[0]) if rows else 0, rows)
 
 
 def points_with_dim_above(scan, i: int) -> tuple:

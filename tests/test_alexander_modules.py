@@ -17,11 +17,11 @@ from alexinv.constructions import (
     support_scan,
     tensor_cyclic,
 )
-from alexinv.errors import LimitError, SchemaError
+from alexinv.errors import DimensionError, LimitError, SchemaError
 from alexinv.exact_kernel import cyclotomic_poly
 from alexinv.laurent_ring import MAX_SCAN_POINTS, LaurentPoly, normalize_unit, parse_poly
 from randgen import make_rng, random_cyclic_gens, random_presentation
-from reference import is_full_ring, is_zero_ideal
+from reference import is_full_ring, is_zero_ideal, presentation
 
 F = Fraction
 
@@ -83,9 +83,9 @@ def test_direct_sum_examples():
     b = cyclic_module([P("t2 - 1", 2)])
     s = direct_sum(a, b)
     assert (s.generators, s.relations) == (2, 2)
-    assert s.entry(0, 0) == P("t1 - 1", 2)
-    assert s.entry(1, 1) == P("t2 - 1", 2)
-    assert s.entry(0, 1).is_zero and s.entry(1, 0).is_zero
+    assert s.matrix[0][0] == P("t1 - 1", 2)
+    assert s.matrix[1][1] == P("t2 - 1", 2)
+    assert s.matrix[0][1].is_zero and s.matrix[1][0].is_zero
     s2 = direct_sum(free_module(2), a)
     assert (s2.generators, s2.relations) == (2, 1)
 
@@ -285,7 +285,7 @@ def round_trips(value):
                          ids=["int", "fraction"])
 def test_values_pickle_and_copy(entry):
     poly = P(entry, 2)
-    pres = Presentation.from_rows(2, [[poly, P("t1*t2 - 1", 2)], [P("2", 2), poly]])
+    pres = presentation(2, [[poly, P("t1*t2 - 1", 2)], [P("2", 2), poly]])
     expected = [char_poly(pres, i) for i in range(3)]  # the minor table is warm
     ideal = elementary_ideal(pres, 1)
     point = TorsionPoint(6, (1, 4))
@@ -300,6 +300,17 @@ def test_values_pickle_and_copy(entry):
         assert again == pres
         assert [char_poly(again, i) for i in range(3)] == expected
     assert str(round_trips(point)[0]) == "(1/6,2/3)"
+
+
+@pytest.mark.parametrize("generators, relations, matrix, message", [
+    (2, 1, ((P("t1", 1),),), "matrix must have one row per generator"),
+    (1, 2, ((P("t1", 1),),), "matrix must have one column per relation"),
+    (1, 1, ((P("t2", 2),),), "matrix entry has wrong variable count"),
+])
+def test_presentation_refuses_a_matrix_of_the_wrong_shape(generators, relations, matrix, message):
+    with pytest.raises(DimensionError) as caught:
+        Presentation(1, generators, relations, matrix)
+    assert type(caught.value) is DimensionError and str(caught.value) == message
 
 
 def test_presentation_schema_errors():

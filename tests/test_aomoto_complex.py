@@ -129,10 +129,10 @@ def test_euler_and_scaling_invariance(bundled_algebras):
             assert cohomology_dims(algebra, omega.scaled(c)) == dims
 
 
-def test_inconsistent_differential_detected():
-    # Passes the per-basis-element invariants but fails d*d = 0 for a mixed
-    # one-form: e1^(e2^e3) + e2^(e1^e3) does not cancel.
-    algebra = GradedAlgebra(
+def mixed_inconsistent():
+    """Passes the per-basis-element invariants but fails d*d = 0 for a mixed
+    one-form: e1^(e2^e3) + e2^(e1^e3) does not cancel."""
+    return GradedAlgebra(
         3,
         (("1",), ("a", "b", "c"), ("bc", "ac"), ("top",)),
         {
@@ -142,6 +142,10 @@ def test_inconsistent_differential_detected():
             ("b", "ac"): {"top": F(1)},
         },
     )
+
+
+def test_inconsistent_differential_detected():
+    algebra = mixed_inconsistent()
     assert validate_algebra(algebra) == []
     with pytest.raises(InconsistentDifferentialError):
         cohomology_dims(algebra, OneForm((1, 1, 0)))
@@ -226,48 +230,59 @@ def test_algebra_schema_errors():
     assert "/basis/0" in str(err.value)
 
 
+@pytest.mark.parametrize("top, basis, products, error, message", [
+    (2, (("1",), ("a",)), {}, DimensionError, "need one basis tuple per degree 0..top_degree"),
+    (1, (("1",), ("a", "a")), {}, ValueError, "duplicate basis label 'a'"),
+    (1, (("1",), ("a",)), {("a", "b"): {}}, ValueError, "product references unknown label 'b'"),
+    (2, (("1",), ("a", "b"), ("ab",)), {("a", "b"): {"ba": 1}}, ValueError,
+     "product targets unknown label 'ba'"),
+])
+def test_algebra_refuses_a_bad_basis_or_product(top, basis, products, error, message):
+    with pytest.raises(ValueError) as caught:
+        GradedAlgebra(top, basis, products)
+    assert type(caught.value) is error and str(caught.value) == message
+
+
 def test_mirror_products_autofilled(algebra_41):
     forward = algebra_41.products[("eta1", "eta3")]
     backward = algebra_41.products[("eta3", "eta1")]
     assert backward == {k: -v for k, v in forward.items()}
 
 
-def test_cohomology_dims_reuses_one_identity_differential():
-    # The identity differential is built by the first call and kept on the
-    # algebra, out of its equality and repr; every later call reads it.
-    algebra = load_bundled_scenario("example_4_1").algebra
-    pristine = load_bundled_scenario("example_4_1").algebra
+def test_cohomology_dims_match_the_identity_map_differential(bundled_algebras):
+    # cohomology_dims builds the form's own one-parameter differential.  The
+    # differential of the identity map, whose parameters are the form's
+    # coefficients, gives the same dims, and fails d*d = 0 on the same forms.
     rng = make_rng(8)
-    forms = [random_oneform(rng, algebra.dim(1)) for _ in range(12)]
-    forms.append(OneForm((F(-4, 5), F(1, 5), F(1, 5))))
-    first = [cohomology_dims(algebra, omega) for omega in forms]
-    built = vars(algebra).get("differential")
-    assert built is not None
-    assert [cohomology_dims(algebra, omega) for omega in forms] == first
-    assert algebra.differential is built
-    n = algebra.dim(1)
-    identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    assert first == [
-        IntegerDifferential(pristine, identity).dims_many(
-            (integer_vector(omega.coeffs)[0],))[0]
-        for omega in forms
-    ]
-    assert "differential" not in vars(pristine)
-    assert algebra == pristine and repr(algebra) == repr(pristine)
+    failed = 0
+    for algebra in [*bundled_algebras, mixed_inconsistent()]:
+        n = algebra.dim(1)
+        identity = IntegerDifferential(
+            algebra, [[int(i == j) for j in range(n)] for i in range(n)])
+        forms = [random_oneform(rng, n) for _ in range(40)]
+        forms += [OneForm((F(-4, 5), F(1, 5), F(1, 5))[:n]), OneForm((1, 1, 0)[:n])]
+        for omega in forms:
+            try:
+                expected = identity.dims_many((integer_vector(omega.coeffs)[0],))[0]
+            except InconsistentDifferentialError:
+                failed += 1
+                with pytest.raises(InconsistentDifferentialError):
+                    cohomology_dims(algebra, omega)
+            else:
+                assert cohomology_dims(algebra, omega) == expected
+        assert set(vars(algebra)) == {*GradedAlgebra._fields, "_where"}
+    assert failed > 1
 
 
-def test_the_identity_differential_is_no_field_of_the_algebra():
+def test_the_label_index_is_no_field_of_the_algebra():
     names = ["top_degree", "basis", "products"]
     assert list(inspect.signature(GradedAlgebra).parameters) == names
     assert GradedAlgebra._fields == tuple(names)
     algebra = load_bundled_scenario("example_4_1").algebra
     pristine = copy.deepcopy({name: getattr(algebra, name) for name in names})
     cold = GradedAlgebra(*pristine.values())
-    assert "differential" not in vars(algebra)
     cohomology_dims(algebra, OneForm((F(-4, 5), F(1, 5), F(1, 5))))
-    assert isinstance(vars(algebra)["differential"], IntegerDifferential)
-    assert "differential" not in vars(cold) and "_where" in vars(cold)
+    assert set(vars(algebra)) == set(vars(cold)) == {*names, "_where"}
     assert algebra == cold and repr(algebra) == repr(cold)
-    assert "differential" not in repr(algebra) and "_where" not in repr(algebra)
+    assert "_where" not in repr(algebra)
     assert {name: getattr(algebra, name) for name in names} == pristine
-

@@ -793,6 +793,56 @@ def test_module_scans_reject_grid_over_the_point_cap(
     assert "6^2 torsion points, more than the limit of 25" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--op", "charpoly", "--i", "-1"), "--i must be >= 0 for --op charpoly"),
+    (("--op", "charpoly", "--i=-1"), "--i must be >= 0 for --op charpoly"),
+    (("--op", "fitting", "--level", "3"), "--i must be >= 1 for --op fitting"),
+    (("--op", "fitting", "--level", "3", "--i", "0"), "--i must be >= 1 for --op fitting"),
+])
+def test_module_rejects_an_index_below_the_op_minimum(
+    capsys, bivariate_presentation, argv, message
+):
+    # "--i=-1" is read by the exact parse; fitting's --i defaults to 0.
+    argv = ("module", "--presentation", bivariate_presentation, *argv)
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+# One component and no degree-1 class: the algebra is the unit alone.
+POINT_ALGEBRA = {
+    "name": "point",
+    "components": 1,
+    "degrees": [1],
+    "algebra": {"top_degree": 0, "basis": {"0": ["1"]}},
+    "residue_system": {
+        "nparams": 1,
+        "rows": [
+            {"label": "V1", "coeffs": [1], "component": True},
+            {"label": "Vinf", "coeffs": [-1], "component": True},
+        ],
+    },
+    "omega_map": [[]],
+}
+
+
+@pytest.mark.parametrize("argv, code, line, printed", [
+    (("validate",), 0, "results.betti: [1]", ""),
+    (("aomoto", "--alpha=1/2"), 0, "results.dims: [1]", ""),
+    (("twisted", "--beta=1/2"), 0, "results.dims: [1]", ""),
+    (("milnor", "--m", "0"), 0, "results.delta: (t^2-1)", ""),
+    (("charvar", "--level", "2", "--degree", "1"), 1, None,
+     "error: degree 1 out of range [1, 0]\n"),
+])
+def test_a_scenario_whose_algebra_has_top_degree_zero(
+    tmp_path, capsys, argv, code, line, printed
+):
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps(POINT_ALGEBRA))
+    command, *rest = argv
+    found, out, err = run_cli(capsys, command, str(path), *rest)
+    assert (found, err) == (code, printed)
+    assert line in out.splitlines() if line else out == ""
+
+
 def test_range_checks_raise_limit_error():
     for check in (
         lambda: constructions.torsion_grid(0, 2),

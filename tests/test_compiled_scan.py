@@ -703,6 +703,13 @@ def certified_differential(name):
     return warm_differential(name)
 
 
+def certificates(differential) -> list:
+    """``rank_certificate`` of each ``D_p`` of ``differential``, under the
+    present ``MAX_CERTIFICATE_TERMS``."""
+    nparams = len(differential.tensors[0][0][0])
+    return [rank_certificate(t, nparams) for t in differential.tensors]
+
+
 @st.composite
 def points_on_zero_sets(draw, differential):
     """A point, and for each degree of ``differential`` the point moved onto
@@ -754,7 +761,7 @@ def test_certificates_are_the_generic_rank_and_a_minor(name):
     nparams = len(differential.tensors[0][0][0])
     symbols = sympy.symbols(f"a0:{nparams}")
     for p, (tensor, certificate) in enumerate(
-            zip(differential.tensors, differential.certificates)):
+            zip(differential.tensors, certificates(differential))):
         matrix = DomainMatrix.from_Matrix(sympy.Matrix(
             [[sum(c * s for c, s in zip(cell, symbols)) for cell in row] for row in tensor]))
         if certificate is None:
@@ -795,20 +802,21 @@ def test_certificates_are_the_generic_rank_and_a_minor(name):
         assert len(stored) == len(dets)
         assert all(s in (d, -d) for s, d in zip(stored, dets))
     # The pencil of six lines meets an entry of more than 64 terms in degree 1.
-    assert (None in differential.certificates) == (name == "pencil6")
+    assert (None in differential.minors) == (name == "pencil6")
 
 
 def test_without_certificates_the_dims_are_the_same(monkeypatch):
     # The full differentials are built before the cap is lowered, also when
     # no earlier test has built them.
     fulls = [certified_differential(name) for name in CERTIFIED]
+    full_certificates = [certificates(full) for full in fulls]
     monkeypatch.setattr(aomoto_complex, "MAX_CERTIFICATE_TERMS", 1)
     rng = make_rng(12)
     dropped = dropped_later = 0
-    for name, full in zip(CERTIFIED, fulls):
+    for name, full, uncapped in zip(CERTIFIED, fulls, full_certificates):
         capped = IntegerDifferential(*algebra_and_map(name))
         # Only certificates whose elimination never met two terms are left.
-        for kept, certificate in zip(capped.certificates, full.certificates):
+        for kept, certificate in zip(certificates(capped), uncapped):
             assert kept is None or kept == certificate and len(kept[3]) <= 1
             dropped += kept is None and certificate is not None
         nparams = len(full.tensors[0][0][0])
@@ -858,7 +866,7 @@ def test_certificates_stay_cheap_on_larger_arrangements(n):
         assert time.perf_counter() - start < 1.0
         # A pencil's degree-1 elimination meets an entry of more than 64
         # terms and stops there.
-        assert (differential.certificates[1] is not None) == certified
+        assert (differential.minors[1] is not None) == certified
         assert differential.dims_many(([1] * n,))[0] == dims_from_ranks(
             differential.betti, fresh_ranks(differential, [1] * n), range(3))
 
@@ -917,7 +925,7 @@ def test_column_dims_agree_with_fraction_ranks_at_every_point(name, caps, data):
         dims = differential.dims_many(points, degrees)
         assert len(differential.ranks) <= aomoto_complex.MAX_RANK_MEMO
     if caps != "certified":
-        assert all(c is None or c[0] == 0 for c in differential.certificates)
+        assert all(m is None or m[0] == 0 for m in differential.minors)
     if caps == "memo of 2":
         assert differential.ranks.clears >= 1
     wanted = range(top + 1) if degrees is None else degrees
@@ -1144,7 +1152,7 @@ def test_construction_builds_every_certificate(monkeypatch):
         algebra, omega_map = algebra_and_map(name)
         calls.clear()
         differential = IntegerDifferential(algebra, omega_map)
-        certified = sum(c is not None for c in differential.certificates)
+        certified = sum(m is not None for m in differential.minors)
         assert len(calls) == len(differential.tensors) + 2 * certified
         calls.clear()
         nparams = len(omega_map)

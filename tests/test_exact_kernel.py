@@ -34,6 +34,14 @@ def test_rational_serialization():
     assert parse_rational(5) == 5
 
 
+@pytest.mark.parametrize("n", [0, -1, -6])
+def test_cyclotomic_poly_needs_a_positive_index(n):
+    with pytest.raises(ValueError) as caught:
+        cyclotomic_poly(n)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == "cyclotomic_poly() needs a positive integer"
+
+
 def test_cyclotomic_poly_base_cases():
     assert cyclotomic_poly(1) == (-1, 1)
     assert cyclotomic_poly(5) == (1, 1, 1, 1, 1)

@@ -13,11 +13,10 @@ from alexinv.aomoto_complex import betti_vector
 from alexinv.constructions import (
     TorsionPoint,
     charvar_scan,
-    cohomology_dims,
+    cohomology_at,
     cyclic_module,
     epsilon_line,
     is_admissible,
-    one_form,
     projective_points,
     shift_vectors,
     support_scan,
@@ -157,6 +156,14 @@ def test_milnor_degree_bookkeeping():
         assert_milnor_bookkeeping(load_bundled_scenario(name))
 
 
+@pytest.mark.parametrize("order, multiplicities", [(3, (1, 0)), (1, ()), (0, (1,))])
+def test_monodromy_needs_one_multiplicity_per_root(order, multiplicities):
+    with pytest.raises(DimensionError) as caught:
+        MonodromyPolynomial(order, multiplicities)
+    assert type(caught.value) is DimensionError
+    assert str(caught.value) == "need one multiplicity per root"
+
+
 def test_monodromy_formatting_fallback_and_leftovers():
     uneven = MonodromyPolynomial(5, (2, 1, 0, 1, 1))
     assert uneven.factored_str() == "roots[0/5:2,1/5:1,3/5:1,4/5:1]"
@@ -238,16 +245,15 @@ def test_inconclusive_for_53_off_grid(sc53):
 
 def test_admissible_choice_independence_level5(sc41, sc42):
     # Every admissible representative inside the default box gives the same
-    # dimensions (smaller box here; the acceptance suite runs the full one).
+    # dimensions (smaller box here; the acceptance suite runs the full one),
+    # read from the scenario's one differential.
     for scenario in (sc41, sc42):
         for point in torsion_grid(5, scenario.nparams):
             dims_seen = set()
             for shift in shift_vectors(scenario.nparams, 2):
                 alpha = tuple(b + k for b, k in zip(point.beta, shift))
                 if is_admissible(scenario.residue_system, alpha):
-                    dims_seen.add(
-                        cohomology_dims(scenario.algebra, one_form(scenario, alpha))
-                    )
+                    dims_seen.add(cohomology_at(scenario, alpha))
             assert len(dims_seen) == 1
 
 

@@ -64,7 +64,7 @@ from randgen import (
     random_presentation,
     random_product,
 )
-from reference import zeros_per_pivot
+from reference import presentation, zeros_per_pivot
 from test_alexander_modules import round_trips
 
 F = Fraction
@@ -166,7 +166,7 @@ def test_gcd_trial_division_both_directions(data):
     # The shorter argument divides the longer one, in either position; the
     # longer one divides the shorter one; and coprime arguments.
     nvars = data.draw(PRS_NVARS)
-    x = LaurentPoly.var(nvars, 0)
+    x = parse_poly("t1", nvars)
     d = data.draw(laurent(nvars, max_terms=3))
     c = data.draw(laurent(nvars, max_terms=3))
     multiple = (d * c).shifted(data.draw(shifts(nvars)))
@@ -446,7 +446,7 @@ def binomial_presentation(seed: int, shape) -> Presentation:
     ``t_i^a - c``."""
     rng = make_rng(seed)
     n, m = shape
-    return Presentation.from_rows(2, [
+    return presentation(2, [
         [random_product(rng, 2, max_factors=1) for _ in range(m)] for _ in range(n)])
 
 
@@ -533,7 +533,7 @@ def with_zero_line(rng, pres: Presentation) -> Presentation:
         rows.insert(rng.randint(0, len(rows)), [zero] * pres.relations)
         return Presentation(pres.nvars, len(rows), pres.relations, tuple(map(tuple, rows)))
     at = rng.randint(0, pres.relations)
-    return Presentation.from_rows(pres.nvars, [row[:at] + [zero] + row[at:] for row in rows])
+    return presentation(pres.nvars, [row[:at] + [zero] + row[at:] for row in rows])
 
 
 def peel_cases():
@@ -542,13 +542,13 @@ def peel_cases():
     P = parse_poly
     cases = [
         # Delta_1 = 1, yet I_1 vanishes at (1, 1): the gcd chain is no ideal.
-        Presentation.from_rows(2, [[P("t1 - 1", 2), P("0", 2)],
-                                   [P("0", 2), P("t2 - 1", 2)]]),
+        presentation(2, [[P("t1 - 1", 2), P("0", 2)],
+                         [P("0", 2), P("t2 - 1", 2)]]),
         # Unit pivots with rational coefficients, m > n and m < n.
-        Presentation.from_rows(2, [[P("2*t1", 2), P("t1 - 1", 2), P("t2 + 1", 2)],
-                                   [P("t2^2 - 1", 2), P("3", 2), P("1/2*t1", 2)]]),
-        Presentation.from_rows(1, [[P("t1^2 - 1", 1)], [P("1/3*t1 - 1/3", 1)],
-                                   [P("t1 + 1", 1)]]),
+        presentation(2, [[P("2*t1", 2), P("t1 - 1", 2), P("t2 + 1", 2)],
+                         [P("t2^2 - 1", 2), P("3", 2), P("1/2*t1", 2)]]),
+        presentation(1, [[P("t1^2 - 1", 1)], [P("1/3*t1 - 1/3", 1)],
+                         [P("t1 + 1", 1)]]),
     ]
     rng = make_rng(25)
     for seed in range(72):
@@ -623,14 +623,14 @@ def test_the_gcd_chain_serves_char_poly_only():
 def diagonal(nvars: int, *texts) -> Presentation:
     """The square diagonal presentation of the parsed ``texts``."""
     zero = LaurentPoly.zero(nvars)
-    return Presentation.from_rows(nvars, [
+    return presentation(nvars, [
         [parse_poly(text, nvars) if j == i else zero for j in range(len(texts))]
         for i, text in enumerate(texts)])
 
 
 def walk_cases() -> dict:
     """Presentations whose pivots the chain walk must order and cut right."""
-    block = Presentation.from_rows(2, [[parse_poly(x, 2) for x in row] for row in (
+    block = presentation(2, [[parse_poly(x, 2) for x in row] for row in (
         ("t1 + 1", "t2 + 1"), ("t2 - 1", "t1 - 1"))])
     return {
         # Fewest terms peels first: t1^3 - 1 before its divisor.
@@ -717,7 +717,7 @@ def vanishing_factor(point: TorsionPoint, exps) -> LaurentPoly:
     is a primitive d-th root of unity at the point: zero there when d > 1."""
     k = sum(e * n for e, n in zip(exps, point.numerators)) % point.level
     order = point.level // int_gcd(point.level, k)
-    m = LaurentPoly.term(point.nvars, 1, exps)
+    m = LaurentPoly(point.nvars, {tuple(exps): 1})
     return sum((m**j for j in range(order)), LaurentPoly.zero(point.nvars))
 
 
@@ -775,7 +775,7 @@ def zero_at(draw, nvars, level, candidates):
     exps = draw(st.tuples(*[st.integers(-2, 2)] * nvars).filter(any))
     k = sum(e * n for e, n in zip(exps, point.numerators)) % level
     order = level // int_gcd(level, k)
-    m = LaurentPoly.term(nvars, 1, [order * e for e in exps])
+    m = LaurentPoly(nvars, {tuple(order * e for e in exps): 1})
     return draw(laurent(nvars, max_terms=2)) * (m - 1)
 
 
@@ -850,7 +850,7 @@ def scan_ideal(draw, nvars, level):
         gens.append(g)
     if kind == "full":
         exps = tuple(draw(st.integers(-2, 2)) for _ in range(nvars))
-        unit = LaurentPoly.term(nvars, F(2, 3), exps)
+        unit = LaurentPoly(nvars, {exps: F(2, 3)})
         gens.insert(draw(st.integers(0, len(gens))), unit)
     return gens
 
@@ -992,7 +992,7 @@ def test_coefficients_are_int_or_fraction_never_float(data):
 
 
 def test_coefficient_types_on_explicit_cases():
-    t1 = LaurentPoly.var(1, 0)
+    t1 = parse_poly("t1", 1)
     half = divide_exact(t1 + 1, 2 * t1 + 2)
     assert half.terms == {(0,): F(1, 2)} and type(half.terms[(0,)]) is Fraction
     inv = (2 * t1) ** -1

@@ -57,6 +57,19 @@ def test_residues_length_mismatch(system_41):
         residues(system_41, (F(1, 5),))
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: ResidueSystem(2, (ResidueRow("V1", (1, 0), True), ResidueRow("V2", (1,), True))),
+     "row 'V2' has 1 coefficients, expected 2"),
+    (lambda: admissible_search(load_bundled_scenario("example_4_1").residue_system,
+                               (F(1, 5), F(1, 5))),
+     "beta has length 2, expected 3"),
+])
+def test_a_residue_vector_of_the_wrong_length_is_refused(build, message):
+    with pytest.raises(DimensionError) as caught:
+        build()
+    assert type(caught.value) is DimensionError and str(caught.value) == message
+
+
 def test_is_admissible_examples(system_41):
     assert not is_admissible(system_41, (F(1, 5), F(1, 5), F(1, 5)))
     assert is_admissible(system_41, (F(-4, 5), F(1, 5), F(1, 5)))

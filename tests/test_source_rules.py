@@ -19,8 +19,12 @@ tests reach: every top-level ``def`` and ``class`` is named outside its own
 body, as an ``ast.Name``, an ``ast.Attribute`` or an import alias, somewhere
 in the package, in its ``__all__`` or in the ``SPANS`` and ``COUNTED`` of
 ``perfbench/tracing.py``; ``TEST_ONLY`` lists the exceptions, each with its
-reason.  Importing the CLI loads the modules a command can reach and no
-others: not ``alexinv.constructions``.  Importing the package loads none of
+reason.  No member that only tests reach: every function or property that a
+class of the modules the CLI imports defines, but for the dunder methods, is
+named as an ``ast.Attribute`` somewhere in the package outside its own body,
+or spanned by perfbench; ``TEST_ONLY`` lists the exceptions as
+``Class.member``.  Importing the CLI loads the modules a command can reach
+and no others: not ``alexinv.constructions``.  Importing the package loads none of
 its modules: its ``__init__`` names each export once, in one table by home
 module, and imports that module on first use of one of its names.  Each
 definition lives in one module.  The six modules whose unreached
@@ -406,7 +410,8 @@ def test_every_traced_function_resolves():
     assert missing == []
 
 
-# The definitions that only tests may reach, each with its reason.
+# The definitions that only tests may reach, each with its reason: a top-level
+# one by its name, a member of a class as ``Class.member``.
 TEST_ONLY: dict = {}
 
 # The package's PEP 562 hooks, which the interpreter calls by name.
@@ -443,6 +448,9 @@ def test_every_definition_is_named_outside_its_body():
         trees, traced | TEST_ONLY.keys() | MODULE_HOOKS, alexinv.__all__) == []
     defined = {node.name for tree in trees.values() for node in tree.body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {f"{cls.name}.{node.name}" for tree in trees.values()
+                for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                for node in cls.body if isinstance(node, ast.FunctionDef)}
     assert TEST_ONLY.keys() <= defined
 
 
@@ -459,6 +467,68 @@ def test_unnamed_definitions_are_seen():
     # that leaves out is still unnamed.
     trees = {Path("constructions.py"): ast.parse("def one_form(): pass\ndef orphan(): pass")}
     assert unnamed_definitions(trees, set(), ["one_form"]) == ["constructions.py: orphan"]
+
+
+def attribute_names(node) -> Counter:
+    """How often ``node`` names each name as an ``ast.Attribute``."""
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
+def unread_members(trees, modules, exempt) -> list:
+    """The functions and properties, but for the dunder methods, that a class
+    of the ``trees`` whose module is in ``modules`` defines and that no tree
+    names as an attribute outside their own body, but for the ``exempt``
+    ones (``Class.member`` or a bare name).
+
+    Members are matched by name alone, so one that shares its name with an
+    attribute read elsewhere passes unseen.  ``Presentation.from_rows`` (as
+    ``ExactMatrix.from_rows``) and ``GradedAlgebra.differential`` (as
+    ``Scenario.differential``) were two such, found and deleted by hand.
+    """
+    everywhere = sum(map(attribute_names, trees.values()), Counter())
+    return [f"{path.name}: {cls.name}.{node.name}" for path, tree in trees.items()
+            if path.stem in modules
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and not {node.name, f"{cls.name}.{node.name}"} & exempt
+            and everywhere[node.name] == attribute_names(node)[node.name]]
+
+
+def test_every_member_is_read_outside_its_body():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in SOURCES}
+    modules = {name.partition(".")[2] or "__init__" for name in CLI_MODULES}
+    names = traced_names()
+    traced = {function for _, function, *_ in names["SPANS"] + names["COUNTED"]}
+    assert unread_members(trees, modules, traced | TEST_ONLY.keys()) == []
+
+
+def test_unread_members_are_seen():
+    trees = {Path("a.py"): ast.parse(
+        "class Kept:\n"
+        "    def __init__(self): self.used()\n"
+        "    def used(self): pass\n"
+        "    def again(self): return self.again()\n"
+        "    @property\n"
+        "    def shown(self): pass\n"
+        "    @classmethod\n"
+        "    def make(cls): pass\n"
+        "    def traced(self): pass\n"
+        "    def allowed(self): pass\n"
+        "def f(x):\n"
+        "    class Inner:\n"
+        "        def planted(self): pass\n"
+        "    return Inner, x.shown"),
+        Path("b.py"): ast.parse("class Elsewhere:\n    def ignored(self): pass\n"
+                                "k = Kept.make()")}
+    assert unread_members(trees, {"a"}, {"traced", "Kept.allowed"}) == [
+        "a.py: Kept.again", "a.py: Inner.planted"]
+    # A name is a name: an attribute read on any object keeps the member.
+    trees[Path("b.py")] = ast.parse("y = z.again + z.planted")
+    assert unread_members(trees, {"a"}, {"traced", "Kept.allowed"}) == [
+        "a.py: Kept.make"]
 
 
 def called_names(node) -> set:
