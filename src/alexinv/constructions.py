@@ -32,9 +32,22 @@ from operator import mul
 
 from . import laurent_ring
 from .alexander_modules import Presentation, _minors, _scan, _zeros
-from .aomoto_complex import GradedAlgebra, IntegerDifferential, ProductTable
-from .errors import DimensionError, InconclusiveSearchError, LimitError, Record, _set
-from .exact_kernel import _poly_divmod, cyclotomic_poly, format_ratio, prime_divisors
+from .aomoto_complex import GradedAlgebra, ProductTable
+from .errors import (
+    DimensionError,
+    InconclusiveSearchError,
+    InconsistentDifferentialError,
+    LimitError,
+    Record,
+    _set,
+)
+from .exact_kernel import (
+    _poly_divmod,
+    cyclotomic_poly,
+    format_ratio,
+    integer_rank,
+    prime_divisors,
+)
 from .invariant_pipeline import Scenario, _charvar_indices
 from .laurent_ring import LaurentPoly, check_grid, divide_exact
 from .residue_systems import ResidueSystem, admissible_numerators, shift_order
@@ -406,13 +419,36 @@ def differential_matrix(algebra: GradedAlgebra, omega: OneForm, p: int) -> Exact
 def cohomology_dims(algebra: GradedAlgebra, omega: OneForm) -> tuple[int, ...]:
     """Dimensions ``b_0 .. b_top`` of the complex ``(A, omega ^ .)``.
 
-    The differential is the form's own, with one parameter, evaluated at 1.
-    Verifies that consecutive differentials compose to zero before trusting
-    any rank computation.
+    Each differential is an integer matrix, cleared of denominators by one
+    positive factor per degree, which changes no rank.  Verifies that
+    consecutive differentials compose to zero before trusting any rank
+    computation.
     """
-    if algebra.top_degree >= 1 and len(omega.coeffs) != algebra.dim(1):
+    top = algebra.top_degree
+    if top >= 1 and len(omega.coeffs) != algebra.dim(1):
         raise DimensionError("one-form length does not match the degree-1 basis")
-    return IntegerDifferential(algebra, (omega.coeffs,)).dims_many(((1,),))[0]
+    matrices = []
+    for p in range(top):
+        index = {label: t for t, label in enumerate(algebra.basis[p + 1])}
+        terms = [
+            (index[label], j, a.numerator * s.numerator, a.denominator * s.denominator)
+            for a, u in zip(omega.coeffs, algebra.basis[1]) if a
+            for j, v in enumerate(algebra.basis[p])
+            for label, s in algebra.wedge_pair(u, v).items()
+        ]
+        scale = lcm(*(den for *_, den in terms))
+        matrix = [[0] * len(algebra.basis[p]) for _ in algebra.basis[p + 1]]
+        for t, j, num, den in terms:
+            matrix[t][j] += num * scale // den
+        matrices.append(matrix)
+    for p in range(top - 1):
+        columns = list(zip(*matrices[p]))
+        if any(sum(map(mul, row, col)) for row in matrices[p + 1] for col in columns):
+            raise InconsistentDifferentialError(
+                f"wedging twice with the one-form is nonzero from degree {p}"
+            )
+    ranks = [integer_rank(m) for m in matrices] + [0]
+    return tuple(algebra.dim(p) - ranks[p] - ranks[p - 1] for p in range(top + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from alexinv.aomoto_complex import betti_vector
 from alexinv.constructions import (
     OneForm,
     charvar_scan,
-    cohomology_at,
     cohomology_dims,
     cyclic_module,
     differential_matrix,
@@ -233,8 +232,7 @@ def _properties_admissible_independence():
     # Full enumeration: every admissible representative inside the default
     # search box (all shifts with entries in [-3, 3]) of every level-5 class
     # of examples 4.1 and 4.2 yields identical dimensions, and at least one
-    # representative exists.  The dimensions are read from the scenario's one
-    # differential, which keeps its ranks across the classes.
+    # representative exists.
     shifts = shift_vectors(3, 3)
     for name in ("example_4_1", "example_4_2"):
         sc = load_bundled_scenario(name)
@@ -243,7 +241,9 @@ def _properties_admissible_independence():
             for shift in shifts:
                 alpha = tuple(b + k for b, k in zip(pt.beta, shift))
                 if is_admissible(sc.residue_system, alpha):
-                    dims_seen.add(cohomology_at(sc, alpha))
+                    dims_seen.add(
+                        cohomology_dims(sc.algebra, one_form(sc, alpha))
+                    )
             assert len(dims_seen) == 1
 
 

@@ -250,7 +250,7 @@ def test_mirror_products_autofilled(algebra_41):
 
 
 def test_cohomology_dims_match_the_identity_map_differential(bundled_algebras):
-    # cohomology_dims builds the form's own one-parameter differential.  The
+    # cohomology_dims builds the form's integer matrices and ranks them.  The
     # differential of the identity map, whose parameters are the form's
     # coefficients, gives the same dims, and fails d*d = 0 on the same forms.
     rng = make_rng(8)

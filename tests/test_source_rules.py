@@ -23,7 +23,9 @@ reason.  No member that only tests reach: every function or property that a
 class of the modules the CLI imports defines, but for the dunder methods, is
 named as an ``ast.Attribute`` somewhere in the package outside its own body,
 or spanned by perfbench; ``TEST_ONLY`` lists the exceptions as
-``Class.member``.  Importing the CLI loads the modules a command can reach
+``Class.member``.  That rule goes by name, so the members whose name another
+definition of the package shares are listed in ``SHARED_MEMBERS``, each with
+a read checked by hand.  Importing the CLI loads the modules a command can reach
 and no others: not ``alexinv.constructions``.  Importing the package loads none of
 its modules: its ``__init__`` names each export once, in one table by home
 module, and imports that module on first use of one of its names.  Each
@@ -483,7 +485,9 @@ def unread_members(trees, modules, exempt) -> list:
     Members are matched by name alone, so one that shares its name with an
     attribute read elsewhere passes unseen.  ``Presentation.from_rows`` (as
     ``ExactMatrix.from_rows``) and ``GradedAlgebra.differential`` (as
-    ``Scenario.differential``) were two such, found and deleted by hand.
+    ``Scenario.differential``) were two such, found and deleted by hand; the
+    members whose name another definition shares are listed by
+    :func:`shared_members`, and each is checked by hand in ``SHARED_MEMBERS``.
     """
     everywhere = sum(map(attribute_names, trees.values()), Counter())
     return [f"{path.name}: {cls.name}.{node.name}" for path, tree in trees.items()
@@ -529,6 +533,99 @@ def test_unread_members_are_seen():
     trees[Path("b.py")] = ast.parse("y = z.again + z.planted")
     assert unread_members(trees, {"a"}, {"traced", "Kept.allowed"}) == [
         "a.py: Kept.make"]
+
+
+# The members of the classes of the modules the CLI imports whose name another
+# definition of the package shares, so that the member rule cannot tell a
+# read of one from a read of the other; each was checked by hand, and its
+# reason names a read of the member itself.
+SHARED_MEMBERS = {
+    "Presentation.minors": "alexander_modules: `pres.minors(rsel, csel)` in "
+                           "`_minors` (also `IntegerDifferential.minors`)",
+    "Scenario.nparams": "cli: `scenario.nparams` in each residue command "
+                        "(also `ResidueSystem.nparams`)",
+    "MonodromyPolynomial.degree": "cli: `delta.degree` in the milnor report "
+                                  "(also `CharvarScan.degree`)",
+    "MonodromyPolynomial._factored": "invariant_pipeline: `self._factored` in "
+                                     "`__str__` (also `aomoto_complex._factored`)",
+    "LaurentPoly._make": "laurent_ring, alexander_modules, aomoto_complex: "
+                         "`LaurentPoly._make(...)` (also `CyclotomicNumber._make`)",
+    "LaurentPoly.is_zero": "laurent_ring: `p.is_zero` in `divide_exact`; cli: "
+                           "`poly.is_zero` (also `CyclotomicNumber.is_zero`, "
+                           "`OneForm.is_zero`)",
+}
+
+
+def defined_names(tree) -> Counter:
+    """How often ``tree`` defines each name that an attribute read may mean:
+    as a top-level ``def`` or ``class``, a function of a class body, an
+    attribute stored on ``self``, or a record field (in ``_fields`` or set by
+    ``_set(self, name, ...)``)."""
+    names = Counter(node.name for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)))
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        fields, members = set(), set()
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store) \
+                    and name_of(node.value) == "self":
+                fields.add(node.attr)
+            elif isinstance(node, ast.Call) and name_of(node.func) == "_set" \
+                    and len(node.args) > 1 and isinstance(node.args[1], ast.Constant):
+                fields.add(node.args[1].value)
+            elif isinstance(node, ast.Assign) and "_fields" in map(name_of, node.targets):
+                fields.update(c.value for c in ast.walk(node.value)
+                              if isinstance(c, ast.Constant) and isinstance(c.value, str))
+        for node in cls.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                members.add(node.name)
+        names.update(members | (fields - members))
+    return names
+
+
+def shared_members(trees, modules) -> set:
+    """The non-dunder functions and properties that a class of the ``trees``
+    whose module is in ``modules`` defines, as ``Class.member``, whose name
+    the ``trees`` define more than once (see :func:`defined_names`)."""
+    everywhere = sum(map(defined_names, trees.values()), Counter())
+    return {f"{cls.name}.{node.name}" for path, tree in trees.items()
+            if path.stem in modules
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and everywhere[node.name] > 1}
+
+
+def test_every_shared_member_name_was_checked_by_hand():
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in SOURCES}
+    modules = {name.partition(".")[2] or "__init__" for name in CLI_MODULES}
+    assert shared_members(trees, modules) == SHARED_MEMBERS.keys()
+
+
+def test_shared_member_names_are_seen():
+    trees = {Path("a.py"): ast.parse(
+        "class Kept:\n"
+        "    _fields = ('field',)\n"
+        "    def __init__(self): _set(self, 'other', 1); self.stored = 2\n"
+        "    def alone(self): pass\n"
+        "    def field(self): pass\n"
+        "    def stored(self): pass\n"
+        "    def twice(self): pass\n"
+        "    def top(self): pass\n"
+        "    def other(self): pass\n"
+        "def top(): pass\n"),
+        Path("b.py"): ast.parse(
+        "class Record:\n"
+        "    _fields = ('field',)\n"
+        "    def twice(self): pass\n"
+        "    def __init__(self): _set(self, 'other', 1)\n")}
+    assert shared_members(trees, {"a"}) == {
+        "Kept.field", "Kept.twice", "Kept.top", "Kept.other"}
+    # A name that one class both defines and stores on itself counts once.
+    assert shared_members(trees, {"b"}) == {"Record.twice"}
 
 
 def called_names(node) -> set:
