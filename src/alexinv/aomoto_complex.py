@@ -319,18 +319,25 @@ class IntegerDifferential:
 
     def dims_columns(self, columns, size: int, degrees) -> list[list[int]]:
         """For each of ``degrees``, the cohomology dimension at each of the
-        ``size`` integer parameter vectors with coordinate columns ``columns``.
+        ``size`` integer parameter vectors with coordinate columns ``columns``:
+        :meth:`check_squares`, then ``b_p - rank D_p - rank D_{p-1}`` from
+        :meth:`rank_column`, each degree's ranks computed once."""
+        self.check_squares(columns, size)
+        ranks = {}
+        dims = []
+        for p in degrees:
+            for q in (p - 1, p):
+                if q not in ranks:
+                    ranks[q] = self.rank_column(q, columns, size)
+            b = self.betti[p]
+            dims.append([b - x - y for x, y in zip(ranks[p], ranks[p - 1])])
+        return dims
 
-        Checks at every point that consecutive differentials compose to zero
-        in every degree before it computes any rank; when a point fails, the
-        error names the lowest degree where the first failing point fails.
-
-        The squares and each needed degree's first minor are evaluated over
-        whole columns, and each later minor only at the points where those
-        before it vanish; only the points where every minor vanishes, and all
-        points of a degree without one, go one by one through the memo.
-        """
-        tensors, memo = self.tensors, self.ranks
+    def check_squares(self, columns, size: int) -> None:
+        """Checks at every one of the ``size`` points with coordinate columns
+        ``columns`` that consecutive differentials compose to zero in every
+        degree; when a point fails, the error names the lowest degree where
+        the first failing point fails."""
         # (index, degree) of the first point that fails; squares come in
         # order of degree, so a later entry failing there is no lower.
         failing = (size, None)
@@ -345,43 +352,44 @@ class IntegerDifferential:
             raise InconsistentDifferentialError(
                 f"wedging twice with the one-form is nonzero from degree {failing[1]}"
             )
-        zeros = [0] * size
-        # Degree q -> rank D_q at every point; the missing D_{-1} and D_top
-        # are zero.
-        rank_columns = {-1: zeros, len(tensors): zeros}
-        dims = []
-        for p in degrees:
-            for q in (p - 1, p):
-                if q in rank_columns:
-                    continue
-                generic, minors = self.minors[q] or (0, ())
-                ranks, todo = [generic] * size, range(size)
-                for terms in minors:
-                    # Each minor only where every one before it vanishes.
-                    sub = columns if len(todo) == size else [
-                        [column[k] for k in todo] for column in columns]
-                    values = _minor_column(terms, sub, len(todo))
-                    if 0 not in values:
-                        todo = ()
-                        break
-                    todo = [k for k, v in zip(todo, values) if not v]
-                for k in todo:
-                    a = [column[k] for column in columns]
-                    g = gcd(*a)
-                    direction = tuple(a) if g <= 1 else tuple([x // g for x in a])
-                    rank = memo.get((q, direction))
-                    if rank is None:
-                        rank = integer_rank(
-                            [[sum(map(mul, cell, a)) for cell in row] for row in tensors[q]]
-                        )
-                        if len(memo) >= MAX_RANK_MEMO:
-                            memo.clear()
-                        memo[q, direction] = rank
-                    ranks[k] = rank
-                rank_columns[q] = ranks
-            b = self.betti[p]
-            dims.append([b - x - y for x, y in zip(rank_columns[p], rank_columns[p - 1])])
-        return dims
+
+    def rank_column(self, q: int, columns, size: int) -> list[int]:
+        """The rank of ``D_q`` at each of the ``size`` points with coordinate
+        columns ``columns``; the missing ``D_{-1}`` and ``D_top`` are zero.
+
+        Degree ``q``'s first minor is evaluated over whole columns, and each
+        later minor only at the points where those before it vanish; only the
+        points where every minor vanishes, and all points of a degree without
+        one, go one by one through the memo.
+        """
+        tensors, memo = self.tensors, self.ranks
+        if not 0 <= q < len(tensors):
+            return [0] * size
+        generic, minors = self.minors[q] or (0, ())
+        ranks, todo = [generic] * size, range(size)
+        for terms in minors:
+            # Each minor only where every one before it vanishes.
+            sub = columns if len(todo) == size else [
+                [column[k] for k in todo] for column in columns]
+            values = _minor_column(terms, sub, len(todo))
+            if 0 not in values:
+                todo = ()
+                break
+            todo = [k for k, v in zip(todo, values) if not v]
+        for k in todo:
+            a = [column[k] for column in columns]
+            g = gcd(*a)
+            direction = tuple(a) if g <= 1 else tuple([x // g for x in a])
+            rank = memo.get((q, direction))
+            if rank is None:
+                rank = integer_rank(
+                    [[sum(map(mul, cell, a)) for cell in row] for row in tensors[q]]
+                )
+                if len(memo) >= MAX_RANK_MEMO:
+                    memo.clear()
+                memo[q, direction] = rank
+            ranks[k] = rank
+        return ranks
 
 
 def _factored(minor) -> tuple:

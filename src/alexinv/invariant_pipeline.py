@@ -10,10 +10,17 @@ points of a level, each point by its index into the grid and its cohomology
 read at an admissible residue representative, and computes monodromy
 characteristic polynomials of the associated Milnor fiber via equimonodromic
 local systems.
+
+A point's admissible representative depends on its class and the search
+bound, not on the degree, and ``dim H^p = b_p - rank D_p - rank D_{p-1}``.
+So a scenario keeps each scanned grid (``Scenario.grids``), by level and
+effective bound: its search, its ``L * alpha`` columns and each degree's rank
+column, which every later scan of that grid reads, at any degree.
 """
 
 from __future__ import annotations
 
+import threading
 from functools import cached_property
 from itertools import chain, compress, repeat
 from math import gcd as int_gcd, prod
@@ -49,6 +56,7 @@ from .laurent_ring import check_grid
 from .residue_systems import (
     ResidueSystem,
     admissible_shifts,
+    check_bound,
     equimonodromic_beta,
     grid_shifts,
     residue_system_from_dict,
@@ -122,18 +130,113 @@ class Scenario(Record):
         """
         return [None]
 
+    @cached_property
+    def grids(self) -> GridStore:
+        """:func:`_charvar_indices`' scanned torsion grids (``GridStore``),
+        shared by every later scan of the same grid at any degree."""
+        return GridStore()
+
+
+MAX_GRID_CELLS = 2**15
+"""Most cells the scanned grids of one scenario hold together: a grid's kept
+points times its coordinate columns and the rank columns it holds (at most
+about 2.5 MB when full)."""
+
+# Guards every change to a scenario's grid store; no search or rank runs
+# under it.
+_GRIDS_LOCK = threading.Lock()
+
+
+class GridStore:
+    """A scenario's scanned torsion grids by ``(level, effective bound)``,
+    the least recently used first, and ``cells``, the cells they hold.
+
+    Each grid is ``(indices, inconclusive, columns, ranks)``: the grid
+    indices kept, those with no admissible shift, the kept points' ``L *
+    alpha`` coordinate columns, and ``ranks``, each degree's rank column of
+    ``D_q``, added on first use.  A grid's cells are its kept points times
+    ``nparams`` plus its rank columns; past ``MAX_GRID_CELLS`` the least
+    recently used grids go, the one in use last.
+    """
+
+    def __init__(self):
+        self.scans = {}
+        self.cells = 0
+
+    def get(self, key):
+        """The grid at ``key``, now the most recently used, or None."""
+        with _GRIDS_LOCK:
+            grid = self.scans.pop(key, None)
+            if grid is not None:
+                self.scans[key] = grid
+        return grid
+
+    def put(self, key, grid) -> None:
+        """Hold ``grid`` as the most recently used."""
+        with _GRIDS_LOCK:
+            if key not in self.scans:
+                self.scans[key] = grid
+                self._grow(_cells(grid))
+
+    def add_ranks(self, key, grid, q: int, column: list) -> None:
+        """Give ``grid`` the rank column of ``D_q``; a grid that is held
+        counts its cells."""
+        with _GRIDS_LOCK:
+            if q in grid[3]:
+                return
+            grid[3][q] = column
+            if self.scans.get(key) is grid:
+                self._grow(len(column))
+
+    def _grow(self, cells: int) -> None:
+        self.cells += cells
+        while self.cells > MAX_GRID_CELLS:
+            self.cells -= _cells(self.scans.pop(next(iter(self.scans))))
+
+
+def _cells(grid) -> int:
+    indices, _, columns, ranks = grid
+    return len(indices) * (len(columns) + len(ranks))
+
 
 def _charvar_indices(scenario: Scenario, level: int, degree: int, bound: int):
     """Bucket every level-N torsion point by ``dim H^degree``, each by its
     lexicographic index into the grid: the indices of each dimension, by
-    dimension, and the inconclusive ones."""
-    if not 1 <= degree <= scenario.algebra.top_degree:
-        raise DegreeError(
-            f"degree {degree} out of range [1, {scenario.algebra.top_degree}]"
-        )
+    dimension, and the inconclusive ones.
+
+    The degree, grid and bound checks run on every call; the search, the
+    coordinate columns, the d*d check and each degree's ranks are the grid's
+    in ``scenario.grids``, made once and kept only when all succeed."""
+    top = scenario.algebra.top_degree
+    if not 1 <= degree <= top:
+        raise DegreeError(f"degree {degree} out of range [1, {top}]")
     check_grid(level, scenario.nparams)
-    nparams, size = scenario.nparams, level ** scenario.nparams
     bound = scenario.effective_bound(bound)
+    check_bound(bound)
+    store, key = scenario.grids, (level, bound)
+    grid = store.get(key)
+    if grid is None:
+        grid = _scan_grid(scenario, level, bound)
+        store.put(key, grid)
+    indices, inconclusive, columns, ranks = grid
+    for q in (degree - 1, degree):
+        if q not in ranks and 0 <= q < top:
+            column = scenario.differential.rank_column(q, columns, len(indices))
+            store.add_ranks(key, grid, q, column)
+    zeros = repeat(0)
+    b = scenario.differential.betti[degree]
+    dims = [b - x - y for x, y in zip(ranks.get(degree, zeros), ranks.get(degree - 1, zeros))]
+    buckets = {dim: [] for dim in sorted(set(dims))}
+    for index, dim in zip(indices, dims):
+        buckets[dim].append(index)
+    return buckets, inconclusive
+
+
+def _scan_grid(scenario: Scenario, level: int, bound: int) -> tuple:
+    """A new grid for the store (``GridStore``), with no rank column: the
+    admissible search over the level-N grid, its kept points' coordinate
+    columns, and the d*d check at each of them."""
+    nparams, size = scenario.nparams, level ** scenario.nparams
     rows = [row.coeffs for row in scenario.residue_system.rows]
     shifts = grid_shifts(rows, level, nparams, bound)
     # L * alpha a coordinate column at a time: column j runs through each
@@ -150,11 +253,8 @@ def _charvar_indices(scenario: Scenario, level: int, degree: int, bound: int):
         keep = [shifts.get(index, ()) is not None for index in indices]
         indices = list(compress(indices, keep))
         columns = [list(compress(column, keep)) for column in columns]
-    (dims,) = scenario.differential.dims_columns(columns, len(indices), (degree,))
-    buckets = {dim: [] for dim in sorted(set(dims))}
-    for index, dim in zip(indices, dims):
-        buckets[dim].append(index)
-    return buckets, inconclusive
+    scenario.differential.check_squares(columns, len(indices))
+    return indices, inconclusive, columns, {}
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ The search looks for an admissible representative of a residue class
 vector ``beta`` among its integer shifts in a box, in a fixed order
 (total absolute shift first, then lexicographic) that is built as it is read.
 A search tries at most ``MAX_SHIFT_BOX`` shifts, and failure is absence, never
-a certificate of non-admissibility.  The search runs on integers, ``beta``
+a certificate of non-admissibility; one that would make more than
+``MAX_SEARCH_WORK`` row tests is a ``LimitError``.  The search runs on integers, ``beta``
 over a common denominator, in one walk of the order for all blocking
 patterns that have a positive offset (every other one takes the zero shift),
 and keeps nothing between calls: ``admissible_shifts`` takes any points one
@@ -58,14 +59,24 @@ MAX_SHIFT_BOX = 100_000
 """Budget of one search: it tries at most this many shifts of
 :func:`shift_order`, and a pattern still blocked then certifies nothing."""
 
+MAX_SEARCH_WORK = 100_000_000
+"""Most row tests one search may count: each shift it walks counts one test
+per residue row for every pattern still pending, and a search past this is
+a ``LimitError``."""
+
+
+def check_bound(bound: int) -> None:
+    """``LimitError`` unless the search bound is at least 0."""
+    if bound < 0:
+        raise LimitError("search bound must be >= 0")
+
 
 def shift_order(nparams: int, bound: int):
     """Integer shift vectors with entries in [-bound, bound], ordered by total
     absolute shift and then lexicographically, as an iterator that builds
     each shell ``|k|_1 = s`` when it reaches it; the bound is checked on the
     call."""
-    if bound < 0:
-        raise LimitError("search bound must be >= 0")
+    check_bound(bound)
     return _shifts(nparams, bound)
 
 
@@ -147,19 +158,31 @@ def _search(rows, nparams: int, bound: int, patterns) -> dict:
     """Each distinct ``(row index, offset)`` pattern, all blocking the zero
     shift: its first unblocked shift in one walk of :func:`shift_order`, or
     None after ``MAX_SHIFT_BOX``.  The bound is checked even when no pattern
-    is given."""
+    is given.  Each shift first counts ``len(pending) * len(rows)`` row
+    tests, and past ``MAX_SEARCH_WORK`` the search is a ``LimitError``."""
     order = shift_order(nparams, bound)
     found = dict.fromkeys(patterns)
-    pending = [(pattern, [(rows[r], offset) for r, offset in pattern]) for pattern in found]
+    pending = list(found)
+    work = 0
     for shift in islice(order, 1, MAX_SHIFT_BOX) if pending else ():
+        work += len(pending) * len(rows)
+        if work > MAX_SEARCH_WORK:
+            raise LimitError(
+                f"the admissible search needs more than the limit of {MAX_SEARCH_WORK} "
+                f"row tests, with {len(pending)} blocking patterns still pending"
+            )
+        values = {}  # each row's value at this shift, once a pattern asks
         blocked = []
-        for item in pending:
-            for row, offset in item[1]:
-                if sum(map(mul, row, shift)) + offset > 0:
-                    blocked.append(item)
+        for pattern in pending:
+            for r, offset in pattern:
+                value = values.get(r)
+                if value is None:
+                    value = values[r] = sum(map(mul, rows[r], shift))
+                if value + offset > 0:
+                    blocked.append(pattern)
                     break
             else:
-                found[item[0]] = shift
+                found[pattern] = shift
         pending = blocked
         if not pending:
             break

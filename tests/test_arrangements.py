@@ -67,6 +67,7 @@ from arrangements import (
     generic_lines_11,
     non_fano,
 )
+from test_galois_orbits import orbit_conflicts, scan_dims
 from test_invariant_pipeline import assert_milnor_bookkeeping
 
 
@@ -455,3 +456,24 @@ def test_deleted_b3_milnor_polynomials(capsys, deleted_b3_file):
         assert (code, report["results"]["delta"]) == (0, delta)
     # 1 - 7 + 54 = 8 * (1 - 7 + 12).
     assert_milnor_bookkeeping(scenario_from_dict(deleted_b3_decone()))
+
+
+def test_arrangement_buckets_are_constant_on_galois_orbits(a3, a3_gen, deleted_b3_charvar):
+    # The scans the tests above make on the same fixtures, at each level
+    # with a unit other than 1; a grid small enough for the scenario's
+    # store is not searched again.
+    for scenario, levels in ((a3, (3, 4, 6)), (a3_gen, (3, 4, 5, 6))):
+        for level in levels:
+            dims = scan_dims(scenario, level, 1)
+            assert orbit_conflicts(level, scenario.nparams, dims) == [], level
+    _, report = deleted_b3_charvar(4)
+    numerator = {str(Fraction(k, 4)): k for k in range(4)}
+    dims = {}
+    for dim, found in report["results"]["buckets"].items():
+        for name in found:
+            index = 0
+            for c in name.strip("()").split(","):
+                index = index * 4 + numerator[c]
+            dims[index] = int(dim)
+    assert len(dims) == 4 ** 7 - 5
+    assert orbit_conflicts(4, 7, dims) == []

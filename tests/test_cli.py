@@ -9,6 +9,7 @@ import itertools
 import json
 import math
 import os
+import re
 import resource
 import shutil
 import subprocess
@@ -1600,6 +1601,31 @@ def test_a_scenario_over_the_parameter_cap_is_refused_at_load(tmp_path):
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == (f"error: /residue_system/nparams: {nparams} is more "
                                "than the limit of 100\n")
+
+
+def test_a_search_past_the_work_limit_is_refused_at_once(tmp_path):
+    # Two rows U = (L, L^2) and W = (-L, -L^2) on torus: every level-L point
+    # with n_1 != 0 has its own blocking pattern, and none has an admissible
+    # shift, which would need L | n_1.  At level 316 and bound 200 the walk
+    # would take over an hour; the work limit stops it within seconds.
+    level = 316
+    path = tmp_path / "hostile.json"
+    path.write_text(_bundled_with("torus", ("residue_system", "rows", 3), {
+        "label": "U", "coeffs": [level, level ** 2]}))
+    data = json.loads(path.read_text())
+    data["residue_system"]["rows"].append({"label": "W", "coeffs": [-level, -level ** 2]})
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "alexinv", "charvar", str(path), "--level", str(level),
+         "--degree", "1", "--bound", "200"],
+        capture_output=True, text=True, timeout=60,
+        cwd=os.path.dirname(os.path.dirname(alexinv.__file__)))
+    assert time.perf_counter() - start < 10.0
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert re.fullmatch(
+        r"error: the admissible search needs more than the limit of 100000000 row "
+        r"tests, with \d+ blocking patterns still pending\n", proc.stderr), proc.stderr
 
 
 def test_milnor_order_cap(tmp_path, capsys, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from alexinv import invariant_pipeline, laurent_ring
+from alexinv import invariant_pipeline, laurent_ring, residue_systems
 from alexinv.aomoto_complex import betti_vector
 from alexinv.constructions import (
     TorsionPoint,
@@ -39,6 +39,7 @@ from alexinv.errors import (
 )
 from alexinv.invariant_pipeline import (
     MonodromyPolynomial,
+    _charvar_indices,
     milnor_charpoly,
     milnor_order,
     scenario_from_dict,
@@ -405,6 +406,204 @@ def test_threads_share_the_first_milnor_search(monkeypatch):
     assert searched == ["A", "B"]
     assert scenario.milnor_search[0][3] == dict(enumerate(expected))
     assert scenario.milnor_search[0][3][0] is answers["A"][0]
+
+
+# ---------------------------------------------------------------------------
+# The scanned torsion grids that a scenario keeps for charvar.
+
+
+SCAN_SCENARIOS = {
+    **{name: partial(load_bundled_scenario, name) for name in bundled_scenario_names()},
+    **{case: partial(scenario_from_json, square_and_search_scenario(rows).encode())
+       for case, (rows, _, _) in ORDER_CASES.items()},
+}
+SCAN_ERRORS = (DegreeError, LimitError, InconsistentDifferentialError)
+SHARED_SCANS = {}  # scenario name -> the one scenario that every example calls warm
+
+
+def scan_outcome(scenario, level, degree, bound):
+    """``_charvar_indices``' buckets and inconclusive indices, or its error's
+    type and text."""
+    try:
+        return _charvar_indices(scenario, level, degree, bound)
+    except SCAN_ERRORS as exc:
+        return type(exc), str(exc)
+
+
+@cache
+def cold_scan_outcome(name, level, degree, bound):
+    return scan_outcome(SCAN_SCENARIOS[name](), level, degree, bound)
+
+
+def held_cells(scenario) -> int:
+    """The cells of the grids that ``scenario.grids`` holds, counted from the
+    grids themselves, after checking that the store's own count agrees."""
+    store = vars(scenario).get("grids")
+    if store is None:
+        return 0
+    cells = sum(len(indices) * (len(columns) + len(ranks))
+                for indices, _, columns, ranks in store.scans.values())
+    assert store.cells == cells
+    return cells
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.sampled_from(sorted(SCAN_SCENARIOS)),
+       st.lists(st.tuples(st.integers(0, 7), st.integers(-1, 4), st.sampled_from((-1, 0, 1, 3, 23))),
+                min_size=1, max_size=6))
+def test_warm_scans_answer_as_cold_ones(name, calls):
+    # Each call, repeated, answers on the shared scenario as on a fresh one,
+    # under a cap low enough that grids are evicted, and the store never
+    # holds more cells than the cap.
+    scenario = SHARED_SCANS.setdefault(name, SCAN_SCENARIOS[name]())
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(invariant_pipeline, "MAX_GRID_CELLS", 700)
+        for level, degree, bound in calls + calls:
+            outcome = scan_outcome(scenario, level, degree, bound)
+            assert outcome == cold_scan_outcome(name, level, degree, bound), (level, degree, bound)
+            assert held_cells(scenario) <= 700
+
+
+def test_a_warm_scenario_still_refuses_what_a_cold_one_refuses():
+    scenario, cold = (load_bundled_scenario("example_4_1") for _ in range(2))
+    expected = _charvar_indices(cold, 3, 1, 3)
+    assert _charvar_indices(scenario, 3, 1, 3) == expected
+    assert _charvar_indices(scenario, 3, 2, 3) == _charvar_indices(cold, 3, 2, 3)
+    store = scenario.grids
+    assert list(store.scans) == [(3, 3)] and store.cells == 27 * 5
+    with pytest.raises(DegreeError, match=r"^degree 3 out of range \[1, 2\]$"):
+        _charvar_indices(scenario, 3, 3, 3)
+    with pytest.raises(LimitError, match="^search bound must be >= 0$"):
+        _charvar_indices(scenario, 3, 1, -1)
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(laurent_ring, "MAX_SCAN_POINTS", 26)
+        with pytest.raises(LimitError, match="^level 3 gives 3\\^3 torsion points"):
+            _charvar_indices(scenario, 3, 1, 3)
+    assert list(store.scans) == [(3, 3)] and store.cells == 27 * 5
+    assert _charvar_indices(scenario, 3, 1, 3) == expected
+
+
+def test_a_grid_that_fails_the_square_check_is_not_kept():
+    # Every call fails the same way, and the store holds no grid.
+    rows, _, _ = ORDER_CASES["bad_first"]
+    scenario = scenario_from_json(square_and_search_scenario(rows).encode())
+    for degree in (1, 2, 1):
+        with pytest.raises(InconsistentDifferentialError, match="from degree 1$"):
+            _charvar_indices(scenario, 4, degree, 3)
+        assert scenario.grids.scans == {} and scenario.grids.cells == 0
+
+
+def test_no_grid_larger_than_the_cap_is_kept(monkeypatch):
+    # At a cap of 100 cells a level-4 grid of example_4_1 (64 points times 3
+    # coordinates) is never held; level 3 (81 cells, then 108 with a rank
+    # column) is held until its rank column passes the cap.
+    monkeypatch.setattr(invariant_pipeline, "MAX_GRID_CELLS", 100)
+    scenario = load_bundled_scenario("example_4_1")
+    cold = load_bundled_scenario("example_4_1")
+    assert _charvar_indices(scenario, 4, 1, 3) == _charvar_indices(cold, 4, 1, 3)
+    assert scenario.grids.scans == {} and scenario.grids.cells == 0
+    scenario.grids.put((3, 3), ([0] * 27, [], [[0] * 27] * 3, {}))
+    assert scenario.grids.cells == 81
+    grid = scenario.grids.scans[(3, 3)]
+    scenario.grids.add_ranks((3, 3), grid, 0, [0] * 27)
+    assert scenario.grids.scans == {} and scenario.grids.cells == 0
+
+
+def test_the_least_recently_used_grid_goes_first(monkeypatch):
+    # At degree 1 a grid holds its coordinates and the ranks of D_0 and D_1:
+    # 8 * 5 cells at level 2 and 27 * 5 at level 3.
+    monkeypatch.setattr(invariant_pipeline, "MAX_GRID_CELLS", 200)
+    scenario = load_bundled_scenario("example_4_1")
+    for level, bound in ((2, 3), (3, 3), (2, 3), (3, 2)):
+        charvar_scan(scenario, level, 1, bound)
+    assert list(scenario.grids.scans) == [(2, 3), (3, 2)]
+    assert held_cells(scenario) == 40 + 135
+
+
+def test_a_search_past_the_work_limit_keeps_no_grid(monkeypatch):
+    scenario = load_bundled_scenario("example_4_1")
+    monkeypatch.setattr(residue_systems, "MAX_SEARCH_WORK", 10)
+    for _ in range(2):
+        with pytest.raises(LimitError, match="^the admissible search needs more than the limit of 10 "):
+            _charvar_indices(scenario, 12, 1, 3)
+        assert scenario.grids.scans == {} and scenario.grids.cells == 0
+    monkeypatch.undo()
+    assert _charvar_indices(scenario, 12, 1, 3) == _charvar_indices(
+        load_bundled_scenario("example_4_1"), 12, 1, 3)
+
+
+def test_a_second_degree_on_a_grid_searches_nothing(monkeypatch):
+    # The degree-2 scan reads the grid that the degree-1 scan searched, and
+    # its D_1 ranks; a new bound is a new grid.
+    search, calls = invariant_pipeline.grid_shifts, []
+
+    def counted(*args):
+        calls.append(args[1:])
+        return search(*args)
+
+    monkeypatch.setattr(invariant_pipeline, "grid_shifts", counted)
+    scenario = load_bundled_scenario("example_4_1")
+    first = charvar_scan(scenario, 12, 1)
+    assert calls == [(12, 3, 3)]
+    assert charvar_scan(scenario, 12, 2) == charvar_scan(load_bundled_scenario("example_4_1"), 12, 2)
+    assert calls == [(12, 3, 3)] * 2
+    calls.clear()
+    assert charvar_scan(scenario, 12, 2) != first
+    assert charvar_scan(scenario, 12, 1) == first
+    assert calls == []
+    charvar_scan(scenario, 12, 1, 2)
+    assert calls == [(12, 3, 2)]
+
+
+def test_a_scenario_with_scanned_grids_pickles_and_copies():
+    scenario = load_bundled_scenario("example_4_1")
+    answers = {(level, degree): _charvar_indices(scenario, level, degree, 3)
+               for level in (4, 5) for degree in (1, 2)}
+    table = {key: grid for key, grid in scenario.grids.scans.items()}
+    assert list(table) == [(4, 3), (5, 3)]
+    for again in round_trips(scenario):
+        assert again == scenario
+        assert vars(again)["grids"].scans == table
+        assert vars(again)["grids"].cells == scenario.grids.cells
+        for (level, degree), expected in answers.items():
+            assert _charvar_indices(again, level, degree, 3) == expected
+
+
+def test_threads_share_a_scanned_grid(monkeypatch):
+    # Thread A pauses in its first search until thread B, on the same cold
+    # scenario, has returned: both get the cold reports, and the store holds
+    # B's grid, which came first, with both degrees' ranks.
+    expected = [charvar_scan(load_bundled_scenario("example_4_1"), 6, d) for d in (1, 2)]
+    scenario = load_bundled_scenario("example_4_1")
+    search = invariant_pipeline.grid_shifts
+    reached, b_done = threading.Event(), threading.Event()
+    answers, searched = {}, []
+
+    def gated(*args):
+        searched.append(threading.current_thread().name)
+        if threading.current_thread() is a and not reached.is_set():
+            reached.set()
+            b_done.wait(10)
+        return search(*args)
+
+    def run(done):
+        answers[threading.current_thread().name] = [
+            charvar_scan(scenario, 6, d) for d in (1, 2)]
+        done.set()
+
+    monkeypatch.setattr(invariant_pipeline, "grid_shifts", gated)
+    a = threading.Thread(target=run, args=(reached,), name="A")
+    b = threading.Thread(target=run, args=(b_done,), name="B")
+    a.start()
+    assert reached.wait(10)
+    b.start()
+    b.join(10)
+    a.join(10)
+    assert not (a.is_alive() or b.is_alive())
+    assert answers == {"A": expected, "B": expected}
+    assert searched == ["A", "B"]
+    (grid,) = scenario.grids.scans.values()
+    assert sorted(grid[3]) == [0, 1] and held_cells(scenario) == 216 * 5
 
 
 def _document(name: str) -> dict:

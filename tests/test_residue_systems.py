@@ -13,10 +13,12 @@ from alexinv.constructions import (
     torsion_grid,
 )
 from alexinv.corpus import load_bundled_scenario
-from alexinv.errors import DimensionError, SchemaError
+from alexinv import residue_systems
+from alexinv.errors import DimensionError, LimitError, SchemaError
 from alexinv.residue_systems import (
     ResidueRow,
     ResidueSystem,
+    admissible_shifts,
     equimonodromic_beta,
     residue_system_from_dict,
     shift_order,
@@ -192,3 +194,17 @@ def test_system_schema_errors():
     assert "/rows/0/coeffs" in str(err.value)
     with pytest.raises(SchemaError):
         residue_system_from_dict({"rows": []})
+
+
+def test_the_search_work_limit_is_inclusive(monkeypatch):
+    # One row at residue 1 blocks the zero shift; the first shift tried, -1,
+    # clears it after one row test of the one pattern pending.
+    assert admissible_shifts([[1]], [[5]], 5, 3) == [(-1,)]
+    monkeypatch.setattr(residue_systems, "MAX_SEARCH_WORK", 1)
+    assert admissible_shifts([[1]], [[5]], 5, 3) == [(-1,)]
+    monkeypatch.setattr(residue_systems, "MAX_SEARCH_WORK", 0)
+    with pytest.raises(LimitError, match=r"^the admissible search needs more than the "
+                       r"limit of 0 row tests, with 1 blocking patterns still pending$"):
+        admissible_shifts([[1]], [[5]], 5, 3)
+    # A point that needs no search counts no work.
+    assert admissible_shifts([[1]], [[4]], 5, 3) == [(0,)]
