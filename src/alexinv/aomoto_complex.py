@@ -309,29 +309,22 @@ class IntegerDifferential:
 
     def dims_many(self, points, degrees=None) -> list[tuple[int, ...]]:
         """A tuple of dimensions for ``degrees`` (default: all, ``0 .. top``) at
-        each integer vector in ``points``: :meth:`dims_columns`, transposed."""
+        each integer vector in ``points``: :meth:`check_squares`, then ``b_p -
+        rank D_p - rank D_{p-1}`` from :meth:`rank_column`, each degree's
+        ranks computed once."""
         if not points:
             return []
         if degrees is None:
             degrees = range(len(self.betti))
-        dims = self.dims_columns(list(zip(*points)), len(points), degrees)
-        return list(zip(*dims)) if dims else [()] * len(points)
-
-    def dims_columns(self, columns, size: int, degrees) -> list[list[int]]:
-        """For each of ``degrees``, the cohomology dimension at each of the
-        ``size`` integer parameter vectors with coordinate columns ``columns``:
-        :meth:`check_squares`, then ``b_p - rank D_p - rank D_{p-1}`` from
-        :meth:`rank_column`, each degree's ranks computed once."""
+        columns, size = list(zip(*points)), len(points)
         self.check_squares(columns, size)
-        ranks = {}
-        dims = []
+        ranks, dims = {}, []
         for p in degrees:
             for q in (p - 1, p):
                 if q not in ranks:
                     ranks[q] = self.rank_column(q, columns, size)
-            b = self.betti[p]
-            dims.append([b - x - y for x, y in zip(ranks[p], ranks[p - 1])])
-        return dims
+            dims.append([self.betti[p] - x - y for x, y in zip(ranks[p], ranks[p - 1])])
+        return list(zip(*dims)) if dims else [()] * size
 
     def check_squares(self, columns, size: int) -> None:
         """Checks at every one of the ``size`` points with coordinate columns

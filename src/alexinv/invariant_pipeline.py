@@ -9,19 +9,19 @@ On top of a scenario, this module scans the jumping loci over all torsion
 points of a level, each point by its index into the grid and its cohomology
 read at an admissible residue representative, and computes monodromy
 characteristic polynomials of the associated Milnor fiber via equimonodromic
-local systems.
+local systems, a scan of the ``order`` classes ``(k/order, ..., k/order)``.
 
 A point's admissible representative depends on its class and the search
 bound, not on the degree, and ``dim H^p = b_p - rank D_p - rank D_{p-1}``.
-So a scenario keeps each scanned grid (``Scenario.grids``), by level and
-effective bound: its search, its ``L * alpha`` columns and each degree's rank
-column, which every later scan of that grid reads, at any degree.
+So a scenario keeps each scan (``Scenario.grids``) by effective bound: its
+search, its ``L * alpha`` columns and each degree's rank column, which every
+later scan of that grid or of the Milnor classes reads, at any degree.
 """
 
 from __future__ import annotations
 
 import threading
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, compress, repeat
 from math import gcd as int_gcd, prod
 
@@ -121,26 +121,16 @@ class Scenario(Record):
         return IntegerDifferential(self.algebra, self.omega_map)
 
     @cached_property
-    def milnor_search(self) -> list:
-        """:func:`milnor_charpoly`'s one slot: ``(bound, stop, columns,
-        polynomials)`` at the last effective bound asked, replaced whole for
-        another.  ``stop`` is the first ``k`` without a representative
-        (``order`` if none), ``columns`` hold those of the ``k`` before it,
-        and ``polynomials`` each degree's once built, none if ``stop < order``.
-        """
-        return [None]
-
-    @cached_property
     def grids(self) -> GridStore:
-        """:func:`_charvar_indices`' scanned torsion grids (``GridStore``),
-        shared by every later scan of the same grid at any degree."""
+        """The scans of :func:`_charvar_indices` and :func:`milnor_charpoly`
+        (``GridStore``), each shared by every later call on it at any degree."""
         return GridStore()
 
 
 MAX_GRID_CELLS = 2**15
-"""Most cells the scanned grids of one scenario hold together: a grid's kept
-points times its coordinate columns and the rank columns it holds (at most
-about 2.5 MB when full)."""
+"""Most cells the scans of one scenario hold together: a scan's kept points
+times its coordinate columns and the rank columns it holds (at most about
+2.5 MB when full)."""
 
 # Guards every change to a scenario's grid store; no search or rank runs
 # under it.
@@ -148,15 +138,16 @@ _GRIDS_LOCK = threading.Lock()
 
 
 class GridStore:
-    """A scenario's scanned torsion grids by ``(level, effective bound)``,
-    the least recently used first, and ``cells``, the cells they hold.
+    """A scenario's scans, torsion grids by ``(level, effective bound)`` and
+    the Milnor classes by ``("milnor", effective bound)``, the least recently
+    used first, and ``cells``, the cells they hold.
 
-    Each grid is ``(indices, inconclusive, columns, ranks)``: the grid
-    indices kept, those with no admissible shift, the kept points' ``L *
-    alpha`` coordinate columns, and ``ranks``, each degree's rank column of
-    ``D_q``, added on first use.  A grid's cells are its kept points times
+    Each is ``(indices, inconclusive, columns, ranks)``: the indices kept,
+    the first ``k`` or every grid index with no admissible shift, the kept
+    points' ``L * alpha`` coordinate columns, and each degree's rank column of
+    ``D_q``, added on first use.  Its cells are its kept points times
     ``nparams`` plus its rank columns; past ``MAX_GRID_CELLS`` the least
-    recently used grids go, the one in use last.
+    recently used scans go, the one in use last.
     """
 
     def __init__(self):
@@ -204,38 +195,51 @@ def _charvar_indices(scenario: Scenario, level: int, degree: int, bound: int):
     lexicographic index into the grid: the indices of each dimension, by
     dimension, and the inconclusive ones.
 
-    The degree, grid and bound checks run on every call; the search, the
-    coordinate columns, the d*d check and each degree's ranks are the grid's
-    in ``scenario.grids``, made once and kept only when all succeed."""
+    The degree, grid and bound checks run on every call; the rest is
+    :func:`_scanned`'s."""
     top = scenario.algebra.top_degree
     if not 1 <= degree <= top:
         raise DegreeError(f"degree {degree} out of range [1, {top}]")
     check_grid(level, scenario.nparams)
     bound = scenario.effective_bound(bound)
     check_bound(bound)
-    store, key = scenario.grids, (level, bound)
-    grid = store.get(key)
-    if grid is None:
-        grid = _scan_grid(scenario, level, bound)
-        store.put(key, grid)
-    indices, inconclusive, columns, ranks = grid
-    for q in (degree - 1, degree):
-        if q not in ranks and 0 <= q < top:
-            column = scenario.differential.rank_column(q, columns, len(indices))
-            store.add_ranks(key, grid, q, column)
-    zeros = repeat(0)
-    b = scenario.differential.betti[degree]
-    dims = [b - x - y for x, y in zip(ranks.get(degree, zeros), ranks.get(degree - 1, zeros))]
+    indices, inconclusive, dims = _scanned(
+        scenario, (level, bound), degree, lambda: _scan_grid(scenario, level, bound))
     buckets = {dim: [] for dim in sorted(set(dims))}
     for index, dim in zip(indices, dims):
         buckets[dim].append(index)
     return buckets, inconclusive
 
 
+def _scanned(scenario: Scenario, key, degree: int, search) -> tuple:
+    """The scan at ``key`` in ``scenario.grids``: its indices kept, its
+    inconclusive ones, and ``dim H^degree`` at each point kept.
+
+    On a miss ``search()`` gives the indices, the inconclusive ones and the
+    coordinate columns, and the d*d check runs at each point kept; the scan
+    is stored only when both succeed.  The rank columns of ``D_{degree-1}``
+    and ``D_degree`` are the scan's, each made on first use."""
+    store, differential = scenario.grids, scenario.differential
+    grid = store.get(key)
+    if grid is None:
+        indices, inconclusive, columns = search()
+        differential.check_squares(columns, len(indices))
+        grid = indices, inconclusive, columns, {}
+        store.put(key, grid)
+    indices, inconclusive, columns, ranks = grid
+    for q in (degree - 1, degree):
+        if q not in ranks and 0 <= q < scenario.algebra.top_degree:
+            column = differential.rank_column(q, columns, len(indices))
+            store.add_ranks(key, grid, q, column)
+    zeros = [0] * len(indices)
+    b = differential.betti[degree]
+    dims = [b - x - y for x, y in zip(ranks.get(degree, zeros), ranks.get(degree - 1, zeros))]
+    return indices, inconclusive, dims
+
+
 def _scan_grid(scenario: Scenario, level: int, bound: int) -> tuple:
-    """A new grid for the store (``GridStore``), with no rank column: the
-    admissible search over the level-N grid, its kept points' coordinate
-    columns, and the d*d check at each of them."""
+    """The admissible search over the level-N grid: the indices kept, the
+    inconclusive ones, and the kept points' coordinate columns."""
     nparams, size = scenario.nparams, level ** scenario.nparams
     rows = [row.coeffs for row in scenario.residue_system.rows]
     shifts = grid_shifts(rows, level, nparams, bound)
@@ -253,8 +257,7 @@ def _scan_grid(scenario: Scenario, level: int, bound: int) -> tuple:
         keep = [shifts.get(index, ()) is not None for index in indices]
         indices = list(compress(indices, keep))
         columns = [list(compress(column, keep)) for column in columns]
-    scenario.differential.check_squares(columns, len(indices))
-    return indices, inconclusive, columns, {}
+    return indices, inconclusive, columns
 
 
 # ---------------------------------------------------------------------------
@@ -296,22 +299,19 @@ class MonodromyPolynomial(Record):
         first); primitive classes that cannot be completed to such a factor
         are printed as explicit cyclotomic polynomials.  When multiplicities
         are not constant on a primitive class the root list is printed
-        verbatim.  The text is built on the first call and kept.
+        verbatim.  The texts of the last 32 polynomials asked are kept.
         """
-        return self._factored
+        return _factored_text(self.order, self.multiplicities)
 
-    @cached_property
-    def _factored(self) -> str:
-        by_order = self.multiplicity_by_root_order()
-        if by_order is None:
-            roots = ",".join(
-                f"{k}/{self.order}:{m}"
-                for k, m in enumerate(self.multiplicities)
-                if m
-            )
-            return f"roots[{roots}]"
-        parts = cyclotomic_factors(by_order)
-        return "*".join(parts) if parts else "1"
+
+@lru_cache(maxsize=32)  # about 60 bytes a root, so 6 MB at 100000 roots
+def _factored_text(order: int, multiplicities: tuple) -> str:
+    by_order = MonodromyPolynomial(order, multiplicities).multiplicity_by_root_order()
+    if by_order is None:
+        roots = ",".join(f"{k}/{order}:{m}" for k, m in enumerate(multiplicities) if m)
+        return f"roots[{roots}]"
+    parts = cyclotomic_factors(by_order)
+    return "*".join(parts) if parts else "1"
 
 
 def cyclotomic_factors(mults: dict) -> list[str]:
@@ -412,9 +412,9 @@ def milnor_charpoly(scenario: Scenario, m: int, bound: int = 3) -> MonodromyPoly
     """Characteristic polynomial of the degree-``m`` monodromy of the
     associated Milnor fiber, assembled from equimonodromic local systems.
 
-    Every degree reads the same local systems, whose search
-    ``scenario.milnor_search`` keeps; the checks run on every call, and no
-    failure is kept."""
+    Every degree reads the same local systems, whose scan is
+    :func:`_scanned`'s; the degree, order and bound checks run on every call.
+    """
     if not 0 <= m <= scenario.algebra.top_degree:
         raise DegreeError(
             f"degree {m} out of range [0, {scenario.algebra.top_degree}]"
@@ -423,28 +423,30 @@ def milnor_charpoly(scenario: Scenario, m: int, bound: int = 3) -> MonodromyPoly
     if order > cap:
         raise LimitError(f"Milnor order {order} is more than the limit of {cap}")
     bound = scenario.effective_bound(bound)
-    table = scenario.milnor_search
-    search = table[0]
-    if search is None or search[0] != bound:
-        points = [(k,) * scenario.nparams for k in range(order)]
-        rows = [row.coeffs for row in scenario.residue_system.rows]
-        shifts = admissible_shifts(rows, points, order, bound)
-        # The first k without a representative stops the polynomial, but only
-        # after every k before it: a nonzero square there is raised first.
-        stop = shifts.index(None) if None in shifts else order
-        columns = [[k + order * shift[j] for k, shift in zip(range(stop), shifts)]
-                   for j in range(scenario.nparams)]
-        search = table[0] = (bound, stop, columns, {})
-    _, stop, columns, polynomials = search
-    polynomial = polynomials.get(m)
-    if polynomial is None:
-        (mults,) = scenario.differential.dims_columns(columns, stop, (m,))
-        if stop < order:
-            raise InconclusiveSearchError(
-                equimonodromic_beta(order, stop, scenario.nparams), bound, scenario.name
-            )
-        polynomial = polynomials[m] = MonodromyPolynomial(order, tuple(mults))
-    return polynomial
+    check_bound(bound)
+    _, inconclusive, mults = _scanned(
+        scenario, ("milnor", bound), m, lambda: _milnor_classes(scenario, order, bound))
+    if inconclusive:
+        raise InconclusiveSearchError(
+            equimonodromic_beta(order, inconclusive[0], scenario.nparams), bound, scenario.name
+        )
+    return MonodromyPolynomial(order, tuple(mults))
+
+
+def _milnor_classes(scenario: Scenario, order: int, bound: int) -> tuple:
+    """The admissible search over the classes ``k/order``: ``range(stop)``,
+    ``[stop]`` or ``[]``, and the columns ``k + order * shift`` of each ``k``
+    before ``stop``, the first ``k`` without a representative (``order`` if
+    none)."""
+    points = [(k,) * scenario.nparams for k in range(order)]
+    rows = [row.coeffs for row in scenario.residue_system.rows]
+    shifts = admissible_shifts(rows, points, order, bound)
+    # The first k without a representative stops the polynomial, but only
+    # after every k before it: a nonzero square there is raised first.
+    stop = shifts.index(None) if None in shifts else order
+    columns = [[k + order * shift[j] for k, shift in zip(range(stop), shifts)]
+               for j in range(scenario.nparams)]
+    return range(stop), [stop] if stop < order else [], columns
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import collections
 import contextlib
 import enum
@@ -37,6 +38,7 @@ from alexinv.corpus import (
 from alexinv.errors import DimensionError, LimitError
 from alexinv.exact_kernel import cyclotomic_poly, format_rational
 from alexinv.laurent_ring import parse_poly
+import arrangements
 import reference
 
 
@@ -842,6 +844,45 @@ def test_a_scenario_whose_algebra_has_top_degree_zero(
     found, out, err = run_cli(capsys, command, str(path), *rest)
     assert (found, err) == (code, printed)
     assert line in out.splitlines() if line else out == ""
+
+
+def run_json(capsys, *argv) -> tuple:
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert err == ""
+    return code, json.loads(out)
+
+
+def test_milnor_multiplicities_are_twisted_dimensions(tmp_path, capsys):
+    # Two paths through cli.main: milnor's multiplicity at k is dim H^m of
+    # twisted at beta = (k/order, ..., k/order), at every degree and bound;
+    # where milnor finds no representative, twisted gives the same warning
+    # at the beta it names, and no dimensions.
+    paths = [bundled_scenario_path(name) for name in bundled_scenario_names()]
+    for fixture in (arrangements.a3_decone, arrangements.deleted_b3_decone,
+                    arrangements.non_fano):
+        data = fixture()
+        paths.append(tmp_path / f"{data['name']}.json")
+        paths[-1].write_text(json.dumps(data))
+    compared = refused = 0
+    for path, bound in itertools.product(map(str, paths), ("0", "1", "3")):
+        scenario = pipeline.load_scenario(path)
+        order = pipeline.milnor_order(scenario)
+        for m in range(scenario.algebra.top_degree + 1):
+            code, milnor = run_json(capsys, "milnor", path, "--m", str(m), "--bound", bound)
+            if code == 2:
+                (warning,) = milnor["warnings"]
+                beta = ",".join(ast.literal_eval(warning.rpartition("beta=")[2]))
+                found, report = run_json(capsys, "twisted", path, f"--beta={beta}", "--bound", bound)
+                assert (found, report["warnings"], report["results"]["dims"]) == (2, [warning], None)
+                refused += 1
+                continue
+            assert code == 0 and milnor["results"]["order"] == order
+            for k, multiplicity in enumerate(milnor["results"]["multiplicities"]):
+                beta = ",".join([str(Fraction(k, order))] * scenario.nparams)
+                found, report = run_json(capsys, "twisted", path, f"--beta={beta}", "--bound", bound)
+                assert (found, report["results"]["dims"][m]) == (0, multiplicity), (path, bound, m, k)
+                compared += 1
+    assert (compared, refused) == (387, 9)
 
 
 def test_range_checks_raise_limit_error():

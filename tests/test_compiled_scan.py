@@ -649,7 +649,7 @@ def on_a_zero_set(differential, a, rng):
 
 def minor_lists(differential):
     """The minors of each degree of rank at least 1, in the order that
-    ``dims_columns`` evaluates them."""
+    ``rank_column`` evaluates them."""
     return [list(minor[1]) for minor in differential.minors if minor and minor[0]]
 
 

@@ -2,7 +2,7 @@ import json
 import threading
 import time
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, cached_property, partial
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +39,7 @@ from alexinv.errors import (
 )
 from alexinv.invariant_pipeline import (
     MonodromyPolynomial,
+    Scenario,
     _charvar_indices,
     milnor_charpoly,
     milnor_order,
@@ -283,161 +284,43 @@ def test_cross_module_consistency(sc41):
     assert set(points_with_dim_above(scan, 0)) == from_support
 
 
-def test_a_compiled_scenario_pickles_and_copies():
-    scenario = load_bundled_scenario("example_4_1")
-    cold_repr = repr(scenario)
-    assert "differential" not in vars(scenario) and "milnor_search" not in vars(scenario)
-    scans = [charvar_scan(scenario, 4, d) for d in (1, 2)]
-    milnor = [milnor_charpoly(scenario, m) for m in (0, 1, 2)]
-    texts = [delta.factored_str() for delta in milnor]
-    assert texts == ["(t-1)", "(t-1)^2*(t^5-1)", "(t-1)*(t^5-1)"]
-    assert "differential" in vars(scenario)
-    table = vars(scenario)["milnor_search"]
-    assert table[0][0] == 3 and table[0][3] == dict(enumerate(milnor))
-    # The table is no field: a cold scenario is equal and prints the same,
-    # and hashing fails on the algebra, warm or cold.
-    assert scenario == load_bundled_scenario("example_4_1") and repr(scenario) == cold_repr
-    for value in (scenario, load_bundled_scenario("example_4_1")):
-        with pytest.raises(TypeError, match="GradedAlgebra"):
-            hash(value)
-    for again in round_trips(scenario):
-        assert again == scenario
-        assert vars(again)["milnor_search"] == table
-        assert [charvar_scan(again, 4, d) for d in (1, 2)] == scans
-        assert [milnor_charpoly(again, m) for m in (0, 1, 2)] == milnor
-        kept = vars(again)["milnor_search"][0][3]
-        assert [vars(kept[m])["_factored"] for m in (0, 1, 2)] == texts
-
-
 # ---------------------------------------------------------------------------
-# The equimonodromic search that a scenario keeps for milnor_charpoly.
+# The scans that a scenario keeps for charvar and milnor_charpoly.
 
 
-MILNOR_SCENARIOS = {
+SCAN_SCENARIOS = {
     **{name: partial(load_bundled_scenario, name) for name in bundled_scenario_names()},
     "a3_decone": lambda: scenario_from_dict(a3_decone()),
     **{case: partial(scenario_from_json, square_and_search_scenario(rows).encode())
        for case, (rows, _, _) in ORDER_CASES.items()},
 }
-MILNOR_ERRORS = (DegreeError, LimitError, InconclusiveSearchError, InconsistentDifferentialError)
-SHARED = {}  # scenario name -> the one scenario that every example calls warm
-
-
-def milnor_outcome(scenario, m, bound):
-    """``milnor_charpoly``'s polynomial and its text, or its error's type,
-    text and ``beta`` (None for an error without one)."""
-    try:
-        delta = milnor_charpoly(scenario, m, bound)
-    except MILNOR_ERRORS as exc:
-        return type(exc), str(exc), getattr(exc, "beta", None)
-    return delta, delta.factored_str()
-
-
-@cache
-def cold_milnor_outcome(name, m, bound):
-    return milnor_outcome(MILNOR_SCENARIOS[name](), m, bound)
-
-
-@settings(max_examples=150, deadline=None, database=None)
-@given(st.sampled_from(sorted(MILNOR_SCENARIOS)),
-       st.lists(st.tuples(st.integers(-1, 4), st.sampled_from((-1, 0, 1, 2, 3, 23))),
-                min_size=1, max_size=6))
-def test_warm_milnor_answers_equal_cold_ones(name, calls):
-    # Each call, repeated, answers on the shared scenario as on a fresh one;
-    # the table keeps one search, at the bound of the last call that got
-    # past the checks, and keeps no polynomial when the search stopped.
-    scenario = SHARED.setdefault(name, MILNOR_SCENARIOS[name]())
-    order = milnor_order(scenario)
-    searched = None
-    for m, bound in calls + calls:
-        outcome = milnor_outcome(scenario, m, bound)
-        assert outcome == cold_milnor_outcome(name, m, bound), (m, bound)
-        if outcome[0] not in (DegreeError, LimitError):
-            searched = m, scenario.effective_bound(bound)
-        table = vars(scenario).get("milnor_search", [None])
-        assert len(table) == 1
-        if searched is not None:
-            last, stop, _, polynomials = table[0]
-            assert last == searched[1]
-            assert stop == order or not polynomials
-    if searched is None:
-        return
-    # A cap lowered after a warm call still refuses it.
-    m, bound = searched
-    with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(laurent_ring, "MAX_SCAN_POINTS", order - 1)
-        with pytest.raises(LimitError, match="^Milnor order"):
-            milnor_charpoly(scenario, m, bound)
-
-
-def test_threads_share_the_first_milnor_search(monkeypatch):
-    # Thread A pauses in its first search until thread B, on the same cold
-    # scenario, has returned: each gets every degree's polynomial, and the
-    # table holds one search, A's, which came last, with all three.
-    expected = [milnor_charpoly(load_bundled_scenario("example_4_1"), m) for m in range(3)]
-    scenario = load_bundled_scenario("example_4_1")
-    search = invariant_pipeline.admissible_shifts
-    reached, b_done = threading.Event(), threading.Event()
-    answers, searched = {}, []
-
-    def gated(*args):
-        searched.append(threading.current_thread().name)
-        if threading.current_thread() is a and not reached.is_set():
-            reached.set()
-            b_done.wait(10)
-        return search(*args)
-
-    def run(done):
-        answers[threading.current_thread().name] = [
-            milnor_charpoly(scenario, m) for m in range(3)]
-        done.set()
-
-    monkeypatch.setattr(invariant_pipeline, "admissible_shifts", gated)
-    a = threading.Thread(target=run, args=(reached,), name="A")
-    b = threading.Thread(target=run, args=(b_done,), name="B")
-    a.start()
-    assert reached.wait(10)
-    b.start()
-    b.join(10)
-    a.join(10)
-    assert not (a.is_alive() or b.is_alive())
-    assert answers == {"A": expected, "B": expected}
-    assert [d.factored_str() for d in expected] == ["(t-1)", "(t-1)^2*(t^5-1)", "(t-1)*(t^5-1)"]
-    assert searched == ["A", "B"]
-    assert scenario.milnor_search[0][3] == dict(enumerate(expected))
-    assert scenario.milnor_search[0][3][0] is answers["A"][0]
-
-
-# ---------------------------------------------------------------------------
-# The scanned torsion grids that a scenario keeps for charvar.
-
-
-SCAN_SCENARIOS = {
-    **{name: partial(load_bundled_scenario, name) for name in bundled_scenario_names()},
-    **{case: partial(scenario_from_json, square_and_search_scenario(rows).encode())
-       for case, (rows, _, _) in ORDER_CASES.items()},
-}
-SCAN_ERRORS = (DegreeError, LimitError, InconsistentDifferentialError)
+SCAN_ERRORS = (DegreeError, LimitError, InconclusiveSearchError, InconsistentDifferentialError)
 SHARED_SCANS = {}  # scenario name -> the one scenario that every example calls warm
 
 
-def scan_outcome(scenario, level, degree, bound):
-    """``_charvar_indices``' buckets and inconclusive indices, or its error's
-    type and text."""
+def scan_outcome(scenario, call):
+    """For ``("charvar", level, degree, bound)``, ``_charvar_indices``'
+    buckets and inconclusive indices; for ``("milnor", m, bound)``,
+    ``milnor_charpoly``'s polynomial and its text; or the error's type, text
+    and ``beta`` (None for an error without one)."""
+    command, *args = call
     try:
-        return _charvar_indices(scenario, level, degree, bound)
+        if command == "charvar":
+            return _charvar_indices(scenario, *args)
+        delta = milnor_charpoly(scenario, *args)
+        return delta, delta.factored_str()
     except SCAN_ERRORS as exc:
-        return type(exc), str(exc)
+        return type(exc), str(exc), getattr(exc, "beta", None)
 
 
 @cache
-def cold_scan_outcome(name, level, degree, bound):
-    return scan_outcome(SCAN_SCENARIOS[name](), level, degree, bound)
+def cold_scan_outcome(name, call):
+    return scan_outcome(SCAN_SCENARIOS[name](), call)
 
 
 def held_cells(scenario) -> int:
-    """The cells of the grids that ``scenario.grids`` holds, counted from the
-    grids themselves, after checking that the store's own count agrees."""
+    """The cells of the scans that ``scenario.grids`` holds, counted from the
+    scans themselves, after checking that the store's own count agrees."""
     store = vars(scenario).get("grids")
     if store is None:
         return 0
@@ -447,20 +330,23 @@ def held_cells(scenario) -> int:
     return cells
 
 
+BOUNDS = st.sampled_from((-1, 0, 1, 3, 23))
+SCAN_CALLS = st.one_of(
+    st.tuples(st.just("charvar"), st.integers(0, 7), st.integers(-1, 4), BOUNDS),
+    st.tuples(st.just("milnor"), st.integers(-1, 4), BOUNDS))
+
+
 @settings(max_examples=150, deadline=None, database=None)
-@given(st.sampled_from(sorted(SCAN_SCENARIOS)),
-       st.lists(st.tuples(st.integers(0, 7), st.integers(-1, 4), st.sampled_from((-1, 0, 1, 3, 23))),
-                min_size=1, max_size=6))
+@given(st.sampled_from(sorted(SCAN_SCENARIOS)), st.lists(SCAN_CALLS, min_size=1, max_size=6))
 def test_warm_scans_answer_as_cold_ones(name, calls):
     # Each call, repeated, answers on the shared scenario as on a fresh one,
-    # under a cap low enough that grids are evicted, and the store never
+    # under a cap low enough that scans are evicted, and the store never
     # holds more cells than the cap.
     scenario = SHARED_SCANS.setdefault(name, SCAN_SCENARIOS[name]())
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(invariant_pipeline, "MAX_GRID_CELLS", 700)
-        for level, degree, bound in calls + calls:
-            outcome = scan_outcome(scenario, level, degree, bound)
-            assert outcome == cold_scan_outcome(name, level, degree, bound), (level, degree, bound)
+        for call in calls + calls:
+            assert scan_outcome(scenario, call) == cold_scan_outcome(name, call), call
             assert held_cells(scenario) <= 700
 
 
@@ -469,28 +355,38 @@ def test_a_warm_scenario_still_refuses_what_a_cold_one_refuses():
     expected = _charvar_indices(cold, 3, 1, 3)
     assert _charvar_indices(scenario, 3, 1, 3) == expected
     assert _charvar_indices(scenario, 3, 2, 3) == _charvar_indices(cold, 3, 2, 3)
+    delta = milnor_charpoly(scenario, 1)
     store = scenario.grids
-    assert list(store.scans) == [(3, 3)] and store.cells == 27 * 5
+    assert list(store.scans) == [(3, 3), ("milnor", 3)] and store.cells == 27 * 5 + 5 * 5
     with pytest.raises(DegreeError, match=r"^degree 3 out of range \[1, 2\]$"):
         _charvar_indices(scenario, 3, 3, 3)
-    with pytest.raises(LimitError, match="^search bound must be >= 0$"):
-        _charvar_indices(scenario, 3, 1, -1)
+    with pytest.raises(DegreeError, match=r"^degree 3 out of range \[0, 2\]$"):
+        milnor_charpoly(scenario, 3)
+    for scan in (lambda: _charvar_indices(scenario, 3, 1, -1), lambda: milnor_charpoly(scenario, 1, -1)):
+        with pytest.raises(LimitError, match="^search bound must be >= 0$"):
+            scan()
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(laurent_ring, "MAX_SCAN_POINTS", 26)
         with pytest.raises(LimitError, match="^level 3 gives 3\\^3 torsion points"):
             _charvar_indices(scenario, 3, 1, 3)
-    assert list(store.scans) == [(3, 3)] and store.cells == 27 * 5
+        patched.setattr(laurent_ring, "MAX_SCAN_POINTS", milnor_order(scenario) - 1)
+        with pytest.raises(LimitError, match="^Milnor order 5 is more than the limit of 4$"):
+            milnor_charpoly(scenario, 1)
+    assert list(store.scans) == [(3, 3), ("milnor", 3)] and store.cells == 27 * 5 + 5 * 5
     assert _charvar_indices(scenario, 3, 1, 3) == expected
+    assert milnor_charpoly(scenario, 1) == delta
 
 
 def test_a_grid_that_fails_the_square_check_is_not_kept():
-    # Every call fails the same way, and the store holds no grid.
+    # Every call, charvar's or milnor's, fails the same way, and the store
+    # holds no scan.
     rows, _, _ = ORDER_CASES["bad_first"]
     scenario = scenario_from_json(square_and_search_scenario(rows).encode())
-    for degree in (1, 2, 1):
-        with pytest.raises(InconsistentDifferentialError, match="from degree 1$"):
-            _charvar_indices(scenario, 4, degree, 3)
-        assert scenario.grids.scans == {} and scenario.grids.cells == 0
+    for scan in (lambda d: _charvar_indices(scenario, 4, d, 3), partial(milnor_charpoly, scenario)):
+        for degree in (1, 2, 1):
+            with pytest.raises(InconsistentDifferentialError, match="from degree 1$"):
+                scan(degree)
+            assert scenario.grids.scans == {} and scenario.grids.cells == 0
 
 
 def test_no_grid_larger_than_the_cap_is_kept(monkeypatch):
@@ -507,6 +403,17 @@ def test_no_grid_larger_than_the_cap_is_kept(monkeypatch):
     grid = scenario.grids.scans[(3, 3)]
     scenario.grids.add_ranks((3, 3), grid, 0, [0] * 27)
     assert scenario.grids.scans == {} and scenario.grids.cells == 0
+
+
+def test_no_milnor_scan_larger_than_the_cap_is_kept(monkeypatch):
+    # example_4_1's five classes take 5 * 3 cells, and 5 more per rank
+    # column: at a cap of 14 they are answered, and never held.
+    monkeypatch.setattr(invariant_pipeline, "MAX_GRID_CELLS", 14)
+    scenario = load_bundled_scenario("example_4_1")
+    for m in (0, 1, 2, 1):
+        delta = milnor_charpoly(scenario, m)
+        assert (delta, delta.factored_str()) == cold_scan_outcome("example_4_1", ("milnor", m, 3))
+        assert scenario.grids.scans == {} and scenario.grids.cells == 0
 
 
 def test_the_least_recently_used_grid_goes_first(monkeypatch):
@@ -555,43 +462,67 @@ def test_a_second_degree_on_a_grid_searches_nothing(monkeypatch):
     assert calls == [(12, 3, 2)]
 
 
-def test_a_scenario_with_scanned_grids_pickles_and_copies():
+def test_a_compiled_scenario_pickles_and_copies():
     scenario = load_bundled_scenario("example_4_1")
+    cold_repr = repr(scenario)
+    assert [name for name, value in vars(Scenario).items()
+            if isinstance(value, cached_property)] == ["differential", "grids"]
+    assert "differential" not in vars(scenario) and "grids" not in vars(scenario)
     answers = {(level, degree): _charvar_indices(scenario, level, degree, 3)
                for level in (4, 5) for degree in (1, 2)}
-    table = {key: grid for key, grid in scenario.grids.scans.items()}
-    assert list(table) == [(4, 3), (5, 3)]
+    milnor = [milnor_charpoly(scenario, m) for m in (0, 1, 2)]
+    assert [delta.factored_str() for delta in milnor] == [
+        "(t-1)", "(t-1)^2*(t^5-1)", "(t-1)*(t^5-1)"]
+    table = dict(scenario.grids.scans)
+    assert list(table) == [(4, 3), (5, 3), ("milnor", 3)] and "differential" in vars(scenario)
+    # The store is no field: a cold scenario is equal and prints the same,
+    # and hashing fails on the algebra, warm or cold.
+    assert scenario == load_bundled_scenario("example_4_1") and repr(scenario) == cold_repr
+    for value in (scenario, load_bundled_scenario("example_4_1")):
+        with pytest.raises(TypeError, match="GradedAlgebra"):
+            hash(value)
     for again in round_trips(scenario):
         assert again == scenario
         assert vars(again)["grids"].scans == table
         assert vars(again)["grids"].cells == scenario.grids.cells
         for (level, degree), expected in answers.items():
             assert _charvar_indices(again, level, degree, 3) == expected
+        assert [milnor_charpoly(again, m) for m in (0, 1, 2)] == milnor
 
 
-def test_threads_share_a_scanned_grid(monkeypatch):
+THREADED_SCANS = {  # command -> its search, its calls, and its kept key and cells
+    "charvar": ("_scan_grid", lambda scenario: [charvar_scan(scenario, 6, d) for d in (1, 2)],
+                (6, 3), 216 * 5),
+    "milnor": ("_milnor_classes", lambda scenario: [milnor_charpoly(scenario, m) for m in range(3)],
+               ("milnor", 3), 5 * 5),
+}
+
+
+@pytest.mark.parametrize("command", sorted(THREADED_SCANS))
+def test_threads_share_a_scanned_grid(monkeypatch, command):
     # Thread A pauses in its first search until thread B, on the same cold
-    # scenario, has returned: both get the cold reports, and the store holds
-    # B's grid, which came first, with both degrees' ranks.
-    expected = [charvar_scan(load_bundled_scenario("example_4_1"), 6, d) for d in (1, 2)]
+    # scenario, has returned: both get the cold answers, and the store holds
+    # B's scan, which came first, with the ranks of both degrees that A and
+    # B asked for.
+    name, run_calls, key, cells = THREADED_SCANS[command]
+    expected = run_calls(load_bundled_scenario("example_4_1"))
     scenario = load_bundled_scenario("example_4_1")
-    search = invariant_pipeline.grid_shifts
+    search = getattr(invariant_pipeline, name)
     reached, b_done = threading.Event(), threading.Event()
-    answers, searched = {}, []
+    answers, built = {}, {}
 
     def gated(*args):
-        searched.append(threading.current_thread().name)
         if threading.current_thread() is a and not reached.is_set():
             reached.set()
             b_done.wait(10)
-        return search(*args)
+        built[threading.current_thread().name] = found = search(*args)
+        return found
 
     def run(done):
-        answers[threading.current_thread().name] = [
-            charvar_scan(scenario, 6, d) for d in (1, 2)]
+        answers[threading.current_thread().name] = run_calls(scenario)
         done.set()
 
-    monkeypatch.setattr(invariant_pipeline, "grid_shifts", gated)
+    monkeypatch.setattr(invariant_pipeline, name, gated)
     a = threading.Thread(target=run, args=(reached,), name="A")
     b = threading.Thread(target=run, args=(b_done,), name="B")
     a.start()
@@ -601,9 +532,10 @@ def test_threads_share_a_scanned_grid(monkeypatch):
     a.join(10)
     assert not (a.is_alive() or b.is_alive())
     assert answers == {"A": expected, "B": expected}
-    assert searched == ["A", "B"]
-    (grid,) = scenario.grids.scans.values()
-    assert sorted(grid[3]) == [0, 1] and held_cells(scenario) == 216 * 5
+    assert sorted(built) == ["A", "B"]
+    (kept,) = scenario.grids.scans.items()
+    assert kept[0] == key and kept[1][2] is built["B"][2]
+    assert sorted(kept[1][3]) == [0, 1] and held_cells(scenario) == cells
 
 
 def _document(name: str) -> dict:

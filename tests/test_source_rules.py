@@ -546,8 +546,6 @@ SHARED_MEMBERS = {
                         "(also `ResidueSystem.nparams`)",
     "MonodromyPolynomial.degree": "cli: `delta.degree` in the milnor report "
                                   "(also `CharvarScan.degree`)",
-    "MonodromyPolynomial._factored": "invariant_pipeline: `self._factored` in "
-                                     "`__str__` (also `aomoto_complex._factored`)",
     "LaurentPoly._make": "laurent_ring, alexander_modules, aomoto_complex: "
                          "`LaurentPoly._make(...)` (also `CyclotomicNumber._make`)",
     "LaurentPoly.is_zero": "laurent_ring: `p.is_zero` in `divide_exact`; cli: "

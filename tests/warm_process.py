@@ -5,13 +5,14 @@ Usage, from anywhere inside a checkout:
     python3 tests/warm_process.py [--seed S]
 
 In one process, through ``alexinv.cli.main``, it runs ``charvar`` on every
-bundled scenario at levels 2-6 and at every degree, each argv twice, in an
+bundled scenario at levels 2-6 and at every degree, and ``milnor`` at every
+degree at the default bound and at ``--bound 0``, each argv twice, in an
 order shuffled by the seed (default 0).  So later calls find the scenario
-in the decode cache and its grids in the scenario's store.  Each stdout and
-exit code must equal those of ``python -m alexinv`` run on the same argv in
-a process of its own.  It prints one line per mismatch and exits 1 if there
-is any, else prints the number of calls compared and exits 0.  pytest does
-not collect this file.
+in the decode cache and the scans of both commands in the scenario's one
+store.  Each stdout and exit code must equal those of ``python -m alexinv``
+run on the same argv in a process of its own.  It prints one line per
+mismatch and exits 1 if there is any, else prints the number of calls
+compared and exits 0.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -35,13 +36,16 @@ LEVELS = range(2, 7)
 
 
 def calls() -> list:
-    """Every ``charvar`` argv of the bundled scenarios at ``LEVELS``."""
+    """Every ``charvar`` argv of the bundled scenarios at ``LEVELS``, and
+    every ``milnor`` argv at the default bound and at bound 0."""
     found = []
     for name in bundled_scenario_names():
         top = load_bundled_scenario(name).algebra.top_degree
         for level in LEVELS:
             for degree in range(1, top + 1):
                 found.append(["charvar", name, "--level", str(level), "--degree", str(degree)])
+        for m in range(top + 1):
+            found += [["milnor", name, "--m", str(m)], ["milnor", name, "--m", str(m), "--bound", "0"]]
     return found
 
 
