@@ -38,6 +38,7 @@ from alexinv.errors import (
     SchemaError,
 )
 from alexinv.invariant_pipeline import (
+    GridStore,
     MonodromyPolynomial,
     Scenario,
     _charvar_indices,
@@ -350,6 +351,44 @@ def test_warm_scans_answer_as_cold_ones(name, calls):
             assert held_cells(scenario) <= 700
 
 
+SHARED_MILNOR = {}  # scenario name -> the one scenario that every milnor example calls warm, and its kept keys
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.sampled_from(sorted(SCAN_SCENARIOS)),
+       st.lists(st.tuples(st.integers(-1, 4), st.sampled_from((-1, 0, 1, 2, 3, 23))),
+                min_size=1, max_size=6))
+def test_warm_milnor_answers_equal_cold_ones(name, calls):
+    # Each call, repeated, answers on the shared scenario as on a fresh one.
+    # The store keeps the classes of every effective bound that got past
+    # the checks, inconclusive ones too, and none that failed the d*d check.
+    scenario, kept = SHARED_MILNOR.setdefault(name, (SCAN_SCENARIOS[name](), set()))
+    order = milnor_order(scenario)
+    searched = None
+    for m, bound in calls + calls:
+        outcome = scan_outcome(scenario, ("milnor", m, bound))
+        assert outcome == cold_scan_outcome(name, ("milnor", m, bound)), (m, bound)
+        if outcome[0] not in (DegreeError, LimitError):
+            searched = m, bound
+            key = "milnor", scenario.effective_bound(bound)
+            if outcome[0] is InconsistentDifferentialError:
+                assert key not in scenario.grids.scans
+            else:
+                kept.add(key)
+                inconclusive = scenario.grids.scans[key][1]
+                assert bool(inconclusive) == (outcome[0] is InconclusiveSearchError)
+        assert set(vars(scenario).get("grids", GridStore()).scans) == kept
+        held_cells(scenario)
+    if searched is None:
+        return
+    # A cap lowered after a warm call still refuses it.
+    m, bound = searched
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(laurent_ring, "MAX_SCAN_POINTS", order - 1)
+        with pytest.raises(LimitError, match="^Milnor order"):
+            milnor_charpoly(scenario, m, bound)
+
+
 def test_a_warm_scenario_still_refuses_what_a_cold_one_refuses():
     scenario, cold = (load_bundled_scenario("example_4_1") for _ in range(2))
     expected = _charvar_indices(cold, 3, 1, 3)
@@ -468,19 +507,31 @@ def test_a_compiled_scenario_pickles_and_copies():
     assert [name for name, value in vars(Scenario).items()
             if isinstance(value, cached_property)] == ["differential", "grids"]
     assert "differential" not in vars(scenario) and "grids" not in vars(scenario)
-    answers = {(level, degree): _charvar_indices(scenario, level, degree, 3)
-               for level in (4, 5) for degree in (1, 2)}
+    charvar_scan(scenario, 4, 1)
     milnor = [milnor_charpoly(scenario, m) for m in (0, 1, 2)]
     assert [delta.factored_str() for delta in milnor] == [
         "(t-1)", "(t-1)^2*(t^5-1)", "(t-1)*(t^5-1)"]
-    table = dict(scenario.grids.scans)
-    assert list(table) == [(4, 3), (5, 3), ("milnor", 3)] and "differential" in vars(scenario)
+    assert "differential" in vars(scenario) and "grids" in vars(scenario)
     # The store is no field: a cold scenario is equal and prints the same,
     # and hashing fails on the algebra, warm or cold.
     assert scenario == load_bundled_scenario("example_4_1") and repr(scenario) == cold_repr
     for value in (scenario, load_bundled_scenario("example_4_1")):
         with pytest.raises(TypeError, match="GradedAlgebra"):
             hash(value)
+    for again in round_trips(scenario):
+        assert again == scenario
+        assert [milnor_charpoly(again, m) for m in (0, 1, 2)] == milnor
+
+
+def test_a_scenario_with_scanned_grids_pickles_and_copies():
+    # Pickles and copies carry the store, charvar's grids and milnor's
+    # classes alike, and answer from it as the scenario they came from.
+    scenario = load_bundled_scenario("example_4_1")
+    answers = {(level, degree): _charvar_indices(scenario, level, degree, 3)
+               for level in (4, 5) for degree in (1, 2)}
+    milnor = [milnor_charpoly(scenario, m) for m in (0, 1, 2)]
+    table = dict(scenario.grids.scans)
+    assert list(table) == [(4, 3), (5, 3), ("milnor", 3)]
     for again in round_trips(scenario):
         assert again == scenario
         assert vars(again)["grids"].scans == table
