@@ -307,24 +307,21 @@ class IntegerDifferential:
                 cert = cert[0], tuple(dict.fromkeys(_factored(c[3]) for c in certs if c))
             self.minors.append(cert)
 
-    def dims_many(self, points, degrees=None) -> list[tuple[int, ...]]:
-        """A tuple of dimensions for ``degrees`` (default: all, ``0 .. top``) at
-        each integer vector in ``points``: :meth:`check_squares`, then ``b_p -
-        rank D_p - rank D_{p-1}`` from :meth:`rank_column`, each degree's
-        ranks computed once."""
+    def dims_many(self, points) -> list[tuple[int, ...]]:
+        """The tuple of dimensions ``dim H^p = b_p - rank D_p - rank D_{p-1}``,
+        ``p = 0 .. top``, at each integer vector in ``points``:
+        :meth:`check_squares`, then each degree's ranks from
+        :meth:`rank_column`."""
         if not points:
             return []
-        if degrees is None:
-            degrees = range(len(self.betti))
         columns, size = list(zip(*points)), len(points)
         self.check_squares(columns, size)
-        ranks, dims = {}, []
-        for p in degrees:
-            for q in (p - 1, p):
-                if q not in ranks:
-                    ranks[q] = self.rank_column(q, columns, size)
-            dims.append([self.betti[p] - x - y for x, y in zip(ranks[p], ranks[p - 1])])
-        return list(zip(*dims)) if dims else [()] * size
+        below, dims = [0] * size, []
+        for p, b in enumerate(self.betti):
+            ranks = self.rank_column(p, columns, size)
+            dims.append([b - x - y for x, y in zip(ranks, below)])
+            below = ranks
+        return list(zip(*dims))
 
     def check_squares(self, columns, size: int) -> None:
         """Checks at every one of the ``size`` points with coordinate columns

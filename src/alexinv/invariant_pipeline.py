@@ -128,9 +128,10 @@ class Scenario(Record):
 
 
 MAX_GRID_CELLS = 2**15
-"""Most cells the scans of one scenario hold together: a scan's kept points
-times its coordinate columns and the rank columns it holds (at most about
-2.5 MB when full)."""
+"""Most cells the scans of one scenario hold together.  A scan's cells are
+fixed when it is stored: its kept points times its coordinate columns and its
+rank columns, one per differential, plus its inconclusive indices (at most
+about 1.6 MB when full)."""
 
 # Guards every change to a scenario's grid store; no search or rank runs
 # under it.
@@ -139,15 +140,13 @@ _GRIDS_LOCK = threading.Lock()
 
 class GridStore:
     """A scenario's scans, torsion grids by ``(level, effective bound)`` and
-    the Milnor classes by ``("milnor", effective bound)``, the least recently
-    used first, and ``cells``, the cells they hold.
+    the Milnor classes by ``("milnor", effective bound)``, each held with its
+    cells, the least recently used first, and ``cells``, their total.
 
-    Each is ``(indices, inconclusive, columns, ranks)``: the indices kept,
+    A scan is ``(indices, inconclusive, columns, ranks)``: the indices kept,
     the first ``k`` or every grid index with no admissible shift, the kept
     points' ``L * alpha`` coordinate columns, and each degree's rank column of
-    ``D_q``, added on first use.  Its cells are its kept points times
-    ``nparams`` plus its rank columns; past ``MAX_GRID_CELLS`` the least
-    recently used scans go, the one in use last.
+    ``D_q``, added on first use into room its cells already count.
     """
 
     def __init__(self):
@@ -155,39 +154,26 @@ class GridStore:
         self.cells = 0
 
     def get(self, key):
-        """The grid at ``key``, now the most recently used, or None."""
+        """The scan at ``key``, now the most recently used, or None."""
         with _GRIDS_LOCK:
-            grid = self.scans.pop(key, None)
-            if grid is not None:
-                self.scans[key] = grid
-        return grid
+            held = self.scans.pop(key, None)
+            if held is None:
+                return None
+            self.scans[key] = held
+        return held[0]
 
-    def put(self, key, grid) -> None:
-        """Hold ``grid`` as the most recently used."""
+    def put(self, key, grid, cells: int) -> None:
+        """Hold ``grid`` of ``cells`` cells as the most recently used, and
+        evict the least recently used scans until the total fits; a key
+        already held, or a scan larger than ``MAX_GRID_CELLS``, changes
+        nothing."""
         with _GRIDS_LOCK:
-            if key not in self.scans:
-                self.scans[key] = grid
-                self._grow(_cells(grid))
-
-    def add_ranks(self, key, grid, q: int, column: list) -> None:
-        """Give ``grid`` the rank column of ``D_q``; a grid that is held
-        counts its cells."""
-        with _GRIDS_LOCK:
-            if q in grid[3]:
+            if key in self.scans or cells > MAX_GRID_CELLS:
                 return
-            grid[3][q] = column
-            if self.scans.get(key) is grid:
-                self._grow(len(column))
-
-    def _grow(self, cells: int) -> None:
-        self.cells += cells
-        while self.cells > MAX_GRID_CELLS:
-            self.cells -= _cells(self.scans.pop(next(iter(self.scans))))
-
-
-def _cells(grid) -> int:
-    indices, _, columns, ranks = grid
-    return len(indices) * (len(columns) + len(ranks))
+            self.scans[key] = grid, cells
+            self.cells += cells
+            while self.cells > MAX_GRID_CELLS:
+                self.cells -= self.scans.pop(next(iter(self.scans)))[1]
 
 
 def _charvar_indices(scenario: Scenario, level: int, degree: int, bound: int):
@@ -217,20 +203,23 @@ def _scanned(scenario: Scenario, key, degree: int, search) -> tuple:
 
     On a miss ``search()`` gives the indices, the inconclusive ones and the
     coordinate columns, and the d*d check runs at each point kept; the scan
-    is stored only when both succeed.  The rank columns of ``D_{degree-1}``
-    and ``D_degree`` are the scan's, each made on first use."""
+    is stored only when both succeed, with room for a rank column of every
+    differential.  The rank columns of ``D_{degree-1}`` and ``D_degree`` are
+    the scan's, each made on first use."""
     store, differential = scenario.grids, scenario.differential
     grid = store.get(key)
     if grid is None:
         indices, inconclusive, columns = search()
         differential.check_squares(columns, len(indices))
         grid = indices, inconclusive, columns, {}
-        store.put(key, grid)
+        store.put(key, grid, len(indices) * (len(columns) + len(differential.tensors))
+                  + len(inconclusive))
     indices, inconclusive, columns, ranks = grid
     for q in (degree - 1, degree):
-        if q not in ranks and 0 <= q < scenario.algebra.top_degree:
+        if q not in ranks and 0 <= q < len(differential.tensors):
             column = differential.rank_column(q, columns, len(indices))
-            store.add_ranks(key, grid, q, column)
+            with _GRIDS_LOCK:
+                ranks.setdefault(q, column)
     zeros = [0] * len(indices)
     b = differential.betti[degree]
     dims = [b - x - y for x, y in zip(ranks.get(degree, zeros), ranks.get(degree - 1, zeros))]

@@ -14,7 +14,7 @@ from contextlib import ExitStack
 from copy import deepcopy
 from fractions import Fraction
 from functools import cache
-from itertools import chain, combinations, product
+from itertools import product
 from math import gcd, lcm, prod
 from operator import mul
 from unittest.mock import patch
@@ -564,8 +564,6 @@ def test_memoised_dims_agree_with_fresh_ranks_on_every_multiple(name, data):
     nparams = len(differential.tensors[0][0][0])
     a = data.draw(st.lists(st.integers(-4, 4), min_size=nparams, max_size=nparams))
     top = len(differential.betti)
-    degree_sets = [None, *chain.from_iterable(
-        combinations(range(top), k) for k in range(1, top + 1))]
     sympy_ranks = [
         sympy.Matrix([[sum(x * y for x, y in zip(cell, a)) for cell in row]
                       for row in tensor]).rank()
@@ -576,17 +574,12 @@ def test_memoised_dims_agree_with_fresh_ranks_on_every_multiple(name, data):
     for scaled in multiples:
         ranks = fresh_ranks(differential, scaled)
         assert ranks == sympy_ranks
-        for degrees in degree_sets:
-            expected = dims_from_ranks(
-                differential.betti, ranks, range(top) if degrees is None else degrees)
-            assert differential.dims_many((scaled,), degrees)[0] == expected
-            assert differential.dims_many((tuple(scaled),), degrees)[0] == expected
-    for degrees in degree_sets:
-        expected = dims_from_ranks(
-            differential.betti, sympy_ranks, range(top) if degrees is None else degrees)
-        for batch_degrees in (degrees,) if degrees is None else (degrees, list(degrees)):
-            assert differential.dims_many(multiples, batch_degrees) == [expected] * 10
-    assert differential.dims_many([], None) == []
+        expected = dims_from_ranks(differential.betti, ranks, range(top))
+        assert differential.dims_many((scaled,))[0] == expected
+        assert differential.dims_many((tuple(scaled),))[0] == expected
+    expected = dims_from_ranks(differential.betti, sympy_ranks, range(top))
+    assert differential.dims_many(multiples) == [expected] * 10
+    assert differential.dims_many([]) == []
     assert len(differential.ranks) <= aomoto_complex.MAX_RANK_MEMO
 
 
@@ -599,9 +592,9 @@ def test_invalid_algebra_raises_on_every_repeat_call():
     stored = dict(differential.ranks)
     assert len(stored) == 3
     for a in ([1, 1, 1], [2, 2, 2], [1, 1, 1], [-3, -3, -3]):
-        for degrees in (None, (0,), (3,)):
+        for _ in range(3):
             with pytest.raises(InconsistentDifferentialError, match="from degree 1"):
-                differential.dims_many((a,), degrees)[0]
+                differential.dims_many((a,))[0]
     assert differential.ranks == stored
 
 
@@ -614,10 +607,8 @@ def test_rank_memo_stays_within_its_cap(monkeypatch):
     sizes = set()
     for _ in range(200):
         a = on_a_zero_set(differential, [rng.randint(-6, 6) for _ in range(3)], rng)
-        degrees = rng.choice([None, (0,), (1,), (2,), (1, 2)])
-        assert differential.dims_many((a,), degrees)[0] == dims_from_ranks(
-            cold.betti, fresh_ranks(cold, a),
-            range(3) if degrees is None else degrees)
+        assert differential.dims_many((a,))[0] == dims_from_ranks(
+            cold.betti, fresh_ranks(cold, a), range(3))
         sizes.add(len(differential.ranks))
     assert max(sizes) == 5
     for degree in (1, 2):
@@ -749,10 +740,8 @@ def test_certified_dims_agree_with_fresh_and_sympy_ranks(name, data):
     assert ranks == [
         [sympy.Matrix(evaluated(tensor, a)).rank() for tensor in differential.tensors]
         for a in points]
-    for degrees in (None, *((p,) for p in range(top))):
-        wanted = range(top) if degrees is None else degrees
-        assert differential.dims_many(points, degrees) == [
-            dims_from_ranks(differential.betti, r, wanted) for r in ranks]
+    assert differential.dims_many(points) == [
+        dims_from_ranks(differential.betti, r, range(top)) for r in ranks]
 
 
 @pytest.mark.parametrize("name", CERTIFIED)
@@ -907,33 +896,24 @@ CAPS = {
 @given(st.sampled_from(bundled_scenario_names()), st.sampled_from(list(CAPS)), st.data())
 def test_column_dims_agree_with_fraction_ranks_at_every_point(name, caps, data):
     scenario = load_bundled_scenario(name)
-    top = scenario.algebra.top_degree
     with ExitStack() as stack:
         for constant, value in CAPS[caps].items():
             stack.enter_context(patch.object(aomoto_complex, constant, value))
         differential = IntegerDifferential(scenario.algebra, scenario.omega_map)
         # Aimed at the zero sets of the uncapped minors.
         points = data.draw(batches(warm_differential(name)))
-        choices = [None, *((p,) for p in range(top + 1))]
         if caps == "memo of 2":
-            # Degrees that need D_0, and a, -a and 0 for a unit vector a.
+            # a, -a and 0 for a unit vector a.
             unit = [1] + [0] * (scenario.nparams - 1)
             points += [unit, [-x for x in unit], [0] * scenario.nparams]
-            choices = choices[:3]
             differential.ranks = ClearCounter()
-        degrees = data.draw(st.sampled_from(choices))
-        dims = differential.dims_many(points, degrees)
+        dims = differential.dims_many(points)
         assert len(differential.ranks) <= aomoto_complex.MAX_RANK_MEMO
     if caps != "certified":
         assert all(m is None or m[0] == 0 for m in differential.minors)
     if caps == "memo of 2":
         assert differential.ranks.clears >= 1
-    wanted = range(top + 1) if degrees is None else degrees
-    assert dims == [
-        tuple(reference[p] for p in wanted)
-        for reference in (
-            reference_dims(scenario.algebra, one_form(scenario, a)) for a in points)
-    ]
+    assert dims == [reference_dims(scenario.algebra, one_form(scenario, a)) for a in points]
 
 
 class ClearCounter(dict):
@@ -1174,7 +1154,7 @@ def test_a_batch_changes_only_the_rank_memo():
 
 
 def test_a_batch_with_the_trivial_point_evaluates_every_minor_once(monkeypatch):
-    # a = 0 lies on every minor's zero set, so each needed degree evaluates
+    # a = 0 lies on every minor's zero set, so each degree evaluates
     # its whole list, M_p first, each minor once: M_p over the whole batch
     # and each later one at the points where those before it vanish.
     scenario = load_bundled_scenario("lines_concurrent3")
@@ -1189,15 +1169,11 @@ def test_a_batch_with_the_trivial_point_evaluates_every_minor_once(monkeypatch):
         return evaluate(terms, columns, size)
 
     monkeypatch.setattr(aomoto_complex, "_minor_column", recorded)
-    for degrees, needed in ((None, (0, 1)), ((0,), (0,)), ((1,), (0, 1)), ((2,), (1,))):
-        evaluated.clear()
-        wanted = range(3) if degrees is None else degrees
-        assert differential.dims_many(batch, degrees) == [
-            tuple(dims[p] for p in wanted) for dims in expected]
-        assert [terms for terms, _ in evaluated] == [
-            terms for q in needed for terms in differential.minors[q][1]]
-        # M_p, and no later minor, sees the whole batch.
-        assert [size for _, size in evaluated].count(len(batch)) == len(needed)
+    assert differential.dims_many(batch) == expected
+    assert [terms for terms, _ in evaluated] == [
+        terms for q in (0, 1) for terms in differential.minors[q][1]]
+    # M_p, and no later minor, sees the whole batch.
+    assert [size for _, size in evaluated].count(len(batch)) == 2
     assert sum(map(len, minor_lists(differential))) == 4
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alexinv import invariant_pipeline, laurent_ring, residue_systems
-from alexinv.aomoto_complex import betti_vector
+from alexinv.aomoto_complex import IntegerDifferential, betti_vector
 from alexinv.constructions import (
     TorsionPoint,
     charvar_scan,
@@ -320,14 +320,20 @@ def cold_scan_outcome(name, call):
 
 
 def held_cells(scenario) -> int:
-    """The cells of the scans that ``scenario.grids`` holds, counted from the
-    scans themselves, after checking that the store's own count agrees."""
+    """The cells of the scans that ``scenario.grids`` holds, recounted from
+    the scans themselves: kept points times (``nparams`` plus the number of
+    differentials), plus inconclusive indices.  Each scan's own count and
+    the store's total must agree, and stay at most ``MAX_GRID_CELLS``."""
     store = vars(scenario).get("grids")
     if store is None:
         return 0
-    cells = sum(len(indices) * (len(columns) + len(ranks))
-                for indices, _, columns, ranks in store.scans.values())
-    assert store.cells == cells
+    reserved = scenario.nparams + scenario.algebra.top_degree
+    cells = 0
+    for (indices, inconclusive, columns, _), held in store.scans.values():
+        assert len(columns) == scenario.nparams
+        assert held == len(indices) * reserved + len(inconclusive)
+        cells += held
+    assert store.cells == cells <= invariant_pipeline.MAX_GRID_CELLS
     return cells
 
 
@@ -375,7 +381,7 @@ def test_warm_milnor_answers_equal_cold_ones(name, calls):
                 assert key not in scenario.grids.scans
             else:
                 kept.add(key)
-                inconclusive = scenario.grids.scans[key][1]
+                inconclusive = scenario.grids.scans[key][0][1]
                 assert bool(inconclusive) == (outcome[0] is InconclusiveSearchError)
         assert set(vars(scenario).get("grids", GridStore()).scans) == kept
         held_cells(scenario)
@@ -429,19 +435,53 @@ def test_a_grid_that_fails_the_square_check_is_not_kept():
 
 
 def test_no_grid_larger_than_the_cap_is_kept(monkeypatch):
-    # At a cap of 100 cells a level-4 grid of example_4_1 (64 points times 3
-    # coordinates) is never held; level 3 (81 cells, then 108 with a rank
-    # column) is held until its rank column passes the cap.
+    # A grid of example_4_1 takes 5 cells a point, its 3 coordinates and the
+    # ranks of D_0 and D_1: at a cap of 100 cells the level-4 (320 cells)
+    # and level-3 (135) grids are answered and never held, before or after
+    # the level-2 grid (40) is, and they evict nothing.
     monkeypatch.setattr(invariant_pipeline, "MAX_GRID_CELLS", 100)
     scenario = load_bundled_scenario("example_4_1")
     cold = load_bundled_scenario("example_4_1")
-    assert _charvar_indices(scenario, 4, 1, 3) == _charvar_indices(cold, 4, 1, 3)
-    assert scenario.grids.scans == {} and scenario.grids.cells == 0
-    scenario.grids.put((3, 3), ([0] * 27, [], [[0] * 27] * 3, {}))
-    assert scenario.grids.cells == 81
-    grid = scenario.grids.scans[(3, 3)]
-    scenario.grids.add_ranks((3, 3), grid, 0, [0] * 27)
-    assert scenario.grids.scans == {} and scenario.grids.cells == 0
+    for level in (4, 3):
+        assert _charvar_indices(scenario, level, 1, 3) == _charvar_indices(cold, level, 1, 3)
+        assert scenario.grids.scans == {} and scenario.grids.cells == 0
+    assert _charvar_indices(scenario, 2, 1, 3) == _charvar_indices(cold, 2, 1, 3)
+    for level in (3, 4, 3):
+        for degree in (1, 2):
+            assert _charvar_indices(scenario, level, degree, 3) == _charvar_indices(
+                cold, level, degree, 3)
+            assert list(scenario.grids.scans) == [(2, 3)] and held_cells(scenario) == 40
+    scenario.grids.put((3, 3), ([0] * 27, [], [[0] * 27] * 3, {}), 101)
+    assert list(scenario.grids.scans) == [(2, 3)] and held_cells(scenario) == 40
+
+
+def test_a_scan_over_the_cap_keeps_the_store_as_it_was(monkeypatch):
+    # On example_4_1 at bound 0, the level-12 grid holds 1453 * 5 + 275
+    # cells (its kept points' coordinates and ranks of D_0 and D_1, and its
+    # inconclusive indices).  The level-20 grid would take 7221 * 5 + 779:
+    # it is answered as on a cold scenario and not kept, and the level-12
+    # grid is still held, so scanning it again searches nothing.
+    scan, calls = invariant_pipeline._scan_grid, []
+
+    def counted(*args):
+        calls.append(args[1:])
+        return scan(*args)
+
+    monkeypatch.setattr(invariant_pipeline, "_scan_grid", counted)
+    scenario, cold = (load_bundled_scenario("example_4_1") for _ in range(2))
+    first = _charvar_indices(scenario, 12, 1, 0)
+    assert len(first[1]) == 275 and held_cells(scenario) == 1453 * 5 + 275 == 7540
+    large = _charvar_indices(scenario, 20, 1, 0)
+    assert large == _charvar_indices(cold, 20, 1, 0)
+    kept = sum(map(len, large[0].values()))
+    assert (kept, len(large[1])) == (7221, 779)
+    assert kept * 5 + len(large[1]) == 36884 > invariant_pipeline.MAX_GRID_CELLS
+    assert list(scenario.grids.scans) == [(12, 0)] and held_cells(scenario) == 7540
+    assert calls == [(12, 0), (20, 0), (20, 0)]
+    assert _charvar_indices(scenario, 12, 1, 0) == first
+    assert _charvar_indices(scenario, 12, 2, 0) == _charvar_indices(cold, 12, 2, 0)
+    assert calls == [(12, 0), (20, 0), (20, 0), (12, 0)]
+    assert held_cells(scenario) == 7540
 
 
 def test_no_milnor_scan_larger_than_the_cap_is_kept(monkeypatch):
@@ -554,7 +594,7 @@ def test_threads_share_a_scanned_grid(monkeypatch, command):
     # Thread A pauses in its first search until thread B, on the same cold
     # scenario, has returned: both get the cold answers, and the store holds
     # B's scan, which came first, with the ranks of both degrees that A and
-    # B asked for.
+    # B asked for.  Its cells do not change while those ranks are added.
     name, run_calls, key, cells = THREADED_SCANS[command]
     expected = run_calls(load_bundled_scenario("example_4_1"))
     scenario = load_bundled_scenario("example_4_1")
@@ -573,7 +613,16 @@ def test_threads_share_a_scanned_grid(monkeypatch, command):
         answers[threading.current_thread().name] = run_calls(scenario)
         done.set()
 
+    rank_column, cells_seen = IntegerDifferential.rank_column, []
+
+    def counted(differential, *args):
+        cells_seen.append(scenario.grids.cells)
+        column = rank_column(differential, *args)
+        cells_seen.append(scenario.grids.cells)
+        return column
+
     monkeypatch.setattr(invariant_pipeline, name, gated)
+    monkeypatch.setattr(IntegerDifferential, "rank_column", counted)
     a = threading.Thread(target=run, args=(reached,), name="A")
     b = threading.Thread(target=run, args=(b_done,), name="B")
     a.start()
@@ -584,9 +633,10 @@ def test_threads_share_a_scanned_grid(monkeypatch, command):
     assert not (a.is_alive() or b.is_alive())
     assert answers == {"A": expected, "B": expected}
     assert sorted(built) == ["A", "B"]
-    (kept,) = scenario.grids.scans.items()
-    assert kept[0] == key and kept[1][2] is built["B"][2]
-    assert sorted(kept[1][3]) == [0, 1] and held_cells(scenario) == cells
+    ((kept, (grid, _)),) = scenario.grids.scans.items()
+    assert kept == key and grid[2] is built["B"][2]
+    assert sorted(grid[3]) == [0, 1] and held_cells(scenario) == cells
+    assert cells_seen and set(cells_seen) == {cells}
 
 
 def _document(name: str) -> dict:

@@ -4,15 +4,19 @@ Usage, from anywhere inside a checkout:
 
     python3 tests/warm_process.py [--seed S]
 
-In one process, through ``alexinv.cli.main``, it runs ``charvar`` on every
-bundled scenario at levels 2-6 and at every degree, and ``milnor`` at every
-degree at the default bound and at ``--bound 0``, each argv twice, in an
-order shuffled by the seed (default 0).  So later calls find the scenario
-in the decode cache and the scans of both commands in the scenario's one
-store.  Each stdout and exit code must equal those of ``python -m alexinv``
-run on the same argv in a process of its own.  It prints one line per
-mismatch and exits 1 if there is any, else prints the number of calls
-compared and exits 0.  pytest does not collect this file.
+In one process, through ``alexinv.cli.main``, it runs on every bundled
+scenario ``charvar`` at levels 2-6 and at every degree, ``milnor`` at every
+degree, ``aomoto`` with every residue ``-4/5`` and with every residue
+``1/5``, and ``twisted`` and ``admissible`` with every residue class ``1/5``
+and with every class ``1/3``; ``milnor``, ``twisted`` and ``admissible`` at
+the default bound and at ``--bound 0``.  Each argv runs twice, in an order
+shuffled by the seed (default 0).  So later calls find the scenario in the
+decode cache, the scans of ``charvar`` and ``milnor`` in the scenario's one
+store, and the ranks of every command in its differential's rank memo.
+Each stdout and exit code must equal those of ``python -m alexinv`` run on
+the same argv in a process of its own, two such processes at a time.  It
+prints one line per mismatch and exits 1 if there is any, else prints the
+number of calls compared and exits 0.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import os
 import random
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -35,17 +40,31 @@ from alexinv.corpus import bundled_scenario_names, load_bundled_scenario  # noqa
 LEVELS = range(2, 7)
 
 
+ALPHAS = ("-4/5", "1/5")
+BETAS = ("1/5", "1/3")
+BOUNDS = ([], ["--bound", "0"])
+
+
 def calls() -> list:
     """Every ``charvar`` argv of the bundled scenarios at ``LEVELS``, and
-    every ``milnor`` argv at the default bound and at bound 0."""
+    every ``milnor``, ``aomoto``, ``twisted`` and ``admissible`` argv at
+    ``ALPHAS``, ``BETAS`` and ``BOUNDS``."""
     found = []
     for name in bundled_scenario_names():
-        top = load_bundled_scenario(name).algebra.top_degree
+        scenario = load_bundled_scenario(name)
+        top = scenario.algebra.top_degree
         for level in LEVELS:
             for degree in range(1, top + 1):
                 found.append(["charvar", name, "--level", str(level), "--degree", str(degree)])
-        for m in range(top + 1):
-            found += [["milnor", name, "--m", str(m)], ["milnor", name, "--m", str(m), "--bound", "0"]]
+        for bound in BOUNDS:
+            found += [["milnor", name, "--m", str(m), *bound] for m in range(top + 1)]
+        for alpha in ALPHAS:
+            found.append(["aomoto", name, "--alpha=" + ",".join([alpha] * scenario.nparams)])
+        for beta in BETAS:
+            for command in ("twisted", "admissible"):
+                for bound in BOUNDS:
+                    found.append([command, name, "--beta=" + ",".join([beta] * scenario.nparams),
+                                  *bound])
     return found
 
 
@@ -70,7 +89,8 @@ def main() -> int:
     argvs = calls()
     order = argvs + argvs
     random.Random(args.seed).shuffle(order)
-    cold = {tuple(argv): own_process(argv) for argv in argvs}
+    with ThreadPoolExecutor(2) as pool:  # two separate processes at a time
+        cold = dict(zip(map(tuple, argvs), pool.map(own_process, argvs)))
     wrong = 0
     for argv in order:
         if in_process(argv) != cold[tuple(argv)]:
