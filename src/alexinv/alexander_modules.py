@@ -153,7 +153,7 @@ class Presentation(Record):
         if not pivots:
             return (), self
         n = len(pivots)
-        pivots.sort(key=lambda a: sum(map(sub, a.max_exponents(), a.min_exponents())))
+        pivots.sort(key=lambda a: sum(map(sub, *laurent_ring.exponent_box(a))))
         return tuple(pivots), Presentation(
             self.nvars, self.generators - n, self.relations - n, rows)
 
@@ -206,6 +206,8 @@ class Presentation(Record):
                             v = terms.pop(e, 0) + (-v if j % 2 else v)
                             if v:
                                 terms[e] = v
+                if type(sum(terms.values())) is not int:  # a Fraction; two may sum to an int
+                    terms = laurent_ring._ints(terms)
                 found = LaurentPoly._make(self.nvars, terms)
             memo[rows, cols] = found
         return found
@@ -227,12 +229,12 @@ def _minors(pres: Presentation, i: int):
 def char_poly(pres: Presentation, i: int) -> LaurentPoly:
     """Normalized gcd of the i-th elementary ideal (0 for the zero ideal,
     1 for the full ring): ``Delta_k = gcd_j(c_1...c_j * Delta_{k-j}(rest))``
-    for ``k = n - i``, from the largest ``j`` down."""
-    pivots, rest = pres._peeled
-    prefixes, k = pres._chain, max(pres.generators - i, 0)
+    for ``k = n - i``, largest ``j`` first, where ``Delta_{k-j}(rest)`` can be nonzero."""
+    (pivots, rest), k = pres._peeled, max(pres.generators - i, 0)
+    prefixes, least = pres._chain, max(k - min(rest.generators, rest.relations), 0)
 
     def terms():
-        for j in range(min(k, len(pivots)), -1, -1):
+        for j in range(min(k, len(pivots)), least - 1, -1):
             d = gcd_all(_minors(rest, rest.generators - k + j), pres.nvars)
             if d:
                 p = prefixes[j]
@@ -362,12 +364,10 @@ def presentation_from_dict(data: dict, path: str = "") -> Presentation:
                     f"{here}: {len(entry.terms)} terms, more than the limit of "
                     f"{MAX_TERMS}"
                 )
-            span = max(map(sub, entry.max_exponents(), entry.min_exponents()))
+            span = max(map(sub, *laurent_ring.exponent_box(entry)), default=0)
             if span > MAX_DEGREE_SPAN:
                 raise LimitError(
-                    f"{here}: degree span {span} is more than the limit of "
-                    f"{MAX_DEGREE_SPAN}"
-                )
+                    f"{here}: degree span {span} is more than the limit of {MAX_DEGREE_SPAN}")
             row.append(entry)
         rows.append(tuple(row))
     return Presentation(nvars, n, m, tuple(rows))

@@ -2,8 +2,8 @@
 
 A polynomial in ``s`` variables ``t1 .. ts`` is a mapping from exponent
 tuples (length ``s``, negative entries allowed) to nonzero rationals, ``int``
-when integral and ``Fraction`` otherwise; the zero polynomial has no terms.
-No ``/`` may run between two ``int`` coefficients: it would give a ``float``.
+when integral and ``Fraction`` otherwise, whatever op built it; 0 has no
+terms.  No ``/`` may run between two ``int`` coefficients: it gives a ``float``.
 
 Text grammar (whitespace insignificant)::
 
@@ -19,28 +19,29 @@ checks exponent lengths, converts coefficients and drops zeros, and
 machinery build their results with the trusted ``LaurentPoly._make``, which
 takes a term dict that is already clean as it is.
 
-Unit normalization and gcd work up to multiplication by units of the
-Laurent ring (nonzero rationals times monomials); the canonical
-representative of a unit class shifts every variable's minimum exponent to 0,
-clears denominators to integer content 1, and makes the graded-lex leading
-coefficient positive.  Exact division works on Laurent polynomials as they
-are, negative exponents included; only the canonical form and the primitive
-PRS shift to ordinary form (every minimum exponent 0).
-``gcd_all`` is the one gcd loop and ``gcd`` its two-argument form: each step
-tries the shorter polynomial as an exact divisor of the other and runs the
-PRS only when that fails; the PRS takes every content through ``gcd_all``.
+Unit normalization and gcd work up to multiplication by units of the Laurent
+ring (nonzero rationals times monomials); the canonical representative of a
+unit class shifts every variable's minimum exponent to 0, clears denominators
+to integer content 1, and makes the graded-lex leading coefficient positive:
+that of the greatest total degree, ties going to the greatest exponent tuple,
+which ``format_poly`` prints first.  Exact division takes Laurent polynomials
+as they are, negative exponents included; only the canonical form and the
+primitive PRS shift to ordinary form (least exponents 0).  ``gcd_all`` is the
+one gcd loop and ``gcd`` its two-argument form: each step tries the shorter
+polynomial as an exact divisor of the other and runs the PRS only when that
+fails; the PRS takes every content through ``gcd_all``.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from math import gcd as int_gcd, lcm as int_lcm
 from operator import add, sub
 
 from .errors import DimensionError, LimitError, ParseError, _set, moved
-from .exact_kernel import format_rational
+from .exact_kernel import _TOO_LONG, format_rational
 
 __getattr__ = moved(__name__, "TorsionPoint divides evaluate_at_torsion grid_points torsion_grid")
 
@@ -60,11 +61,9 @@ class LaurentPoly:
                 )
             if type(coeff) is not int:
                 coeff = Fraction(coeff)
-                if coeff.denominator == 1:
-                    coeff = coeff.numerator
             clean[exps] = clean.get(exps, 0) + coeff
         _set(self, "nvars", nvars)
-        _set(self, "terms", {e: c for e, c in clean.items() if c})
+        _set(self, "terms", _ints(clean))
 
     @classmethod
     def _make(cls, nvars: int, terms: dict) -> LaurentPoly:
@@ -137,6 +136,8 @@ class LaurentPoly:
             c += terms.pop(e, 0)
             if c:
                 terms[e] = c
+        if type(sum(other.terms.values())) is not int:  # a Fraction; two may sum to an int
+            terms = _ints(terms)
         return LaurentPoly._make(self.nvars, terms)
 
     __radd__ = __add__
@@ -164,6 +165,8 @@ class LaurentPoly:
             for e2, c2 in right:
                 e = tuple(map(add, e1, e2))
                 terms[e] = get(e, 0) + c1 * c2
+        if type(sum(self.terms.values()) + sum(other.terms.values())) is not int:
+            return LaurentPoly._make(self.nvars, _ints(terms))
         return LaurentPoly._make(self.nvars, {e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
@@ -200,14 +203,10 @@ class LaurentPoly:
     # -- structure helpers ---------------------------------------------------
 
     def min_exponents(self) -> tuple[int, ...]:
-        if self.is_zero:
-            return (0,) * self.nvars
-        return tuple(map(min, zip(*self.terms)))
+        return tuple(map(min, zip(*self.terms))) or (0,) * self.nvars
 
     def max_exponents(self) -> tuple[int, ...]:
-        if self.is_zero:
-            return (0,) * self.nvars
-        return tuple(map(max, zip(*self.terms)))
+        return tuple(map(max, zip(*self.terms))) or (0,) * self.nvars
 
     def shifted(self, delta) -> LaurentPoly:
         """Multiply by the monomial with exponent vector ``delta``."""
@@ -217,15 +216,24 @@ class LaurentPoly:
         )
 
 
-def _grlex_key(exps):
-    return (sum(exps), exps)
+def _ints(terms: dict) -> dict:
+    """``terms`` without its zeros, each integral ``Fraction`` as its ``int``."""
+    return {e: c.numerator if c.denominator == 1 else c for e, c in terms.items() if c}
+
+
+def exponent_box(p: LaurentPoly) -> tuple[list, list]:
+    """Each variable's greatest and least exponent in ``p``, none for 0, in
+    one pass over the terms: ``map(sub, *exponent_box(p))`` gives the spans."""
+    high, low = [], []
+    for exps in zip(*p.terms):
+        high.append(max(exps))
+        low.append(min(exps))
+    return high, low
 
 
 def _shift_to_ordinary(p: LaurentPoly) -> LaurentPoly:
     mins = p.min_exponents()
-    if not any(mins):
-        return p
-    return p.shifted(tuple(-m for m in mins))
+    return p.shifted(tuple(-m for m in mins)) if any(mins) else p
 
 
 def normalize_unit(p: LaurentPoly) -> LaurentPoly:
@@ -238,18 +246,16 @@ def normalize_unit(p: LaurentPoly) -> LaurentPoly:
     if p.is_zero:
         return p
     q = _shift_to_ordinary(p)
-    coeffs = q.terms.values()
-    integral = all(type(c) is int for c in coeffs)
-    den = 1 if integral else int_lcm(*(c.denominator for c in coeffs))
-    num = int_gcd(*(c.numerator * (den // c.denominator) for c in coeffs))
-    if q.terms[max(q.terms, key=_grlex_key)] < 0:
+    terms = q.terms
+    integral = set(map(type, terms.values())) == {int}
+    den = 1 if integral else int_lcm(*(c.denominator for c in terms.values()))
+    num = int_gcd(*(terms.values() if integral else (int(c * den) for c in terms.values())))
+    # The graded-lex leading term has the greatest (degree, exponents) pair.
+    if terms[max(zip(map(sum, terms), terms))[1]] < 0:
         num = -num
     if integral and num == 1:
         return q
-    return LaurentPoly._make(
-        q.nvars,
-        {e: c.numerator * (den // c.denominator) // num for e, c in q.terms.items()},
-    )
+    return LaurentPoly._make(q.nvars, {e: c * den // num for e, c in terms.items()})
 
 
 def divide_exact(p: LaurentPoly, q: LaurentPoly):
@@ -265,8 +271,8 @@ def divide_exact(p: LaurentPoly, q: LaurentPoly):
         raise ZeroDivisionError("division by the zero polynomial")
     # Each variable's least and greatest exponents add in a product, so
     # every quotient exponent lies in this box.
-    low = tuple(map(sub, p.min_exponents(), q.min_exponents()))
-    high = tuple(map(sub, p.max_exponents(), q.max_exponents()))
+    (p_high, p_low), (q_high, q_low) = exponent_box(p), exponent_box(q)
+    low, high = list(map(sub, p_low, q_low)), list(map(sub, p_high, q_high))
     if any(map(int.__gt__, low, high)):
         return None
     # An exact quotient is unique, so any monomial order finds it: plain
@@ -477,10 +483,7 @@ def parse_poly(text: str, nvars: int) -> LaurentPoly:
         raise _parse_error(text, tokens, len(tokens), _expected(state))
     key = tuple(exps)
     terms[key] = terms.get(key, 0) + sign * coeff
-    # A Fraction sum of denominator 1 is stored as its int, as the
-    # constructor stores it.
-    return LaurentPoly._make(nvars, {
-        e: c.numerator if c.denominator == 1 else c for e, c in terms.items() if c})
+    return LaurentPoly._make(nvars, _ints(terms))
 
 
 def _expected(state: int) -> str:
@@ -507,26 +510,23 @@ def _parse_error(text: str, tokens: list, at: int, message: str) -> ParseError:
 
 def format_poly(p: LaurentPoly) -> str:
     """Canonical text form; ``parse_poly(format_poly(p), p.nvars) == p``.  A
-    coefficient too long to print is a ``LimitError`` (``format_rational``)."""
+    coefficient too long to print is a ``LimitError`` (``format_rational``).
+    Terms go greatest first in graded-lex order, each a sign and magnitude
+    (``" - 4"``) and a factor per variable (``"*t1^2"``, ``""``), each text made
+    once a call; a unit magnitude before a factor is then cut (`` 1*``)."""
     if p.is_zero:
         return "0"
-    parts = []
-    for exps in sorted(p.terms, key=_grlex_key, reverse=True):
-        coeff = p.terms[exps]
-        factors = [
-            f"t{j + 1}" + (f"^{e}" if e != 1 else "")
-            for j, e in enumerate(exps)
-            if e != 0
-        ]
-        mag = abs(coeff)
-        if not factors:
-            body = format_rational(mag)
-        elif mag == 1:
-            body = "*".join(factors)
-        else:
-            body = "*".join([format_rational(mag)] + factors)
-        if not parts:
-            parts.append(body if coeff > 0 else "-" + body)
-        else:
-            parts.append((" + " if coeff > 0 else " - ") + body)
-    return "".join(parts)
+    terms = p.terms
+    heads = {}
+    for c in set(terms.values()):
+        mag = str(abs(c)) if type(c) is int and abs(c) < _TOO_LONG else format_rational(abs(c))
+        heads[c] = (" - " if c < 0 else " + ") + mag
+    order = sorted(sorted(terms, reverse=True), key=sum, reverse=True)  # lex, then degree
+    columns = [map(heads.__getitem__, map(terms.__getitem__, order))]
+    for j, exps in enumerate(zip(*order), 1):
+        names = {0: "", 1: f"*t{j}"}
+        for e in set(exps) - names.keys():
+            names[e] = f"*t{j}^{e}"
+        columns.append(map(names.__getitem__, exps))
+    text = "".join(chain.from_iterable(zip(*columns))).replace(" 1*", " ")
+    return text[3:] if text[1] == "+" else "-" + text[3:]

@@ -1,9 +1,13 @@
 """Earlier implementations kept as oracles for the ones that replaced them.
 
 ``parse_poly`` is the recursive-descent parser over match objects that the
-one-pass ``laurent_ring.parse_poly`` replaced; ``zeros_per_pivot`` is the
-scan step that tested every peeled pivot at every candidate before
-``alexander_modules._zeros`` walked the pivots' divisibility runs.
+one-pass ``laurent_ring.parse_poly`` replaced; ``format_poly`` is the printer
+that built each term's text on its own, with one key-function call per term
+to sort and one ``format_rational`` call per coefficient, before
+``laurent_ring.format_poly`` made each distinct text once per call;
+``zeros_per_pivot`` is the scan step that tested every peeled pivot at every
+candidate before ``alexander_modules._zeros`` walked the pivots' divisibility
+runs.
 
 The helpers after them read records the way tests do and no command does:
 ``is_zero_matrix`` was ``exact_kernel.is_zero_matrix``;
@@ -23,6 +27,7 @@ from fractions import Fraction
 from alexinv.alexander_modules import Presentation, _minors, _vanishing
 from alexinv.constructions import TorsionPoint
 from alexinv.errors import LimitError, ParseError
+from alexinv.exact_kernel import format_rational
 from alexinv.laurent_ring import _TOKEN, LaurentPoly
 
 
@@ -135,6 +140,37 @@ def parse_poly(text: str, nvars: int) -> LaurentPoly:
         if pos >= n:
             fail("dangling sign", pos - 1)
     return LaurentPoly(nvars, terms)
+
+
+def _grlex_key(exps):
+    return (sum(exps), exps)
+
+
+def format_poly(p: LaurentPoly) -> str:
+    """Canonical text form; ``parse_poly(format_poly(p), p.nvars) == p``.  A
+    coefficient too long to print is a ``LimitError`` (``format_rational``)."""
+    if p.is_zero:
+        return "0"
+    parts = []
+    for exps in sorted(p.terms, key=_grlex_key, reverse=True):
+        coeff = p.terms[exps]
+        factors = [
+            f"t{j + 1}" + (f"^{e}" if e != 1 else "")
+            for j, e in enumerate(exps)
+            if e != 0
+        ]
+        mag = abs(coeff)
+        if not factors:
+            body = format_rational(mag)
+        elif mag == 1:
+            body = "*".join(factors)
+        else:
+            body = "*".join([format_rational(mag)] + factors)
+        if not parts:
+            parts.append(body if coeff > 0 else "-" + body)
+        else:
+            parts.append((" + " if coeff > 0 else " - ") + body)
+    return "".join(parts)
 
 
 def zeros_per_pivot(pres, i: int, level: int, candidates) -> list:

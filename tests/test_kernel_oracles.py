@@ -885,6 +885,7 @@ def assert_clean(p: LaurentPoly):
         assert type(exps) is tuple and len(exps) == p.nvars
         assert all(type(e) is int for e in exps)
         assert type(coeff) in (int, Fraction) and coeff != 0
+        assert type(coeff) is int or coeff.denominator != 1, p.terms  # int when integral
     assert LaurentPoly(p.nvars, p.terms) == p
 
 
@@ -1007,11 +1008,27 @@ def test_coefficient_types_on_explicit_cases():
     assert_exact(divide_exact(t1 ** 2 - 1, t1 + 1), True)
     assert_exact(normalize_unit(parse_poly("1/2*t - 3/4", 1)), True)
     assert normalize_unit(parse_poly("1/2*t - 3/4", 1)).terms == {(1,): 2, (0,): -3}
-    # Fraction arithmetic can leave integral values typed Fraction; the
-    # normal form still has ints.
-    doubled = parse_poly("1/2*t + 1/2", 1) * 2
+    # Fraction arithmetic gives integral values typed Fraction; the ring
+    # operations store them as ints.
+    half = parse_poly("1/2*t + 1/2", 1)
+    doubled = half * 2
     assert doubled.terms == {(1,): 1, (0,): 1}
+    assert_exact(doubled, True)
     assert_exact(normalize_unit(doubled), True)
+    for value, terms in (
+        (half * (t1 + 1), {(2,): F(1, 2), (1,): 1, (0,): F(1, 2)}),
+        (half + parse_poly("1/2*t", 1), {(1,): 1, (0,): F(1, 2)}),
+        (half - F(-1, 2), {(1,): F(1, 2), (0,): 1}),
+        (F(1, 2) - half, {(1,): F(-1, 2)}),
+        (LaurentPoly(1, {("1",): F(1, 2), (1,): F(1, 2)}), {(1,): 1}),  # one exponent, twice
+    ):
+        assert value.terms == terms
+        assert_clean(value)
+    # A minor sums its Laplace terms itself: -1/2*t - 1/2*t is the int -1 there too.
+    one = LaurentPoly.one(1)
+    minor = presentation(1, [[half - F(1, 2), half - F(1, 2)], [one, -one]]).minors((0, 1), (0, 1))
+    assert minor.terms == {(1,): -1}
+    assert_clean(minor)
     assert_exact(gcd(doubled, t1 ** 2 - 1), True)
     # Plain Euclid on these divides 1 by 4 at its second step: a float if
     # that ran between two ints.
@@ -1019,6 +1036,62 @@ def test_coefficient_types_on_explicit_cases():
             parse_poly("t^4 + 2*t^3 - t^2 - 4*t - 2", 1))
     assert g == parse_poly("t + 1", 1)
     assert_exact(g, True)
+
+
+# ---------------------------------------------------------------------------
+# The canonical form against sympy's graded-lex order.
+
+
+def grlex_leading_coefficient(p: LaurentPoly):
+    return ordinary_poly(p).LC(order="grlex")
+
+
+@st.composite
+def normal_form_input(draw):
+    """A polynomial with negative exponents, ``int`` or ``Fraction``
+    coefficients, and, when drawn, two terms of one top total degree: the
+    lex-larger of the two negative."""
+    nvars = draw(st.integers(1, 3))
+    den = st.sampled_from([1]) if draw(st.booleans()) else st.sampled_from([1, 2, 3, 6])
+    terms = {}
+    for _ in range(draw(st.integers(1, 5))):
+        exps = tuple(draw(st.integers(-3, 2)) for _ in range(nvars))
+        terms[exps] = F(draw(st.integers(-12, 12).filter(bool)), draw(den))
+    if nvars > 1 and draw(st.booleans()):
+        # Every other term has total degree at most 2 * nvars < 3 * nvars + 1.
+        i, j = sorted(draw(st.lists(st.integers(0, nvars - 1), min_size=2, max_size=2,
+                                    unique=True)))
+        top = [3] * nvars
+        larger, smaller = list(top), list(top)
+        larger[i] += 1
+        smaller[j] += 1
+        terms[tuple(larger)] = -F(draw(st.integers(1, 6)), draw(den))
+        terms[tuple(smaller)] = F(draw(st.integers(1, 6)), draw(den))
+    return LaurentPoly(nvars, terms)
+
+
+@HYPOTHESIS
+@given(normal_form_input(), st.integers(-2, 2), st.sampled_from([1, -1, 2, F(-3, 2)]))
+def test_normalize_unit_is_sympys_grlex_normal_form(p, shift, scale):
+    ours = normalize_unit(p)
+    assert all(min(column) == 0 for column in zip(*ours.terms))
+    assert all(type(c) is int for c in ours.terms.values())
+    assert int_gcd(*ours.terms.values()) == 1
+    assert grlex_leading_coefficient(ours) > 0
+    assert same_unit_class(ours, ordinary_poly(p))
+    unit = LaurentPoly(p.nvars, {(shift,) * p.nvars: scale})
+    assert normalize_unit(p * unit) == ours
+
+
+def test_normalize_unit_leads_with_graded_lex_not_lex():
+    # Lex would lead with t1 in the first two; graded-lex leads with t2^2,
+    # and with t1 of the tied t1, t2.  The third shifts and clears a Fraction.
+    for text, normal in (("t1 - t2^2", "t2^2 - t1"), ("t2 - t1", "t1 - t2"),
+                         ("t1^-1*t2 - t1^-1*t3^2 + 1/2*t1^3", "t1^4 - 2*t3^2 + 2*t2")):
+        nvars = 3 if "t3" in text else 2
+        ours = normalize_unit(parse_poly(text, nvars))
+        assert ours == parse_poly(normal, nvars)
+        assert grlex_leading_coefficient(ours) > 0
 
 
 # ---------------------------------------------------------------------------

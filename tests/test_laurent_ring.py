@@ -290,6 +290,53 @@ def test_bare_t_only_for_one_variable():
         parse_poly("t - 1", 2)
 
 
+def printed(printer, p):
+    """``printer(p)``, or the ``LimitError`` text it raised."""
+    try:
+        return printer(p)
+    except LimitError as exc:
+        return f"LimitError: {exc}"
+
+
+TOO_LONG = 10 ** 4300  # 4301 digits: one more than a printed rational may have
+COEFFICIENTS = st.one_of(
+    st.sampled_from([1, -1]),
+    st.integers(-10 ** 6, 10 ** 6),
+    st.integers(1000, 4300).map(lambda d: 10 ** d - 1) | st.sampled_from([TOO_LONG]),
+    st.fractions(max_denominator=10 ** 6),
+).flatmap(lambda c: st.sampled_from([c, -c]))
+
+
+@st.composite
+def printable(draw):
+    nvars = draw(st.integers(1, 4))
+    exponent = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-12, 12))
+    terms = {}
+    for _ in range(draw(st.integers(0, 8))):
+        exps = (0,) * nvars if draw(st.integers(0, 5)) == 0 else tuple(
+            draw(exponent) for _ in range(nvars))
+        terms[exps] = draw(COEFFICIENTS)
+    return LaurentPoly(nvars, terms)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(printable())
+@example(LaurentPoly(2, {(1, 0): -1, (0, 1): 1, (0, 0): -1}))
+@example(LaurentPoly(3, {(0, 0, 0): 1, (-1, 0, 2): F(-1, 2), (1, 1, 0): 11}))
+@example(LaurentPoly(1, {(1,): TOO_LONG - 1, (0,): -1}))
+def test_format_poly_prints_the_reference_printers_bytes(p):
+    assert printed(format_poly, p) == printed(reference.format_poly, p)
+
+
+def test_format_poly_refuses_a_4301_digit_coefficient_as_before():
+    message = "LimitError: a rational has more than 4300 digits"
+    for coeff in (TOO_LONG, -TOO_LONG, F(1, TOO_LONG), F(-TOO_LONG, 7)):
+        for p in (LaurentPoly(2, {(1, 0): coeff, (0, 0): 1}),
+                  LaurentPoly(2, {(0, 0): coeff}),
+                  LaurentPoly(2, {(2, -1): 3, (1, 0): coeff, (0, 0): 1})):
+            assert printed(format_poly, p) == printed(reference.format_poly, p) == message
+
+
 def test_format_round_trip_random():
     rng = make_rng(25)
     for _ in range(150):
