@@ -70,15 +70,18 @@ on numerators by ``n -> u*n``, and the verdict holds on the whole orbit:
 the coefficients (of the pivots and the residual too) are rational, so a
 generator's value at ``u*n`` is ``sigma_u`` of its value at ``n``, where
 ``sigma_u: zeta_N -> zeta_N^u`` is a field automorphism of ``Q(zeta_N)``,
-and an automorphism sends only zero to zero.  ``_scan`` builds no point:
-it answers with lexicographic grid indices, which the CLI renders through
-one label list per level.
+and an automorphism sends only zero to zero.  The orbits come from a
+per-process table keyed by ``(level, nvars)`` (``_orbits``), read only once
+the grid passes ``check_grid``, so a scan is ``_zeros`` on the orbits' first
+points and one pass over the grid's index-to-orbit tuple.  It builds no
+point and answers with lexicographic grid indices, which the CLI renders
+through one label list per level.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
-from itertools import accumulate, combinations, product
+from functools import cached_property, lru_cache
+from itertools import accumulate, combinations, compress, product
 from math import gcd as int_gcd, lcm
 from operator import mul, sub
 
@@ -137,19 +140,21 @@ class Presentation(Record):
             order = sorted((len(a.terms), r, c)
                            for r, row in enumerate(rows) for c, a in enumerate(row) if a)
             for _, r, c in order:
-                a = rows[r][c]
-                if all(divide_exact(x, a) is not None for x in rows[r]):
-                    col = [divide_exact(row[c], a) for row in rows]
+                top = rows[r]
+                a = top[c]
+                # a / a is 1, and row r's own quotient is never read.
+                if all(divide_exact(x, a) is not None for x in top[:c] + top[c + 1 :]):
+                    others = rows[:r] + rows[r + 1 :]
+                    col = [divide_exact(row[c], a) for row in others]
                     if None not in col:
                         break
             else:
                 break
             pivots.append(a)
-            top = rows[r]
             rows = tuple(
                 tuple(x - q * y if q and y else x
                       for j, (x, y) in enumerate(zip(row, top)) if j != c)
-                for s, (row, q) in enumerate(zip(rows, col)) if s != r)
+                for row, q in zip(others, col))
         if not pivots:
             return (), self
         n = len(pivots)
@@ -306,25 +311,42 @@ def _zeros(pres: Presentation, i: int, level: int, candidates) -> list:
             for nums in _vanishing(_minors(rest, rest.generators - k), level, group)]
 
 
-def _scan(pres: Presentation, i: int, level: int) -> list[int]:
-    """Lexicographic indices of the level-N points where every generator of the
-    (i-1)-st elementary ideal vanishes, in increasing order; the grid is
-    checked first, also for the full ring, and one point per orbit is decided."""
-    check_grid(level, pres.nvars)
-    grid = list(product(range(level), repeat=pres.nvars))
+MAX_ORBIT_TABLES = 16
+"""Orbit tables (``_orbits``) a process keeps, the most recently used."""
+
+
+@lru_cache(maxsize=MAX_ORBIT_TABLES)
+def _orbits(level: int, nvars: int) -> tuple:
+    """``(reps, orbit_of)`` for a level-N grid that ``check_grid`` passed: the
+    first grid point of each ``(Z/N)^x`` orbit, in grid order, and for each
+    lexicographic grid index the number of its orbit in ``reps``."""
     units = {}  # m -> the units of Z/m
-    first = {}  # numerators -> those of the first grid point of their orbit
-    for nums in grid:
-        if nums not in first:
+    number = {}  # numerators -> the number of their orbit
+    reps = []
+    for nums in product(range(level), repeat=nvars):
+        if nums not in number:
             # u*nums mod N depends only on u mod m, and every unit mod m
             # lifts to a unit mod N.
             m = level // int_gcd(level, *nums)
             if m not in units:
                 units[m] = [u for u in range(1, m + 1) if int_gcd(u, m) == 1]
+            k = len(reps)
+            reps.append(nums)
             for u in units[m]:
-                first[tuple(u * n % level for n in nums)] = nums
-    zeros = set(_zeros(pres, i, level, set(first.values())))
-    return [index for index, nums in enumerate(grid) if first[nums] in zeros]
+                number[tuple(u * n % level for n in nums)] = k
+    return tuple(reps), tuple(map(number.__getitem__, product(range(level), repeat=nvars)))
+
+
+def _scan(pres: Presentation, i: int, level: int) -> list[int]:
+    """Lexicographic indices of the level-N points where every generator of the
+    (i-1)-st elementary ideal vanishes, in increasing order; the grid is
+    checked first, also for the full ring, and one point per orbit is
+    decided, the orbits read from the process's table for ``(level, nvars)``."""
+    check_grid(level, pres.nvars)
+    reps, orbit_of = _orbits(level, pres.nvars)
+    zeros = set(_zeros(pres, i, level, reps))
+    hit = [nums in zeros for nums in reps]
+    return list(compress(range(len(orbit_of)), map(hit.__getitem__, orbit_of)))
 
 
 # ---------------------------------------------------------------------------

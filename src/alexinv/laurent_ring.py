@@ -86,7 +86,7 @@ class LaurentPoly:
 
     @classmethod
     def zero(cls, nvars: int) -> LaurentPoly:
-        return cls(nvars, {})
+        return cls._make(nvars, {})
 
     @classmethod
     def constant(cls, value, nvars: int) -> LaurentPoly:
@@ -94,7 +94,7 @@ class LaurentPoly:
 
     @classmethod
     def one(cls, nvars: int) -> LaurentPoly:
-        return cls.constant(1, nvars)
+        return cls._make(nvars, {(0,) * nvars: 1})
 
     # -- predicates ----------------------------------------------------------
 

@@ -7,7 +7,8 @@ to sort and one ``format_rational`` call per coefficient, before
 ``laurent_ring.format_poly`` made each distinct text once per call;
 ``zeros_per_pivot`` is the scan step that tested every peeled pivot at every
 candidate before ``alexander_modules._zeros`` walked the pivots' divisibility
-runs.
+runs; ``peeled`` is ``Presentation._peeled`` as it was when its row check and
+column quotients still divided the candidate entry by itself.
 
 The helpers after them read records the way tests do and no command does:
 ``is_zero_matrix`` was ``exact_kernel.is_zero_matrix``;
@@ -23,12 +24,13 @@ The helpers after them read records the way tests do and no command does:
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import sub
 
 from alexinv.alexander_modules import Presentation, _minors, _vanishing
 from alexinv.constructions import TorsionPoint
 from alexinv.errors import LimitError, ParseError
 from alexinv.exact_kernel import format_rational
-from alexinv.laurent_ring import _TOKEN, LaurentPoly
+from alexinv.laurent_ring import _TOKEN, LaurentPoly, divide_exact, exponent_box
 
 
 def _tokenize(text: str):
@@ -192,6 +194,36 @@ def zeros_per_pivot(pres, i: int, level: int, candidates) -> list:
         groups.setdefault(k, []).append(nums)
     return [nums for k, group in groups.items() if k > 0
             for nums in _vanishing(_minors(rest, rest.generators - k), level, group)]
+
+
+def peeled(pres) -> tuple:
+    """``(pivots, rest)``: the entries split off as 1 x 1 blocks, by
+    increasing total degree span, and the residual presentation (the
+    presentation itself when none splits)."""
+    rows, pivots = pres.matrix, []
+    while True:
+        order = sorted((len(a.terms), r, c)
+                       for r, row in enumerate(rows) for c, a in enumerate(row) if a)
+        for _, r, c in order:
+            a = rows[r][c]
+            if all(divide_exact(x, a) is not None for x in rows[r]):
+                col = [divide_exact(row[c], a) for row in rows]
+                if None not in col:
+                    break
+        else:
+            break
+        pivots.append(a)
+        top = rows[r]
+        rows = tuple(
+            tuple(x - q * y if q and y else x
+                  for j, (x, y) in enumerate(zip(row, top)) if j != c)
+            for s, (row, q) in enumerate(zip(rows, col)) if s != r)
+    if not pivots:
+        return (), pres
+    n = len(pivots)
+    pivots.sort(key=lambda a: sum(map(sub, *exponent_box(a))))
+    return tuple(pivots), Presentation(
+        pres.nvars, pres.generators - n, pres.relations - n, rows)
 
 
 def is_zero_matrix(m) -> bool:

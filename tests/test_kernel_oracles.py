@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import inspect
+import os
 import re
 import threading
 import time
@@ -40,7 +41,7 @@ from alexinv.constructions import (
     support_scan,
     torsion_grid,
 )
-from alexinv.errors import DimensionError
+from alexinv.errors import DimensionError, LimitError
 from alexinv.exact_kernel import cyclotomic_poly, divisors
 from alexinv.invariant_pipeline import (
     MonodromyPolynomial,
@@ -64,8 +65,10 @@ from randgen import (
     random_presentation,
     random_product,
 )
+import reference
 from reference import presentation, zeros_per_pivot
 from test_alexander_modules import round_trips
+from test_golden_module import GOLDEN_DIR
 
 F = Fraction
 HYPOTHESIS = settings(max_examples=150, deadline=None, database=None)
@@ -712,6 +715,51 @@ def test_a_fully_peeled_chain_tests_one_pivot_per_candidate():
                     assert sum(counted) <= len(grid), (pres, i, level)
 
 
+def assert_peel_unchanged(pres: Presentation):
+    """``_peeled`` on a fresh copy gives the reference's pivots, in its
+    order, and its residual, and never divides an entry by itself."""
+    expected = reference.peeled(pres)
+    divided = []
+
+    def spy(p, q):
+        divided.append(p is q)
+        return divide_exact(p, q)
+
+    with mock.patch.object(am, "divide_exact", spy):
+        pivots, rest = fresh(pres)._peeled
+    assert pivots == expected[0], pres
+    assert rest == expected[1], pres
+    assert not any(divided), pres
+    return len(divided)
+
+
+def test_the_peel_is_the_reference_on_peel_cases():
+    for pres in peel_cases():
+        assert_peel_unchanged(pres)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(NVARS, st.integers(0, 10**6), st.sampled_from(["random", "chain", "partial"]))
+def test_the_peel_is_the_reference_on_drawn_presentations(nvars, seed, kind):
+    rng = make_rng(seed)
+    if kind == "random":
+        pres = random_presentation(rng, nvars, shape=(rng.randint(1, 4), rng.randint(0, 4)))
+    elif kind == "chain":
+        pres = random_chain_presentation(rng, nvars, (rng.randint(2, 4), rng.randint(2, 4)))
+    else:
+        pres = random_partial_presentation(rng, nvars, (rng.randint(4, 5), rng.randint(4, 5)))
+    assert_peel_unchanged(pres)
+
+
+def test_the_peel_of_a_golden_presentation_makes_sixteen_divisions():
+    # bi_4x5 peels fully in four pivots: 16 divisions, where dividing each
+    # candidate by itself in its row and its column made 24.
+    with open(os.path.join(GOLDEN_DIR, "bi_4x5.json"), "rb") as handle:
+        pres = am.presentation_from_json(handle.read())
+    assert assert_peel_unchanged(pres) == 16
+    assert len(pres._peeled[0]) == 4 and peel_kind(pres) == "full"
+
+
 def vanishing_factor(point: TorsionPoint, exps) -> LaurentPoly:
     """``1 + m + ... + m^(d-1)`` for the monomial ``m = t^exps``, where ``m``
     is a primitive d-th root of unity at the point: zero there when d > 1."""
@@ -872,6 +920,77 @@ def test_orbit_scans_match_the_per_point_test(data):
                              (pres, 2, fitting_variety_scan(pres, 3, level))):
         cyc = cyclic_module(elementary_ideal(module, k).gens, nvars)
         assert found == tuple(pt for pt in grid if in_support(cyc, pt))
+
+
+@HYPOTHESIS
+@given(st.data())
+def test_a_warm_orbit_table_answers_as_a_cold_one(data):
+    # A sequence of scans whose levels repeat, run once with the orbit
+    # tables cleared before each scan and once in a row, so that later scans
+    # read tables that earlier ones left; both equal the per-point test.
+    nvars = data.draw(NVARS)
+    levels = data.draw(st.lists(st.integers(1, 4 if nvars == 3 else 12),
+                                min_size=1, max_size=3))
+    scans = []
+    for _ in range(data.draw(st.integers(2, 5))):
+        level = data.draw(st.sampled_from(levels))
+        first = cyclic_module(data.draw(scan_ideal(nvars, level)), nvars)
+        pres = direct_sum(first, cyclic_module(data.draw(scan_ideal(nvars, level)), nvars))
+        module, i = data.draw(st.sampled_from([(first, 1), (pres, 1), (pres, 2), (pres, 3)]))
+        scans.append((module, i, level))
+
+    def scan(module, i, level):
+        return (support_scan(module, level) if i == 1
+                else fitting_variety_scan(module, i, level))
+
+    cold = []
+    for module, i, level in scans:
+        am._orbits.cache_clear()
+        cold.append(scan(module, i, level))
+    am._orbits.cache_clear()
+    warm = [scan(*args) for args in scans]
+    assert am._orbits.cache_info().misses == len({level for *_, level in scans})
+    assert warm == cold
+    for (module, i, level), found in zip(scans, warm):
+        cyc = cyclic_module(elementary_ideal(module, i - 1).gens, nvars)
+        assert found == tuple(pt for pt in torsion_grid(level, nvars) if in_support(cyc, pt))
+
+
+@pytest.mark.parametrize("level, nvars", [(1, 1), (1, 3), (2, 3), (7, 1), (12, 1), (12, 2),
+                                          (9, 2), (4, 3), (6, 3)])
+def test_orbit_tables_are_the_orbits_of_the_units(level, nvars):
+    reps, orbit_of = am._orbits(level, nvars)
+    assert type(reps) is tuple and type(orbit_of) is tuple
+    assert all(type(nums) is tuple for nums in reps)
+    grid = [pt.numerators for pt in torsion_grid(level, nvars)]
+    units = [u for u in range(1, level + 1) if int_gcd(u, level) == 1]
+    orbits = {nums: min(tuple(u * n % level for n in nums) for u in units) for nums in grid}
+    assert reps == tuple(sorted(set(orbits.values())))
+    assert len(orbit_of) == len(grid)
+    assert [reps[k] for k in orbit_of] == [orbits[nums] for nums in grid]
+
+
+@pytest.mark.parametrize("level, nvars", [(0, 1), (-3, 2), (lr.MAX_SCAN_POINTS + 1, 1),
+                                          (317, 2)])
+def test_an_orbit_table_is_built_only_for_a_grid_that_passes(level, nvars):
+    pres = cyclic_module([parse_poly("t1 - 1", nvars)], nvars)
+    am._orbits.cache_clear()
+    with pytest.raises(LimitError):
+        am._scan(pres, 1, level)
+    with pytest.raises(LimitError):
+        am._scan(cyclic_module([LaurentPoly.one(nvars)], nvars), 1, level)
+    assert am._orbits.cache_info().currsize == 0
+
+
+def test_the_orbit_tables_keep_at_most_their_bound():
+    assert am._orbits.cache_info().maxsize == am.MAX_ORBIT_TABLES == 16
+    am._orbits.cache_clear()
+    pres = cyclic_module([parse_poly("t1 - 1", 1)], 1)
+    for level in range(1, 2 * am.MAX_ORBIT_TABLES + 1):
+        assert am._scan(pres, 1, level) == [0]
+        assert am._orbits.cache_info().currsize == min(level, am.MAX_ORBIT_TABLES)
+    am._orbits(2 * am.MAX_ORBIT_TABLES, 1)
+    assert am._orbits.cache_info().hits == 1
 
 
 # ---------------------------------------------------------------------------

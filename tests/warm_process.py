@@ -9,10 +9,15 @@ scenario ``charvar`` at levels 2-6 and at every degree, ``milnor`` at every
 degree, ``aomoto`` with every residue ``-4/5`` and with every residue
 ``1/5``, and ``twisted`` and ``admissible`` with every residue class ``1/5``
 and with every class ``1/3``; ``milnor``, ``twisted`` and ``admissible`` at
-the default bound and at ``--bound 0``.  Each argv runs twice, in an order
-shuffled by the seed (default 0).  So later calls find the scenario in the
+the default bound and at ``--bound 0``.  On every presentation under
+``tests/golden/module/`` it runs ``module --op charpoly`` at every ``--i``
+from 0 to the number of generators, and ``--op support`` and ``--op fitting
+--i 1|2`` at levels 2-6.  Each argv runs twice, in an order shuffled by the
+seed (default 0).  So later calls find the scenario or presentation in the
 decode cache, the scans of ``charvar`` and ``milnor`` in the scenario's one
-store, and the ranks of every command in its differential's rank memo.
+store, the ranks of every command in its differential's rank memo, the peel
+and the minors in the presentation, and the orbits of a module scan in the
+process's table for its level and variable count.
 Each stdout and exit code must equal those of ``python -m alexinv`` run on
 the same argv in a process of its own, two such processes at a time.  It
 prints one line per mismatch and exits 1 if there is any, else prints the
@@ -24,6 +29,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import json
 import os
 import random
 import subprocess
@@ -32,6 +38,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
+MODULES = os.path.join(ROOT, "tests", "golden", "module")
 sys.path.insert(0, SRC)
 
 from alexinv import cli  # noqa: E402
@@ -46,9 +53,10 @@ BOUNDS = ([], ["--bound", "0"])
 
 
 def calls() -> list:
-    """Every ``charvar`` argv of the bundled scenarios at ``LEVELS``, and
-    every ``milnor``, ``aomoto``, ``twisted`` and ``admissible`` argv at
-    ``ALPHAS``, ``BETAS`` and ``BOUNDS``."""
+    """Every ``charvar`` argv of the bundled scenarios at ``LEVELS``, every
+    ``milnor``, ``aomoto``, ``twisted`` and ``admissible`` argv at
+    ``ALPHAS``, ``BETAS`` and ``BOUNDS``, and every ``module`` argv of the
+    golden presentations."""
     found = []
     for name in bundled_scenario_names():
         scenario = load_bundled_scenario(name)
@@ -65,6 +73,17 @@ def calls() -> list:
                 for bound in BOUNDS:
                     found.append([command, name, "--beta=" + ",".join([beta] * scenario.nparams),
                                   *bound])
+    for entry in sorted(os.listdir(MODULES)):
+        if entry.endswith(".json"):
+            path = os.path.join(MODULES, entry)
+            with open(path, encoding="utf-8") as handle:
+                generators = json.load(handle)["generators"]
+            module = ["module", "--presentation", path, "--op"]
+            found += [[*module, "charpoly", "--i", str(i)] for i in range(generators + 1)]
+            for level in LEVELS:
+                found.append([*module, "support", "--level", str(level)])
+                found += [[*module, "fitting", "--i", str(i), "--level", str(level)]
+                          for i in (1, 2)]
     return found
 
 
